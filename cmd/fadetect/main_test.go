@@ -83,6 +83,31 @@ func TestSingleAppWithLog(t *testing.T) {
 	}
 }
 
+// TestObliviousLogStacksNameTheCrashSite: foreign panics that unwind
+// through woven wrappers are recorded from the crash site down to the
+// workload — neither the wrappers' re-panics nor the campaign driver's
+// frames, whose line numbers move with every engine edit, reach the log.
+func TestObliviousLogStacksNameTheCrashSite(t *testing.T) {
+	for _, app := range []string{"LinkedList", "xml2xml1"} {
+		logPath := filepath.Join(t.TempDir(), app+".json")
+		if _, _, err := capture(t, runArgs("-app", app, "-perturb", "oblivious", "-log", logPath)); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), `"stack":"`) {
+			t.Fatalf("%s: oblivious log records no foreign-panic stack", app)
+		}
+		for _, engine := range []string{"session.go:", "inject.go:"} {
+			if i := strings.Index(string(data), engine); i >= 0 {
+				t.Fatalf("%s: log names an engine line %q: ...%s...", app, engine, data[max(0, i-200):i+20])
+			}
+		}
+	}
+}
+
 func TestGroupEvaluation(t *testing.T) {
 	out, _, err := capture(t, runArgs("-lang", "cpp", "-repair=false"))
 	if err != nil {

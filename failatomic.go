@@ -191,7 +191,8 @@ type SnapshotMode = core.SnapshotMode
 // Snapshot modes.
 const (
 	// SnapshotFingerprint streams a 128-bit graph hash (zero allocations)
-	// and replays non-atomic runs in capture mode to recover diffs.
+	// and replays non-atomic runs, capturing only the marked calls, to
+	// recover diffs.
 	SnapshotFingerprint = core.SnapshotFingerprint
 	// SnapshotCapture materializes full object graphs on every call.
 	SnapshotCapture = core.SnapshotCapture

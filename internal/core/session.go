@@ -38,6 +38,15 @@ type MaskSkip struct {
 	Err    error
 }
 
+// CallID identifies one wrapped call within a run: the instrumentation
+// name and the 1-based per-method call ordinal. Over a deterministic
+// workload the same call carries the same CallID in every execution, which
+// is what lets a replay snapshot exactly the calls a first pass marked.
+type CallID struct {
+	Method string
+	Call   int64
+}
+
 // PointInfo describes one potential injection point of a run: the
 // instrumentation name it belongs to and the candidate exception kind. A
 // traced clean run (Config.TracePoints) records one PointInfo per global
@@ -121,6 +130,14 @@ type Config struct {
 	// cache disabled (hash from scratch every call); SnapshotCapture
 	// materializes full graphs and reports the first-difference path.
 	Snapshot SnapshotMode
+	// DiffCalls, when non-nil, restricts Detect snapshots to the listed
+	// calls (targeted diff recovery: a capture-mode replay pays for graphs
+	// only where a first pass marked a non-atomic call). Every other
+	// receiver-bearing call still installs its exit handler, so Seq
+	// numbering, ExitFire and the Oblivious swallow boundary are exactly
+	// those of an untargeted session; it records no mark of its own. Nil
+	// means every call.
+	DiffCalls map[CallID]bool
 	// SnapshotCacheBudget caps the bytes of large-leaf content the
 	// fingerprint cache may pin for reuse verification; 0 selects the
 	// objgraph default (8 MiB). Only consulted when Detect is on and
@@ -178,6 +195,7 @@ type Session struct {
 	trace       []PointInfo
 	seq         int
 	marks       []Mark
+	markCalls   []CallID
 	calls       map[string]int64
 	maskSkips   []MaskSkip
 	masked      int64
@@ -268,6 +286,11 @@ func (s *Session) PointTrace() []PointInfo { return s.trace }
 
 // Marks returns the atomicity observations recorded so far.
 func (s *Session) Marks() []Mark { return s.marks }
+
+// MarkCalls returns the call identity of each mark, index-aligned with
+// Marks. It is session-side bookkeeping for diff recovery and is never
+// part of a Mark, so journals and logs do not carry it.
+func (s *Session) MarkCalls() []CallID { return s.markCalls }
 
 // Calls returns the per-method call counts.
 func (s *Session) Calls() map[string]int64 { return s.calls }
@@ -485,7 +508,7 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 	var before *objgraphSnapshot
 	var beforeFP objgraph.FP
 	fingerprinted := false
-	if s.cfg.Detect {
+	if s.cfg.Detect && (s.cfg.DiffCalls == nil || s.cfg.DiffCalls[CallID{name, call}]) {
 		if s.cfg.Snapshot.Fingerprinted() {
 			beforeFP = s.fingerprint(roots)
 			fingerprinted = true
@@ -494,7 +517,7 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 		}
 	}
 
-	if handle == nil && before == nil && !fingerprinted && s.cfg.ExitFire == nil {
+	if handle == nil && !s.cfg.Detect && s.cfg.ExitFire == nil {
 		s.putRoots(roots)
 		return nil
 	}
@@ -539,7 +562,8 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 		if fingerprinted {
 			// Fingerprint mode records the verdict but no diff path; the
 			// campaign driver recovers Diff for non-atomic marks by
-			// re-running the run in capture mode (deterministic replay).
+			// replaying the run with capture snapshots at exactly those
+			// calls (deterministic replay, matched back by Seq).
 			if s.fpCache != nil {
 				// The method body (and any handler code) ran since the
 				// before-fingerprint; invalidate root-frame reuse so the
@@ -555,6 +579,7 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 				Exception: fault.From(r),
 				Masked:    rolledBack,
 			})
+			s.markCalls = append(s.markCalls, CallID{name, call})
 		} else if before != nil {
 			after := snapshot(roots)
 			diff := before.diff(after)
@@ -567,6 +592,12 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 				Exception: fault.From(r),
 				Masked:    rolledBack,
 			})
+			s.markCalls = append(s.markCalls, CallID{name, call})
+		} else if s.cfg.Detect {
+			// A call outside DiffCalls: no snapshot, no mark, but it
+			// consumes its Seq exactly as in an untargeted pass, so the
+			// targeted marks keep their numbering.
+			s.seq++
 		}
 		s.putRoots(roots)
 		if s.cfg.Oblivious {

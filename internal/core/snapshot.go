@@ -13,9 +13,11 @@ import (
 // on at most one exceptional return per run, so >99% of snapshots are
 // discarded unread. Fingerprint mode folds the same canonical traversal
 // into a streaming 128-bit hash (objgraph.Fingerprint) — zero Node
-// allocations — and leaves Mark.Diff empty on non-atomic marks; the
+// allocations — and leaves Mark.Diff empty on non-atomic marks. The
 // campaign driver recovers the human-readable diff by deterministically
-// re-running only those runs in capture mode (see internal/inject).
+// replaying only those runs, with capture snapshots restricted to the
+// marked calls (Config.DiffCalls), and copying each recovered Diff into
+// the first pass's mark with the same Seq (see internal/inject).
 type SnapshotMode uint8
 
 const (
@@ -24,8 +26,9 @@ const (
 	// collisions (~2⁻¹²⁸ per comparison); Diff is left empty.
 	SnapshotFingerprint SnapshotMode = iota
 	// SnapshotCapture materializes full object graphs and reports the
-	// path to the first difference — the original behavior, used for the
-	// diff-recovery pass and as an escape hatch.
+	// path to the first difference — the original behavior, used by the
+	// diff-recovery replay (at the calls Config.DiffCalls lists) and as
+	// an escape hatch (at every call).
 	SnapshotCapture
 	// SnapshotFingerprintNoCache is fingerprint mode with the session's
 	// incremental cache disabled: every snapshot hashes the full graph
@@ -38,7 +41,7 @@ const (
 
 // Fingerprinted reports whether the mode summarizes before-states as
 // 128-bit fingerprints (leaving Mark.Diff empty for the campaign
-// driver's capture-replay recovery) rather than captured graphs.
+// driver's targeted capture replay) rather than captured graphs.
 func (m SnapshotMode) Fingerprinted() bool {
 	return m == SnapshotFingerprint || m == SnapshotFingerprintNoCache
 }

@@ -66,9 +66,11 @@ type Exception struct {
 	Foreign bool
 	// Stack is a truncated, normalized stack captured when a foreign
 	// panic was wrapped (empty otherwise): function names and file:line
-	// only, newest frame first, so hung/quarantined-point reports are
-	// triageable and deterministic workloads produce identical stacks
-	// across processes (resume logs rely on that).
+	// only, newest frame first, from the original crash site down to the
+	// workload (re-raising wrappers and campaign-driver frames are cut),
+	// so hung/quarantined-point reports are triageable and deterministic
+	// workloads produce identical stacks across processes (resume logs
+	// rely on that).
 	Stack string
 }
 
@@ -163,20 +165,29 @@ func capturedStack() string {
 		}
 		frames = append(frames, frame{fn, loc})
 	}
-	// Start after the first panic marker (the most recent panic in
-	// flight): everything above it — this function, From, the deferred
-	// catcher, runtime.gopanic — is recovery plumbing, not the crash.
+	// Start at the original crash site. Everything above the most recent
+	// panic marker — this function, From, the deferred catcher,
+	// runtime.gopanic — is recovery plumbing. A foreign panic that unwound
+	// through woven wrappers was also recovered and re-raised by each of
+	// them, leaving one more marker per wrapper whose caller is the engine
+	// (failatomic/internal/core); the crash site follows the first marker
+	// raised anywhere else, or the oldest marker if every one is the
+	// engine's.
 	start := 0
 	for i, f := range frames {
-		if f.fn == "panic" || f.fn == "runtime.gopanic" || f.fn == "runtime.sigpanic" {
-			start = i + 1
+		if f.fn != "panic" && f.fn != "runtime.gopanic" && f.fn != "runtime.sigpanic" {
+			continue
+		}
+		// Runtime panics put panicmem/sigpanic between gopanic and the
+		// faulting frame; skip past them to the crash site.
+		j := i + 1
+		for j < len(frames) && strings.HasPrefix(frames[j].fn, "runtime.") {
+			j++
+		}
+		start = j
+		if j < len(frames) && !strings.HasPrefix(frames[j].fn, "failatomic/internal/core.") {
 			break
 		}
-	}
-	// Runtime panics put panicmem/sigpanic between gopanic and the
-	// faulting frame; skip past them to the crash site.
-	for start < len(frames) && strings.HasPrefix(frames[start].fn, "runtime.") {
-		start++
 	}
 	if start >= len(frames) {
 		start = 0
@@ -188,6 +199,15 @@ func capturedStack() string {
 		}
 	}
 	frames = frames[start:]
+	// Below the workload sit the campaign driver's frames, whose line
+	// numbers say nothing about the crash; cut them (never the crash site
+	// itself).
+	for i := 1; i < len(frames); i++ {
+		if strings.HasPrefix(frames[i].fn, "failatomic/internal/inject.") {
+			frames = frames[:i]
+			break
+		}
+	}
 	if len(frames) > maxStackFrames {
 		frames = frames[:maxStackFrames]
 	}

@@ -1,0 +1,83 @@
+package inject_test
+
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"failatomic/internal/apps"
+	"failatomic/internal/core"
+	"failatomic/internal/detect"
+	"failatomic/internal/inject"
+	"failatomic/internal/mask"
+)
+
+// TestAppsFingerprintMatchesCapture pins targeted diff recovery on every
+// bundled application: a fingerprint campaign — the default sweep plus
+// the nth=3, burst, defer and oblivious grids — records runs deeply equal
+// to an all-capture campaign, sequentially, in parallel and supervised,
+// and so does the masking-verification re-campaign over the wrap plan.
+func TestAppsFingerprintMatchesCapture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 16 applications under every campaign mode")
+	}
+	perturbs, err := inject.ParsePerturbations("nth=3,burst,defer,oblivious")
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := []struct {
+		name string
+		opts inject.Options
+	}{
+		{"sequential", inject.Options{}},
+		{"parallel", inject.Options{Parallelism: 2}},
+		{"supervised", inject.Options{MaxRetries: 1}},
+	}
+	// The four heaviest campaigns take three quarters of the test's time;
+	// slow builds leave them to the plain one.
+	heavy := map[string]bool{"RegExp": true, "HashedMap": true, "RBTree": true, "RBMap": true}
+	for _, app := range apps.All() {
+		t.Run(app.Name, func(t *testing.T) {
+			if slowBuild && heavy[app.Name] {
+				t.Skip("heavy campaign; covered by the plain build")
+			}
+			campaign := func(opts inject.Options, snap core.SnapshotMode) *inject.Result {
+				t.Helper()
+				opts.Snapshot = snap
+				res, err := inject.Campaign(context.Background(), app.Build(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			assertSame := func(what string, opts inject.Options) *inject.Result {
+				t.Helper()
+				fp := campaign(opts, core.SnapshotFingerprint)
+				capture := campaign(opts, core.SnapshotCapture)
+				if !reflect.DeepEqual(fp.Runs, capture.Runs) {
+					for i := range fp.Runs {
+						if i < len(capture.Runs) && !reflect.DeepEqual(fp.Runs[i], capture.Runs[i]) {
+							t.Fatalf("%s: run %s differs from capture:\n got %+v\nwant %+v",
+								what, fp.Runs[i].Key(), fp.Runs[i], capture.Runs[i])
+						}
+					}
+					t.Fatalf("%s: %d runs, capture %d", what, len(fp.Runs), len(capture.Runs))
+				}
+				return fp
+			}
+			var base *inject.Result
+			for _, m := range modes {
+				opts := m.opts
+				opts.Perturbations = perturbs
+				res := assertSame(m.name, opts)
+				if base == nil {
+					base = res
+				}
+			}
+			plan := mask.Build(detect.Classify(base, detect.Options{}), nil, mask.Policy{})
+			if len(plan.Wrap) > 0 {
+				assertSame("masked", inject.Options{Mask: plan.WrapSet()})
+			}
+		})
+	}
+}

@@ -192,10 +192,11 @@ type Options struct {
 	Serialize bool
 	// Snapshot selects the session snapshot engine. The default,
 	// core.SnapshotFingerprint, compares streaming 128-bit graph hashes on
-	// every wrapped call and deterministically re-executes only the runs
-	// that record a non-atomic mark in capture mode to recover the
-	// human-readable Mark.Diff — reports and journals stay byte-identical
-	// to capture mode. Each session hashes through its own incremental
+	// every wrapped call; a run that records a non-atomic mark is
+	// deterministically replayed with capture snapshots at exactly the
+	// marked calls, and the recovered human-readable Mark.Diff values are
+	// patched into the run — reports and journals stay byte-identical to
+	// capture mode. Each session hashes through its own incremental
 	// cache (generation-keyed frame reuse, verified large-leaf replay);
 	// core.SnapshotFingerprintNoCache disables the cache (hash from
 	// scratch every call, identical output), and core.SnapshotCapture
@@ -489,11 +490,14 @@ func (w *deadPointWarnings) list() []string {
 }
 
 type execution struct {
-	run    Run
-	calls  map[string]int64
-	points int
-	trace  []core.PointInfo
-	cache  core.SnapshotCacheStats
+	run Run
+	// markCalls is the call identity of each of run.Marks (index-aligned),
+	// the key diff recovery matches replayed marks on.
+	markCalls []core.CallID
+	calls     map[string]int64
+	points    int
+	trace     []core.PointInfo
+	cache     core.SnapshotCacheStats
 }
 
 // profile packages what the clean execution discovered for the
@@ -507,8 +511,9 @@ func (e execution) profile(p *Program) Profile {
 	}
 }
 
-// newSession builds the injector session realizing one experiment.
-func newSession(p *Program, ex Experiment, opts Options) *core.Session {
+// newSession builds the injector session realizing one experiment;
+// diffCalls restricts its Detect snapshots (nil = every call).
+func newSession(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) *core.Session {
 	cfg := core.Config{
 		Registry:       p.Registry,
 		Inject:         true,
@@ -518,6 +523,7 @@ func newSession(p *Program, ex Experiment, opts Options) *core.Session {
 		TracePoints:    ex.trace,
 		Detect:         true,
 		Snapshot:       opts.Snapshot,
+		DiffCalls:      diffCalls,
 		Mask:           len(opts.Mask) > 0,
 		MaskMethods:    opts.Mask,
 		Strategy:       opts.MaskStrategy,
@@ -562,10 +568,11 @@ func collect(session *core.Session, ex Experiment, escaped *fault.Exception) exe
 			Marks:          session.Marks(),
 			MaskStats:      session.MaskStats(),
 		},
-		calls:  session.Calls(),
-		points: session.Point(),
-		trace:  session.PointTrace(),
-		cache:  session.SnapshotCacheStats(),
+		markCalls: session.MarkCalls(),
+		calls:     session.Calls(),
+		points:    session.Point(),
+		trace:     session.PointTrace(),
+		cache:     session.SnapshotCacheStats(),
 	}
 }
 
@@ -615,43 +622,26 @@ func cleanRun(ctx context.Context, p *Program, opts Options, scoped bool) (execu
 	return execute(p, ex, opts)
 }
 
-// needsDiffRecovery reports whether a fingerprint-mode run recorded a
-// non-atomic mark without a diff path. Capture-mode non-atomic marks
-// always carry a non-empty Diff, so this is precisely the set of runs the
-// recovery pass must replay.
-func needsDiffRecovery(run Run) bool {
-	for _, m := range run.Marks {
-		if !m.Atomic && m.Diff == "" {
-			return true
-		}
-	}
-	return false
-}
-
 // execute performs one injector run with the given threshold on the legacy
 // exclusive global session, catching the exception that escapes the
-// workload's top level. Under fingerprint snapshots, a run that records a
-// non-atomic mark is deterministically re-executed in capture mode to
-// recover the human-readable diff paths; the replay replaces the run
-// wholesale, so the result is byte-identical to an all-capture campaign.
+// workload's top level. Under fingerprint snapshots, the diffs of the
+// run's non-atomic marks are recovered by a targeted capture replay
+// (recoverDiffs), so the result is byte-identical to an all-capture
+// campaign.
 func execute(p *Program, ex Experiment, opts Options) (execution, error) {
-	out, err := executeGlobal(p, ex, opts)
-	if err == nil && opts.Snapshot.Fingerprinted() && needsDiffRecovery(out.run) {
-		opts.Snapshot = core.SnapshotCapture
-		replay, rerr := executeGlobal(p, ex, opts)
-		if rerr == nil {
-			// The replay replaces the run wholesale; only the cache
-			// counters of the discarded fingerprint pass carry over.
-			replay.cache.Add(out.cache)
-		}
-		return replay, rerr
+	out, err := executeGlobal(p, ex, opts, nil)
+	if err != nil {
+		return out, err
 	}
-	return out, err
+	return recoverDiffs(out, opts, func(o Options, diffCalls map[core.CallID]bool) (execution, error) {
+		return executeGlobal(p, ex, o, diffCalls)
+	}, nil)
 }
 
-// executeGlobal is one attempt of execute on the exclusive global session.
-func executeGlobal(p *Program, ex Experiment, opts Options) (execution, error) {
-	session := newSession(p, ex, opts)
+// executeGlobal is one attempt of execute on the exclusive global session;
+// diffCalls restricts its snapshots (core.Config.DiffCalls).
+func executeGlobal(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) (execution, error) {
+	session := newSession(p, ex, opts, diffCalls)
 	if err := core.Install(session); err != nil {
 		return execution{}, err
 	}
@@ -663,37 +653,127 @@ func executeGlobal(p *Program, ex Experiment, opts Options) (execution, error) {
 // executeScoped performs one injector run on a session bound to the
 // calling goroutine, so any number of runs may proceed concurrently on
 // different goroutines. Unlike execute it cannot fail: scoped sessions
-// need no exclusive slot. Fingerprint-mode runs with non-atomic marks are
-// replayed in capture mode exactly as in execute; sitting here, the
-// recovery pass also covers parallel workers and supervised attempts
-// (a crashed attempt keeps its marks for triage, so it too is replayed).
+// need no exclusive slot. Diffs are recovered exactly as in execute;
+// sitting here, the recovery also covers parallel workers and supervised
+// attempts.
 func executeScoped(p *Program, ex Experiment, opts Options) execution {
-	out := executeScopedOnce(p, ex, opts)
-	if opts.Snapshot.Fingerprinted() && needsDiffRecovery(out.run) {
-		// A supervised attempt that crashed with a foreign panic belongs to
-		// the supervisor's retry policy, not the recovery pass: replaying
-		// here would consume a retry the workload's misbehavior hook never
-		// sees. The supervisor recovers diffs for the marks it ultimately
-		// keeps (see quarantined).
-		if opts.supervised() && out.run.Escaped != nil && out.run.Escaped.Foreign {
-			return out
-		}
-		opts.Snapshot = core.SnapshotCapture
-		replay := executeScopedOnce(p, ex, opts)
-		replay.cache.Add(out.cache)
-		return replay
+	out := executeScopedOnce(p, ex, opts, nil)
+	// A supervised attempt that crashed with a foreign panic belongs to
+	// the supervisor's retry policy, not the recovery pass: replaying here
+	// would consume a retry the workload's misbehavior hook never sees.
+	// The supervisor recovers diffs for the marks it ultimately keeps (see
+	// quarantined).
+	if opts.supervised() && out.run.Escaped != nil && out.run.Escaped.Foreign {
+		return out
 	}
+	out, _ = recoverDiffs(out, opts, scopedAttempt(p, ex), nil)
 	return out
 }
 
-// executeScopedOnce is one attempt of executeScoped.
-func executeScopedOnce(p *Program, ex Experiment, opts Options) execution {
-	session := newSession(p, ex, opts)
+// executeScopedOnce is one attempt of executeScoped; diffCalls restricts
+// its snapshots (core.Config.DiffCalls).
+func executeScopedOnce(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) execution {
+	session := newSession(p, ex, opts, diffCalls)
 	var escaped *fault.Exception
 	session.Bind(func() {
 		escaped = runGuarded(workload(p, opts))
 	})
 	return collect(session, ex, escaped)
+}
+
+// scopedAttempt adapts executeScopedOnce to recoverDiffs' replay shape.
+func scopedAttempt(p *Program, ex Experiment) attemptFunc {
+	return func(o Options, diffCalls map[core.CallID]bool) (execution, error) {
+		return executeScopedOnce(p, ex, o, diffCalls), nil
+	}
+}
+
+// attemptFunc executes one experiment once under opts, snapshotting only
+// the calls in diffCalls (nil = every call).
+type attemptFunc func(opts Options, diffCalls map[core.CallID]bool) (execution, error)
+
+// recoverDiffs fills in Mark.Diff for every non-atomic mark a
+// fingerprint-mode execution left diffless, and is the only place the
+// campaign replays a run. The run is replayed once on a capture session
+// that snapshots only the marked calls (every other call still runs its
+// exit handler, so Seq numbering and the oblivious swallow boundary are
+// unchanged); each recovered Diff is copied into out's mark with the same
+// Seq, and everything else out recorded is kept. If the replay diverged —
+// a target mark is missing, sits at another call, or reads atomic — the
+// run is replayed again with every call captured and that replay is
+// adopted wholesale. accept, when non-nil, vets each replay; a rejected
+// replay leaves out as it was (the supervisor keeps a flaky crasher's
+// diffless original).
+func recoverDiffs(out execution, opts Options, attempt attemptFunc, accept func(Run) bool) (execution, error) {
+	if !opts.Snapshot.Fingerprinted() {
+		return out, nil
+	}
+	targets := diffTargets(out)
+	if targets == nil {
+		return out, nil
+	}
+	opts.Snapshot = core.SnapshotCapture
+	replay, err := attempt(opts, targets)
+	if err != nil {
+		return execution{}, err
+	}
+	if accept != nil && !accept(replay.run) {
+		return out, nil
+	}
+	if patchDiffs(out, replay, len(targets)) {
+		return out, nil
+	}
+	full, err := attempt(opts, nil)
+	if err != nil {
+		return execution{}, err
+	}
+	if accept != nil && !accept(full.run) {
+		return out, nil
+	}
+	// The full replay replaces the run; only the cache counters of the
+	// discarded fingerprint pass carry over.
+	full.cache.Add(out.cache)
+	return full, nil
+}
+
+// diffTargets returns the call identities of an execution's non-atomic
+// marks that carry no diff path, or nil when there are none. Capture-mode
+// non-atomic marks always carry a non-empty Diff, so this is precisely
+// what the recovery replay must snapshot.
+func diffTargets(out execution) map[core.CallID]bool {
+	var targets map[core.CallID]bool
+	for i, m := range out.run.Marks {
+		if !m.Atomic && m.Diff == "" {
+			if targets == nil {
+				targets = make(map[core.CallID]bool)
+			}
+			targets[out.markCalls[i]] = true
+		}
+	}
+	return targets
+}
+
+// patchDiffs copies a targeted replay's diffs into out's marks by Seq. It
+// reports false, leaving out untouched, unless the replay marked exactly
+// the targets, each at the same Seq and call as in out, and non-atomic.
+// (A targeted session marks only target calls, and a call marks at most
+// once, so matching calls at every replayed mark plus matching counts
+// cover every target.)
+func patchDiffs(out, replay execution, targets int) bool {
+	marks := out.run.Marks
+	if len(replay.run.Marks) != targets {
+		return false
+	}
+	for j, m := range replay.run.Marks {
+		i := m.Seq - 1
+		if m.Atomic || i < 0 || i >= len(marks) || marks[i].Seq != m.Seq || out.markCalls[i] != replay.markCalls[j] {
+			return false
+		}
+	}
+	for _, m := range replay.run.Marks {
+		marks[m.Seq-1].Diff = m.Diff
+	}
+	return true
 }
 
 // runGuarded invokes the workload and converts an escaping panic into the

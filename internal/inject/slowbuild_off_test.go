@@ -1,0 +1,6 @@
+//go:build !race && !failatomic_portable_gls
+
+package inject_test
+
+// slowBuild reports a build whose runtime slows campaigns severalfold.
+const slowBuild = false

@@ -114,3 +114,126 @@ func TestSupervisedFingerprintMatchesCapture(t *testing.T) {
 		t.Fatalf("supervised fingerprint runs differ from capture:\n got %+v\nwant %+v", fp.Runs, cap.Runs)
 	}
 }
+
+// countingProgram is testProgram with an invocation counter. With
+// alternate set, even invocations first exercise a throwaway stack, which
+// shifts every point and call ordinal — a nondeterministic workload whose
+// replays never match the run they replay.
+func countingProgram(invocations *int, alternate bool) *Program {
+	p := testProgram()
+	p.Run = func() {
+		*invocations++
+		if alternate && *invocations%2 == 0 {
+			(&stack{}).PushSafe(0)
+		}
+		d := &driver{S: &stack{}}
+		d.Fill(3)
+	}
+	return p
+}
+
+// TestRecoveryReplaysOnceTargeted: on a deterministic workload a run with
+// non-atomic marks costs exactly one replay, and the patched run equals
+// the all-capture run.
+func TestRecoveryReplaysOnceTargeted(t *testing.T) {
+	ex := Experiment{Key: RunKey{Point: hangPoint}, point: hangPoint}
+	var n int
+	out := executeScoped(countingProgram(&n, false), ex, Options{})
+	if n != 2 {
+		t.Fatalf("workload invoked %d times, want 2 (run + targeted replay)", n)
+	}
+	want := executeScoped(countingProgram(new(int), false), ex, Options{Snapshot: core.SnapshotCapture})
+	if !hasNonAtomic(want.run) {
+		t.Fatal("point must record non-atomic marks for the recovery path to run")
+	}
+	if !reflect.DeepEqual(out.run, want.run) {
+		t.Fatalf("recovered run differs from capture:\n got %+v\nwant %+v", out.run, want.run)
+	}
+}
+
+// TestRecoveryFallsBackOnDivergence: when the targeted replay of a
+// nondeterministic workload does not mark the targeted calls, the run is
+// replayed again with every call captured and that replay is adopted —
+// the behavior an all-capture campaign would have recorded.
+func TestRecoveryFallsBackOnDivergence(t *testing.T) {
+	ex := Experiment{Key: RunKey{Point: hangPoint}, point: hangPoint}
+	for _, scoped := range []bool{false, true} {
+		var n int
+		p := countingProgram(&n, true)
+		var out execution
+		if scoped {
+			out = executeScoped(p, ex, Options{})
+		} else {
+			var err error
+			if out, err = execute(p, ex, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n != 3 {
+			t.Fatalf("scoped=%v: workload invoked %d times, want 3 (run, targeted replay, full replay)", scoped, n)
+		}
+		// Invocations 1 and 3 take the same branch, so the adopted full
+		// replay equals a capture run of that branch.
+		want := executeScoped(countingProgram(new(int), false), ex, Options{Snapshot: core.SnapshotCapture})
+		if !reflect.DeepEqual(out.run, want.run) {
+			t.Fatalf("scoped=%v: fallback run differs from capture:\n got %+v\nwant %+v", scoped, out.run, want.run)
+		}
+	}
+}
+
+func hasNonAtomic(run Run) bool {
+	for _, m := range run.Marks {
+		if !m.Atomic {
+			return true
+		}
+	}
+	return false
+}
+
+func hasDiffless(run Run) bool {
+	for _, m := range run.Marks {
+		if !m.Atomic && m.Diff == "" {
+			return true
+		}
+	}
+	return false
+}
+
+// TestQuarantinedCrasherRecovery: a point quarantined for a deterministic
+// foreign crash gets its diffs from the targeted replay (matching an
+// all-capture campaign), while a crasher that stops crashing on the replay
+// keeps its diffless marks rather than diffs from a run it never had.
+func TestQuarantinedCrasherRecovery(t *testing.T) {
+	crash := func(int, any) { panic("boom: corrupted state") }
+	fp, err := Campaign(context.Background(), misbehavingProgram(hangPoint, crash), Options{MaxRetries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap, err := Campaign(context.Background(), misbehavingProgram(hangPoint, crash), Options{MaxRetries: 1, Snapshot: core.SnapshotCapture})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp.Runs[hangPoint].Status != RunUndetermined || !hasNonAtomic(fp.Runs[hangPoint]) {
+		t.Fatalf("point %d must be quarantined with non-atomic marks: %+v", hangPoint, fp.Runs[hangPoint])
+	}
+	if !reflect.DeepEqual(fp.Runs, cap.Runs) {
+		t.Fatalf("quarantined fingerprint runs differ from capture:\n got %+v\nwant %+v", fp.Runs[hangPoint], cap.Runs[hangPoint])
+	}
+
+	// Both supervised attempts crash; the recovery replay (attempt 3)
+	// completes normally, so it is not adopted.
+	flaky := misbehavingProgram(hangPoint, func(attempt int, r any) {
+		if attempt <= 2 {
+			panic("flaky: transient crash")
+		}
+		panic(r)
+	})
+	res, err := Campaign(context.Background(), flaky, Options{MaxRetries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := res.Runs[hangPoint]
+	if run.Status != RunUndetermined || !hasDiffless(run) {
+		t.Fatalf("flaky crasher must keep its diffless marks: %+v", run)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"failatomic/internal/core"
 	"failatomic/internal/fault"
 )
 
@@ -119,15 +118,13 @@ func quarantined(p *Program, ex Experiment, verdict attemptVerdict, retries int,
 		}}
 	}
 	// The crashed run's marks are kept for triage, so fingerprint-mode
-	// diffs are recovered here — one capture-mode replay, adopted only if
-	// it reproduces a foreign crash (a deterministic crasher does; a flaky
-	// one keeps the diffless original rather than a run it never had).
-	if opts.Snapshot.Fingerprinted() && needsDiffRecovery(last.run) {
-		opts.Snapshot = core.SnapshotCapture
-		if replay := executeScopedOnce(p, ex, opts); replay.run.Escaped != nil && replay.run.Escaped.Foreign {
-			last = replay
-		}
-	}
+	// diffs are recovered here, through the same targeted replay as every
+	// other run — but adopted only if the replay reproduces a foreign
+	// crash (a deterministic crasher does; a flaky one keeps the diffless
+	// original rather than diffs from a run it never had).
+	last, _ = recoverDiffs(last, opts, scopedAttempt(p, ex), func(r Run) bool {
+		return r.Escaped != nil && r.Escaped.Foreign
+	})
 	last.run.Status = RunUndetermined
 	last.run.Retries = retries
 	last.run.Err = "foreign panic: " + last.run.Escaped.Error()

@@ -43,7 +43,8 @@ func Capture(roots ...any) *Graph {
 			g.roots = append(g.roots, enc.leaf(KindNil, "", rootLabel(i)))
 			continue
 		}
-		g.roots = append(g.roots, enc.encode(reflect.ValueOf(r), rootLabel(i)))
+		v := reflect.ValueOf(r)
+		g.roots = append(g.roots, enc.encode(v, planFor(v.Type()), rootLabel(i)))
 	}
 	g.nodes = enc.nodes
 	g.bytes = enc.bytes
@@ -56,11 +57,11 @@ func (e *encoder) leaf(kind Kind, typ, label string) *Node {
 	return &Node{Kind: kind, Type: typ, Label: label}
 }
 
-func (e *encoder) encode(v reflect.Value, label string) *Node {
+// encode materializes v's node; pl is the plan of v's type.
+func (e *encoder) encode(v reflect.Value, pl *typePlan, label string) *Node {
 	if !v.IsValid() {
 		return e.leaf(KindNil, "", label)
 	}
-	pl := planFor(v.Type())
 	typ := pl.typeStr
 	switch pl.kind {
 	case reflect.Bool:
@@ -111,7 +112,7 @@ func (e *encoder) encode(v reflect.Value, label string) *Node {
 		e.refs[key] = id
 		n := e.leaf(KindPointer, typ, label)
 		n.Ref = id
-		n.Children = []*Node{e.encode(v.Elem(), "*")}
+		n.Children = []*Node{e.encode(v.Elem(), pl.elem, "*")}
 		return n
 	case reflect.Slice:
 		if v.IsNil() {
@@ -148,7 +149,7 @@ func (e *encoder) encode(v reflect.Value, label string) *Node {
 		}
 		n.Children = make([]*Node, v.Len())
 		for i := 0; i < v.Len(); i++ {
-			n.Children[i] = e.encode(v.Index(i), indexLabel(i))
+			n.Children[i] = e.encode(v.Index(i), pl.elem, indexLabel(i))
 		}
 		return n
 	case reflect.Array:
@@ -156,7 +157,7 @@ func (e *encoder) encode(v reflect.Value, label string) *Node {
 		n.Bits = uint64(v.Len())
 		n.Children = make([]*Node, v.Len())
 		for i := 0; i < v.Len(); i++ {
-			n.Children[i] = e.encode(v.Index(i), indexLabel(i))
+			n.Children[i] = e.encode(v.Index(i), pl.elem, indexLabel(i))
 		}
 		return n
 	case reflect.Map:
@@ -189,7 +190,7 @@ func (e *encoder) encode(v reflect.Value, label string) *Node {
 		n.Children = make([]*Node, len(entries))
 		for i, ent := range entries {
 			child := e.leaf(KindEntry, "", ent.sig)
-			child.Children = []*Node{e.encode(v.MapIndex(ent.key), "value")}
+			child.Children = []*Node{e.encode(v.MapIndex(ent.key), pl.elem, "value")}
 			n.Children[i] = child
 		}
 		return n
@@ -197,7 +198,7 @@ func (e *encoder) encode(v reflect.Value, label string) *Node {
 		n := e.leaf(KindStruct, typ, label)
 		n.Children = make([]*Node, 0, len(pl.fields))
 		for _, f := range pl.fields {
-			n.Children = append(n.Children, e.encode(v.Field(f.index), f.name))
+			n.Children = append(n.Children, e.encode(v.Field(f.index), f.plan, f.name))
 		}
 		return n
 	case reflect.Interface:
@@ -205,7 +206,8 @@ func (e *encoder) encode(v reflect.Value, label string) *Node {
 			return e.leaf(KindNil, typ, label)
 		}
 		n := e.leaf(KindInterface, typ, label)
-		n.Children = []*Node{e.encode(v.Elem(), "dyn")}
+		dyn := v.Elem()
+		n.Children = []*Node{e.encode(dyn, planFor(dyn.Type()), "dyn")}
 		return n
 	case reflect.Chan:
 		if v.IsNil() {

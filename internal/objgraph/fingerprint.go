@@ -19,7 +19,7 @@ import (
 // DESIGN.md §5.8), equal Capture graphs; unequal fingerprints imply
 // unequal graphs exactly. The campaign driver exploits determinism to
 // recover human-readable diffs: runs whose fingerprints differ are
-// re-executed once with full Capture snapshots.
+// re-executed once, with Capture snapshots at just the differing calls.
 //
 // The encoding is framed per root: each root hashes into an isolated
 // digest (reference ids numbered relative to the frame) and the digests
@@ -136,7 +136,8 @@ func fingerprintGlobal(c *FPCache, roots []any) FP {
 			e.leaf(KindNil, emptyTypeHash, rootLabelHash(i))
 			continue
 		}
-		e.encode(reflect.ValueOf(r), rootLabelHash(i))
+		v := reflect.ValueOf(r)
+		e.encode(v, planFor(v.Type()), rootLabelHash(i))
 	}
 	fp := e.h.sum()
 	if c != nil {
@@ -160,12 +161,13 @@ func (e *fpEncoder) rootDigest(root any, cacheable bool) FP {
 		return d
 	}
 	v := reflect.ValueOf(root)
+	pl := planFor(v.Type())
 	c := e.cache
 	var key fpRootKey
 	var gen uint64
 	cacheRoot := false
-	if c != nil && cacheable && v.Kind() == reflect.Pointer && !v.IsNil() {
-		key = fpRootKey{ptr: v.Pointer(), plan: planFor(v.Type())}
+	if c != nil && cacheable && pl.kind == reflect.Pointer && !v.IsNil() {
+		key = fpRootKey{ptr: v.Pointer(), plan: pl}
 		gen = c.gen.Load()
 		if ent, hit := c.roots[key]; hit && ent.gen == gen {
 			c.hits++
@@ -174,7 +176,7 @@ func (e *fpEncoder) rootDigest(root any, cacheable bool) FP {
 		c.misses++
 		cacheRoot = true
 	}
-	d := e.frame(v)
+	d := e.frame(v, pl)
 	if cacheRoot {
 		c.roots[key] = fpRootEntry{gen: gen, d: d}
 	}
@@ -184,11 +186,11 @@ func (e *fpEncoder) rootDigest(root any, cacheable bool) FP {
 // frame hashes v into an isolated digest: a fresh hash state, reference
 // ids relative to the frame base, and a fixed root label — so the digest
 // depends only on the subgraph, not on the root's position.
-func (e *fpEncoder) frame(v reflect.Value) FP {
+func (e *fpEncoder) frame(v reflect.Value, pl *typePlan) FP {
 	e.rootBase = e.next
 	saved := e.h
 	e.h.reset()
-	e.encode(v, frameRootLabel)
+	e.encode(v, pl, frameRootLabel)
 	d := e.h.sum()
 	e.h = saved
 	return d
@@ -293,13 +295,13 @@ func (e *fpEncoder) ref(id int, backref bool) {
 
 // encode mirrors encoder.encode case for case; every payload Capture
 // stores on a Node (Bits, Str, Ref/Backref, child counts via Bits) is
-// folded into the hash in the same traversal position.
-func (e *fpEncoder) encode(v reflect.Value, labelKey uint64) {
+// folded into the hash in the same traversal position. pl is the plan of
+// v's type.
+func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 	if !v.IsValid() {
 		e.leaf(KindNil, emptyTypeHash, labelKey)
 		return
 	}
-	pl := planFor(v.Type())
 	switch pl.kind {
 	case reflect.Bool:
 		e.leaf(KindBool, pl.typeHash, labelKey)
@@ -364,7 +366,7 @@ func (e *fpEncoder) encode(v reflect.Value, labelKey uint64) {
 		e.refs[key] = e.next
 		e.leaf(KindPointer, pl.typeHash, labelKey)
 		e.ref(e.next-e.rootBase, false)
-		e.encode(v.Elem(), derefLabel)
+		e.encode(v.Elem(), pl.elem, derefLabel)
 	case reflect.Slice:
 		if v.IsNil() {
 			e.leaf(KindNil, pl.typeHash, labelKey)
@@ -412,7 +414,7 @@ func (e *fpEncoder) encode(v reflect.Value, labelKey uint64) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			e.encode(v.Index(i), indexLabelHash(i))
+			e.encode(v.Index(i), pl.elem, indexLabelHash(i))
 		}
 	case reflect.Array:
 		e.leaf(KindArray, pl.typeHash, labelKey)
@@ -439,7 +441,7 @@ func (e *fpEncoder) encode(v reflect.Value, labelKey uint64) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			e.encode(v.Index(i), indexLabelHash(i))
+			e.encode(v.Index(i), pl.elem, indexLabelHash(i))
 		}
 	case reflect.Map:
 		if v.IsNil() {
@@ -473,7 +475,7 @@ func (e *fpEncoder) encode(v reflect.Value, labelKey uint64) {
 		for _, ent := range ents {
 			e.leaf(KindEntry, emptyTypeHash, strHash64(ent.sig))
 			e.h.str(ent.sig)
-			e.encode(v.MapIndex(ent.key), valueLabel)
+			e.encode(v.MapIndex(ent.key), pl.elem, valueLabel)
 		}
 		// Pop this map's scratch so sibling maps (and the nested maps a
 		// value traversal may push) each sort only their own entries.
@@ -482,7 +484,7 @@ func (e *fpEncoder) encode(v reflect.Value, labelKey uint64) {
 	case reflect.Struct:
 		e.leaf(KindStruct, pl.typeHash, labelKey)
 		for _, f := range pl.fields {
-			e.encode(v.Field(f.index), f.labelHash)
+			e.encode(v.Field(f.index), f.plan, f.labelHash)
 		}
 	case reflect.Interface:
 		if v.IsNil() {
@@ -490,7 +492,8 @@ func (e *fpEncoder) encode(v reflect.Value, labelKey uint64) {
 			return
 		}
 		e.leaf(KindInterface, pl.typeHash, labelKey)
-		e.encode(v.Elem(), dynLabel)
+		dyn := v.Elem()
+		e.encode(dyn, planFor(dyn.Type()), dynLabel)
 	case reflect.Chan:
 		if v.IsNil() {
 			e.leaf(KindNil, pl.typeHash, labelKey)

@@ -11,8 +11,11 @@ import (
 // facts on every node: the kind dispatch, the type string (reflect builds
 // it on each call), struct field names (reflect.Type.Field allocates a
 // fresh Index slice per call), and scalar sizes. A typePlan computes all
-// of that once per reflect.Type and caches it in a package-level sync.Map,
-// so the per-node cost of both encoders drops to one lock-free map read.
+// of that once per reflect.Type, and links the plans of the types its
+// values statically reach (struct fields; pointer, slice, array and map
+// elements), so both encoders hand each child its plan directly. The
+// package-level map is consulted only at roots and at interface dynamic
+// values, whose types are known only at run time.
 
 // typePlan is the compiled encoding recipe for one reflect.Type.
 type typePlan struct {
@@ -28,6 +31,9 @@ type typePlan struct {
 	size int
 	// fields holds the precomputed field traversal for structs.
 	fields []fieldPlan
+	// elem is the plan of the pointee (Pointer), element (Slice, Array) or
+	// value (Map) type; nil for every other kind.
+	elem *typePlan
 	// byteElem marks []byte-shaped slices (bulk payload fast path).
 	byteElem bool
 	// byteArray marks [N]byte-shaped arrays (large-leaf framing path).
@@ -42,43 +48,72 @@ type fieldPlan struct {
 	name string
 	// labelHash is strHash64(name), the edge label in Fingerprint.
 	labelHash uint64
+	// plan is the compiled plan of the field's type.
+	plan *typePlan
 }
 
 // typePlans caches *typePlan by reflect.Type. Types are process-immutable,
 // so entries are never invalidated; the map only grows, bounded by the
-// number of distinct types the program snapshots.
+// number of distinct types the program snapshots. Every type has exactly
+// one plan, so planFor(t) is also the plan any parent links for t: plan
+// identity is a type identity (FPCache keys root frames on it).
 var typePlans sync.Map
 
-// planFor returns the compiled plan for t, compiling and caching it on
-// first sight. Safe for concurrent use; a racing first sight compiles
-// twice and keeps one.
+// compileMu serializes compilation, so a type is compiled once and the
+// plans a compilation links are the ones planFor publishes.
+var compileMu sync.Mutex
+
+// planFor returns the compiled plan for t, compiling and caching it (with
+// every plan it links) on first sight. Safe for concurrent use: the hit
+// path is one lock-free map read, and plans are published only once their
+// links are complete.
 func planFor(t reflect.Type) *typePlan {
 	if p, ok := typePlans.Load(t); ok {
 		return p.(*typePlan)
 	}
-	p, _ := typePlans.LoadOrStore(t, compilePlan(t))
-	return p.(*typePlan)
+	compileMu.Lock()
+	defer compileMu.Unlock()
+	pending := make(map[reflect.Type]*typePlan)
+	p := compilePlan(t, pending)
+	for typ, compiled := range pending {
+		typePlans.Store(typ, compiled)
+	}
+	return p
 }
 
-// compilePlan derives the plan for one type.
-func compilePlan(t reflect.Type) *typePlan {
+// compilePlan derives the plan for t and, recursively, the plans it links.
+// pending holds this compilation's unpublished plans; registering a plan
+// there before resolving its children closes the cycles of recursive and
+// mutually recursive types. Called with compileMu held.
+func compilePlan(t reflect.Type, pending map[reflect.Type]*typePlan) *typePlan {
+	if p, ok := typePlans.Load(t); ok {
+		return p.(*typePlan)
+	}
+	if p := pending[t]; p != nil {
+		return p
+	}
 	p := &typePlan{
 		kind:    t.Kind(),
 		typeStr: t.String(),
 		size:    int(t.Size()),
 	}
 	p.typeHash = strHash64(p.typeStr)
+	pending[t] = p
 	switch p.kind {
 	case reflect.Struct:
 		p.fields = make([]fieldPlan, t.NumField())
 		for i := range p.fields {
-			name := t.Field(i).Name
-			p.fields[i] = fieldPlan{index: i, name: name, labelHash: strHash64(name)}
+			f := t.Field(i)
+			p.fields[i] = fieldPlan{index: i, name: f.Name, labelHash: strHash64(f.Name), plan: compilePlan(f.Type, pending)}
 		}
 	case reflect.Slice:
 		p.byteElem = t.Elem().Kind() == reflect.Uint8
+		p.elem = compilePlan(t.Elem(), pending)
 	case reflect.Array:
 		p.byteArray = t.Elem().Kind() == reflect.Uint8
+		p.elem = compilePlan(t.Elem(), pending)
+	case reflect.Pointer, reflect.Map:
+		p.elem = compilePlan(t.Elem(), pending)
 	}
 	return p
 }
