@@ -172,9 +172,12 @@ type DetectOptions struct {
 	MaxQuarantined int
 	// Snapshot selects the snapshot engine: SnapshotFingerprint (the
 	// default) hashes object graphs on the hot path and recovers diffs by
-	// deterministic replay; SnapshotCapture materializes full graphs on
-	// every wrapped call (the escape hatch for nondeterministic
-	// workloads). Results are byte-identical either way.
+	// deterministic replay; SnapshotCapture materializes full graphs at
+	// every snapshotted call (the escape hatch for nondeterministic
+	// workloads). Either way a first-activation run snapshots only the
+	// calls its clean run predicts an exception can unwind, redoing the
+	// run with every call snapshotted if one unwinds anyway. Results are
+	// byte-identical either way.
 	Snapshot SnapshotMode
 	// Perturb selects extra fault strategies on top of the default
 	// first-activation sweep, in fadetect's -perturb grammar: a
@@ -194,7 +197,8 @@ const (
 	// and replays non-atomic runs, capturing only the marked calls, to
 	// recover diffs.
 	SnapshotFingerprint = core.SnapshotFingerprint
-	// SnapshotCapture materializes full object graphs on every call.
+	// SnapshotCapture materializes full object graphs at every
+	// snapshotted call and reports diffs directly.
 	SnapshotCapture = core.SnapshotCapture
 )
 

@@ -1,0 +1,51 @@
+package core
+
+// Span is the lifetime of one receiver-bearing call in a span-recording
+// run (Config.RecordSpans), measured on the global injection-point
+// counter: Enter is the counter once the call's own points were counted
+// (its exit handler is installed at that moment) and Exit is the counter
+// when the handler ran. Unwound reports that the call returned with an
+// exception.
+type Span struct {
+	Call    CallID
+	Enter   int
+	Exit    int
+	Unwound bool
+}
+
+// SpanIndex holds a clean run's spans for predicted snapshots
+// (Config.Predict). Run P of a threshold sweep is the clean run until
+// point P fires, so a call that unwinds in run P is one of:
+//
+//	(a) unwound by an earlier exception, as in the clean run: Unwound and
+//	    Exit < P;
+//	(b) live when P fired: Enter < P <= Exit;
+//	(c) entered after the injection.
+//
+// The index answers (a) ∪ (b) per call in O(1); the session covers (c) by
+// snapshotting every call once an exception has been injected. One index
+// is shared by every experiment of a campaign.
+type SpanIndex struct {
+	spans map[CallID]Span
+}
+
+// IndexSpans indexes a span-recording run's spans by call identity.
+func IndexSpans(spans []Span) *SpanIndex {
+	x := &SpanIndex{spans: make(map[CallID]Span, len(spans))}
+	for _, sp := range spans {
+		x.spans[sp.Call] = sp
+	}
+	return x
+}
+
+// MayUnwind reports whether call can unwind in the run that injects at
+// point, given that no exception has been injected yet when it is entered:
+// groups (a) and (b) of the SpanIndex argument. A call without a clean-run
+// span reports true, so a diverging run snapshots it instead of missing it.
+func (x *SpanIndex) MayUnwind(call CallID, point int) bool {
+	sp, ok := x.spans[call]
+	if !ok {
+		return true
+	}
+	return sp.Enter < point && (sp.Unwound || point <= sp.Exit)
+}

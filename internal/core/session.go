@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"failatomic/internal/checkpoint"
@@ -136,8 +137,19 @@ type Config struct {
 	// receiver-bearing call still installs its exit handler, so Seq
 	// numbering, ExitFire and the Oblivious swallow boundary are exactly
 	// those of an untargeted session; it records no mark of its own. Nil
-	// means every call.
+	// means every call (unless Predict narrows the set).
 	DiffCalls map[CallID]bool
+	// Predict, when non-nil, restricts the Detect snapshots of a threshold
+	// session (no Trigger, no ExitFire; ignored otherwise) to the calls an
+	// exception injected at InjectionPoint can unwind, read off a clean
+	// run's spans (see SpanIndex). Once an exception has been injected,
+	// every call entered afterwards is snapshotted. Unsnapshotted calls
+	// behave as calls outside DiffCalls; one that unwinds anyway counts a
+	// miss (PredictMisses), and the run must be redone unpredicted.
+	Predict *SpanIndex
+	// RecordSpans records one Span per receiver-bearing call under Detect
+	// (Spans): the clean run's input to Predict.
+	RecordSpans bool
 	// SnapshotCacheBudget caps the bytes of large-leaf content the
 	// fingerprint cache may pin for reuse verification; 0 selects the
 	// objgraph default (8 MiB). Only consulted when Detect is on and
@@ -196,6 +208,9 @@ type Session struct {
 	seq         int
 	marks       []Mark
 	markCalls   []CallID
+	spans       []Span
+	openSpans   []int // indexes into spans of the calls not yet exited
+	misses      int
 	calls       map[string]int64
 	maskSkips   []MaskSkip
 	masked      int64
@@ -238,6 +253,11 @@ func NewSession(cfg Config) *Session {
 	}
 	if cfg.Trigger != nil {
 		s.activations = make(map[siteKey]int)
+	}
+	if cfg.Trigger != nil || cfg.ExitFire != nil {
+		// The span argument covers one injection at the threshold point;
+		// multi-fire triggers and epilogue faults snapshot every call.
+		s.cfg.Predict = nil
 	}
 	if cfg.Detect && cfg.Snapshot == SnapshotFingerprint {
 		s.fpCache = objgraph.NewFPCache(cfg.SnapshotCacheBudget)
@@ -291,6 +311,15 @@ func (s *Session) Marks() []Mark { return s.marks }
 // Marks. It is session-side bookkeeping for diff recovery and is never
 // part of a Mark, so journals and logs do not carry it.
 func (s *Session) MarkCalls() []CallID { return s.markCalls }
+
+// Spans returns the call spans recorded under Config.RecordSpans, in entry
+// order; nil otherwise.
+func (s *Session) Spans() []Span { return s.spans }
+
+// PredictMisses returns how many calls unwound without a snapshot because
+// Config.Predict excluded them. Non-zero means the run diverged from the
+// clean run the prediction was read off, and its marks are incomplete.
+func (s *Session) PredictMisses() int { return s.misses }
 
 // Calls returns the per-method call counts.
 func (s *Session) Calls() map[string]int64 { return s.calls }
@@ -508,11 +537,15 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 	var before *objgraphSnapshot
 	var beforeFP objgraph.FP
 	fingerprinted := false
-	if s.cfg.Detect && (s.cfg.DiffCalls == nil || s.cfg.DiffCalls[CallID{name, call}]) {
-		if s.cfg.Snapshot.Fingerprinted() {
+	if s.cfg.Detect {
+		id := CallID{name, call}
+		switch {
+		case s.cfg.DiffCalls != nil && !s.cfg.DiffCalls[id]:
+		case s.cfg.Predict != nil && len(s.injected) == 0 && !s.cfg.Predict.MayUnwind(id, s.cfg.InjectionPoint):
+		case s.cfg.Snapshot.Fingerprinted():
 			beforeFP = s.fingerprint(roots)
 			fingerprinted = true
-		} else {
+		default:
 			before = snapshot(roots)
 		}
 	}
@@ -520,6 +553,11 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 	if handle == nil && !s.cfg.Detect && s.cfg.ExitFire == nil {
 		s.putRoots(roots)
 		return nil
+	}
+
+	if s.cfg.RecordSpans {
+		s.openSpans = append(s.openSpans, len(s.spans))
+		s.spans = append(s.spans, Span{Call: CallID{name, call}, Enter: s.point, Exit: math.MaxInt})
 	}
 
 	return func(r any) {
@@ -533,6 +571,15 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 				s.injected = append(s.injected, exc)
 				r = exc
 			}
+		}
+		if s.cfg.RecordSpans {
+			// Exit handlers run innermost first, so the exiting call is the
+			// most recently entered open span.
+			last := len(s.openSpans) - 1
+			sp := &s.spans[s.openSpans[last]]
+			s.openSpans = s.openSpans[:last]
+			sp.Exit = s.point
+			sp.Unwound = r != nil
 		}
 		if r == nil {
 			if handle != nil {
@@ -594,10 +641,15 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 			})
 			s.markCalls = append(s.markCalls, CallID{name, call})
 		} else if s.cfg.Detect {
-			// A call outside DiffCalls: no snapshot, no mark, but it
-			// consumes its Seq exactly as in an untargeted pass, so the
-			// targeted marks keep their numbering.
+			// A call outside DiffCalls or the prediction: no snapshot, no
+			// mark, but it consumes its Seq exactly as in an untargeted
+			// pass, so the other marks keep their numbering.
 			s.seq++
+			if s.cfg.Predict != nil && (s.cfg.DiffCalls == nil || s.cfg.DiffCalls[CallID{name, call}]) {
+				// Only the prediction can have excluded this call, and it
+				// unwound anyway: the run diverged from its clean run.
+				s.misses++
+			}
 		}
 		s.putRoots(roots)
 		if s.cfg.Oblivious {

@@ -9,11 +9,12 @@ import (
 // SnapshotMode selects how a detecting session summarizes the before-state
 // of each wrapped call.
 //
-// A campaign takes one before-snapshot per wrapped call but reads it back
-// on at most one exceptional return per run, so >99% of snapshots are
-// discarded unread. Fingerprint mode folds the same canonical traversal
-// into a streaming 128-bit hash (objgraph.Fingerprint) — zero Node
-// allocations — and leaves Mark.Diff empty on non-atomic marks. The
+// A campaign reads a before-snapshot back only at the calls an exception
+// unwinds, so most snapshots would be discarded unread; threshold runs
+// skip the calls their clean run predicts cannot unwind (SpanIndex), and
+// the rest stay cheap. Fingerprint mode folds the same canonical
+// traversal into a streaming 128-bit hash (objgraph.Fingerprint) — zero
+// Node allocations — and leaves Mark.Diff empty on non-atomic marks. The
 // campaign driver recovers the human-readable diff by deterministically
 // replaying only those runs, with capture snapshots restricted to the
 // marked calls (Config.DiffCalls), and copying each recovered Diff into

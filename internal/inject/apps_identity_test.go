@@ -63,6 +63,9 @@ func TestAppsFingerprintMatchesCapture(t *testing.T) {
 					}
 					t.Fatalf("%s: %d runs, capture %d", what, len(fp.Runs), len(capture.Runs))
 				}
+				if fp.PredictMisses != 0 || capture.PredictMisses != 0 {
+					t.Fatalf("%s: predicted runs missed (fingerprint %d, capture %d)", what, fp.PredictMisses, capture.PredictMisses)
+				}
 				return fp
 			}
 			var base *inject.Result

@@ -163,6 +163,11 @@ type Result struct {
 	// serialized into reports or journals, which stay byte-identical
 	// across cache configurations.
 	SnapshotCache core.SnapshotCacheStats
+	// PredictMisses counts the runs whose predicted first pass unwound
+	// through a call the clean run's spans excluded (a workload that
+	// diverged from its clean run); each was redone with every call
+	// snapshotted. Telemetry like SnapshotCache, never serialized.
+	PredictMisses int
 }
 
 // Options tunes a campaign.
@@ -191,16 +196,19 @@ type Options struct {
 	// (§4.4's concurrency mitigation) for workloads that spawn goroutines.
 	Serialize bool
 	// Snapshot selects the session snapshot engine. The default,
-	// core.SnapshotFingerprint, compares streaming 128-bit graph hashes on
-	// every wrapped call; a run that records a non-atomic mark is
-	// deterministically replayed with capture snapshots at exactly the
-	// marked calls, and the recovered human-readable Mark.Diff values are
-	// patched into the run — reports and journals stay byte-identical to
-	// capture mode. Each session hashes through its own incremental
-	// cache (generation-keyed frame reuse, verified large-leaf replay);
-	// core.SnapshotFingerprintNoCache disables the cache (hash from
-	// scratch every call, identical output), and core.SnapshotCapture
-	// forces full graphs everywhere (the escape hatches).
+	// core.SnapshotFingerprint, compares streaming 128-bit graph hashes
+	// around the snapshotted wrapped calls (threshold experiments snapshot
+	// only the calls the clean run's spans predict can unwind, see
+	// core.SpanIndex; the others snapshot every call); a run that records
+	// a non-atomic mark is deterministically replayed with capture
+	// snapshots at exactly the marked calls, and the recovered
+	// human-readable Mark.Diff values are patched into the run — reports
+	// and journals stay byte-identical to capture mode. Each session
+	// hashes through its own incremental cache (generation-keyed frame
+	// reuse, verified large-leaf replay); core.SnapshotFingerprintNoCache
+	// disables the cache (hash from scratch every call, identical output),
+	// and core.SnapshotCapture materializes full graphs at every
+	// snapshotted call (the escape hatches).
 	Snapshot core.SnapshotMode
 	// Parallelism is the number of worker goroutines exploring injection
 	// points concurrently (0 or 1 = sequential, the legacy behavior).
@@ -305,7 +313,7 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 		CleanCalls:  clean.calls,
 		TotalPoints: clean.points,
 	}
-	exps := planExperiments(clean.profile(p), opts)
+	exps := planExperiments(clean.profile(p), opts, clean.spans)
 	if err := checkBudget(len(exps), maxRuns); err != nil {
 		return nil, err
 	}
@@ -314,10 +322,9 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 	}
 
 	t := tally{res: res, max: opts.MaxQuarantined}
-	if err := t.add(clean.run); err != nil {
+	if err := t.add(clean); err != nil {
 		return nil, err
 	}
-	res.SnapshotCache.Add(clean.cache)
 	if _, journaled := opts.Completed[RunKey{}]; !journaled {
 		if err := notifyRun(opts, clean.run); err != nil {
 			return nil, err
@@ -331,10 +338,9 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("injection %s: %w", ex.Key, err)
 		}
-		if err := t.add(out.run); err != nil {
+		if err := t.add(out); err != nil {
 			return nil, err
 		}
-		res.SnapshotCache.Add(out.cache)
 		if !journaled {
 			if err := notifyRun(opts, out.run); err != nil {
 				return nil, err
@@ -410,8 +416,13 @@ type tally struct {
 	max         int
 }
 
-func (t *tally) add(run Run) error {
+func (t *tally) add(out execution) error {
+	run := out.run
 	t.res.Runs = append(t.res.Runs, run)
+	t.res.SnapshotCache.Add(out.cache)
+	if out.missed {
+		t.res.PredictMisses++
+	}
 	if run.InjectionPoint == 0 {
 		return nil
 	}
@@ -498,6 +509,11 @@ type execution struct {
 	points    int
 	trace     []core.PointInfo
 	cache     core.SnapshotCacheStats
+	// spans are the call spans of a span-recording (clean) run.
+	spans []core.Span
+	// missed reports a predicted first pass that unwound through an
+	// unsnapshotted call; a settled execution keeps it set after the redo.
+	missed bool
 }
 
 // profile packages what the clean execution discovered for the
@@ -512,7 +528,8 @@ func (e execution) profile(p *Program) Profile {
 }
 
 // newSession builds the injector session realizing one experiment;
-// diffCalls restricts its Detect snapshots (nil = every call).
+// diffCalls restricts its Detect snapshots (nil = every call, or the
+// predicted calls of a threshold experiment).
 func newSession(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) *core.Session {
 	cfg := core.Config{
 		Registry:       p.Registry,
@@ -524,6 +541,8 @@ func newSession(p *Program, ex Experiment, opts Options, diffCalls map[core.Call
 		Detect:         true,
 		Snapshot:       opts.Snapshot,
 		DiffCalls:      diffCalls,
+		Predict:        ex.predict,
+		RecordSpans:    ex.spans,
 		Mask:           len(opts.Mask) > 0,
 		MaskMethods:    opts.Mask,
 		Strategy:       opts.MaskStrategy,
@@ -573,6 +592,8 @@ func collect(session *core.Session, ex Experiment, escaped *fault.Exception) exe
 		points:    session.Point(),
 		trace:     session.PointTrace(),
 		cache:     session.SnapshotCacheStats(),
+		spans:     session.Spans(),
+		missed:    session.PredictMisses() > 0,
 	}
 }
 
@@ -624,18 +645,17 @@ func cleanRun(ctx context.Context, p *Program, opts Options, scoped bool) (execu
 
 // execute performs one injector run with the given threshold on the legacy
 // exclusive global session, catching the exception that escapes the
-// workload's top level. Under fingerprint snapshots, the diffs of the
-// run's non-atomic marks are recovered by a targeted capture replay
-// (recoverDiffs), so the result is byte-identical to an all-capture
-// campaign.
+// workload's top level. The first pass is settled (settle): a predicted
+// pass that missed is redone unpredicted, and under fingerprint snapshots
+// the diffs of the run's non-atomic marks are recovered by a targeted
+// capture replay, so the result is byte-identical to an all-capture,
+// every-call campaign.
 func execute(p *Program, ex Experiment, opts Options) (execution, error) {
 	out, err := executeGlobal(p, ex, opts, nil)
 	if err != nil {
 		return out, err
 	}
-	return recoverDiffs(out, opts, func(o Options, diffCalls map[core.CallID]bool) (execution, error) {
-		return executeGlobal(p, ex, o, diffCalls)
-	}, nil)
+	return settle(out, p, ex, opts, executeGlobal, nil)
 }
 
 // executeGlobal is one attempt of execute on the exclusive global session;
@@ -653,58 +673,74 @@ func executeGlobal(p *Program, ex Experiment, opts Options, diffCalls map[core.C
 // executeScoped performs one injector run on a session bound to the
 // calling goroutine, so any number of runs may proceed concurrently on
 // different goroutines. Unlike execute it cannot fail: scoped sessions
-// need no exclusive slot. Diffs are recovered exactly as in execute;
-// sitting here, the recovery also covers parallel workers and supervised
+// need no exclusive slot. The first pass is settled exactly as in execute;
+// sitting here, settling also covers parallel workers and supervised
 // attempts.
 func executeScoped(p *Program, ex Experiment, opts Options) execution {
-	out := executeScopedOnce(p, ex, opts, nil)
+	out, _ := executeScopedOnce(p, ex, opts, nil)
 	// A supervised attempt that crashed with a foreign panic belongs to
-	// the supervisor's retry policy, not the recovery pass: replaying here
-	// would consume a retry the workload's misbehavior hook never sees.
-	// The supervisor recovers diffs for the marks it ultimately keeps (see
-	// quarantined).
+	// the supervisor's retry policy, not to settling: rerunning here would
+	// consume a retry the workload's misbehavior hook never sees. The
+	// supervisor settles the run it ultimately keeps (see quarantined).
 	if opts.supervised() && out.run.Escaped != nil && out.run.Escaped.Foreign {
 		return out
 	}
-	out, _ = recoverDiffs(out, opts, scopedAttempt(p, ex), nil)
+	out, _ = settle(out, p, ex, opts, executeScopedOnce, nil)
 	return out
 }
 
 // executeScopedOnce is one attempt of executeScoped; diffCalls restricts
-// its snapshots (core.Config.DiffCalls).
-func executeScopedOnce(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) execution {
+// its snapshots (core.Config.DiffCalls). It never fails; the error return
+// gives it attemptFunc's shape.
+func executeScopedOnce(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) (execution, error) {
 	session := newSession(p, ex, opts, diffCalls)
 	var escaped *fault.Exception
 	session.Bind(func() {
 		escaped = runGuarded(workload(p, opts))
 	})
-	return collect(session, ex, escaped)
-}
-
-// scopedAttempt adapts executeScopedOnce to recoverDiffs' replay shape.
-func scopedAttempt(p *Program, ex Experiment) attemptFunc {
-	return func(o Options, diffCalls map[core.CallID]bool) (execution, error) {
-		return executeScopedOnce(p, ex, o, diffCalls), nil
-	}
+	return collect(session, ex, escaped), nil
 }
 
 // attemptFunc executes one experiment once under opts, snapshotting only
-// the calls in diffCalls (nil = every call).
-type attemptFunc func(opts Options, diffCalls map[core.CallID]bool) (execution, error)
+// the calls in diffCalls (nil = every call, or the predicted calls when
+// ex.predict is set).
+type attemptFunc func(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) (execution, error)
+
+// settle turns an experiment's first pass into the run the campaign
+// records, and is the only place the campaign reruns an experiment. A
+// predicted pass that unwound through an unsnapshotted call (a miss) is
+// redone with every call snapshotted and the redo adopted, so a workload
+// that diverged from its clean run still records exactly the marks of an
+// unpredicted campaign. Then fingerprint diffs are recovered
+// (recoverDiffs). Reruns never predict. accept, when non-nil, vets each
+// rerun; a rejected rerun leaves the run as it was (the supervisor keeps a
+// flaky crasher's original).
+func settle(out execution, p *Program, ex Experiment, opts Options, attempt attemptFunc, accept func(Run) bool) (execution, error) {
+	ex.predict = nil
+	if out.missed {
+		full, err := attempt(p, ex, opts, nil)
+		if err != nil {
+			return execution{}, err
+		}
+		if accept == nil || accept(full.run) {
+			full.cache.Add(out.cache)
+			full.missed = true
+			out = full
+		}
+	}
+	return recoverDiffs(out, p, ex, opts, attempt, accept)
+}
 
 // recoverDiffs fills in Mark.Diff for every non-atomic mark a
-// fingerprint-mode execution left diffless, and is the only place the
-// campaign replays a run. The run is replayed once on a capture session
-// that snapshots only the marked calls (every other call still runs its
-// exit handler, so Seq numbering and the oblivious swallow boundary are
-// unchanged); each recovered Diff is copied into out's mark with the same
-// Seq, and everything else out recorded is kept. If the replay diverged —
-// a target mark is missing, sits at another call, or reads atomic — the
-// run is replayed again with every call captured and that replay is
-// adopted wholesale. accept, when non-nil, vets each replay; a rejected
-// replay leaves out as it was (the supervisor keeps a flaky crasher's
-// diffless original).
-func recoverDiffs(out execution, opts Options, attempt attemptFunc, accept func(Run) bool) (execution, error) {
+// fingerprint-mode execution left diffless. The run is replayed once on a
+// capture session that snapshots only the marked calls (every other call
+// still runs its exit handler, so Seq numbering and the oblivious swallow
+// boundary are unchanged); each recovered Diff is copied into out's mark
+// with the same Seq, and everything else out recorded is kept. If the
+// replay diverged — a target mark is missing, sits at another call, or
+// reads atomic — the run is replayed again with every call captured and
+// that replay is adopted wholesale. accept vets each replay as in settle.
+func recoverDiffs(out execution, p *Program, ex Experiment, opts Options, attempt attemptFunc, accept func(Run) bool) (execution, error) {
 	if !opts.Snapshot.Fingerprinted() {
 		return out, nil
 	}
@@ -713,7 +749,7 @@ func recoverDiffs(out execution, opts Options, attempt attemptFunc, accept func(
 		return out, nil
 	}
 	opts.Snapshot = core.SnapshotCapture
-	replay, err := attempt(opts, targets)
+	replay, err := attempt(p, ex, opts, targets)
 	if err != nil {
 		return execution{}, err
 	}
@@ -723,16 +759,17 @@ func recoverDiffs(out execution, opts Options, attempt attemptFunc, accept func(
 	if patchDiffs(out, replay, len(targets)) {
 		return out, nil
 	}
-	full, err := attempt(opts, nil)
+	full, err := attempt(p, ex, opts, nil)
 	if err != nil {
 		return execution{}, err
 	}
 	if accept != nil && !accept(full.run) {
 		return out, nil
 	}
-	// The full replay replaces the run; only the cache counters of the
-	// discarded fingerprint pass carry over.
+	// The full replay replaces the run; only the telemetry of the
+	// discarded passes carries over.
 	full.cache.Add(out.cache)
+	full.missed = out.missed
 	return full, nil
 }
 

@@ -32,7 +32,7 @@ func parallelCampaign(ctx context.Context, p *Program, opts Options, maxRuns int
 		CleanCalls:  clean.calls,
 		TotalPoints: clean.points,
 	}
-	exps := planExperiments(clean.profile(p), opts)
+	exps := planExperiments(clean.profile(p), opts, clean.spans)
 	if err := checkBudget(len(exps), maxRuns); err != nil {
 		return nil, err
 	}
@@ -116,15 +116,10 @@ func parallelCampaign(ctx context.Context, p *Program, opts Options, maxRuns int
 	// experiment.
 	res.Runs = make([]Run, 0, total+1)
 	t := tally{res: res, max: opts.MaxQuarantined}
-	if err := t.add(clean.run); err != nil {
-		return nil, err
-	}
-	res.SnapshotCache.Add(clean.cache)
-	for i := 1; i <= total; i++ {
-		if err := t.add(outs[i].run); err != nil {
+	for _, out := range outs {
+		if err := t.add(out); err != nil {
 			return nil, err
 		}
-		res.SnapshotCache.Add(outs[i].cache)
 	}
 	t.finish()
 	return res, nil

@@ -105,6 +105,12 @@ type Experiment struct {
 	oblivious bool
 	// trace records the per-point trace (the clean profiling run only).
 	trace bool
+	// spans records the call spans (the clean profiling run only).
+	spans bool
+	// predict is the clean run's span index: a threshold experiment's
+	// first pass snapshots only the calls it predicts can unwind
+	// (core.Config.Predict).
+	predict *core.SpanIndex
 }
 
 // Perturbation is one pluggable fault strategy: it plans the experiments
@@ -400,8 +406,10 @@ func ParsePerturbations(s string) ([]Perturbation, error) {
 // first-activation sweep over every point, then each strategy's grid in
 // option order. The list is a pure function of the clean profile and the
 // options, so sequential, parallel, resumed and dispatched campaigns all
-// execute the identical plan.
-func planExperiments(prof Profile, opts Options) []Experiment {
+// execute the identical plan. Every experiment shares the clean run's
+// span index; the session predicts from it only in threshold experiments
+// (the default sweep, oblivious).
+func planExperiments(prof Profile, opts Options, spans []core.Span) []Experiment {
 	exps := make([]Experiment, 0, prof.TotalPoints)
 	for pt := 1; pt <= prof.TotalPoints; pt++ {
 		exps = append(exps, Experiment{Key: RunKey{Point: pt}, point: pt})
@@ -409,11 +417,16 @@ func planExperiments(prof Profile, opts Options) []Experiment {
 	for _, pert := range opts.Perturbations {
 		exps = append(exps, pert.Plan(prof)...)
 	}
+	index := core.IndexSpans(spans)
+	for i := range exps {
+		exps[i].predict = index
+	}
 	return exps
 }
 
-// cleanExperiment is the profiling run: threshold 0 never fires, and the
-// point trace is recorded when strategies will need it.
+// cleanExperiment is the profiling run: threshold 0 never fires, the call
+// spans are recorded for predicted snapshots, and the point trace is
+// recorded when strategies will need it.
 func cleanExperiment(opts Options) Experiment {
-	return Experiment{trace: len(opts.Perturbations) > 0}
+	return Experiment{trace: len(opts.Perturbations) > 0, spans: true}
 }

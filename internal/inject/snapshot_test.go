@@ -181,6 +181,79 @@ func TestRecoveryFallsBackOnDivergence(t *testing.T) {
 	}
 }
 
+// divergingProgram is testProgram's Fill(3) workload with an invocation
+// counter; when diverge reports true for an invocation, the stack starts
+// over capacity, so the first ensure throws organically and unwinds calls
+// that returned normally in every other invocation.
+func divergingProgram(invocations *int, diverge func(n int) bool) *Program {
+	p := testProgram()
+	p.Run = func() {
+		*invocations++
+		d := &driver{S: &stack{}}
+		if diverge(*invocations) {
+			d.S.Count = 1<<20 + 1
+		}
+		d.Fill(3)
+	}
+	return p
+}
+
+// TestPredictMissRedoesFullRun: a predicted first pass that unwinds
+// through calls its clean run's spans excluded counts a miss, is redone
+// with every call snapshotted, and the redo is adopted — the run an
+// unpredicted campaign would have recorded.
+func TestPredictMissRedoesFullRun(t *testing.T) {
+	// Point 10 lies past the first ensure (points 5–7), so the diverged
+	// pass throws before the injection, through ensure#1 and Push#1.
+	const point = 10
+	for _, scoped := range []bool{false, true} {
+		var n int
+		p := divergingProgram(&n, func(n int) bool { return n == 2 })
+		clean, err := cleanRun(context.Background(), p, Options{}, scoped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := Experiment{Key: RunKey{Point: point}, point: point, predict: core.IndexSpans(clean.spans)}
+		var out execution
+		if scoped {
+			out = executeScoped(p, ex, Options{})
+		} else if out, err = execute(p, ex, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		// clean run, diverged predicted pass, full redo, diff replay
+		if n != 4 {
+			t.Fatalf("scoped=%v: workload invoked %d times, want 4", scoped, n)
+		}
+		if !out.missed {
+			t.Fatalf("scoped=%v: the diverged pass was not flagged as a miss", scoped)
+		}
+		ex.predict = nil
+		want, _ := executeScopedOnce(divergingProgram(new(int), func(int) bool { return false }), ex, Options{Snapshot: core.SnapshotCapture}, nil)
+		if !hasNonAtomic(want.run) {
+			t.Fatal("point must record non-atomic marks for the diff replay to run")
+		}
+		if !reflect.DeepEqual(out.run, want.run) {
+			t.Fatalf("scoped=%v: redone run differs from the every-call capture run:\n got %+v\nwant %+v", scoped, out.run, want.run)
+		}
+	}
+
+	// Through a campaign, every predicted run past point 7 of a workload
+	// that diverges after its clean run misses and counts on the Result.
+	var n int
+	res, err := Campaign(context.Background(), divergingProgram(&n, func(n int) bool { return n > 1 }), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := res.TotalPoints - 7; res.PredictMisses != want {
+		t.Fatalf("PredictMisses = %d, want %d", res.PredictMisses, want)
+	}
+	for _, run := range res.Runs[8:] {
+		if len(run.Marks) != 3 || run.Injected != nil {
+			t.Fatalf("point %d: want the organic unwind of ensure, Push and Fill, got %+v", run.InjectionPoint, run)
+		}
+	}
+}
+
 func hasNonAtomic(run Run) bool {
 	for _, m := range run.Marks {
 		if !m.Atomic {

@@ -117,12 +117,13 @@ func quarantined(p *Program, ex Experiment, verdict attemptVerdict, retries int,
 			Err:            fmt.Sprintf("run exceeded RunTimeout %v", opts.RunTimeout),
 		}}
 	}
-	// The crashed run's marks are kept for triage, so fingerprint-mode
-	// diffs are recovered here, through the same targeted replay as every
-	// other run — but adopted only if the replay reproduces a foreign
-	// crash (a deterministic crasher does; a flaky one keeps the diffless
-	// original rather than diffs from a run it never had).
-	last, _ = recoverDiffs(last, opts, scopedAttempt(p, ex), func(r Run) bool {
+	// The crashed run's marks are kept for triage, so it is settled here
+	// like every other run (a predicted pass that missed is redone, and
+	// fingerprint-mode diffs are recovered by the targeted replay) — but a
+	// rerun is adopted only if it reproduces a foreign crash (a
+	// deterministic crasher does; a flaky one keeps its original rather
+	// than observations from a run it never had).
+	last, _ = settle(last, p, ex, opts, executeScopedOnce, func(r Run) bool {
 		return r.Escaped != nil && r.Escaped.Foreign
 	})
 	last.run.Status = RunUndetermined

@@ -162,6 +162,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	maskOpts := cfg.Options
 	maskOpts.OnRun = nil
 	maskOpts.Completed = nil
+	// As in cli.CampaignReport's re-campaign: the plan is judged under the
+	// baseline fault model it was built from, and classification ignores
+	// perturbation runs, which would only inflate the overhead table.
+	maskOpts.Perturbations = nil
 	maskOpts.Mask = plan.WrapSet()
 	maskOpts.MaskStrategies = make(map[string]checkpoint.Strategy, len(assigns))
 	for _, a := range assigns {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"failatomic/internal/inject"
 	"failatomic/internal/weave"
 )
 
@@ -92,6 +94,48 @@ func TestRepairWorkflowLinkedList(t *testing.T) {
 	}
 	if strings.Contains(out, "ns/op") {
 		t.Error("deterministic report contains wall-clock output")
+	}
+}
+
+// TestMaskedVerificationIgnoresPerturbations: phase 5 verifies the wrap
+// plan under the baseline fault model it was built from, so a repair whose
+// detection campaign also ran a perturbation grid reports the same masking
+// overhead as one that did not.
+func TestMaskedVerificationIgnoresPerturbations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and runs child Go programs")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not available")
+	}
+	moduleRoot, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	overhead := func(perturb string) []StrategyOverhead {
+		t.Helper()
+		perts, err := inject.ParsePerturbations(perturb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := Run(context.Background(), Config{
+			App:          "LinkedList",
+			WorkDir:      t.TempDir(),
+			ModuleRoot:   moduleRoot,
+			SkipBaseline: true,
+			Options:      inject.Options{Perturbations: perts},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report.Overhead
+	}
+	plain, perturbed := overhead(""), overhead("nth=2")
+	if len(plain) == 0 {
+		t.Fatal("no per-strategy overhead rows")
+	}
+	if !reflect.DeepEqual(perturbed, plain) {
+		t.Fatalf("nth=2 repair overhead differs:\n got %+v\nwant %+v", perturbed, plain)
 	}
 }
 

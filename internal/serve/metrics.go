@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"failatomic/internal/dispatch"
+	"failatomic/internal/inject"
 	"failatomic/internal/sched"
 )
 
@@ -35,13 +36,18 @@ type metrics struct {
 	snapshotCacheHits   atomic.Int64
 	snapshotCacheMisses atomic.Int64
 	snapshotCacheBytes  atomic.Int64
+	// Predicted-snapshot misses (inject.Result.PredictMisses) of the same
+	// campaigns: runs redone because they diverged from their clean run.
+	snapshotPredictMisses atomic.Int64
 }
 
-// noteSnapshotCache folds one campaign's fingerprint-cache totals in.
-func (m *metrics) noteSnapshotCache(hits, misses, bytes int64) {
-	m.snapshotCacheHits.Add(hits)
-	m.snapshotCacheMisses.Add(misses)
-	m.snapshotCacheBytes.Add(bytes)
+// noteSnapshots folds one campaign's snapshot telemetry in: its
+// fingerprint-cache totals and its predicted-snapshot misses.
+func (m *metrics) noteSnapshots(res *inject.Result) {
+	m.snapshotCacheHits.Add(res.SnapshotCache.Hits)
+	m.snapshotCacheMisses.Add(res.SnapshotCache.Misses)
+	m.snapshotCacheBytes.Add(res.SnapshotCache.Bytes)
+	m.snapshotPredictMisses.Add(int64(res.PredictMisses))
 }
 
 // noteQueueWait folds one observed admission→dequeue latency into the
@@ -94,10 +100,11 @@ func (m *metrics) snapshot(g queueGauges, ds dispatch.Stats) map[string]int64 {
 		"crontab_fired_total":      m.crontabFired.Load(),
 		"crontab_skipped_total":    m.crontabSkipped.Load(),
 
-		// Fingerprint-cache effectiveness of in-process campaign jobs.
-		"snapshot_cache_hits_total":   m.snapshotCacheHits.Load(),
-		"snapshot_cache_misses_total": m.snapshotCacheMisses.Load(),
-		"snapshot_cache_bytes":        m.snapshotCacheBytes.Load(),
+		// Snapshot telemetry of in-process campaign jobs.
+		"snapshot_cache_hits_total":     m.snapshotCacheHits.Load(),
+		"snapshot_cache_misses_total":   m.snapshotCacheMisses.Load(),
+		"snapshot_cache_bytes":          m.snapshotCacheBytes.Load(),
+		"snapshot_predict_misses_total": m.snapshotPredictMisses.Load(),
 
 		// Dispatch: the distributed-execution slice.
 		"workers_registered_total": ds.WorkersRegisteredTotal,

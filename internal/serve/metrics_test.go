@@ -1,5 +1,5 @@
-// Snapshot-cache metrics: in-process campaign jobs surface fingerprint
-// cache effectiveness on /metrics.
+// Snapshot metrics: in-process campaign jobs surface fingerprint cache
+// effectiveness and predicted-snapshot misses on /metrics.
 package serve_test
 
 import (
@@ -26,10 +26,14 @@ func TestSnapshotCacheMetrics(t *testing.T) {
 	}
 
 	m := fetchMetrics(t, url)
-	for _, key := range []string{"snapshot_cache_hits_total", "snapshot_cache_misses_total", "snapshot_cache_bytes"} {
+	for _, key := range []string{"snapshot_cache_hits_total", "snapshot_cache_misses_total", "snapshot_cache_bytes", "snapshot_predict_misses_total"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("/metrics lacks %s", key)
 		}
+	}
+	// The bundled workloads are deterministic: no predicted run diverges.
+	if got := m["snapshot_predict_misses_total"]; got != 0 {
+		t.Errorf("snapshot_predict_misses_total = %d, want 0", got)
 	}
 	if m["snapshot_cache_misses_total"] <= 0 {
 		t.Errorf("snapshot_cache_misses_total = %d, want > 0", m["snapshot_cache_misses_total"])

@@ -659,8 +659,7 @@ func (s *Server) executeJob(ctx context.Context, j *job) error {
 		if err := replog.Write(&logBuf, rep.Campaign); err != nil {
 			return err
 		}
-		cs := rep.Campaign.SnapshotCache
-		s.metrics.noteSnapshotCache(cs.Hits, cs.Misses, cs.Bytes)
+		s.metrics.noteSnapshots(rep.Campaign)
 		report = rep.Render()
 		exitCode = rep.ExitCode()
 	} else {
@@ -675,8 +674,7 @@ func (s *Server) executeJob(ctx context.Context, j *job) error {
 		if err := replog.Write(&logBuf, res.Result); err != nil {
 			return err
 		}
-		cs := res.Result.SnapshotCache
-		s.metrics.noteSnapshotCache(cs.Hits, cs.Misses, cs.Bytes)
+		s.metrics.noteSnapshots(res.Result)
 		if report, exitCode, rerr = cli.CampaignReport(ctx, app, opts, res); rerr != nil {
 			return rerr
 		}
