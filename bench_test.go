@@ -280,8 +280,9 @@ func BenchmarkObjgraphFingerprint(b *testing.B) {
 	}
 }
 
-// BenchmarkObjgraphFingerprintNoCache is the -snapshot fingerprint-nocache
-// escape hatch: every call hashes the whole graph cold.
+// BenchmarkObjgraphFingerprintNoCache times the cold hash
+// (objgraph.Fingerprint, no session cache): every call hashes the whole
+// graph.
 func BenchmarkObjgraphFingerprintNoCache(b *testing.B) {
 	for _, size := range []int{64, 4 << 10, 64 << 10} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {

@@ -41,12 +41,9 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
-	"time"
 
-	"failatomic/internal/apps"
 	"failatomic/internal/cli"
 	"failatomic/internal/concur"
-	"failatomic/internal/core"
 	"failatomic/internal/harness"
 	"failatomic/internal/inject"
 	"failatomic/internal/repair"
@@ -65,37 +62,6 @@ func main() {
 	os.Exit(code)
 }
 
-// campaignFlags bundles the flags every campaign shares.
-type campaignFlags struct {
-	repeat         int
-	parallel       int
-	runTimeout     time.Duration
-	retries        int
-	maxQuarantined int
-	snapshot       string
-	perturb        string
-}
-
-func (c campaignFlags) options() (inject.Options, error) {
-	mode, err := core.ParseSnapshotMode(c.snapshot)
-	if err != nil {
-		return inject.Options{}, err
-	}
-	perturbations, err := inject.ParsePerturbations(c.perturb)
-	if err != nil {
-		return inject.Options{}, err
-	}
-	return inject.Options{
-		Repeats:        c.repeat,
-		Parallelism:    c.parallel,
-		RunTimeout:     c.runTimeout,
-		MaxRetries:     c.retries,
-		MaxQuarantined: c.maxQuarantined,
-		Snapshot:       mode,
-		Perturbations:  perturbations,
-	}, nil
-}
-
 func run(ctx context.Context, args []string) (int, error) {
 	fs := flag.NewFlagSet("fadetect", flag.ContinueOnError)
 	var (
@@ -106,7 +72,6 @@ func run(ctx context.Context, args []string) (int, error) {
 		resume    = fs.Bool("resume", false, "with -log: recover <log>.journal from a crashed or killed campaign and skip its completed points")
 		server    = fs.String("server", "", "submit the campaign to a faserve instance at this URL instead of running locally (requires -app)")
 		token     = fs.String("token", os.Getenv("FASERVE_TOKEN"), "with -server: bearer token for an authed faserve (default $FASERVE_TOKEN)")
-		priority  = fs.String("priority", "", `with -server: scheduling class ("low", "normal" or "high"; default normal)`)
 		list      = fs.Bool("list", false, "with -server: page through the server's job index instead of submitting")
 		listKind  = fs.String("list-kind", "", `with -list: filter by job kind ("detect", "repair" or "concur")`)
 		listState = fs.String("list-state", "", `with -list: filter by state (e.g. "done", "failed", "queued")`)
@@ -114,21 +79,23 @@ func run(ctx context.Context, args []string) (int, error) {
 		listLimit = fs.Int("list-limit", 0, "with -list: page size (0 = server default)")
 		concurFlg = fs.String("concur", "", `with -app: run the concurrent schedule campaign instead of the single-threaded one; value is "workers=N,sched=M" (each key optional, e.g. "workers=4,sched=64")`)
 		seed      = fs.Int64("seed", concur.DefaultSeed, "with -concur: campaign seed selecting the schedule plan; a -resume journal recorded under a different seed is rejected")
-		cf        campaignFlags
+		spec      serve.JobSpec
 	)
-	fs.IntVar(&cf.repeat, "repeat", 1, "run each workload N times per injection run (scales #Injections; cost grows quadratically)")
-	fs.IntVar(&cf.parallel, "parallel", 1, "campaign worker goroutines per app (1 = sequential, 0 = GOMAXPROCS); output is identical either way")
-	fs.DurationVar(&cf.runTimeout, "run-timeout", 0, "per-run watchdog: abandon an injection run after this long and quarantine the point (0 = off)")
-	fs.IntVar(&cf.retries, "retries", 0, "retry a hung or crashed injection run this many times before quarantining it")
-	fs.IntVar(&cf.maxQuarantined, "max-quarantined", 0, "fail the campaign when more than this many points are quarantined (0 = unlimited)")
-	fs.StringVar(&cf.snapshot, "snapshot", "fingerprint", `snapshot engine: "fingerprint" (hash graphs incrementally, recover diffs by replay), "fingerprint-nocache" (hash without the subgraph cache) or "capture" (materialize every graph); output is identical either way`)
-	fs.StringVar(&cf.perturb, "perturb", "", `extra fault strategies on top of the first-activation sweep: comma-separated "nth[=N]", "burst[=budget]", "defer", "oblivious" (e.g. "nth=3,burst,oblivious")`)
+	fs.StringVar(&spec.Priority, "priority", "", `with -server: scheduling class ("low", "normal" or "high"; default normal)`)
+	fs.IntVar(&spec.Repeats, "repeat", 1, "run each workload N times per injection run (scales #Injections; cost grows quadratically)")
+	fs.IntVar(&spec.Parallelism, "parallel", 1, "campaign worker goroutines per app (1 = sequential, 0 = GOMAXPROCS); output is identical either way")
+	fs.DurationVar(&spec.RunTimeout, "run-timeout", 0, "per-run watchdog: abandon an injection run after this long and quarantine the point (0 = off)")
+	fs.IntVar(&spec.MaxRetries, "retries", 0, "retry a hung or crashed injection run this many times before quarantining it")
+	fs.IntVar(&spec.MaxQuarantined, "max-quarantined", 0, "fail the campaign when more than this many points are quarantined (0 = unlimited)")
+	fs.StringVar(&spec.Snapshot, "snapshot", "fingerprint", `snapshot engine: "fingerprint" (hash graphs incrementally, recover diffs by replay) or "capture" (materialize every graph); output is identical either way`)
+	fs.StringVar(&spec.Perturb, "perturb", "", `extra fault strategies on top of the first-activation sweep: comma-separated "nth[=N]", "burst[=budget]", "defer", "oblivious" (e.g. "nth=3,burst,oblivious")`)
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitFailure, err
 	}
-	if cf.parallel <= 0 {
-		cf.parallel = runtime.GOMAXPROCS(0)
+	if spec.Parallelism <= 0 {
+		spec.Parallelism = runtime.GOMAXPROCS(0)
 	}
+	spec.App = *appName
 	seedSet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "seed" {
@@ -142,8 +109,20 @@ func run(ctx context.Context, args []string) (int, error) {
 		if *appName == "" {
 			return cli.ExitFailure, fmt.Errorf("-concur requires -app (have: %v)", concur.Names())
 		}
-		if cf.perturb != "" {
-			return cli.ExitFailure, fmt.Errorf("-perturb does not apply to -concur (the schedule plan is the fault strategy)")
+		sp, err := concur.ParseSpec(*concurFlg)
+		if err != nil {
+			return cli.ExitFailure, err
+		}
+		// The single-threaded knobs do not apply; -perturb is carried so
+		// validation rejects it.
+		spec = serve.JobSpec{
+			App:       *appName,
+			Kind:      serve.KindConcur,
+			Workers:   sp.Workers,
+			Schedules: sp.Schedules,
+			Seed:      concur.EffectiveSeed(*seed),
+			Perturb:   spec.Perturb,
+			Priority:  spec.Priority,
 		}
 	}
 	if *resume && *logPath == "" {
@@ -160,7 +139,7 @@ func run(ctx context.Context, args []string) (int, error) {
 			Token: *listToken, Kind: *listKind, State: *listState, Limit: *listLimit,
 		})
 	}
-	if *priority != "" && *server == "" {
+	if spec.Priority != "" && *server == "" {
 		return cli.ExitFailure, fmt.Errorf("-priority requires -server (only the service schedules by class)")
 	}
 	if *server != "" {
@@ -170,42 +149,13 @@ func run(ctx context.Context, args []string) (int, error) {
 		if *resume {
 			return cli.ExitFailure, fmt.Errorf("-resume is local-only: the server resumes its own journals")
 		}
-		spec := serve.JobSpec{
-			App:            *appName,
-			Repeats:        cf.repeat,
-			Parallelism:    cf.parallel,
-			RunTimeout:     cf.runTimeout,
-			MaxRetries:     cf.retries,
-			MaxQuarantined: cf.maxQuarantined,
-			Snapshot:       cf.snapshot,
-			Perturb:        cf.perturb,
-			Priority:       *priority,
-		}
-		if *concurFlg != "" {
-			sp, err := concur.ParseSpec(*concurFlg)
-			if err != nil {
-				return cli.ExitFailure, err
-			}
-			spec = serve.JobSpec{
-				App:       *appName,
-				Kind:      serve.KindConcur,
-				Workers:   sp.Workers,
-				Schedules: sp.Schedules,
-				Seed:      concur.EffectiveSeed(*seed),
-				Priority:  *priority,
-			}
-		}
-		return runRemote(ctx, *server, *token, *logPath, spec)
-	}
-
-	if *concurFlg != "" {
-		return runConcur(*appName, *concurFlg, *seed, *logPath, *resume)
+		return client.RunJob(ctx, *server, *token, "fadetect", spec, *logPath)
 	}
 	if *appName != "" {
-		return runOne(ctx, *appName, *logPath, *resume, cf)
+		return runLocal(ctx, spec, *logPath, *resume)
 	}
 
-	allOpts, err := cf.options()
+	allOpts, err := spec.Options()
 	if err != nil {
 		return cli.ExitFailure, err
 	}
@@ -258,150 +208,61 @@ func run(ctx context.Context, args []string) (int, error) {
 	return code, nil
 }
 
-func runOne(ctx context.Context, name, logPath string, resume bool, cf campaignFlags) (int, error) {
-	app, ok := apps.ByName(name)
-	if !ok {
-		return cli.ExitFailure, fmt.Errorf("unknown application %q (have: %v)", name, apps.Names())
-	}
-	opts, err := cf.options()
-	if err != nil {
+// runLocal runs one job in-process through serve's kind table — the
+// code path faserve and faworker run it on, which is what makes -server
+// output byte-identical. With -log, every completed run streams to a
+// journal (seeded for schedule campaigns) so a crashed or killed campaign
+// can resume instead of starting over.
+func runLocal(ctx context.Context, spec serve.JobSpec, logPath string, resume bool) (int, error) {
+	if err := spec.Validate(); err != nil {
 		return cli.ExitFailure, err
 	}
-
-	// With -log, every completed run streams to an append-only journal so
-	// a crashed or killed campaign can resume instead of starting over.
+	var completed map[inject.RunKey]inject.Run
 	var journal *replog.Journal
+	var onRun func(inject.Run) error
 	journalPath := logPath + ".journal"
 	if logPath != "" {
+		program, lang, seed := spec.JournalIdentity()
 		var err error
 		if resume {
-			var completed map[inject.RunKey]inject.Run
-			completed, journal, err = replog.ResumeJournal(journalPath, app.Name, app.Lang)
+			completed, journal, err = replog.ResumeJournalSeeded(journalPath, program, lang, seed)
 			if err != nil {
 				return cli.ExitFailure, err
 			}
 			if len(completed) > 0 {
 				fmt.Printf("resuming: %d journaled runs recovered from %s\n", len(completed), journalPath)
 			}
-			opts.Completed = completed
-		} else {
-			journal, err = replog.CreateJournal(journalPath, app.Name, app.Lang)
-			if err != nil {
-				return cli.ExitFailure, err
-			}
+		} else if journal, err = replog.CreateJournalSeeded(journalPath, program, lang, seed); err != nil {
+			return cli.ExitFailure, err
 		}
-		opts.OnRun = journal.Append
+		onRun = journal.Append
 	}
 
-	res, err := harness.RunApp(ctx, app, opts)
-	if err != nil {
-		if journal != nil {
-			journal.Close()
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				err = fmt.Errorf("%w (completed runs journaled in %s; rerun with -resume)", err, journalPath)
-			}
-		}
-		return cli.ExitFailure, err
-	}
+	out, err := spec.Run(ctx, completed, onRun)
 	if journal != nil {
-		if err := journal.Close(); err != nil {
-			return cli.ExitFailure, err
+		if cerr := journal.Close(); err == nil {
+			err = cerr
 		}
-		f, err := os.Create(logPath)
-		if err != nil {
-			return cli.ExitFailure, err
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			err = fmt.Errorf("%w (completed runs journaled in %s; rerun with -resume)", err, journalPath)
 		}
-		if err := replog.Write(f, res.Result); err != nil {
-			f.Close()
-			return cli.ExitFailure, err
-		}
-		if err := f.Close(); err != nil {
-			return cli.ExitFailure, err
-		}
-		os.Remove(journalPath)
-		fmt.Printf("injection log written to %s\n", logPath)
 	}
-	// The report — warnings through the masking verification — renders
-	// through cli.CampaignReport, the code path faserve jobs also use;
-	// that shared renderer is what makes -server output byte-identical.
-	// A fresh options value: the campaign's OnRun journal hook must not
-	// leak into the verification re-runs.
-	reportOpts, _ := cf.options()
-	report, code, rerr := cli.CampaignReport(ctx, app, reportOpts, res)
-	fmt.Print(report)
-	if rerr != nil {
-		return cli.ExitFailure, rerr
-	}
-	return code, nil
-}
-
-// runConcur runs the concurrent schedule campaign locally: the -concur
-// analog of runOne, with the same journal/resume plumbing — seeded, so a
-// journal recorded under a different seed (a different schedule plan) is
-// rejected instead of spliced.
-func runConcur(name, spec string, seed int64, logPath string, resume bool) (int, error) {
-	target, ok := concur.ByName(name)
-	if !ok {
-		return cli.ExitFailure, fmt.Errorf("unknown concurrent target %q (have: %v)", name, concur.Names())
-	}
-	sp, err := concur.ParseSpec(spec)
 	if err != nil {
 		return cli.ExitFailure, err
 	}
-	seed = concur.EffectiveSeed(seed)
-	opts := concur.Options{Workers: sp.Workers, Schedules: sp.Schedules, Seed: seed}
-
-	var journal *replog.Journal
-	journalPath := logPath + ".journal"
 	if logPath != "" {
-		if resume {
-			var completed map[inject.RunKey]inject.Run
-			completed, journal, err = replog.ResumeJournalSeeded(journalPath, target.Name, target.Lang, seed)
-			if err != nil {
-				return cli.ExitFailure, err
-			}
-			if len(completed) > 0 {
-				fmt.Printf("resuming: %d journaled runs recovered from %s\n", len(completed), journalPath)
-			}
-			opts.Completed = completed
-		} else {
-			journal, err = replog.CreateJournalSeeded(journalPath, target.Name, target.Lang, seed)
-			if err != nil {
-				return cli.ExitFailure, err
-			}
-		}
-		opts.OnRun = journal.Append
-	}
-
-	res, err := concur.Campaign(&target, opts)
-	if err != nil {
-		if journal != nil {
-			journal.Close()
-		}
-		return cli.ExitFailure, err
-	}
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			return cli.ExitFailure, err
-		}
-		f, err := os.Create(logPath)
+		data, err := out.Log()
 		if err != nil {
 			return cli.ExitFailure, err
 		}
-		if err := replog.Write(f, res.Inject); err != nil {
-			f.Close()
-			return cli.ExitFailure, err
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(logPath, data, 0o644); err != nil {
 			return cli.ExitFailure, err
 		}
 		os.Remove(journalPath)
 		fmt.Printf("injection log written to %s\n", logPath)
 	}
-	// The report is the campaign's own rendering — the same bytes faserve
-	// stores for a concur job and fareport replays from the log's section.
-	fmt.Print(res.Report)
-	return cli.ExitOK, nil
+	fmt.Print(out.Report)
+	return out.ExitCode, nil
 }
 
 // runList pages through the server's job index, printing one
@@ -436,48 +297,4 @@ func runList(ctx context.Context, base, token string, q serve.ListQuery) (int, e
 		}
 		q.Cursor = page.NextCursor
 	}
-}
-
-// runRemote runs the campaign on a faserve instance: submit, follow the
-// SSE progress stream, then print the stored report (and fetch the
-// stored log with -log) — byte-identical to the same local invocation.
-func runRemote(ctx context.Context, base, token, logPath string, spec serve.JobSpec) (int, error) {
-	var opts []client.Option
-	if token != "" {
-		opts = append(opts, client.WithToken(token))
-	}
-	c := client.New(base, opts...)
-	id, err := c.Submit(ctx, spec)
-	if err != nil {
-		return cli.ExitFailure, err
-	}
-	fmt.Fprintf(os.Stderr, "fadetect: submitted job %s to %s\n", id, base)
-	st, err := c.Wait(ctx, id)
-	if err != nil {
-		return cli.ExitFailure, fmt.Errorf("job %s: %w", id, err)
-	}
-	// A drifted job stored its log and report like a done one; the gate's
-	// finding goes to stderr and the exit code carries cli.ExitDrift.
-	if st.State != serve.StateDone && st.State != serve.StateDrifted {
-		return cli.ExitFailure, fmt.Errorf("job %s %s: %s", id, st.State, st.Error)
-	}
-	if st.State == serve.StateDrifted {
-		fmt.Fprintf(os.Stderr, "fadetect: job %s drifted: %s\n", id, st.Error)
-	}
-	if logPath != "" {
-		data, err := c.Log(ctx, id)
-		if err != nil {
-			return cli.ExitFailure, err
-		}
-		if err := os.WriteFile(logPath, data, 0o644); err != nil {
-			return cli.ExitFailure, err
-		}
-		fmt.Printf("injection log written to %s\n", logPath)
-	}
-	report, err := c.Report(ctx, id)
-	if err != nil {
-		return cli.ExitFailure, err
-	}
-	os.Stdout.Write(report)
-	return st.ExitCode, nil
 }

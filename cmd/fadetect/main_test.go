@@ -389,7 +389,7 @@ func TestConcurResumeByteIdenticalLog(t *testing.T) {
 		t.Fatal("LinkedList concurrent target missing")
 	}
 	var runs []inject.Run
-	if _, err := concur.Campaign(&target, concur.Options{
+	if _, err := concur.Campaign(context.Background(), &target, concur.Options{
 		Workers: 4, Schedules: 16, Seed: 1,
 		OnRun: func(r inject.Run) error { runs = append(runs, r); return nil },
 	}); err != nil {

@@ -33,11 +33,8 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
-	"time"
 
 	"failatomic/internal/cli"
-	"failatomic/internal/core"
-	"failatomic/internal/inject"
 	"failatomic/internal/repair"
 	"failatomic/internal/serve"
 	"failatomic/internal/serve/client"
@@ -53,32 +50,6 @@ func main() {
 	os.Exit(code)
 }
 
-// campaignFlags bundles the campaign knobs shared with fadetect; they
-// tune the phase-1 detection campaign (and the verification re-runs).
-type campaignFlags struct {
-	repeat         int
-	parallel       int
-	runTimeout     time.Duration
-	retries        int
-	maxQuarantined int
-	snapshot       string
-}
-
-func (c campaignFlags) options() (inject.Options, error) {
-	mode, err := core.ParseSnapshotMode(c.snapshot)
-	if err != nil {
-		return inject.Options{}, err
-	}
-	return inject.Options{
-		Repeats:        c.repeat,
-		Parallelism:    c.parallel,
-		RunTimeout:     c.runTimeout,
-		MaxRetries:     c.retries,
-		MaxQuarantined: c.maxQuarantined,
-		Snapshot:       mode,
-	}, nil
-}
-
 func run(ctx context.Context, args []string) (int, error) {
 	fs := flag.NewFlagSet("farepair", flag.ContinueOnError)
 	var (
@@ -89,20 +60,23 @@ func run(ctx context.Context, args []string) (int, error) {
 		measure      = fs.Bool("measure", false, "append wall-clock per-strategy benchmarks (non-deterministic) after the report")
 		server       = fs.String("server", "", "submit the repair as a faserve job instead of running locally")
 		token        = fs.String("token", os.Getenv("FASERVE_TOKEN"), "with -server: bearer token for an authed faserve (default $FASERVE_TOKEN)")
-		cf           campaignFlags
+		spec         = serve.JobSpec{Kind: serve.KindRepair}
 	)
-	fs.IntVar(&cf.repeat, "repeat", 1, "run each workload N times per injection run (scales #Injections; cost grows quadratically)")
-	fs.IntVar(&cf.parallel, "parallel", 1, "campaign worker goroutines (1 = sequential, 0 = GOMAXPROCS); output is identical either way")
-	fs.DurationVar(&cf.runTimeout, "run-timeout", 0, "per-run watchdog: abandon an injection run after this long and quarantine the point (0 = off)")
-	fs.IntVar(&cf.retries, "retries", 0, "retry a hung or crashed injection run this many times before quarantining it")
-	fs.IntVar(&cf.maxQuarantined, "max-quarantined", 0, "fail the campaign when more than this many points are quarantined (0 = unlimited)")
-	fs.StringVar(&cf.snapshot, "snapshot", "fingerprint", `snapshot engine: "fingerprint", "fingerprint-nocache" or "capture"; output is identical either way`)
+	// The campaign knobs shared with fadetect tune the phase-1 detection
+	// campaign (and the verification re-runs).
+	fs.IntVar(&spec.Repeats, "repeat", 1, "run each workload N times per injection run (scales #Injections; cost grows quadratically)")
+	fs.IntVar(&spec.Parallelism, "parallel", 1, "campaign worker goroutines (1 = sequential, 0 = GOMAXPROCS); output is identical either way")
+	fs.DurationVar(&spec.RunTimeout, "run-timeout", 0, "per-run watchdog: abandon an injection run after this long and quarantine the point (0 = off)")
+	fs.IntVar(&spec.MaxRetries, "retries", 0, "retry a hung or crashed injection run this many times before quarantining it")
+	fs.IntVar(&spec.MaxQuarantined, "max-quarantined", 0, "fail the campaign when more than this many points are quarantined (0 = unlimited)")
+	fs.StringVar(&spec.Snapshot, "snapshot", "fingerprint", `snapshot engine: "fingerprint" or "capture"; output is identical either way`)
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitFailure, err
 	}
-	if cf.parallel <= 0 {
-		cf.parallel = runtime.GOMAXPROCS(0)
+	if spec.Parallelism <= 0 {
+		spec.Parallelism = runtime.GOMAXPROCS(0)
 	}
+	spec.App = *appName
 	if *server != "" {
 		for flagName, set := range map[string]bool{
 			"-out":           *out != "",
@@ -114,10 +88,12 @@ func run(ctx context.Context, args []string) (int, error) {
 				return cli.ExitFailure, fmt.Errorf("%s is local-only (the server owns its trees and reports deterministically)", flagName)
 			}
 		}
-		return runRemote(ctx, *server, *token, *appName, cf)
+		return client.RunJob(ctx, *server, *token, "farepair", spec, "")
 	}
 
-	opts, err := cf.options()
+	// Local runs keep calling repair.Run directly: the tree flags above
+	// are local-only, so a repair job spec cannot carry them.
+	opts, err := spec.Options()
 	if err != nil {
 		return cli.ExitFailure, err
 	}
@@ -137,42 +113,4 @@ func run(ctx context.Context, args []string) (int, error) {
 		fmt.Fprintf(os.Stderr, "farepair: trees kept under %s (original/, repaired/)\n", *out)
 	}
 	return report.ExitCode(), nil
-}
-
-// runRemote submits a "repair" job to a faserve instance, waits for it,
-// and prints the stored report — byte-identical to a local run, since the
-// server renders through the same repair.Report.Render.
-func runRemote(ctx context.Context, base, token, name string, cf campaignFlags) (int, error) {
-	var opts []client.Option
-	if token != "" {
-		opts = append(opts, client.WithToken(token))
-	}
-	c := client.New(base, opts...)
-	id, err := c.Submit(ctx, serve.JobSpec{
-		App:            name,
-		Kind:           serve.KindRepair,
-		Repeats:        cf.repeat,
-		Parallelism:    cf.parallel,
-		RunTimeout:     cf.runTimeout,
-		MaxRetries:     cf.retries,
-		MaxQuarantined: cf.maxQuarantined,
-		Snapshot:       cf.snapshot,
-	})
-	if err != nil {
-		return cli.ExitFailure, err
-	}
-	fmt.Fprintf(os.Stderr, "farepair: submitted job %s to %s\n", id, base)
-	st, err := c.Wait(ctx, id)
-	if err != nil {
-		return cli.ExitFailure, fmt.Errorf("job %s: %w", id, err)
-	}
-	if st.State != serve.StateDone && st.State != serve.StateDrifted {
-		return cli.ExitFailure, fmt.Errorf("job %s %s: %s", id, st.State, st.Error)
-	}
-	report, err := c.Report(ctx, id)
-	if err != nil {
-		return cli.ExitFailure, err
-	}
-	os.Stdout.Write(report)
-	return st.ExitCode, nil
 }

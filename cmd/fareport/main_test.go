@@ -188,7 +188,7 @@ func TestReportConcurLogEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("LinkedList concurrent target missing")
 	}
-	res, err := concur.Campaign(&target, concur.Options{Workers: 4, Schedules: 8, Seed: 1})
+	res, err := concur.Campaign(context.Background(), &target, concur.Options{Workers: 4, Schedules: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

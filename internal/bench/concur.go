@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -39,7 +40,7 @@ func ConcurSuite(targetName string, seed int64) ([]Result, error) {
 				fmt.Sprintf("campaign-concur/%s/workers=%d/sched=%d", t.Name, workers, sched),
 				func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						if _, err := concur.Campaign(&t, concur.Options{
+						if _, err := concur.Campaign(context.Background(), &t, concur.Options{
 							Workers:   workers,
 							Schedules: sched,
 							Seed:      seed,

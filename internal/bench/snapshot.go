@@ -98,8 +98,9 @@ func SnapshotSuite(ctx context.Context, perturb string) ([]Result, error) {
 					b.Fatal("zero fingerprint")
 				}
 			}),
-			// The -snapshot fingerprint-nocache escape hatch: every call
-			// hashes the whole graph cold.
+			// The cold hash (objgraph.Fingerprint, no session cache):
+			// every call hashes the whole graph, the reference the cached
+			// cell above is measured against.
 			measure(fmt.Sprintf("objgraph/fingerprint-nocache/size=%d", size), func(b *testing.B) {
 				var fp objgraph.FP
 				for i := 0; i < b.N; i++ {

@@ -10,6 +10,7 @@
 package concur
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -64,8 +65,11 @@ type schedPlan struct {
 	point  int
 }
 
-// Campaign runs the full schedule experiment for target t.
-func Campaign(t *Target, opts Options) (*Result, error) {
+// Campaign runs the full schedule experiment for target t. ctx is
+// checked before each schedule: a cancelled campaign stops between
+// schedules with ctx's error, and every schedule it completed has already
+// reached OnRun, so a resume from that journal splices them.
+func Campaign(ctx context.Context, t *Target, opts Options) (*Result, error) {
 	workers := opts.Workers
 	if workers == 0 {
 		workers = DefaultWorkers
@@ -79,6 +83,9 @@ func Campaign(t *Target, opts Options) (*Result, error) {
 		return nil, err
 	}
 
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	// Fault-free pass: sizes every worker's injection-point space, yields
 	// the clean-call weights, and guards against model drift — a
 	// fault-free schedule the model cannot explain means the harness or
@@ -124,6 +131,9 @@ func Campaign(t *Target, opts Options) (*Result, error) {
 	}
 
 	for sid := 1; sid <= schedules; sid++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		p := plans[sid]
 		key := inject.RunKey{Strategy: inject.ConcurStrategy, Point: p.point, Arg: p.worker, Sched: sid}
 		if run, ok := opts.Completed[key]; ok {

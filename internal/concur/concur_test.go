@@ -46,7 +46,7 @@ func TestFlipAtomicSequentiallyNonLinearizableConcurrently(t *testing.T) {
 		t.Fatalf("sequential LockedList.InsertPair = %s, want failure atomic (the flip needs a clean single-threaded verdict)", rep.Classification)
 	}
 
-	res, err := concur.Campaign(&tgt, concur.Options{})
+	res, err := concur.Campaign(context.Background(), &tgt, concur.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFlipAtomicSequentiallyNonLinearizableConcurrently(t *testing.T) {
 // non-atomic-but-linearizable outcomes alongside atomic ones.
 func TestRBMapMixesVerdicts(t *testing.T) {
 	tgt := target(t, "RBMap")
-	res, err := concur.Campaign(&tgt, concur.Options{})
+	res, err := concur.Campaign(context.Background(), &tgt, concur.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestRBMapMixesVerdicts(t *testing.T) {
 func TestCampaignDeterministic(t *testing.T) {
 	tgt := target(t, "LinkedList")
 	opts := concur.Options{Workers: 4, Schedules: 16, Seed: 1}
-	a, err := concur.Campaign(&tgt, opts)
+	a, err := concur.Campaign(context.Background(), &tgt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := concur.Campaign(&tgt, opts)
+	b, err := concur.Campaign(context.Background(), &tgt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestCampaignDeterministic(t *testing.T) {
 // TestSeedChangesPlan: a different seed draws a different schedule plan.
 func TestSeedChangesPlan(t *testing.T) {
 	tgt := target(t, "LinkedList")
-	a, err := concur.Campaign(&tgt, concur.Options{Workers: 4, Schedules: 16, Seed: 1})
+	a, err := concur.Campaign(context.Background(), &tgt, concur.Options{Workers: 4, Schedules: 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := concur.Campaign(&tgt, concur.Options{Workers: 4, Schedules: 16, Seed: 2})
+	b, err := concur.Campaign(context.Background(), &tgt, concur.Options{Workers: 4, Schedules: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestResumeSpliceByteIdentity(t *testing.T) {
 	opts := concur.Options{Workers: 4, Schedules: 16, Seed: 1}
 
 	var runs []inject.Run
-	full, err := concur.Campaign(&tgt, concur.Options{
+	full, err := concur.Campaign(context.Background(), &tgt, concur.Options{
 		Workers: opts.Workers, Schedules: opts.Schedules, Seed: opts.Seed,
 		OnRun: func(r inject.Run) error { runs = append(runs, r); return nil },
 	})
@@ -170,7 +170,7 @@ func TestResumeSpliceByteIdentity(t *testing.T) {
 		completed[r.Key()] = r
 	}
 	fresh := 0
-	resumed, err := concur.Campaign(&tgt, concur.Options{
+	resumed, err := concur.Campaign(context.Background(), &tgt, concur.Options{
 		Workers: opts.Workers, Schedules: opts.Schedules, Seed: opts.Seed,
 		Completed: completed,
 		OnRun:     func(inject.Run) error { fresh++; return nil },
@@ -202,7 +202,7 @@ func TestResumeSpliceByteIdentity(t *testing.T) {
 func TestCampaignRejectsForeignJournalRuns(t *testing.T) {
 	tgt := target(t, "LinkedList")
 	bogus := inject.RunKey{Strategy: inject.ConcurStrategy, Point: 999, Arg: 0, Sched: 1}
-	_, err := concur.Campaign(&tgt, concur.Options{
+	_, err := concur.Campaign(context.Background(), &tgt, concur.Options{
 		Workers: 4, Schedules: 16, Seed: 1,
 		Completed: map[inject.RunKey]inject.Run{bogus: {InjectionPoint: 999, Strategy: inject.ConcurStrategy, Sched: 1}},
 	})

@@ -127,9 +127,8 @@ type Config struct {
 	// Snapshot selects how before-states are summarized when Detect is
 	// on: SnapshotFingerprint (the zero value) compares streaming graph
 	// hashes through a session-owned incremental cache and leaves
-	// Mark.Diff empty; SnapshotFingerprintNoCache does the same with the
-	// cache disabled (hash from scratch every call); SnapshotCapture
-	// materializes full graphs and reports the first-difference path.
+	// Mark.Diff empty; SnapshotCapture materializes full graphs and
+	// reports the first-difference path.
 	Snapshot SnapshotMode
 	// DiffCalls, when non-nil, restricts Detect snapshots to the listed
 	// calls (targeted diff recovery: a capture-mode replay pays for graphs
@@ -266,7 +265,7 @@ func NewSession(cfg Config) *Session {
 }
 
 // SnapshotCacheStats returns the fingerprint cache's counters, or zeros
-// when the session has no cache (capture or fingerprint-nocache mode).
+// when the session has no cache (capture mode, or Detect off).
 func (s *Session) SnapshotCacheStats() SnapshotCacheStats {
 	if s.fpCache == nil {
 		return SnapshotCacheStats{}
@@ -275,13 +274,10 @@ func (s *Session) SnapshotCacheStats() SnapshotCacheStats {
 	return SnapshotCacheStats{Hits: st.Hits, Misses: st.Misses, Bytes: st.Bytes}
 }
 
-// fingerprint summarizes the roots as a 128-bit graph hash, through the
-// session cache when one exists.
+// fingerprint summarizes the roots as a 128-bit graph hash through the
+// session cache (every fingerprinting session has one).
 func (s *Session) fingerprint(roots []any) objgraph.FP {
-	if s.fpCache != nil {
-		return objgraph.FingerprintCached(s.fpCache, roots...)
-	}
-	return objgraph.Fingerprint(roots...)
+	return objgraph.FingerprintCached(s.fpCache, roots...)
 }
 
 // Point returns the current value of the global injection-point counter.
@@ -542,7 +538,7 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 		switch {
 		case s.cfg.DiffCalls != nil && !s.cfg.DiffCalls[id]:
 		case s.cfg.Predict != nil && len(s.injected) == 0 && !s.cfg.Predict.MayUnwind(id, s.cfg.InjectionPoint):
-		case s.cfg.Snapshot.Fingerprinted():
+		case s.cfg.Snapshot == SnapshotFingerprint:
 			beforeFP = s.fingerprint(roots)
 			fingerprinted = true
 		default:

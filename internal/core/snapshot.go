@@ -31,21 +31,7 @@ const (
 	// diff-recovery replay (at the calls Config.DiffCalls lists) and as
 	// an escape hatch (at every call).
 	SnapshotCapture
-	// SnapshotFingerprintNoCache is fingerprint mode with the session's
-	// incremental cache disabled: every snapshot hashes the full graph
-	// from scratch. An escape hatch for auditing the cache — verdicts,
-	// reports and journals are identical to SnapshotFingerprint by
-	// construction (the cache never changes a fingerprint's value, only
-	// how fast it is computed).
-	SnapshotFingerprintNoCache
 )
-
-// Fingerprinted reports whether the mode summarizes before-states as
-// 128-bit fingerprints (leaving Mark.Diff empty for the campaign
-// driver's targeted capture replay) rather than captured graphs.
-func (m SnapshotMode) Fingerprinted() bool {
-	return m == SnapshotFingerprint || m == SnapshotFingerprintNoCache
-}
 
 // String returns the mode's knob spelling.
 func (m SnapshotMode) String() string {
@@ -54,8 +40,6 @@ func (m SnapshotMode) String() string {
 		return "fingerprint"
 	case SnapshotCapture:
 		return "capture"
-	case SnapshotFingerprintNoCache:
-		return "fingerprint-nocache"
 	default:
 		return fmt.Sprintf("SnapshotMode(%d)", uint8(m))
 	}
@@ -69,10 +53,8 @@ func ParseSnapshotMode(s string) (SnapshotMode, error) {
 		return SnapshotFingerprint, nil
 	case "capture":
 		return SnapshotCapture, nil
-	case "fingerprint-nocache":
-		return SnapshotFingerprintNoCache, nil
 	default:
-		return 0, fmt.Errorf("unknown snapshot mode %q (want fingerprint, fingerprint-nocache or capture)", s)
+		return 0, fmt.Errorf("unknown snapshot mode %q (want fingerprint or capture)", s)
 	}
 }
 

@@ -68,32 +68,28 @@ func TestDetectFingerprintAtomicMethod(t *testing.T) {
 // default that zero-valued job specs round-trip through.
 func TestParseSnapshotMode(t *testing.T) {
 	for in, want := range map[string]SnapshotMode{
-		"":                    SnapshotFingerprint,
-		"fingerprint":         SnapshotFingerprint,
-		"fingerprint-nocache": SnapshotFingerprintNoCache,
-		"capture":             SnapshotCapture,
+		"":            SnapshotFingerprint,
+		"fingerprint": SnapshotFingerprint,
+		"capture":     SnapshotCapture,
 	} {
 		got, err := ParseSnapshotMode(in)
 		if err != nil || got != want {
 			t.Fatalf("ParseSnapshotMode(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseSnapshotMode("bogus"); err == nil {
-		t.Fatal("ParseSnapshotMode must reject unknown modes")
+	for _, bad := range []string{"bogus", "fingerprint-nocache"} {
+		if _, err := ParseSnapshotMode(bad); err == nil {
+			t.Fatalf("ParseSnapshotMode must reject %q", bad)
+		}
 	}
-	if SnapshotFingerprint.String() != "fingerprint" || SnapshotCapture.String() != "capture" ||
-		SnapshotFingerprintNoCache.String() != "fingerprint-nocache" {
+	if SnapshotFingerprint.String() != "fingerprint" || SnapshotCapture.String() != "capture" {
 		t.Fatal("String() must match the knob spellings")
-	}
-	if !SnapshotFingerprint.Fingerprinted() || !SnapshotFingerprintNoCache.Fingerprinted() ||
-		SnapshotCapture.Fingerprinted() {
-		t.Fatal("Fingerprinted() must cover exactly the two hashing modes")
 	}
 }
 
-// TestSnapshotCacheStats: only the cached fingerprint mode wires a cache
-// into the session; its counters move with wrapped-call traffic, and both
-// escape hatches report zeros.
+// TestSnapshotCacheStats: only the fingerprint mode wires a cache into
+// the session; its counters move with wrapped-call traffic, and the
+// capture escape hatch reports zeros.
 func TestSnapshotCacheStats(t *testing.T) {
 	work := func(s *Session) {
 		s.Bind(func() {
@@ -108,12 +104,10 @@ func TestSnapshotCacheStats(t *testing.T) {
 	if st := cached.SnapshotCacheStats(); st.Misses == 0 {
 		t.Errorf("cached session recorded no misses: %+v", st)
 	}
-	for _, mode := range []SnapshotMode{SnapshotFingerprintNoCache, SnapshotCapture} {
-		s := NewSession(Config{Detect: true, Snapshot: mode})
-		work(s)
-		if st := s.SnapshotCacheStats(); st != (SnapshotCacheStats{}) {
-			t.Errorf("%v session reported cache stats %+v, want zeros", mode, st)
-		}
+	s := NewSession(Config{Detect: true, Snapshot: SnapshotCapture})
+	work(s)
+	if st := s.SnapshotCacheStats(); st != (SnapshotCacheStats{}) {
+		t.Errorf("capture session reported cache stats %+v, want zeros", st)
 	}
 }
 

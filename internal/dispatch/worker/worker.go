@@ -27,13 +27,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"failatomic/internal/apps"
 	"failatomic/internal/cli"
-	"failatomic/internal/concur"
 	"failatomic/internal/dispatch"
-	"failatomic/internal/harness"
 	"failatomic/internal/inject"
-	"failatomic/internal/repair"
 	"failatomic/internal/replog"
 	"failatomic/internal/serve"
 )
@@ -158,12 +154,18 @@ func (w *worker) acquire(ctx context.Context) (dispatch.LeaseResponse, bool, err
 	return resp, true, nil
 }
 
-// runLease executes one leased job end to end.
+// runLease executes one leased job end to end through serve's kind
+// table — the code path faserve's in-process pool and a local fadetect
+// run take, which is what makes the upload byte-identical to theirs.
 func (w *worker) runLease(ctx context.Context, lr dispatch.LeaseResponse) {
 	w.logf("leased job %s (lease %s)", lr.JobID, lr.LeaseID)
 	var spec serve.JobSpec
 	if err := json.Unmarshal(lr.Spec, &spec); err != nil {
 		w.fail(ctx, lr, fmt.Sprintf("undecodable job spec: %v", err))
+		return
+	}
+	if err := spec.Validate(); err != nil {
+		w.fail(ctx, lr, fmt.Sprintf("invalid job spec: %v", err))
 		return
 	}
 	completed := map[inject.RunKey]inject.Run{}
@@ -176,8 +178,8 @@ func (w *worker) runLease(ctx context.Context, lr dispatch.LeaseResponse) {
 		w.logf("job %s: resuming past %d journaled runs", lr.JobID, len(completed))
 	}
 
-	// The campaign aborts when the worker is shutting down (ctx) or the
-	// lease dies under it (heartbeat sees 410, or shipping does).
+	// The job aborts when the worker is shutting down (ctx) or the lease
+	// dies under it (heartbeat sees 410, or shipping does).
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var leaseLost atomic.Bool
@@ -190,33 +192,13 @@ func (w *worker) runLease(ctx context.Context, lr dispatch.LeaseResponse) {
 	}()
 
 	shipper := &shipper{w: w, ctx: jctx, lr: lr, leaseLost: &leaseLost, cancel: cancel}
-
-	if spec.JobKind() == serve.KindConcur {
-		w.runConcurLease(ctx, lr, spec, completed, shipper, &leaseLost)
-		return
-	}
-
-	app, ok := apps.ByName(spec.App)
-	if !ok {
-		w.fail(ctx, lr, fmt.Sprintf("unknown application %q", spec.App))
-		return
-	}
-	opts := spec.Options()
-	opts.Completed = completed
-	opts.OnRun = shipper.ship
-
-	if spec.JobKind() == serve.KindRepair {
-		w.runRepairLease(ctx, jctx, lr, spec, opts, &leaseLost)
-		return
-	}
-
-	res, err := harness.RunApp(jctx, app, opts)
+	out, err := spec.Run(jctx, completed, shipper.ship)
 	if err != nil {
 		switch {
 		case ctx.Err() != nil:
 			// Worker shutdown: say nothing — the lease will expire and the
 			// job fails over with its shipped prefix intact.
-			w.logf("job %s: abandoned mid-campaign (worker shutting down)", lr.JobID)
+			w.logf("job %s: abandoned (worker shutting down)", lr.JobID)
 		case leaseLost.Load():
 			w.logf("job %s: lease lost; abandoning (shipped runs are journaled)", lr.JobID)
 		default:
@@ -224,108 +206,17 @@ func (w *worker) runLease(ctx context.Context, lr dispatch.LeaseResponse) {
 		}
 		return
 	}
-
-	// Render through the exact local code paths: replog.Write for the log,
-	// cli.CampaignReport for the report. The masking-verification
-	// re-campaign inside CampaignReport runs here on the worker.
-	var logBuf bytes.Buffer
-	if err := replog.Write(&logBuf, res.Result); err != nil {
+	log, err := out.Log()
+	if err != nil {
 		w.fail(ctx, lr, err.Error())
 		return
 	}
-	report, exitCode, err := cli.CampaignReport(jctx, app, opts, res)
-	if err != nil {
-		switch {
-		case ctx.Err() != nil:
-			w.logf("job %s: abandoned during masking verification (worker shutting down)", lr.JobID)
-		case leaseLost.Load():
-			w.logf("job %s: lease lost during masking verification; abandoning", lr.JobID)
-		default:
-			w.fail(ctx, lr, err.Error())
-		}
-		return
-	}
-	comp := dispatch.Completion{State: "done", ExitCode: exitCode, Log: logBuf.Bytes(), Report: []byte(report)}
+	comp := dispatch.Completion{State: "done", ExitCode: out.ExitCode, Log: log, Report: []byte(out.Report)}
 	if err := w.complete(ctx, lr, comp); err != nil {
 		w.logf("job %s: result upload failed: %v", lr.JobID, err)
 		return
 	}
-	w.logf("job %s: done (exit %d, %d runs)", lr.JobID, exitCode, len(res.Result.Runs))
-}
-
-// runRepairLease executes a leased repair job: the full detect → mask →
-// verify workflow, with the phase-1 campaign's runs shipped to the
-// coordinator exactly like a detect job's (the resume prefix splices into
-// it too, so a failed-over repair job re-runs only the missing points).
-// The uploaded log is the phase-1 replog and the report is the rendered
-// repair report — byte-identical to a local farepair run by construction.
-func (w *worker) runRepairLease(ctx, jctx context.Context, lr dispatch.LeaseResponse, spec serve.JobSpec, opts inject.Options, leaseLost *atomic.Bool) {
-	rep, err := repair.Run(jctx, repair.Config{App: spec.App, Options: opts})
-	if err != nil {
-		switch {
-		case ctx.Err() != nil:
-			w.logf("job %s: abandoned mid-repair (worker shutting down)", lr.JobID)
-		case leaseLost.Load():
-			w.logf("job %s: lease lost; abandoning repair (shipped runs are journaled)", lr.JobID)
-		default:
-			w.fail(ctx, lr, err.Error())
-		}
-		return
-	}
-	var logBuf bytes.Buffer
-	if err := replog.Write(&logBuf, rep.Campaign); err != nil {
-		w.fail(ctx, lr, err.Error())
-		return
-	}
-	comp := dispatch.Completion{State: "done", ExitCode: rep.ExitCode(), Log: logBuf.Bytes(), Report: []byte(rep.Render())}
-	if err := w.complete(ctx, lr, comp); err != nil {
-		w.logf("job %s: result upload failed: %v", lr.JobID, err)
-		return
-	}
-	w.logf("job %s: repair done (exit %d, %d runs)", lr.JobID, comp.ExitCode, len(rep.Campaign.Runs))
-}
-
-// runConcurLease executes a leased concur job: the schedule campaign over
-// the named concurrent target, each completed schedule shipped to the
-// coordinator as it lands (a shipping failure propagates through the
-// campaign's OnRun hook and aborts it). The uploaded log and report
-// render through the same concur.Campaign code path fadetect -concur uses
-// locally — byte-identical by construction.
-func (w *worker) runConcurLease(ctx context.Context, lr dispatch.LeaseResponse, spec serve.JobSpec, completed map[inject.RunKey]inject.Run, sh *shipper, leaseLost *atomic.Bool) {
-	target, ok := concur.ByName(spec.App)
-	if !ok {
-		w.fail(ctx, lr, fmt.Sprintf("unknown concurrent target %q", spec.App))
-		return
-	}
-	res, err := concur.Campaign(&target, concur.Options{
-		Workers:   spec.Workers,
-		Schedules: spec.Schedules,
-		Seed:      concur.EffectiveSeed(spec.Seed),
-		Completed: completed,
-		OnRun:     sh.ship,
-	})
-	if err != nil {
-		switch {
-		case ctx.Err() != nil:
-			w.logf("job %s: abandoned mid-campaign (worker shutting down)", lr.JobID)
-		case leaseLost.Load():
-			w.logf("job %s: lease lost; abandoning (shipped runs are journaled)", lr.JobID)
-		default:
-			w.fail(ctx, lr, err.Error())
-		}
-		return
-	}
-	var logBuf bytes.Buffer
-	if err := replog.Write(&logBuf, res.Inject); err != nil {
-		w.fail(ctx, lr, err.Error())
-		return
-	}
-	comp := dispatch.Completion{State: "done", ExitCode: cli.ExitOK, Log: logBuf.Bytes(), Report: []byte(res.Report)}
-	if err := w.complete(ctx, lr, comp); err != nil {
-		w.logf("job %s: result upload failed: %v", lr.JobID, err)
-		return
-	}
-	w.logf("job %s: concur done (%d schedules, %d runs)", lr.JobID, res.Schedules, len(res.Inject.Runs))
+	w.logf("job %s: done (exit %d, %d runs)", lr.JobID, out.ExitCode, len(out.Result.Runs))
 }
 
 // heartbeat renews the lease on a third of its TTL until stopped. 410 —
@@ -413,7 +304,7 @@ func (sh *shipper) ship(run inject.Run) error {
 	return fmt.Errorf("worker: shipping run %d: %w", run.InjectionPoint, lastErr)
 }
 
-// fail uploads a terminal failure for the lease (unknown app, campaign
+// fail uploads a terminal failure for the lease (invalid spec, campaign
 // error). Upload problems are logged, not retried forever: if the lease
 // is gone the coordinator has already failed the job over.
 func (w *worker) fail(ctx context.Context, lr dispatch.LeaseResponse, msg string) {

@@ -158,10 +158,9 @@ type Result struct {
 	// logs.
 	Sections []Section
 	// SnapshotCache totals the per-session fingerprint-cache counters
-	// across every execution of the campaign (all zero in capture and
-	// fingerprint-nocache modes). Operational telemetry only: it is not
-	// serialized into reports or journals, which stay byte-identical
-	// across cache configurations.
+	// across every execution of the campaign (all zero in capture mode).
+	// Operational telemetry only: it is not serialized into reports or
+	// journals, which stay byte-identical across snapshot engines.
 	SnapshotCache core.SnapshotCacheStats
 	// PredictMisses counts the runs whose predicted first pass unwound
 	// through a call the clean run's spans excluded (a workload that
@@ -205,10 +204,9 @@ type Options struct {
 	// human-readable Mark.Diff values are patched into the run — reports
 	// and journals stay byte-identical to capture mode. Each session
 	// hashes through its own incremental cache (generation-keyed frame
-	// reuse, verified large-leaf replay); core.SnapshotFingerprintNoCache
-	// disables the cache (hash from scratch every call, identical output),
-	// and core.SnapshotCapture materializes full graphs at every
-	// snapshotted call (the escape hatches).
+	// reuse, verified large-leaf replay); core.SnapshotCapture
+	// materializes full graphs at every snapshotted call (the escape
+	// hatch).
 	Snapshot core.SnapshotMode
 	// Parallelism is the number of worker goroutines exploring injection
 	// points concurrently (0 or 1 = sequential, the legacy behavior).
@@ -741,7 +739,7 @@ func settle(out execution, p *Program, ex Experiment, opts Options, attempt atte
 // reads atomic — the run is replayed again with every call captured and
 // that replay is adopted wholesale. accept vets each replay as in settle.
 func recoverDiffs(out execution, p *Program, ex Experiment, opts Options, attempt attemptFunc, accept func(Run) bool) (execution, error) {
-	if !opts.Snapshot.Fingerprinted() {
+	if opts.Snapshot != core.SnapshotFingerprint {
 		return out, nil
 	}
 	targets := diffTargets(out)

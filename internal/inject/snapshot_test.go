@@ -45,36 +45,6 @@ func TestFingerprintCampaignMatchesCapture(t *testing.T) {
 	}
 }
 
-// TestFingerprintNoCacheCampaignIdentity: disabling the incremental
-// subgraph cache is invisible in campaign output — runs, totals and
-// warnings match both the cached fingerprint engine and capture, and the
-// nocache engine reports no cache traffic while the default one does.
-func TestFingerprintNoCacheCampaignIdentity(t *testing.T) {
-	run := func(mode core.SnapshotMode) *Result {
-		t.Helper()
-		res, err := Campaign(context.Background(), testProgram(), Options{Snapshot: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	cached := run(core.SnapshotFingerprint)
-	nocache := run(core.SnapshotFingerprintNoCache)
-	cap := run(core.SnapshotCapture)
-	if !reflect.DeepEqual(nocache.Runs, cached.Runs) || !reflect.DeepEqual(nocache.Runs, cap.Runs) {
-		t.Fatal("fingerprint-nocache campaign runs differ from cached/capture")
-	}
-	if !reflect.DeepEqual(nocache.Warnings, cached.Warnings) {
-		t.Fatalf("warnings differ: %v vs %v", nocache.Warnings, cached.Warnings)
-	}
-	if nocache.SnapshotCache != (core.SnapshotCacheStats{}) {
-		t.Errorf("nocache campaign reported cache stats %+v, want zeros", nocache.SnapshotCache)
-	}
-	if cached.SnapshotCache.Misses == 0 {
-		t.Errorf("cached campaign reported no cache traffic: %+v", cached.SnapshotCache)
-	}
-}
-
 // TestFingerprintRecoveryFillsEveryDiff asserts the recovery invariant
 // directly: after a default-mode campaign, no recorded mark is non-atomic
 // with an empty diff (the recovery pass replaced every such run).

@@ -21,19 +21,15 @@ import (
 // recover human-readable diffs: runs whose fingerprints differ are
 // re-executed once, with Capture snapshots at just the differing calls.
 //
-// The encoding is framed per root: each root hashes into an isolated
-// digest (reference ids numbered relative to the frame) and the digests
-// fold into a top-level combiner keyed by root position. Framing makes a
-// root's digest independent of its argument position and of its sibling
-// roots, which is what lets FPCache reuse subgraph contributions and what
-// lets independent roots hash on parallel workers with a byte-identical
-// combined result. Roots that alias each other can't be framed
-// independently — the traversal detects the first cross-root reference
-// and falls back to one global traversal (old-style shared ids) with a
-// distinguishing marker word. Path selection is a pure function of the
-// Capture graph (a cross-root alias appears in Capture as a backref into
-// an earlier root), so capture-equal graphs always take the same path and
-// the equality contract below survives framing.
+// A single root — the wrapped receiver, the shape almost every call
+// has — hashes into an isolated frame digest folded under a fixed root
+// label, which is what lets FPCache reuse the whole frame while its
+// generation is unchanged. Several roots (receiver plus by-reference
+// arguments) take one global traversal with ids shared across roots,
+// exactly Capture's numbering, distinguished from the framed spelling by
+// a marker word. The path is a pure function of the root count, so
+// capture-equal graphs always take the same path and the equality
+// contract below holds on both.
 
 // FP is a 128-bit object-graph fingerprint. The zero value is not the
 // fingerprint of any graph (the hash is seeded), so FP is comparable and
@@ -52,10 +48,9 @@ func Fingerprint(roots ...any) FP {
 
 // FingerprintCached is Fingerprint backed by a session-owned incremental
 // cache: large flat leaves replay memoized content digests after an exact
-// verification compare, single pointer roots whose cache generation is
-// unchanged reuse their whole-frame digest without traversal, and large
-// multi-root graphs hash their independent roots on a small worker pool.
-// The result is always identical to Fingerprint(roots...); the cache only
+// verification compare, and single pointer roots whose cache generation
+// is unchanged reuse their whole-frame digest without traversal. The
+// result is always identical to Fingerprint(roots...); the cache only
 // changes how fast it is computed. c may be nil (plain Fingerprint).
 //
 // The cache is not safe for concurrent use — one FPCache per session.
@@ -64,68 +59,30 @@ func FingerprintCached(c *FPCache, roots ...any) FP {
 }
 
 func fingerprintRoots(c *FPCache, roots []any) FP {
-	if c != nil && c.parallelEligible(len(roots)) {
-		// The worker goroutines capture the slice, which would make every
-		// caller's variadic slice escape; a private copy confines the heap
-		// allocation to this (rare, already goroutine-spawning) path.
-		rs := make([]any, len(roots))
-		copy(rs, roots)
-		if fp, ok := fingerprintParallel(c, rs); ok {
-			return fp
-		}
-		return fingerprintGlobal(c, rs)
-	}
-	if fp, ok := fingerprintFramed(c, roots); ok {
-		return fp
+	if len(roots) == 1 {
+		return fingerprintFramed(c, roots[0])
 	}
 	return fingerprintGlobal(c, roots)
 }
 
-// fpCrossRoot is the sentinel panic a framed traversal throws when a root
-// references a value already registered by an earlier root. The driver
-// recovers it and retries with one global traversal.
-type fpCrossRoot struct{}
-
-// fingerprintFramed hashes each root into its own frame and combines the
-// digests. ok is false when the roots alias each other.
-func fingerprintFramed(c *FPCache, roots []any) (fp FP, ok bool) {
+// fingerprintFramed hashes a single root as one frame folded under the
+// first root label.
+func fingerprintFramed(c *FPCache, root any) FP {
 	e := fpPool.Get().(*fpEncoder)
 	e.cache = c
-	e.detectCross = true
 	var top fpHash
 	top.reset()
-	ok = true
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, cross := r.(fpCrossRoot); cross {
-					ok = false
-					return
-				}
-				panic(r)
-			}
-		}()
-		single := len(roots) == 1
-		for i, r := range roots {
-			top.word(rootLabelHash(i))
-			d := e.rootDigest(r, single)
-			top.word(d[0])
-			top.word(d[1])
-		}
-	}()
-	if c != nil {
-		c.noteWork(e.work)
-	}
+	top.word(rootLabelHash(0))
+	d := e.rootDigest(root)
+	top.word(d[0])
+	top.word(d[1])
 	e.release()
-	if !ok {
-		return FP{}, false
-	}
-	return top.sum(), true
+	return top.sum()
 }
 
-// fingerprintGlobal is the fallback for mutually-aliased roots: one
-// traversal with ids shared across roots (exactly the Capture numbering),
-// distinguished from the framed encoding by a marker word.
+// fingerprintGlobal hashes several roots in one traversal with ids shared
+// across roots (exactly the Capture numbering), distinguished from the
+// framed encoding by a marker word.
 func fingerprintGlobal(c *FPCache, roots []any) FP {
 	e := fpPool.Get().(*fpEncoder)
 	e.cache = c
@@ -140,64 +97,47 @@ func fingerprintGlobal(c *FPCache, roots []any) FP {
 		e.encode(v, planFor(v.Type()), rootLabelHash(i))
 	}
 	fp := e.h.sum()
-	if c != nil {
-		c.noteWork(e.work)
-	}
 	e.release()
 	return fp
 }
 
-// rootDigest returns the frame digest of one root, consulting the cache's
-// generation-keyed root entries when cacheable (single-root calls only:
-// a reused digest skips traversal, which would blind the cross-root alias
-// detection a multi-root call depends on).
-func (e *fpEncoder) rootDigest(root any, cacheable bool) FP {
+// rootDigest returns the frame digest of a single root, reusing the
+// cache's generation-keyed entry for a pointer root when one is valid.
+func (e *fpEncoder) rootDigest(root any) FP {
 	if root == nil {
-		saved := e.h
 		e.h.reset()
 		e.leaf(KindNil, emptyTypeHash, frameRootLabel)
-		d := e.h.sum()
-		e.h = saved
-		return d
+		return e.h.sum()
 	}
 	v := reflect.ValueOf(root)
 	pl := planFor(v.Type())
 	c := e.cache
-	var key fpRootKey
-	var gen uint64
-	cacheRoot := false
-	if c != nil && cacheable && pl.kind == reflect.Pointer && !v.IsNil() {
-		key = fpRootKey{ptr: v.Pointer(), plan: pl}
-		gen = c.gen.Load()
-		if ent, hit := c.roots[key]; hit && ent.gen == gen {
-			c.hits++
-			return ent.d
-		}
-		c.misses++
-		cacheRoot = true
+	if c == nil || pl.kind != reflect.Pointer || v.IsNil() {
+		return e.frame(v, pl)
 	}
+	key := fpRootKey{ptr: v.Pointer(), plan: pl}
+	gen := c.gen.Load()
+	if ent, hit := c.roots[key]; hit && ent.gen == gen {
+		c.hits++
+		return ent.d
+	}
+	c.misses++
 	d := e.frame(v, pl)
-	if cacheRoot {
-		c.roots[key] = fpRootEntry{gen: gen, d: d}
-	}
+	c.roots[key] = fpRootEntry{gen: gen, d: d}
 	return d
 }
 
-// frame hashes v into an isolated digest: a fresh hash state, reference
-// ids relative to the frame base, and a fixed root label — so the digest
-// depends only on the subgraph, not on the root's position.
+// frame hashes v into an isolated digest: a fresh hash state and a fixed
+// root label, so the digest depends only on the subgraph, not on where
+// the root sits.
 func (e *fpEncoder) frame(v reflect.Value, pl *typePlan) FP {
-	e.rootBase = e.next
-	saved := e.h
 	e.h.reset()
 	e.encode(v, pl, frameRootLabel)
-	d := e.h.sum()
-	e.h = saved
-	return d
+	return e.h.sum()
 }
 
 // Precomputed hashes of the fixed edge labels Capture emits, plus the
-// framing marks introduced by the incremental encoding.
+// framing marks of the two root spellings.
 var (
 	emptyTypeHash  = strHash64("")
 	derefLabel     = strHash64("*")
@@ -209,8 +149,7 @@ var (
 
 // fpEncoder is the pooled traversal state: the aliasing map (refKey →
 // traversal-ordinal id, exactly Capture's), the running hash, sort
-// scratch for map entries, and the framing/cache state of the current
-// call.
+// scratch for map entries, and the cache of the current call.
 type fpEncoder struct {
 	h       fpHash
 	refs    map[refKey]int
@@ -218,15 +157,6 @@ type fpEncoder struct {
 	entries []fpMapEntry
 	// cache is the session cache of the current call, or nil.
 	cache *FPCache
-	// detectCross makes backref lookups panic fpCrossRoot when they cross
-	// into an earlier root's frame (framed mode only).
-	detectCross bool
-	// rootBase is the id watermark at the current frame's start; emitted
-	// ref ids are relative to it.
-	rootBase int
-	// work approximates hash effort in words, feeding the parallel-lane
-	// engagement heuristic.
-	work int
 	// scratch is reused for byte extraction from unexported slices and
 	// unaddressable arrays.
 	scratch []byte
@@ -249,9 +179,6 @@ func (e *fpEncoder) release() {
 	e.next = 0
 	e.entries = e.entries[:0]
 	e.cache = nil
-	e.detectCross = false
-	e.rootBase = 0
-	e.work = 0
 	fpPool.Put(e)
 }
 
@@ -276,15 +203,13 @@ func (e *fpEncoder) leafDigest(b []byte, stable bool) FP {
 // leaf folds one node header into the hash: kind, type, edge label — the
 // first three fields Diff compares.
 func (e *fpEncoder) leaf(kind Kind, typeHash, labelKey uint64) {
-	e.work++
 	e.h.word(uint64(kind))
 	e.h.word(typeHash)
 	e.h.word(labelKey)
 }
 
 // ref folds a reference node's alias id and backref flag (Diff's aliasing
-// check). Ids are traversal ordinals relative to the current frame base —
-// identical to Capture's numbering in global mode (base 0).
+// check). Ids are traversal ordinals — Capture's numbering.
 func (e *fpEncoder) ref(id int, backref bool) {
 	x := uint64(id) << 1
 	if backref {
@@ -344,7 +269,6 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 			}
 			e.h.word(d[0])
 			e.h.word(d[1])
-			e.work += len(s) / 8
 			return
 		}
 		e.h.str(s)
@@ -355,17 +279,14 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 		}
 		key := refKey{ptr: v.Pointer(), typ: v.Type()}
 		if id, ok := e.refs[key]; ok {
-			if e.detectCross && id <= e.rootBase {
-				panic(fpCrossRoot{})
-			}
 			e.leaf(KindPointer, pl.typeHash, labelKey)
-			e.ref(id-e.rootBase, true)
+			e.ref(id, true)
 			return
 		}
 		e.next++
 		e.refs[key] = e.next
 		e.leaf(KindPointer, pl.typeHash, labelKey)
-		e.ref(e.next-e.rootBase, false)
+		e.ref(e.next, false)
 		e.encode(v.Elem(), pl.elem, derefLabel)
 	case reflect.Slice:
 		if v.IsNil() {
@@ -374,17 +295,14 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 		}
 		key := refKey{ptr: v.Pointer(), typ: v.Type(), aux: v.Len()}
 		if id, ok := e.refs[key]; ok {
-			if e.detectCross && id <= e.rootBase {
-				panic(fpCrossRoot{})
-			}
 			e.leaf(KindSlice, pl.typeHash, labelKey)
-			e.ref(id-e.rootBase, true)
+			e.ref(id, true)
 			return
 		}
 		e.next++
 		e.refs[key] = e.next
 		e.leaf(KindSlice, pl.typeHash, labelKey)
-		e.ref(e.next-e.rootBase, false)
+		e.ref(e.next, false)
 		n := v.Len()
 		e.h.word(uint64(n))
 		if pl.byteElem {
@@ -403,7 +321,6 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 					b[i] = byte(v.Index(i).Uint())
 				}
 			}
-			e.work += n / 8
 			if n >= fpLeafFrameMin {
 				d := e.leafDigest(b, stable)
 				e.h.word(d[0])
@@ -437,7 +354,6 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 			}
 			e.h.word(d[0])
 			e.h.word(d[1])
-			e.work += n / 8
 			return
 		}
 		for i := 0; i < n; i++ {
@@ -450,17 +366,14 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 		}
 		key := refKey{ptr: v.Pointer(), typ: v.Type()}
 		if id, ok := e.refs[key]; ok {
-			if e.detectCross && id <= e.rootBase {
-				panic(fpCrossRoot{})
-			}
 			e.leaf(KindMap, pl.typeHash, labelKey)
-			e.ref(id-e.rootBase, true)
+			e.ref(id, true)
 			return
 		}
 		e.next++
 		e.refs[key] = e.next
 		e.leaf(KindMap, pl.typeHash, labelKey)
-		e.ref(e.next-e.rootBase, false)
+		e.ref(e.next, false)
 		e.h.word(uint64(v.Len()))
 		// Same canonical entry order as Capture: sort by keySig. Map
 		// traversal allocates (MapKeys, signature strings); maps are rare

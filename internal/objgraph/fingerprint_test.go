@@ -80,8 +80,11 @@ func TestQuickFingerprintMatchesCapture(t *testing.T) {
 
 // TestQuickFingerprintMultiRoot checks the equivalence over multi-root
 // captures (receiver + by-ref args), including shared structure across
-// roots, where the traversal-ordinal aliasing ids must line up.
+// roots, where the traversal-ordinal aliasing ids must line up. The
+// cached engine must agree with the cold one on every multi-root shape,
+// including a root repeated verbatim (a, b, a).
 func TestQuickFingerprintMultiRoot(t *testing.T) {
+	c := NewFPCache(0)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		var pool []*randTree
@@ -91,17 +94,43 @@ func TestQuickFingerprintMultiRoot(t *testing.T) {
 
 		g := Capture(a, b)
 		fp := Fingerprint(a, b)
-		if !Equal(g, Capture(a, b)) || Fingerprint(a, b) != fp {
+		if !Equal(g, Capture(a, b)) || Fingerprint(a, b) != fp || FingerprintCached(c, a, b) != fp {
+			return false
+		}
+		if FingerprintCached(c, a, b, a) != Fingerprint(a, b, a) {
 			return false
 		}
 		undo := mutateTree(r, a, pool)
+		c.Bump()
 		eq := Equal(g, Capture(a, b))
 		fpEq := Fingerprint(a, b) == fp
+		cachedEq := FingerprintCached(c, a, b) == fp
 		undo()
-		return eq == fpEq
+		c.Bump()
+		return eq == fpEq && eq == cachedEq
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+
+	// Large framed leaves across roots: three independent payload roots
+	// plus the first repeated, cached and cold alike.
+	r := rand.New(rand.NewSource(11))
+	roots := make([]any, 3)
+	for i := range roots {
+		roots[i] = genFlat(r, 128<<10)
+	}
+	aliased := []any{roots[0], roots[1], roots[2], roots[0]}
+	for _, rs := range [][]any{roots, aliased} {
+		want := Fingerprint(rs...)
+		for i := 0; i < 3; i++ {
+			if got := FingerprintCached(c, rs...); got != want {
+				t.Fatalf("cached %d-root fp %x != cold %x (call %d)", len(rs), got, want, i)
+			}
+		}
+	}
+	if Fingerprint(roots...) == Fingerprint(aliased...) {
+		t.Error("a repeated root must change the fingerprint")
 	}
 }
 

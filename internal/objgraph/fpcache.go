@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -14,7 +12,7 @@ import (
 // Incremental fingerprints. A detection campaign fingerprints the same
 // receiver graph on every wrapped call, and between two consecutive
 // snapshots most of the graph provably hasn't changed — the only writers
-// are the wrapped methods themselves. FPCache exploits that with three
+// are the wrapped methods themselves. FPCache exploits that with two
 // mechanisms, none of which may change a fingerprint's value:
 //
 //   - Large-leaf memoization: big flat []byte/string/byte-array leaves
@@ -29,30 +27,16 @@ import (
 //     call entry and again before each after-fingerprint, so a hit is
 //     only taken when no wrapped mutation could have touched the graph
 //     since the digest was computed.
-//   - Parallel lane hashing: calls with ≥2 roots whose previous
-//     traversal exceeded fpParallelWork hash each root's frame on a
-//     small worker pool; frames are position-independent, so combining
-//     the digests in root order is byte-identical to the sequential
-//     result. Workers never touch the cache (it is single-goroutine
-//     state), and a post-hoc intersection of the workers' reference
-//     tables detects cross-root aliasing exactly like the sequential
-//     traversal does, triggering the same global fallback.
 
 const (
 	// fpLeafFrameMin is the flat-leaf size (bytes) at which content is
 	// framed as an independent digest instead of streamed word by word.
-	// The framing decision is a pure function of the length so cold,
-	// cached, and parallel encoders always agree on the spelling.
+	// The framing decision is a pure function of the length so cold and
+	// cached encoders always agree on the spelling.
 	fpLeafFrameMin = 1024
 	// DefaultFPCacheBudget bounds the leaf-content bytes a cache pins
 	// for reuse verification when no explicit budget is configured.
 	DefaultFPCacheBudget = 8 << 20
-	// fpParallelWork is the traversal-work watermark (in hash words,
-	// from the encoder's work counter) above which a multi-root call
-	// engages the worker pool.
-	fpParallelWork = 1 << 16
-	// fpMaxWorkers caps the per-call worker pool.
-	fpMaxWorkers = 4
 )
 
 // FPCacheStats reports cache effectiveness counters.
@@ -71,15 +55,13 @@ type FPCacheStats struct {
 // Only Bump is atomic, so the owning session can invalidate cheaply from
 // its wrapped-call prologue.
 type FPCache struct {
-	gen      atomic.Uint64
-	budget   int64
-	bytes    int64
-	hits     int64
-	misses   int64
-	leaves   map[fpLeafKey]*fpLeafEntry
-	roots    map[fpRootKey]fpRootEntry
-	lastWork int
-	parallel bool
+	gen    atomic.Uint64
+	budget int64
+	bytes  int64
+	hits   int64
+	misses int64
+	leaves map[fpLeafKey]*fpLeafEntry
+	roots  map[fpRootKey]fpRootEntry
 }
 
 // fpLeafKey identifies a flat leaf by backing-store pointer and length.
@@ -117,10 +99,9 @@ func NewFPCache(budget int64) *FPCache {
 		budget = DefaultFPCacheBudget
 	}
 	return &FPCache{
-		budget:   budget,
-		leaves:   make(map[fpLeafKey]*fpLeafEntry),
-		roots:    make(map[fpRootKey]fpRootEntry),
-		parallel: true,
+		budget: budget,
+		leaves: make(map[fpLeafKey]*fpLeafEntry),
+		roots:  make(map[fpRootKey]fpRootEntry),
 	}
 }
 
@@ -132,18 +113,6 @@ func (c *FPCache) Bump() { c.gen.Add(1) }
 // Stats returns the current counters.
 func (c *FPCache) Stats() FPCacheStats {
 	return FPCacheStats{Hits: c.hits, Misses: c.misses, Bytes: c.bytes}
-}
-
-// noteWork records the last traversal's approximate hash effort, the
-// signal parallelEligible gates on.
-func (c *FPCache) noteWork(w int) { c.lastWork = w }
-
-// parallelEligible reports whether the next multi-root call should try
-// the worker pool. Purely a heuristic: both paths produce identical
-// fingerprints, so the first call (no work estimate yet) simply runs
-// sequentially.
-func (c *FPCache) parallelEligible(nroots int) bool {
-	return c.parallel && nroots >= 2 && c.lastWork >= fpParallelWork && runtime.GOMAXPROCS(0) > 1
 }
 
 // leafBytes returns the memoized content digest of b, verifying reuse
@@ -199,75 +168,6 @@ func (c *FPCache) leafString(s string) FP {
 		c.bytes += int64(len(s))
 	}
 	return d
-}
-
-// fingerprintParallel hashes each root's frame on a small worker pool.
-// ok is false when the roots alias each other (detected post hoc by
-// intersecting the workers' reference tables — the same condition the
-// sequential traversal detects mid-walk), in which case the caller takes
-// the identical global fallback. On success the combined fingerprint is
-// byte-identical to fingerprintFramed's: frames are position-independent
-// and the combiner folds them in root order.
-func fingerprintParallel(c *FPCache, roots []any) (FP, bool) {
-	n := len(roots)
-	workers := fpMaxWorkers
-	if p := runtime.GOMAXPROCS(0); p < workers {
-		workers = p
-	}
-	if n < workers {
-		workers = n
-	}
-	encs := make([]*fpEncoder, n)
-	digests := make([]FP, n)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// Workers get fresh pooled encoders and no cache: FPCache
-				// is single-goroutine state, and frame digests are
-				// identical with or without it.
-				e := fpPool.Get().(*fpEncoder)
-				encs[i] = e
-				digests[i] = e.rootDigest(roots[i], false)
-			}
-		}()
-	}
-	wg.Wait()
-	aliased := false
-	work := 0
-	acc := encs[0].refs
-	for i := 1; i < n && !aliased; i++ {
-		for k := range encs[i].refs {
-			if _, dup := acc[k]; dup {
-				aliased = true
-				break
-			}
-			acc[k] = 0
-		}
-	}
-	for _, e := range encs {
-		work += e.work
-		e.release()
-	}
-	c.noteWork(work)
-	if aliased {
-		return FP{}, false
-	}
-	var top fpHash
-	top.reset()
-	for i := range digests {
-		top.word(rootLabelHash(i))
-		top.word(digests[i][0])
-		top.word(digests[i][1])
-	}
-	return top.sum(), true
 }
 
 // bulkHash128 digests a large flat payload with four independent

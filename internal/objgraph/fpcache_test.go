@@ -2,7 +2,6 @@ package objgraph
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -181,53 +180,10 @@ func TestFPCacheConcurrentSessions(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFPCacheParallelMatchesSequential pins the determinism requirement on
-// the parallel-lane path: a multi-root traversal big enough to fan out
-// must produce a byte-identical fingerprint to the sequential engine —
-// and with aliased roots, the parallel attempt must fall back without
-// changing the result.
-func TestFPCacheParallelMatchesSequential(t *testing.T) {
-	// Force the eligibility gate open even on single-CPU runners: the
-	// determinism property must hold regardless of real parallelism.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	r := rand.New(rand.NewSource(11))
-	roots := make([]any, 4)
-	for i := range roots {
-		roots[i] = genFlat(r, 128<<10)
-	}
-	want := Fingerprint(roots...)
-
-	c := NewFPCache(0)
-	// First call is sequential (lastWork starts 0) and primes the work
-	// signal; the second call is parallel-eligible.
-	first := FingerprintCached(c, roots...)
-	if first != want {
-		t.Fatalf("priming call fp %x != sequential %x", first, want)
-	}
-	if !c.parallelEligible(len(roots)) {
-		t.Fatalf("parallel path not eligible; lastWork=%d", c.lastWork)
-	}
-	for i := 0; i < 3; i++ {
-		if got := FingerprintCached(c, roots...); got != want {
-			t.Fatalf("parallel call %d fp %x != sequential %x", i, got, want)
-		}
-	}
-
-	// Aliased roots: root 3 shares a subgraph with root 0. The parallel
-	// lanes detect the intersection post hoc and defer to the global
-	// engine, which must agree with the cold global fingerprint.
-	aliased := []any{roots[0], roots[1], roots[2], roots[0]}
-	wantAliased := Fingerprint(aliased...)
-	FingerprintCached(c, roots...) // re-prime lastWork
-	if got := FingerprintCached(c, aliased...); got != wantAliased {
-		t.Fatalf("aliased parallel fp %x != cold %x", got, wantAliased)
-	}
-}
-
-// TestFPCachePooledEncoderReuse interleaves calls that abort mid-frame
-// (cross-root aliases panic out of the framed engine) with clean calls:
-// pooled encoders must come back reset, leaving no state leak that could
-// perturb a later fingerprint.
+// TestFPCachePooledEncoderReuse interleaves global multi-root calls over
+// aliased roots with framed single-root calls: pooled encoders must come
+// back reset, leaving no state leak that could perturb a later
+// fingerprint.
 func TestFPCachePooledEncoderReuse(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	a, b := genList(r, 8), genBST(r, 32)

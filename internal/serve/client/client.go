@@ -1,8 +1,8 @@
 // Package client is the thin Go client for the faserve campaign service.
-// It backs both the service tests and fadetect's -server mode: submit a
-// job, follow its SSE progress stream, and fetch the stored log and
-// report — which the server guarantees are byte-identical to a local
-// fadetect run over the same app and flags.
+// It backs the service tests and the -server modes of fadetect and
+// farepair: submit a job, follow its SSE progress stream, and fetch the
+// stored log and report — which the server guarantees are byte-identical
+// to a local run over the same app and flags.
 package client
 
 import (
@@ -15,10 +15,12 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"failatomic/internal/cli"
 	"failatomic/internal/serve"
 )
 
@@ -283,4 +285,51 @@ func (c *Client) Wait(ctx context.Context, id string) (serve.JobStatus, error) {
 		return serve.JobStatus{}, err
 	}
 	return c.Status(ctx, id)
+}
+
+// RunJob is the -server mode of fadetect and farepair: submit spec to the
+// faserve instance at base, wait for it, and print what the same local
+// invocation prints — with logPath, the stored log is written there and
+// announced first, then the stored report goes to stdout. Progress and a
+// drifted job's finding go to stderr under prog. It returns the job's
+// exit code.
+func RunJob(ctx context.Context, base, token, prog string, spec serve.JobSpec, logPath string) (int, error) {
+	var opts []Option
+	if token != "" {
+		opts = append(opts, WithToken(token))
+	}
+	c := New(base, opts...)
+	id, err := c.Submit(ctx, spec)
+	if err != nil {
+		return cli.ExitFailure, err
+	}
+	fmt.Fprintf(os.Stderr, "%s: submitted job %s to %s\n", prog, id, base)
+	st, err := c.Wait(ctx, id)
+	if err != nil {
+		return cli.ExitFailure, fmt.Errorf("job %s: %w", id, err)
+	}
+	// A drifted job stored its log and report like a done one; the gate's
+	// finding goes to stderr and the exit code carries cli.ExitDrift.
+	if st.State != serve.StateDone && st.State != serve.StateDrifted {
+		return cli.ExitFailure, fmt.Errorf("job %s %s: %s", id, st.State, st.Error)
+	}
+	if st.State == serve.StateDrifted {
+		fmt.Fprintf(os.Stderr, "%s: job %s drifted: %s\n", prog, id, st.Error)
+	}
+	if logPath != "" {
+		data, err := c.Log(ctx, id)
+		if err != nil {
+			return cli.ExitFailure, err
+		}
+		if err := os.WriteFile(logPath, data, 0o644); err != nil {
+			return cli.ExitFailure, err
+		}
+		fmt.Printf("injection log written to %s\n", logPath)
+	}
+	report, err := c.Report(ctx, id)
+	if err != nil {
+		return cli.ExitFailure, err
+	}
+	os.Stdout.Write(report)
+	return st.ExitCode, nil
 }

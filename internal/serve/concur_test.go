@@ -29,7 +29,7 @@ func localConcurReference(t *testing.T, spec serve.JobSpec) (log []byte, report 
 	if !ok {
 		t.Fatalf("unknown concurrent target %q", spec.App)
 	}
-	res, err := concur.Campaign(&target, concur.Options{
+	res, err := concur.Campaign(context.Background(), &target, concur.Options{
 		Workers:   spec.Workers,
 		Schedules: spec.Schedules,
 		Seed:      concur.EffectiveSeed(spec.Seed),

@@ -111,8 +111,8 @@ func (s *Server) crontabCreate(cs CrontabSpec, tenant string) (Crontab, error) {
 	if cs.Spec.Crontab != "" {
 		return Crontab{}, fmt.Errorf("serve: spec.crontab is server-assigned")
 	}
-	if err := validateSpec(cs.Spec); err != nil {
-		return Crontab{}, err
+	if err := cs.Spec.Validate(); err != nil {
+		return Crontab{}, fmt.Errorf("serve: %w", err)
 	}
 	period, err := sched.ParseEvery(cs.Schedule)
 	if err != nil {

@@ -291,7 +291,7 @@ func campaignRuns(t *testing.T, spec serve.JobSpec) (runs []inject.Run, log []by
 		t.Fatalf("unknown app %q", spec.App)
 	}
 	ctx := context.Background()
-	opts := spec.Options()
+	opts := mustOptions(t, spec)
 	opts.OnRun = func(r inject.Run) error {
 		runs = append(runs, r)
 		return nil
@@ -304,7 +304,7 @@ func campaignRuns(t *testing.T, spec serve.JobSpec) (runs []inject.Run, log []by
 	if err := replog.Write(&buf, res.Result); err != nil {
 		t.Fatal(err)
 	}
-	rep, code, err := cli.CampaignReport(ctx, app, spec.Options(), res)
+	rep, code, err := cli.CampaignReport(ctx, app, mustOptions(t, spec), res)
 	if err != nil {
 		t.Fatal(err)
 	}

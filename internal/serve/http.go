@@ -209,7 +209,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		j.userCancelled = true
 		j.mu.Unlock()
 		s.metrics.jobsCancelled.Add(1)
-		s.finalizeBestEffort(j, StateCancelled, cli.ExitFailure, "cancelled while queued")
+		s.finalizeBestEffort(j, StateCancelled, cli.ExitFailure, "cancelled while queued", "", "")
 	} else if !s.cancelRemote(j) {
 		// requestCancel marks the job user-cancelled even when no context
 		// exists yet, which closes the race with a concurrent claim: both

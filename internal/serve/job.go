@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"failatomic/internal/concur"
 	"failatomic/internal/core"
 	"failatomic/internal/inject"
 	"failatomic/internal/sched"
@@ -63,7 +62,8 @@ type JobSpec struct {
 	// App names the application under test (a Table 1 row).
 	App string `json:"app"`
 	// Kind selects the workflow: "" or KindDetect for a detection
-	// campaign, KindRepair for the repair workflow. Validated at admission.
+	// campaign, KindRepair for the repair workflow, KindConcur for a
+	// schedule campaign. Validated at admission.
 	Kind string `json:"kind,omitempty"`
 	// Repeats scales the injection space (inject.Options.Repeats).
 	Repeats int `json:"repeats,omitempty"`
@@ -76,11 +76,10 @@ type JobSpec struct {
 	// MaxQuarantined fails the campaign past this many quarantined points.
 	MaxQuarantined int `json:"maxQuarantined,omitempty"`
 	// Snapshot selects the session snapshot engine: "" or "fingerprint"
-	// (the default, with the incremental subgraph-hash cache),
-	// "fingerprint-nocache" (hashing without the cache), or "capture"
-	// (materialize every graph). Validated at admission; results are
-	// byte-identical across all three, so it is a performance knob, not a
-	// semantic one.
+	// (the default, with the incremental subgraph-hash cache), or
+	// "capture" (materialize every graph). Validated at admission;
+	// results are byte-identical across both, so it is a performance
+	// knob, not a semantic one.
 	Snapshot string `json:"snapshot,omitempty"`
 	// Perturb selects extra fault strategies in fadetect's -perturb
 	// grammar ("nth=3,burst,oblivious"). Validated at admission. It is a
@@ -114,29 +113,21 @@ func (sp JobSpec) JobKind() string {
 	return sp.Kind
 }
 
-// concurSpec resolves the schedule knobs of a concur job, zero values
-// taking the concur defaults — the same resolution concur.Campaign
-// applies, so admission validates exactly what will run.
-func (sp JobSpec) concurSpec() concur.Spec {
-	cs := concur.Spec{Workers: sp.Workers, Schedules: sp.Schedules}
-	if cs.Workers == 0 {
-		cs.Workers = concur.DefaultWorkers
+// Options converts the spec's campaign knobs to inject.Options — the one
+// flags→options conversion: fadetect and farepair build a JobSpec from
+// their flags and call it too. Journal hooks belong to whoever runs the
+// job, not to the spec. Campaigns always run scoped: faserve's pool runs
+// several in one process, so none of them may claim the exclusive global
+// session slot, and scoped output equals global output.
+func (sp JobSpec) Options() (inject.Options, error) {
+	mode, err := core.ParseSnapshotMode(sp.Snapshot)
+	if err != nil {
+		return inject.Options{}, err
 	}
-	if cs.Schedules == 0 {
-		cs.Schedules = concur.DefaultSchedules
+	perturbations, err := inject.ParsePerturbations(sp.Perturb)
+	if err != nil {
+		return inject.Options{}, err
 	}
-	return cs
-}
-
-// Options converts the spec to campaign options (journal hooks are the
-// server's, not the client's). Jobs always run scoped: the worker pool
-// executes campaigns concurrently in one process, so none of them may
-// claim the exclusive global session slot.
-func (sp JobSpec) Options() inject.Options {
-	// The mode and perturbation list were validated at admission; an
-	// unparseable value in a hand-edited spec falls back to the defaults.
-	mode, _ := core.ParseSnapshotMode(sp.Snapshot)
-	perturbations, _ := inject.ParsePerturbations(sp.Perturb)
 	return inject.Options{
 		Repeats:        sp.Repeats,
 		Parallelism:    sp.Parallelism,
@@ -146,7 +137,7 @@ func (sp JobSpec) Options() inject.Options {
 		Snapshot:       mode,
 		Perturbations:  perturbations,
 		Scoped:         true,
-	}
+	}, nil
 }
 
 // JobStatus is the wire form of GET /v1/jobs/{id}.

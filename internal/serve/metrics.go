@@ -31,14 +31,23 @@ type metrics struct {
 	queueWaitMax      atomic.Int64 // longest observed queue wait, nanoseconds
 
 	// Fingerprint-cache effectiveness, summed over every campaign session
-	// of in-process detect and repair jobs (zero under capture or
-	// fingerprint-nocache snapshots).
+	// of in-process detect and repair jobs (zero under capture
+	// snapshots).
 	snapshotCacheHits   atomic.Int64
 	snapshotCacheMisses atomic.Int64
 	snapshotCacheBytes  atomic.Int64
 	// Predicted-snapshot misses (inject.Result.PredictMisses) of the same
 	// campaigns: runs redone because they diverged from their clean run.
 	snapshotPredictMisses atomic.Int64
+}
+
+// noteQueued counts one admitted or boot-resumed job, and its kind's
+// admission counter.
+func (m *metrics) noteQueued(spec JobSpec) {
+	m.jobsQueued.Add(1)
+	if spec.JobKind() == KindConcur {
+		m.jobsConcur.Add(1)
+	}
 }
 
 // noteSnapshots folds one campaign's snapshot telemetry in: its

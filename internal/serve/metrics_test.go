@@ -43,10 +43,10 @@ func TestSnapshotCacheMetrics(t *testing.T) {
 			m["snapshot_cache_hits_total"], m["snapshot_cache_bytes"])
 	}
 
-	// The escape hatch runs without a cache, so it must not move the
+	// The capture engine runs without a cache, so it must not move the
 	// counters.
 	before := m["snapshot_cache_misses_total"]
-	id, err = c.Submit(ctx, serve.JobSpec{App: "HashedSet", Snapshot: "fingerprint-nocache"})
+	id, err = c.Submit(ctx, serve.JobSpec{App: "HashedSet", Snapshot: "capture"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +54,6 @@ func TestSnapshotCacheMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after := fetchMetrics(t, url)["snapshot_cache_misses_total"]; after != before {
-		t.Errorf("fingerprint-nocache job moved snapshot_cache_misses_total: %d -> %d", before, after)
+		t.Errorf("capture job moved snapshot_cache_misses_total: %d -> %d", before, after)
 	}
 }

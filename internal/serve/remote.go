@@ -3,11 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
-	"failatomic/internal/apps"
 	"failatomic/internal/cli"
-	"failatomic/internal/concur"
+	"failatomic/internal/detect"
 	"failatomic/internal/dispatch"
 	"failatomic/internal/inject"
 	"failatomic/internal/replog"
@@ -40,7 +38,7 @@ type coordJobs struct{ s *Server }
 // worker, releasing the running slot the dequeue charged.
 func (s *Server) failClaim(j *job, msg string) {
 	s.metrics.jobsFailed.Add(1)
-	s.finalizeBestEffort(j, StateFailed, cli.ExitFailure, msg)
+	s.finalizeBestEffort(j, StateFailed, cli.ExitFailure, msg, "", "")
 	s.schedDone(j)
 }
 
@@ -54,28 +52,8 @@ func (cj coordJobs) Claim() (dispatch.Grant, bool) {
 		if j == nil {
 			return dispatch.Grant{}, false
 		}
-		// A concur job's journal is seeded and its app names a concurrent
-		// target; the other kinds resume the plain journal of a Table 1 app.
-		var completed map[inject.RunKey]inject.Run
-		var journal *replog.Journal
-		var err error
-		if j.spec.JobKind() == KindConcur {
-			target, ok := concur.ByName(j.spec.App)
-			if !ok {
-				s.failClaim(j, fmt.Sprintf("serve: unknown concurrent target %q", j.spec.App))
-				continue
-			}
-			completed, journal, err = replog.ResumeJournalSeeded(j.journalPath(), target.Name, target.Lang, concur.EffectiveSeed(j.spec.Seed))
-		} else {
-			app, ok := apps.ByName(j.spec.App)
-			if !ok {
-				// Admission validates the app, so only a stale on-disk job can
-				// get here; it would fail identically in-process.
-				s.failClaim(j, fmt.Sprintf("serve: unknown application %q", j.spec.App))
-				continue
-			}
-			completed, journal, err = replog.ResumeJournal(j.journalPath(), app.Name, app.Lang)
-		}
+		program, lang, seed := j.spec.JournalIdentity()
+		completed, journal, err := replog.ResumeJournalSeeded(j.journalPath(), program, lang, seed)
 		if err != nil {
 			s.failClaim(j, err.Error())
 			continue
@@ -173,47 +151,20 @@ func (cj coordJobs) Complete(jobID string, comp dispatch.Completion) error {
 	if comp.State == StateFailed {
 		if s.detachRemote(jobID, rj) {
 			s.metrics.jobsFailed.Add(1)
-			s.finalizeBestEffort(rj.j, StateFailed, comp.ExitCode, comp.Error)
+			s.finalizeBestEffort(rj.j, StateFailed, comp.ExitCode, comp.Error, "", "")
 			s.schedDone(rj.j)
 		}
 		return nil
 	}
-	logSHA, err := s.store.Put(comp.Log)
-	if err != nil {
-		return err
-	}
-	reportSHA, err := s.store.Put(comp.Report)
-	if err != nil {
-		return err
-	}
 	// The drift gate runs on the coordinator even for worker-executed
 	// jobs: the baseline index is server state, and the uploaded log is
 	// the same replog a local run would have produced.
-	state, exitCode, errMsg := StateDone, comp.ExitCode, ""
-	if rj.j.spec.JobKind() == KindDetect {
-		if fresh := classifyLog(comp.Log); fresh != nil {
-			if drift := s.driftAgainstLast(rj.j.spec, fresh); len(drift) > 0 {
-				state, exitCode, errMsg = StateDrifted, cli.ExitDrift, driftMessage(drift)
-			}
-		}
+	var fresh *detect.Classification
+	if rj.j.spec.gated() {
+		fresh = classifyLog(comp.Log)
 	}
-	if !s.detachRemote(jobID, rj) {
-		// Lost a finalization race (user cancel); the upload is dropped.
-		return nil
-	}
-	if err := rj.j.finalize(state, exitCode, errMsg, logSHA, reportSHA); err != nil {
-		return err
-	}
-	if state == StateDrifted {
-		s.metrics.jobsDrifted.Add(1)
-	} else {
-		s.metrics.jobsDone.Add(1)
-		if rj.j.spec.JobKind() == KindDetect {
-			s.noteLastDone(rj.j.spec, logSHA, time.Now())
-		}
-	}
-	s.schedDone(rj.j)
-	return nil
+	// Losing the detach race to a user cancel drops the upload.
+	return s.settle(rj.j, comp.Log, comp.Report, comp.ExitCode, fresh, func() bool { return s.detachRemote(jobID, rj) })
 }
 
 // Requeue returns a leased job to the queue after its lease was lost —
@@ -267,7 +218,7 @@ func (s *Server) cancelRemote(j *job) bool {
 		return false
 	}
 	s.metrics.jobsCancelled.Add(1)
-	s.finalizeBestEffort(j, StateCancelled, cli.ExitFailure, "cancelled while running remotely")
+	s.finalizeBestEffort(j, StateCancelled, cli.ExitFailure, "cancelled while running remotely", "", "")
 	s.schedDone(j)
 	return true
 }

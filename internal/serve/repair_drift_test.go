@@ -47,7 +47,7 @@ func TestRepairJobEndToEnd(t *testing.T) {
 		t.Fatalf("repair job = %+v, want done/0", st)
 	}
 
-	rep, err := repair.Run(ctx, repair.Config{App: spec.App, Options: spec.Options()})
+	rep, err := repair.Run(ctx, repair.Config{App: spec.App, Options: mustOptions(t, spec)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestDriftGate(t *testing.T) {
 		t.Fatal("LinkedList application missing")
 	}
 	spec := serve.JobSpec{App: "LinkedList"}
-	hintedOpts := spec.Options()
+	hintedOpts := mustOptions(t, spec)
 	hintedOpts.ExceptionFree = map[string]bool{
 		"LinkedList.checkIndex":          true,
 		"LinkedList.checkIndexInclusive": true,

@@ -15,7 +15,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -28,15 +27,10 @@ import (
 	"sync"
 	"time"
 
-	"failatomic/internal/apps"
 	"failatomic/internal/cli"
-	"failatomic/internal/concur"
-	"failatomic/internal/core"
 	"failatomic/internal/detect"
 	"failatomic/internal/dispatch"
-	"failatomic/internal/harness"
 	"failatomic/internal/inject"
-	"failatomic/internal/repair"
 	"failatomic/internal/replog"
 	"failatomic/internal/sched"
 	"failatomic/internal/serve/store"
@@ -281,10 +275,20 @@ func (s *Server) recoverJobs() error {
 			s.jobs[j.id] = j
 			s.sched.NoteArrival(sm.Sched)
 			// Rebuild the drift gate's baseline index from clean done
-			// detect runs; CompletedAt keeps the newest per spec.
-			if dm.State == StateDone && dm.Log != "" && sm.Spec.JobKind() == KindDetect {
+			// runs of gated kinds; CompletedAt keeps the newest per spec.
+			if dm.State == StateDone && dm.Log != "" && sm.Spec.gated() {
 				s.noteLastDone(sm.Spec, dm.Log, dm.CompletedAt)
 			}
+			continue
+		}
+		// A spec.json admission never wrote (hand-edited, or from a build
+		// that accepted more) fails here rather than running as something
+		// it does not say.
+		if err := sm.Spec.Validate(); err != nil {
+			s.jobs[j.id] = j
+			s.sched.NoteArrival(sm.Sched)
+			s.metrics.jobsFailed.Add(1)
+			s.finalizeBestEffort(j, StateFailed, cli.ExitFailure, fmt.Sprintf("serve: invalid job spec: %v", err), "", "")
 			continue
 		}
 		j.state = StateQueued
@@ -301,10 +305,7 @@ func (s *Server) recoverJobs() error {
 			it.Started = true
 		}
 		s.sched.Restore(it)
-		s.metrics.jobsQueued.Add(1)
-		if sm.Spec.JobKind() == KindConcur {
-			s.metrics.jobsConcur.Add(1)
-		}
+		s.metrics.noteQueued(sm.Spec)
 	}
 	return nil
 }
@@ -336,55 +337,12 @@ var (
 	ErrDraining = errors.New("serve: server is draining")
 )
 
-// validateSpec runs the admission checks shared by direct submissions
-// and crontab installs — a crontab must refuse at install time exactly
-// what a POST /v1/jobs would refuse.
-func validateSpec(spec JobSpec) error {
-	// Admission is kind-first: a concur job's app names a concurrent
-	// target, not a Table 1 row, and its schedule knobs are meaningless on
-	// the other kinds.
-	switch spec.JobKind() {
-	case KindConcur:
-		if _, ok := concur.ByName(spec.App); !ok {
-			return fmt.Errorf("serve: unknown concurrent target %q (have: %v)", spec.App, concur.Names())
-		}
-		if err := spec.concurSpec().Validate(); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		if spec.Perturb != "" {
-			return fmt.Errorf("serve: perturb does not apply to concur jobs (the schedule plan is the fault strategy)")
-		}
-	case KindDetect, KindRepair:
-		if _, ok := apps.ByName(spec.App); !ok {
-			return fmt.Errorf("serve: unknown application %q (have: %v)", spec.App, apps.Names())
-		}
-		if spec.JobKind() == KindRepair && !repair.SupportedApp(spec.App) {
-			return fmt.Errorf("serve: application %q has no repair source tree", spec.App)
-		}
-		if spec.Workers != 0 || spec.Schedules != 0 || spec.Seed != 0 {
-			return fmt.Errorf("serve: workers/schedules/seed apply only to concur jobs")
-		}
-	default:
-		return fmt.Errorf("serve: unknown job kind %q (have: %q, %q, %q)", spec.Kind, KindDetect, KindRepair, KindConcur)
-	}
-	if _, err := core.ParseSnapshotMode(spec.Snapshot); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if _, err := inject.ParsePerturbations(spec.Perturb); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if _, err := sched.ParsePriority(spec.Priority); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	return nil
-}
-
 // submit admits one job for tenant (the quota-table name resolved from
 // the request's bearer token; "" is the default tenant): durable spec
 // first, then the scheduler.
 func (s *Server) submit(spec JobSpec, tenant string) (*job, error) {
-	if err := validateSpec(spec); err != nil {
-		return nil, err
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	pri, _ := sched.ParsePriority(spec.Priority)
 	s.mu.Lock()
@@ -419,10 +377,7 @@ func (s *Server) submit(spec JobSpec, tenant string) (*job, error) {
 	j.events.publish(Event{Type: "state", State: StateQueued})
 	s.jobs[id] = j
 	s.appendIndexLocked(j)
-	s.metrics.jobsQueued.Add(1)
-	if spec.JobKind() == KindConcur {
-		s.metrics.jobsConcur.Add(1)
-	}
+	s.metrics.noteQueued(spec)
 	s.signalWork()
 	return j, nil
 }
@@ -572,15 +527,10 @@ func (s *Server) runJob(j *job) {
 	err := s.executeJob(ctx, j)
 	switch {
 	case err == nil:
-		if j.status().State == StateDrifted {
-			s.metrics.jobsDrifted.Add(1)
-		} else {
-			s.metrics.jobsDone.Add(1)
-		}
-		s.schedDone(j)
+		// settle finalized the job.
 	case j.isUserCancelled():
 		s.metrics.jobsCancelled.Add(1)
-		s.finalizeBestEffort(j, StateCancelled, cli.ExitFailure, fmt.Sprintf("cancelled: %v", err))
+		s.finalizeBestEffort(j, StateCancelled, cli.ExitFailure, fmt.Sprintf("cancelled: %v", err), "", "")
 		s.schedDone(j)
 	case s.baseCtx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
 		// Drain: park with the journal intact; the next boot resumes it.
@@ -589,46 +539,35 @@ func (s *Server) runJob(j *job) {
 		s.schedRequeue(j)
 	default:
 		s.metrics.jobsFailed.Add(1)
-		s.finalizeBestEffort(j, StateFailed, cli.ExitFailure, err.Error())
+		s.finalizeBestEffort(j, StateFailed, cli.ExitFailure, err.Error(), "", "")
 		s.schedDone(j)
 	}
 }
 
-// finalizeBestEffort finalizes a job with no stored results; a manifest
-// write failure is unrecoverable bookkeeping (the job will re-run at next
-// boot) and is folded into the job's error message.
-func (s *Server) finalizeBestEffort(j *job, state string, exitCode int, msg string) {
-	if err := j.finalize(state, exitCode, msg, "", ""); err != nil {
+// finalizeBestEffort finalizes a job with its stored results ("" for
+// none); a manifest write failure is unrecoverable bookkeeping (the job
+// will re-run at next boot) and is folded into the job's error message.
+func (s *Server) finalizeBestEffort(j *job, state string, exitCode int, msg, logSHA, reportSHA string) {
+	if err := j.finalize(state, exitCode, msg, logSHA, reportSHA); err != nil {
 		j.mu.Lock()
 		j.errMsg = msg + "; " + err.Error()
 		j.mu.Unlock()
 	}
 }
 
-// executeJob runs one job end to end: resume the journal, stream runs
-// into it (and the SSE feed), run the kind's workflow — a detection
-// campaign, or the full repair pipeline — render through the same code
-// paths the CLIs print with, and deposit log + report in the result
-// store. Completed detect jobs then pass the drift gate before
-// finalizing done.
+// executeJob runs one job end to end through the kind table: resume the
+// journal, stream runs into it (and the SSE feed), run the job, and
+// settle its log and report.
 func (s *Server) executeJob(ctx context.Context, j *job) error {
-	if j.spec.JobKind() == KindConcur {
-		return s.executeConcurJob(ctx, j)
-	}
-	app, ok := apps.ByName(j.spec.App)
-	if !ok {
-		return fmt.Errorf("serve: unknown application %q", j.spec.App)
-	}
-	completed, journal, err := replog.ResumeJournal(j.journalPath(), app.Name, app.Lang)
+	program, lang, seed := j.spec.JournalIdentity()
+	completed, journal, err := replog.ResumeJournalSeeded(j.journalPath(), program, lang, seed)
 	if err != nil {
 		return err
 	}
 	j.noteSpliced(len(completed))
 	s.metrics.runsSpliced.Add(int64(len(completed)))
 
-	opts := j.spec.Options()
-	opts.Completed = completed
-	opts.OnRun = func(r inject.Run) error {
+	out, err := j.spec.Run(ctx, completed, func(r inject.Run) error {
 		if err := journal.Append(r); err != nil {
 			return err
 		}
@@ -638,120 +577,56 @@ func (s *Server) executeJob(ctx context.Context, j *job) error {
 		}
 		j.noteRun(r)
 		return nil
+	})
+	if cerr := journal.Close(); err == nil {
+		err = cerr
 	}
-
-	var logBuf bytes.Buffer
-	var report string
-	var exitCode int
-	var fresh *detect.Classification
-	if j.spec.JobKind() == KindRepair {
-		// The repair workflow threads the same journal hooks through its
-		// phase-1 campaign, so a repair job resumes exactly like a detect
-		// job; the phase-1 campaign log is the job's log artifact.
-		rep, rerr := repair.Run(ctx, repair.Config{App: j.spec.App, Options: opts})
-		if rerr != nil {
-			journal.Close()
-			return rerr
-		}
-		if err := journal.Close(); err != nil {
-			return err
-		}
-		if err := replog.Write(&logBuf, rep.Campaign); err != nil {
-			return err
-		}
-		s.metrics.noteSnapshots(rep.Campaign)
-		report = rep.Render()
-		exitCode = rep.ExitCode()
-	} else {
-		res, rerr := harness.RunApp(ctx, app, opts)
-		if rerr != nil {
-			journal.Close()
-			return rerr
-		}
-		if err := journal.Close(); err != nil {
-			return err
-		}
-		if err := replog.Write(&logBuf, res.Result); err != nil {
-			return err
-		}
-		s.metrics.noteSnapshots(res.Result)
-		if report, exitCode, rerr = cli.CampaignReport(ctx, app, opts, res); rerr != nil {
-			return rerr
-		}
-		fresh = res.Classification
-	}
-	logSHA, err := s.store.Put(logBuf.Bytes())
 	if err != nil {
 		return err
 	}
-	reportSHA, err := s.store.Put([]byte(report))
+	s.metrics.noteSnapshots(out.Result)
+	log, err := out.Log()
 	if err != nil {
 		return err
 	}
-	if fresh != nil {
-		if drift := s.driftAgainstLast(j.spec, fresh); len(drift) > 0 {
-			return j.finalize(StateDrifted, cli.ExitDrift, driftMessage(drift), logSHA, reportSHA)
-		}
-		s.noteLastDone(j.spec, logSHA, time.Now())
-	}
-	return j.finalize(StateDone, exitCode, "", logSHA, reportSHA)
+	// The drift gate compares the campaign's own classification: no
+	// re-parse of the log just written.
+	return s.settle(j, log, []byte(out.Report), out.ExitCode, out.Classification, nil)
 }
 
-// executeConcurJob runs one concur job in-process: resume the seeded
-// journal, stream runs into it (and the SSE feed), run the schedule
-// campaign, and store the replog plus the report the campaign rendered —
-// the same bytes a local fadetect -concur run prints, which is what makes
-// the stored report cmp-identical.
-func (s *Server) executeConcurJob(ctx context.Context, j *job) error {
-	target, ok := concur.ByName(j.spec.App)
-	if !ok {
-		return fmt.Errorf("serve: unknown concurrent target %q", j.spec.App)
-	}
-	// The campaign itself is not cancellable mid-schedule (schedules are
-	// sub-second); honor a cancel/drain that landed before it started.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	seed := concur.EffectiveSeed(j.spec.Seed)
-	completed, journal, err := replog.ResumeJournalSeeded(j.journalPath(), target.Name, target.Lang, seed)
+// settle is the completion step in-process and worker-run jobs share:
+// store the log and report, run the drift gate on fresh (nil for kinds
+// the gate skips), and finalize the job done or drifted. claim, when
+// set, is the last gate before finalizing — a leased job that lost a race
+// to a cancel drops its upload there. Only a store failure is returned;
+// the job is then still unfinalized.
+func (s *Server) settle(j *job, log, report []byte, exitCode int, fresh *detect.Classification, claim func() bool) error {
+	logSHA, err := s.store.Put(log)
 	if err != nil {
 		return err
 	}
-	j.noteSpliced(len(completed))
-	s.metrics.runsSpliced.Add(int64(len(completed)))
-
-	res, rerr := concur.Campaign(&target, concur.Options{
-		Workers:   j.spec.Workers,
-		Schedules: j.spec.Schedules,
-		Seed:      seed,
-		Completed: completed,
-		OnRun: func(r inject.Run) error {
-			if err := journal.Append(r); err != nil {
-				return err
-			}
-			s.metrics.runsExecuted.Add(1)
-			j.noteRun(r)
-			return nil
-		},
-	})
-	if rerr != nil {
-		journal.Close()
-		return rerr
-	}
-	if err := journal.Close(); err != nil {
-		return err
-	}
-	var logBuf bytes.Buffer
-	if err := replog.Write(&logBuf, res.Inject); err != nil {
-		return err
-	}
-	logSHA, err := s.store.Put(logBuf.Bytes())
+	reportSHA, err := s.store.Put(report)
 	if err != nil {
 		return err
 	}
-	reportSHA, err := s.store.Put([]byte(res.Report))
-	if err != nil {
-		return err
+	state, errMsg := StateDone, ""
+	if fresh != nil {
+		if drift := s.driftAgainstLast(j.spec, fresh); len(drift) > 0 {
+			state, exitCode, errMsg = StateDrifted, cli.ExitDrift, driftMessage(drift)
+		}
 	}
-	return j.finalize(StateDone, cli.ExitOK, "", logSHA, reportSHA)
+	if claim != nil && !claim() {
+		return nil
+	}
+	if state == StateDrifted {
+		s.metrics.jobsDrifted.Add(1)
+	} else {
+		s.metrics.jobsDone.Add(1)
+		if fresh != nil {
+			s.noteLastDone(j.spec, logSHA, time.Now())
+		}
+	}
+	s.finalizeBestEffort(j, state, exitCode, errMsg, logSHA, reportSHA)
+	s.schedDone(j)
+	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"failatomic/internal/apps"
 	"failatomic/internal/cli"
 	"failatomic/internal/harness"
+	"failatomic/internal/inject"
 	"failatomic/internal/replog"
 	"failatomic/internal/serve"
 	"failatomic/internal/serve/client"
@@ -66,7 +67,7 @@ func localReference(t *testing.T, spec serve.JobSpec) (log []byte, report string
 		t.Fatalf("unknown app %q", spec.App)
 	}
 	ctx := context.Background()
-	res, err := harness.RunApp(ctx, app, spec.Options())
+	res, err := harness.RunApp(ctx, app, mustOptions(t, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +75,21 @@ func localReference(t *testing.T, spec serve.JobSpec) (log []byte, report string
 	if err := replog.Write(&buf, res.Result); err != nil {
 		t.Fatal(err)
 	}
-	rep, code, err := cli.CampaignReport(ctx, app, spec.Options(), res)
+	rep, code, err := cli.CampaignReport(ctx, app, mustOptions(t, spec), res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return []byte(buf.String()), rep, code
+}
+
+// mustOptions converts a test spec's campaign knobs.
+func mustOptions(t *testing.T, spec serve.JobSpec) inject.Options {
+	t.Helper()
+	opts, err := spec.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opts
 }
 
 // waitForState polls until the job reaches the wanted state (or any
