@@ -148,15 +148,16 @@ type DetectOptions struct {
 	Mask map[string]bool
 	// Serialize holds a session-global lock across each instrumented call,
 	// for workloads that spawn goroutines (the paper's §4.4 mitigation:
-	// "restricting the amount of parallelism").
+	// "restricting the amount of parallelism"). Spawned goroutines inherit
+	// their run's session, except in failatomic_portable_gls builds, where
+	// their calls go unobserved.
 	Serialize bool
 	// Parallelism explores the injection-point space with this many worker
-	// goroutines (0 or 1 = sequential). Each worker runs its own
-	// goroutine-scoped session, and runs are merged in point order, so a
-	// deterministic single-goroutine workload classifies identically to a
-	// sequential campaign — only faster. Workloads that spawn goroutines
-	// must stay sequential (scoped sessions do not follow child
-	// goroutines).
+	// goroutines (0 or 1 = one worker). Every run binds its own session to
+	// its goroutine, so campaigns coexist with each other and with an
+	// installed Protect, and runs are merged in point order, so a
+	// deterministic workload classifies identically at any Parallelism —
+	// only faster.
 	Parallelism int
 	// RunTimeout bounds each injection run; a run that exceeds it is
 	// abandoned and the point retried or quarantined instead of hanging
@@ -348,10 +349,9 @@ type ProtectOptions struct {
 
 // Protect installs the masking runtime for production use: each listed
 // method is wrapped with checkpoint-on-entry / rollback-on-panic, making
-// it failure atomic to its callers. Exactly one global session (Protect,
-// or a sequential Detect) can be installed at a time; Close releases it.
-// Parallel campaigns use goroutine-scoped sessions and are not subject to
-// the exclusivity.
+// it failure atomic to its callers. Exactly one Protect can be installed
+// at a time; Close releases it. Detect campaigns bind their sessions to
+// their own goroutines and are not subject to the exclusivity.
 func Protect(methods []string, opts ProtectOptions) (*Protection, error) {
 	if len(methods) == 0 && !opts.All {
 		return nil, fmt.Errorf("failatomic: Protect needs methods or All")

@@ -239,21 +239,26 @@ func TestDetectParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestDetectParallelCoexistsWithProtect runs a parallel detection campaign
-// while a Protect session occupies the global slot — the coexistence the
-// scoped registry was built for.
+// TestDetectParallelCoexistsWithProtect runs detection campaigns, with one
+// worker and with several, while a Protect session occupies the global
+// slot: every campaign binds its sessions to its own goroutines.
 func TestDetectParallelCoexistsWithProtect(t *testing.T) {
 	p, err := failatomic.Protect([]string{"counter.Add"}, failatomic.ProtectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	result, err := failatomic.Detect(context.Background(), counterProgram(), failatomic.DetectOptions{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		result, err := failatomic.Detect(context.Background(), counterProgram(), failatomic.DetectOptions{Parallelism: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		na := result.NonAtomicMethods()
+		if len(na) != 1 || na[0] != "counter.Add" {
+			t.Fatalf("workers=%d: NonAtomicMethods = %v (campaign must use its own bound sessions)", workers, na)
+		}
 	}
-	na := result.NonAtomicMethods()
-	if len(na) != 1 || na[0] != "counter.Add" {
-		t.Fatalf("NonAtomicMethods = %v (campaign must use its own scoped sessions)", na)
+	if n := p.MaskedCalls(); n != 0 {
+		t.Fatalf("Protect masked %d campaign calls", n)
 	}
 }

@@ -26,7 +26,6 @@ func TestBurstFlipsPushReliably(t *testing.T) {
 		// attempt, second in the retry) are a sliver of the pair space, so
 		// the pinned demonstration must not depend on stride sampling.
 		Perturbations: []inject.Perturbation{inject.Burst{Budget: 1 << 20}},
-		Scoped:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +65,6 @@ func TestNthIsASubsetOfTheDefaultSweep(t *testing.T) {
 	}
 	res, err := inject.Campaign(context.Background(), app.Build(), inject.Options{
 		Perturbations: []inject.Perturbation{inject.NthActivation{N: 3}},
-		Scoped:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

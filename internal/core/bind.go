@@ -48,8 +48,8 @@ func shardFor(key uintptr) *bindShard {
 var activity atomic.Int64
 
 // boundCount counts live goroutine bindings. When zero, Enter skips the
-// binding lookup entirely, which keeps the legacy sequential path (global
-// session, no bindings) at its original cost.
+// binding lookup entirely, which keeps the production masking path (a
+// Protect global session, no bindings) at its original cost.
 var boundCount atomic.Int64
 
 // Bind runs fn with s bound to the calling goroutine: every instrumented

@@ -164,9 +164,6 @@ type Config struct {
 	MaskMethods map[string]bool
 	// Strategy is the checkpoint strategy; nil means checkpoint.DeepCopy.
 	Strategy checkpoint.Strategy
-	// MaskStrategies overrides Strategy per method (the repair pipeline's
-	// strategy-aware masking assigns each wrapped method its own rung).
-	MaskStrategies map[string]checkpoint.Strategy
 	// ExceptionFree lists methods the programmer asserts never throw
 	// (§4.3); the injector skips their injection points.
 	ExceptionFree map[string]bool
@@ -517,11 +514,7 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 
 	var handle checkpoint.Handle
 	if maskWanted {
-		strat := s.strategy
-		if override := s.cfg.MaskStrategies[name]; override != nil {
-			strat = override
-		}
-		h, err := strat.Capture(roots...)
+		h, err := s.strategy.Capture(roots...)
 		if err != nil {
 			s.maskSkips = append(s.maskSkips, MaskSkip{Method: name, Err: err})
 		} else {

@@ -12,18 +12,18 @@ import (
 // passes record different observations ("" when none) and how many
 // predicted passes missed.
 func PredictedMismatch(p *Program, opts Options) (string, int, error) {
-	clean, err := cleanRun(context.Background(), p, opts, true)
+	clean, err := cleanRun(context.Background(), p, opts)
 	if err != nil {
 		return "", 0, err
 	}
 	misses := 0
 	for _, ex := range planExperiments(clean.profile(p), opts, clean.spans) {
-		got, _ := executeScopedOnce(p, ex, opts, nil)
+		got := executeOnce(p, ex, opts, nil)
 		if got.missed {
 			misses++
 		}
 		ex.predict = nil
-		want, _ := executeScopedOnce(p, ex, opts, nil)
+		want := executeOnce(p, ex, opts, nil)
 		if !reflect.DeepEqual(got.run, want.run) || !reflect.DeepEqual(got.markCalls, want.markCalls) ||
 			got.points != want.points || !reflect.DeepEqual(got.calls, want.calls) {
 			return ex.Key.String(), misses, nil

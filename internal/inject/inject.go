@@ -8,6 +8,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"failatomic/internal/checkpoint"
@@ -188,11 +190,12 @@ type Options struct {
 	// MaskStrategy selects the checkpoint strategy for masked methods; nil
 	// means checkpoint.DeepCopy.
 	MaskStrategy checkpoint.Strategy
-	// MaskStrategies overrides MaskStrategy per method (strategy-aware
-	// masking: each wrapped method runs the cheapest sufficient rung).
-	MaskStrategies map[string]checkpoint.Strategy
 	// Serialize holds a session-global lock across each instrumented call
 	// (§4.4's concurrency mitigation) for workloads that spawn goroutines.
+	// A run's goroutines inherit its session binding, so their calls are
+	// observed like the workload's own — except in failatomic_portable_gls
+	// builds, whose bindings (keyed by goroutine id) do not follow child
+	// goroutines: there a spawned goroutine's calls go unobserved.
 	Serialize bool
 	// Snapshot selects the session snapshot engine. The default,
 	// core.SnapshotFingerprint, compares streaming 128-bit graph hashes
@@ -209,22 +212,13 @@ type Options struct {
 	// hatch).
 	Snapshot core.SnapshotMode
 	// Parallelism is the number of worker goroutines exploring injection
-	// points concurrently (0 or 1 = sequential, the legacy behavior).
-	// Each worker binds its own session to its goroutine
-	// (core.Session.Bind), so parallel campaigns never contend for the
-	// global session slot; Runs are merged deterministically in point
-	// order, making the result identical to a sequential campaign over a
-	// deterministic workload. Workloads that spawn goroutines must stay
-	// sequential: a scoped session does not follow child goroutines.
+	// points concurrently (0 or 1 = one worker). Every run binds its own
+	// session to its goroutine (core.Session.Bind), so campaigns never
+	// contend for the global session slot and may share a process with
+	// each other and with an installed Protect session; Runs are merged in
+	// plan order, making the result independent of Parallelism over a
+	// deterministic workload.
 	Parallelism int
-	// Scoped runs every injector execution on a session bound to its
-	// goroutine (core.Session.Bind) even when the campaign is sequential
-	// and unsupervised, instead of the legacy exclusive global session.
-	// Required when several campaigns share one process — faserve's worker
-	// pool — since the global slot admits only one session at a time. Over
-	// a deterministic workload the result is identical either way.
-	// Supervised and parallel campaigns are always scoped.
-	Scoped bool
 	// RunTimeout bounds each injector execution. On expiry the supervisor
 	// abandons the run's goroutine (goroutines are unkillable; the leak is
 	// bounded — see supervise.go), records the attempt as hung, and
@@ -241,10 +235,10 @@ type Options struct {
 	MaxQuarantined int
 	// OnRun streams every completed run as the campaign progresses — the
 	// crash-safe journal hook. Runs arrive clean-run first, then in plan
-	// order when sequential and completion order when parallel; an error
-	// aborts the campaign. Under Parallelism the sink is called from
-	// worker goroutines concurrently and must serialize itself
-	// (replog.Journal does).
+	// order with one worker and completion order with several; an error
+	// aborts the campaign. The sink is called from worker goroutines, under
+	// Parallelism concurrently, and must serialize itself (replog.Journal
+	// does).
 	OnRun func(Run) error
 	// Completed maps run keys recovered from a journal to their recorded
 	// runs: the campaign splices them into the Result without re-executing
@@ -284,9 +278,19 @@ var ErrQuarantineBudget = errors.New("inject: campaign exceeded MaxQuarantined")
 
 // Campaign runs the full detection experiment for p: one clean run to size
 // the injection space, then one run per injection point, incrementing the
-// threshold each time exactly as in Step 3. The context cancels the
-// campaign between runs (and mid-run when supervised); runs already
-// streamed to Options.OnRun survive for resume.
+// threshold each time exactly as in Step 3. Every run constructs fresh
+// objects and its own session, so the run space is embarrassingly
+// parallel: max(1, min(Parallelism, len(plan))) workers bind a private
+// session to their goroutine (core.Session.Bind) and claim experiments
+// from an atomic cursor, and the runs are merged in plan order, so a
+// deterministic workload yields the same Result at any Parallelism. The
+// context cancels the campaign between runs (and mid-run when
+// supervised); runs already streamed to Options.OnRun survive for resume.
+//
+// Failure handling is two-tier: per-point failures (hangs, foreign-panic
+// crashes) are retried and quarantined by the supervisor and never stop
+// the campaign by themselves; only campaign-level failures — cancellation,
+// a blown quarantine budget, a journal write error — stop every worker.
 func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 	if p == nil || p.Run == nil {
 		return nil, errors.New("inject: program must have a Run function")
@@ -298,11 +302,9 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 	if maxRuns <= 0 {
 		maxRuns = DefaultMaxRuns
 	}
-	if opts.Parallelism > 1 {
-		return parallelCampaign(ctx, p, opts, maxRuns)
-	}
 
-	clean, err := cleanRun(ctx, p, opts, opts.supervised() || opts.Scoped)
+	// The clean run must finish first — it sizes the injection space.
+	clean, err := cleanRun(ctx, p, opts)
 	if err != nil {
 		return nil, fmt.Errorf("clean run: %w", err)
 	}
@@ -318,31 +320,78 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 	if err := validateCompleted(opts.Completed, exps, res.TotalPoints); err != nil {
 		return nil, err
 	}
-
-	t := tally{res: res, max: opts.MaxQuarantined}
-	if err := t.add(clean); err != nil {
-		return nil, err
-	}
 	if _, journaled := opts.Completed[RunKey{}]; !journaled {
 		if err := notifyRun(opts, clean.run); err != nil {
 			return nil, err
 		}
 	}
-	for _, ex := range exps {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("inject: campaign interrupted before %s: %w", ex.Key, err)
-		}
-		out, journaled, err := experimentRun(ctx, p, ex, opts)
-		if err != nil {
-			return nil, fmt.Errorf("injection %s: %w", ex.Key, err)
-		}
+
+	// outs[i] is written by exactly one worker; index 0 is the clean run
+	// and index i is experiment exps[i-1].
+	outs := make([]execution, len(exps)+1)
+	outs[0] = clean
+	var (
+		next        atomic.Int64 // next experiment index to claim (1-based)
+		quarantines atomic.Int64 // early-stop mirror of the merge-time tally
+		stop        atomic.Bool  // campaign-level cancellation flag
+		errOnce     sync.Once
+		firstErr    error
+		wg          sync.WaitGroup
+	)
+	fail := func(err error) {
+		errOnce.Do(func() { firstErr = err })
+		stop.Store(true)
+	}
+	for w := max(1, min(opts.Parallelism, len(exps))); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				i := int(next.Add(1))
+				if i > len(exps) {
+					return
+				}
+				ex := exps[i-1]
+				if err := ctx.Err(); err != nil {
+					fail(fmt.Errorf("inject: campaign interrupted before %s: %w", ex.Key, err))
+					return
+				}
+				out, journaled, err := experimentRun(ctx, p, ex, opts)
+				if err != nil {
+					fail(fmt.Errorf("injection %s: %w", ex.Key, err))
+					return
+				}
+				outs[i] = out
+				if out.run.Status != RunOK {
+					// Early stop only; the plan-order merge below is the
+					// authority and recomputes the same budget.
+					if q := quarantines.Add(1); opts.MaxQuarantined > 0 && q > int64(opts.MaxQuarantined) {
+						fail(fmt.Errorf("%w: %d points quarantined > %d", ErrQuarantineBudget, q, opts.MaxQuarantined))
+						return
+					}
+				}
+				if !journaled {
+					if err := notifyRun(opts, out.run); err != nil {
+						fail(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
+
+	// Deterministic merge: Runs, Injections, warnings and quarantines are
+	// accumulated in plan order regardless of which worker ran which
+	// experiment.
+	res.Runs = make([]Run, 0, len(outs))
+	t := tally{res: res, max: opts.MaxQuarantined}
+	for _, out := range outs {
 		if err := t.add(out); err != nil {
 			return nil, err
-		}
-		if !journaled {
-			if err := notifyRun(opts, out.run); err != nil {
-				return nil, err
-			}
 		}
 	}
 	t.finish()
@@ -361,11 +410,7 @@ func experimentRun(ctx context.Context, p *Program, ex Experiment, opts Options)
 		out, err := supervise(ctx, p, ex, opts)
 		return out, false, err
 	}
-	if opts.Scoped {
-		return executeScoped(p, ex, opts), false, nil
-	}
-	out, err := execute(p, ex, opts)
-	return out, false, err
+	return execute(p, ex, opts), false, nil
 }
 
 // notifyRun streams one completed run to the journal hook.
@@ -404,9 +449,8 @@ func validateCompleted(completed map[RunKey]Run, exps []Experiment, totalPoints 
 	return nil
 }
 
-// tally accumulates the bookkeeping both campaign modes share when a run
-// enters the Result: injections, dead-point warnings, quarantines and the
-// quarantine budget.
+// tally accumulates the bookkeeping done as a run enters the Result:
+// injections, dead-point warnings, quarantines and the quarantine budget.
 type tally struct {
 	res         *Result
 	dead        deadPointWarnings
@@ -544,7 +588,6 @@ func newSession(p *Program, ex Experiment, opts Options, diffCalls map[core.Call
 		Mask:           len(opts.Mask) > 0,
 		MaskMethods:    opts.Mask,
 		Strategy:       opts.MaskStrategy,
-		MaskStrategies: opts.MaskStrategies,
 		ExceptionFree:  opts.ExceptionFree,
 		Serialize:      opts.Serialize,
 	}
@@ -617,65 +660,34 @@ func (r *Result) MaskStatTotals() map[string]core.MaskStat {
 // cleanRun performs the space-sizing clean execution. Supervised
 // campaigns run it under the watchdog, but a clean run that still hangs
 // or crashes after its retries is a hard error — without it there is no
-// point space to quarantine within. Unsupervised sequential campaigns
-// keep the legacy exclusive global session; everything else runs scoped.
-func cleanRun(ctx context.Context, p *Program, opts Options, scoped bool) (execution, error) {
+// point space to quarantine within.
+func cleanRun(ctx context.Context, p *Program, opts Options) (execution, error) {
 	if err := ctx.Err(); err != nil {
 		return execution{}, err
 	}
 	ex := cleanExperiment(opts)
-	if opts.supervised() {
-		out, err := supervise(ctx, p, ex, opts)
-		if err != nil {
-			return execution{}, err
-		}
-		if out.run.Status != RunOK {
-			return execution{}, fmt.Errorf("inject: %s after %d retries: %s",
-				out.run.Status, out.run.Retries, out.run.Err)
-		}
-		return out, nil
+	if !opts.supervised() {
+		return execute(p, ex, opts), nil
 	}
-	if scoped {
-		return executeScoped(p, ex, opts), nil
-	}
-	return execute(p, ex, opts)
-}
-
-// execute performs one injector run with the given threshold on the legacy
-// exclusive global session, catching the exception that escapes the
-// workload's top level. The first pass is settled (settle): a predicted
-// pass that missed is redone unpredicted, and under fingerprint snapshots
-// the diffs of the run's non-atomic marks are recovered by a targeted
-// capture replay, so the result is byte-identical to an all-capture,
-// every-call campaign.
-func execute(p *Program, ex Experiment, opts Options) (execution, error) {
-	out, err := executeGlobal(p, ex, opts, nil)
+	out, err := supervise(ctx, p, ex, opts)
 	if err != nil {
-		return out, err
-	}
-	return settle(out, p, ex, opts, executeGlobal, nil)
-}
-
-// executeGlobal is one attempt of execute on the exclusive global session;
-// diffCalls restricts its snapshots (core.Config.DiffCalls).
-func executeGlobal(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) (execution, error) {
-	session := newSession(p, ex, opts, diffCalls)
-	if err := core.Install(session); err != nil {
 		return execution{}, err
 	}
-	defer core.Uninstall(session)
-	escaped := runGuarded(workload(p, opts))
-	return collect(session, ex, escaped), nil
+	if out.run.Status != RunOK {
+		return execution{}, fmt.Errorf("inject: %s after %d retries: %s",
+			out.run.Status, out.run.Retries, out.run.Err)
+	}
+	return out, nil
 }
 
-// executeScoped performs one injector run on a session bound to the
-// calling goroutine, so any number of runs may proceed concurrently on
-// different goroutines. Unlike execute it cannot fail: scoped sessions
-// need no exclusive slot. The first pass is settled exactly as in execute;
-// sitting here, settling also covers parallel workers and supervised
-// attempts.
-func executeScoped(p *Program, ex Experiment, opts Options) execution {
-	out, _ := executeScopedOnce(p, ex, opts, nil)
+// execute performs one injector run, catching the exception that escapes
+// the workload's top level. The first pass is settled (settle): a
+// predicted pass that missed is redone unpredicted, and under fingerprint
+// snapshots the diffs of the run's non-atomic marks are recovered by a
+// targeted capture replay, so the result is byte-identical to an
+// all-capture, every-call campaign.
+func execute(p *Program, ex Experiment, opts Options) execution {
+	out := executeOnce(p, ex, opts, nil)
 	// A supervised attempt that crashed with a foreign panic belongs to
 	// the supervisor's retry policy, not to settling: rerunning here would
 	// consume a retry the workload's misbehavior hook never sees. The
@@ -683,26 +695,22 @@ func executeScoped(p *Program, ex Experiment, opts Options) execution {
 	if opts.supervised() && out.run.Escaped != nil && out.run.Escaped.Foreign {
 		return out
 	}
-	out, _ = settle(out, p, ex, opts, executeScopedOnce, nil)
-	return out
+	return settle(out, p, ex, opts, nil)
 }
 
-// executeScopedOnce is one attempt of executeScoped; diffCalls restricts
-// its snapshots (core.Config.DiffCalls). It never fails; the error return
-// gives it attemptFunc's shape.
-func executeScopedOnce(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) (execution, error) {
+// executeOnce is one attempt of execute on a fresh session bound to the
+// calling goroutine (core.Session.Bind), so any number of runs may proceed
+// concurrently on different goroutines; diffCalls restricts its snapshots
+// (core.Config.DiffCalls; nil = every call, or the predicted calls when
+// ex.predict is set).
+func executeOnce(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) execution {
 	session := newSession(p, ex, opts, diffCalls)
 	var escaped *fault.Exception
 	session.Bind(func() {
 		escaped = runGuarded(workload(p, opts))
 	})
-	return collect(session, ex, escaped), nil
+	return collect(session, ex, escaped)
 }
-
-// attemptFunc executes one experiment once under opts, snapshotting only
-// the calls in diffCalls (nil = every call, or the predicted calls when
-// ex.predict is set).
-type attemptFunc func(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) (execution, error)
 
 // settle turns an experiment's first pass into the run the campaign
 // records, and is the only place the campaign reruns an experiment. A
@@ -713,20 +721,17 @@ type attemptFunc func(p *Program, ex Experiment, opts Options, diffCalls map[cor
 // (recoverDiffs). Reruns never predict. accept, when non-nil, vets each
 // rerun; a rejected rerun leaves the run as it was (the supervisor keeps a
 // flaky crasher's original).
-func settle(out execution, p *Program, ex Experiment, opts Options, attempt attemptFunc, accept func(Run) bool) (execution, error) {
+func settle(out execution, p *Program, ex Experiment, opts Options, accept func(Run) bool) execution {
 	ex.predict = nil
 	if out.missed {
-		full, err := attempt(p, ex, opts, nil)
-		if err != nil {
-			return execution{}, err
-		}
+		full := executeOnce(p, ex, opts, nil)
 		if accept == nil || accept(full.run) {
 			full.cache.Add(out.cache)
 			full.missed = true
 			out = full
 		}
 	}
-	return recoverDiffs(out, p, ex, opts, attempt, accept)
+	return recoverDiffs(out, p, ex, opts, accept)
 }
 
 // recoverDiffs fills in Mark.Diff for every non-atomic mark a
@@ -738,37 +743,31 @@ func settle(out execution, p *Program, ex Experiment, opts Options, attempt atte
 // replay diverged — a target mark is missing, sits at another call, or
 // reads atomic — the run is replayed again with every call captured and
 // that replay is adopted wholesale. accept vets each replay as in settle.
-func recoverDiffs(out execution, p *Program, ex Experiment, opts Options, attempt attemptFunc, accept func(Run) bool) (execution, error) {
+func recoverDiffs(out execution, p *Program, ex Experiment, opts Options, accept func(Run) bool) execution {
 	if opts.Snapshot != core.SnapshotFingerprint {
-		return out, nil
+		return out
 	}
 	targets := diffTargets(out)
 	if targets == nil {
-		return out, nil
+		return out
 	}
 	opts.Snapshot = core.SnapshotCapture
-	replay, err := attempt(p, ex, opts, targets)
-	if err != nil {
-		return execution{}, err
-	}
+	replay := executeOnce(p, ex, opts, targets)
 	if accept != nil && !accept(replay.run) {
-		return out, nil
+		return out
 	}
 	if patchDiffs(out, replay, len(targets)) {
-		return out, nil
+		return out
 	}
-	full, err := attempt(p, ex, opts, nil)
-	if err != nil {
-		return execution{}, err
-	}
+	full := executeOnce(p, ex, opts, nil)
 	if accept != nil && !accept(full.run) {
-		return out, nil
+		return out
 	}
 	// The full replay replaces the run; only the telemetry of the
 	// discarded passes carries over.
 	full.cache.Add(out.cache)
 	full.missed = out.missed
-	return full, nil
+	return full
 }
 
 // diffTargets returns the call identities of an execution's non-atomic

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"failatomic/internal/core"
@@ -54,28 +55,38 @@ func TestParallelCampaignMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestScopedCampaignMatchesSequential: Options.Scoped moves a sequential
-// campaign off the exclusive global session without changing its Result —
-// the property faserve's concurrent worker pool relies on.
+// TestScopedCampaignMatchesSequential: every run of a campaign, with one
+// worker or several, executes on a session bound to its goroutine — none
+// takes the global slot, so campaigns coexist with an installed Protect —
+// and the merged Result does not depend on the worker count.
 func TestScopedCampaignMatchesSequential(t *testing.T) {
-	seq, err := Campaign(context.Background(), testProgram(), Options{})
-	if err != nil {
-		t.Fatal(err)
+	var runs [][]Run
+	for _, workers := range []int{1, 4} {
+		p := testProgram()
+		body := p.Run
+		var unbound atomic.Int64
+		p.Run = func() {
+			if core.Active() != nil || core.Current() == nil {
+				unbound.Add(1)
+			}
+			body()
+		}
+		res, err := Campaign(context.Background(), p, Options{Parallelism: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if n := unbound.Load(); n != 0 {
+			t.Fatalf("workers=%d: %d runs executed without a bound session", workers, n)
+		}
+		runs = append(runs, res.Runs)
 	}
-	scoped, err := Campaign(context.Background(), testProgram(), Options{Scoped: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(scoped.Runs, seq.Runs) || !reflect.DeepEqual(scoped.Warnings, seq.Warnings) {
-		t.Fatal("scoped campaign must reproduce the sequential Result exactly")
-	}
-	if core.Active() != nil {
-		t.Fatal("no global session may leak from a scoped campaign")
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatal("one worker and four workers must merge identical runs")
 	}
 }
 
-// TestScopedCampaignsRunConcurrently: two sequential-but-scoped campaigns
-// in flight at once must not contend for the global slot — the exact
+// TestScopedCampaignsRunConcurrently: several one-worker campaigns in
+// flight at once must not contend for the global slot — the exact
 // failure mode of two faserve jobs on one process.
 func TestScopedCampaignsRunConcurrently(t *testing.T) {
 	var wg sync.WaitGroup
@@ -84,7 +95,7 @@ func TestScopedCampaignsRunConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = Campaign(context.Background(), testProgram(), Options{Scoped: true})
+			_, errs[i] = Campaign(context.Background(), testProgram(), Options{})
 		}(i)
 	}
 	wg.Wait()

@@ -108,11 +108,11 @@ func countingProgram(invocations *int, alternate bool) *Program {
 func TestRecoveryReplaysOnceTargeted(t *testing.T) {
 	ex := Experiment{Key: RunKey{Point: hangPoint}, point: hangPoint}
 	var n int
-	out := executeScoped(countingProgram(&n, false), ex, Options{})
+	out := execute(countingProgram(&n, false), ex, Options{})
 	if n != 2 {
 		t.Fatalf("workload invoked %d times, want 2 (run + targeted replay)", n)
 	}
-	want := executeScoped(countingProgram(new(int), false), ex, Options{Snapshot: core.SnapshotCapture})
+	want := execute(countingProgram(new(int), false), ex, Options{Snapshot: core.SnapshotCapture})
 	if !hasNonAtomic(want.run) {
 		t.Fatal("point must record non-atomic marks for the recovery path to run")
 	}
@@ -127,27 +127,16 @@ func TestRecoveryReplaysOnceTargeted(t *testing.T) {
 // the behavior an all-capture campaign would have recorded.
 func TestRecoveryFallsBackOnDivergence(t *testing.T) {
 	ex := Experiment{Key: RunKey{Point: hangPoint}, point: hangPoint}
-	for _, scoped := range []bool{false, true} {
-		var n int
-		p := countingProgram(&n, true)
-		var out execution
-		if scoped {
-			out = executeScoped(p, ex, Options{})
-		} else {
-			var err error
-			if out, err = execute(p, ex, Options{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if n != 3 {
-			t.Fatalf("scoped=%v: workload invoked %d times, want 3 (run, targeted replay, full replay)", scoped, n)
-		}
-		// Invocations 1 and 3 take the same branch, so the adopted full
-		// replay equals a capture run of that branch.
-		want := executeScoped(countingProgram(new(int), false), ex, Options{Snapshot: core.SnapshotCapture})
-		if !reflect.DeepEqual(out.run, want.run) {
-			t.Fatalf("scoped=%v: fallback run differs from capture:\n got %+v\nwant %+v", scoped, out.run, want.run)
-		}
+	var n int
+	out := execute(countingProgram(&n, true), ex, Options{})
+	if n != 3 {
+		t.Fatalf("workload invoked %d times, want 3 (run, targeted replay, full replay)", n)
+	}
+	// Invocations 1 and 3 take the same branch, so the adopted full
+	// replay equals a capture run of that branch.
+	want := execute(countingProgram(new(int), false), ex, Options{Snapshot: core.SnapshotCapture})
+	if !reflect.DeepEqual(out.run, want.run) {
+		t.Fatalf("fallback run differs from capture:\n got %+v\nwant %+v", out.run, want.run)
 	}
 }
 
@@ -176,40 +165,33 @@ func TestPredictMissRedoesFullRun(t *testing.T) {
 	// Point 10 lies past the first ensure (points 5–7), so the diverged
 	// pass throws before the injection, through ensure#1 and Push#1.
 	const point = 10
-	for _, scoped := range []bool{false, true} {
-		var n int
-		p := divergingProgram(&n, func(n int) bool { return n == 2 })
-		clean, err := cleanRun(context.Background(), p, Options{}, scoped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex := Experiment{Key: RunKey{Point: point}, point: point, predict: core.IndexSpans(clean.spans)}
-		var out execution
-		if scoped {
-			out = executeScoped(p, ex, Options{})
-		} else if out, err = execute(p, ex, Options{}); err != nil {
-			t.Fatal(err)
-		}
-		// clean run, diverged predicted pass, full redo, diff replay
-		if n != 4 {
-			t.Fatalf("scoped=%v: workload invoked %d times, want 4", scoped, n)
-		}
-		if !out.missed {
-			t.Fatalf("scoped=%v: the diverged pass was not flagged as a miss", scoped)
-		}
-		ex.predict = nil
-		want, _ := executeScopedOnce(divergingProgram(new(int), func(int) bool { return false }), ex, Options{Snapshot: core.SnapshotCapture}, nil)
-		if !hasNonAtomic(want.run) {
-			t.Fatal("point must record non-atomic marks for the diff replay to run")
-		}
-		if !reflect.DeepEqual(out.run, want.run) {
-			t.Fatalf("scoped=%v: redone run differs from the every-call capture run:\n got %+v\nwant %+v", scoped, out.run, want.run)
-		}
+	var n int
+	p := divergingProgram(&n, func(n int) bool { return n == 2 })
+	clean, err := cleanRun(context.Background(), p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := Experiment{Key: RunKey{Point: point}, point: point, predict: core.IndexSpans(clean.spans)}
+	out := execute(p, ex, Options{})
+	// clean run, diverged predicted pass, full redo, diff replay
+	if n != 4 {
+		t.Fatalf("workload invoked %d times, want 4", n)
+	}
+	if !out.missed {
+		t.Fatal("the diverged pass was not flagged as a miss")
+	}
+	ex.predict = nil
+	want := executeOnce(divergingProgram(new(int), func(int) bool { return false }), ex, Options{Snapshot: core.SnapshotCapture}, nil)
+	if !hasNonAtomic(want.run) {
+		t.Fatal("point must record non-atomic marks for the diff replay to run")
+	}
+	if !reflect.DeepEqual(out.run, want.run) {
+		t.Fatalf("redone run differs from the every-call capture run:\n got %+v\nwant %+v", out.run, want.run)
 	}
 
 	// Through a campaign, every predicted run past point 7 of a workload
 	// that diverges after its clean run misses and counts on the Result.
-	var n int
+	n = 0
 	res, err := Campaign(context.Background(), divergingProgram(&n, func(n int) bool { return n > 1 }), Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -80,7 +80,7 @@ func superviseAttempt(ctx context.Context, p *Program, ex Experiment, opts Optio
 				}}
 			}
 		}()
-		ch <- executeScoped(p, ex, opts)
+		ch <- execute(p, ex, opts)
 	}()
 	var expire <-chan time.Time
 	if opts.RunTimeout > 0 {
@@ -123,7 +123,7 @@ func quarantined(p *Program, ex Experiment, verdict attemptVerdict, retries int,
 	// rerun is adopted only if it reproduces a foreign crash (a
 	// deterministic crasher does; a flaky one keeps its original rather
 	// than observations from a run it never had).
-	last, _ = settle(last, p, ex, opts, executeScopedOnce, func(r Run) bool {
+	last = settle(last, p, ex, opts, func(r Run) bool {
 		return r.Escaped != nil && r.Escaped.Foreign
 	})
 	last.run.Status = RunUndetermined

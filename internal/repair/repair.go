@@ -167,10 +167,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// perturbation runs, which would only inflate the overhead table.
 	maskOpts.Perturbations = nil
 	maskOpts.Mask = plan.WrapSet()
-	maskOpts.MaskStrategies = make(map[string]checkpoint.Strategy, len(assigns))
-	for _, a := range assigns {
-		maskOpts.MaskStrategies[a.Method] = checkpoint.Auto()
-	}
+	maskOpts.MaskStrategy = checkpoint.Auto()
 	masked, err := harness.RunApp(ctx, app, maskOpts)
 	if err != nil {
 		return nil, fmt.Errorf("repair: masked campaign: %w", err)

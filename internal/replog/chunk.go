@@ -87,7 +87,9 @@ func DecodeChunk(r io.Reader) ([]inject.Run, error) {
 	if hdr.Runs < 0 {
 		return nil, fmt.Errorf("replog: chunk declares %d runs", hdr.Runs)
 	}
-	runs := make([]inject.Run, 0, hdr.Runs)
+	// The header is untrusted (a worker upload): the slice grows as lines
+	// arrive instead of being sized by the declared count.
+	runs := []inject.Run{}
 	for i := 0; i < hdr.Runs; i++ {
 		line, err := readChunkLine(br)
 		if err != nil {

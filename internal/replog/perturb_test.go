@@ -13,7 +13,7 @@ import (
 // perturbedRuns executes a small multi-strategy campaign so the journal
 // tests exercise real strategy-coordinate keys (burst pairs, nth sweeps,
 // deferred-cleanup ordinals) rather than hand-built runs.
-func perturbedRuns(t *testing.T) []inject.Run {
+func perturbedRuns(t testing.TB) []inject.Run {
 	t.Helper()
 	app, ok := apps.ByName("adaptorChain")
 	if !ok {
@@ -25,7 +25,6 @@ func perturbedRuns(t *testing.T) []inject.Run {
 	}
 	res, err := inject.Campaign(context.Background(), app.Build(), inject.Options{
 		Perturbations: perts,
-		Scoped:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 	"failatomic/internal/inject"
 )
 
-func campaign(t *testing.T) *inject.Result {
+func campaign(t testing.TB) *inject.Result {
 	t.Helper()
 	app, ok := apps.ByName("Dynarray")
 	if !ok {

@@ -116,9 +116,7 @@ func (sp JobSpec) JobKind() string {
 // Options converts the spec's campaign knobs to inject.Options — the one
 // flags→options conversion: fadetect and farepair build a JobSpec from
 // their flags and call it too. Journal hooks belong to whoever runs the
-// job, not to the spec. Campaigns always run scoped: faserve's pool runs
-// several in one process, so none of them may claim the exclusive global
-// session slot, and scoped output equals global output.
+// job, not to the spec.
 func (sp JobSpec) Options() (inject.Options, error) {
 	mode, err := core.ParseSnapshotMode(sp.Snapshot)
 	if err != nil {
@@ -136,7 +134,6 @@ func (sp JobSpec) Options() (inject.Options, error) {
 		MaxQuarantined: sp.MaxQuarantined,
 		Snapshot:       mode,
 		Perturbations:  perturbations,
-		Scoped:         true,
 	}, nil
 }
 
