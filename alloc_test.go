@@ -6,16 +6,19 @@
 package failatomic_test
 
 import (
+	"runtime"
 	"testing"
 
 	"failatomic/internal/core"
 	"failatomic/internal/harness"
 )
 
-// detectPrologueAllocs measures allocs/op of one wrapped call under a
-// detecting session in the given snapshot mode, on the representative
-// Figure 5 receiver (struct → pointer → byte slice + word array).
-func detectPrologueAllocs(t *testing.T, mode core.SnapshotMode) float64 {
+// detectPrologueCost measures allocs/op and bytes/op of one wrapped call
+// under a detecting session in the given snapshot mode, on the
+// representative Figure 5 receiver (struct → pointer → byte slice + word
+// array). Like testing.AllocsPerRun it warms up once and runs with
+// GOMAXPROCS 1.
+func detectPrologueCost(t *testing.T, mode core.SnapshotMode) (allocs, bytes float64) {
 	t.Helper()
 	session := core.NewSession(core.Config{Detect: true, Snapshot: mode})
 	if err := core.Install(session); err != nil {
@@ -23,20 +26,33 @@ func detectPrologueAllocs(t *testing.T, mode core.SnapshotMode) float64 {
 	}
 	defer core.Uninstall(session)
 	target := harness.NewBenchTarget(4 << 10)
-	return testing.AllocsPerRun(200, func() {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	target.Work()
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
 		target.Work()
-	})
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 // TestDetectPrologueAllocs is the acceptance guard: the fingerprint path
 // does at most 2 allocations per wrapped call, versus ~1 per graph node
-// for materialized snapshots.
+// for materialized snapshots, and those two (the exit closure and its
+// wrapper) take at most 128 bytes — one more captured variable in the
+// exit closure would move it to the next size class.
 func TestDetectPrologueAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime adds allocations; exact counts only hold without -race")
 	}
-	if got := detectPrologueAllocs(t, core.SnapshotFingerprint); got > 2 {
-		t.Fatalf("fingerprint detect prologue = %.1f allocs/op, want <= 2", got)
+	allocs, bytes := detectPrologueCost(t, core.SnapshotFingerprint)
+	if allocs > 2 {
+		t.Fatalf("fingerprint detect prologue = %.1f allocs/op, want <= 2", allocs)
+	}
+	if bytes > 128 {
+		t.Fatalf("fingerprint detect prologue = %.1f B/op, want <= 128", bytes)
 	}
 }
 
@@ -44,8 +60,8 @@ func TestDetectPrologueAllocs(t *testing.T) {
 // snapshots allocate at least 2x less than capture snapshots on the same
 // receiver (in practice the gap is orders of magnitude).
 func TestDetectPrologueAllocReduction(t *testing.T) {
-	fp := detectPrologueAllocs(t, core.SnapshotFingerprint)
-	cap := detectPrologueAllocs(t, core.SnapshotCapture)
+	fp, _ := detectPrologueCost(t, core.SnapshotFingerprint)
+	cap, _ := detectPrologueCost(t, core.SnapshotCapture)
 	if cap < 2*(fp+1) {
 		t.Fatalf("capture = %.1f allocs/op vs fingerprint = %.1f allocs/op; want >= 2x reduction", cap, fp)
 	}

@@ -274,7 +274,9 @@ func Auto() Strategy { return checkpoint.Auto() }
 
 // Guard checkpoints the given roots and returns a closure to defer: on
 // panic it rolls the roots back and re-panics, making the guarded region
-// failure atomic; on normal return it commits (detaching any journal).
+// failure atomic; on normal return it commits (detaching any journal and
+// handing its undo records to the enclosing one, so an enclosing Guard
+// that rolls back also undoes this region's writes).
 // This is the checkpoint rung of the repair pipeline's Item-76 ladder —
 // the form farepair weaves into methods that cannot be fixed by
 // reordering or a temp-copy swap:

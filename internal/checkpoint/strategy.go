@@ -130,9 +130,48 @@ func (h *journalHandle) Rollback() error {
 
 func (h *journalHandle) Bytes() int { return h.journal.Bytes() }
 
-// Commit detaches the journal without rolling back. The masking runtime
-// calls it on normal (non-exceptional) return.
-func (h *journalHandle) Commit() { h.detach() }
+// Commit detaches the journal without rolling back and hands its undo
+// records and bytes to the enclosing journal, so a rollback of an enclosing
+// checkpoint also undoes the writes of this nested, committed one — the
+// same records it would hold had this checkpoint never been taken. The
+// masking runtime calls it on normal (non-exceptional) return.
+//
+// Records are handed over only when every root had the same enclosing
+// journal (always so for one root, and Auto captures each root on its
+// own). A journal cannot tell which root wrote a record, so when the
+// roots' enclosing journals differ the records are dropped, and those
+// enclosing rollbacks keep this call's writes.
+func (h *journalHandle) Commit() {
+	if h.closed {
+		return
+	}
+	h.detach()
+	if outer := h.enclosing(); outer != nil {
+		outer.undo = append(outer.undo, h.journal.undo...)
+		outer.bytes += h.journal.bytes
+	}
+	h.journal.undo = nil
+	h.journal.bytes = 0
+}
+
+// enclosing returns the journal every root had before this checkpoint, or
+// nil when there was none or the roots had different ones. A root listed
+// twice reports this handle's own journal as its previous one; that entry
+// is skipped.
+func (h *journalHandle) enclosing() *Journal {
+	var outer *Journal
+	seen := false
+	for _, t := range h.targets {
+		switch {
+		case t.prev == h.journal:
+		case !seen:
+			outer, seen = t.prev, true
+		case t.prev != outer:
+			return nil
+		}
+	}
+	return outer
+}
 
 func (h *journalHandle) detach() {
 	if h.closed {

@@ -127,6 +127,97 @@ func TestUndoLogNesting(t *testing.T) {
 	}
 }
 
+// journaledPair has two journaled fields, so a test can tell the writes of
+// an enclosing call from those of a nested one.
+type journaledPair struct {
+	V, W int
+
+	journal *Journal
+}
+
+func (p *journaledPair) BeginJournal(j *Journal) *Journal {
+	prev := p.journal
+	p.journal = j
+	return prev
+}
+
+func (p *journaledPair) EndJournal(prev *Journal) { p.journal = prev }
+
+func (p *journaledPair) setV(v int) {
+	old := p.V
+	p.journal.Record(8, func() { p.V = old })
+	p.V = v
+}
+
+func (p *journaledPair) setW(w int) {
+	old := p.W
+	p.journal.Record(8, func() { p.W = old })
+	p.W = w
+}
+
+// TestUndoLogNestedCommitHandsRecordsOut: a nested checkpoint that commits
+// hands its undo records to the enclosing journal, so the enclosing
+// rollback also undoes the fields written only inside the nested call, and
+// the enclosing checkpoint holds exactly the records (and bytes) it would
+// have recorded had the nested call not been checkpointed. A nested
+// checkpoint that lists its root twice hands its records out too.
+func TestUndoLogNestedCommitHandsRecordsOut(t *testing.T) {
+	for _, twice := range []bool{false, true} {
+		x := &journaledPair{}
+		outer, err := UndoLog().Capture(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.setV(1)
+		roots := []any{x}
+		if twice {
+			roots = append(roots, x)
+		}
+		inner, err := UndoLog().Capture(roots...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.setW(5)
+		inner.(Committer).Commit()
+		if inner.Bytes() != 0 {
+			t.Fatalf("twice=%v: committed journal still reports %d bytes", twice, inner.Bytes())
+		}
+		if outer.Bytes() != 16 {
+			t.Fatalf("twice=%v: enclosing journal covers %d bytes, want 16 (its own write and the nested one)", twice, outer.Bytes())
+		}
+		if err := outer.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		if x.V != 0 || x.W != 0 {
+			t.Fatalf("twice=%v: after the enclosing rollback V=%d W=%d, want 0 0", twice, x.V, x.W)
+		}
+		if x.journal != nil {
+			t.Fatalf("twice=%v: journal must be detached after the enclosing rollback", twice)
+		}
+	}
+}
+
+// TestUndoLogCommitKeepsRecordsOfOtherEnclosures: roots with different
+// enclosing journals cannot split the records between them; the commit
+// drops them and leaves both enclosing journals as they were.
+func TestUndoLogCommitKeepsRecordsOfOtherEnclosures(t *testing.T) {
+	a, b := &journaledPair{}, &journaledPair{}
+	outer, err := UndoLog().Capture(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := UndoLog().Capture(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.setV(1)
+	b.setV(2)
+	inner.(Committer).Commit()
+	if outer.Bytes() != 0 || a.journal != outer.(*journalHandle).journal || b.journal != nil {
+		t.Fatalf("commit with mixed enclosures: outer bytes %d, journals a=%p b=%p", outer.Bytes(), a.journal, b.journal)
+	}
+}
+
 func TestJournalStats(t *testing.T) {
 	var j Journal
 	j.Record(10, func() {})

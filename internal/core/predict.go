@@ -11,6 +11,13 @@ type Span struct {
 	Enter   int
 	Exit    int
 	Unwound bool
+
+	// checkpointed reports that the call's masking checkpoint was captured
+	// and the call returned normally; bytes is then that checkpoint's
+	// Handle.Bytes(). A predicted session counts a call whose capture it
+	// skips with these (see Config.Predict).
+	checkpointed bool
+	bytes        int
 }
 
 // SpanIndex holds a clean run's spans for predicted snapshots
@@ -43,9 +50,14 @@ func IndexSpans(spans []Span) *SpanIndex {
 // groups (a) and (b) of the SpanIndex argument. A call without a clean-run
 // span reports true, so a diverging run snapshots it instead of missing it.
 func (x *SpanIndex) MayUnwind(call CallID, point int) bool {
+	_, settled := x.settled(call, point)
+	return !settled
+}
+
+// settled returns call's clean-run span and true when MayUnwind is false:
+// the call returns normally in the run that injects at point, exactly as
+// it did in the clean run.
+func (x *SpanIndex) settled(call CallID, point int) (Span, bool) {
 	sp, ok := x.spans[call]
-	if !ok {
-		return true
-	}
-	return sp.Enter < point && (sp.Unwound || point <= sp.Exit)
+	return sp, ok && !(sp.Enter < point && (sp.Unwound || point <= sp.Exit))
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"failatomic/internal/checkpoint"
 	"failatomic/internal/fault"
 )
 
@@ -170,5 +171,85 @@ func TestPredictMissesCountDivergence(t *testing.T) {
 		if !reflect.DeepEqual(m, full.marks[m.Seq-1]) {
 			t.Fatalf("mark %+v differs from the full run's %+v", m, full.marks[m.Seq-1])
 		}
+	}
+}
+
+// captureCounter counts the checkpoints its strategy is asked to capture.
+type captureCounter struct {
+	checkpoint.Strategy
+	n int
+}
+
+func (c *captureCounter) Capture(roots ...any) (checkpoint.Handle, error) {
+	c.n++
+	return c.Strategy.Capture(roots...)
+}
+
+// maskObservation is everything a masking session accounts for.
+type maskObservation struct {
+	marks             []Mark
+	stats             map[string]MaskStat
+	masked, rollbacks int64
+	skips             []MaskSkip
+	misses            int
+}
+
+func observeMasked(t *testing.T, cfg Config) maskObservation {
+	t.Helper()
+	var obs maskObservation
+	withSession(t, cfg, func(s *Session) {
+		ledgerWorkload(false)
+		obs = maskObservation{s.Marks(), s.MaskStats(), s.MaskedCalls(), s.Rollbacks(), s.MaskSkips(), s.PredictMisses()}
+	})
+	return obs
+}
+
+// TestPredictedCheckpointsMatchEveryCall: at every threshold, a masking
+// session predicted from a masking clean run's spans skips the checkpoints
+// of the calls that cannot unwind, yet accounts exactly as an every-call
+// session — marks, MaskStats (bytes from the clean run), masked calls and
+// rollbacks. A call whose clean-run capture failed (the undo log cannot
+// journal a ledger) is captured again and records its MaskSkip.
+func TestPredictedCheckpointsMatchEveryCall(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		strategy checkpoint.Strategy
+		failing  bool
+	}{
+		{"deepcopy", checkpoint.DeepCopy(), false},
+		{"failing", checkpoint.UndoLog(), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			masking := func(point int) Config {
+				cfg := ledgerConfig()
+				cfg.InjectionPoint = point
+				cfg.Mask, cfg.MaskAll, cfg.Strategy = true, true, c.strategy
+				return cfg
+			}
+			clean := masking(0)
+			clean.RecordSpans = true
+			index := IndexSpans(observeLedger(t, clean, false).spans)
+			predicted := &captureCounter{Strategy: c.strategy}
+			full := &captureCounter{Strategy: c.strategy}
+			for point := 1; point <= 7; point++ {
+				cfg := masking(point)
+				cfg.Strategy = full
+				want := observeMasked(t, cfg)
+				cfg.Predict, cfg.Strategy = index, predicted
+				got := observeMasked(t, cfg)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("point %d: predicted session differs:\n got %+v\nwant %+v", point, got, want)
+				}
+				if c.failing && len(got.skips) == 0 {
+					t.Fatalf("point %d: no MaskSkip recorded for the failing captures", point)
+				}
+			}
+			if c.failing && predicted.n != full.n {
+				t.Fatalf("predicted sessions captured %d checkpoints, every-call sessions %d; failed captures must be retried", predicted.n, full.n)
+			}
+			if !c.failing && predicted.n >= full.n {
+				t.Fatalf("predicted sessions captured %d checkpoints, every-call sessions %d", predicted.n, full.n)
+			}
+		})
 	}
 }

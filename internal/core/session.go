@@ -139,12 +139,20 @@ type Config struct {
 	// means every call (unless Predict narrows the set).
 	DiffCalls map[CallID]bool
 	// Predict, when non-nil, restricts the Detect snapshots of a threshold
-	// session (no Trigger, no ExitFire; ignored otherwise) to the calls an
-	// exception injected at InjectionPoint can unwind, read off a clean
-	// run's spans (see SpanIndex). Once an exception has been injected,
-	// every call entered afterwards is snapshotted. Unsnapshotted calls
-	// behave as calls outside DiffCalls; one that unwinds anyway counts a
-	// miss (PredictMisses), and the run must be redone unpredicted.
+	// session (Detect on, no Trigger, no ExitFire; ignored otherwise) to
+	// the calls an exception injected at InjectionPoint can unwind, read
+	// off a clean run's spans (see SpanIndex). Once an exception has been
+	// injected, every call entered afterwards is snapshotted.
+	// Unsnapshotted calls behave as calls outside DiffCalls; one that
+	// unwinds anyway counts a miss (PredictMisses), and the run must be
+	// redone unpredicted.
+	//
+	// The same calls skip their masking checkpoint when the clean run
+	// captured one: such a call returns normally, so its checkpoint would
+	// only be committed, and it counts as masked with the clean run's
+	// checkpoint bytes. Up to the injection the run is the clean run, so
+	// MaskedCalls and MaskStats equal those of an every-call session; a
+	// call whose clean-run capture failed is captured (and fails) again.
 	Predict *SpanIndex
 	// RecordSpans records one Span per receiver-bearing call under Detect
 	// (Spans): the clean run's input to Predict.
@@ -250,9 +258,11 @@ func NewSession(cfg Config) *Session {
 	if cfg.Trigger != nil {
 		s.activations = make(map[siteKey]int)
 	}
-	if cfg.Trigger != nil || cfg.ExitFire != nil {
+	if cfg.Trigger != nil || cfg.ExitFire != nil || !cfg.Detect {
 		// The span argument covers one injection at the threshold point;
-		// multi-fire triggers and epilogue faults snapshot every call.
+		// multi-fire triggers and epilogue faults snapshot every call. A
+		// miss is counted by the Detect epilogue, so a session without
+		// Detect checkpoints every call.
 		s.cfg.Predict = nil
 	}
 	if cfg.Detect && cfg.Snapshot == SnapshotFingerprint {
@@ -512,8 +522,23 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 	roots = append(roots, recv)
 	roots = append(roots, extra...)
 
+	// predicted: the clean run's spans rule out that this call unwinds
+	// (Config.Predict), so it needs neither a snapshot nor a checkpoint.
+	// If it unwinds anyway, the Detect epilogue counts a miss.
+	id := CallID{name, call}
+	var clean Span
+	predicted := false
+	if s.cfg.Predict != nil && len(s.injected) == 0 && (s.cfg.DiffCalls == nil || s.cfg.DiffCalls[id]) {
+		clean, predicted = s.cfg.Predict.settled(id, s.cfg.InjectionPoint)
+	}
+
 	var handle checkpoint.Handle
-	if maskWanted {
+	switch {
+	case !maskWanted:
+	case predicted && clean.checkpointed:
+		s.masked++
+		s.noteMask(name, clean.bytes, false)
+	default:
 		h, err := s.strategy.Capture(roots...)
 		if err != nil {
 			s.maskSkips = append(s.maskSkips, MaskSkip{Method: name, Err: err})
@@ -527,10 +552,9 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 	var beforeFP objgraph.FP
 	fingerprinted := false
 	if s.cfg.Detect {
-		id := CallID{name, call}
 		switch {
 		case s.cfg.DiffCalls != nil && !s.cfg.DiffCalls[id]:
-		case s.cfg.Predict != nil && len(s.injected) == 0 && !s.cfg.Predict.MayUnwind(id, s.cfg.InjectionPoint):
+		case predicted:
 		case s.cfg.Snapshot == SnapshotFingerprint:
 			beforeFP = s.fingerprint(roots)
 			fingerprinted = true
@@ -546,7 +570,7 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 
 	if s.cfg.RecordSpans {
 		s.openSpans = append(s.openSpans, len(s.spans))
-		s.spans = append(s.spans, Span{Call: CallID{name, call}, Enter: s.point, Exit: math.MaxInt})
+		s.spans = append(s.spans, Span{Call: id, Enter: s.point, Exit: math.MaxInt})
 	}
 
 	return func(r any) {
@@ -569,6 +593,9 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 			s.openSpans = s.openSpans[:last]
 			sp.Exit = s.point
 			sp.Unwound = r != nil
+			if handle != nil && r == nil {
+				sp.checkpointed, sp.bytes = true, handle.Bytes()
+			}
 		}
 		if r == nil {
 			if handle != nil {

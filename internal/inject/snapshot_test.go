@@ -189,6 +189,36 @@ func TestPredictMissRedoesFullRun(t *testing.T) {
 		t.Fatalf("redone run differs from the every-call capture run:\n got %+v\nwant %+v", out.run, want.run)
 	}
 
+	// Masked, the diverged pass also skips Push#1's checkpoint (the clean
+	// run saw it return before point 10), and ensure#1's organic unwind
+	// through it is the same miss. The redo checkpoints every call, so the
+	// settled run — MaskStats and rollbacks included — is the every-call
+	// run's. Rolled back, its marks read atomic, so no diff replay follows.
+	masked := Options{Mask: map[string]bool{"stack.Push": true, "driver.Fill": true}}
+	n = 0
+	p = divergingProgram(&n, func(n int) bool { return n == 2 })
+	if clean, err = cleanRun(context.Background(), p, masked); err != nil {
+		t.Fatal(err)
+	}
+	ex.predict = core.IndexSpans(clean.spans)
+	first := executeOnce(divergingProgram(new(int), func(int) bool { return true }), ex, masked, nil)
+	if !first.missed || first.run.MaskStats["stack.Push"].Rollbacks != 0 {
+		t.Fatalf("diverged pass: missed=%v, Push %+v; want a miss and no checkpoint to roll back", first.missed, first.run.MaskStats["stack.Push"])
+	}
+	out = execute(p, ex, masked)
+	if n != 3 || !out.missed {
+		t.Fatalf("masked: workload invoked %d times (want 3), missed=%v", n, out.missed)
+	}
+	ex.predict = nil
+	masked.Snapshot = core.SnapshotCapture
+	want = executeOnce(divergingProgram(new(int), func(int) bool { return false }), ex, masked, nil)
+	if want.run.MaskStats["stack.Push"].Rollbacks == 0 {
+		t.Fatalf("point must roll a masked Push back: %+v", want.run.MaskStats)
+	}
+	if !reflect.DeepEqual(out.run, want.run) {
+		t.Fatalf("masked redone run differs from the every-call capture run:\n got %+v\nwant %+v", out.run, want.run)
+	}
+
 	// Through a campaign, every predicted run past point 7 of a workload
 	// that diverges after its clean run misses and counts on the Result.
 	n = 0

@@ -2,12 +2,14 @@ package repair
 
 import (
 	"context"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"failatomic/internal/core"
 	"failatomic/internal/inject"
 	"failatomic/internal/weave"
 )
@@ -147,5 +149,40 @@ func TestSupportedApp(t *testing.T) {
 	}
 	if SupportedApp("RBMap") {
 		t.Error("RBMap has no embedded tree")
+	}
+}
+
+// TestRepairGoldenLinkedList pins the committed farepair golden in the Go
+// test suite: the report of a default `farepair -app LinkedList` run —
+// strategy assignments, verification lines and the per-strategy masking
+// overhead table — must match testdata/golden/farepair-linkedlist.txt
+// byte for byte.
+func TestRepairGoldenLinkedList(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and runs child Go programs")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not available")
+	}
+	moduleRoot, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(moduleRoot, "testdata", "golden", "farepair-linkedlist.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The options farepair's flag defaults produce.
+	report, err := Run(context.Background(), Config{
+		App:        "LinkedList",
+		WorkDir:    t.TempDir(),
+		ModuleRoot: moduleRoot,
+		Options:    inject.Options{Repeats: 1, Parallelism: 1, Snapshot: core.SnapshotFingerprint},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := report.Render(); got != string(want) {
+		t.Fatalf("farepair LinkedList report differs from the golden:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

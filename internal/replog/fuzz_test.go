@@ -3,6 +3,7 @@ package replog
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -123,6 +124,80 @@ func FuzzRead(f *testing.F) {
 		}
 		if !reflect.DeepEqual(runKeys(again.Runs), runKeys(res.Runs)) {
 			t.Fatalf("run keys changed across write-back: %v != %v", runKeys(again.Runs), runKeys(res.Runs))
+		}
+	})
+}
+
+// FuzzResumeJournal: a resume reads whatever a crashed or foreign process
+// left on disk under the journal's name, so ResumeJournalSeeded must not
+// panic on any file. A journal it accepts must stay appendable, and
+// resuming it again must return the same runs plus the appended one.
+// Seeds: a real seeded journal intact, with a torn last line, under a
+// foreign header, and recorded for another program and another seed.
+func FuzzResumeJournal(f *testing.F) {
+	const program, lang, seed = "Dynarray", "java", 7
+	runs := smallSeed(campaign(f).Runs)
+	journal := func(program string, seed int64) []byte {
+		path := filepath.Join(f.TempDir(), "seed.journal")
+		j, err := CreateJournalSeeded(path, program, lang, seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, run := range runs {
+			if err := j.Append(run); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	intact := journal(program, seed)
+	body := intact[bytes.IndexByte(intact, '\n')+1:]
+	last := bytes.LastIndexByte(intact[:len(intact)-1], '\n') + 1
+	f.Add(intact)
+	f.Add(intact[:last+(len(intact)-last)/2])
+	f.Add(append([]byte(`{"format":"failatomic-log/1","program":"Dynarray"}`+"\n"), body...))
+	f.Add(journal("RBMap", seed))
+	f.Add(journal(program, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "c.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		runs, j, err := ResumeJournalSeeded(path, program, lang, seed)
+		if err != nil {
+			return
+		}
+		extra := inject.Run{InjectionPoint: 1}
+		for _, seen := runs[extra.Key()]; seen; _, seen = runs[extra.Key()] {
+			extra.InjectionPoint++
+		}
+		if err := j.Append(extra); err != nil {
+			t.Fatalf("accepted journal does not append: %v", err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, j2, err := ResumeJournalSeeded(path, program, lang, seed)
+		if err != nil {
+			t.Fatalf("appended journal does not resume: %v", err)
+		}
+		if err := j2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := again[extra.Key()]; !ok || len(again) != len(runs)+1 {
+			t.Fatalf("second resume recovered %d runs (appended %s present: %v), want %d", len(again), extra.Key(), ok, len(runs)+1)
+		}
+		for key, run := range runs {
+			if !reflect.DeepEqual(again[key], run) {
+				t.Fatalf("run %s changed across the second resume:\n got %+v\nwant %+v", key, again[key], run)
+			}
 		}
 	})
 }
