@@ -66,3 +66,35 @@ func TestDetectPrologueAllocReduction(t *testing.T) {
 		t.Fatalf("capture = %.1f allocs/op vs fingerprint = %.1f allocs/op; want >= 2x reduction", cap, fp)
 	}
 }
+
+// TestMaskedCallAllocs is the production-masking guard: a steady-state
+// masked call on the 64 KiB Figure 5 target reuses the clone slab its
+// previous committed checkpoint handed back, so it allocates at most
+// 1 KiB (the checkpoint handle and the exit closures) instead of a fresh
+// 64 KiB copy.
+func TestMaskedCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds allocations; exact counts only hold without -race")
+	}
+	session := core.NewSession(core.Config{Mask: true, MaskMethods: map[string]bool{"BenchTarget.WorkMasked": true}})
+	if err := core.Install(session); err != nil {
+		t.Fatal(err)
+	}
+	defer core.Uninstall(session)
+	target := harness.NewBenchTarget(64 << 10)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	target.WorkMasked()
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		target.WorkMasked()
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs; bytes > 1<<10 {
+		t.Fatalf("masked call = %.0f B/op, want <= 1024", bytes)
+	}
+	if n := session.MaskedCalls(); n != runs+1 {
+		t.Fatalf("masked calls = %d, want %d", n, runs+1)
+	}
+}

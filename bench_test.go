@@ -312,7 +312,10 @@ func BenchmarkObjgraphCompare(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointCapture measures Listing 2's deep copy by size.
+// BenchmarkCheckpointCapture measures Listing 2's deep copy by size: a
+// one-off Capture, and the masking runtime's steady state (commit/...), a
+// strategy's Capture followed by Commit, whose clone slabs and objects
+// the next capture reuses.
 func BenchmarkCheckpointCapture(b *testing.B) {
 	for _, size := range []int{64, 4 << 10, 64 << 10} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
@@ -324,6 +327,21 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 					b.Fatal(err)
 				}
 				_ = cp
+			}
+		})
+	}
+	for _, size := range []int{64, 4 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("commit/size=%d", size), func(b *testing.B) {
+			target := harness.NewBenchTarget(size)
+			strategy := checkpoint.DeepCopy()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h, err := strategy.Capture(target)
+				if err != nil {
+					b.Fatal(err)
+				}
+				h.(checkpoint.Committer).Commit()
 			}
 		})
 	}

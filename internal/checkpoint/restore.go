@@ -1,133 +1,176 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 )
 
+// errCommitted reports a rollback of a committed checkpoint, whose clone
+// may already be reused by a later capture.
+var errCommitted = errors.New("checkpoint: restore after commit")
+
 // Rollback implements Handle by restoring the checkpointed state.
 func (c *Checkpoint) Rollback() error { return c.Restore() }
+
+// Commit implements Committer: the checkpointed call returned normally,
+// so the clone is dead. Its clone objects, its large flat slices and its
+// bookkeeping go back to the strategy that captured it, for later
+// captures to reuse. A committed checkpoint cannot be restored; Commit is
+// idempotent.
+func (c *Checkpoint) Commit() {
+	if c.committed {
+		return
+	}
+	c.committed = true
+	if c.owner != nil {
+		c.owner.recycle(c.scratch)
+	}
+	c.scratch, c.rev, c.blobs = nil, nil, nil
+}
+
+var _ Committer = (*Checkpoint)(nil)
+
+// restorer is one Restore pass: visited marks the references (by refs
+// index) whose originals were already written back.
+type restorer struct {
+	c       *Checkpoint
+	visited []bool
+}
 
 // Restore reinstates the checkpointed state in place (the paper's
 // replace(this, objgraph), Listing 2). Objects that existed at capture time
 // get their old contents written back through their original pointers, so
 // aliases held elsewhere in the program observe the rollback; objects the
 // failed method allocated become garbage (the paper needed reference
-// counting for this; Go's GC covers it, cycles included).
+// counting for this; Go's GC covers it, cycles included). Restore can run
+// any number of times until the checkpoint is committed.
 func (c *Checkpoint) Restore() error {
-	visited := make(map[refKey]bool)
-	for _, root := range c.roots {
-		key := refKey{ptr: root.orig.Pointer(), typ: root.orig.Type()}
-		if blob, ok := c.blobs[key]; ok {
-			if !visited[key] {
-				visited[key] = true
-				snap, sok := root.orig.Interface().(Snapshotter)
-				if !sok {
-					return &UnsupportedError{Type: root.orig.Type().String(), Why: "Snapshotter assertion failed at restore"}
-				}
-				snap.RestoreState(blob)
-			}
-			continue
+	if c.committed {
+		return errCommitted
+	}
+	if c.rev == nil {
+		// Restore is the rare path (an exception unwound the call), so the
+		// clone→original map is built here rather than during capture.
+		c.rev = make(map[refKey]int, len(c.refs))
+		for i := range c.refs {
+			c.rev[cloneKey(c.refs[i].clone, c.refs[i].key.plan)] = i
 		}
-		visited[refKey{ptr: root.clone.Pointer(), typ: root.clone.Type()}] = true
-		if err := c.restoreInto(root.orig.Elem(), root.clone.Elem(), visited); err != nil {
+	}
+	r := restorer{c: c, visited: make([]bool, len(c.refs))}
+	for _, root := range c.roots {
+		if _, err := r.materialize(root.clone, root.plan); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// cloneKey is the reverse-map key of a clone reference.
+func cloneKey(v reflect.Value, p *plan) refKey {
+	k := refKey{ptr: v.Pointer(), plan: p}
+	if p.kind == reflect.Slice {
+		k.len, k.cap = v.Len(), v.Cap()
+	}
+	return k
+}
+
+// find returns the refs index of the clone reference v, and whether
+// this pass meets it for the first time.
+func (r *restorer) find(v reflect.Value, p *plan) (int, bool, error) {
+	i, ok := r.c.rev[cloneKey(v, p)]
+	if !ok {
+		return 0, false, &UnsupportedError{
+			Type: p.typ.String(),
+			Why:  fmt.Sprintf("clone %s %#x has no original", p.kind, v.Pointer()),
+		}
+	}
+	first := !r.visited[i]
+	r.visited[i] = true
+	return i, first, nil
+}
+
 // restoreInto writes the clone's contents into dst (an original, settable
-// location), mapping interior clone pointers back to original pointers.
-func (c *Checkpoint) restoreInto(dst, src reflect.Value, visited map[refKey]bool) error {
-	switch dst.Kind() {
-	case reflect.Struct:
-		t := dst.Type()
-		for i := 0; i < t.NumField(); i++ {
-			if !t.Field(i).IsExported() {
-				continue // zero-size only; non-zero errored at capture
-			}
-			if err := c.restoreInto(dst.Field(i), src.Field(i), visited); err != nil {
+// location), mapping interior clone references back to the originals.
+func (r *restorer) restoreInto(dst, src reflect.Value, p *plan) error {
+	switch {
+	case p.leaf:
+		dst.Set(src)
+	case p.kind == reflect.Struct:
+		for _, f := range p.fields {
+			if err := r.restoreInto(dst.Field(f.index), src.Field(f.index), f.plan); err != nil {
 				return err
 			}
 		}
-		return nil
-	case reflect.Array:
+	case p.kind == reflect.Array:
 		for i := 0; i < dst.Len(); i++ {
-			if err := c.restoreInto(dst.Index(i), src.Index(i), visited); err != nil {
+			if err := r.restoreInto(dst.Index(i), src.Index(i), p.elem); err != nil {
 				return err
 			}
 		}
-		return nil
 	default:
-		m, err := c.materialize(src, visited)
+		m, err := r.materialize(src, p)
 		if err != nil {
 			return err
 		}
 		dst.Set(m)
-		return nil
 	}
+	return nil
 }
 
 // materialize converts a clone value into the value to install in an
 // original location: original pointers for cloned pointees (restoring their
 // contents once), the original map (cleared and refilled) for cloned maps,
-// and the original backing array for cloned slices.
-func (c *Checkpoint) materialize(src reflect.Value, visited map[refKey]bool) (reflect.Value, error) {
-	switch src.Kind() {
+// and the original header and backing array for cloned slices.
+func (r *restorer) materialize(src reflect.Value, p *plan) (reflect.Value, error) {
+	c := r.c
+	switch p.kind {
 	case reflect.Pointer:
-		if src.IsNil() {
+		if src.IsNil() || (p.elem.empty && !p.snap) {
 			return src, nil
 		}
-		key := refKey{ptr: src.Pointer(), typ: src.Type()}
-		if blob, ok := c.blobs[key]; ok {
+		i, first, err := r.find(src, p)
+		if err != nil {
+			return reflect.Value{}, err
+		}
+		orig := c.refs[i].original()
+		if blob, ok := c.blobs[c.refs[i].key]; ok {
 			// Snapshotter: clone == original pointer.
-			if !visited[key] {
-				visited[key] = true
-				snap, sok := src.Interface().(Snapshotter)
+			if first {
+				snap, sok := orig.Interface().(Snapshotter)
 				if !sok {
-					return reflect.Value{}, &UnsupportedError{Type: src.Type().String(), Why: "Snapshotter assertion failed at restore"}
+					return reflect.Value{}, &UnsupportedError{Type: p.typ.String(), Why: "Snapshotter assertion failed at restore"}
 				}
 				snap.RestoreState(blob)
 			}
-			return src, nil
+			return orig, nil
 		}
-		orig, ok := c.rev[key]
-		if !ok {
-			return reflect.Value{}, &UnsupportedError{
-				Type: src.Type().String(),
-				Why:  fmt.Sprintf("clone pointer %#x has no original", src.Pointer()),
-			}
-		}
-		if !visited[key] {
-			visited[key] = true
-			if err := c.restoreInto(orig.Elem(), src.Elem(), visited); err != nil {
+		if first {
+			if err := r.restoreInto(orig.Elem(), src.Elem(), p.elem); err != nil {
 				return reflect.Value{}, err
 			}
 		}
 		return orig, nil
 	case reflect.Slice:
-		if src.IsNil() || src.Len() == 0 {
+		if src.IsNil() || src.Len() == 0 || p.elem.empty {
+			// The clone is the original header (cloneSlice).
 			return src, nil
 		}
-		key := refKey{ptr: src.Pointer(), typ: src.Type(), aux: src.Len()}
-		orig, ok := c.rev[key]
-		if !ok {
-			return reflect.Value{}, &UnsupportedError{
-				Type: src.Type().String(),
-				Why:  "clone slice has no original",
-			}
+		i, first, err := r.find(src, p)
+		if err != nil {
+			return reflect.Value{}, err
 		}
-		if !visited[key] {
-			visited[key] = true
-			if isShallowKind(src.Type().Elem().Kind()) {
-				reflect.Copy(orig, src)
-				return orig, nil
-			}
-			for i := 0; i < src.Len(); i++ {
-				if err := c.restoreInto(orig.Index(i), src.Index(i), visited); err != nil {
-					return reflect.Value{}, err
-				}
+		orig := c.refs[i].original()
+		if !first {
+			return orig, nil
+		}
+		if p.bulk {
+			reflect.Copy(orig, src)
+			return orig, nil
+		}
+		for j := 0; j < src.Len(); j++ {
+			if err := r.restoreInto(orig.Index(j), src.Index(j), p.elem); err != nil {
+				return reflect.Value{}, err
 			}
 		}
 		return orig, nil
@@ -135,88 +178,54 @@ func (c *Checkpoint) materialize(src reflect.Value, visited map[refKey]bool) (re
 		if src.IsNil() {
 			return src, nil
 		}
-		key := refKey{ptr: src.Pointer(), typ: src.Type()}
-		orig, ok := c.rev[key]
-		if !ok {
-			return reflect.Value{}, &UnsupportedError{
-				Type: src.Type().String(),
-				Why:  "clone map has no original",
-			}
+		i, first, err := r.find(src, p)
+		if err != nil {
+			return reflect.Value{}, err
 		}
-		if !visited[key] {
-			visited[key] = true
-			// Clear the original map in place so external aliases observe
-			// the rollback, then refill from the clone.
-			iter := orig.MapRange()
-			var stale []reflect.Value
-			for iter.Next() {
-				stale = append(stale, iter.Key())
+		orig := c.refs[i].original()
+		if !first {
+			return orig, nil
+		}
+		// Clear the original map in place so external aliases observe the
+		// rollback, then refill from the clone.
+		orig.Clear()
+		iter := src.MapRange()
+		for iter.Next() {
+			k, err := r.materialize(iter.Key(), p.key)
+			if err != nil {
+				return reflect.Value{}, err
 			}
-			for _, k := range stale {
-				orig.SetMapIndex(k, reflect.Value{})
+			v, err := r.materialize(iter.Value(), p.elem)
+			if err != nil {
+				return reflect.Value{}, err
 			}
-			citer := src.MapRange()
-			for citer.Next() {
-				k, err := c.materialize(citer.Key(), visited)
-				if err != nil {
-					return reflect.Value{}, err
-				}
-				v, err := c.materialize(citer.Value(), visited)
-				if err != nil {
-					return reflect.Value{}, err
-				}
-				orig.SetMapIndex(k, v)
-			}
+			orig.SetMapIndex(k, v)
 		}
 		return orig, nil
 	case reflect.Interface:
 		if src.IsNil() {
 			return src, nil
 		}
-		inner, err := c.materialize(src.Elem(), visited)
-		if err != nil {
-			return reflect.Value{}, err
+		inner := src.Elem()
+		ip := planFor(inner.Type())
+		if ip.leaf {
+			return src, nil
 		}
-		iface := reflect.New(src.Type()).Elem()
-		iface.Set(inner)
-		return iface, nil
-	case reflect.Array, reflect.Struct:
-		// Composite values inside freshly materialized containers: rebuild.
-		fresh := reflect.New(src.Type()).Elem()
-		if err := c.restoreComposite(fresh, src, visited); err != nil {
+		// Set and SetMapIndex box the materialized value into the
+		// location's interface type.
+		return r.materialize(inner, ip)
+	case reflect.Struct, reflect.Array:
+		if p.flat {
+			return src, nil
+		}
+		// Composite values inside map entries and interfaces are not
+		// addressable: rebuild them.
+		fresh := reflect.New(p.typ).Elem()
+		if err := r.restoreInto(fresh, src, p); err != nil {
 			return reflect.Value{}, err
 		}
 		return fresh, nil
 	default:
 		return src, nil
-	}
-}
-
-func (c *Checkpoint) restoreComposite(dst, src reflect.Value, visited map[refKey]bool) error {
-	switch src.Kind() {
-	case reflect.Struct:
-		t := src.Type()
-		for i := 0; i < t.NumField(); i++ {
-			if !t.Field(i).IsExported() {
-				continue
-			}
-			m, err := c.materialize(src.Field(i), visited)
-			if err != nil {
-				return err
-			}
-			dst.Field(i).Set(m)
-		}
-		return nil
-	case reflect.Array:
-		for i := 0; i < src.Len(); i++ {
-			m, err := c.materialize(src.Index(i), visited)
-			if err != nil {
-				return err
-			}
-			dst.Index(i).Set(m)
-		}
-		return nil
-	default:
-		return &UnsupportedError{Type: src.Type().String(), Why: "restoreComposite on non-composite"}
 	}
 }

@@ -10,7 +10,7 @@ import (
 // write set) and fall back to a full deep copy otherwise. This is the
 // always-sufficient bottom rung of the Item-76 ladder with the cheapest
 // capture the root supports.
-func Auto() Strategy { return autoStrategy{} }
+func Auto() Strategy { return &autoStrategy{} }
 
 // ByName resolves a strategy by its flag spelling: "deepcopy", "undolog"
 // or "auto".
@@ -26,11 +26,15 @@ func ByName(name string) (Strategy, error) {
 	return nil, fmt.Errorf("checkpoint: unknown strategy %q (want deepcopy, undolog or auto)", name)
 }
 
-type autoStrategy struct{}
+// autoStrategy holds its own deep-copy strategy, so the deep copies it
+// commits are reused by its later captures.
+type autoStrategy struct {
+	deep deepCopy
+}
 
-func (autoStrategy) Name() string { return "auto" }
+func (*autoStrategy) Name() string { return "auto" }
 
-func (autoStrategy) Capture(roots ...any) (Handle, error) {
+func (a *autoStrategy) Capture(roots ...any) (Handle, error) {
 	combined := &autoHandle{}
 	for _, root := range roots {
 		var (
@@ -40,7 +44,7 @@ func (autoStrategy) Capture(roots ...any) (Handle, error) {
 		if _, ok := root.(Journaled); ok {
 			h, err = UndoLog().Capture(root)
 		} else {
-			h, err = DeepCopy().Capture(root)
+			h, err = a.deep.Capture(root)
 		}
 		if err != nil {
 			// Detach what was already captured so no journal stays armed.

@@ -21,17 +21,6 @@ type Handle interface {
 	Bytes() int
 }
 
-// DeepCopy returns the eager deep-copy strategy of Listing 2.
-func DeepCopy() Strategy { return deepCopyStrategy{} }
-
-type deepCopyStrategy struct{}
-
-func (deepCopyStrategy) Name() string { return "deepcopy" }
-
-func (deepCopyStrategy) Capture(roots ...any) (Handle, error) {
-	return Capture(roots...)
-}
-
 var _ Handle = (*Checkpoint)(nil)
 
 // Journaled is implemented by types that record undo actions into a Journal
