@@ -256,34 +256,10 @@ func BenchmarkObjgraphCapture(b *testing.B) {
 	}
 }
 
-// BenchmarkObjgraphFingerprint measures the default engine the way a
-// session runs it — a long-lived incremental cache with a generation bump
-// per call — over the same sizes as BenchmarkObjgraphCapture; the
-// interesting columns are allocs/op (0 versus one per graph node) and the
-// large-size rows, where verified leaf replay skips rehashing the flat
-// payload.
+// BenchmarkObjgraphFingerprint times the default engine over the same
+// sizes as BenchmarkObjgraphCapture: every call hashes the whole graph.
+// The interesting columns are allocs/op (0 versus one per graph node).
 func BenchmarkObjgraphFingerprint(b *testing.B) {
-	for _, size := range []int{64, 4 << 10, 64 << 10} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			target := harness.NewBenchTarget(size)
-			cache := objgraph.NewFPCache(0)
-			b.ResetTimer()
-			var fp objgraph.FP
-			for i := 0; i < b.N; i++ {
-				cache.Bump()
-				fp = objgraph.FingerprintCached(cache, target)
-			}
-			if fp == (objgraph.FP{}) {
-				b.Fatal("zero fingerprint")
-			}
-		})
-	}
-}
-
-// BenchmarkObjgraphFingerprintNoCache times the cold hash
-// (objgraph.Fingerprint, no session cache): every call hashes the whole
-// graph.
-func BenchmarkObjgraphFingerprintNoCache(b *testing.B) {
 	for _, size := range []int{64, 4 << 10, 64 << 10} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			target := harness.NewBenchTarget(size)

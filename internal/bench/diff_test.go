@@ -19,7 +19,7 @@ func TestDiffSnapshots(t *testing.T) {
 		// Ns regression past 25% AND an alloc change: two violations.
 		{Name: "campaign/RBMap/fingerprint", NsPerOp: 1500, AllocsPerOp: 43},
 		// New cell absent from the baseline: ignored.
-		{Name: "objgraph/fingerprint-nocache/size=64", NsPerOp: 999, AllocsPerOp: 7},
+		{Name: "objgraph/new-cell/size=64", NsPerOp: 999, AllocsPerOp: 7},
 	}
 	got := DiffSnapshots(baseline, fresh)
 	if len(got) != 2 {

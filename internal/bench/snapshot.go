@@ -84,24 +84,9 @@ func SnapshotSuite(ctx context.Context, perturb string) ([]Result, error) {
 					}
 				}
 			}),
-			// The default engine, measured as a session uses it: one
-			// long-lived cache, a generation bump per call (the wrapped-call
-			// prologue's conservative invalidation), leaf replay warm.
+			// The default engine: every call hashes the whole graph, as
+			// every detect snapshot does.
 			measure(fmt.Sprintf("objgraph/fingerprint/size=%d", size), func(b *testing.B) {
-				cache := objgraph.NewFPCache(0)
-				var fp objgraph.FP
-				for i := 0; i < b.N; i++ {
-					cache.Bump()
-					fp = objgraph.FingerprintCached(cache, target)
-				}
-				if fp == (objgraph.FP{}) {
-					b.Fatal("zero fingerprint")
-				}
-			}),
-			// The cold hash (objgraph.Fingerprint, no session cache):
-			// every call hashes the whole graph, the reference the cached
-			// cell above is measured against.
-			measure(fmt.Sprintf("objgraph/fingerprint-nocache/size=%d", size), func(b *testing.B) {
 				var fp objgraph.FP
 				for i := 0; i < b.N; i++ {
 					fp = objgraph.Fingerprint(target)

@@ -6,8 +6,9 @@ import (
 	"reflect"
 )
 
-// errCommitted reports a rollback of a committed checkpoint, whose clone
-// may already be reused by a later capture.
+// errCommitted reports a rollback of a committed checkpoint: a deep copy's
+// clone may already be reused by a later capture, and a journal's undo
+// records have been handed to the enclosing journal.
 var errCommitted = errors.New("checkpoint: restore after commit")
 
 // Rollback implements Handle by restoring the checkpointed state.

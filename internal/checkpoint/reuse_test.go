@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -143,25 +144,43 @@ func TestReuseNestedInnerCommitOuterRollback(t *testing.T) {
 	other.(Committer).Commit()
 }
 
+// TestRollbackAfterCommitFails: a committed checkpoint refuses rollback
+// with errCommitted and writes nothing, whichever strategy took it.
 func TestRollbackAfterCommitFails(t *testing.T) {
 	d := DeepCopy()
-	h := newSlabHolder()
-	cp, err := d.Capture(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scribble(h, 7)
-	cp.(Committer).Commit()
-	cp.(Committer).Commit() // idempotent: must not hand the slab back twice
-	after := objgraph.Capture(h)
-	if err := cp.Rollback(); err == nil {
-		t.Fatal("rollback after commit must fail")
-	}
-	if err := cp.(*Checkpoint).Restore(); err == nil {
-		t.Fatal("restore after commit must fail")
-	}
-	if d := objgraph.Diff(after, objgraph.Capture(h)); d != "" {
-		t.Fatalf("failed rollback wrote: %s", d)
+	slab := newSlabHolder()
+	logged, auto := &journaledCounter{Value: 1}, &journaledCounter{Value: 1}
+	for _, tc := range []struct {
+		name  string
+		s     Strategy
+		root  any
+		write func()
+	}{
+		{"deepcopy", d, slab, func() { scribble(slab, 7) }},
+		{"undolog", UndoLog(), logged, func() { logged.Set(5) }},
+		{"auto-journaled", Auto(), auto, func() { auto.Set(5) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, err := tc.s.Capture(tc.root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.write()
+			cp.(Committer).Commit()
+			cp.(Committer).Commit() // idempotent: must not hand a slab or record back twice
+			after := objgraph.Capture(tc.root)
+			if err := cp.Rollback(); !errors.Is(err, errCommitted) {
+				t.Fatalf("rollback after commit = %v, want errCommitted", err)
+			}
+			if ck, ok := cp.(*Checkpoint); ok {
+				if err := ck.Restore(); err == nil {
+					t.Fatal("restore after commit must fail")
+				}
+			}
+			if d := objgraph.Diff(after, objgraph.Capture(tc.root)); d != "" {
+				t.Fatalf("failed rollback wrote: %s", d)
+			}
+		})
 	}
 	if n := len(d.(*deepCopy).slabs); n != 1 {
 		t.Fatalf("free list holds %d slabs after a double commit, want 1", n)

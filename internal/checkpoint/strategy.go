@@ -106,12 +106,18 @@ type journalTarget struct {
 }
 
 type journalHandle struct {
-	journal *Journal
-	targets []journalTarget
-	closed  bool
+	journal   *Journal
+	targets   []journalTarget
+	closed    bool
+	committed bool
 }
 
+// Rollback undoes the journaled writes, or returns errCommitted without
+// writing anything once Commit has handed the records on.
 func (h *journalHandle) Rollback() error {
+	if h.committed {
+		return errCommitted
+	}
 	h.detach()
 	h.journal.Rollback()
 	return nil
@@ -135,6 +141,7 @@ func (h *journalHandle) Commit() {
 		return
 	}
 	h.detach()
+	h.committed = true
 	if outer := h.enclosing(); outer != nil {
 		outer.undo = append(outer.undo, h.journal.undo...)
 		outer.bytes += h.journal.bytes

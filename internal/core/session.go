@@ -126,7 +126,7 @@ type Config struct {
 	Detect bool
 	// Snapshot selects how before-states are summarized when Detect is
 	// on: SnapshotFingerprint (the zero value) compares streaming graph
-	// hashes through a session-owned incremental cache and leaves
+	// hashes (one objgraph.Fingerprint per snapshot) and leaves
 	// Mark.Diff empty; SnapshotCapture materializes full graphs and
 	// reports the first-difference path.
 	Snapshot SnapshotMode
@@ -157,11 +157,6 @@ type Config struct {
 	// RecordSpans records one Span per receiver-bearing call under Detect
 	// (Spans): the clean run's input to Predict.
 	RecordSpans bool
-	// SnapshotCacheBudget caps the bytes of large-leaf content the
-	// fingerprint cache may pin for reuse verification; 0 selects the
-	// objgraph default (8 MiB). Only consulted when Detect is on and
-	// Snapshot is SnapshotFingerprint.
-	SnapshotCacheBudget int64
 	// Mask enables checkpoint/rollback for the methods in MaskMethods (or
 	// all methods when MaskAll).
 	Mask bool
@@ -228,14 +223,6 @@ type Session struct {
 	// the first call at each nesting depth. Guarded by the same
 	// single-goroutine (or Serialize-lock) discipline as s.calls.
 	rootsFree [][]any
-
-	// fpCache is the session's incremental fingerprint cache, non-nil
-	// only in SnapshotFingerprint detect mode. Its generation is bumped
-	// on every wrapped-call entry and before every after-fingerprint, so
-	// a frame digest is only replayed when no wrapped mutation could
-	// have touched the graph since it was computed (large-leaf replays
-	// are additionally verified by exact content compare).
-	fpCache *objgraph.FPCache
 }
 
 // NewSession returns a session with the given configuration.
@@ -265,26 +252,7 @@ func NewSession(cfg Config) *Session {
 		// Detect checkpoints every call.
 		s.cfg.Predict = nil
 	}
-	if cfg.Detect && cfg.Snapshot == SnapshotFingerprint {
-		s.fpCache = objgraph.NewFPCache(cfg.SnapshotCacheBudget)
-	}
 	return s
-}
-
-// SnapshotCacheStats returns the fingerprint cache's counters, or zeros
-// when the session has no cache (capture mode, or Detect off).
-func (s *Session) SnapshotCacheStats() SnapshotCacheStats {
-	if s.fpCache == nil {
-		return SnapshotCacheStats{}
-	}
-	st := s.fpCache.Stats()
-	return SnapshotCacheStats{Hits: st.Hits, Misses: st.Misses, Bytes: st.Bytes}
-}
-
-// fingerprint summarizes the roots as a 128-bit graph hash through the
-// session cache (every fingerprinting session has one).
-func (s *Session) fingerprint(roots []any) objgraph.FP {
-	return objgraph.FingerprintCached(s.fpCache, roots...)
 }
 
 // Point returns the current value of the global injection-point counter.
@@ -477,13 +445,6 @@ func (s *Session) enter(recv any, name string, extra []any) func() {
 // happen at method exit. The handler re-panics when passed a non-nil
 // recovered value.
 func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
-	if s.fpCache != nil {
-		// Any wrapped call may mutate the object graph; one atomic
-		// generation bump conservatively invalidates root-frame reuse, so
-		// the before-fingerprint below never replays a digest from before
-		// this call's effects.
-		s.fpCache.Bump()
-	}
 	call := s.calls[name] + 1
 	s.calls[name] = call
 
@@ -556,7 +517,7 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 		case s.cfg.DiffCalls != nil && !s.cfg.DiffCalls[id]:
 		case predicted:
 		case s.cfg.Snapshot == SnapshotFingerprint:
-			beforeFP = s.fingerprint(roots)
+			beforeFP = objgraph.Fingerprint(roots...)
 			fingerprinted = true
 		default:
 			before = snapshot(roots)
@@ -627,18 +588,11 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 			// campaign driver recovers Diff for non-atomic marks by
 			// replaying the run with capture snapshots at exactly those
 			// calls (deterministic replay, matched back by Seq).
-			if s.fpCache != nil {
-				// The method body (and any handler code) ran since the
-				// before-fingerprint; invalidate root-frame reuse so the
-				// after-fingerprint re-examines the graph instead of
-				// replaying the before digest.
-				s.fpCache.Bump()
-			}
 			s.seq++
 			s.marks = append(s.marks, Mark{
 				Method:    name,
 				Seq:       s.seq,
-				Atomic:    s.fingerprint(roots) == beforeFP,
+				Atomic:    objgraph.Fingerprint(roots...) == beforeFP,
 				Exception: fault.From(r),
 				Masked:    rolledBack,
 			})

@@ -73,23 +73,3 @@ func snapshot(roots []any) *objgraphSnapshot {
 func (s *objgraphSnapshot) diff(other *objgraphSnapshot) string {
 	return objgraph.Diff(s.graph, other.graph)
 }
-
-// SnapshotCacheStats aggregates a fingerprint cache's effectiveness
-// counters (objgraph.FPCacheStats, re-exported at the session layer so
-// campaign results don't import objgraph internals).
-type SnapshotCacheStats struct {
-	// Hits counts verified leaf replays and generation-valid root-frame
-	// reuses.
-	Hits int64 `json:"hits"`
-	// Misses counts fingerprint cache lookups that had to hash.
-	Misses int64 `json:"misses"`
-	// Bytes is the leaf content pinned for reuse verification.
-	Bytes int64 `json:"bytes"`
-}
-
-// Add accumulates another session's counters (campaign rollups).
-func (s *SnapshotCacheStats) Add(o SnapshotCacheStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Bytes += o.Bytes
-}

@@ -87,30 +87,6 @@ func TestParseSnapshotMode(t *testing.T) {
 	}
 }
 
-// TestSnapshotCacheStats: only the fingerprint mode wires a cache into
-// the session; its counters move with wrapped-call traffic, and the
-// capture escape hatch reports zeros.
-func TestSnapshotCacheStats(t *testing.T) {
-	work := func(s *Session) {
-		s.Bind(func() {
-			a := &account{}
-			for i := 0; i < 5; i++ {
-				a.Deposit(10)
-			}
-		})
-	}
-	cached := NewSession(Config{Detect: true, Snapshot: SnapshotFingerprint})
-	work(cached)
-	if st := cached.SnapshotCacheStats(); st.Misses == 0 {
-		t.Errorf("cached session recorded no misses: %+v", st)
-	}
-	s := NewSession(Config{Detect: true, Snapshot: SnapshotCapture})
-	work(s)
-	if st := s.SnapshotCacheStats(); st != (SnapshotCacheStats{}) {
-		t.Errorf("capture session reported cache stats %+v, want zeros", st)
-	}
-}
-
 // TestRootsScratchReuseAcrossNestedCalls exercises the per-session roots
 // free-list under nesting: the wrapper's own snapshot must not clobber a
 // pending outer call's roots, across repeated exceptional returns.

@@ -159,15 +159,16 @@ type Result struct {
 	// verbatim, which is what lets old binaries degrade gracefully on new
 	// logs.
 	Sections []Section
-	// SnapshotCache totals the per-session fingerprint-cache counters
-	// across every execution of the campaign (all zero in capture mode).
-	// Operational telemetry only: it is not serialized into reports or
-	// journals, which stay byte-identical across snapshot engines.
-	SnapshotCache core.SnapshotCacheStats
+	// SnapshotCache is always zero: snapshots no longer go through a
+	// fingerprint cache.
+	//
+	// Deprecated: kept only while the benchmark module still reads it.
+	SnapshotCache struct{ Hits, Misses, Bytes int64 }
 	// PredictMisses counts the runs whose predicted first pass unwound
 	// through a call the clean run's spans excluded (a workload that
 	// diverged from its clean run); each was redone with every call
-	// snapshotted. Telemetry like SnapshotCache, never serialized.
+	// snapshotted. Operational telemetry only: it is not serialized into
+	// reports or journals.
 	PredictMisses int
 }
 
@@ -205,9 +206,8 @@ type Options struct {
 	// a non-atomic mark is deterministically replayed with capture
 	// snapshots at exactly the marked calls, and the recovered
 	// human-readable Mark.Diff values are patched into the run — reports
-	// and journals stay byte-identical to capture mode. Each session
-	// hashes through its own incremental cache (generation-keyed frame
-	// reuse, verified large-leaf replay); core.SnapshotCapture
+	// and journals stay byte-identical to capture mode. Every snapshot is
+	// one cold objgraph.Fingerprint traversal. core.SnapshotCapture
 	// materializes full graphs at every snapshotted call (the escape
 	// hatch).
 	Snapshot core.SnapshotMode
@@ -461,7 +461,6 @@ type tally struct {
 func (t *tally) add(out execution) error {
 	run := out.run
 	t.res.Runs = append(t.res.Runs, run)
-	t.res.SnapshotCache.Add(out.cache)
 	if out.missed {
 		t.res.PredictMisses++
 	}
@@ -550,7 +549,6 @@ type execution struct {
 	calls     map[string]int64
 	points    int
 	trace     []core.PointInfo
-	cache     core.SnapshotCacheStats
 	// spans are the call spans of a span-recording (clean) run.
 	spans []core.Span
 	// missed reports a predicted first pass that unwound through an
@@ -632,7 +630,6 @@ func collect(session *core.Session, ex Experiment, escaped *fault.Exception) exe
 		calls:     session.Calls(),
 		points:    session.Point(),
 		trace:     session.PointTrace(),
-		cache:     session.SnapshotCacheStats(),
 		spans:     session.Spans(),
 		missed:    session.PredictMisses() > 0,
 	}
@@ -726,7 +723,6 @@ func settle(out execution, p *Program, ex Experiment, opts Options, accept func(
 	if out.missed {
 		full := executeOnce(p, ex, opts, nil)
 		if accept == nil || accept(full.run) {
-			full.cache.Add(out.cache)
 			full.missed = true
 			out = full
 		}
@@ -763,9 +759,8 @@ func recoverDiffs(out execution, p *Program, ex Experiment, opts Options, accept
 	if accept != nil && !accept(full.run) {
 		return out
 	}
-	// The full replay replaces the run; only the telemetry of the
+	// The full replay replaces the run; only the miss telemetry of the
 	// discarded passes carries over.
-	full.cache.Add(out.cache)
 	full.missed = out.missed
 	return full
 }

@@ -1,11 +1,13 @@
 package objgraph
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"reflect"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // Fingerprint-first snapshots. Capture materializes one *Node per value,
@@ -21,15 +23,9 @@ import (
 // recover human-readable diffs: runs whose fingerprints differ are
 // re-executed once, with Capture snapshots at just the differing calls.
 //
-// A single root — the wrapped receiver, the shape almost every call
-// has — hashes into an isolated frame digest folded under a fixed root
-// label, which is what lets FPCache reuse the whole frame while its
-// generation is unchanged. Several roots (receiver plus by-reference
-// arguments) take one global traversal with ids shared across roots,
-// exactly Capture's numbering, distinguished from the framed spelling by
-// a marker word. The path is a pure function of the root count, so
-// capture-equal graphs always take the same path and the equality
-// contract below holds on both.
+// Every root count takes the same single traversal: ids are shared
+// across roots (exactly Capture's numbering) and each root is labelled by
+// its position, so the equality contract below holds for any root count.
 
 // FP is a 128-bit object-graph fingerprint. The zero value is not the
 // fingerprint of any graph (the hash is seeded), so FP is comparable and
@@ -43,51 +39,8 @@ type FP [2]uint64
 //
 // exactly, and the converse holds up to hash collisions.
 func Fingerprint(roots ...any) FP {
-	return fingerprintRoots(nil, roots)
-}
-
-// FingerprintCached is Fingerprint backed by a session-owned incremental
-// cache: large flat leaves replay memoized content digests after an exact
-// verification compare, and single pointer roots whose cache generation
-// is unchanged reuse their whole-frame digest without traversal. The
-// result is always identical to Fingerprint(roots...); the cache only
-// changes how fast it is computed. c may be nil (plain Fingerprint).
-//
-// The cache is not safe for concurrent use — one FPCache per session.
-func FingerprintCached(c *FPCache, roots ...any) FP {
-	return fingerprintRoots(c, roots)
-}
-
-func fingerprintRoots(c *FPCache, roots []any) FP {
-	if len(roots) == 1 {
-		return fingerprintFramed(c, roots[0])
-	}
-	return fingerprintGlobal(c, roots)
-}
-
-// fingerprintFramed hashes a single root as one frame folded under the
-// first root label.
-func fingerprintFramed(c *FPCache, root any) FP {
 	e := fpPool.Get().(*fpEncoder)
-	e.cache = c
-	var top fpHash
-	top.reset()
-	top.word(rootLabelHash(0))
-	d := e.rootDigest(root)
-	top.word(d[0])
-	top.word(d[1])
-	e.release()
-	return top.sum()
-}
-
-// fingerprintGlobal hashes several roots in one traversal with ids shared
-// across roots (exactly the Capture numbering), distinguished from the
-// framed encoding by a marker word.
-func fingerprintGlobal(c *FPCache, roots []any) FP {
-	e := fpPool.Get().(*fpEncoder)
-	e.cache = c
 	e.h.reset()
-	e.h.word(fpAliasMark)
 	for i, r := range roots {
 		if r == nil {
 			e.leaf(KindNil, emptyTypeHash, rootLabelHash(i))
@@ -101,62 +54,22 @@ func fingerprintGlobal(c *FPCache, roots []any) FP {
 	return fp
 }
 
-// rootDigest returns the frame digest of a single root, reusing the
-// cache's generation-keyed entry for a pointer root when one is valid.
-func (e *fpEncoder) rootDigest(root any) FP {
-	if root == nil {
-		e.h.reset()
-		e.leaf(KindNil, emptyTypeHash, frameRootLabel)
-		return e.h.sum()
-	}
-	v := reflect.ValueOf(root)
-	pl := planFor(v.Type())
-	c := e.cache
-	if c == nil || pl.kind != reflect.Pointer || v.IsNil() {
-		return e.frame(v, pl)
-	}
-	key := fpRootKey{ptr: v.Pointer(), plan: pl}
-	gen := c.gen.Load()
-	if ent, hit := c.roots[key]; hit && ent.gen == gen {
-		c.hits++
-		return ent.d
-	}
-	c.misses++
-	d := e.frame(v, pl)
-	c.roots[key] = fpRootEntry{gen: gen, d: d}
-	return d
-}
-
-// frame hashes v into an isolated digest: a fresh hash state and a fixed
-// root label, so the digest depends only on the subgraph, not on where
-// the root sits.
-func (e *fpEncoder) frame(v reflect.Value, pl *typePlan) FP {
-	e.h.reset()
-	e.encode(v, pl, frameRootLabel)
-	return e.h.sum()
-}
-
-// Precomputed hashes of the fixed edge labels Capture emits, plus the
-// framing marks of the two root spellings.
+// Precomputed hashes of the fixed edge labels Capture emits.
 var (
-	emptyTypeHash  = strHash64("")
-	derefLabel     = strHash64("*")
-	dynLabel       = strHash64("dyn")
-	valueLabel     = strHash64("value")
-	frameRootLabel = strHash64("fp:frame")
-	fpAliasMark    = strHash64("fp:aliased-roots")
+	emptyTypeHash = strHash64("")
+	derefLabel    = strHash64("*")
+	dynLabel      = strHash64("dyn")
+	valueLabel    = strHash64("value")
 )
 
 // fpEncoder is the pooled traversal state: the aliasing map (refKey →
-// traversal-ordinal id, exactly Capture's), the running hash, sort
-// scratch for map entries, and the cache of the current call.
+// traversal-ordinal id, exactly Capture's), the running hash and sort
+// scratch for map entries.
 type fpEncoder struct {
 	h       fpHash
 	refs    map[refKey]int
 	next    int
 	entries []fpMapEntry
-	// cache is the session cache of the current call, or nil.
-	cache *FPCache
 	// scratch is reused for byte extraction from unexported slices and
 	// unaddressable arrays.
 	scratch []byte
@@ -178,7 +91,6 @@ func (e *fpEncoder) release() {
 	clear(e.refs)
 	e.next = 0
 	e.entries = e.entries[:0]
-	e.cache = nil
 	fpPool.Put(e)
 }
 
@@ -188,16 +100,6 @@ func (e *fpEncoder) byteScratch(n int) []byte {
 		e.scratch = make([]byte, n)
 	}
 	return e.scratch[:n]
-}
-
-// leafDigest returns the content digest of one large flat leaf, memoized
-// through the cache when the bytes are the leaf's real backing store
-// (scratch copies have no stable identity to key on).
-func (e *fpEncoder) leafDigest(b []byte, stable bool) FP {
-	if e.cache != nil && stable {
-		return e.cache.leafBytes(b)
-	}
-	return bulkHash128(b)
 }
 
 // leaf folds one node header into the hash: kind, type, edge label — the
@@ -256,17 +158,11 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 		e.leaf(KindString, pl.typeHash, labelKey)
 		s := v.String()
 		if len(s) >= fpLeafFrameMin {
-			// Large-leaf framing: fold the length, then the memoizable
-			// content digest. The framed/streamed choice is a pure
-			// function of the length, so equal strings always take the
-			// same spelling.
+			// Large-leaf framing: fold the length, then the bulk content
+			// digest. The framed/streamed choice is a pure function of
+			// the length, so equal strings always take the same spelling.
 			e.h.word(uint64(len(s)))
-			var d FP
-			if e.cache != nil {
-				d = e.cache.leafString(s)
-			} else {
-				d = bulkHash128String(s)
-			}
+			d := bulkHash128String(s)
 			e.h.word(d[0])
 			e.h.word(d[1])
 			return
@@ -312,8 +208,7 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 			// slices copy through encoder scratch (Bytes() is forbidden)
 			// and hash the same stream.
 			var b []byte
-			stable := v.CanInterface()
-			if stable {
+			if v.CanInterface() {
 				b = v.Bytes()
 			} else {
 				b = e.byteScratch(n)
@@ -322,7 +217,7 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 				}
 			}
 			if n >= fpLeafFrameMin {
-				d := e.leafDigest(b, stable)
+				d := bulkHash128(b)
 				e.h.word(d[0])
 				e.h.word(d[1])
 			} else {
@@ -341,10 +236,10 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 			// Large byte arrays frame like large byte slices. The framing
 			// decision depends only on (type, len) — never addressability —
 			// so capture-equal arrays hash equal whichever extraction path
-			// runs; only cache eligibility differs.
+			// runs.
 			var d FP
 			if v.CanAddr() && v.CanInterface() {
-				d = e.leafDigest(v.Bytes(), true)
+				d = bulkHash128(v.Bytes())
 			} else {
 				b := e.byteScratch(n)
 				for i := 0; i < n; i++ {
@@ -503,4 +398,58 @@ func (h *fpHash) bytes(p []byte) {
 // sum finalizes both lanes into the fingerprint.
 func (h *fpHash) sum() FP {
 	return FP{fmix64(h.a ^ bits.RotateLeft64(h.b, 17)), fmix64(h.b + h.a*fpMulA)}
+}
+
+// fpLeafFrameMin is the flat-leaf size (bytes) at which content is framed
+// as one bulkHash128 digest instead of streamed word by word. The framing
+// decision is a pure function of the length, so equal leaves always take
+// the same spelling.
+const fpLeafFrameMin = 1024
+
+// bulkHash128 digests a large flat payload with four independent
+// accumulator lanes, 32 bytes per round — built for memory-bandwidth
+// throughput where the word-by-word streaming mix (two dependent
+// multiplies per 8 bytes) runs out of ILP. Same non-cryptographic
+// collision stance as fpHash. The length is folded into the lane seeds,
+// so payloads of different lengths never share a tail encoding.
+func bulkHash128(p []byte) FP {
+	n := uint64(len(p))
+	a0 := fpSeedA ^ n*fpMulA
+	a1 := fpSeedB + bits.RotateLeft64(n, 23)
+	a2 := fpMulA ^ bits.RotateLeft64(n, 43)
+	a3 := fpMulB + n*fpSeedB
+	for len(p) >= 32 {
+		a0 = bits.RotateLeft64(a0^(binary.LittleEndian.Uint64(p)*fpBulkM1), 29) * fpBulkM2
+		a1 = bits.RotateLeft64(a1^(binary.LittleEndian.Uint64(p[8:])*fpBulkM2), 31) * fpBulkM1
+		a2 = bits.RotateLeft64(a2^(binary.LittleEndian.Uint64(p[16:])*fpBulkM1), 33) * fpBulkM2
+		a3 = bits.RotateLeft64(a3^(binary.LittleEndian.Uint64(p[24:])*fpBulkM2), 37) * fpBulkM1
+		p = p[32:]
+	}
+	for len(p) >= 8 {
+		a0, a1, a2, a3 = a1, a2, a3, bits.RotateLeft64(a0^(binary.LittleEndian.Uint64(p)*fpBulkM1), 27)*fpBulkM2
+		p = p[8:]
+	}
+	if len(p) > 0 {
+		var tail uint64
+		for i := len(p) - 1; i >= 0; i-- {
+			tail = tail<<8 | uint64(p[i])
+		}
+		a0 = bits.RotateLeft64(a0^(tail*fpBulkM1), 25) * fpBulkM2
+	}
+	h0 := fmix64(a0 ^ bits.RotateLeft64(a1, 13) ^ bits.RotateLeft64(a2, 29) ^ bits.RotateLeft64(a3, 47))
+	h1 := fmix64((a1 + a0*fpMulA) ^ (bits.RotateLeft64(a3, 17) + a2*fpMulB))
+	return FP{h0, h1}
+}
+
+const (
+	fpBulkM1 = 0x87c37b91114253d5
+	fpBulkM2 = 0x4cf5ad432745937f
+)
+
+// bulkHash128String is bulkHash128 over a string's bytes without copying.
+func bulkHash128String(s string) FP {
+	if len(s) == 0 {
+		return bulkHash128(nil)
+	}
+	return bulkHash128(unsafe.Slice(unsafe.StringData(s), len(s)))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -80,11 +81,9 @@ func TestQuickFingerprintMatchesCapture(t *testing.T) {
 
 // TestQuickFingerprintMultiRoot checks the equivalence over multi-root
 // captures (receiver + by-ref args), including shared structure across
-// roots, where the traversal-ordinal aliasing ids must line up. The
-// cached engine must agree with the cold one on every multi-root shape,
-// including a root repeated verbatim (a, b, a).
+// roots, where the traversal-ordinal aliasing ids must line up, and a
+// root repeated verbatim (a, b, a).
 func TestQuickFingerprintMultiRoot(t *testing.T) {
-	c := NewFPCache(0)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		var pool []*randTree
@@ -94,27 +93,21 @@ func TestQuickFingerprintMultiRoot(t *testing.T) {
 
 		g := Capture(a, b)
 		fp := Fingerprint(a, b)
-		if !Equal(g, Capture(a, b)) || Fingerprint(a, b) != fp || FingerprintCached(c, a, b) != fp {
-			return false
-		}
-		if FingerprintCached(c, a, b, a) != Fingerprint(a, b, a) {
+		if !Equal(g, Capture(a, b)) || Fingerprint(a, b) != fp || Fingerprint(a, b, a) != Fingerprint(a, b, a) {
 			return false
 		}
 		undo := mutateTree(r, a, pool)
-		c.Bump()
 		eq := Equal(g, Capture(a, b))
 		fpEq := Fingerprint(a, b) == fp
-		cachedEq := FingerprintCached(c, a, b) == fp
 		undo()
-		c.Bump()
-		return eq == fpEq && eq == cachedEq
+		return eq == fpEq
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Large framed leaves across roots: three independent payload roots
-	// plus the first repeated, cached and cold alike.
+	// plus the first repeated.
 	r := rand.New(rand.NewSource(11))
 	roots := make([]any, 3)
 	for i := range roots {
@@ -124,8 +117,8 @@ func TestQuickFingerprintMultiRoot(t *testing.T) {
 	for _, rs := range [][]any{roots, aliased} {
 		want := Fingerprint(rs...)
 		for i := 0; i < 3; i++ {
-			if got := FingerprintCached(c, rs...); got != want {
-				t.Fatalf("cached %d-root fp %x != cold %x (call %d)", len(rs), got, want, i)
+			if got := Fingerprint(rs...); got != want {
+				t.Fatalf("%d-root fp %x != %x (call %d)", len(rs), got, want, i)
 			}
 		}
 	}
@@ -245,5 +238,178 @@ func TestFingerprintZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Fingerprint allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// Graph shapes for the mutation-sequence properties: a linked list of
+// framed 2 KiB payloads, a binary search tree (no large leaves), and a
+// flat struct dominated by one framed blob.
+
+type fpList struct {
+	V       int
+	Payload []byte
+	Next    *fpList
+}
+
+func genList(r *rand.Rand, n int) *fpList {
+	var head *fpList
+	for i := 0; i < n; i++ {
+		p := make([]byte, 2048)
+		r.Read(p)
+		head = &fpList{V: r.Int(), Payload: p, Next: head}
+	}
+	return head
+}
+
+type fpTree struct {
+	Key         int
+	Red         bool
+	Left, Right *fpTree
+}
+
+func genBST(r *rand.Rand, n int) *fpTree {
+	var root *fpTree
+	var insert func(t *fpTree, k int) *fpTree
+	insert = func(t *fpTree, k int) *fpTree {
+		if t == nil {
+			return &fpTree{Key: k, Red: k%2 == 0}
+		}
+		if k < t.Key {
+			t.Left = insert(t.Left, k)
+		} else {
+			t.Right = insert(t.Right, k)
+		}
+		return t
+	}
+	for i := 0; i < n; i++ {
+		root = insert(root, r.Intn(1<<20))
+	}
+	return root
+}
+
+type fpFlat struct {
+	Name string
+	Blob []byte
+	Seq  uint64
+}
+
+func genFlat(r *rand.Rand, n int) *fpFlat {
+	b := make([]byte, n)
+	r.Read(b)
+	return &fpFlat{Name: "payload", Blob: b, Seq: r.Uint64()}
+}
+
+// mutate applies one random in-place mutation to whichever graph family
+// root points at, mirroring the session-visible state classes.
+func mutateGraph(r *rand.Rand, root any) {
+	switch g := root.(type) {
+	case *fpList:
+		n := g
+		for i := r.Intn(8); i > 0 && n.Next != nil; i-- {
+			n = n.Next
+		}
+		switch r.Intn(3) {
+		case 0:
+			n.V++
+		case 1:
+			n.Payload[r.Intn(len(n.Payload))] ^= 0xff
+		default:
+			n.Next = &fpList{V: -1, Payload: []byte("fresh"), Next: n.Next}
+		}
+	case *fpTree:
+		n := g
+		for n.Left != nil && r.Intn(2) == 0 {
+			n = n.Left
+		}
+		switch r.Intn(3) {
+		case 0:
+			n.Key++
+		case 1:
+			n.Red = !n.Red
+		default:
+			n.Right = &fpTree{Key: -1, Left: n.Right}
+		}
+	case *fpFlat:
+		switch r.Intn(3) {
+		case 0:
+			g.Blob[r.Intn(len(g.Blob))]++
+		case 1:
+			g.Seq++
+		default:
+			g.Name += "x"
+		}
+	}
+}
+
+// TestFingerprintMutationSequences: over random mutation sequences on
+// each graph shape, fingerprint equality against the pre-mutation
+// baseline tracks Capture equality at every step.
+func TestFingerprintMutationSequences(t *testing.T) {
+	r := rand.New(rand.NewSource(0x5eed))
+	graphs := []struct {
+		name string
+		root any
+	}{
+		{"linked-list", genList(r, 16)},
+		{"bst", genBST(r, 64)},
+		{"flat-payload", genFlat(r, 8192)},
+	}
+	for _, g := range graphs {
+		t.Run(g.name, func(t *testing.T) {
+			base := Capture(g.root)
+			baseFP := Fingerprint(g.root)
+			for step := 0; step < 40; step++ {
+				mutateGraph(r, g.root)
+				fp := Fingerprint(g.root)
+				if again := Fingerprint(g.root); again != fp {
+					t.Fatalf("step %d: fingerprint not deterministic: %x != %x", step, again, fp)
+				}
+				if eq := Equal(base, Capture(g.root)); eq != (fp == baseFP) {
+					t.Fatalf("step %d: capture-equality %v disagrees with fp-equality %v",
+						step, eq, fp == baseFP)
+				}
+			}
+		})
+	}
+}
+
+// TestFingerprintConcurrent fingerprints one shared read-only graph from
+// many goroutines, under -race: each call takes its own pooled encoder,
+// so no state may be shared through fpPool.
+func TestFingerprintConcurrent(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	shared := genList(r, 32)
+	want := Fingerprint(shared)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if got := Fingerprint(shared); got != want {
+					t.Errorf("worker %d iter %d: fp %x != %x", w, i, got, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestFingerprintPooledEncoderReuse interleaves multi-root calls over
+// aliased roots with single-root calls: pooled encoders must come back
+// reset, leaving no state that could perturb a later fingerprint.
+func TestFingerprintPooledEncoderReuse(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	a, b := genList(r, 8), genBST(r, 32)
+	cleanWant := Fingerprint(a)
+	aliasWant := Fingerprint(a, b, a)
+	for i := 0; i < 20; i++ {
+		if got := Fingerprint(a, b, a); got != aliasWant {
+			t.Fatalf("iter %d: aliased fp %x != %x", i, got, aliasWant)
+		}
+		if got := Fingerprint(a); got != cleanWant {
+			t.Fatalf("iter %d: single-root fp %x != %x", i, got, cleanWant)
+		}
 	}
 }

@@ -56,7 +56,7 @@ type fieldPlan struct {
 // so entries are never invalidated; the map only grows, bounded by the
 // number of distinct types the program snapshots. Every type has exactly
 // one plan, so planFor(t) is also the plan any parent links for t: plan
-// identity is a type identity (FPCache keys root frames on it).
+// identity is a type identity.
 var typePlans sync.Map
 
 // compileMu serializes compilation, so a type is compiled once and the

@@ -66,7 +66,7 @@ func checkLinks(t *testing.T, typ reflect.Type, seen map[reflect.Type]bool) {
 // interface-bearing types compile, and every linked child plan is the
 // interned plan of the child type — so the encoders, which take child
 // plans from their parent instead of looking them up, see the same plans
-// (and FPCache's plan-keyed root frames the same keys) as a lookup would.
+// as a lookup would.
 func TestPlansLinkChildPlans(t *testing.T) {
 	for _, v := range []any{&planSelf{}, planMutualB{}, &planIface{}} {
 		checkLinks(t, reflect.TypeOf(v), map[reflect.Type]bool{})

@@ -76,8 +76,8 @@ type JobSpec struct {
 	// MaxQuarantined fails the campaign past this many quarantined points.
 	MaxQuarantined int `json:"maxQuarantined,omitempty"`
 	// Snapshot selects the session snapshot engine: "" or "fingerprint"
-	// (the default, with the incremental subgraph-hash cache), or
-	// "capture" (materialize every graph). Validated at admission;
+	// (the default: one streaming graph hash per snapshot), or "capture"
+	// (materialize every graph). Validated at admission;
 	// results are byte-identical across both, so it is a performance
 	// knob, not a semantic one.
 	Snapshot string `json:"snapshot,omitempty"`

@@ -30,14 +30,9 @@ type metrics struct {
 	crontabSkipped    atomic.Int64 // firings refused by admission (full/quota)
 	queueWaitMax      atomic.Int64 // longest observed queue wait, nanoseconds
 
-	// Fingerprint-cache effectiveness, summed over every campaign session
-	// of in-process detect and repair jobs (zero under capture
-	// snapshots).
-	snapshotCacheHits   atomic.Int64
-	snapshotCacheMisses atomic.Int64
-	snapshotCacheBytes  atomic.Int64
-	// Predicted-snapshot misses (inject.Result.PredictMisses) of the same
-	// campaigns: runs redone because they diverged from their clean run.
+	// Predicted-snapshot misses (inject.Result.PredictMisses) of
+	// in-process detect and repair jobs: runs redone because they
+	// diverged from their clean run.
 	snapshotPredictMisses atomic.Int64
 }
 
@@ -50,12 +45,8 @@ func (m *metrics) noteQueued(spec JobSpec) {
 	}
 }
 
-// noteSnapshots folds one campaign's snapshot telemetry in: its
-// fingerprint-cache totals and its predicted-snapshot misses.
+// noteSnapshots folds one campaign's predicted-snapshot misses in.
 func (m *metrics) noteSnapshots(res *inject.Result) {
-	m.snapshotCacheHits.Add(res.SnapshotCache.Hits)
-	m.snapshotCacheMisses.Add(res.SnapshotCache.Misses)
-	m.snapshotCacheBytes.Add(res.SnapshotCache.Bytes)
 	m.snapshotPredictMisses.Add(int64(res.PredictMisses))
 }
 
@@ -110,9 +101,6 @@ func (m *metrics) snapshot(g queueGauges, ds dispatch.Stats) map[string]int64 {
 		"crontab_skipped_total":    m.crontabSkipped.Load(),
 
 		// Snapshot telemetry of in-process campaign jobs.
-		"snapshot_cache_hits_total":     m.snapshotCacheHits.Load(),
-		"snapshot_cache_misses_total":   m.snapshotCacheMisses.Load(),
-		"snapshot_cache_bytes":          m.snapshotCacheBytes.Load(),
 		"snapshot_predict_misses_total": m.snapshotPredictMisses.Load(),
 
 		// Dispatch: the distributed-execution slice.
