@@ -7,10 +7,9 @@
 // SIGINT/SIGTERM interrupt the sweep between size rows; the process exits
 // nonzero.
 //
-// The -run-timeout/-retries flags (flag parity with fadetect) supervise
-// each (size, fraction) cell so a wedged host fails the sweep loudly
-// instead of hanging it; supervised cells run on goroutine-scoped
-// sessions.
+// The sweep is always sequential and unsupervised: its cells are timings,
+// and concurrent or abandoned cells would measure contention instead of
+// masking. A quick smoke sweep is "fabench -runs 3".
 //
 // -json FILE skips the Figure 5 sweep and instead runs the snapshot-engine
 // benchmark suite (capture vs fingerprint ablation, detect prologue,
@@ -24,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 
 	"failatomic/internal/bench"
@@ -50,9 +48,6 @@ func run(ctx context.Context, args []string) (int, error) {
 		runs     = fs.Int("runs", 40, "runs per point (median reported)")
 		calls    = fs.Int("calls", 2000, "method calls per run")
 		strategy = fs.String("strategy", "deepcopy", `checkpoint strategy: "deepcopy" or "undolog-compare" (runs both)`)
-		parallel = fs.Int("parallel", 1, "sweep object-size rows concurrently on scoped sessions (1 = sequential, 0 = GOMAXPROCS); use for smoke sweeps, not paper-grade timings")
-		timeout  = fs.Duration("run-timeout", 0, "per-cell watchdog: abandon a (size, fraction) cell after this long (0 = off)")
-		retries  = fs.Int("retries", 0, "retry an expired cell this many times before failing the sweep")
 		jsonOut  = fs.String("json", "", "run the snapshot-engine benchmark suite instead of the Figure 5 sweep and write JSON results to this file")
 		against  = fs.String("diff-against", "", "with -json: committed BENCH_*.json baseline; exit 3 if a shared cell's ns/op regressed >25% or its allocs/op changed")
 		perturb  = fs.String("perturb", "", `with -json: add per-strategy campaign-cost cells for this fadetect -perturb spec (e.g. "nth=3,burst,defer,oblivious")`)
@@ -89,16 +84,9 @@ func run(ctx context.Context, args []string) (int, error) {
 	if *perturb != "" {
 		return cli.ExitFailure, fmt.Errorf("-perturb requires -json (the Figure 5 sweep measures masking, not detection)")
 	}
-	if *parallel <= 0 {
-		*parallel = runtime.GOMAXPROCS(0)
-	}
-
 	cfg := harness.DefaultFigure5Config()
 	cfg.Runs = *runs
 	cfg.Calls = *calls
-	cfg.Parallelism = *parallel
-	cfg.RunTimeout = *timeout
-	cfg.MaxRetries = *retries
 
 	points, err := harness.Figure5(ctx, cfg)
 	if err != nil {

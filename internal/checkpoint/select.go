@@ -1,30 +1,11 @@
 package checkpoint
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Auto returns the strategy-selection strategy: per root, use the undo-log
 // journal when the root implements Journaled (cheap, proportional to the
 // write set) and fall back to a full deep copy otherwise. This is the
 // always-sufficient bottom rung of the Item-76 ladder with the cheapest
 // capture the root supports.
 func Auto() Strategy { return &autoStrategy{} }
-
-// ByName resolves a strategy by its flag spelling: "deepcopy", "undolog"
-// or "auto".
-func ByName(name string) (Strategy, error) {
-	switch strings.ToLower(name) {
-	case "deepcopy", "deep-copy", "":
-		return DeepCopy(), nil
-	case "undolog", "undo-log", "journal":
-		return UndoLog(), nil
-	case "auto":
-		return Auto(), nil
-	}
-	return nil, fmt.Errorf("checkpoint: unknown strategy %q (want deepcopy, undolog or auto)", name)
-}
 
 // autoStrategy holds its own deep-copy strategy, so the deep copies it
 // commits are reused by its later captures.

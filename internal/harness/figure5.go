@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"failatomic/internal/checkpoint"
@@ -104,25 +103,6 @@ type Figure5Config struct {
 	Calls int
 	// Runs is the number of runs whose median is reported (paper: 40).
 	Runs int
-	// Strategy overrides the checkpoint strategy (nil = deep copy).
-	Strategy checkpoint.Strategy
-	// Parallelism measures the per-object-size rows concurrently (0/1 =
-	// sequential), each cell on a session bound to its worker goroutine.
-	// Concurrent cells contend for cores and pay the goroutine-identity
-	// lookup in every prologue, so parallel sweeps are for quick smoke
-	// runs; paper-grade Figure 5 numbers should stay sequential.
-	Parallelism int
-	// RunTimeout bounds each (size, fraction) cell: a cell exceeding it
-	// is abandoned (the measurement goroutine cannot be killed — the
-	// same bounded leak as inject's supervisor) and retried up to
-	// MaxRetries times before the sweep fails, so a slow or wedged host
-	// fails the bench loudly instead of hanging it. Supervised cells run
-	// on goroutine-scoped sessions. 0 disables the watchdog. Like
-	// Parallelism, supervision is for smoke sweeps on untrusted hosts;
-	// paper-grade timings should leave it off.
-	RunTimeout time.Duration
-	// MaxRetries re-attempts an expired cell this many extra times.
-	MaxRetries int
 }
 
 // DefaultFigure5Config mirrors the paper's axes at a size that finishes
@@ -141,163 +121,92 @@ func DefaultFigure5Config() Figure5Config {
 // Each point is the median of cfg.Runs runs (§6.2). The context cancels
 // the sweep between size rows.
 func Figure5(ctx context.Context, cfg Figure5Config) ([]OverheadPoint, error) {
+	return runSweep(ctx, cfg, sweep{
+		masked: "BenchTarget.WorkMasked",
+		target: func(objectBytes int) (sweepTarget, int, error) {
+			target := NewBenchTarget(objectBytes)
+			cp, err := checkpoint.Capture(target)
+			if err != nil {
+				return nil, 0, err
+			}
+			return target, cp.Bytes(), nil
+		},
+	})
+}
+
+// sweepTarget is the pair of methods a Figure 5 sweep calls.
+type sweepTarget interface {
+	Work()
+	WorkMasked()
+}
+
+// sweep is what distinguishes one Figure 5 sweep from another: the
+// masked method, the checkpoint strategy (nil = deep copy), and a
+// constructor returning a target and its checkpoint payload size.
+type sweep struct {
+	masked   string
+	strategy checkpoint.Strategy
+	target   func(objectBytes int) (sweepTarget, int, error)
+}
+
+// runSweep measures every (size, fraction) cell in order on one
+// goroutine: the 0%-masked baseline of a size row first, then every
+// masked fraction against it. Timing cells never run concurrently, so
+// they never measure contention with each other.
+func runSweep(ctx context.Context, cfg Figure5Config, s sweep) ([]OverheadPoint, error) {
 	if cfg.Calls <= 0 || cfg.Runs <= 0 {
 		return nil, errBadConfig
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Parallelism > 1 {
-		return figure5Parallel(ctx, cfg)
-	}
 	var points []OverheadPoint
 	for _, size := range cfg.Sizes {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("harness: sweep interrupted: %w", err)
 		}
-		row, err := measureSizeRow(size, cfg, false)
+		base, cpBytes, err := s.measure(size, cfg, 0)
 		if err != nil {
 			return nil, err
 		}
-		points = append(points, row...)
+		for _, frac := range cfg.FracsPct {
+			ns := base
+			if frac > 0 {
+				if ns, _, err = s.measure(size, cfg, frac); err != nil {
+					return nil, err
+				}
+			}
+			points = append(points, OverheadPoint{
+				ObjectBytes:     size,
+				MaskedPct:       frac,
+				BaseNs:          base,
+				MaskedNs:        ns,
+				Overhead:        ns / base,
+				CheckpointBytes: cpBytes,
+			})
+		}
 	}
 	return points, nil
 }
 
-// figure5Parallel sweeps the object-size rows concurrently on scoped
-// sessions, merging rows in size order so the rendered figure matches the
-// sequential sweep cell for cell.
-func figure5Parallel(ctx context.Context, cfg Figure5Config) ([]OverheadPoint, error) {
-	rows := make([][]OverheadPoint, len(cfg.Sizes))
-	errs := make([]error, len(cfg.Sizes))
-	workers := cfg.Parallelism
-	if workers > len(cfg.Sizes) {
-		workers = len(cfg.Sizes)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, size := range cfg.Sizes {
-		wg.Add(1)
-		go func(i, size int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				errs[i] = fmt.Errorf("harness: sweep interrupted: %w", err)
-				return
-			}
-			rows[i], errs[i] = measureSizeRow(size, cfg, true)
-		}(i, size)
-	}
-	wg.Wait()
-	var points []OverheadPoint
-	for i := range rows {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		points = append(points, rows[i]...)
-	}
-	return points, nil
-}
-
-// measureSizeRow measures one object-size row: the 0%-masked baseline
-// first, then every masked fraction against it.
-func measureSizeRow(size int, cfg Figure5Config, scoped bool) ([]OverheadPoint, error) {
-	base, cpBytes, err := measureCell(size, cfg, 0, scoped)
-	if err != nil {
-		return nil, err
-	}
-	row := make([]OverheadPoint, 0, len(cfg.FracsPct))
-	for _, frac := range cfg.FracsPct {
-		ns := base
-		if frac > 0 {
-			ns, _, err = measureCell(size, cfg, frac, scoped)
-			if err != nil {
-				return nil, err
-			}
-		}
-		row = append(row, OverheadPoint{
-			ObjectBytes:     size,
-			MaskedPct:       frac,
-			BaseNs:          base,
-			MaskedNs:        ns,
-			Overhead:        ns / base,
-			CheckpointBytes: cpBytes,
-		})
-	}
-	return row, nil
-}
-
-// measureCell runs one (size, fraction) cell through the RunTimeout
-// watchdog when one is configured, otherwise directly. An expired cell
-// is abandoned — the measurement goroutine cannot be killed, the same
-// bounded leak inject's supervisor accepts — so supervised cells always
-// run goroutine-scoped: an abandoned goroutine must never keep holding
-// the global session slot.
-func measureCell(size int, cfg Figure5Config, fracPct float64, scoped bool) (float64, int, error) {
-	if cfg.RunTimeout <= 0 {
-		return measureMasking(size, cfg, fracPct, scoped)
-	}
-	type cellResult struct {
-		ns      float64
-		cpBytes int
-		err     error
-	}
-	for attempt := 0; ; attempt++ {
-		ch := make(chan cellResult, 1)
-		go func() {
-			ns, cp, err := measureMasking(size, cfg, fracPct, true)
-			ch <- cellResult{ns, cp, err}
-		}()
-		timer := time.NewTimer(cfg.RunTimeout)
-		select {
-		case r := <-ch:
-			timer.Stop()
-			return r.ns, r.cpBytes, r.err
-		case <-timer.C:
-			if attempt >= cfg.MaxRetries {
-				return 0, 0, fmt.Errorf("harness: cell (size=%s, masked=%g%%) exceeded RunTimeout %s after %d attempt(s)",
-					byteSize(size), fracPct, cfg.RunTimeout, attempt+1)
-			}
-		}
-	}
-}
-
-// measureMasking times one (size, fraction) cell and returns the median
-// per-call nanoseconds plus the checkpoint payload size. With scoped set
-// the session is bound to this goroutine instead of installed globally,
-// so cells may run concurrently.
-func measureMasking(objectBytes int, cfg Figure5Config, fracPct float64, scoped bool) (float64, int, error) {
+// measure times one (size, fraction) cell on a freshly installed masking
+// session and returns the median per-call nanoseconds plus the
+// checkpoint payload size.
+func (s sweep) measure(objectBytes int, cfg Figure5Config, fracPct float64) (float64, int, error) {
 	session := core.NewSession(core.Config{
 		Mask:        true,
-		MaskMethods: map[string]bool{"BenchTarget.WorkMasked": true},
-		Strategy:    cfg.Strategy,
+		MaskMethods: map[string]bool{s.masked: true},
+		Strategy:    s.strategy,
 	})
-	if scoped {
-		var ns float64
-		var cpBytes int
-		var err error
-		session.Bind(func() {
-			ns, cpBytes, err = timeMasking(objectBytes, cfg, fracPct)
-		})
-		return ns, cpBytes, err
-	}
 	if err := core.Install(session); err != nil {
 		return 0, 0, err
 	}
 	defer core.Uninstall(session)
-	return timeMasking(objectBytes, cfg, fracPct)
-}
 
-// timeMasking runs the measurement loop under an already-routed session.
-func timeMasking(objectBytes int, cfg Figure5Config, fracPct float64) (float64, int, error) {
-	target := NewBenchTarget(objectBytes)
-	cp, err := checkpoint.Capture(target)
+	target, cpBytes, err := s.target(objectBytes)
 	if err != nil {
 		return 0, 0, err
 	}
-	cpBytes := cp.Bytes()
-
 	masked := int(float64(cfg.Calls) * fracPct / 100)
 	step := 0
 	if masked > 0 {
@@ -314,8 +223,7 @@ func timeMasking(objectBytes int, cfg Figure5Config, fracPct float64) (float64, 
 				target.Work()
 			}
 		}
-		elapsed := time.Since(start)
-		times = append(times, float64(elapsed.Nanoseconds())/float64(cfg.Calls))
+		times = append(times, float64(time.Since(start).Nanoseconds())/float64(cfg.Calls))
 	}
 	return median(times), cpBytes, nil
 }

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"failatomic/internal/checkpoint"
 	"failatomic/internal/core"
@@ -68,74 +66,14 @@ func (t *JournalTarget) compute() {
 
 // Figure5Journal runs the Figure 5 sweep with undo-log checkpointing; its
 // overhead should stay flat across object sizes, in contrast to the
-// deep-copy strategy. The ablation is always sequential: it exists to
-// compare checkpoint costs, so cfg.Parallelism is ignored.
+// deep-copy strategy.
 func Figure5Journal(ctx context.Context, cfg Figure5Config) ([]OverheadPoint, error) {
-	if cfg.Calls <= 0 || cfg.Runs <= 0 {
-		return nil, errBadConfig
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var points []OverheadPoint
-	for _, size := range cfg.Sizes {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("harness: sweep interrupted: %w", err)
-		}
-		base, err := measureJournal(size, cfg, 0)
-		if err != nil {
-			return nil, err
-		}
-		for _, frac := range cfg.FracsPct {
-			ns := base
-			if frac > 0 {
-				ns, err = measureJournal(size, cfg, frac)
-				if err != nil {
-					return nil, err
-				}
-			}
-			points = append(points, OverheadPoint{
-				ObjectBytes:     size,
-				MaskedPct:       frac,
-				BaseNs:          base,
-				MaskedNs:        ns,
-				Overhead:        ns / base,
-				CheckpointBytes: 8, // one journaled word per masked call
-			})
-		}
-	}
-	return points, nil
-}
-
-func measureJournal(objectBytes int, cfg Figure5Config, fracPct float64) (float64, error) {
-	session := core.NewSession(core.Config{
-		Mask:        true,
-		MaskMethods: map[string]bool{"JournalTarget.WorkMasked": true},
-		Strategy:    checkpoint.UndoLog(),
+	return runSweep(ctx, cfg, sweep{
+		masked:   "JournalTarget.WorkMasked",
+		strategy: checkpoint.UndoLog(),
+		target: func(objectBytes int) (sweepTarget, int, error) {
+			// One journaled word per masked call.
+			return NewJournalTarget(objectBytes), 8, nil
+		},
 	})
-	if err := core.Install(session); err != nil {
-		return 0, err
-	}
-	defer core.Uninstall(session)
-
-	target := NewJournalTarget(objectBytes)
-	masked := int(float64(cfg.Calls) * fracPct / 100)
-	step := 0
-	if masked > 0 {
-		step = cfg.Calls / masked
-	}
-
-	times := make([]float64, 0, cfg.Runs)
-	for run := 0; run < cfg.Runs; run++ {
-		start := time.Now()
-		for i := 0; i < cfg.Calls; i++ {
-			if step > 0 && i%step == 0 {
-				target.WorkMasked()
-			} else {
-				target.Work()
-			}
-		}
-		times = append(times, float64(time.Since(start).Nanoseconds())/float64(cfg.Calls))
-	}
-	return median(times), nil
 }

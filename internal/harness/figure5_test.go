@@ -2,9 +2,9 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"failatomic/internal/core"
 )
@@ -73,46 +73,21 @@ func TestFigure5BadConfig(t *testing.T) {
 	}
 }
 
-// TestFigure5Supervised: a generous RunTimeout must not change the
-// sweep's shape — every cell completes on the first attempt.
-func TestFigure5Supervised(t *testing.T) {
-	cfg := tinyFigure5Config()
-	cfg.RunTimeout = time.Minute
-	cfg.MaxRetries = 1
-	points, err := Figure5(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 6 {
-		t.Fatalf("points = %d, want 6", len(points))
-	}
-	for _, p := range points {
-		if p.BaseNs <= 0 || p.MaskedNs <= 0 {
-			t.Fatalf("degenerate timing: %+v", p)
+// TestFigure5Cancelled: both sweeps stop before their first row on a
+// cancelled context, report the cancellation and return no points.
+func TestFigure5Cancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, sweep := range map[string]func(context.Context, Figure5Config) ([]OverheadPoint, error){
+		"Figure5":        Figure5,
+		"Figure5Journal": Figure5Journal,
+	} {
+		points, err := sweep(ctx, tinyFigure5Config())
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
-	}
-}
-
-// TestFigure5WatchdogExpires: a timeout the measurement loop cannot beat
-// must fail the sweep after MaxRetries extra attempts, naming the cell.
-func TestFigure5WatchdogExpires(t *testing.T) {
-	cfg := Figure5Config{
-		// Large enough that the cell reliably outlives a 1ns watchdog;
-		// the abandoned goroutines finish in milliseconds.
-		Sizes:      []int{64},
-		FracsPct:   []float64{0},
-		Calls:      50000,
-		Runs:       3,
-		RunTimeout: time.Nanosecond,
-		MaxRetries: 1,
-	}
-	_, err := Figure5(context.Background(), cfg)
-	if err == nil {
-		t.Fatal("1ns watchdog must expire")
-	}
-	for _, want := range []string{"exceeded RunTimeout", "2 attempt(s)", "64B"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q missing %q", err, want)
+		if len(points) != 0 {
+			t.Errorf("%s: %d points after cancellation, want none", name, len(points))
 		}
 	}
 }

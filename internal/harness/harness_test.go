@@ -247,32 +247,3 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-// TestFigure5ParallelSweepShape checks the scoped-session sweep produces
-// the same grid (cells and checkpoint sizes) as the sequential sweep;
-// timings differ, ratios stay plausible.
-func TestFigure5ParallelSweepShape(t *testing.T) {
-	cfg := Figure5Config{
-		Sizes:       []int{64, 1 << 10},
-		FracsPct:    []float64{0, 100},
-		Calls:       200,
-		Runs:        3,
-		Parallelism: 2,
-	}
-	points, err := Figure5(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != len(cfg.Sizes)*len(cfg.FracsPct) {
-		t.Fatalf("got %d points, want %d", len(points), len(cfg.Sizes)*len(cfg.FracsPct))
-	}
-	for _, p := range points {
-		if p.BaseNs <= 0 || p.MaskedNs <= 0 || p.Overhead <= 0 {
-			t.Fatalf("degenerate point %+v", p)
-		}
-	}
-	out := RenderFigure5(points)
-	if !strings.Contains(out, "64B") || !strings.Contains(out, "1KiB") {
-		t.Fatalf("render incomplete:\n%s", out)
-	}
-}

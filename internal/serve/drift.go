@@ -30,15 +30,20 @@ type doneRun struct {
 }
 
 // driftKey canonicalizes a spec: two jobs drift-compare only when their
-// full spec (app, kind, every campaign knob) encodes identically. The
-// kind is normalized so "" and "detect" share a baseline, and Priority is
-// stripped — it chooses when a job runs, not what it computes, so a
-// high-priority rerun must compare against the normal-priority baseline.
+// full spec (app, kind, every semantic campaign knob) encodes identically.
+// The kind is normalized so "" and "detect" share a baseline. Priority,
+// Parallelism and Snapshot are stripped: the first chooses when a job
+// runs, the other two how fast it runs, and none what it computes
+// (campaign output is byte-identical across worker counts and snapshot
+// engines). So a spec fadetect -server submits with its -parallel value
+// compares against the same spec sent as bare JSON.
 // Crontab stays: each recurring spec owns its own baseline series, which
 // is what chains successive firings into a longitudinal regression gate.
 func driftKey(spec JobSpec) string {
 	spec.Kind = spec.JobKind()
 	spec.Priority = ""
+	spec.Parallelism = 0
+	spec.Snapshot = ""
 	b, _ := json.Marshal(spec)
 	return string(b)
 }

@@ -67,7 +67,9 @@ type JobSpec struct {
 	Kind string `json:"kind,omitempty"`
 	// Repeats scales the injection space (inject.Options.Repeats).
 	Repeats int `json:"repeats,omitempty"`
-	// Parallelism fans the campaign out over worker goroutines.
+	// Parallelism fans the campaign out over worker goroutines. Results
+	// are byte-identical at any value, so it is a performance knob and
+	// stays out of the drift gate's spec identity.
 	Parallelism int `json:"parallelism,omitempty"`
 	// RunTimeout arms the per-run watchdog (nanoseconds).
 	RunTimeout time.Duration `json:"runTimeout,omitempty"`
@@ -79,7 +81,8 @@ type JobSpec struct {
 	// (the default: one streaming graph hash per snapshot), or "capture"
 	// (materialize every graph). Validated at admission;
 	// results are byte-identical across both, so it is a performance
-	// knob, not a semantic one.
+	// knob, not a semantic one, and stays out of the drift gate's spec
+	// identity.
 	Snapshot string `json:"snapshot,omitempty"`
 	// Perturb selects extra fault strategies in fadetect's -perturb
 	// grammar ("nth=3,burst,oblivious"). Validated at admission. It is a

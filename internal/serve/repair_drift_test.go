@@ -91,7 +91,8 @@ func TestRepairJobValidation(t *testing.T) {
 // exception-free hints, which the spec does not encode), then submits the
 // same spec fresh: the completed campaign must finalize drifted with
 // cli.ExitDrift, keep its artifacts retrievable, leave the baseline
-// unadvanced, and count in jobs_drifted_total. A spec with no baseline
+// unadvanced, and count in jobs_drifted_total. The same spec with
+// Parallelism and Snapshot set gates against that baseline too. A spec with no baseline
 // completes done, and a repeat of it matches its own baseline.
 func TestDriftGate(t *testing.T) {
 	dataDir := t.TempDir()
@@ -171,6 +172,16 @@ func TestDriftGate(t *testing.T) {
 		t.Fatalf("second run = %+v, %v, want drifted again", got2, err)
 	}
 
+	// Parallelism and Snapshot cannot change a result, so the spec with
+	// them set shares the baseline.
+	id3, err := c.Submit(ctx, serve.JobSpec{App: "LinkedList", Parallelism: 2, Snapshot: "capture"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got3, err := c.Wait(ctx, id3); err != nil || got3.State != serve.StateDrifted {
+		t.Fatalf("parallel capture run = %+v, %v, want drifted against the shared baseline", got3, err)
+	}
+
 	// A different spec has no baseline: done, and a repeat matches the
 	// baseline it just established.
 	other := serve.JobSpec{App: "LinkedList", Repeats: 2}
@@ -195,8 +206,8 @@ func TestDriftGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(metrics), `"jobs_drifted_total": 2`) {
-		t.Errorf("metrics missing jobs_drifted_total=2:\n%s", metrics)
+	if !strings.Contains(string(metrics), `"jobs_drifted_total": 3`) {
+		t.Errorf("metrics missing jobs_drifted_total=3:\n%s", metrics)
 	}
 }
 

@@ -114,11 +114,13 @@ func suggestExceptionFree(paths []string) (*ExceptionFreeReport, error) {
 		return nil, err
 	}
 
-	bareNames := make(map[string]bool, len(funcs))
+	// byBare indexes function keys by bare name: a call resolves to every
+	// same-package function of that name (§4.3's conservative call graph).
+	byBare := make(map[string][]string, len(funcs))
 	for key := range funcs {
-		bareNames[bareName(key)] = true
+		byBare[bareName(key)] = append(byBare[bareName(key)], key)
 	}
-	samePackage := func(callee string) bool { return bareNames[callee] }
+	samePackage := func(callee string) bool { return len(byBare[callee]) > 0 }
 
 	// Start by assuming every method safe, then strip the syntactically
 	// risky ones and propagate unsafety through the call graph (greatest
@@ -133,7 +135,7 @@ func suggestExceptionFree(paths []string) (*ExceptionFreeReport, error) {
 		if len(fn.Direct) > 0 {
 			unsafe[key] = append(unsafe[key], "throws "+strings.Join(fn.Direct, ", "))
 		}
-		calleesOf[key] = calleeKeys(fn.Body, funcs)
+		calleesOf[key] = calleeKeys(fn.Body, byBare)
 	}
 	for changed := true; changed; {
 		changed = false
@@ -176,12 +178,6 @@ type parsedFunc struct {
 // parseFuncs loads every function of the package, keyed by
 // instrumentation name for methods/ctors and "func:Name" for helpers.
 func parseFuncs(paths []string) (map[string]*parsedFunc, error) {
-	inv, err := AnalyzeFiles(paths)
-	if err != nil {
-		return nil, err
-	}
-	_ = inv // the inventory validates parseability; bodies re-parse below
-
 	funcs := make(map[string]*parsedFunc)
 	if err := eachFunc(paths, func(fn *ast.FuncDecl) {
 		name, _ := instrumentationName(fn)
@@ -211,12 +207,9 @@ func stripPrologueView(fn *ast.FuncDecl) *ast.BlockStmt {
 	return &ast.BlockStmt{List: fn.Body.List[1:]}
 }
 
-// calleeKeys resolves a body's same-package calls to function keys.
-func calleeKeys(body *ast.BlockStmt, funcs map[string]*parsedFunc) []string {
-	byBare := make(map[string][]string)
-	for key := range funcs {
-		byBare[bareName(key)] = append(byBare[bareName(key)], key)
-	}
+// calleeKeys resolves a body's same-package calls to function keys
+// through the bare-name index.
+func calleeKeys(body *ast.BlockStmt, byBare map[string][]string) []string {
 	set := make(map[string]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
