@@ -562,3 +562,57 @@ func TestRemoteList(t *testing.T) {
 		t.Errorf("-list-state done = %q, %v (want the job)", out, err)
 	}
 }
+
+// TestRBMapLogGolden pins the diff bytes of a campaign, not only its
+// classification: a fresh RBMap Repeats=2 campaign's log, the diff paths
+// of its 641 runs with a non-atomic mark included, must equal the
+// committed golden byte for byte.
+func TestRBMapLogGolden(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "rbmap.json")
+	if _, _, err := capture(t, runArgs("-app", "RBMap", "-repeat", "2", "-log", logPath)); err != nil {
+		t.Fatal(err)
+	}
+	compareFiles(t, logPath, "../../testdata/golden/rbmap.log.json")
+}
+
+// TestEvaluationOutputGolden: the default evaluation (Table 1, Figures
+// 2–4 and the repair experiment) prints exactly the committed
+// evaluation_output.txt.
+func TestEvaluationOutputGolden(t *testing.T) {
+	out, code, err := capture(t, runArgs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != cli.ExitOK {
+		t.Fatalf("exit code = %d, want %d", code, cli.ExitOK)
+	}
+	got := filepath.Join(t.TempDir(), "evaluation.txt")
+	if err := os.WriteFile(got, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	compareFiles(t, got, "../../evaluation_output.txt")
+}
+
+// compareFiles fails t unless the files at got and want are byte-equal,
+// naming the first differing line.
+func compareFiles(t *testing.T, got, want string) {
+	t.Helper()
+	g, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(g, w) {
+		return
+	}
+	gl, wl := strings.Split(string(g), "\n"), strings.Split(string(w), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s differs from %s at line %d:\n got %.300s\nwant %.300s", got, want, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s differs from %s: %d lines vs %d", got, want, len(gl), len(wl))
+}

@@ -1,5 +1,7 @@
 package core
 
+import "failatomic/internal/objgraph"
+
 // Span is the lifetime of one receiver-bearing call in a span-recording
 // run (Config.RecordSpans), measured on the global injection-point
 // counter: Enter is the counter once the call's own points were counted
@@ -18,6 +20,20 @@ type Span struct {
 	// skips with these (see Config.Predict).
 	checkpointed bool
 	bytes        int
+
+	// before is the call's before-state as a fingerprint-mode
+	// span-recording run saw it. It is kept only when the call can be live
+	// at some injection point (Exit > Enter or Unwound): any other call
+	// returns normally, as in the clean run, whatever the point.
+	before *cleanBefore
+}
+
+// cleanBefore is a clean run's before-state of one call: the fingerprint
+// every snapshot of the call compares against, and the captured graph it
+// summarizes.
+type cleanBefore struct {
+	fp    objgraph.FP
+	graph *objgraph.Graph
 }
 
 // SpanIndex holds a clean run's spans for predicted snapshots
@@ -30,8 +46,9 @@ type Span struct {
 //	(c) entered after the injection.
 //
 // The index answers (a) ∪ (b) per call in O(1); the session covers (c) by
-// snapshotting every call once an exception has been injected. One index
-// is shared by every experiment of a campaign.
+// snapshotting every call once an exception has been injected. It also
+// holds the clean run's captured before-states (cleanDiff). One index is
+// shared, read-only, by every experiment of a campaign.
 type SpanIndex struct {
 	spans map[CallID]Span
 }
@@ -60,4 +77,18 @@ func (x *SpanIndex) MayUnwind(call CallID, point int) bool {
 func (x *SpanIndex) settled(call CallID, point int) (Span, bool) {
 	sp, ok := x.spans[call]
 	return sp, ok && !(sp.Enter < point && (sp.Unwound || point <= sp.Exit))
+}
+
+// cleanDiff returns the first-difference path from call's clean-run
+// before-state to the graph at roots, or "" when the clean run kept no
+// capture of call or its fingerprint is not before. Equal fingerprints
+// mean the same canonical traversal (up to a 2⁻¹²⁸ collision), so the
+// clean graph stands for the run's own before-state and the path is the
+// one a capture-mode run reports.
+func (x *SpanIndex) cleanDiff(call CallID, before objgraph.FP, roots []any) string {
+	cb := x.spans[call].before
+	if cb == nil || cb.fp != before {
+		return ""
+	}
+	return objgraph.Diff(cb.graph, objgraph.Capture(roots...))
 }

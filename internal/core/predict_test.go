@@ -253,3 +253,85 @@ func TestPredictedCheckpointsMatchEveryCall(t *testing.T) {
 		})
 	}
 }
+
+// TestCleanCapturesOnlyLiveSpans: a fingerprint-mode clean run keeps the
+// captured before-state, under the fingerprint it snapshotted, only on
+// the spans some injection point can find live or unwound (Exit > Enter
+// or Unwound); every other call is settled at every point, so its capture
+// is dropped at exit. A capture-mode clean run keeps none.
+func TestCleanCapturesOnlyLiveSpans(t *testing.T) {
+	clean := ledgerConfig()
+	clean.Snapshot, clean.RecordSpans = SnapshotFingerprint, true
+	spans := observeLedger(t, clean, false).spans
+	kept, dropped := 0, 0
+	for _, sp := range spans {
+		live := sp.Exit > sp.Enter || sp.Unwound
+		if live != (sp.before != nil) {
+			t.Fatalf("span %+v: live=%v but capture kept=%v", sp, live, sp.before != nil)
+		}
+		if sp.before == nil {
+			dropped++
+			continue
+		}
+		kept++
+	}
+	if kept == 0 || dropped == 0 {
+		t.Fatalf("ledger run kept %d and dropped %d captures; want both", kept, dropped)
+	}
+	clean.Snapshot = SnapshotCapture
+	for _, sp := range observeLedger(t, clean, false).spans {
+		if sp.before != nil {
+			t.Fatalf("capture-mode clean run kept a capture on %+v", sp)
+		}
+	}
+}
+
+// TestMarkDiffsMatchCapture: at every threshold, a predicted fingerprint
+// session reads each non-atomic mark's path off the clean run's capture
+// exactly as a capture session reports it, leaves atomic marks without
+// one, and does not alter the marks themselves. A session without Predict
+// records no MarkDiffs.
+func TestMarkDiffsMatchCapture(t *testing.T) {
+	clean := ledgerConfig()
+	clean.Snapshot, clean.RecordSpans = SnapshotFingerprint, true
+	index := IndexSpans(observeLedger(t, clean, false).spans)
+	read := 0
+	for point := 1; point <= 7; point++ {
+		cfg := ledgerConfig()
+		cfg.InjectionPoint = point
+		want := observeLedger(t, cfg, false)
+		cfg.Snapshot, cfg.Predict = SnapshotFingerprint, index
+		var marks []Mark
+		var diffs []string
+		withSession(t, cfg, func(s *Session) {
+			ledgerWorkload(false)
+			marks, diffs = s.Marks(), s.MarkDiffs()
+		})
+		if len(diffs) != len(marks) || len(marks) != len(want.marks) {
+			t.Fatalf("point %d: %d diffs for %d marks (capture %d)", point, len(diffs), len(marks), len(want.marks))
+		}
+		for i, m := range marks {
+			if m.Diff != "" {
+				t.Fatalf("point %d: the first-pass mark carries a Diff: %+v", point, m)
+			}
+			if diffs[i] == "" {
+				continue
+			}
+			if m.Atomic || diffs[i] != want.marks[i].Diff {
+				t.Fatalf("point %d: mark %d read %q off the clean run, capture says %+v", point, i, diffs[i], want.marks[i])
+			}
+			read++
+		}
+	}
+	if read == 0 {
+		t.Fatal("no diff was read off the clean run")
+	}
+	cfg := ledgerConfig()
+	cfg.Snapshot, cfg.InjectionPoint = SnapshotFingerprint, 2
+	withSession(t, cfg, func(s *Session) {
+		ledgerWorkload(false)
+		if len(s.Marks()) == 0 || s.MarkDiffs() != nil {
+			t.Fatalf("unpredicted session: %d marks, MarkDiffs %v", len(s.Marks()), s.MarkDiffs())
+		}
+	})
+}

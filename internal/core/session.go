@@ -153,6 +153,10 @@ type Config struct {
 	// checkpoint bytes. Up to the injection the run is the clean run, so
 	// MaskedCalls and MaskStats equal those of an every-call session; a
 	// call whose clean-run capture failed is captured (and fails) again.
+	//
+	// Under fingerprint snapshots, a non-atomic mark whose call entered
+	// from the clean run's before-fingerprint also reads its diff path off
+	// the clean run's capture (MarkDiffs).
 	Predict *SpanIndex
 	// RecordSpans records one Span per receiver-bearing call under Detect
 	// (Spans): the clean run's input to Predict.
@@ -207,6 +211,7 @@ type Session struct {
 	seq         int
 	marks       []Mark
 	markCalls   []CallID
+	markDiffs   []string
 	spans       []Span
 	openSpans   []int // indexes into spans of the calls not yet exited
 	misses      int
@@ -282,6 +287,13 @@ func (s *Session) Marks() []Mark { return s.marks }
 // Marks. It is session-side bookkeeping for diff recovery and is never
 // part of a Mark, so journals and logs do not carry it.
 func (s *Session) MarkCalls() []CallID { return s.markCalls }
+
+// MarkDiffs returns, index-aligned with Marks, the diff path of each
+// non-atomic mark that a predicted fingerprint session read off the clean
+// run's capture of the call (see Config.Predict); "" where it could not.
+// It is nil for every other session. Like MarkCalls it is session-side
+// bookkeeping: the marks themselves keep Diff empty.
+func (s *Session) MarkDiffs() []string { return s.markDiffs }
 
 // Spans returns the call spans recorded under Config.RecordSpans, in entry
 // order; nil otherwise.
@@ -530,8 +542,12 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 	}
 
 	if s.cfg.RecordSpans {
+		sp := Span{Call: id, Enter: s.point, Exit: math.MaxInt}
+		if fingerprinted {
+			sp.before = &cleanBefore{fp: beforeFP, graph: objgraph.Capture(roots...)}
+		}
 		s.openSpans = append(s.openSpans, len(s.spans))
-		s.spans = append(s.spans, Span{Call: id, Enter: s.point, Exit: math.MaxInt})
+		s.spans = append(s.spans, sp)
 	}
 
 	return func(r any) {
@@ -554,6 +570,11 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 			s.openSpans = s.openSpans[:last]
 			sp.Exit = s.point
 			sp.Unwound = r != nil
+			if sp.Exit == sp.Enter && !sp.Unwound {
+				// Settled at every point (SpanIndex), so no predicted
+				// run snapshots the call before an injection.
+				sp.before = nil
+			}
 			if handle != nil && r == nil {
 				sp.checkpointed, sp.bytes = true, handle.Bytes()
 			}
@@ -584,19 +605,32 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 			s.noteMask(name, bytes, rolledBack)
 		}
 		if fingerprinted {
-			// Fingerprint mode records the verdict but no diff path; the
-			// campaign driver recovers Diff for non-atomic marks by
-			// replaying the run with capture snapshots at exactly those
-			// calls (deterministic replay, matched back by Seq).
+			// Fingerprint mode records the verdict but no diff path. A
+			// predicted session reads a non-atomic mark's path off the
+			// clean run's capture of the call (MarkDiffs); the campaign
+			// driver recovers the rest by replaying the run with capture
+			// snapshots at exactly those calls (deterministic replay,
+			// matched back by Seq).
+			unchanged := objgraph.Fingerprint(roots...) == beforeFP
 			s.seq++
 			s.marks = append(s.marks, Mark{
 				Method:    name,
 				Seq:       s.seq,
-				Atomic:    objgraph.Fingerprint(roots...) == beforeFP,
+				Atomic:    unchanged,
 				Exception: fault.From(r),
 				Masked:    rolledBack,
 			})
 			s.markCalls = append(s.markCalls, CallID{name, call})
+			if s.cfg.Predict != nil {
+				// The clean span is looked up on this rare path rather
+				// than held by the closure, which must stay in its size
+				// class (TestDetectPrologueAllocs).
+				diff := ""
+				if !unchanged {
+					diff = s.cfg.Predict.cleanDiff(CallID{name, call}, beforeFP, roots)
+				}
+				s.markDiffs = append(s.markDiffs, diff)
+			}
 		} else if before != nil {
 			after := snapshot(roots)
 			diff := before.diff(after)

@@ -14,11 +14,18 @@ import (
 // skip the calls their clean run predicts cannot unwind (SpanIndex), and
 // the rest stay cheap. Fingerprint mode folds the same canonical
 // traversal into a streaming 128-bit hash (objgraph.Fingerprint) — zero
-// Node allocations — and leaves Mark.Diff empty on non-atomic marks. The
-// campaign driver recovers the human-readable diff by deterministically
-// replaying only those runs, with capture snapshots restricted to the
-// marked calls (Config.DiffCalls), and copying each recovered Diff into
-// the first pass's mark with the same Seq (see internal/inject).
+// Node allocations — and leaves Mark.Diff empty on non-atomic marks.
+//
+// The human-readable diff comes from two places. The span-recording clean
+// run also captures the before-state of each call some injection point
+// can find live or unwound, and a predicted session whose call ends
+// non-atomic from the clean fingerprint diffs its after-state against
+// that capture (Session.MarkDiffs): equal fingerprints mean the same
+// graph, so this is the path capture mode reports. The campaign driver
+// recovers the remaining diffs by deterministically replaying only those
+// runs, with capture snapshots restricted to the still-diffless calls
+// (Config.DiffCalls), and copying each recovered Diff into the first
+// pass's mark with the same Seq (see internal/inject).
 type SnapshotMode uint8
 
 const (

@@ -84,3 +84,28 @@ func TestAppsFingerprintMatchesCapture(t *testing.T) {
 		})
 	}
 }
+
+// TestDiffReplaysRBMap pins the diff-recovery replays of the RBMap
+// campaign at Repeats=2. 641 of its runs record a non-atomic mark, and
+// each used to cost one replay; the predicted passes read every one of
+// those diffs off the clean run's captures, so the only replay left is
+// the clean run's own (its organic unwinds have no clean run to read
+// from). An all-capture campaign never replays.
+func TestDiffReplaysRBMap(t *testing.T) {
+	app, ok := apps.ByName("RBMap")
+	if !ok {
+		t.Fatal("RBMap missing")
+	}
+	for _, c := range []struct {
+		mode core.SnapshotMode
+		want int
+	}{{core.SnapshotFingerprint, 1}, {core.SnapshotCapture, 0}} {
+		res, err := inject.Campaign(context.Background(), app.Build(), inject.Options{Repeats: 2, Snapshot: c.mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DiffReplays != c.want {
+			t.Errorf("%s: DiffReplays = %d, want %d", c.mode, res.DiffReplays, c.want)
+		}
+	}
+}

@@ -170,6 +170,12 @@ type Result struct {
 	// snapshotted. Operational telemetry only: it is not serialized into
 	// reports or journals.
 	PredictMisses int
+	// DiffReplays counts the diff-recovery replays executed (recoverDiffs),
+	// full-capture fallbacks included: the re-executions paid for the
+	// Mark.Diff paths a fingerprint campaign could not read off its clean
+	// run. Operational telemetry only: it is not serialized into reports
+	// or journals.
+	DiffReplays int
 }
 
 // Options tunes a campaign.
@@ -202,12 +208,14 @@ type Options struct {
 	// core.SnapshotFingerprint, compares streaming 128-bit graph hashes
 	// around the snapshotted wrapped calls (threshold experiments snapshot
 	// only the calls the clean run's spans predict can unwind, see
-	// core.SpanIndex; the others snapshot every call); a run that records
-	// a non-atomic mark is deterministically replayed with capture
-	// snapshots at exactly the marked calls, and the recovered
-	// human-readable Mark.Diff values are patched into the run — reports
-	// and journals stay byte-identical to capture mode. Every snapshot is
-	// one cold objgraph.Fingerprint traversal. core.SnapshotCapture
+	// core.SpanIndex; the others snapshot every call). The human-readable
+	// Mark.Diff of a non-atomic mark is read off the clean run's capture
+	// of the call when the call entered from the clean fingerprint;
+	// otherwise the run is deterministically replayed with capture
+	// snapshots at exactly the still-diffless calls and the recovered
+	// paths are patched into the run (see recoverDiffs) — reports and
+	// journals stay byte-identical to capture mode. Every snapshot is one
+	// cold objgraph.Fingerprint traversal. core.SnapshotCapture
 	// materializes full graphs at every snapshotted call (the escape
 	// hatch).
 	Snapshot core.SnapshotMode
@@ -464,6 +472,7 @@ func (t *tally) add(out execution) error {
 	if out.missed {
 		t.res.PredictMisses++
 	}
+	t.res.DiffReplays += out.replays
 	if run.InjectionPoint == 0 {
 		return nil
 	}
@@ -546,14 +555,20 @@ type execution struct {
 	// markCalls is the call identity of each of run.Marks (index-aligned),
 	// the key diff recovery matches replayed marks on.
 	markCalls []core.CallID
-	calls     map[string]int64
-	points    int
-	trace     []core.PointInfo
+	// diffs are the diff paths a predicted pass read off the clean run's
+	// captures (core.Session.MarkDiffs), index-aligned with run.Marks when
+	// non-nil.
+	diffs  []string
+	calls  map[string]int64
+	points int
+	trace  []core.PointInfo
 	// spans are the call spans of a span-recording (clean) run.
 	spans []core.Span
 	// missed reports a predicted first pass that unwound through an
 	// unsnapshotted call; a settled execution keeps it set after the redo.
 	missed bool
+	// replays counts the diff-recovery replays settling executed.
+	replays int
 }
 
 // profile packages what the clean execution discovered for the
@@ -627,6 +642,7 @@ func collect(session *core.Session, ex Experiment, escaped *fault.Exception) exe
 			MaskStats:      session.MaskStats(),
 		},
 		markCalls: session.MarkCalls(),
+		diffs:     session.MarkDiffs(),
 		calls:     session.Calls(),
 		points:    session.Point(),
 		trace:     session.PointTrace(),
@@ -731,17 +747,31 @@ func settle(out execution, p *Program, ex Experiment, opts Options, accept func(
 }
 
 // recoverDiffs fills in Mark.Diff for every non-atomic mark a
-// fingerprint-mode execution left diffless. The run is replayed once on a
-// capture session that snapshots only the marked calls (every other call
-// still runs its exit handler, so Seq numbering and the oblivious swallow
-// boundary are unchanged); each recovered Diff is copied into out's mark
-// with the same Seq, and everything else out recorded is kept. If the
-// replay diverged — a target mark is missing, sits at another call, or
-// reads atomic — the run is replayed again with every call captured and
-// that replay is adopted wholesale. accept vets each replay as in settle.
+// fingerprint-mode execution left diffless. First it adopts the paths a
+// predicted first pass read off the clean run's captures (out.diffs, see
+// core.Session.MarkDiffs); on the bundled apps that covers most
+// non-atomic marks. The marks still diffless — calls entered after the
+// injection whose state diverged from the clean run's, and any whose
+// clean capture was dropped or differs — are recovered by replaying the
+// run once on a capture session that snapshots only those calls (every
+// other call still runs its exit handler, so Seq numbering and the
+// oblivious swallow boundary are unchanged); each recovered Diff is copied
+// into out's mark with the same Seq, and everything else out recorded is
+// kept. If the replay diverged — a target mark is missing, sits at another
+// call, or reads atomic — the run is replayed again with every call
+// captured and that replay is adopted wholesale. accept vets each replay
+// as in settle; a vetted (quarantined) run adopts no clean-run paths and
+// recovers every diff by replay.
 func recoverDiffs(out execution, p *Program, ex Experiment, opts Options, accept func(Run) bool) execution {
 	if opts.Snapshot != core.SnapshotFingerprint {
 		return out
+	}
+	if accept == nil {
+		for i, d := range out.diffs {
+			if d != "" {
+				out.run.Marks[i].Diff = d
+			}
+		}
 	}
 	targets := diffTargets(out)
 	if targets == nil {
@@ -749,6 +779,7 @@ func recoverDiffs(out execution, p *Program, ex Experiment, opts Options, accept
 	}
 	opts.Snapshot = core.SnapshotCapture
 	replay := executeOnce(p, ex, opts, targets)
+	out.replays++
 	if accept != nil && !accept(replay.run) {
 		return out
 	}
@@ -756,12 +787,13 @@ func recoverDiffs(out execution, p *Program, ex Experiment, opts Options, accept
 		return out
 	}
 	full := executeOnce(p, ex, opts, nil)
+	out.replays++
 	if accept != nil && !accept(full.run) {
 		return out
 	}
-	// The full replay replaces the run; only the miss telemetry of the
+	// The full replay replaces the run; only the telemetry of the
 	// discarded passes carries over.
-	full.missed = out.missed
+	full.missed, full.replays = out.missed, out.replays
 	return full
 }
 

@@ -292,3 +292,67 @@ func TestQuarantinedCrasherRecovery(t *testing.T) {
 		t.Fatalf("flaky crasher must keep its diffless marks: %+v", run)
 	}
 }
+
+// resettingProgram pushes once, rewrites the stack's items when that push
+// was interrupted, then pushes over capacity so the second push unwinds
+// organically, non-atomic. An injection in the first push therefore
+// enters the second one from a before-state the clean run never saw,
+// under the same call identity as the clean run's second push.
+func resettingProgram(invocations *int) *Program {
+	p := testProgram()
+	p.Run = func() {
+		*invocations++
+		s := &stack{}
+		if runGuarded(func() { s.Push(1) }) != nil {
+			s.Items = []int{9}
+		}
+		s.Count = 1 << 20
+		runGuarded(func() { s.Push(2) })
+	}
+	return p
+}
+
+// TestCleanDiffNeedsMatchingFingerprint: a predicted pass reads a mark's
+// diff off the clean run's capture only when the call's before-state has
+// the clean fingerprint. Injected inside the first push, the run reads
+// that push's diff off the clean run, but the second push — same call
+// identity, diverged before-state — gets none and is recovered by one
+// targeted replay; the settled run still equals the all-capture run.
+func TestCleanDiffNeedsMatchingFingerprint(t *testing.T) {
+	// Push#1 counts points 1–2 and ensure#1 points 3–5; point 4 fires
+	// inside ensure#1, after Push#1 bumped Count.
+	const point = 4
+	var n int
+	p := resettingProgram(&n)
+	clean, err := cleanRun(context.Background(), p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := Experiment{Key: RunKey{Point: point}, point: point, predict: core.IndexSpans(clean.spans)}
+	first := executeOnce(p, ex, Options{}, nil)
+	n = 0
+	out := execute(p, ex, Options{})
+	ex.predict = nil
+	want := execute(resettingProgram(new(int)), ex, Options{Snapshot: core.SnapshotCapture})
+	if !reflect.DeepEqual(out.run, want.run) {
+		t.Fatalf("settled run differs from the all-capture run:\n got %+v\nwant %+v", out.run, want.run)
+	}
+	if n != 2 || out.replays != 1 {
+		t.Fatalf("workload invoked %d times with %d replays, want 2 and 1 (run + targeted replay)", n, out.replays)
+	}
+	byCall := map[core.CallID]int{}
+	for i, c := range first.markCalls {
+		byCall[c] = i
+	}
+	push1, ok1 := byCall[core.CallID{Method: "stack.Push", Call: 1}]
+	push2, ok2 := byCall[core.CallID{Method: "stack.Push", Call: 2}]
+	if !ok1 || !ok2 || len(first.diffs) != len(first.run.Marks) {
+		t.Fatalf("first pass marked %v with diffs %q; want both pushes marked, one diff per mark", first.markCalls, first.diffs)
+	}
+	if d := first.diffs[push1]; d == "" || d != want.run.Marks[push1].Diff {
+		t.Fatalf("Push#1 read %q off the clean run, capture says %q", d, want.run.Marks[push1].Diff)
+	}
+	if d := first.diffs[push2]; d != "" || want.run.Marks[push2].Diff == "" {
+		t.Fatalf("Push#2 read %q off a clean capture of another before-state (capture says %q)", d, want.run.Marks[push2].Diff)
+	}
+}

@@ -34,6 +34,8 @@ type metrics struct {
 	// in-process detect and repair jobs: runs redone because they
 	// diverged from their clean run.
 	snapshotPredictMisses atomic.Int64
+	// Diff-recovery replays (inject.Result.DiffReplays) of the same jobs.
+	diffReplays atomic.Int64
 }
 
 // noteQueued counts one admitted or boot-resumed job, and its kind's
@@ -45,9 +47,11 @@ func (m *metrics) noteQueued(spec JobSpec) {
 	}
 }
 
-// noteSnapshots folds one campaign's predicted-snapshot misses in.
+// noteSnapshots folds one campaign's predicted-snapshot misses and
+// diff-recovery replays in.
 func (m *metrics) noteSnapshots(res *inject.Result) {
 	m.snapshotPredictMisses.Add(int64(res.PredictMisses))
+	m.diffReplays.Add(int64(res.DiffReplays))
 }
 
 // noteQueueWait folds one observed admission→dequeue latency into the
@@ -102,6 +106,7 @@ func (m *metrics) snapshot(g queueGauges, ds dispatch.Stats) map[string]int64 {
 
 		// Snapshot telemetry of in-process campaign jobs.
 		"snapshot_predict_misses_total": m.snapshotPredictMisses.Load(),
+		"diff_replays_total":            m.diffReplays.Load(),
 
 		// Dispatch: the distributed-execution slice.
 		"workers_registered_total": ds.WorkersRegisteredTotal,
