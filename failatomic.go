@@ -150,7 +150,9 @@ type DetectOptions struct {
 	// for workloads that spawn goroutines (the paper's §4.4 mitigation:
 	// "restricting the amount of parallelism"). Spawned goroutines inherit
 	// their run's session, except in failatomic_portable_gls builds, where
-	// their calls go unobserved.
+	// their calls go unobserved. Without it, a workload must make its
+	// instrumented calls from one goroutine at a time: a run's session
+	// keeps its open calls on one LIFO stack.
 	Serialize bool
 	// Parallelism explores the injection-point space with this many worker
 	// goroutines (0 or 1 = one worker). Every run binds its own session to
@@ -345,7 +347,9 @@ type ProtectOptions struct {
 	All bool
 	// Serialize holds a session-global lock across each instrumented call,
 	// making checkpoint/rollback safe for concurrent callers at the price
-	// of serializing them (§4.4).
+	// of serializing them (§4.4). Without it, instrumented calls must come
+	// from one goroutine at a time: the session keeps its open calls on
+	// one LIFO stack.
 	Serialize bool
 }
 

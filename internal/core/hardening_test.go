@@ -113,7 +113,7 @@ func TestEnterNilReceiverUnderAllModes(t *testing.T) {
 
 // reentrant exercises a method whose body installs nothing but calls
 // another wrapped method on the same receiver with mutation in between;
-// the unwinding path runs two closures over the same object.
+// the unwinding path runs two epilogues over the same object.
 func TestNestedSameReceiverMarks(t *testing.T) {
 	type box struct{ A, B int }
 	var inner, outer func(b *box)

@@ -185,6 +185,10 @@ type Config struct {
 	// calls. Point numbering across goroutines still depends on the
 	// scheduler, so campaigns over concurrent workloads may emit
 	// nondeterminism warnings.
+	//
+	// Without Serialize a session must be used by one goroutine at a time:
+	// the exit state of its open calls is one LIFO frame stack, and its
+	// per-method call counts and masking statistics are plain maps.
 	Serialize bool
 }
 
@@ -213,7 +217,6 @@ type Session struct {
 	markCalls   []CallID
 	markDiffs   []string
 	spans       []Span
-	openSpans   []int // indexes into spans of the calls not yet exited
 	misses      int
 	calls       map[string]int64
 	maskSkips   []MaskSkip
@@ -221,13 +224,35 @@ type Session struct {
 	restored    int64
 	maskStats   map[string]*MaskStat
 
-	// rootsFree is a LIFO free-list of roots scratch slices. Wrapped calls
-	// nest (each exit handler is deferred), so the innermost call returns
-	// its slice before the outer one finishes — a stack matches the
-	// lifetime exactly and keeps the detect prologue allocation-free after
-	// the first call at each nesting depth. Guarded by the same
-	// single-goroutine (or Serialize-lock) discipline as s.calls.
+	// frames holds the exit state of each open call whose prologue needs
+	// an epilogue, innermost last. Wrapped calls nest (each epilogue is
+	// deferred), so the exiting call is always the top frame. rootsFree is
+	// a LIFO free-list of roots scratch slices with the same lifetime.
+	// Reusing both keeps the prologue allocation-free after the first call
+	// at each nesting depth. They assume the single-goroutine (or
+	// Serialize-lock) discipline documented on Config.Serialize.
+	frames    []frame
 	rootsFree [][]any
+
+	// exitFn is the one deferred epilogue Enter hands out for every call
+	// that pushed a frame: s.exit, or s.exitSerialized under Serialize.
+	// unlockFn releases the Serialize lock of a call that pushed none.
+	// Both are method values built once, so deferring them allocates
+	// nothing.
+	exitFn   func()
+	unlockFn func()
+}
+
+// frame is one open call's exit state: what its epilogue needs from its
+// prologue.
+type frame struct {
+	id            CallID
+	roots         []any
+	handle        checkpoint.Handle
+	before        *objgraphSnapshot
+	beforeFP      objgraph.FP
+	fingerprinted bool
+	span          int // index into spans under RecordSpans
 }
 
 // NewSession returns a session with the given configuration.
@@ -249,6 +274,11 @@ func NewSession(cfg Config) *Session {
 	}
 	if cfg.Trigger != nil {
 		s.activations = make(map[siteKey]int)
+	}
+	s.exitFn = s.exit
+	if cfg.Serialize {
+		s.exitFn = s.exitSerialized
+		s.unlockFn = s.serial.Unlock
 	}
 	if cfg.Trigger != nil || cfg.ExitFire != nil || !cfg.Detect {
 		// The span argument covers one injection at the threshold point;
@@ -392,11 +422,11 @@ func nop() {}
 // lists by-reference arguments that belong to the compared object graph
 // ("all arguments that are passed in as non-constant references", §4.1).
 //
-// The returned closure must be deferred by the caller:
+// The returned function must be deferred by the caller:
 //
 //	defer core.Enter(l, "LinkedList.InsertAt")()
 //
-// Injection happens during Enter itself — before the closure is deferred —
+// Injection happens during Enter itself — before the epilogue is deferred —
 // so an injected exception propagates to the *caller's* wrapper without
 // executing the method body, exactly like Listing 1 where the injection
 // points precede the try block.
@@ -414,49 +444,55 @@ func Enter(recv any, name string, extra ...any) func() {
 	return s.enter(recv, name, extra)
 }
 
-// enter builds the method epilogue. Because recover only works when called
-// directly from the deferred function, enterWork returns an exit handler
-// taking the recovered value, and enter wraps it into the actual deferred
-// closure (optionally bracketed by the serialization lock).
+// enter runs the prologue and picks the deferred epilogue: the session's
+// exit function when enterWork pushed a frame, nop otherwise.
 func (s *Session) enter(recv any, name string, extra []any) func() {
-	if !s.cfg.Serialize {
-		exit := s.enterWork(recv, name, extra)
-		if exit == nil {
-			return nop
-		}
-		return func() { exit(recover()) }
+	if s.cfg.Serialize {
+		return s.enterSerialized(recv, name, extra)
 	}
-	// Serialized mode: hold the (reentrant) session lock for the whole
-	// instrumented call. An injected exception leaves enterWork before the
-	// epilogue is deferred, so the guard releases the lock on that path;
-	// otherwise the returned closure releases it after the exit handler,
-	// even when the handler re-panics.
+	if s.enterWork(recv, name, extra) {
+		return s.exitFn
+	}
+	return nop
+}
+
+// enterSerialized is enter under Config.Serialize: the (reentrant) session
+// lock is held for the whole instrumented call. An injected exception
+// leaves enterWork before the epilogue is deferred, so the lock is
+// released here on that path; otherwise the returned function releases
+// it, after the epilogue when there is one, even when that re-panics.
+func (s *Session) enterSerialized(recv any, name string, extra []any) func() {
 	s.serial.Lock()
-	exit := func() func(any) {
-		defer func() {
-			if r := recover(); r != nil {
-				s.serial.Unlock()
-				panic(r)
-			}
-		}()
-		return s.enterWork(recv, name, extra)
-	}()
-	return func() {
-		defer s.serial.Unlock()
-		r := recover()
-		if exit != nil {
-			exit(r)
-		} else if r != nil {
-			panic(r)
+	entered := false
+	defer func() {
+		if !entered {
+			s.serial.Unlock()
 		}
+	}()
+	pushed := s.enterWork(recv, name, extra)
+	entered = true
+	if pushed {
+		return s.exitFn
 	}
+	return s.unlockFn
+}
+
+// exit is the deferred epilogue of a call that pushed a frame. recover
+// works here because this method, through its method value, is the
+// deferred function.
+func (s *Session) exit() { s.epilogue(recover()) }
+
+// exitSerialized is exit under Config.Serialize: it also releases the
+// session lock the call's prologue took.
+func (s *Session) exitSerialized() {
+	defer s.serial.Unlock()
+	s.epilogue(recover())
 }
 
 // enterWork performs the prologue work (counting, injection, checkpoint,
-// snapshot) and returns the exit handler, or nil when nothing needs to
-// happen at method exit. The handler re-panics when passed a non-nil
-// recovered value.
-func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
+// snapshot). When something needs to happen at method exit it pushes the
+// call's frame, as its last step, and reports true.
+func (s *Session) enterWork(recv any, name string, extra []any) bool {
 	call := s.calls[name] + 1
 	s.calls[name] = call
 
@@ -483,12 +519,12 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 	}
 
 	if recv == nil {
-		return nil
+		return false
 	}
 
 	maskWanted := s.cfg.Mask && (s.cfg.MaskAll || s.cfg.MaskMethods[name])
 	if !maskWanted && !s.cfg.Detect {
-		return nil
+		return false
 	}
 
 	roots := s.getRoots(1 + len(extra))
@@ -505,7 +541,7 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 		clean, predicted = s.cfg.Predict.settled(id, s.cfg.InjectionPoint)
 	}
 
-	var handle checkpoint.Handle
+	f := frame{id: id, roots: roots}
 	switch {
 	case !maskWanted:
 	case predicted && clean.checkpointed:
@@ -516,157 +552,162 @@ func (s *Session) enterWork(recv any, name string, extra []any) func(any) {
 		if err != nil {
 			s.maskSkips = append(s.maskSkips, MaskSkip{Method: name, Err: err})
 		} else {
-			handle = h
+			f.handle = h
 			s.masked++
 		}
 	}
 
-	var before *objgraphSnapshot
-	var beforeFP objgraph.FP
-	fingerprinted := false
 	if s.cfg.Detect {
 		switch {
 		case s.cfg.DiffCalls != nil && !s.cfg.DiffCalls[id]:
 		case predicted:
 		case s.cfg.Snapshot == SnapshotFingerprint:
-			beforeFP = objgraph.Fingerprint(roots...)
-			fingerprinted = true
+			f.beforeFP = objgraph.Fingerprint(roots...)
+			f.fingerprinted = true
 		default:
-			before = snapshot(roots)
+			f.before = snapshot(roots)
 		}
 	}
 
-	if handle == nil && !s.cfg.Detect && s.cfg.ExitFire == nil {
+	if f.handle == nil && !s.cfg.Detect && s.cfg.ExitFire == nil {
 		s.putRoots(roots)
-		return nil
+		return false
 	}
 
 	if s.cfg.RecordSpans {
 		sp := Span{Call: id, Enter: s.point, Exit: math.MaxInt}
-		if fingerprinted {
-			sp.before = &cleanBefore{fp: beforeFP, graph: objgraph.Capture(roots...)}
+		if f.fingerprinted {
+			sp.before = &cleanBefore{fp: f.beforeFP, graph: objgraph.Capture(roots...)}
 		}
-		s.openSpans = append(s.openSpans, len(s.spans))
+		f.span = len(s.spans)
 		s.spans = append(s.spans, sp)
 	}
 
-	return func(r any) {
-		if r == nil && s.cfg.ExitFire != nil {
-			// Deferred-cleanup injection: the body completed; the fault
-			// strikes in the epilogue — the method's cleanup phase — and
-			// takes the exceptional path below with the body's effects
-			// already applied to the object graph.
-			if kind, fire := s.cfg.ExitFire(name, call); fire {
-				exc := fault.New(kind, name, s.point)
-				s.injected = append(s.injected, exc)
-				r = exc
-			}
+	s.frames = append(s.frames, f)
+	return true
+}
+
+// epilogue is the exit handler of the call on top of the frame stack; r
+// is the value the deferred exit function recovered. It pops the frame
+// before it runs anything that can panic (the ExitFire callback, Rollback,
+// the re-panic), so the stack stays balanced on every path. It re-panics
+// with a non-nil r unless the Oblivious boundary swallows it.
+func (s *Session) epilogue(r any) {
+	last := len(s.frames) - 1
+	f := s.frames[last]
+	s.frames[last] = frame{}
+	s.frames = s.frames[:last]
+
+	if r == nil && s.cfg.ExitFire != nil {
+		// Deferred-cleanup injection: the body completed; the fault
+		// strikes in the epilogue — the method's cleanup phase — and
+		// takes the exceptional path below with the body's effects
+		// already applied to the object graph.
+		if kind, fire := s.cfg.ExitFire(f.id.Method, f.id.Call); fire {
+			exc := fault.New(kind, f.id.Method, s.point)
+			s.injected = append(s.injected, exc)
+			r = exc
 		}
-		if s.cfg.RecordSpans {
-			// Exit handlers run innermost first, so the exiting call is the
-			// most recently entered open span.
-			last := len(s.openSpans) - 1
-			sp := &s.spans[s.openSpans[last]]
-			s.openSpans = s.openSpans[:last]
-			sp.Exit = s.point
-			sp.Unwound = r != nil
-			if sp.Exit == sp.Enter && !sp.Unwound {
-				// Settled at every point (SpanIndex), so no predicted
-				// run snapshots the call before an injection.
-				sp.before = nil
-			}
-			if handle != nil && r == nil {
-				sp.checkpointed, sp.bytes = true, handle.Bytes()
-			}
+	}
+	if s.cfg.RecordSpans {
+		sp := &s.spans[f.span]
+		sp.Exit = s.point
+		sp.Unwound = r != nil
+		if sp.Exit == sp.Enter && !sp.Unwound {
+			// Settled at every point (SpanIndex), so no predicted
+			// run snapshots the call before an injection.
+			sp.before = nil
 		}
-		if r == nil {
-			if handle != nil {
-				s.noteMask(name, handle.Bytes(), false)
+		if f.handle != nil && r == nil {
+			sp.checkpointed, sp.bytes = true, f.handle.Bytes()
+		}
+	}
+	if r == nil {
+		if f.handle != nil {
+			s.noteMask(f.id.Method, f.handle.Bytes(), false)
+		}
+		if c, ok := f.handle.(checkpoint.Committer); ok {
+			c.Commit()
+		}
+		s.putRoots(f.roots)
+		return
+	}
+	rolledBack := false
+	if f.handle != nil {
+		// Read the checkpoint size before rollback clears the journal.
+		bytes := f.handle.Bytes()
+		if err := f.handle.Rollback(); err != nil {
+			s.maskSkips = append(s.maskSkips, MaskSkip{
+				Method: f.id.Method,
+				Err:    fmt.Errorf("rollback: %w", err),
+			})
+		} else {
+			s.restored++
+			rolledBack = true
+		}
+		s.noteMask(f.id.Method, bytes, rolledBack)
+	}
+	if f.fingerprinted {
+		// Fingerprint mode records the verdict but no diff path. A
+		// predicted session reads a non-atomic mark's path off the
+		// clean run's capture of the call (MarkDiffs); the campaign
+		// driver recovers the rest by replaying the run with capture
+		// snapshots at exactly those calls (deterministic replay,
+		// matched back by Seq).
+		unchanged := objgraph.Fingerprint(f.roots...) == f.beforeFP
+		s.seq++
+		s.marks = append(s.marks, Mark{
+			Method:    f.id.Method,
+			Seq:       s.seq,
+			Atomic:    unchanged,
+			Exception: fault.From(r),
+			Masked:    rolledBack,
+		})
+		s.markCalls = append(s.markCalls, f.id)
+		if s.cfg.Predict != nil {
+			// The clean span is looked up on this rare path rather
+			// than on every call's prologue.
+			diff := ""
+			if !unchanged {
+				diff = s.cfg.Predict.cleanDiff(f.id, f.beforeFP, f.roots)
 			}
-			if c, ok := handle.(checkpoint.Committer); ok {
-				c.Commit()
-			}
-			s.putRoots(roots)
+			s.markDiffs = append(s.markDiffs, diff)
+		}
+	} else if f.before != nil {
+		after := snapshot(f.roots)
+		diff := f.before.diff(after)
+		s.seq++
+		s.marks = append(s.marks, Mark{
+			Method:    f.id.Method,
+			Seq:       s.seq,
+			Atomic:    diff == "",
+			Diff:      diff,
+			Exception: fault.From(r),
+			Masked:    rolledBack,
+		})
+		s.markCalls = append(s.markCalls, f.id)
+	} else if s.cfg.Detect {
+		// A call outside DiffCalls or the prediction: no snapshot, no
+		// mark, but it consumes its Seq exactly as in an untargeted
+		// pass, so the other marks keep their numbering.
+		s.seq++
+		if s.cfg.Predict != nil && (s.cfg.DiffCalls == nil || s.cfg.DiffCalls[f.id]) {
+			// Only the prediction can have excluded this call, and it
+			// unwound anyway: the run diverged from its clean run.
+			s.misses++
+		}
+	}
+	s.putRoots(f.roots)
+	if s.cfg.Oblivious {
+		// Failure-oblivious mode: the mark is recorded, then the
+		// injected exception stops here — this wrapper is the handler
+		// boundary; its method returns zero values and the workload
+		// continues (organic and foreign panics still propagate).
+		if exc, ok := r.(*fault.Exception); ok && exc.Injected {
 			return
 		}
-		rolledBack := false
-		if handle != nil {
-			// Read the checkpoint size before rollback clears the journal.
-			bytes := handle.Bytes()
-			if err := handle.Rollback(); err != nil {
-				s.maskSkips = append(s.maskSkips, MaskSkip{
-					Method: name,
-					Err:    fmt.Errorf("rollback: %w", err),
-				})
-			} else {
-				s.restored++
-				rolledBack = true
-			}
-			s.noteMask(name, bytes, rolledBack)
-		}
-		if fingerprinted {
-			// Fingerprint mode records the verdict but no diff path. A
-			// predicted session reads a non-atomic mark's path off the
-			// clean run's capture of the call (MarkDiffs); the campaign
-			// driver recovers the rest by replaying the run with capture
-			// snapshots at exactly those calls (deterministic replay,
-			// matched back by Seq).
-			unchanged := objgraph.Fingerprint(roots...) == beforeFP
-			s.seq++
-			s.marks = append(s.marks, Mark{
-				Method:    name,
-				Seq:       s.seq,
-				Atomic:    unchanged,
-				Exception: fault.From(r),
-				Masked:    rolledBack,
-			})
-			s.markCalls = append(s.markCalls, CallID{name, call})
-			if s.cfg.Predict != nil {
-				// The clean span is looked up on this rare path rather
-				// than held by the closure, which must stay in its size
-				// class (TestDetectPrologueAllocs).
-				diff := ""
-				if !unchanged {
-					diff = s.cfg.Predict.cleanDiff(CallID{name, call}, beforeFP, roots)
-				}
-				s.markDiffs = append(s.markDiffs, diff)
-			}
-		} else if before != nil {
-			after := snapshot(roots)
-			diff := before.diff(after)
-			s.seq++
-			s.marks = append(s.marks, Mark{
-				Method:    name,
-				Seq:       s.seq,
-				Atomic:    diff == "",
-				Diff:      diff,
-				Exception: fault.From(r),
-				Masked:    rolledBack,
-			})
-			s.markCalls = append(s.markCalls, CallID{name, call})
-		} else if s.cfg.Detect {
-			// A call outside DiffCalls or the prediction: no snapshot, no
-			// mark, but it consumes its Seq exactly as in an untargeted
-			// pass, so the other marks keep their numbering.
-			s.seq++
-			if s.cfg.Predict != nil && (s.cfg.DiffCalls == nil || s.cfg.DiffCalls[CallID{name, call}]) {
-				// Only the prediction can have excluded this call, and it
-				// unwound anyway: the run diverged from its clean run.
-				s.misses++
-			}
-		}
-		s.putRoots(roots)
-		if s.cfg.Oblivious {
-			// Failure-oblivious mode: the mark is recorded, then the
-			// injected exception stops here — this wrapper is the handler
-			// boundary; its method returns zero values and the workload
-			// continues (organic and foreign panics still propagate).
-			if exc, ok := r.(*fault.Exception); ok && exc.Injected {
-				return
-			}
-		}
-		panic(r)
 	}
+	panic(r)
 }
 
 // advancePerturbed handles one potential injection point when a trigger
