@@ -69,7 +69,6 @@ func run(ctx context.Context, args []string) (int, error) {
 	fs.DurationVar(&spec.RunTimeout, "run-timeout", 0, "per-run watchdog: abandon an injection run after this long and quarantine the point (0 = off)")
 	fs.IntVar(&spec.MaxRetries, "retries", 0, "retry a hung or crashed injection run this many times before quarantining it")
 	fs.IntVar(&spec.MaxQuarantined, "max-quarantined", 0, "fail the campaign when more than this many points are quarantined (0 = unlimited)")
-	fs.StringVar(&spec.Snapshot, "snapshot", "fingerprint", `snapshot engine: "fingerprint" or "capture"; output is identical either way`)
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitFailure, err
 	}

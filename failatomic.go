@@ -173,15 +173,6 @@ type DetectOptions struct {
 	// are quarantined; <= 0 tolerates any number, completing the campaign
 	// and reporting the quarantined points on the Result.
 	MaxQuarantined int
-	// Snapshot selects the snapshot engine: SnapshotFingerprint (the
-	// default) hashes object graphs on the hot path and recovers diffs by
-	// deterministic replay; SnapshotCapture materializes full graphs at
-	// every snapshotted call (the escape hatch for nondeterministic
-	// workloads). Either way a first-activation run snapshots only the
-	// calls its clean run predicts an exception can unwind, redoing the
-	// run with every call snapshotted if one unwinds anyway. Results are
-	// byte-identical either way.
-	Snapshot SnapshotMode
 	// Perturb selects extra fault strategies on top of the default
 	// first-activation sweep, in fadetect's -perturb grammar: a
 	// comma-separated list of "nth[=N]", "burst[=budget]", "defer" and
@@ -190,20 +181,6 @@ type DetectOptions struct {
 	// Classification is unchanged by adding strategies.
 	Perturb string
 }
-
-// SnapshotMode selects how detection sessions summarize before-states.
-type SnapshotMode = core.SnapshotMode
-
-// Snapshot modes.
-const (
-	// SnapshotFingerprint streams a 128-bit graph hash (zero allocations)
-	// and replays non-atomic runs, capturing only the marked calls, to
-	// recover diffs.
-	SnapshotFingerprint = core.SnapshotFingerprint
-	// SnapshotCapture materializes full object graphs at every
-	// snapshotted call and reports diffs directly.
-	SnapshotCapture = core.SnapshotCapture
-)
 
 // Quarantine summarizes one injection point the campaign supervisor gave
 // up on after its retries.
@@ -228,7 +205,6 @@ func Detect(ctx context.Context, p *Program, opts DetectOptions) (*Result, error
 		RunTimeout:     opts.RunTimeout,
 		MaxRetries:     opts.MaxRetries,
 		MaxQuarantined: opts.MaxQuarantined,
-		Snapshot:       opts.Snapshot,
 		Perturbations:  perturbations,
 	})
 	if err != nil {

@@ -35,12 +35,13 @@ const (
 	SnapshotFingerprint SnapshotMode = iota
 	// SnapshotCapture materializes full object graphs and reports the
 	// path to the first difference — the original behavior, used by the
-	// diff-recovery replay (at the calls Config.DiffCalls lists) and as
-	// an escape hatch (at every call).
+	// diff-recovery replay (at the calls Config.DiffCalls lists, or at
+	// every call when a replay diverged) and as the reference engine of
+	// the fingerprint = capture identity tests and the fabench cells.
 	SnapshotCapture
 )
 
-// String returns the mode's knob spelling.
+// String returns the mode's name, as the fabench cells spell it.
 func (m SnapshotMode) String() string {
 	switch m {
 	case SnapshotFingerprint:
@@ -49,19 +50,6 @@ func (m SnapshotMode) String() string {
 		return "capture"
 	default:
 		return fmt.Sprintf("SnapshotMode(%d)", uint8(m))
-	}
-}
-
-// ParseSnapshotMode parses a knob value. The empty string means the
-// default (fingerprint), so zero-valued specs round-trip.
-func ParseSnapshotMode(s string) (SnapshotMode, error) {
-	switch s {
-	case "", "fingerprint":
-		return SnapshotFingerprint, nil
-	case "capture":
-		return SnapshotCapture, nil
-	default:
-		return 0, fmt.Errorf("unknown snapshot mode %q (want fingerprint or capture)", s)
 	}
 }
 

@@ -64,26 +64,11 @@ func TestDetectFingerprintAtomicMethod(t *testing.T) {
 	})
 }
 
-// TestParseSnapshotMode pins the knob spellings, including the empty
-// default that zero-valued job specs round-trip through.
-func TestParseSnapshotMode(t *testing.T) {
-	for in, want := range map[string]SnapshotMode{
-		"":            SnapshotFingerprint,
-		"fingerprint": SnapshotFingerprint,
-		"capture":     SnapshotCapture,
-	} {
-		got, err := ParseSnapshotMode(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseSnapshotMode(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"bogus", "fingerprint-nocache"} {
-		if _, err := ParseSnapshotMode(bad); err == nil {
-			t.Fatalf("ParseSnapshotMode must reject %q", bad)
-		}
-	}
+// TestSnapshotModeString pins the mode names the fabench cells
+// ("enter-detect/capture", "campaign/RBMap/fingerprint") are built from.
+func TestSnapshotModeString(t *testing.T) {
 	if SnapshotFingerprint.String() != "fingerprint" || SnapshotCapture.String() != "capture" {
-		t.Fatal("String() must match the knob spellings")
+		t.Fatal("String() must match the fabench cell names")
 	}
 }
 

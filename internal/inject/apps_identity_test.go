@@ -15,8 +15,9 @@ import (
 // TestAppsFingerprintMatchesCapture pins targeted diff recovery on every
 // bundled application: a fingerprint campaign — the default sweep plus
 // the nth=3, burst, defer and oblivious grids — records runs deeply equal
-// to an all-capture campaign, sequentially, in parallel and supervised,
-// and so does the masking-verification re-campaign over the wrap plan.
+// to an all-capture campaign, sequentially, in parallel and supervised;
+// so does the plain sweep at Repeats=2 and the masking-verification
+// re-campaign over the wrap plan.
 func TestAppsFingerprintMatchesCapture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 16 applications under every campaign mode")
@@ -77,6 +78,9 @@ func TestAppsFingerprintMatchesCapture(t *testing.T) {
 					base = res
 				}
 			}
+			// Repeats=2 is where diff recovery does its most work (RegExp
+			// replays 151 runs), and where campaign-heavy runs.
+			assertSame("repeat2", inject.Options{Repeats: 2})
 			plan := mask.Build(detect.Classify(base, detect.Options{}), nil, mask.Policy{})
 			if len(plan.Wrap) > 0 {
 				assertSame("masked", inject.Options{Mask: plan.WrapSet()})

@@ -214,10 +214,13 @@ type Options struct {
 	// otherwise the run is deterministically replayed with capture
 	// snapshots at exactly the still-diffless calls and the recovered
 	// paths are patched into the run (see recoverDiffs) — reports and
-	// journals stay byte-identical to capture mode. Every snapshot is one
-	// cold objgraph.Fingerprint traversal. core.SnapshotCapture
-	// materializes full graphs at every snapshotted call (the escape
-	// hatch).
+	// journals stay byte-identical to capture mode. If that replay
+	// diverges, the run is replayed with every call captured and the
+	// replay is adopted. Every snapshot is one cold objgraph.Fingerprint
+	// traversal. core.SnapshotCapture materializes full graphs at every
+	// snapshotted call; no user surface selects it. It is the engine of
+	// the diff-recovery replays, the reference of the fingerprint =
+	// capture identity tests, and a fabench cell.
 	Snapshot core.SnapshotMode
 	// Parallelism is the number of worker goroutines exploring injection
 	// points concurrently (0 or 1 = one worker). Every run binds its own

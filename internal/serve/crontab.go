@@ -249,8 +249,7 @@ func (s *Server) fireDueCrontabs() {
 
 func (s *Server) handleCrontabCreate(w http.ResponseWriter, r *http.Request) {
 	var cs CrontabSpec
-	if err := json.NewDecoder(r.Body).Decode(&cs); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad crontab spec: %v", err)})
+	if !decodeSpec(w, r, "crontab", &cs) {
 		return
 	}
 	ct, err := s.crontabCreate(cs, s.tenantOf(r))

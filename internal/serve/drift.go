@@ -31,19 +31,19 @@ type doneRun struct {
 
 // driftKey canonicalizes a spec: two jobs drift-compare only when their
 // full spec (app, kind, every semantic campaign knob) encodes identically.
-// The kind is normalized so "" and "detect" share a baseline. Priority,
-// Parallelism and Snapshot are stripped: the first chooses when a job
-// runs, the other two how fast it runs, and none what it computes
-// (campaign output is byte-identical across worker counts and snapshot
-// engines). So a spec fadetect -server submits with its -parallel value
-// compares against the same spec sent as bare JSON.
+// The kind is normalized so "" and "detect" share a baseline. Priority
+// and Parallelism are stripped: the first chooses when a job runs, the
+// second how fast it runs, and neither what it computes (campaign output
+// is byte-identical across worker counts). So a spec fadetect -server
+// submits with its -parallel value compares against the same spec sent
+// as bare JSON. A "snapshot" key from an older client never reaches the
+// key: JobSpec has no such field, so decoding drops it.
 // Crontab stays: each recurring spec owns its own baseline series, which
 // is what chains successive firings into a longitudinal regression gate.
 func driftKey(spec JobSpec) string {
 	spec.Kind = spec.JobKind()
 	spec.Priority = ""
 	spec.Parallelism = 0
-	spec.Snapshot = ""
 	b, _ := json.Marshal(spec)
 	return string(b)
 }

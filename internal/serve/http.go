@@ -16,7 +16,8 @@ import (
 //
 //	POST   /v1/jobs           submit a campaign job (202; 429 when full
 //	                          or over the tenant's quota, with a
-//	                          drain-rate-derived Retry-After)
+//	                          drain-rate-derived Retry-After; 413 past
+//	                          maxSpecBytes)
 //	GET    /v1/jobs           paginated, filterable job index
 //	                          (?token=&kind=&state=&crontab=&limit=&cursor=)
 //	GET    /v1/jobs/{id}      job status (state, progress, exit code)
@@ -76,10 +77,29 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// maxSpecBytes caps a job or crontab spec request body; a spec is well
+// under 1 KiB.
+const maxSpecBytes = 64 << 10
+
+// decodeSpec decodes a spec request body into v, answering an oversized
+// body with 413 and a malformed one with 400; it reports whether v was
+// decoded.
+func decodeSpec(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, apiError{Error: fmt.Sprintf("bad %s spec: %v", what, err)})
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad job spec: %v", err)})
+	if !decodeSpec(w, r, "job", &spec) {
 		return
 	}
 	j, err := s.submit(spec, s.tenantOf(r))

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"failatomic/internal/core"
 	"failatomic/internal/inject"
 	"failatomic/internal/sched"
 )
@@ -77,13 +76,6 @@ type JobSpec struct {
 	MaxRetries int `json:"maxRetries,omitempty"`
 	// MaxQuarantined fails the campaign past this many quarantined points.
 	MaxQuarantined int `json:"maxQuarantined,omitempty"`
-	// Snapshot selects the session snapshot engine: "" or "fingerprint"
-	// (the default: one streaming graph hash per snapshot), or "capture"
-	// (materialize every graph). Validated at admission;
-	// results are byte-identical across both, so it is a performance
-	// knob, not a semantic one, and stays out of the drift gate's spec
-	// identity.
-	Snapshot string `json:"snapshot,omitempty"`
 	// Perturb selects extra fault strategies in fadetect's -perturb
 	// grammar ("nth=3,burst,oblivious"). Validated at admission. It is a
 	// semantic knob: it extends the experiment plan, so it participates in
@@ -121,10 +113,6 @@ func (sp JobSpec) JobKind() string {
 // their flags and call it too. Journal hooks belong to whoever runs the
 // job, not to the spec.
 func (sp JobSpec) Options() (inject.Options, error) {
-	mode, err := core.ParseSnapshotMode(sp.Snapshot)
-	if err != nil {
-		return inject.Options{}, err
-	}
 	perturbations, err := inject.ParsePerturbations(sp.Perturb)
 	if err != nil {
 		return inject.Options{}, err
@@ -135,7 +123,6 @@ func (sp JobSpec) Options() (inject.Options, error) {
 		RunTimeout:     sp.RunTimeout,
 		MaxRetries:     sp.MaxRetries,
 		MaxQuarantined: sp.MaxQuarantined,
-		Snapshot:       mode,
 		Perturbations:  perturbations,
 	}, nil
 }

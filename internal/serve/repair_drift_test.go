@@ -4,6 +4,7 @@ package serve_test
 import (
 	"context"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -86,30 +87,22 @@ func TestRepairJobValidation(t *testing.T) {
 	}
 }
 
-// TestDriftGate pre-populates the data directory with a terminal done job
-// whose stored log classifies differently (it was run with §4.3
-// exception-free hints, which the spec does not encode), then submits the
-// same spec fresh: the completed campaign must finalize drifted with
-// cli.ExitDrift, keep its artifacts retrievable, leave the baseline
-// unadvanced, and count in jobs_drifted_total. The same spec with
-// Parallelism and Snapshot set gates against that baseline too. A spec with no baseline
-// completes done, and a repeat of it matches its own baseline.
-func TestDriftGate(t *testing.T) {
-	dataDir := t.TempDir()
-	ctx := context.Background()
-
-	// The doctored baseline: same app, same spec key, different runs.
+// plantDriftBaseline writes a terminal done LinkedList job with the given
+// id and raw spec JSON into dataDir. Its stored log classifies differently
+// from a fresh LinkedList campaign: it was run with §4.3 exception-free
+// hints, which no spec encodes.
+func plantDriftBaseline(t *testing.T, dataDir, id, specJSON string) {
+	t.Helper()
 	app, ok := apps.ByName("LinkedList")
 	if !ok {
 		t.Fatal("LinkedList application missing")
 	}
-	spec := serve.JobSpec{App: "LinkedList"}
-	hintedOpts := mustOptions(t, spec)
+	hintedOpts := mustOptions(t, serve.JobSpec{App: "LinkedList"})
 	hintedOpts.ExceptionFree = map[string]bool{
 		"LinkedList.checkIndex":          true,
 		"LinkedList.checkIndexInclusive": true,
 	}
-	res, err := harness.RunApp(ctx, app, hintedOpts)
+	res, err := harness.RunApp(context.Background(), app, hintedOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,19 +118,35 @@ func TestDriftGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobDir := filepath.Join(dataDir, "jobs", "j0000000000000001")
+	jobDir := filepath.Join(dataDir, "jobs", id)
 	if err := os.MkdirAll(jobDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	specJSON := `{"id":"j0000000000000001","spec":{"app":"LinkedList"}}`
-	doneJSON := `{"id":"j0000000000000001","spec":{"app":"LinkedList"},"state":"done","exitCode":0,"log":"` +
+	manifest := `{"id":"` + id + `","spec":` + specJSON + `}`
+	done := `{"id":"` + id + `","spec":` + specJSON + `,"state":"done","exitCode":0,"log":"` +
 		sha + `","completedAt":"2026-01-01T00:00:00Z"}`
-	if err := os.WriteFile(filepath.Join(jobDir, "spec.json"), []byte(specJSON), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(jobDir, "spec.json"), []byte(manifest), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(jobDir, "done.json"), []byte(doneJSON), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(jobDir, "done.json"), []byte(done), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDriftGate pre-populates the data directory with a terminal done job
+// whose stored log classifies differently (plantDriftBaseline), then
+// submits the same spec fresh: the completed campaign must finalize
+// drifted with cli.ExitDrift, keep its artifacts retrievable, leave the
+// baseline unadvanced, and count in jobs_drifted_total. The same spec
+// with Parallelism set, sent as raw JSON by an older client that still
+// carries a "snapshot" key, gates against that baseline too. A spec with
+// no baseline completes done, and a repeat of it matches its own
+// baseline.
+func TestDriftGate(t *testing.T) {
+	dataDir := t.TempDir()
+	ctx := context.Background()
+	spec := serve.JobSpec{App: "LinkedList"}
+	plantDriftBaseline(t, dataDir, "j0000000000000001", `{"app":"LinkedList"}`)
 
 	srv, c, _ := bootServer(t, dataDir, 2, 16)
 
@@ -172,14 +181,18 @@ func TestDriftGate(t *testing.T) {
 		t.Fatalf("second run = %+v, %v, want drifted again", got2, err)
 	}
 
-	// Parallelism and Snapshot cannot change a result, so the spec with
-	// them set shares the baseline.
-	id3, err := c.Submit(ctx, serve.JobSpec{App: "LinkedList", Parallelism: 2, Snapshot: "capture"})
-	if err != nil {
-		t.Fatal(err)
+	hts := httptest.NewServer(srv.Handler())
+	defer hts.Close()
+
+	// Parallelism cannot change a result, and an older client's
+	// "snapshot" key is dropped at decode, so the spec with both set
+	// shares the baseline.
+	code, st3 := postSpec(t, hts.URL, "/v1/jobs", `{"app":"LinkedList","parallelism":2,"snapshot":"capture"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("legacy submission = %d, want 202", code)
 	}
-	if got3, err := c.Wait(ctx, id3); err != nil || got3.State != serve.StateDrifted {
-		t.Fatalf("parallel capture run = %+v, %v, want drifted against the shared baseline", got3, err)
+	if got3, err := c.Wait(ctx, st3.ID); err != nil || got3.State != serve.StateDrifted {
+		t.Fatalf("legacy parallel run = %+v, %v, want drifted against the shared baseline", got3, err)
 	}
 
 	// A different spec has no baseline: done, and a repeat matches the
@@ -195,8 +208,6 @@ func TestDriftGate(t *testing.T) {
 		}
 	}
 
-	hts := httptest.NewServer(srv.Handler())
-	defer hts.Close()
 	resp, err := hts.Client().Get(hts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -475,9 +475,6 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := c.Submit(ctx, serve.JobSpec{App: "NoSuchApp"}); err == nil || !strings.Contains(err.Error(), "unknown application") {
 		t.Fatalf("unknown app = %v", err)
 	}
-	if _, err := c.Submit(ctx, serve.JobSpec{App: "LinkedList", Snapshot: "bogus"}); err == nil || !strings.Contains(err.Error(), "unknown snapshot mode") {
-		t.Fatalf("bad snapshot mode = %v", err)
-	}
 	if _, err := c.Status(ctx, "jdeadbeefdeadbeef"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("unknown job = %v", err)
 	}
