@@ -42,14 +42,11 @@ type RewriteResult struct {
 // masking plan's assignments fed by MethodFacts.Strategy).
 func RewriteDir(dir string, opts Options, strategies map[string]string) ([]RewriteResult, error) {
 	opts.fill()
-	paths, err := packageFiles(dir)
+	p, err := loadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	sa, err := analyzeStrategyFiles(paths)
-	if err != nil {
-		return nil, err
-	}
+	strats := analyzeStrategy(p)
 
 	methods := make([]string, 0, len(strategies))
 	for m := range strategies {
@@ -62,7 +59,7 @@ func RewriteDir(dir string, opts Options, strategies map[string]string) ([]Rewri
 	guardedPaths := make(map[string]bool) // need the facade import for Guard
 	for _, method := range methods {
 		rung := strategies[method]
-		ms := sa.methods[method]
+		ms := strats[method]
 		if ms == nil {
 			return nil, fmt.Errorf("weave: rewrite: method %s not found in %s", method, dir)
 		}
@@ -71,21 +68,21 @@ func RewriteDir(dir string, opts Options, strategies map[string]string) ([]Rewri
 		case StrategyNone, "":
 			// Nothing to do.
 		case StrategyReorder:
-			e, applied, err := reorderEdits(sa, ms)
+			e, applied, err := reorderEdits(p, ms)
 			if err != nil {
 				return nil, err
 			}
 			res.Applied = applied
 			editsByPath[ms.path] = append(editsByPath[ms.path], e...)
 		case StrategyTempSwap:
-			e, applied, err := tempSwapEdit(sa, ms)
+			e, applied, err := tempSwapEdit(p, ms)
 			if err != nil {
 				return nil, err
 			}
 			res.Applied = applied
 			editsByPath[ms.path] = append(editsByPath[ms.path], e...)
 		case StrategyCheckpoint:
-			e, applied := guardEdit(sa, ms, opts)
+			e, applied := guardEdit(p, ms, opts)
 			res.Applied = applied
 			if applied {
 				editsByPath[ms.path] = append(editsByPath[ms.path], e...)
@@ -101,9 +98,9 @@ func RewriteDir(dir string, opts Options, strategies map[string]string) ([]Rewri
 		if len(edits) == 0 {
 			continue
 		}
-		src := sa.srcs[path]
+		src := p.srcs[path]
 		if guardedPaths[path] {
-			if e, ok := importEdit(sa.fset, sa.files[path], src, opts); ok {
+			if e, ok := importEdit(p.fset, p.files[path], src, opts); ok {
 				edits = append(edits, e)
 			}
 		}
@@ -120,7 +117,7 @@ func RewriteDir(dir string, opts Options, strategies map[string]string) ([]Rewri
 }
 
 // reorderEdits moves the bump prefix after the last throw site.
-func reorderEdits(sa *strategyAnalysis, ms *methodStrategy) ([]edit, bool, error) {
+func reorderEdits(p *pkg, ms *methodStrategy) ([]edit, bool, error) {
 	if ms.strategy == StrategyNone {
 		// Already validates before mutating (the rewrite's own output
 		// re-analyzes to this) — nothing to move.
@@ -129,13 +126,13 @@ func reorderEdits(sa *strategyAnalysis, ms *methodStrategy) ([]edit, bool, error
 	if ms.strategy != StrategyReorder || ms.bumpCount == 0 || ms.lastRisky < ms.bumpCount {
 		return nil, false, fmt.Errorf("weave: rewrite: reorder not applicable to %s (%s)", ms.name, ms.reason)
 	}
-	src := sa.srcs[ms.path]
+	src := p.srcs[ms.path]
+	stmts := ms.body.List
 	var edits []edit
 	texts := make([]string, 0, ms.bumpCount)
 	for i := 0; i < ms.bumpCount; i++ {
-		stmt := ms.stmts[i]
-		start := sa.fset.Position(stmt.Pos()).Offset
-		end := sa.fset.Position(stmt.End()).Offset
+		start := p.fset.Position(stmts[i].Pos()).Offset
+		end := p.fset.Position(stmts[i].End()).Offset
 		texts = append(texts, string(src[start:end]))
 		// Delete the statement's whole line, like stripEdit.
 		for start > 0 && (src[start-1] == ' ' || src[start-1] == '\t') {
@@ -146,7 +143,7 @@ func reorderEdits(sa *strategyAnalysis, ms *methodStrategy) ([]edit, bool, error
 		}
 		edits = append(edits, edit{Start: start, End: end})
 	}
-	insert := sa.fset.Position(ms.stmts[ms.lastRisky].End()).Offset
+	insert := p.fset.Position(stmts[ms.lastRisky].End()).Offset
 	edits = append(edits, edit{
 		Start: insert,
 		End:   insert,
@@ -160,7 +157,7 @@ func reorderEdits(sa *strategyAnalysis, ms *methodStrategy) ([]edit, bool, error
 const tempSwapPrefix = "faSaved"
 
 // tempSwapEdit inserts the save-fields prologue and restore-on-panic defer.
-func tempSwapEdit(sa *strategyAnalysis, ms *methodStrategy) ([]edit, bool, error) {
+func tempSwapEdit(p *pkg, ms *methodStrategy) ([]edit, bool, error) {
 	if hasTempSwapMarker(ms) {
 		return nil, false, nil
 	}
@@ -176,16 +173,16 @@ func tempSwapEdit(sa *strategyAnalysis, ms *methodStrategy) ([]edit, bool, error
 	text := fmt.Sprintf("\n\t%s := %s\n\tdefer func() {\n\t\tif r := recover(); r != nil {\n\t\t\t%s = %s\n\t\t\tpanic(r)\n\t\t}\n\t}()",
 		strings.Join(saved, ", "), strings.Join(fields, ", "),
 		strings.Join(fields, ", "), strings.Join(saved, ", "))
-	offset := afterPrologueOffset(sa.fset, ms.fn)
+	offset := afterPrologueOffset(p.fset, ms.decl)
 	return []edit{{Start: offset, End: offset, Text: text}}, true, nil
 }
 
 // guardEdit inserts the checkpoint/rollback defer.
-func guardEdit(sa *strategyAnalysis, ms *methodStrategy, opts Options) ([]edit, bool) {
-	if hasGuardDefer(ms.fn) {
+func guardEdit(p *pkg, ms *methodStrategy, opts Options) ([]edit, bool) {
+	if hasGuardDefer(ms.decl) {
 		return nil, false
 	}
-	offset := afterPrologueOffset(sa.fset, ms.fn)
+	offset := afterPrologueOffset(p.fset, ms.decl)
 	text := fmt.Sprintf("\n\tdefer %s.Guard(%s)()", opts.FacadeName, ms.recv)
 	return []edit{{Start: offset, End: offset, Text: text}}, true
 }
@@ -204,7 +201,7 @@ func afterPrologueOffset(fset *token.FileSet, fn *ast.FuncDecl) int {
 // hasTempSwapMarker detects a prior tempswap rewrite by its saved-field
 // locals.
 func hasTempSwapMarker(ms *methodStrategy) bool {
-	for _, stmt := range ms.stmts {
+	for _, stmt := range ms.body.List {
 		assign, ok := stmt.(*ast.AssignStmt)
 		if !ok || assign.Tok != token.DEFINE || len(assign.Lhs) == 0 {
 			continue
