@@ -10,6 +10,8 @@
 //	faweave -dir ./mypkg -strip        # remove instrumentation
 //	faweave -dir ./mypkg -dry-run      # show what would change
 //	faweave -dir ./mypkg -analyze      # print the method inventory
+//	faweave -dir ./mypkg -check        # list unwoven methods; fail if any
+//	faweave -dir ./mypkg -suggest-exception-free  # and why the rest are not
 //	faweave -dir ./mypkg -registry out.go -registry-func RegisterMyPkg
 package main
 
@@ -17,6 +19,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
+	"strings"
 
 	"failatomic/internal/weave"
 )
@@ -73,7 +77,15 @@ func run(args []string) error {
 			fmt.Printf("  %s\n", name)
 		}
 		fmt.Println("\nsafe to pass as -exception-free to fareport / DetectOptions.ExceptionFree")
-		fmt.Println("use -analyze to see why other methods were disqualified")
+		disqualified := make([]string, 0, len(report.Reasons))
+		for name := range report.Reasons {
+			disqualified = append(disqualified, name)
+		}
+		sort.Strings(disqualified)
+		fmt.Printf("\ndisqualified (%d):\n", len(disqualified))
+		for _, name := range disqualified {
+			fmt.Printf("  %s: %s\n", name, strings.Join(report.Reasons[name], "; "))
+		}
 		return nil
 	}
 
