@@ -84,6 +84,17 @@ func SnapshotSuite(ctx context.Context, perturb string) ([]Result, error) {
 					}
 				}
 			}),
+			// A capture-mode exceptional return: the live graph diffed
+			// in place against its before-capture, equal throughout.
+			measure(fmt.Sprintf("objgraph/diff-live/size=%d", size), func(b *testing.B) {
+				before := objgraph.Capture(target)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if d := objgraph.DiffLive(before, target); d != "" {
+						b.Fatal(d)
+					}
+				}
+			}),
 			// The default engine: every call hashes the whole graph, as
 			// every detect snapshot does.
 			measure(fmt.Sprintf("objgraph/fingerprint/size=%d", size), func(b *testing.B) {

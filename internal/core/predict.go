@@ -90,5 +90,5 @@ func (x *SpanIndex) cleanDiff(call CallID, before objgraph.FP, roots []any) stri
 	if cb == nil || cb.fp != before {
 		return ""
 	}
-	return objgraph.Diff(cb.graph, objgraph.Capture(roots...))
+	return objgraph.DiffLive(cb.graph, roots...)
 }

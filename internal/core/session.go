@@ -249,7 +249,7 @@ type frame struct {
 	id            CallID
 	roots         []any
 	handle        checkpoint.Handle
-	before        *objgraphSnapshot
+	before        *objgraph.Graph
 	beforeFP      objgraph.FP
 	fingerprinted bool
 	span          int // index into spans under RecordSpans
@@ -565,7 +565,7 @@ func (s *Session) enterWork(recv any, name string, extra []any) bool {
 			f.beforeFP = objgraph.Fingerprint(roots...)
 			f.fingerprinted = true
 		default:
-			f.before = snapshot(roots)
+			f.before = objgraph.Capture(roots...)
 		}
 	}
 
@@ -674,8 +674,7 @@ func (s *Session) epilogue(r any) {
 			s.markDiffs = append(s.markDiffs, diff)
 		}
 	} else if f.before != nil {
-		after := snapshot(f.roots)
-		diff := f.before.diff(after)
+		diff := objgraph.DiffLive(f.before, f.roots...)
 		s.seq++
 		s.marks = append(s.marks, Mark{
 			Method:    f.id.Method,

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"failatomic/internal/objgraph"
-)
+import "fmt"
 
 // SnapshotMode selects how a detecting session summarizes the before-state
 // of each wrapped call.
@@ -33,8 +29,10 @@ const (
 	// fingerprints. Atomicity verdicts match capture mode up to hash
 	// collisions (~2⁻¹²⁸ per comparison); Diff is left empty.
 	SnapshotFingerprint SnapshotMode = iota
-	// SnapshotCapture materializes full object graphs and reports the
-	// path to the first difference — the original behavior, used by the
+	// SnapshotCapture materializes the before-state's full object graph
+	// and, on an exceptional return, reports the path to the first
+	// difference from the live after-state (objgraph.DiffLive, which
+	// builds no after-graph) — the original behavior, used by the
 	// diff-recovery replay (at the calls Config.DiffCalls lists, or at
 	// every call when a replay diverged) and as the reference engine of
 	// the fingerprint = capture identity tests and the fabench cells.
@@ -51,20 +49,4 @@ func (m SnapshotMode) String() string {
 	default:
 		return fmt.Sprintf("SnapshotMode(%d)", uint8(m))
 	}
-}
-
-// objgraphSnapshot is a thin adapter over objgraph so the session code
-// reads at one level of abstraction.
-type objgraphSnapshot struct {
-	graph *objgraph.Graph
-}
-
-func snapshot(roots []any) *objgraphSnapshot {
-	return &objgraphSnapshot{graph: objgraph.Capture(roots...)}
-}
-
-// diff returns the path to the first difference between two snapshots, or
-// "" if the object graphs are identical.
-func (s *objgraphSnapshot) diff(other *objgraphSnapshot) string {
-	return objgraph.Diff(s.graph, other.graph)
 }

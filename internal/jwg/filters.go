@@ -71,7 +71,7 @@ func (f *DetectionFilter) After(inv *Invocation, out *Outcome) {
 		f.before = nil
 		return
 	}
-	diff := objgraph.Diff(f.before, objgraph.Capture(inv.Target))
+	diff := objgraph.DiffLive(f.before, inv.Target)
 	f.Marks = append(f.Marks, DetectionMark{
 		Method:    inv.Name(),
 		Atomic:    diff == "",

@@ -4,39 +4,23 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"strconv"
-	"sync/atomic"
 )
 
-// refKey identifies a reference (pointer, map, slice) for aliasing
-// detection. Slices additionally carry their length: two slice headers over
-// the same backing array with the same length are the same reference.
-type refKey struct {
-	ptr uintptr
-	typ reflect.Type
-	aux int
-}
-
+// encoder is Capture's traversal: the pooled walker plus the statistics
+// of the graph being built.
 type encoder struct {
-	refs  map[refKey]int
-	next  int
+	*walker
 	nodes int
 	bytes int
 }
-
-// prevRefCount remembers the reference count of the most recent Capture so
-// the next one can pre-size its refs map. Campaigns snapshot the same
-// receiver shapes over and over; one run's count is a good prediction for
-// the next and a stale value only costs a resize.
-var prevRefCount atomic.Int64
 
 // Capture encodes the object graphs rooted at the given values into a
 // single immutable Graph. Roots are typically the receiver of a wrapped
 // method plus any by-reference arguments ("all arguments that are passed in
 // as non-constant references are also part of this copy", §4.1).
 func Capture(roots ...any) *Graph {
-	enc := &encoder{refs: make(map[refKey]int, prevRefCount.Load())}
+	enc := encoder{walker: getWalker()}
 	g := &Graph{roots: make([]*Node, 0, len(roots))}
 	for i, r := range roots {
 		if r == nil {
@@ -48,7 +32,7 @@ func Capture(roots ...any) *Graph {
 	}
 	g.nodes = enc.nodes
 	g.bytes = enc.bytes
-	prevRefCount.Store(int64(enc.next))
+	enc.release()
 	return g
 }
 
@@ -100,16 +84,13 @@ func (e *encoder) encode(v reflect.Value, pl *typePlan, label string) *Node {
 		if v.IsNil() {
 			return e.leaf(KindNil, typ, label)
 		}
-		key := refKey{ptr: v.Pointer(), typ: v.Type()}
-		if id, ok := e.refs[key]; ok {
+		id, seen := e.refs.intern(v.Pointer(), pl, 0)
+		if seen {
 			n := e.leaf(KindPointer, typ, label)
 			n.Ref = id
 			n.Backref = true
 			return n
 		}
-		e.next++
-		id := e.next
-		e.refs[key] = id
 		n := e.leaf(KindPointer, typ, label)
 		n.Ref = id
 		n.Children = []*Node{e.encode(v.Elem(), pl.elem, "*")}
@@ -118,32 +99,20 @@ func (e *encoder) encode(v reflect.Value, pl *typePlan, label string) *Node {
 		if v.IsNil() {
 			return e.leaf(KindNil, typ, label)
 		}
-		key := refKey{ptr: v.Pointer(), typ: v.Type(), aux: v.Len()}
-		if id, ok := e.refs[key]; ok {
+		id, seen := e.refs.intern(v.Pointer(), pl, v.Len())
+		if seen {
 			n := e.leaf(KindSlice, typ, label)
 			n.Ref = id
 			n.Backref = true
 			return n
 		}
-		e.next++
-		id := e.next
-		e.refs[key] = id
 		n := e.leaf(KindSlice, typ, label)
 		n.Ref = id
 		n.Bits = uint64(v.Len())
 		// Bulk fast path: byte slices encode as one payload (content
 		// equality; a difference reports at the slice, not the index).
 		if pl.byteElem {
-			if v.CanInterface() {
-				n.Str = string(v.Bytes())
-			} else {
-				// Unexported field: Bytes() is forbidden; copy manually.
-				raw := make([]byte, v.Len())
-				for i := range raw {
-					raw[i] = byte(v.Index(i).Uint())
-				}
-				n.Str = string(raw)
-			}
+			n.Str = string(e.bytesOf(v))
 			e.bytes += v.Len()
 			return n
 		}
@@ -164,35 +133,24 @@ func (e *encoder) encode(v reflect.Value, pl *typePlan, label string) *Node {
 		if v.IsNil() {
 			return e.leaf(KindNil, typ, label)
 		}
-		key := refKey{ptr: v.Pointer(), typ: v.Type()}
-		if id, ok := e.refs[key]; ok {
+		id, seen := e.refs.intern(v.Pointer(), pl, 0)
+		if seen {
 			n := e.leaf(KindMap, typ, label)
 			n.Ref = id
 			n.Backref = true
 			return n
 		}
-		e.next++
-		id := e.next
-		e.refs[key] = id
 		n := e.leaf(KindMap, typ, label)
 		n.Ref = id
 		n.Bits = uint64(v.Len())
-		keys := v.MapKeys()
-		type mapEntry struct {
-			sig string
-			key reflect.Value
-		}
-		entries := make([]mapEntry, len(keys))
-		for i, k := range keys {
-			entries[i] = mapEntry{sig: keySig(k), key: k}
-		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].sig < entries[j].sig })
-		n.Children = make([]*Node, len(entries))
-		for i, ent := range entries {
+		base, ents := e.pushEntries(v)
+		n.Children = make([]*Node, len(ents))
+		for i, ent := range ents {
 			child := e.leaf(KindEntry, "", ent.sig)
 			child.Children = []*Node{e.encode(v.MapIndex(ent.key), pl.elem, "value")}
 			n.Children[i] = child
 		}
+		e.popEntries(base)
 		return n
 	case reflect.Struct:
 		n := e.leaf(KindStruct, typ, label)

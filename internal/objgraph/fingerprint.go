@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
-	"sort"
-	"sync"
 	"unsafe"
 )
 
@@ -39,7 +37,7 @@ type FP [2]uint64
 //
 // exactly, and the converse holds up to hash collisions.
 func Fingerprint(roots ...any) FP {
-	e := fpPool.Get().(*fpEncoder)
+	e := fpEncoder{walker: getWalker()}
 	e.h.reset()
 	for i, r := range roots {
 		if r == nil {
@@ -62,44 +60,11 @@ var (
 	valueLabel    = strHash64("value")
 )
 
-// fpEncoder is the pooled traversal state: the aliasing map (refKey →
-// traversal-ordinal id, exactly Capture's), the running hash and sort
-// scratch for map entries.
+// fpEncoder is Fingerprint's traversal: the pooled walker (whose alias
+// ids are exactly Capture's) plus the running hash.
 type fpEncoder struct {
-	h       fpHash
-	refs    map[refKey]int
-	next    int
-	entries []fpMapEntry
-	// scratch is reused for byte extraction from unexported slices and
-	// unaddressable arrays.
-	scratch []byte
-}
-
-// fpMapEntry pairs a map key with its canonical signature for sorting.
-type fpMapEntry struct {
-	sig string
-	key reflect.Value
-}
-
-var fpPool = sync.Pool{New: func() any {
-	return &fpEncoder{refs: make(map[refKey]int, 64)}
-}}
-
-// release clears the aliasing state (keeping the map's buckets and the
-// entries slice for reuse) and returns the encoder to the pool.
-func (e *fpEncoder) release() {
-	clear(e.refs)
-	e.next = 0
-	e.entries = e.entries[:0]
-	fpPool.Put(e)
-}
-
-// byteScratch returns an n-byte scratch buffer owned by the encoder.
-func (e *fpEncoder) byteScratch(n int) []byte {
-	if cap(e.scratch) < n {
-		e.scratch = make([]byte, n)
-	}
-	return e.scratch[:n]
+	*walker
+	h fpHash
 }
 
 // leaf folds one node header into the hash: kind, type, edge label — the
@@ -173,33 +138,25 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 			e.leaf(KindNil, pl.typeHash, labelKey)
 			return
 		}
-		key := refKey{ptr: v.Pointer(), typ: v.Type()}
-		if id, ok := e.refs[key]; ok {
-			e.leaf(KindPointer, pl.typeHash, labelKey)
-			e.ref(id, true)
+		id, seen := e.refs.intern(v.Pointer(), pl, 0)
+		e.leaf(KindPointer, pl.typeHash, labelKey)
+		e.ref(id, seen)
+		if seen {
 			return
 		}
-		e.next++
-		e.refs[key] = e.next
-		e.leaf(KindPointer, pl.typeHash, labelKey)
-		e.ref(e.next, false)
 		e.encode(v.Elem(), pl.elem, derefLabel)
 	case reflect.Slice:
 		if v.IsNil() {
 			e.leaf(KindNil, pl.typeHash, labelKey)
 			return
 		}
-		key := refKey{ptr: v.Pointer(), typ: v.Type(), aux: v.Len()}
-		if id, ok := e.refs[key]; ok {
-			e.leaf(KindSlice, pl.typeHash, labelKey)
-			e.ref(id, true)
+		n := v.Len()
+		id, seen := e.refs.intern(v.Pointer(), pl, n)
+		e.leaf(KindSlice, pl.typeHash, labelKey)
+		e.ref(id, seen)
+		if seen {
 			return
 		}
-		e.next++
-		e.refs[key] = e.next
-		e.leaf(KindSlice, pl.typeHash, labelKey)
-		e.ref(e.next, false)
-		n := v.Len()
 		e.h.word(uint64(n))
 		if pl.byteElem {
 			// Bulk fast path, mirroring Capture's one-payload encoding.
@@ -207,15 +164,7 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 			// byte slices, so both spell identically here too: unexported
 			// slices copy through encoder scratch (Bytes() is forbidden)
 			// and hash the same stream.
-			var b []byte
-			if v.CanInterface() {
-				b = v.Bytes()
-			} else {
-				b = e.byteScratch(n)
-				for i := 0; i < n; i++ {
-					b[i] = byte(v.Index(i).Uint())
-				}
-			}
+			b := e.bytesOf(v)
 			if n >= fpLeafFrameMin {
 				d := bulkHash128(b)
 				e.h.word(d[0])
@@ -237,16 +186,7 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 			// decision depends only on (type, len) — never addressability —
 			// so capture-equal arrays hash equal whichever extraction path
 			// runs.
-			var d FP
-			if v.CanAddr() && v.CanInterface() {
-				d = bulkHash128(v.Bytes())
-			} else {
-				b := e.byteScratch(n)
-				for i := 0; i < n; i++ {
-					b[i] = byte(v.Index(i).Uint())
-				}
-				d = bulkHash128(b)
-			}
+			d := bulkHash128(e.bytesOf(v))
 			e.h.word(d[0])
 			e.h.word(d[1])
 			return
@@ -259,36 +199,24 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 			e.leaf(KindNil, pl.typeHash, labelKey)
 			return
 		}
-		key := refKey{ptr: v.Pointer(), typ: v.Type()}
-		if id, ok := e.refs[key]; ok {
-			e.leaf(KindMap, pl.typeHash, labelKey)
-			e.ref(id, true)
+		id, seen := e.refs.intern(v.Pointer(), pl, 0)
+		e.leaf(KindMap, pl.typeHash, labelKey)
+		e.ref(id, seen)
+		if seen {
 			return
 		}
-		e.next++
-		e.refs[key] = e.next
-		e.leaf(KindMap, pl.typeHash, labelKey)
-		e.ref(e.next, false)
 		e.h.word(uint64(v.Len()))
-		// Same canonical entry order as Capture: sort by keySig. Map
-		// traversal allocates (MapKeys, signature strings); maps are rare
-		// on the detect hot path and the zero-alloc guarantee covers the
-		// struct/pointer/slice shapes wrapped receivers actually have.
-		base := len(e.entries)
-		for _, k := range v.MapKeys() {
-			e.entries = append(e.entries, fpMapEntry{sig: keySig(k), key: k})
-		}
-		ents := e.entries[base:]
-		sort.Slice(ents, func(i, j int) bool { return ents[i].sig < ents[j].sig })
+		// Same canonical entry order as Capture. Map traversal allocates
+		// (MapKeys, signature strings); maps are rare on the detect hot
+		// path and the zero-alloc guarantee covers the struct/pointer/
+		// slice shapes wrapped receivers actually have.
+		base, ents := e.pushEntries(v)
 		for _, ent := range ents {
 			e.leaf(KindEntry, emptyTypeHash, strHash64(ent.sig))
 			e.h.str(ent.sig)
 			e.encode(v.MapIndex(ent.key), pl.elem, valueLabel)
 		}
-		// Pop this map's scratch so sibling maps (and the nested maps a
-		// value traversal may push) each sort only their own entries.
-		clear(e.entries[base:])
-		e.entries = e.entries[:base]
+		e.popEntries(base)
 	case reflect.Struct:
 		e.leaf(KindStruct, pl.typeHash, labelKey)
 		for _, f := range pl.fields {

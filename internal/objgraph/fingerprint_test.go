@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -375,7 +376,7 @@ func TestFingerprintMutationSequences(t *testing.T) {
 
 // TestFingerprintConcurrent fingerprints one shared read-only graph from
 // many goroutines, under -race: each call takes its own pooled encoder,
-// so no state may be shared through fpPool.
+// so no state may be shared through walkPool.
 func TestFingerprintConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	shared := genList(r, 32)
@@ -410,6 +411,73 @@ func TestFingerprintPooledEncoderReuse(t *testing.T) {
 		}
 		if got := Fingerprint(a); got != cleanWant {
 			t.Fatalf("iter %d: single-root fp %x != %x", i, got, cleanWant)
+		}
+	}
+}
+
+// pinnedCase is one entry of the fixed corpus whose fingerprints are
+// pinned: its roots are rebuilt identically on every call.
+type pinnedCase struct {
+	name  string
+	roots func() []any
+	want  FP
+}
+
+// pinnedCorpus covers every node kind Fingerprint folds (func values
+// aside: their identity is a code address, which a rebuild may move) and
+// the aliasing shapes whose ids a change of alias numbering would shift.
+var pinnedCorpus = []pinnedCase{
+	{"kitchen-sink", func() []any {
+		return []any{&kitchenSink{
+			U8: 1, U64: 2, UP: 3, F32: 4.5,
+			C64: complex(1, 2), C128: complex(3, 4),
+			Arr: [2]int{7, 8},
+			Any: [2]string{"x", "y"},
+		}}
+	}, FP{0x9255db452d38a0d2, 0x5fffd347588765bd}},
+	{"cycle", func() []any {
+		a := &node{Value: 1}
+		a.Next = &node{Value: 2, Next: a}
+		return []any{a}
+	}, FP{0x4ff9d21c2dd87417, 0x12b0ed4dc81c5de2}},
+	{"shared-slices", func() []any {
+		type views struct{ Full, Same, Head, Tail []int }
+		b := []int{1, 2, 3, 4}
+		return []any{&views{Full: b, Same: b, Head: b[:2], Tail: b[2:]}}
+	}, FP{0xdf4f9ffdfef69d7a, 0x24ee5e7415642cdf}},
+	{"cross-root-alias", func() []any {
+		p := &point{X: 1, Y: 2}
+		m := map[string]int{"a": 1, "b": 2}
+		return []any{&box{Name: "r", P: p, Counts: m, Tags: []string{"t"}}, p, m, nil}
+	}, FP{0xa40f2d7634395e00, 0x0dcad2bd737df519}},
+	{"pointer-keyed-map", func() []any {
+		return []any{map[*point]string{{X: 2}: "two", {X: 1}: "one"}}
+	}, FP{0xcd727118d2299a04, 0x0e17262812e14331}},
+	{"bytes-and-strings", func() []any {
+		type blobs struct {
+			Small []byte
+			Large []byte
+			Text  string
+			Arr   [2048]byte
+			inner []byte
+		}
+		large := make([]byte, 4096)
+		for i := range large {
+			large[i] = byte(i * 7)
+		}
+		bl := &blobs{Small: []byte("abc"), Large: large, Text: strings.Repeat("xyz", 500), inner: []byte("hidden")}
+		bl.Arr[5] = 9
+		return []any{bl}
+	}, FP{0xf8f01e5bbde461a5, 0x94778e47756bf669}},
+}
+
+// TestFingerprintValuesPinned pins the fingerprint of every corpus entry,
+// so a change to the alias numbering, the hash or the traversal order
+// cannot pass as long as both engines move together.
+func TestFingerprintValuesPinned(t *testing.T) {
+	for _, tc := range pinnedCorpus {
+		if got := Fingerprint(tc.roots()...); got != tc.want {
+			t.Errorf("%s: Fingerprint = FP{%#x, %#x}, want FP{%#x, %#x}", tc.name, got[0], got[1], tc.want[0], tc.want[1])
 		}
 	}
 }

@@ -5,7 +5,9 @@
 // Capture encodes the object graph rooted at one or more values into an
 // immutable Graph. Two Graphs captured before a method call and after its
 // exceptional return are compared with Equal; Diff reports the path to the
-// first difference for the programmer-facing report.
+// first difference for the programmer-facing report. DiffLive reports the
+// same path from the before-graph and the live values, without capturing
+// the after-state.
 //
 // The encoder reads unexported fields (reflection permits reading, not
 // writing), so comparison covers private state. Anything the encoder cannot

@@ -6,14 +6,14 @@ import (
 	"sync"
 )
 
-// Compiled per-type encoding plans. Both Capture and Fingerprint walk the
-// same canonical traversal, and both used to re-derive the same per-type
+// Compiled per-type encoding plans. Capture, Fingerprint and DiffLive walk
+// the same canonical traversal, and each would re-derive the same per-type
 // facts on every node: the kind dispatch, the type string (reflect builds
 // it on each call), struct field names (reflect.Type.Field allocates a
 // fresh Index slice per call), and scalar sizes. A typePlan computes all
 // of that once per reflect.Type, and links the plans of the types its
 // values statically reach (struct fields; pointer, slice, array and map
-// elements), so both encoders hand each child its plan directly. The
+// elements), so every traversal hands each child its plan directly. The
 // package-level map is consulted only at roots and at interface dynamic
 // values, whose types are known only at run time.
 
