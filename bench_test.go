@@ -275,6 +275,24 @@ func BenchmarkObjgraphFingerprint(b *testing.B) {
 	}
 }
 
+// BenchmarkObjgraphDiffLive times the capture-mode epilogue over the same
+// sizes on an equal after-state: the whole live graph is walked against
+// its before-graph, and no Node is built.
+func BenchmarkObjgraphDiffLive(b *testing.B) {
+	for _, size := range []int{64, 4 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			target := harness.NewBenchTarget(size)
+			before := objgraph.Capture(target)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if d := objgraph.DiffLive(before, target); d != "" {
+					b.Fatal(d)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkObjgraphCompare measures the before/after equality check.
 func BenchmarkObjgraphCompare(b *testing.B) {
 	target := harness.NewBenchTarget(4 << 10)

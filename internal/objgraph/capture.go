@@ -5,6 +5,8 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
+	"unsafe"
 )
 
 // encoder is Capture's traversal: the pooled walker plus the statistics
@@ -23,12 +25,8 @@ func Capture(roots ...any) *Graph {
 	enc := encoder{walker: getWalker()}
 	g := &Graph{roots: make([]*Node, 0, len(roots))}
 	for i, r := range roots {
-		if r == nil {
-			g.roots = append(g.roots, enc.leaf(KindNil, "", rootLabel(i)))
-			continue
-		}
-		v := reflect.ValueOf(r)
-		g.roots = append(g.roots, enc.encode(v, planFor(v.Type()), rootLabel(i)))
+		v, pl := rootValue(r)
+		g.roots = append(g.roots, enc.encode(v, pl, rootLabel(i)))
 	}
 	g.nodes = enc.nodes
 	g.bytes = enc.bytes
@@ -36,159 +34,163 @@ func Capture(roots ...any) *Graph {
 	return g
 }
 
-func (e *encoder) leaf(kind Kind, typ, label string) *Node {
-	e.nodes++
-	return &Node{Kind: kind, Type: typ, Label: label}
+// rootValue returns root r and its plan; a nil root is the invalid
+// Value, whose node is a nil leaf.
+func rootValue(r any) (reflect.Value, *typePlan) {
+	v := reflect.ValueOf(r)
+	if !v.IsValid() {
+		return v, nil
+	}
+	return v, planFor(v.Type())
 }
 
 // encode materializes v's node; pl is the plan of v's type.
 func (e *encoder) encode(v reflect.Value, pl *typePlan, label string) *Node {
-	if !v.IsValid() {
-		return e.leaf(KindNil, "", label)
+	e.nodes++
+	n := new(Node)
+	kids := e.head(n, v, pl, label)
+	switch n.Kind {
+	case KindBool, KindInt, KindUint, KindFloat, KindComplex:
+		e.bytes += pl.size
+	case KindString:
+		e.bytes += len(n.Str)
+	case KindSlice:
+		// A byte slice's payload is a view of live or scratch memory.
+		n.Str = strings.Clone(n.Str)
+		e.bytes += len(n.Str)
 	}
-	typ := pl.typeStr
+	if kids == 0 {
+		return n
+	}
+	n.Children = make([]*Node, kids)
+	switch pl.kind {
+	case reflect.Pointer:
+		n.Children[0] = e.encode(v.Elem(), pl.elem, "*")
+	case reflect.Slice, reflect.Array:
+		for i := range n.Children {
+			n.Children[i] = e.encode(v.Index(i), pl.elem, indexLabel(i))
+		}
+	case reflect.Map:
+		base, ents := e.pushEntries(v)
+		for i, ent := range ents {
+			e.nodes++
+			n.Children[i] = &Node{Kind: KindEntry, Label: ent.sig,
+				Children: []*Node{e.encode(v.MapIndex(ent.key), pl.elem, "value")}}
+		}
+		e.popEntries(base)
+	case reflect.Struct:
+		for i, f := range pl.fields {
+			n.Children[i] = e.encode(v.Field(f.index), f.plan, f.name)
+		}
+	case reflect.Interface:
+		dyn := v.Elem()
+		n.Children[0] = e.encode(dyn, planFor(dyn.Type()), "dyn")
+	}
+	return n
+}
+
+// head is the one place the canonical traversal decides a live value's
+// node: it fills n's header (Kind, Type, Label, Ref/Backref, Bits, Str)
+// for v, whose plan is pl, and returns the node's child count. Capture
+// materializes the header and DiffLive compares it with the captured one.
+// n must be zero. A byte slice's Str is a view of v or of the walker's
+// scratch, valid until the walk moves on; Capture copies it.
+func (w *walker) head(n *Node, v reflect.Value, pl *typePlan, label string) (kids int) {
+	n.Kind = KindNil
+	n.Label = label
+	if !v.IsValid() {
+		return 0
+	}
+	n.Type = pl.typeStr
 	switch pl.kind {
 	case reflect.Bool:
-		n := e.leaf(KindBool, typ, label)
+		n.Kind = KindBool
 		if v.Bool() {
 			n.Bits = 1
 		}
-		e.bytes++
-		return n
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		n := e.leaf(KindInt, typ, label)
+		n.Kind = KindInt
 		n.Bits = uint64(v.Int())
-		e.bytes += pl.size
-		return n
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		n := e.leaf(KindUint, typ, label)
+		n.Kind = KindUint
 		n.Bits = v.Uint()
-		e.bytes += pl.size
-		return n
 	case reflect.Float32, reflect.Float64:
-		n := e.leaf(KindFloat, typ, label)
+		n.Kind = KindFloat
 		n.Bits = math.Float64bits(v.Float())
-		e.bytes += pl.size
-		return n
 	case reflect.Complex64, reflect.Complex128:
-		n := e.leaf(KindComplex, typ, label)
+		n.Kind = KindComplex
 		n.Str = strconv.FormatComplex(v.Complex(), 'g', -1, 128)
-		e.bytes += pl.size
-		return n
 	case reflect.String:
-		n := e.leaf(KindString, typ, label)
+		n.Kind = KindString
 		n.Str = v.String()
-		e.bytes += len(n.Str)
-		return n
 	case reflect.Pointer:
 		if v.IsNil() {
-			return e.leaf(KindNil, typ, label)
+			return 0
 		}
-		id, seen := e.refs.intern(v.Pointer(), pl, 0)
-		if seen {
-			n := e.leaf(KindPointer, typ, label)
-			n.Ref = id
-			n.Backref = true
-			return n
+		n.Kind = KindPointer
+		n.Ref, n.Backref = w.refs.intern(v.Pointer(), pl, 0)
+		if !n.Backref {
+			kids = 1
 		}
-		n := e.leaf(KindPointer, typ, label)
-		n.Ref = id
-		n.Children = []*Node{e.encode(v.Elem(), pl.elem, "*")}
-		return n
 	case reflect.Slice:
 		if v.IsNil() {
-			return e.leaf(KindNil, typ, label)
+			return 0
 		}
-		id, seen := e.refs.intern(v.Pointer(), pl, v.Len())
-		if seen {
-			n := e.leaf(KindSlice, typ, label)
-			n.Ref = id
-			n.Backref = true
-			return n
+		n.Kind = KindSlice
+		l := v.Len()
+		n.Ref, n.Backref = w.refs.intern(v.Pointer(), pl, l)
+		if n.Backref {
+			return 0
 		}
-		n := e.leaf(KindSlice, typ, label)
-		n.Ref = id
-		n.Bits = uint64(v.Len())
+		n.Bits = uint64(l)
 		// Bulk fast path: byte slices encode as one payload (content
 		// equality; a difference reports at the slice, not the index).
 		if pl.byteElem {
-			n.Str = string(e.bytesOf(v))
-			e.bytes += v.Len()
-			return n
+			bs := w.bytesOf(v)
+			n.Str = unsafe.String(unsafe.SliceData(bs), len(bs))
+		} else {
+			kids = l
 		}
-		n.Children = make([]*Node, v.Len())
-		for i := 0; i < v.Len(); i++ {
-			n.Children[i] = e.encode(v.Index(i), pl.elem, indexLabel(i))
-		}
-		return n
 	case reflect.Array:
-		n := e.leaf(KindArray, typ, label)
+		n.Kind = KindArray
 		n.Bits = uint64(v.Len())
-		n.Children = make([]*Node, v.Len())
-		for i := 0; i < v.Len(); i++ {
-			n.Children[i] = e.encode(v.Index(i), pl.elem, indexLabel(i))
-		}
-		return n
+		kids = v.Len()
 	case reflect.Map:
 		if v.IsNil() {
-			return e.leaf(KindNil, typ, label)
+			return 0
 		}
-		id, seen := e.refs.intern(v.Pointer(), pl, 0)
-		if seen {
-			n := e.leaf(KindMap, typ, label)
-			n.Ref = id
-			n.Backref = true
-			return n
+		n.Kind = KindMap
+		n.Ref, n.Backref = w.refs.intern(v.Pointer(), pl, 0)
+		if !n.Backref {
+			n.Bits = uint64(v.Len())
+			kids = v.Len()
 		}
-		n := e.leaf(KindMap, typ, label)
-		n.Ref = id
-		n.Bits = uint64(v.Len())
-		base, ents := e.pushEntries(v)
-		n.Children = make([]*Node, len(ents))
-		for i, ent := range ents {
-			child := e.leaf(KindEntry, "", ent.sig)
-			child.Children = []*Node{e.encode(v.MapIndex(ent.key), pl.elem, "value")}
-			n.Children[i] = child
-		}
-		e.popEntries(base)
-		return n
 	case reflect.Struct:
-		n := e.leaf(KindStruct, typ, label)
-		n.Children = make([]*Node, 0, len(pl.fields))
-		for _, f := range pl.fields {
-			n.Children = append(n.Children, e.encode(v.Field(f.index), f.plan, f.name))
-		}
-		return n
+		n.Kind = KindStruct
+		kids = len(pl.fields)
 	case reflect.Interface:
-		if v.IsNil() {
-			return e.leaf(KindNil, typ, label)
+		if !v.IsNil() {
+			n.Kind = KindInterface
+			kids = 1
 		}
-		n := e.leaf(KindInterface, typ, label)
-		dyn := v.Elem()
-		n.Children = []*Node{e.encode(dyn, planFor(dyn.Type()), "dyn")}
-		return n
 	case reflect.Chan:
-		if v.IsNil() {
-			return e.leaf(KindNil, typ, label)
+		if !v.IsNil() {
+			n.Kind = KindChan
+			n.Bits = uint64(v.Pointer())
 		}
-		n := e.leaf(KindChan, typ, label)
-		n.Bits = uint64(v.Pointer())
-		return n
 	case reflect.Func:
-		if v.IsNil() {
-			return e.leaf(KindNil, typ, label)
+		if !v.IsNil() {
+			n.Kind = KindFunc
+			n.Bits = uint64(v.Pointer())
 		}
-		n := e.leaf(KindFunc, typ, label)
-		n.Bits = uint64(v.Pointer())
-		return n
 	default:
 		// UnsafePointer and anything future: identity-compared opaque.
-		n := e.leaf(KindOpaque, typ, label)
+		n.Kind = KindOpaque
 		if v.CanAddr() || pl.kind == reflect.UnsafePointer {
 			n.Str = fmt.Sprintf("%v-opaque", pl.kind)
 		}
-		return n
 	}
+	return kids
 }
 
 // keySig returns a canonical string for a map key, used only to order map

@@ -87,6 +87,7 @@ func TestDiffLiveCases(t *testing.T) {
 	km := &keyed{M: map[*point]string{keyA: "a", keyB: "b"}}
 	hidden := &blob{Visible: 1, data: []byte("abc")}
 	nan := &cplx{C: complex(math.NaN(), 1)}
+	long := make([]int, 1000)
 
 	cases := []struct {
 		name   string
@@ -118,6 +119,10 @@ func TestDiffLiveCases(t *testing.T) {
 		{"complex NaN to number", Capture(nan), func() []any {
 			return []any{&cplx{C: complex(0, 1)}}
 		}, `recv.*.C: complex "(NaN+1i)" != "(0+1i)"`},
+		{"index past the interned labels", Capture(long), func() []any {
+			long[200] = 1
+			return []any{long}
+		}, "recv[200]: int 0 != 1"},
 		{"nil roots", Capture(nil, 3), func() []any { return []any{nil, 3} }, ""},
 		{"nil root set", Capture(nil, 3), func() []any { return []any{4, 3} }, "recv: kind nil != int"},
 		{"root count", Capture(1, 2), func() []any { return []any{1} }, "root count 2 != 1"},
@@ -265,8 +270,8 @@ func leastAllocs(f func()) float64 {
 
 // TestDiffLiveAllocs: on equal graphs of the shapes wrapped receivers
 // have (structs, pointer chains with a cycle, slices of values and of
-// pointers, exported and unexported byte slices), DiffLive allocates
-// nothing.
+// pointers, exported and unexported byte slices, a slice longer than the
+// interned "[i]" labels), DiffLive allocates nothing.
 func TestDiffLiveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime adds allocations; exact counts only hold without -race")
@@ -284,8 +289,9 @@ func TestDiffLiveAllocs(t *testing.T) {
 		data  []byte
 		Head  *elem
 		Any   any
+		Long  []int
 	}
-	rv := &recv{Data: make([]byte, 4096), data: []byte("unexported"), Any: 7}
+	rv := &recv{Data: make([]byte, 4096), data: []byte("unexported"), Any: 7, Long: make([]int, 1000)}
 	for i := 0; i < 100; i++ {
 		rv.Elems = append(rv.Elems, elem{K: i, Name: strings.Repeat("n", i%5)})
 		rv.Ptrs = append(rv.Ptrs, &rv.Elems[i])

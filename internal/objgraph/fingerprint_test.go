@@ -218,8 +218,9 @@ func TestFingerprintSpecialValues(t *testing.T) {
 }
 
 // TestFingerprintZeroAlloc proves the hot path allocates nothing on a
-// representative receiver shape (struct + pointer + byte slice + array)
-// once the type plans and the encoder pool are warm.
+// representative receiver shape (struct + pointer + byte slice + array +
+// a slice longer than the interned "[i]" labels) once the type plans and
+// the encoder pool are warm.
 func TestFingerprintZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime adds allocations; exact counts only hold without -race")
@@ -229,8 +230,9 @@ func TestFingerprintZeroAlloc(t *testing.T) {
 		Data []byte
 		M    meta
 		Next *payload
+		Long []int
 	}
-	p := &payload{Data: make([]byte, 1024)}
+	p := &payload{Data: make([]byte, 1024), Long: make([]int, 1000)}
 	p.M.Words[3] = 42
 	p.Next = &payload{Data: p.Data[:16]}
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
+	"unsafe"
 )
 
 // Compiled per-type encoding plans. Capture, Fingerprint and DiffLive walk
@@ -151,6 +152,18 @@ func indexLabel(i int) string {
 	return "[" + strconv.Itoa(i) + "]"
 }
 
+// indexLabelView returns indexLabel(i) without allocating: a label past
+// the interned ones is built in the walker's label buffer, and the view
+// is valid until the next call. Fingerprint hashes it and DiffLive
+// compares it; Capture keeps owned labels.
+func (w *walker) indexLabelView(i int) string {
+	if i < nInternedLabels {
+		return internedIndexLabels[i]
+	}
+	w.label = append(strconv.AppendInt(append(w.label[:0], '['), int64(i), 10), ']')
+	return unsafe.String(unsafe.SliceData(w.label), len(w.label))
+}
+
 // rootLabel returns the label of root i ("recv", then "argN"), interned
 // for small indices.
 func rootLabel(i int) string {
@@ -160,13 +173,12 @@ func rootLabel(i int) string {
 	return "arg" + strconv.Itoa(i)
 }
 
-// indexLabelHash returns strHash64 of indexLabel(i) without building the
-// string for interned indices.
-func indexLabelHash(i int) uint64 {
+// indexLabelHash returns strHash64 of indexLabel(i).
+func (w *walker) indexLabelHash(i int) uint64 {
 	if i < nInternedLabels {
 		return internedIndexHashes[i]
 	}
-	return strHash64(indexLabel(i))
+	return strHash64(w.indexLabelView(i))
 }
 
 // rootLabelHash returns strHash64 of rootLabel(i).

@@ -18,6 +18,9 @@ type walker struct {
 	// scratch is reused for byte extraction from unexported slices and
 	// unaddressable arrays.
 	scratch []byte
+	// label holds the "[i]" label of an index past the interned ones
+	// (see indexLabelView).
+	label []byte
 	// stack holds the graph nodes from a root down to the one a diff is
 	// comparing, so the path to a difference is spelled only once found.
 	// Each pop clears its slot, so a walk that returns normally leaves
