@@ -5,13 +5,14 @@
 // other objects remain valid after rollback.
 //
 // The paper's C++ implementation generates per-class deep_copy/replace
-// functions from type information; here the engine compiles a clone plan
-// per reflect.Type on first sight (plan.go) — the analog of a generated
-// deep_copy — covering all types with exported fields, and Capture and
-// Restore run from those plans. Types with unexported state participate
-// by implementing Snapshotter (the analog of a hand-written deep_copy). A
-// strategy's committed checkpoints hand their large flat slices and clone
-// objects back for its later captures to reuse (reuse.go).
+// functions from type information; here Capture and Restore run from the
+// per-type plans of internal/typeplan, compiled once per reflect.Type and
+// shared with objgraph's detection — the analog of a generated deep_copy —
+// covering all types with exported fields, and number references with its
+// RefTable. Types with unexported state participate by implementing
+// Snapshotter (the analog of a hand-written deep_copy). A strategy's
+// committed checkpoints hand their large flat slices and clone objects
+// back for its later captures to reuse (reuse.go).
 // Types that cannot be checkpointed are reported as errors at capture time,
 // never checkpointed partially — preserving the paper's one-sided
 // guarantee.
@@ -21,17 +22,14 @@ import (
 	"fmt"
 	"reflect"
 	"unsafe"
+
+	"failatomic/internal/typeplan"
 )
 
 // Snapshotter lets a type with unexported or external state participate in
 // checkpointing. CheckpointState returns a deep copy of the internal state;
 // RestoreState reinstates a previously returned state.
-type Snapshotter interface {
-	CheckpointState() any
-	RestoreState(state any)
-}
-
-var snapshotterType = reflect.TypeOf((*Snapshotter)(nil)).Elem()
+type Snapshotter = typeplan.Snapshotter
 
 // UnsupportedError reports a value that cannot be checkpointed, naming the
 // offending type and field.
@@ -49,26 +47,17 @@ func (e *UnsupportedError) Error() string {
 	return fmt.Sprintf("checkpoint: cannot checkpoint %s: %s", e.Type, e.Why)
 }
 
-// refKey identifies a reference for the clone memo and the reverse
-// (clone→original) map used by in-place restore. A slice is one view of
-// its backing array, so its length and capacity are part of its identity:
-// two views that differ in either get their own clone and restore to
-// their own header.
-type refKey struct {
-	ptr      uintptr
-	plan     *plan
-	len, cap int
-}
-
 // ref is one cloned reference and its original. orig keeps the original
 // alive for Restore, detached from the location it was read from so later
 // writes there do not change it: the pointer or map itself (one word, so
-// boxing it does not allocate), or a slice's backing array, whose header
-// the key holds. A Snapshotter's clone is the original pointer.
+// boxing it does not allocate), or a slice's backing array, whose length
+// and capacity the ref holds. A Snapshotter's clone is the original
+// pointer.
 type ref struct {
-	key   refKey
-	orig  any
-	clone reflect.Value
+	plan     *typeplan.Plan
+	len, cap int
+	orig     any
+	clone    reflect.Value
 	// own marks the clone objects commit recycles as spares: pointees and
 	// small slices of references (makeSlice).
 	own bool
@@ -84,12 +73,11 @@ func detached(v reflect.Value) any {
 
 // original returns the original reference as a value of its type.
 func (r *ref) original() reflect.Value {
-	p := r.key.plan
-	if p.kind != reflect.Slice {
+	if r.plan.Kind != reflect.Slice {
 		return reflect.ValueOf(r.orig)
 	}
-	hdr := &sliceHeader{data: r.orig.(unsafe.Pointer), len: r.key.len, cap: r.key.cap}
-	return reflect.NewAt(p.typ, unsafe.Pointer(hdr)).Elem()
+	hdr := &sliceHeader{data: r.orig.(unsafe.Pointer), len: r.len, cap: r.cap}
+	return reflect.NewAt(r.plan.Type, unsafe.Pointer(hdr)).Elem()
 }
 
 // sliceHeader is the runtime layout of a slice value.
@@ -98,16 +86,17 @@ type sliceHeader struct {
 	len, cap int
 }
 
-// smallMemo is the number of references the memo scans linearly before it
-// indexes them in a map; most masked calls capture fewer.
-const smallMemo = 8
-
 // scratch is a checkpoint's bookkeeping. A committed checkpoint hands it
 // back to its strategy, cleared, for a later capture to reuse.
 type scratch struct {
 	roots []rootEntry
 	refs  []ref
-	memo  map[refKey]int // original key -> refs index, once refs outgrows smallMemo
+	// origs numbers the original references and clones their clones, both
+	// in refs order, so a reference's id is its refs index + 1. Capture
+	// fills origs; each Restore refills clones, which the first one
+	// allocates: most checkpoints are committed, never restored.
+	origs  typeplan.RefTable
+	clones *typeplan.RefTable
 	// slabs are the large flat clone slices, returned to the strategy's
 	// free list on commit.
 	slabs []slab
@@ -121,8 +110,7 @@ type scratch struct {
 // Checkpoint is a restorable deep copy of one or more object graphs.
 type Checkpoint struct {
 	*scratch
-	rev   map[refKey]int // clone key -> refs index; built by the first Restore
-	blobs map[refKey]any // Snapshotter state; nil until a Snapshotter is met
+	blobs map[int]any // Snapshotter state by refs index; nil until a Snapshotter is met
 	// owner is the strategy that captured this checkpoint; nil for the
 	// package-level Capture, whose checkpoints reuse nothing.
 	owner     *deepCopy
@@ -132,7 +120,7 @@ type Checkpoint struct {
 
 type rootEntry struct {
 	clone reflect.Value
-	plan  *plan
+	plan  *typeplan.Plan
 }
 
 // Capture deep-copies the object graphs rooted at the given values. Every
@@ -155,7 +143,7 @@ func capture(owner *deepCopy, roots []any) (*Checkpoint, error) {
 				Why:  "checkpoint roots must be non-nil pointers",
 			}
 		}
-		p := planFor(v.Type())
+		p := typeplan.For(v.Type())
 		clone, err := c.clonePointer(v, p)
 		if err != nil {
 			return nil, err
@@ -168,49 +156,48 @@ func capture(owner *deepCopy, roots []any) (*Checkpoint, error) {
 // Bytes returns the approximate number of payload bytes captured.
 func (c *Checkpoint) Bytes() int { return c.bytes }
 
-// lookup returns the clone of the reference k, if it was cloned already.
-func (c *Checkpoint) lookup(k refKey) (reflect.Value, bool) {
-	if len(c.refs) > smallMemo {
-		if i, ok := c.memo[k]; ok {
-			return c.refs[i].clone, true
-		}
-		return reflect.Value{}, false
-	}
-	for i := range c.refs {
-		if c.refs[i].key == k {
-			return c.refs[i].clone, true
-		}
+// seen returns the clone of the original reference v (of plan p) and
+// true if it was cloned already. Otherwise v took the next id, and the
+// caller must remember it next, so that id stays its refs index + 1.
+func (c *Checkpoint) seen(v reflect.Value, p *typeplan.Plan) (reflect.Value, bool) {
+	id, ok := intern(&c.origs, v, p)
+	if ok {
+		return c.refs[id-1].clone, true
 	}
 	return reflect.Value{}, false
 }
 
+// intern numbers the reference v, of plan p, in t. A slice is one view
+// of its backing array, so its length and capacity are part of its
+// identity: two views that differ in either get their own clone and
+// restore to their own header.
+func intern(t *typeplan.RefTable, v reflect.Value, p *typeplan.Plan) (int, bool) {
+	if p.Kind == reflect.Slice {
+		return t.Intern(v.Pointer(), p, v.Len(), v.Cap())
+	}
+	return t.Intern(v.Pointer(), p, 0, 0)
+}
+
 // remember records a cloned reference before its contents are cloned, so
 // aliases and cycles reaching it again resolve to the same clone.
-func (c *Checkpoint) remember(k refKey, orig, clone reflect.Value, own bool) {
-	c.refs = append(c.refs, ref{key: k, orig: detached(orig), clone: clone, own: own})
-	switch n := len(c.refs); {
-	case n == smallMemo+1:
-		if c.memo == nil {
-			c.memo = make(map[refKey]int, 4*smallMemo)
-		}
-		for i := range c.refs {
-			c.memo[c.refs[i].key] = i
-		}
-	case n > smallMemo+1:
-		c.memo[k] = n - 1
+func (c *Checkpoint) remember(p *typeplan.Plan, orig, clone reflect.Value, own bool) {
+	r := ref{plan: p, orig: detached(orig), clone: clone, own: own}
+	if p.Kind == reflect.Slice {
+		r.len, r.cap = orig.Len(), orig.Cap()
 	}
+	c.refs = append(c.refs, r)
 }
 
 // cloneInto deep-copies src into dst, a settable zero value of the same
 // type, following the compiled plan p. References are memoized, so
 // aliasing (and cycles) are preserved in the copy.
-func (c *Checkpoint) cloneInto(dst, src reflect.Value, p *plan) error {
-	if p.leaf {
+func (c *Checkpoint) cloneInto(dst, src reflect.Value, p *typeplan.Plan) error {
+	if p.Leaf {
 		dst.Set(src)
 		c.bytes += leafBytes(src, p)
 		return nil
 	}
-	switch p.kind {
+	switch p.Kind {
 	case reflect.Pointer, reflect.Slice, reflect.Map:
 		clone, err := c.cloneRef(src, p)
 		if err != nil {
@@ -222,8 +209,8 @@ func (c *Checkpoint) cloneInto(dst, src reflect.Value, p *plan) error {
 			return nil
 		}
 		inner := src.Elem()
-		ip := planFor(inner.Type())
-		if ip.leaf {
+		ip := typeplan.For(inner.Type())
+		if ip.Leaf {
 			// The boxed value is immutable: share the box.
 			dst.Set(src)
 			c.bytes += leafBytes(inner, ip)
@@ -235,52 +222,55 @@ func (c *Checkpoint) cloneInto(dst, src reflect.Value, p *plan) error {
 		}
 		dst.Set(clone)
 	case reflect.Struct:
-		for _, f := range p.fields {
-			if err := c.cloneInto(dst.Field(f.index), src.Field(f.index), f.plan); err != nil {
-				return err
+		for _, f := range p.Fields {
+			if !f.Exported {
+				if f.Plan.Empty {
+					continue
+				}
+				return &UnsupportedError{
+					Type:  p.TypeStr,
+					Field: f.Name,
+					Why:   "unexported field; implement checkpoint.Snapshotter on the enclosing type",
+				}
 			}
-		}
-		if p.badField != "" {
-			return &UnsupportedError{
-				Type:  p.typ.String(),
-				Field: p.badField,
-				Why:   "unexported field; implement checkpoint.Snapshotter on the enclosing type",
+			if err := c.cloneInto(dst.Field(f.Index), src.Field(f.Index), f.Plan); err != nil {
+				return err
 			}
 		}
 	case reflect.Array:
 		for i := 0; i < src.Len(); i++ {
-			if err := c.cloneInto(dst.Index(i), src.Index(i), p.elem); err != nil {
+			if err := c.cloneInto(dst.Index(i), src.Index(i), p.Elem); err != nil {
 				return err
 			}
 		}
 	default:
 		return &UnsupportedError{
-			Type: p.typ.String(),
-			Why:  fmt.Sprintf("unsupported kind %s", p.kind),
+			Type: p.TypeStr,
+			Why:  fmt.Sprintf("unsupported kind %s", p.Kind),
 		}
 	}
 	return nil
 }
 
 // leafBytes is the payload of a value its plan copies by assignment.
-func leafBytes(v reflect.Value, p *plan) int {
-	if p.kind == reflect.String {
+func leafBytes(v reflect.Value, p *typeplan.Plan) int {
+	if p.Kind == reflect.String {
 		return v.Len()
 	}
-	return p.flatBytes
+	return p.FlatBytes
 }
 
 // cloneValue returns a deep copy of src, which need not be addressable
 // (map entries, interface dynamic values).
-func (c *Checkpoint) cloneValue(src reflect.Value, p *plan) (reflect.Value, error) {
+func (c *Checkpoint) cloneValue(src reflect.Value, p *typeplan.Plan) (reflect.Value, error) {
 	switch {
-	case p.leaf:
+	case p.Leaf:
 		c.bytes += leafBytes(src, p)
 		return src, nil
-	case p.kind == reflect.Pointer || p.kind == reflect.Slice || p.kind == reflect.Map:
+	case p.Kind == reflect.Pointer || p.Kind == reflect.Slice || p.Kind == reflect.Map:
 		return c.cloneRef(src, p)
 	}
-	fresh := reflect.New(p.typ).Elem()
+	fresh := reflect.New(p.Type).Elem()
 	if err := c.cloneInto(fresh, src, p); err != nil {
 		return reflect.Value{}, err
 	}
@@ -288,8 +278,8 @@ func (c *Checkpoint) cloneValue(src reflect.Value, p *plan) (reflect.Value, erro
 }
 
 // cloneRef returns the clone of a pointer, slice or map.
-func (c *Checkpoint) cloneRef(v reflect.Value, p *plan) (reflect.Value, error) {
-	switch p.kind {
+func (c *Checkpoint) cloneRef(v reflect.Value, p *typeplan.Plan) (reflect.Value, error) {
+	switch p.Kind {
 	case reflect.Pointer:
 		return c.clonePointer(v, p)
 	case reflect.Slice:
@@ -299,83 +289,81 @@ func (c *Checkpoint) cloneRef(v reflect.Value, p *plan) (reflect.Value, error) {
 	}
 }
 
-func (c *Checkpoint) clonePointer(v reflect.Value, p *plan) (reflect.Value, error) {
+func (c *Checkpoint) clonePointer(v reflect.Value, p *typeplan.Plan) (reflect.Value, error) {
 	if v.IsNil() {
 		return v, nil
 	}
-	key := refKey{ptr: v.Pointer(), plan: p}
-	if prev, ok := c.lookup(key); ok {
-		return prev, nil
-	}
 	// A pointer to a Snapshotter checkpoints via the type's own deep copy.
-	if p.snap && v.CanInterface() {
-		snap, ok := v.Interface().(Snapshotter)
-		if !ok {
-			return reflect.Value{}, &UnsupportedError{Type: p.typ.String(), Why: "Snapshotter assertion failed"}
-		}
-		d := reflect.ValueOf(snap)
-		c.remember(key, d, d, false)
-		if c.blobs == nil {
-			c.blobs = make(map[refKey]any)
-		}
-		c.blobs[key] = snap.CheckpointState()
-		return d, nil
-	}
-	if p.elem.empty {
+	snap := p.Snap && v.CanInterface()
+	if !snap && p.Elem.Empty {
 		// Nothing behind the pointer to copy or restore.
 		return v, nil
 	}
+	if prev, ok := c.seen(v, p); ok {
+		return prev, nil
+	}
+	if snap {
+		s, ok := v.Interface().(Snapshotter)
+		if !ok {
+			return reflect.Value{}, &UnsupportedError{Type: p.TypeStr, Why: "Snapshotter assertion failed"}
+		}
+		d := reflect.ValueOf(s)
+		c.remember(p, d, d, false)
+		if c.blobs == nil {
+			c.blobs = make(map[int]any)
+		}
+		c.blobs[len(c.refs)-1] = s.CheckpointState()
+		return d, nil
+	}
 	fresh := c.alloc(p, 0)
-	c.remember(key, v, fresh, true)
-	if err := c.cloneInto(fresh.Elem(), v.Elem(), p.elem); err != nil {
+	c.remember(p, v, fresh, true)
+	if err := c.cloneInto(fresh.Elem(), v.Elem(), p.Elem); err != nil {
 		return reflect.Value{}, err
 	}
 	return fresh, nil
 }
 
-func (c *Checkpoint) cloneSlice(v reflect.Value, p *plan) (reflect.Value, error) {
+func (c *Checkpoint) cloneSlice(v reflect.Value, p *typeplan.Plan) (reflect.Value, error) {
 	n := v.Len()
-	if v.IsNil() || n == 0 || p.elem.empty {
+	if v.IsNil() || n == 0 || p.Elem.Empty {
 		// No element to copy: the header itself is the checkpointed
 		// state, kept with its original backing array and capacity.
 		return v, nil
 	}
-	key := refKey{ptr: v.Pointer(), plan: p, len: n, cap: v.Cap()}
-	if prev, ok := c.lookup(key); ok {
+	if prev, ok := c.seen(v, p); ok {
 		return prev, nil
 	}
 	fresh, own := c.makeSlice(p, n)
-	c.remember(key, v, fresh, own)
-	if p.bulk {
+	c.remember(p, v, fresh, own)
+	if p.Bulk {
 		reflect.Copy(fresh, v)
-		c.bytes += n * p.elemBytes
+		c.bytes += n * p.ElemBytes
 		return fresh, nil
 	}
 	for i := 0; i < n; i++ {
-		if err := c.cloneInto(fresh.Index(i), v.Index(i), p.elem); err != nil {
+		if err := c.cloneInto(fresh.Index(i), v.Index(i), p.Elem); err != nil {
 			return reflect.Value{}, err
 		}
 	}
 	return fresh, nil
 }
 
-func (c *Checkpoint) cloneMap(v reflect.Value, p *plan) (reflect.Value, error) {
+func (c *Checkpoint) cloneMap(v reflect.Value, p *typeplan.Plan) (reflect.Value, error) {
 	if v.IsNil() {
 		return v, nil
 	}
-	key := refKey{ptr: v.Pointer(), plan: p}
-	if prev, ok := c.lookup(key); ok {
+	if prev, ok := c.seen(v, p); ok {
 		return prev, nil
 	}
-	fresh := reflect.MakeMapWithSize(p.typ, v.Len())
-	c.remember(key, v, fresh, false)
+	fresh := reflect.MakeMapWithSize(p.Type, v.Len())
+	c.remember(p, v, fresh, false)
 	iter := v.MapRange()
 	for iter.Next() {
-		k, err := c.cloneValue(iter.Key(), p.key)
+		k, err := c.cloneValue(iter.Key(), p.Key)
 		if err != nil {
 			return reflect.Value{}, err
 		}
-		val, err := c.cloneValue(iter.Value(), p.elem)
+		val, err := c.cloneValue(iter.Value(), p.Elem)
 		if err != nil {
 			return reflect.Value{}, err
 		}

@@ -10,6 +10,8 @@ import (
 	"reflect"
 )
 
+var snapshotterType = reflect.TypeOf((*Snapshotter)(nil)).Elem()
+
 // refOldKey identifies a reference for the clone memo and the reverse
 // (clone→original) map used by in-place restore.
 type refOldKey struct {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+
+	"failatomic/internal/typeplan"
 )
 
 // errCommitted reports a rollback of a committed checkpoint: a deep copy's
@@ -27,7 +29,7 @@ func (c *Checkpoint) Commit() {
 	if c.owner != nil {
 		c.owner.recycle(c.scratch)
 	}
-	c.scratch, c.rev, c.blobs = nil, nil, nil
+	c.scratch, c.blobs = nil, nil
 }
 
 var _ Committer = (*Checkpoint)(nil)
@@ -50,13 +52,14 @@ func (c *Checkpoint) Restore() error {
 	if c.committed {
 		return errCommitted
 	}
-	if c.rev == nil {
-		// Restore is the rare path (an exception unwound the call), so the
-		// clone→original map is built here rather than during capture.
-		c.rev = make(map[refKey]int, len(c.refs))
-		for i := range c.refs {
-			c.rev[cloneKey(c.refs[i].clone, c.refs[i].key.plan)] = i
-		}
+	// Restore is the rare path (an exception unwound the call), so the
+	// clones are numbered here rather than during capture.
+	if c.clones == nil {
+		c.clones = new(typeplan.RefTable)
+	}
+	c.clones.Reset()
+	for i := range c.refs {
+		intern(c.clones, c.refs[i].clone, c.refs[i].plan)
 	}
 	r := restorer{c: c, visited: make([]bool, len(c.refs))}
 	for _, root := range c.roots {
@@ -67,25 +70,17 @@ func (c *Checkpoint) Restore() error {
 	return nil
 }
 
-// cloneKey is the reverse-map key of a clone reference.
-func cloneKey(v reflect.Value, p *plan) refKey {
-	k := refKey{ptr: v.Pointer(), plan: p}
-	if p.kind == reflect.Slice {
-		k.len, k.cap = v.Len(), v.Cap()
-	}
-	return k
-}
-
 // find returns the refs index of the clone reference v, and whether
 // this pass meets it for the first time.
-func (r *restorer) find(v reflect.Value, p *plan) (int, bool, error) {
-	i, ok := r.c.rev[cloneKey(v, p)]
+func (r *restorer) find(v reflect.Value, p *typeplan.Plan) (int, bool, error) {
+	id, ok := intern(r.c.clones, v, p)
 	if !ok {
 		return 0, false, &UnsupportedError{
-			Type: p.typ.String(),
-			Why:  fmt.Sprintf("clone %s %#x has no original", p.kind, v.Pointer()),
+			Type: p.TypeStr,
+			Why:  fmt.Sprintf("clone %s %#x has no original", p.Kind, v.Pointer()),
 		}
 	}
+	i := id - 1
 	first := !r.visited[i]
 	r.visited[i] = true
 	return i, first, nil
@@ -93,19 +88,24 @@ func (r *restorer) find(v reflect.Value, p *plan) (int, bool, error) {
 
 // restoreInto writes the clone's contents into dst (an original, settable
 // location), mapping interior clone references back to the originals.
-func (r *restorer) restoreInto(dst, src reflect.Value, p *plan) error {
+func (r *restorer) restoreInto(dst, src reflect.Value, p *typeplan.Plan) error {
 	switch {
-	case p.leaf:
+	case p.Leaf:
 		dst.Set(src)
-	case p.kind == reflect.Struct:
-		for _, f := range p.fields {
-			if err := r.restoreInto(dst.Field(f.index), src.Field(f.index), f.plan); err != nil {
+	case p.Kind == reflect.Struct:
+		for _, f := range p.Fields {
+			// Capture cloned only the exported fields; any other is
+			// zero-size.
+			if !f.Exported {
+				continue
+			}
+			if err := r.restoreInto(dst.Field(f.Index), src.Field(f.Index), f.Plan); err != nil {
 				return err
 			}
 		}
-	case p.kind == reflect.Array:
+	case p.Kind == reflect.Array:
 		for i := 0; i < dst.Len(); i++ {
-			if err := r.restoreInto(dst.Index(i), src.Index(i), p.elem); err != nil {
+			if err := r.restoreInto(dst.Index(i), src.Index(i), p.Elem); err != nil {
 				return err
 			}
 		}
@@ -123,11 +123,11 @@ func (r *restorer) restoreInto(dst, src reflect.Value, p *plan) error {
 // original location: original pointers for cloned pointees (restoring their
 // contents once), the original map (cleared and refilled) for cloned maps,
 // and the original header and backing array for cloned slices.
-func (r *restorer) materialize(src reflect.Value, p *plan) (reflect.Value, error) {
+func (r *restorer) materialize(src reflect.Value, p *typeplan.Plan) (reflect.Value, error) {
 	c := r.c
-	switch p.kind {
+	switch p.Kind {
 	case reflect.Pointer:
-		if src.IsNil() || (p.elem.empty && !p.snap) {
+		if src.IsNil() || (p.Elem.Empty && !p.Snap) {
 			return src, nil
 		}
 		i, first, err := r.find(src, p)
@@ -135,25 +135,25 @@ func (r *restorer) materialize(src reflect.Value, p *plan) (reflect.Value, error
 			return reflect.Value{}, err
 		}
 		orig := c.refs[i].original()
-		if blob, ok := c.blobs[c.refs[i].key]; ok {
+		if blob, ok := c.blobs[i]; ok {
 			// Snapshotter: clone == original pointer.
 			if first {
 				snap, sok := orig.Interface().(Snapshotter)
 				if !sok {
-					return reflect.Value{}, &UnsupportedError{Type: p.typ.String(), Why: "Snapshotter assertion failed at restore"}
+					return reflect.Value{}, &UnsupportedError{Type: p.TypeStr, Why: "Snapshotter assertion failed at restore"}
 				}
 				snap.RestoreState(blob)
 			}
 			return orig, nil
 		}
 		if first {
-			if err := r.restoreInto(orig.Elem(), src.Elem(), p.elem); err != nil {
+			if err := r.restoreInto(orig.Elem(), src.Elem(), p.Elem); err != nil {
 				return reflect.Value{}, err
 			}
 		}
 		return orig, nil
 	case reflect.Slice:
-		if src.IsNil() || src.Len() == 0 || p.elem.empty {
+		if src.IsNil() || src.Len() == 0 || p.Elem.Empty {
 			// The clone is the original header (cloneSlice).
 			return src, nil
 		}
@@ -165,12 +165,12 @@ func (r *restorer) materialize(src reflect.Value, p *plan) (reflect.Value, error
 		if !first {
 			return orig, nil
 		}
-		if p.bulk {
+		if p.Bulk {
 			reflect.Copy(orig, src)
 			return orig, nil
 		}
 		for j := 0; j < src.Len(); j++ {
-			if err := r.restoreInto(orig.Index(j), src.Index(j), p.elem); err != nil {
+			if err := r.restoreInto(orig.Index(j), src.Index(j), p.Elem); err != nil {
 				return reflect.Value{}, err
 			}
 		}
@@ -192,11 +192,11 @@ func (r *restorer) materialize(src reflect.Value, p *plan) (reflect.Value, error
 		orig.Clear()
 		iter := src.MapRange()
 		for iter.Next() {
-			k, err := r.materialize(iter.Key(), p.key)
+			k, err := r.materialize(iter.Key(), p.Key)
 			if err != nil {
 				return reflect.Value{}, err
 			}
-			v, err := r.materialize(iter.Value(), p.elem)
+			v, err := r.materialize(iter.Value(), p.Elem)
 			if err != nil {
 				return reflect.Value{}, err
 			}
@@ -208,20 +208,20 @@ func (r *restorer) materialize(src reflect.Value, p *plan) (reflect.Value, error
 			return src, nil
 		}
 		inner := src.Elem()
-		ip := planFor(inner.Type())
-		if ip.leaf {
+		ip := typeplan.For(inner.Type())
+		if ip.Leaf {
 			return src, nil
 		}
 		// Set and SetMapIndex box the materialized value into the
 		// location's interface type.
 		return r.materialize(inner, ip)
 	case reflect.Struct, reflect.Array:
-		if p.flat {
+		if p.Flat {
 			return src, nil
 		}
 		// Composite values inside map entries and interfaces are not
 		// addressable: rebuild them.
-		fresh := reflect.New(p.typ).Elem()
+		fresh := reflect.New(p.Type).Elem()
 		if err := r.restoreInto(fresh, src, p); err != nil {
 			return reflect.Value{}, err
 		}

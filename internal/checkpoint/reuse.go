@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"reflect"
 	"sync"
+
+	"failatomic/internal/typeplan"
 )
 
 // Reuse of committed copies. A masked call that returns normally commits
@@ -49,7 +51,7 @@ type deepCopy struct {
 
 // slab is a flat clone slice at its full length.
 type slab struct {
-	plan  *plan
+	plan  *typeplan.Plan
 	v     reflect.Value
 	bytes int
 }
@@ -96,12 +98,12 @@ func (d *deepCopy) recycle(s *scratch) {
 			if !r.own {
 				continue
 			}
-			if r.key.plan.kind == reflect.Pointer {
+			if r.plan.Kind == reflect.Pointer {
 				r.clone.Elem().SetZero()
 			} else {
 				r.clone.Clear()
 			}
-			spares = append(spares, spare{plan: r.key.plan, v: r.clone})
+			spares = append(spares, spare{plan: r.plan, v: r.clone})
 		}
 	}
 	if len(spares) < len(s.spare) {
@@ -109,7 +111,7 @@ func (d *deepCopy) recycle(s *scratch) {
 	}
 	clear(s.roots)
 	clear(s.refs)
-	clear(s.memo)
+	s.origs.Reset()
 	s.roots, s.refs, s.spare, s.next = s.roots[:0], s.refs[:0], spares, 0
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -129,7 +131,7 @@ func (d *deepCopy) recycle(s *scratch) {
 
 // takeSlab returns a free slab of slice type p holding n to 2n elements,
 // most recently released first, or the zero slab.
-func (d *deepCopy) takeSlab(p *plan, n int) slab {
+func (d *deepCopy) takeSlab(p *typeplan.Plan, n int) slab {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i := len(d.slabs) - 1; i >= 0; i-- {
@@ -148,25 +150,25 @@ func (d *deepCopy) takeSlab(p *plan, n int) slab {
 // pointee, or a slice of exactly its length. Maps are not kept: a cleared
 // map holds on to its buckets.
 type spare struct {
-	plan *plan
+	plan *typeplan.Plan
 	v    reflect.Value
 }
 
 // alloc returns a zero clone object for the pointer or slice (n elements)
 // plan p: the next spare when it has that plan (and length), else a new
 // one.
-func (c *Checkpoint) alloc(p *plan, n int) reflect.Value {
+func (c *Checkpoint) alloc(p *typeplan.Plan, n int) reflect.Value {
 	if c.next < len(c.spare) {
-		if s := c.spare[c.next]; s.plan == p && (p.kind != reflect.Slice || s.v.Len() == n) {
+		if s := c.spare[c.next]; s.plan == p && (p.Kind != reflect.Slice || s.v.Len() == n) {
 			c.spare[c.next] = spare{}
 			c.next++
 			return s.v
 		}
 	}
-	if p.kind == reflect.Pointer {
-		return reflect.New(p.elem.typ)
+	if p.Kind == reflect.Pointer {
+		return reflect.New(p.Elem.Type)
 	}
-	return reflect.MakeSlice(p.typ, n, n)
+	return reflect.MakeSlice(p.Type, n, n)
 }
 
 // makeSlice returns a slice of type p with n elements for cloneSlice to
@@ -175,17 +177,17 @@ func (c *Checkpoint) alloc(p *plan, n int) reflect.Value {
 // slices are allocated fresh, or, when large, are slabs: they come from,
 // and are recorded for return to, the owning strategy's free list. A large
 // slice of references is allocated fresh, so no free list holds on to it.
-func (c *Checkpoint) makeSlice(p *plan, n int) (reflect.Value, bool) {
-	size := n * int(p.elem.typ.Size())
-	if !p.elem.flat && size < minSlabBytes {
+func (c *Checkpoint) makeSlice(p *typeplan.Plan, n int) (reflect.Value, bool) {
+	size := n * p.Elem.Size
+	if !p.Elem.Flat && size < minSlabBytes {
 		return c.alloc(p, n), true
 	}
-	if c.owner == nil || !p.elem.flat || size < minSlabBytes {
-		return reflect.MakeSlice(p.typ, n, n), false
+	if c.owner == nil || !p.Elem.Flat || size < minSlabBytes {
+		return reflect.MakeSlice(p.Type, n, n), false
 	}
 	s := c.owner.takeSlab(p, n)
 	if s.plan == nil {
-		s = slab{plan: p, v: reflect.MakeSlice(p.typ, n, n), bytes: size}
+		s = slab{plan: p, v: reflect.MakeSlice(p.Type, n, n), bytes: size}
 	}
 	c.slabs = append(c.slabs, s)
 	if s.v.Len() == n {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"failatomic/internal/objgraph"
+	"failatomic/internal/typeplan"
 )
 
 // Slice headers: a rollback reinstates each view of a backing array with
@@ -268,13 +269,13 @@ func TestFreeListBounded(t *testing.T) {
 // slice with reflect.MakeSlice against a round trip through a strategy's
 // slab free list (take, fill, release); see minSlabBytes.
 func BenchmarkSlabCutoff(b *testing.B) {
-	p := planFor(reflect.TypeOf([]byte(nil)))
+	p := typeplan.For(reflect.TypeOf([]byte(nil)))
 	for _, size := range []int{64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10} {
 		src := reflect.ValueOf(make([]byte, size))
 		b.Run(fmt.Sprintf("make/size=%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				reflect.Copy(reflect.MakeSlice(p.typ, size, size), src)
+				reflect.Copy(reflect.MakeSlice(p.Type, size, size), src)
 			}
 		})
 		b.Run(fmt.Sprintf("reuse/size=%d", size), func(b *testing.B) {
@@ -284,7 +285,7 @@ func BenchmarkSlabCutoff(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := d.takeSlab(p, size)
 				if s.plan == nil {
-					s = slab{plan: p, v: reflect.MakeSlice(p.typ, size, size), bytes: size}
+					s = slab{plan: p, v: reflect.MakeSlice(p.Type, size, size), bytes: size}
 				}
 				reflect.Copy(s.v, src)
 				sc.slabs = append(sc.slabs, s)

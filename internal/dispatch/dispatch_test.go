@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -286,6 +287,20 @@ func TestLeaseMismatchedWorkerIsGone(t *testing.T) {
 	if code := post(t, url, leasePath(reg2.WorkerID, lr.LeaseID, "heartbeat"), struct{}{}, nil); code != http.StatusGone {
 		t.Fatalf("cross-worker heartbeat: status %d, want 410", code)
 	}
+}
+
+// TestRegisterBodyCapped: a register body past 64 KiB is refused with
+// 413 before it is decoded, and registers no worker.
+func TestRegisterBodyCapped(t *testing.T) {
+	c, url := boot(t, newFakeJobs(), dispatch.Config{})
+	name := strings.Repeat("w", 64<<10)
+	if code := post(t, url, "/v1/workers/register", dispatch.RegisterRequest{Name: name}, nil); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized register: status %d, want 413", code)
+	}
+	if st := c.Stats(); st.WorkersRegisteredTotal != 0 {
+		t.Fatalf("oversized register added a worker: %+v", st)
+	}
+	register(t, url)
 }
 
 func TestTornChunkImportsNothing(t *testing.T) {

@@ -6,6 +6,7 @@ package dispatch
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -66,11 +67,20 @@ func writeGone(w http.ResponseWriter, what string) {
 	writeJSON(w, http.StatusGone, apiError{Error: what + " is unknown or expired; re-register", Gone: true})
 }
 
-// HandleRegister serves POST /v1/workers/register.
+// maxRegisterBytes caps a register request body, which carries only a
+// worker name; the same cap as a job spec's.
+const maxRegisterBytes = 64 << 10
+
+// HandleRegister serves POST /v1/workers/register. An oversized body gets
+// 413, a malformed one 400.
 func (c *Coordinator) HandleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad register request: %v", err)})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRegisterBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, apiError{Error: fmt.Sprintf("bad register request: %v", err)})
 		return
 	}
 	id, err := c.register(req.Name)

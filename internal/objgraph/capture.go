@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"unsafe"
+
+	"failatomic/internal/typeplan"
 )
 
 // encoder is Capture's traversal: the pooled walker plus the statistics
@@ -36,22 +38,22 @@ func Capture(roots ...any) *Graph {
 
 // rootValue returns root r and its plan; a nil root is the invalid
 // Value, whose node is a nil leaf.
-func rootValue(r any) (reflect.Value, *typePlan) {
+func rootValue(r any) (reflect.Value, *typeplan.Plan) {
 	v := reflect.ValueOf(r)
 	if !v.IsValid() {
 		return v, nil
 	}
-	return v, planFor(v.Type())
+	return v, typeplan.For(v.Type())
 }
 
 // encode materializes v's node; pl is the plan of v's type.
-func (e *encoder) encode(v reflect.Value, pl *typePlan, label string) *Node {
+func (e *encoder) encode(v reflect.Value, pl *typeplan.Plan, label string) *Node {
 	e.nodes++
 	n := new(Node)
 	kids := e.head(n, v, pl, label)
 	switch n.Kind {
 	case KindBool, KindInt, KindUint, KindFloat, KindComplex:
-		e.bytes += pl.size
+		e.bytes += pl.Size
 	case KindString:
 		e.bytes += len(n.Str)
 	case KindSlice:
@@ -63,28 +65,28 @@ func (e *encoder) encode(v reflect.Value, pl *typePlan, label string) *Node {
 		return n
 	}
 	n.Children = make([]*Node, kids)
-	switch pl.kind {
+	switch pl.Kind {
 	case reflect.Pointer:
-		n.Children[0] = e.encode(v.Elem(), pl.elem, "*")
+		n.Children[0] = e.encode(v.Elem(), pl.Elem, "*")
 	case reflect.Slice, reflect.Array:
 		for i := range n.Children {
-			n.Children[i] = e.encode(v.Index(i), pl.elem, indexLabel(i))
+			n.Children[i] = e.encode(v.Index(i), pl.Elem, indexLabel(i))
 		}
 	case reflect.Map:
 		base, ents := e.pushEntries(v)
 		for i, ent := range ents {
 			e.nodes++
 			n.Children[i] = &Node{Kind: KindEntry, Label: ent.sig,
-				Children: []*Node{e.encode(v.MapIndex(ent.key), pl.elem, "value")}}
+				Children: []*Node{e.encode(v.MapIndex(ent.key), pl.Elem, "value")}}
 		}
 		e.popEntries(base)
 	case reflect.Struct:
-		for i, f := range pl.fields {
-			n.Children[i] = e.encode(v.Field(f.index), f.plan, f.name)
+		for i, f := range pl.Fields {
+			n.Children[i] = e.encode(v.Field(f.Index), f.Plan, f.Name)
 		}
 	case reflect.Interface:
 		dyn := v.Elem()
-		n.Children[0] = e.encode(dyn, planFor(dyn.Type()), "dyn")
+		n.Children[0] = e.encode(dyn, typeplan.For(dyn.Type()), "dyn")
 	}
 	return n
 }
@@ -95,14 +97,14 @@ func (e *encoder) encode(v reflect.Value, pl *typePlan, label string) *Node {
 // materializes the header and DiffLive compares it with the captured one.
 // n must be zero. A byte slice's Str is a view of v or of the walker's
 // scratch, valid until the walk moves on; Capture copies it.
-func (w *walker) head(n *Node, v reflect.Value, pl *typePlan, label string) (kids int) {
+func (w *walker) head(n *Node, v reflect.Value, pl *typeplan.Plan, label string) (kids int) {
 	n.Kind = KindNil
 	n.Label = label
 	if !v.IsValid() {
 		return 0
 	}
-	n.Type = pl.typeStr
-	switch pl.kind {
+	n.Type = pl.TypeStr
+	switch pl.Kind {
 	case reflect.Bool:
 		n.Kind = KindBool
 		if v.Bool() {
@@ -128,7 +130,7 @@ func (w *walker) head(n *Node, v reflect.Value, pl *typePlan, label string) (kid
 			return 0
 		}
 		n.Kind = KindPointer
-		n.Ref, n.Backref = w.refs.intern(v.Pointer(), pl, 0)
+		n.Ref, n.Backref = w.refs.Intern(v.Pointer(), pl, 0, 0)
 		if !n.Backref {
 			kids = 1
 		}
@@ -138,14 +140,14 @@ func (w *walker) head(n *Node, v reflect.Value, pl *typePlan, label string) (kid
 		}
 		n.Kind = KindSlice
 		l := v.Len()
-		n.Ref, n.Backref = w.refs.intern(v.Pointer(), pl, l)
+		n.Ref, n.Backref = w.refs.Intern(v.Pointer(), pl, l, 0)
 		if n.Backref {
 			return 0
 		}
 		n.Bits = uint64(l)
 		// Bulk fast path: byte slices encode as one payload (content
 		// equality; a difference reports at the slice, not the index).
-		if pl.byteElem {
+		if pl.ByteElem {
 			bs := w.bytesOf(v)
 			n.Str = unsafe.String(unsafe.SliceData(bs), len(bs))
 		} else {
@@ -160,14 +162,14 @@ func (w *walker) head(n *Node, v reflect.Value, pl *typePlan, label string) (kid
 			return 0
 		}
 		n.Kind = KindMap
-		n.Ref, n.Backref = w.refs.intern(v.Pointer(), pl, 0)
+		n.Ref, n.Backref = w.refs.Intern(v.Pointer(), pl, 0, 0)
 		if !n.Backref {
 			n.Bits = uint64(v.Len())
 			kids = v.Len()
 		}
 	case reflect.Struct:
 		n.Kind = KindStruct
-		kids = len(pl.fields)
+		kids = len(pl.Fields)
 	case reflect.Interface:
 		if !v.IsNil() {
 			n.Kind = KindInterface
@@ -186,8 +188,8 @@ func (w *walker) head(n *Node, v reflect.Value, pl *typePlan, label string) (kid
 	default:
 		// UnsafePointer and anything future: identity-compared opaque.
 		n.Kind = KindOpaque
-		if v.CanAddr() || pl.kind == reflect.UnsafePointer {
-			n.Str = fmt.Sprintf("%v-opaque", pl.kind)
+		if v.CanAddr() || pl.Kind == reflect.UnsafePointer {
+			n.Str = fmt.Sprintf("%v-opaque", pl.Kind)
 		}
 	}
 	return kids

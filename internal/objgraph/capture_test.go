@@ -102,6 +102,21 @@ func TestCaptureAliasingStructure(t *testing.T) {
 	}
 }
 
+// TestCaptureSliceViewsByLength: two views of one array with the same
+// length are one reference even when their capacities differ, so the
+// second is a backref to the first. A slice's alias key is its address,
+// type and length; the capacity is not compared.
+func TestCaptureSliceViewsByLength(t *testing.T) {
+	arr := []int{1, 2, 3, 4}
+	views := struct{ Wide, Narrow []int }{Wide: arr[:2], Narrow: arr[:2:2]}
+	fields := Capture(&views).Roots()[0].Children[0].Children
+	wide, narrow := fields[0], fields[1]
+	if wide.Backref || !narrow.Backref || narrow.Ref != wide.Ref {
+		t.Fatalf("views of cap 4 and 2: Wide ref %d/%v, Narrow ref %d/%v; want Narrow a backref to Wide",
+			wide.Ref, wide.Backref, narrow.Ref, narrow.Backref)
+	}
+}
+
 func TestCaptureCycles(t *testing.T) {
 	ring := func(vals ...int) *node {
 		head := &node{Value: vals[0]}

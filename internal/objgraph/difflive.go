@@ -3,6 +3,8 @@ package objgraph
 import (
 	"fmt"
 	"reflect"
+
+	"failatomic/internal/typeplan"
 )
 
 // DiffLive returns Diff(g, Capture(roots...)) without building the second
@@ -38,7 +40,7 @@ func DiffLive(g *Graph, roots ...any) string {
 // children, visited in encoder.encode's order. The child walk is a
 // switch of its own, not a helper shared with encode: reading each child
 // through such a helper made DiffLive about 45% slower on a 64 B target.
-func (w *walker) diffLive(a *Node, v reflect.Value, pl *typePlan, label string) string {
+func (w *walker) diffLive(a *Node, v reflect.Value, pl *typeplan.Plan, label string) string {
 	w.stack = append(w.stack, a)
 	var b Node
 	kids := w.head(&b, v, pl, label)
@@ -49,14 +51,14 @@ func (w *walker) diffLive(a *Node, v reflect.Value, pl *typePlan, label string) 
 		w.pop()
 		return ""
 	}
-	switch pl.kind {
+	switch pl.Kind {
 	case reflect.Pointer:
-		if d := w.diffLive(a.Children[0], v.Elem(), pl.elem, "*"); d != "" {
+		if d := w.diffLive(a.Children[0], v.Elem(), pl.Elem, "*"); d != "" {
 			return d
 		}
 	case reflect.Slice, reflect.Array:
 		for i := range a.Children {
-			if d := w.diffLive(a.Children[i], v.Index(i), pl.elem, w.indexLabelView(i)); d != "" {
+			if d := w.diffLive(a.Children[i], v.Index(i), pl.Elem, w.indexLabelView(i)); d != "" {
 				return d
 			}
 		}
@@ -68,21 +70,21 @@ func (w *walker) diffLive(a *Node, v reflect.Value, pl *typePlan, label string) 
 			if d := w.headDiff(e, &Node{Kind: KindEntry, Label: ent.sig}, 1); d != "" {
 				return d
 			}
-			if d := w.diffLive(e.Children[0], v.MapIndex(ent.key), pl.elem, "value"); d != "" {
+			if d := w.diffLive(e.Children[0], v.MapIndex(ent.key), pl.Elem, "value"); d != "" {
 				return d
 			}
 			w.pop()
 		}
 		w.popEntries(base)
 	case reflect.Struct:
-		for i, f := range pl.fields {
-			if d := w.diffLive(a.Children[i], v.Field(f.index), f.plan, f.name); d != "" {
+		for i, f := range pl.Fields {
+			if d := w.diffLive(a.Children[i], v.Field(f.Index), f.Plan, f.Name); d != "" {
 				return d
 			}
 		}
 	case reflect.Interface:
 		dyn := v.Elem()
-		if d := w.diffLive(a.Children[0], dyn, planFor(dyn.Type()), "dyn"); d != "" {
+		if d := w.diffLive(a.Children[0], dyn, typeplan.For(dyn.Type()), "dyn"); d != "" {
 			return d
 		}
 	}

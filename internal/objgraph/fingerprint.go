@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"reflect"
 	"unsafe"
+
+	"failatomic/internal/typeplan"
 )
 
 // Fingerprint-first snapshots. Capture materializes one *Node per value,
@@ -51,10 +53,10 @@ func Fingerprint(roots ...any) FP {
 
 // Precomputed hashes of the fixed edge labels Capture emits.
 var (
-	emptyTypeHash = strHash64("")
-	derefLabel    = strHash64("*")
-	dynLabel      = strHash64("dyn")
-	valueLabel    = strHash64("value")
+	emptyTypeHash = typeplan.StrHash64("")
+	derefLabel    = typeplan.StrHash64("*")
+	dynLabel      = typeplan.StrHash64("dyn")
+	valueLabel    = typeplan.StrHash64("value")
 )
 
 // fpEncoder is Fingerprint's traversal: the pooled walker (whose alias
@@ -91,38 +93,38 @@ func (e *fpEncoder) ref(id int, backref bool) {
 // Fingerprint runs at every wrapped call, and filling a header first
 // measured about 1.5× slower on a 64-item receiver (a generic sink shared
 // with head, about 1.2× slower and one allocation per call).
-func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
+func (e *fpEncoder) encode(v reflect.Value, pl *typeplan.Plan, labelKey uint64) {
 	if !v.IsValid() {
 		e.leaf(KindNil, emptyTypeHash, labelKey)
 		return
 	}
-	switch pl.kind {
+	switch pl.Kind {
 	case reflect.Bool:
-		e.leaf(KindBool, pl.typeHash, labelKey)
+		e.leaf(KindBool, pl.TypeHash, labelKey)
 		var bit uint64
 		if v.Bool() {
 			bit = 1
 		}
 		e.h.word(bit)
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		e.leaf(KindInt, pl.typeHash, labelKey)
+		e.leaf(KindInt, pl.TypeHash, labelKey)
 		e.h.word(uint64(v.Int()))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		e.leaf(KindUint, pl.typeHash, labelKey)
+		e.leaf(KindUint, pl.TypeHash, labelKey)
 		e.h.word(v.Uint())
 	case reflect.Float32, reflect.Float64:
-		e.leaf(KindFloat, pl.typeHash, labelKey)
+		e.leaf(KindFloat, pl.TypeHash, labelKey)
 		e.h.word(math.Float64bits(v.Float()))
 	case reflect.Complex64, reflect.Complex128:
 		// Capture compares complex values by their formatted string, which
 		// collapses every NaN payload to "NaN"; canonicalizing NaN bits
 		// reproduces those equivalence classes without the allocation.
-		e.leaf(KindComplex, pl.typeHash, labelKey)
+		e.leaf(KindComplex, pl.TypeHash, labelKey)
 		c := v.Complex()
 		e.h.word(canonFloatBits(real(c)))
 		e.h.word(canonFloatBits(imag(c)))
 	case reflect.String:
-		e.leaf(KindString, pl.typeHash, labelKey)
+		e.leaf(KindString, pl.TypeHash, labelKey)
 		s := v.String()
 		if len(s) >= fpLeafFrameMin {
 			// Large-leaf framing: fold the length, then the bulk content
@@ -137,30 +139,30 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 		e.h.str(s)
 	case reflect.Pointer:
 		if v.IsNil() {
-			e.leaf(KindNil, pl.typeHash, labelKey)
+			e.leaf(KindNil, pl.TypeHash, labelKey)
 			return
 		}
-		id, seen := e.refs.intern(v.Pointer(), pl, 0)
-		e.leaf(KindPointer, pl.typeHash, labelKey)
+		id, seen := e.refs.Intern(v.Pointer(), pl, 0, 0)
+		e.leaf(KindPointer, pl.TypeHash, labelKey)
 		e.ref(id, seen)
 		if seen {
 			return
 		}
-		e.encode(v.Elem(), pl.elem, derefLabel)
+		e.encode(v.Elem(), pl.Elem, derefLabel)
 	case reflect.Slice:
 		if v.IsNil() {
-			e.leaf(KindNil, pl.typeHash, labelKey)
+			e.leaf(KindNil, pl.TypeHash, labelKey)
 			return
 		}
 		n := v.Len()
-		id, seen := e.refs.intern(v.Pointer(), pl, n)
-		e.leaf(KindSlice, pl.typeHash, labelKey)
+		id, seen := e.refs.Intern(v.Pointer(), pl, n, 0)
+		e.leaf(KindSlice, pl.TypeHash, labelKey)
 		e.ref(id, seen)
 		if seen {
 			return
 		}
 		e.h.word(uint64(n))
-		if pl.byteElem {
+		if pl.ByteElem {
 			// Bulk fast path, mirroring Capture's one-payload encoding.
 			// Capture stores the same Str for exported and unexported
 			// byte slices, so both spell identically here too: unexported
@@ -177,13 +179,13 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			e.encode(v.Index(i), pl.elem, e.indexLabelHash(i))
+			e.encode(v.Index(i), pl.Elem, e.indexLabelHash(i))
 		}
 	case reflect.Array:
-		e.leaf(KindArray, pl.typeHash, labelKey)
+		e.leaf(KindArray, pl.TypeHash, labelKey)
 		n := v.Len()
 		e.h.word(uint64(n))
-		if pl.byteArray && n >= fpLeafFrameMin {
+		if pl.ByteArray && n >= fpLeafFrameMin {
 			// Large byte arrays frame like large byte slices. The framing
 			// decision depends only on (type, len) — never addressability —
 			// so capture-equal arrays hash equal whichever extraction path
@@ -194,15 +196,15 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			e.encode(v.Index(i), pl.elem, e.indexLabelHash(i))
+			e.encode(v.Index(i), pl.Elem, e.indexLabelHash(i))
 		}
 	case reflect.Map:
 		if v.IsNil() {
-			e.leaf(KindNil, pl.typeHash, labelKey)
+			e.leaf(KindNil, pl.TypeHash, labelKey)
 			return
 		}
-		id, seen := e.refs.intern(v.Pointer(), pl, 0)
-		e.leaf(KindMap, pl.typeHash, labelKey)
+		id, seen := e.refs.Intern(v.Pointer(), pl, 0, 0)
+		e.leaf(KindMap, pl.TypeHash, labelKey)
 		e.ref(id, seen)
 		if seen {
 			return
@@ -214,44 +216,44 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typePlan, labelKey uint64) {
 		// slice shapes wrapped receivers actually have.
 		base, ents := e.pushEntries(v)
 		for _, ent := range ents {
-			e.leaf(KindEntry, emptyTypeHash, strHash64(ent.sig))
+			e.leaf(KindEntry, emptyTypeHash, typeplan.StrHash64(ent.sig))
 			e.h.str(ent.sig)
-			e.encode(v.MapIndex(ent.key), pl.elem, valueLabel)
+			e.encode(v.MapIndex(ent.key), pl.Elem, valueLabel)
 		}
 		e.popEntries(base)
 	case reflect.Struct:
-		e.leaf(KindStruct, pl.typeHash, labelKey)
-		for _, f := range pl.fields {
-			e.encode(v.Field(f.index), f.plan, f.labelHash)
+		e.leaf(KindStruct, pl.TypeHash, labelKey)
+		for _, f := range pl.Fields {
+			e.encode(v.Field(f.Index), f.Plan, f.LabelHash)
 		}
 	case reflect.Interface:
 		if v.IsNil() {
-			e.leaf(KindNil, pl.typeHash, labelKey)
+			e.leaf(KindNil, pl.TypeHash, labelKey)
 			return
 		}
-		e.leaf(KindInterface, pl.typeHash, labelKey)
+		e.leaf(KindInterface, pl.TypeHash, labelKey)
 		dyn := v.Elem()
-		e.encode(dyn, planFor(dyn.Type()), dynLabel)
+		e.encode(dyn, typeplan.For(dyn.Type()), dynLabel)
 	case reflect.Chan:
 		if v.IsNil() {
-			e.leaf(KindNil, pl.typeHash, labelKey)
+			e.leaf(KindNil, pl.TypeHash, labelKey)
 			return
 		}
-		e.leaf(KindChan, pl.typeHash, labelKey)
+		e.leaf(KindChan, pl.TypeHash, labelKey)
 		e.h.word(uint64(v.Pointer()))
 	case reflect.Func:
 		if v.IsNil() {
-			e.leaf(KindNil, pl.typeHash, labelKey)
+			e.leaf(KindNil, pl.TypeHash, labelKey)
 			return
 		}
-		e.leaf(KindFunc, pl.typeHash, labelKey)
+		e.leaf(KindFunc, pl.TypeHash, labelKey)
 		e.h.word(uint64(v.Pointer()))
 	default:
 		// Opaque: Capture's Str is a pure function of the reflect kind and
 		// the addressability flag; hash those instead of the string.
-		e.leaf(KindOpaque, pl.typeHash, labelKey)
-		if v.CanAddr() || pl.kind == reflect.UnsafePointer {
-			e.h.word(uint64(pl.kind)<<1 | 1)
+		e.leaf(KindOpaque, pl.TypeHash, labelKey)
+		if v.CanAddr() || pl.Kind == reflect.UnsafePointer {
+			e.h.word(uint64(pl.Kind)<<1 | 1)
 		} else {
 			e.h.word(0)
 		}
@@ -327,7 +329,7 @@ func (h *fpHash) bytes(p []byte) {
 
 // sum finalizes both lanes into the fingerprint.
 func (h *fpHash) sum() FP {
-	return FP{fmix64(h.a ^ bits.RotateLeft64(h.b, 17)), fmix64(h.b + h.a*fpMulA)}
+	return FP{typeplan.Fmix64(h.a ^ bits.RotateLeft64(h.b, 17)), typeplan.Fmix64(h.b + h.a*fpMulA)}
 }
 
 // fpLeafFrameMin is the flat-leaf size (bytes) at which content is framed
@@ -366,8 +368,8 @@ func bulkHash128(p []byte) FP {
 		}
 		a0 = bits.RotateLeft64(a0^(tail*fpBulkM1), 25) * fpBulkM2
 	}
-	h0 := fmix64(a0 ^ bits.RotateLeft64(a1, 13) ^ bits.RotateLeft64(a2, 29) ^ bits.RotateLeft64(a3, 47))
-	h1 := fmix64((a1 + a0*fpMulA) ^ (bits.RotateLeft64(a3, 17) + a2*fpMulB))
+	h0 := typeplan.Fmix64(a0 ^ bits.RotateLeft64(a1, 13) ^ bits.RotateLeft64(a2, 29) ^ bits.RotateLeft64(a3, 47))
+	h1 := typeplan.Fmix64((a1 + a0*fpMulA) ^ (bits.RotateLeft64(a3, 17) + a2*fpMulB))
 	return FP{h0, h1}
 }
 

@@ -447,6 +447,11 @@ var pinnedCorpus = []pinnedCase{
 		b := []int{1, 2, 3, 4}
 		return []any{&views{Full: b, Same: b, Head: b[:2], Tail: b[2:]}}
 	}, FP{0xdf4f9ffdfef69d7a, 0x24ee5e7415642cdf}},
+	{"slice-views-by-length", func() []any {
+		type views struct{ Wide, Narrow []int }
+		b := []int{1, 2, 3, 4}
+		return []any{&views{Wide: b[:2], Narrow: b[:2:2]}}
+	}, FP{0x07bb1ddb3eded3c8, 0x04868f737132ed97}},
 	{"cross-root-alias", func() []any {
 		p := &point{X: 1, Y: 2}
 		m := map[string]int{"a": 1, "b": 2}

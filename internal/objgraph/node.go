@@ -9,6 +9,10 @@
 // same path from the before-graph and the live values, without capturing
 // the after-state.
 //
+// Every traversal runs from the per-type plans of internal/typeplan, the
+// ones checkpoint's deep copy runs from too, and numbers references with
+// its RefTable.
+//
 // The encoder reads unexported fields (reflection permits reading, not
 // writing), so comparison covers private state. Anything the encoder cannot
 // model (channels, funcs, unsafe pointers) is compared by identity, which

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+
+	"failatomic/internal/serve/store"
 )
 
 // The job index: GET /v1/jobs lists every job the server knows, newest
@@ -80,31 +82,15 @@ func (s *Server) rewriteIndex() error {
 		}
 		return jobs[i].id < jobs[k].id
 	})
-	tmp, err := os.CreateTemp(s.cfg.DataDir, ".index-*")
-	if err != nil {
-		return fmt.Errorf("serve: index: %w", err)
-	}
-	w := bufio.NewWriter(tmp)
+	var buf bytes.Buffer
 	for _, j := range jobs {
 		data, err := json.Marshal(entryOf(j))
 		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
 			return fmt.Errorf("serve: index: %w", err)
 		}
-		w.Write(append(data, '\n'))
+		buf.Write(append(data, '\n'))
 	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: index: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: index: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.indexPath()); err != nil {
-		os.Remove(tmp.Name())
+	if err := store.WriteFileAtomic(s.indexPath(), buf.Bytes()); err != nil {
 		return fmt.Errorf("serve: index: %w", err)
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 
 	"failatomic/internal/inject"
 	"failatomic/internal/sched"
+	"failatomic/internal/serve/store"
 )
 
 // Job lifecycle states. A job is durable from the moment it is admitted:
@@ -362,33 +363,15 @@ func (j *job) finalize(state string, exitCode int, errMsg, logSHA, reportSHA str
 	return err
 }
 
-// writeFileAtomic marshals v and renames it into place so a crash leaves
-// either the old file or the new one, never a torn manifest.
+// writeFileAtomic marshals v and writes it with store.WriteFileAtomic, so
+// a crash leaves either the old file or the new one, never a torn
+// manifest.
 func writeFileAtomic(path string, v any) error {
 	data, err := json.Marshal(v)
+	if err == nil {
+		err = store.WriteFileAtomic(path, append(data, '\n'))
+	}
 	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".manifest-*")
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("serve: %w", err)
 	}
 	return nil

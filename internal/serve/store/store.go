@@ -59,32 +59,38 @@ func (s *Store) Put(data []byte) (string, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return "", fmt.Errorf("store: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".put-*")
-	if err != nil {
-		return "", fmt.Errorf("store: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("store: %w", err)
-	}
 	// Concurrent Puts of the same bytes race benignly: both temp files
 	// hold identical content and rename is atomic, so last-writer-wins
 	// leaves the object intact.
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := WriteFileAtomic(path, data); err != nil {
 		return "", fmt.Errorf("store: %w", err)
 	}
 	return sum, nil
+}
+
+// WriteFileAtomic writes data to path so that a crash leaves either the
+// old file or the new one, never a torn one: it writes a temp file in
+// path's directory, syncs and closes it, and renames it into place. The
+// temp file is removed on any failure.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Get returns the object at sum, verifying its content against the
