@@ -7,11 +7,13 @@
 package failatomic_test
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
 
 	"failatomic/internal/core"
+	"failatomic/internal/fault"
 	"failatomic/internal/harness"
 )
 
@@ -122,5 +124,44 @@ func TestMaskedCallAllocs(t *testing.T) {
 	}
 	if n := session.MaskedCalls(); n != 1+windows*runs {
 		t.Fatalf("masked calls = %d, want %d", n, 1+windows*runs)
+	}
+}
+
+// TestReusedSessionRunAllocs guards the campaign-lived session: a warm
+// session that is reset and runs again, through prologues of 24 distinct
+// methods with injection counting and fingerprint snapshots, allocates
+// nothing, because each method's id and slot outlive the reset. A fresh
+// session per run would grow its per-method state on every run.
+func TestReusedSessionRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds allocations; exact counts only hold without -race")
+	}
+	reg := core.NewRegistry()
+	names := make([]string, 24)
+	for i := range names {
+		method := fmt.Sprintf("M%02d", i)
+		reg.Method("BenchTarget", method, fault.IllegalState)
+		names[i] = "BenchTarget." + method
+	}
+	cfg := core.Config{Registry: reg, Inject: true, Detect: true}
+	session := core.NewSession(cfg)
+	if err := core.Install(session); err != nil {
+		t.Fatal(err)
+	}
+	defer core.Uninstall(session)
+	target := harness.NewBenchTarget(4 << 10)
+	allocs, bytes := steadyCost(func() {
+		session.Reset(cfg)
+		for _, name := range names {
+			core.Enter(target, name)()
+		}
+	})
+	if allocs > 0 || bytes > 0 {
+		t.Fatalf("reset session run = %.2f allocs, %.1f B; want 0", allocs, bytes)
+	}
+	calls := session.Calls()
+	if len(calls) != len(names) || calls[names[0]] != 1 || session.Point() != 3*len(names) {
+		t.Fatalf("last run counted %v and %d points; want each of %d methods once, %d points",
+			calls, session.Point(), len(names), 3*len(names))
 	}
 }

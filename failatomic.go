@@ -155,11 +155,11 @@ type DetectOptions struct {
 	// keeps its open calls on one LIFO stack.
 	Serialize bool
 	// Parallelism explores the injection-point space with this many worker
-	// goroutines (0 or 1 = one worker). Every run binds its own session to
-	// its goroutine, so campaigns coexist with each other and with an
-	// installed Protect, and runs are merged in point order, so a
-	// deterministic workload classifies identically at any Parallelism —
-	// only faster.
+	// goroutines (0 or 1 = one worker). Every run binds its worker's
+	// session, reset for the run, to its goroutine, so campaigns coexist
+	// with each other and with an installed Protect, and runs are merged in
+	// point order, so a deterministic workload classifies identically at
+	// any Parallelism — only faster.
 	Parallelism int
 	// RunTimeout bounds each injection run; a run that exceeds it is
 	// abandoned and the point retried or quarantined instead of hanging

@@ -35,7 +35,8 @@ type schedResult struct {
 	// from; -1 when none.
 	faultIdx int
 	// points/calls are the per-worker session observations (the clean
-	// pass sizes the schedule plan from points).
+	// pass sizes the schedule plan from points). calls is read only off
+	// the clean pass, so only the clean pass builds it.
 	points []int
 	calls  []map[string]int64
 }
@@ -140,12 +141,16 @@ func runSchedule(t *Target, rng *rand.Rand, workers int, faultWorker, faultPoint
 		final:    inst.Final(),
 		faultIdx: -1,
 		points:   make([]int, workers),
-		calls:    make([]map[string]int64, workers),
+	}
+	if faultWorker < 0 {
+		res.calls = make([]map[string]int64, workers)
 	}
 	for w := 0; w < workers; w++ {
 		res.entries = append(res.entries, entriesPer[w]...)
 		res.points[w] = sessions[w].Point()
-		res.calls[w] = sessions[w].Calls()
+		if res.calls != nil {
+			res.calls[w] = sessions[w].Calls()
+		}
 	}
 	// Merge to one history in start-step order (start steps are unique:
 	// each is a distinct grant).

@@ -7,12 +7,13 @@ import (
 
 // Goroutine-scoped session binding. The paper's system is single-threaded
 // and the legacy Install/Uninstall global slot mirrors that; scoped
-// bindings lift the restriction so independent injector runs (one fresh
-// session each) can execute concurrently. A binding maps a goroutine-local
-// key (see gls_label.go / gls_portable.go) to a session in a sharded
-// registry; Enter consults the registry only when at least one binding
-// exists and falls back to the legacy global, so every existing call site
-// keeps working and the no-session fast path stays a single atomic load.
+// bindings lift the restriction so independent injector runs (one session
+// per campaign worker) can execute concurrently. A binding maps a
+// goroutine-local key (see gls_label.go / gls_portable.go) to a session in
+// a sharded registry; Enter consults the registry only when at least one
+// binding exists and falls back to the legacy global, so every existing
+// call site keeps working and the no-session fast path stays a single
+// atomic load.
 
 // nBindShards spreads bindings over independently locked maps so worker
 // pools don't serialize on one mutex. Power of two for cheap masking.

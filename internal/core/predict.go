@@ -49,17 +49,61 @@ type cleanBefore struct {
 // snapshotting every call once an exception has been injected. It also
 // holds the clean run's captured before-states (cleanDiff). One index is
 // shared, read-only, by every experiment of a campaign.
+//
+// The index also carries the campaign's method table: each method has a
+// dense id and one row of spans indexed by call ordinal, so a predicting
+// session reads a call's span at (method id, call ordinal) without
+// hashing. The row is keyed by the per-method call ordinal, never by the
+// run's global entry order: a call entered after the injection keeps its
+// ordinal but not its place in the entry order.
 type SpanIndex struct {
-	spans map[CallID]Span
+	methods *methodTable
+	rows    [][]Span
 }
 
-// IndexSpans indexes a span-recording run's spans by call identity.
-func IndexSpans(spans []Span) *SpanIndex {
-	x := &SpanIndex{spans: make(map[CallID]Span, len(spans))}
+// IndexSpans indexes a span-recording run's spans by call identity. The
+// index's method table holds names, in order, and then every method the
+// spans name; a campaign seeds it with the registry's names and the names
+// its clean run called, so every session of the sweep shares one table.
+func IndexSpans(spans []Span, names ...string) *SpanIndex {
+	t := newMethodTable(len(names))
+	for _, name := range names {
+		t.intern(name)
+	}
+	var counts []int64
 	for _, sp := range spans {
-		x.spans[sp.Call] = sp
+		id := t.intern(sp.Call.Method)
+		if int(id) >= len(counts) {
+			counts = append(counts, make([]int64, int(id)+1-len(counts))...)
+		}
+		counts[id] = max(counts[id], sp.Call.Call)
+	}
+	var total int64
+	for _, n := range counts {
+		total += n
+	}
+	flat := make([]Span, total)
+	x := &SpanIndex{methods: t, rows: make([][]Span, len(counts))}
+	for id, n := range counts {
+		x.rows[id], flat = flat[:n:n], flat[n:]
+	}
+	for _, sp := range spans {
+		x.rows[t.ids[sp.Call.Method]][sp.Call.Call-1] = sp
 	}
 	return x
+}
+
+// span returns the clean-run span of method id's call-th call, or nil when
+// the clean run recorded none (a row holds a zero Span there).
+func (x *SpanIndex) span(id int32, call int64) *Span {
+	if int(id) >= len(x.rows) {
+		return nil
+	}
+	row := x.rows[id]
+	if call < 1 || call > int64(len(row)) || row[call-1].Call.Call != call {
+		return nil
+	}
+	return &row[call-1]
 }
 
 // MayUnwind reports whether call can unwind in the run that injects at
@@ -67,28 +111,27 @@ func IndexSpans(spans []Span) *SpanIndex {
 // groups (a) and (b) of the SpanIndex argument. A call without a clean-run
 // span reports true, so a diverging run snapshots it instead of missing it.
 func (x *SpanIndex) MayUnwind(call CallID, point int) bool {
-	_, settled := x.settled(call, point)
-	return !settled
+	id, ok := x.methods.ids[call.Method]
+	return !ok || !settled(x.span(id, call.Call), point)
 }
 
-// settled returns call's clean-run span and true when MayUnwind is false:
-// the call returns normally in the run that injects at point, exactly as
-// it did in the clean run.
-func (x *SpanIndex) settled(call CallID, point int) (Span, bool) {
-	sp, ok := x.spans[call]
-	return sp, ok && !(sp.Enter < point && (sp.Unwound || point <= sp.Exit))
+// settled reports, for a call whose clean-run span is sp (nil: none), that
+// MayUnwind is false: the call returns normally in the run that injects at
+// point, exactly as it did in the clean run.
+func settled(sp *Span, point int) bool {
+	return sp != nil && !(sp.Enter < point && (sp.Unwound || point <= sp.Exit))
 }
 
-// cleanDiff returns the first-difference path from call's clean-run
-// before-state to the graph at roots, or "" when the clean run kept no
-// capture of call or its fingerprint is not before. Equal fingerprints
-// mean the same canonical traversal (up to a 2⁻¹²⁸ collision), so the
-// clean graph stands for the run's own before-state and the path is the
-// one a capture-mode run reports.
-func (x *SpanIndex) cleanDiff(call CallID, before objgraph.FP, roots []any) string {
-	cb := x.spans[call].before
-	if cb == nil || cb.fp != before {
+// cleanDiff returns the first-difference path from the clean-run
+// before-state of method id's call-th call to the graph at roots, or ""
+// when the clean run kept no capture of that call or its fingerprint is
+// not before. Equal fingerprints mean the same canonical traversal (up to
+// a 2⁻¹²⁸ collision), so the clean graph stands for the run's own
+// before-state and the path is the one a capture-mode run reports.
+func (x *SpanIndex) cleanDiff(id int32, call int64, before objgraph.FP, roots []any) string {
+	sp := x.span(id, call)
+	if sp == nil || sp.before == nil || sp.before.fp != before {
 		return ""
 	}
-	return objgraph.DiffLive(cb.graph, roots...)
+	return objgraph.DiffLive(sp.before.graph, roots...)
 }

@@ -85,8 +85,12 @@ func (r *Registry) Info(name string) *MethodInfo {
 	return r.methods[name]
 }
 
-// Names returns all registered instrumentation names, sorted.
+// Names returns all registered instrumentation names, sorted (none for a
+// nil registry).
 func (r *Registry) Names() []string {
+	if r == nil {
+		return nil
+	}
 	names := make([]string, 0, len(r.methods))
 	for name := range r.methods {
 		names = append(names, name)

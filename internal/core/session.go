@@ -188,17 +188,26 @@ type Config struct {
 	//
 	// Without Serialize a session must be used by one goroutine at a time:
 	// the exit state of its open calls is one LIFO frame stack, and its
-	// per-method call counts and masking statistics are plain maps.
+	// per-method call counts and masking statistics sit in unsynchronized
+	// per-method slots.
 	Serialize bool
 }
 
+// defaultRuntimeKinds is fault.RuntimeKinds(), shared read-only by every
+// session whose Config.RuntimeKinds is nil.
+var defaultRuntimeKinds = fault.RuntimeKinds()
+
 // Session is one configured run of an instrumented program. Sessions are
 // exclusive (the paper's system is single-threaded, §4.4): Install fails if
-// another session is active.
+// another session is active. Reset readies a session for another run, so
+// a campaign worker keeps one session for all of its runs.
 type Session struct {
 	cfg          Config
 	runtimeKinds []fault.Kind
 	strategy     checkpoint.Strategy
+	// ownStrategy is the checkpoint.DeepCopy the session uses when
+	// Config.Strategy is nil, kept across Reset with its free lists.
+	ownStrategy checkpoint.Strategy
 	// serial is held for the duration of each instrumented call when
 	// Serialize is set (reentrant, so nested wrapped calls on the owning
 	// goroutine proceed).
@@ -218,11 +227,19 @@ type Session struct {
 	markDiffs   []string
 	spans       []Span
 	misses      int
-	calls       map[string]int64
 	maskSkips   []MaskSkip
 	masked      int64
 	restored    int64
-	maskStats   map[string]*MaskStat
+
+	// Dense method ids (methods.go). base is the campaign's shared method
+	// table (nil outside a campaign). own interns the names base lacks,
+	// numbered after base's, and its names map every id, base's too, back
+	// to its name. slots holds each id's state, current when its gen is
+	// the session's gen, which Reset advances.
+	base  *methodTable
+	own   methodTable
+	slots []method
+	gen   uint64
 
 	// frames holds the exit state of each open call whose prologue needs
 	// an epilogue, innermost last. Wrapped calls nest (each epilogue is
@@ -235,59 +252,98 @@ type Session struct {
 	rootsFree [][]any
 
 	// exitFn is the one deferred epilogue Enter hands out for every call
-	// that pushed a frame: s.exit, or s.exitSerialized under Serialize.
-	// unlockFn releases the Serialize lock of a call that pushed none.
-	// Both are method values built once, so deferring them allocates
-	// nothing.
-	exitFn   func()
-	unlockFn func()
+	// that pushed a frame: exitPlain (s.exit), or exitSerial
+	// (s.exitSerialized) under Serialize. unlockFn releases the Serialize
+	// lock of a call that pushed none. All are method values built once
+	// per session, so deferring them allocates nothing.
+	exitFn     func()
+	exitPlain  func()
+	exitSerial func()
+	unlockFn   func()
 }
 
 // frame is one open call's exit state: what its epilogue needs from its
 // prologue.
 type frame struct {
-	id            CallID
-	roots         []any
-	handle        checkpoint.Handle
-	before        *objgraph.Graph
-	beforeFP      objgraph.FP
+	method        int32 // dense id
 	fingerprinted bool
-	span          int // index into spans under RecordSpans
+	// predicted: Config.Predict ruled out that the call unwinds, so it
+	// took no snapshot; unwinding anyway is a miss.
+	predicted bool
+	call      int64 // per-method call ordinal
+	roots     []any
+	handle    checkpoint.Handle
+	before    *objgraph.Graph
+	beforeFP  objgraph.FP
+	span      int // index into spans under RecordSpans
 }
 
 // NewSession returns a session with the given configuration.
 func NewSession(cfg Config) *Session {
+	s := &Session{}
+	s.exitPlain = s.exit
+	s.exitSerial = s.exitSerialized
+	s.unlockFn = s.serial.Unlock
+	s.Reset(cfg)
+	return s
+}
+
+// Reset readies the session for a new run under cfg: afterwards it
+// observes exactly what NewSession(cfg) would. It keeps only buffers that
+// never leave the session: the frame stack, the roots scratch, the method
+// ids and slots (counters restart at zero), and, when cfg.Strategy is
+// nil, its own checkpoint strategy with that strategy's free lists.
+// Everything the getters handed out for the previous run (Marks,
+// MarkCalls, MarkDiffs, Spans, InjectedAll, PointTrace, MaskSkips, and the
+// maps Calls and MaskStats build) is detached, never truncated, so it
+// stays valid. No call of the previous run may still be open on another
+// goroutine: a session whose run was abandoned mid-call must be dropped,
+// not reset.
+func (s *Session) Reset(cfg Config) {
 	kinds := cfg.RuntimeKinds
 	if kinds == nil {
-		kinds = fault.RuntimeKinds()
+		kinds = defaultRuntimeKinds
 	}
 	strategy := cfg.Strategy
 	if strategy == nil {
-		strategy = checkpoint.DeepCopy()
+		if s.ownStrategy == nil {
+			s.ownStrategy = checkpoint.DeepCopy()
+		}
+		strategy = s.ownStrategy
 	}
-	s := &Session{
-		cfg:          cfg,
-		runtimeKinds: kinds,
-		strategy:     strategy,
-		calls:        make(map[string]int64),
-		perturbed:    cfg.Trigger != nil || cfg.TracePoints,
-	}
-	if cfg.Trigger != nil {
-		s.activations = make(map[siteKey]int)
-	}
-	s.exitFn = s.exit
-	if cfg.Serialize {
-		s.exitFn = s.exitSerialized
-		s.unlockFn = s.serial.Unlock
+	if cfg.Predict != nil && cfg.Predict.methods != s.base {
+		// The span rows are indexed by the index's method ids.
+		s.rebase(cfg.Predict.methods)
 	}
 	if cfg.Trigger != nil || cfg.ExitFire != nil || !cfg.Detect {
 		// The span argument covers one injection at the threshold point;
 		// multi-fire triggers and epilogue faults snapshot every call. A
 		// miss is counted by the Detect epilogue, so a session without
 		// Detect checkpoints every call.
-		s.cfg.Predict = nil
+		cfg.Predict = nil
 	}
-	return s
+	s.cfg = cfg
+	s.runtimeKinds = kinds
+	s.strategy = strategy
+	s.perturbed = cfg.Trigger != nil || cfg.TracePoints
+	s.exitFn = s.exitPlain
+	if cfg.Serialize {
+		s.exitFn = s.exitSerial
+	}
+
+	s.point, s.seq, s.misses, s.masked, s.restored = 0, 0, 0, 0, 0
+	s.injected, s.trace, s.marks, s.markCalls, s.markDiffs = nil, nil, nil, nil, nil
+	s.spans, s.maskSkips = nil, nil
+	clear(s.activations)
+	// A run that was cut short can leave frames open; drop their roots
+	// and handles.
+	clear(s.frames)
+	s.frames = s.frames[:0]
+
+	s.gen++
+	for call := range cfg.DiffCalls {
+		s.state(s.methodID(call.Method)).diff = true
+	}
 }
 
 // Point returns the current value of the global injection-point counter.
@@ -334,8 +390,16 @@ func (s *Session) Spans() []Span { return s.spans }
 // clean run the prediction was read off, and its marks are incomplete.
 func (s *Session) PredictMisses() int { return s.misses }
 
-// Calls returns the per-method call counts.
-func (s *Session) Calls() map[string]int64 { return s.calls }
+// Calls returns the per-method call counts, in a map built on each call.
+func (s *Session) Calls() map[string]int64 {
+	out := make(map[string]int64)
+	for id := range s.slots {
+		if m := &s.slots[id]; m.gen == s.gen && m.calls > 0 {
+			out[s.own.names[id]] = m.calls
+		}
+	}
+	return out
+}
 
 // MaskSkips returns methods whose checkpoints failed.
 func (s *Session) MaskSkips() []MaskSkip { return s.maskSkips }
@@ -349,27 +413,22 @@ func (s *Session) Rollbacks() int64 { return s.restored }
 // MaskStats returns the per-method masking overhead, or nil when no call
 // was masked.
 func (s *Session) MaskStats() map[string]MaskStat {
-	if len(s.maskStats) == 0 {
-		return nil
-	}
-	out := make(map[string]MaskStat, len(s.maskStats))
-	for name, st := range s.maskStats {
-		out[name] = *st
+	var out map[string]MaskStat
+	for id := range s.slots {
+		if m := &s.slots[id]; m.gen == s.gen && m.stat.Calls > 0 {
+			if out == nil {
+				out = make(map[string]MaskStat)
+			}
+			out[s.own.names[id]] = m.stat
+		}
 	}
 	return out
 }
 
-// noteMask records one masked call's overhead. Checkpoint bytes must be
+// noteMask records one masked call of method id. Checkpoint bytes must be
 // read before rollback (journals clear on restore).
-func (s *Session) noteMask(name string, bytes int, rolledBack bool) {
-	if s.maskStats == nil {
-		s.maskStats = make(map[string]*MaskStat)
-	}
-	st := s.maskStats[name]
-	if st == nil {
-		st = &MaskStat{}
-		s.maskStats[name] = st
-	}
+func (s *Session) noteMask(id int32, bytes int, rolledBack bool) {
+	st := &s.slots[id].stat
 	st.Calls++
 	st.Bytes += int64(bytes)
 	if rolledBack {
@@ -493,12 +552,15 @@ func (s *Session) exitSerialized() {
 // snapshot). When something needs to happen at method exit it pushes the
 // call's frame, as its last step, and reports true.
 func (s *Session) enterWork(recv any, name string, extra []any) bool {
-	call := s.calls[name] + 1
-	s.calls[name] = call
+	id := s.methodID(name)
+	m := s.state(id)
+	m.calls++
+	// Copy what the rest needs: a checkpoint or snapshot may run user
+	// code (a Snapshotter) that enters a new method and moves the slots.
+	call, mask, diff := m.calls, m.mask, m.diff
 
-	if s.cfg.Inject && !s.cfg.ExceptionFree[name] {
-		info := s.cfg.Registry.Info(name)
-		if info != nil {
+	if m.inject {
+		if info := m.info; info != nil {
 			for _, kind := range info.Declared {
 				s.point++
 				if s.perturbed {
@@ -522,8 +584,7 @@ func (s *Session) enterWork(recv any, name string, extra []any) bool {
 		return false
 	}
 
-	maskWanted := s.cfg.Mask && (s.cfg.MaskAll || s.cfg.MaskMethods[name])
-	if !maskWanted && !s.cfg.Detect {
+	if !mask && !s.cfg.Detect {
 		return false
 	}
 
@@ -531,22 +592,25 @@ func (s *Session) enterWork(recv any, name string, extra []any) bool {
 	roots = append(roots, recv)
 	roots = append(roots, extra...)
 
+	// targeted: Config.DiffCalls is nil or lists this call. Only methods
+	// with a listed call pay the lookup.
+	targeted := s.cfg.DiffCalls == nil || diff && s.cfg.DiffCalls[CallID{name, call}]
 	// predicted: the clean run's spans rule out that this call unwinds
 	// (Config.Predict), so it needs neither a snapshot nor a checkpoint.
 	// If it unwinds anyway, the Detect epilogue counts a miss.
-	id := CallID{name, call}
-	var clean Span
+	var clean *Span
 	predicted := false
-	if s.cfg.Predict != nil && len(s.injected) == 0 && (s.cfg.DiffCalls == nil || s.cfg.DiffCalls[id]) {
-		clean, predicted = s.cfg.Predict.settled(id, s.cfg.InjectionPoint)
+	if s.cfg.Predict != nil && len(s.injected) == 0 && targeted {
+		clean = s.cfg.Predict.span(id, call)
+		predicted = settled(clean, s.cfg.InjectionPoint)
 	}
 
-	f := frame{id: id, roots: roots}
+	f := frame{method: id, call: call, roots: roots, predicted: predicted}
 	switch {
-	case !maskWanted:
+	case !mask:
 	case predicted && clean.checkpointed:
 		s.masked++
-		s.noteMask(name, clean.bytes, false)
+		s.noteMask(id, clean.bytes, false)
 	default:
 		h, err := s.strategy.Capture(roots...)
 		if err != nil {
@@ -559,7 +623,7 @@ func (s *Session) enterWork(recv any, name string, extra []any) bool {
 
 	if s.cfg.Detect {
 		switch {
-		case s.cfg.DiffCalls != nil && !s.cfg.DiffCalls[id]:
+		case !targeted:
 		case predicted:
 		case s.cfg.Snapshot == SnapshotFingerprint:
 			f.beforeFP = objgraph.Fingerprint(roots...)
@@ -575,7 +639,7 @@ func (s *Session) enterWork(recv any, name string, extra []any) bool {
 	}
 
 	if s.cfg.RecordSpans {
-		sp := Span{Call: id, Enter: s.point, Exit: math.MaxInt}
+		sp := Span{Call: CallID{name, call}, Enter: s.point, Exit: math.MaxInt}
 		if f.fingerprinted {
 			sp.before = &cleanBefore{fp: f.beforeFP, graph: objgraph.Capture(roots...)}
 		}
@@ -597,14 +661,15 @@ func (s *Session) epilogue(r any) {
 	f := s.frames[last]
 	s.frames[last] = frame{}
 	s.frames = s.frames[:last]
+	name := s.own.names[f.method]
 
 	if r == nil && s.cfg.ExitFire != nil {
 		// Deferred-cleanup injection: the body completed; the fault
 		// strikes in the epilogue — the method's cleanup phase — and
 		// takes the exceptional path below with the body's effects
 		// already applied to the object graph.
-		if kind, fire := s.cfg.ExitFire(f.id.Method, f.id.Call); fire {
-			exc := fault.New(kind, f.id.Method, s.point)
+		if kind, fire := s.cfg.ExitFire(name, f.call); fire {
+			exc := fault.New(kind, name, s.point)
 			s.injected = append(s.injected, exc)
 			r = exc
 		}
@@ -624,7 +689,7 @@ func (s *Session) epilogue(r any) {
 	}
 	if r == nil {
 		if f.handle != nil {
-			s.noteMask(f.id.Method, f.handle.Bytes(), false)
+			s.noteMask(f.method, f.handle.Bytes(), false)
 		}
 		if c, ok := f.handle.(checkpoint.Committer); ok {
 			c.Commit()
@@ -638,14 +703,14 @@ func (s *Session) epilogue(r any) {
 		bytes := f.handle.Bytes()
 		if err := f.handle.Rollback(); err != nil {
 			s.maskSkips = append(s.maskSkips, MaskSkip{
-				Method: f.id.Method,
+				Method: name,
 				Err:    fmt.Errorf("rollback: %w", err),
 			})
 		} else {
 			s.restored++
 			rolledBack = true
 		}
-		s.noteMask(f.id.Method, bytes, rolledBack)
+		s.noteMask(f.method, bytes, rolledBack)
 	}
 	if f.fingerprinted {
 		// Fingerprint mode records the verdict but no diff path. A
@@ -657,19 +722,19 @@ func (s *Session) epilogue(r any) {
 		unchanged := objgraph.Fingerprint(f.roots...) == f.beforeFP
 		s.seq++
 		s.marks = append(s.marks, Mark{
-			Method:    f.id.Method,
+			Method:    name,
 			Seq:       s.seq,
 			Atomic:    unchanged,
 			Exception: fault.From(r),
 			Masked:    rolledBack,
 		})
-		s.markCalls = append(s.markCalls, f.id)
+		s.markCalls = append(s.markCalls, CallID{name, f.call})
 		if s.cfg.Predict != nil {
 			// The clean span is looked up on this rare path rather
 			// than on every call's prologue.
 			diff := ""
 			if !unchanged {
-				diff = s.cfg.Predict.cleanDiff(f.id, f.beforeFP, f.roots)
+				diff = s.cfg.Predict.cleanDiff(f.method, f.call, f.beforeFP, f.roots)
 			}
 			s.markDiffs = append(s.markDiffs, diff)
 		}
@@ -677,22 +742,22 @@ func (s *Session) epilogue(r any) {
 		diff := objgraph.DiffLive(f.before, f.roots...)
 		s.seq++
 		s.marks = append(s.marks, Mark{
-			Method:    f.id.Method,
+			Method:    name,
 			Seq:       s.seq,
 			Atomic:    diff == "",
 			Diff:      diff,
 			Exception: fault.From(r),
 			Masked:    rolledBack,
 		})
-		s.markCalls = append(s.markCalls, f.id)
+		s.markCalls = append(s.markCalls, CallID{name, f.call})
 	} else if s.cfg.Detect {
 		// A call outside DiffCalls or the prediction: no snapshot, no
 		// mark, but it consumes its Seq exactly as in an untargeted
 		// pass, so the other marks keep their numbering.
 		s.seq++
-		if s.cfg.Predict != nil && (s.cfg.DiffCalls == nil || s.cfg.DiffCalls[f.id]) {
-			// Only the prediction can have excluded this call, and it
-			// unwound anyway: the run diverged from its clean run.
+		if f.predicted {
+			// Only the prediction excluded this call, and it unwound
+			// anyway: the run diverged from its clean run.
 			s.misses++
 		}
 	}
@@ -721,6 +786,9 @@ func (s *Session) advancePerturbed(kind fault.Kind, name string) {
 			s.inject(kind, name)
 		}
 		return
+	}
+	if s.activations == nil {
+		s.activations = make(map[siteKey]int)
 	}
 	site := siteKey{method: name, kind: kind}
 	s.activations[site]++

@@ -5,6 +5,7 @@ import (
 	"reflect"
 
 	"failatomic/internal/checkpoint"
+	"failatomic/internal/core"
 )
 
 // PredictedComparison is what PredictedMismatch observed.
@@ -36,21 +37,34 @@ func PredictedMismatch(p *Program, opts Options) (PredictedComparison, error) {
 	}
 	predicted := &countingStrategy{Strategy: inner, n: &cmp.PredictedCaptures}
 	full := &countingStrategy{Strategy: inner, n: &cmp.FullCaptures}
-	for _, ex := range planExperiments(clean.profile(p), opts, clean.spans) {
+	var w worker
+	for _, ex := range planExperiments(clean.profile(p), opts, clean.spans, campaignMethods(p, clean.calls)) {
 		opts.MaskStrategy = predicted
-		got := executeOnce(p, ex, opts, nil)
+		got := w.executeOnce(p, ex, opts, nil)
+		gotCalls := w.session.Calls()
 		if got.missed {
 			cmp.Misses++
 		}
 		ex.predict = nil
 		opts.MaskStrategy = full
-		want := executeOnce(p, ex, opts, nil)
+		want := w.executeOnce(p, ex, opts, nil)
 		if cmp.Mismatch == "" && (!reflect.DeepEqual(got.run, want.run) || !reflect.DeepEqual(got.markCalls, want.markCalls) ||
-			got.points != want.points || !reflect.DeepEqual(got.calls, want.calls)) {
+			got.points != want.points || !reflect.DeepEqual(gotCalls, w.session.Calls())) {
 			cmp.Mismatch = ex.Key.String()
 		}
 	}
 	return cmp, nil
+}
+
+// execute runs one experiment, settled, on a fresh worker: what a
+// campaign worker's first run does.
+func execute(p *Program, ex Experiment, opts Options) execution {
+	return new(worker).execute(p, ex, opts)
+}
+
+// executeOnce runs one experiment's first pass on a fresh worker.
+func executeOnce(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) execution {
+	return new(worker).executeOnce(p, ex, opts, diffCalls)
 }
 
 // countingStrategy counts the checkpoints its strategy captures.

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -223,12 +224,12 @@ type Options struct {
 	// capture identity tests, and a fabench cell.
 	Snapshot core.SnapshotMode
 	// Parallelism is the number of worker goroutines exploring injection
-	// points concurrently (0 or 1 = one worker). Every run binds its own
-	// session to its goroutine (core.Session.Bind), so campaigns never
-	// contend for the global session slot and may share a process with
-	// each other and with an installed Protect session; Runs are merged in
-	// plan order, making the result independent of Parallelism over a
-	// deterministic workload.
+	// points concurrently (0 or 1 = one worker). Every run binds its
+	// worker's session to its goroutine (core.Session.Bind), so campaigns
+	// never contend for the global session slot and may share a process
+	// with each other and with an installed Protect session; Runs are
+	// merged in plan order, making the result independent of Parallelism
+	// over a deterministic workload.
 	Parallelism int
 	// RunTimeout bounds each injector execution. On expiry the supervisor
 	// abandons the run's goroutine (goroutines are unkillable; the leak is
@@ -290,13 +291,18 @@ var ErrQuarantineBudget = errors.New("inject: campaign exceeded MaxQuarantined")
 // Campaign runs the full detection experiment for p: one clean run to size
 // the injection space, then one run per injection point, incrementing the
 // threshold each time exactly as in Step 3. Every run constructs fresh
-// objects and its own session, so the run space is embarrassingly
-// parallel: max(1, min(Parallelism, len(plan))) workers bind a private
-// session to their goroutine (core.Session.Bind) and claim experiments
-// from an atomic cursor, and the runs are merged in plan order, so a
-// deterministic workload yields the same Result at any Parallelism. The
-// context cancels the campaign between runs (and mid-run when
-// supervised); runs already streamed to Options.OnRun survive for resume.
+// objects and starts from a reset session, so the run space is
+// embarrassingly parallel: max(1, min(Parallelism, len(plan))) workers
+// claim experiments from an atomic cursor, and the runs are merged in plan
+// order, so a deterministic workload yields the same Result at any
+// Parallelism. Each worker keeps one private session for the whole
+// campaign: every run it executes, settle and replay reruns included,
+// resets that session (core.Session.Reset) and binds it to the worker's
+// goroutine (core.Session.Bind), so the session's frame stack, method
+// slots and checkpoint free lists are reused while everything a run
+// returns is its own. The context cancels the campaign between runs (and
+// mid-run when supervised); runs already streamed to Options.OnRun
+// survive for resume.
 //
 // Failure handling is two-tier: per-point failures (hangs, foreign-panic
 // crashes) are retried and quarantined by the supervisor and never stop
@@ -324,7 +330,7 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 		CleanCalls:  clean.calls,
 		TotalPoints: clean.points,
 	}
-	exps := planExperiments(clean.profile(p), opts, clean.spans)
+	exps := planExperiments(clean.profile(p), opts, clean.spans, campaignMethods(p, clean.calls))
 	if err := checkBudget(len(exps), maxRuns); err != nil {
 		return nil, err
 	}
@@ -357,6 +363,7 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var w worker
 			for !stop.Load() {
 				i := int(next.Add(1))
 				if i > len(exps) {
@@ -367,7 +374,7 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 					fail(fmt.Errorf("inject: campaign interrupted before %s: %w", ex.Key, err))
 					return
 				}
-				out, journaled, err := experimentRun(ctx, p, ex, opts)
+				out, journaled, err := w.experimentRun(ctx, p, ex, opts)
 				if err != nil {
 					fail(fmt.Errorf("injection %s: %w", ex.Key, err))
 					return
@@ -413,15 +420,15 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 // spliced from the resume journal if present, otherwise executed (under
 // the supervisor when one is configured). The bool reports whether the
 // run was spliced.
-func experimentRun(ctx context.Context, p *Program, ex Experiment, opts Options) (execution, bool, error) {
+func (w *worker) experimentRun(ctx context.Context, p *Program, ex Experiment, opts Options) (execution, bool, error) {
 	if run, ok := opts.Completed[ex.Key]; ok {
 		return execution{run: run}, true, nil
 	}
 	if opts.supervised() {
-		out, err := supervise(ctx, p, ex, opts)
+		out, err := w.supervise(ctx, p, ex, opts)
 		return out, false, err
 	}
-	return execute(p, ex, opts), false, nil
+	return w.execute(p, ex, opts), false, nil
 }
 
 // notifyRun streams one completed run to the journal hook.
@@ -561,7 +568,8 @@ type execution struct {
 	// diffs are the diff paths a predicted pass read off the clean run's
 	// captures (core.Session.MarkDiffs), index-aligned with run.Marks when
 	// non-nil.
-	diffs  []string
+	diffs []string
+	// calls is the per-method call count, read only off the clean run.
 	calls  map[string]int64
 	points int
 	trace  []core.PointInfo
@@ -585,10 +593,40 @@ func (e execution) profile(p *Program) Profile {
 	}
 }
 
-// newSession builds the injector session realizing one experiment;
-// diffCalls restricts its Detect snapshots (nil = every call, or the
-// predicted calls of a threshold experiment).
-func newSession(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) *core.Session {
+// worker is one campaign goroutine's run state: the session every run it
+// executes resets and binds. The session is nil until the first run, and
+// again after a supervised attempt abandoned it (see supervise.go).
+type worker struct {
+	session *core.Session
+}
+
+// start readies the worker's session for one run under cfg.
+func (w *worker) start(cfg core.Config) *core.Session {
+	if w.session == nil {
+		w.session = core.NewSession(cfg)
+	} else {
+		w.session.Reset(cfg)
+	}
+	return w.session
+}
+
+// campaignMethods lists the method names a campaign's shared method table
+// is seeded with (core.IndexSpans): the registry's, then those the clean
+// run called, each list sorted.
+func campaignMethods(p *Program, cleanCalls map[string]int64) []string {
+	names := p.Registry.Names()
+	called := make([]string, 0, len(cleanCalls))
+	for name := range cleanCalls {
+		called = append(called, name)
+	}
+	sort.Strings(called)
+	return append(names, called...)
+}
+
+// sessionConfig is the injector session configuration realizing one
+// experiment; diffCalls restricts its Detect snapshots (nil = every call,
+// or the predicted calls of a threshold experiment).
+func sessionConfig(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) core.Config {
 	cfg := core.Config{
 		Registry:       p.Registry,
 		Inject:         true,
@@ -616,7 +654,7 @@ func newSession(p *Program, ex Experiment, opts Options, diffCalls map[core.Call
 			return "", false
 		}
 	}
-	return core.NewSession(cfg)
+	return cfg
 }
 
 // workload returns the (possibly repeated) body of one injector run.
@@ -634,7 +672,7 @@ func workload(p *Program, opts Options) func() {
 
 // collect packages what one finished session observed.
 func collect(session *core.Session, ex Experiment, escaped *fault.Exception) execution {
-	return execution{
+	out := execution{
 		run: Run{
 			InjectionPoint: ex.Key.Point,
 			Strategy:       ex.Key.Strategy,
@@ -646,12 +684,16 @@ func collect(session *core.Session, ex Experiment, escaped *fault.Exception) exe
 		},
 		markCalls: session.MarkCalls(),
 		diffs:     session.MarkDiffs(),
-		calls:     session.Calls(),
 		points:    session.Point(),
 		trace:     session.PointTrace(),
 		spans:     session.Spans(),
 		missed:    session.PredictMisses() > 0,
 	}
+	if ex.spans {
+		// The clean profiling run: its call counts are the only ones read.
+		out.calls = session.Calls()
+	}
+	return out
 }
 
 // MaskStatTotals sums the per-method masking overhead across every run of
@@ -682,10 +724,11 @@ func cleanRun(ctx context.Context, p *Program, opts Options) (execution, error) 
 		return execution{}, err
 	}
 	ex := cleanExperiment(opts)
+	var w worker
 	if !opts.supervised() {
-		return execute(p, ex, opts), nil
+		return w.execute(p, ex, opts), nil
 	}
-	out, err := supervise(ctx, p, ex, opts)
+	out, err := w.supervise(ctx, p, ex, opts)
 	if err != nil {
 		return execution{}, err
 	}
@@ -702,8 +745,8 @@ func cleanRun(ctx context.Context, p *Program, opts Options) (execution, error) 
 // snapshots the diffs of the run's non-atomic marks are recovered by a
 // targeted capture replay, so the result is byte-identical to an
 // all-capture, every-call campaign.
-func execute(p *Program, ex Experiment, opts Options) execution {
-	out := executeOnce(p, ex, opts, nil)
+func (w *worker) execute(p *Program, ex Experiment, opts Options) execution {
+	out := w.executeOnce(p, ex, opts, nil)
 	// A supervised attempt that crashed with a foreign panic belongs to
 	// the supervisor's retry policy, not to settling: rerunning here would
 	// consume a retry the workload's misbehavior hook never sees. The
@@ -711,16 +754,16 @@ func execute(p *Program, ex Experiment, opts Options) execution {
 	if opts.supervised() && out.run.Escaped != nil && out.run.Escaped.Foreign {
 		return out
 	}
-	return settle(out, p, ex, opts, nil)
+	return w.settle(out, p, ex, opts, nil)
 }
 
-// executeOnce is one attempt of execute on a fresh session bound to the
-// calling goroutine (core.Session.Bind), so any number of runs may proceed
-// concurrently on different goroutines; diffCalls restricts its snapshots
-// (core.Config.DiffCalls; nil = every call, or the predicted calls when
-// ex.predict is set).
-func executeOnce(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) execution {
-	session := newSession(p, ex, opts, diffCalls)
+// executeOnce is one attempt of execute on the worker's reset session,
+// bound to the calling goroutine (core.Session.Bind), so any number of
+// workers may run concurrently on different goroutines; diffCalls
+// restricts its snapshots (core.Config.DiffCalls; nil = every call, or the
+// predicted calls when ex.predict is set).
+func (w *worker) executeOnce(p *Program, ex Experiment, opts Options, diffCalls map[core.CallID]bool) execution {
+	session := w.start(sessionConfig(p, ex, opts, diffCalls))
 	var escaped *fault.Exception
 	session.Bind(func() {
 		escaped = runGuarded(workload(p, opts))
@@ -737,16 +780,16 @@ func executeOnce(p *Program, ex Experiment, opts Options, diffCalls map[core.Cal
 // (recoverDiffs). Reruns never predict. accept, when non-nil, vets each
 // rerun; a rejected rerun leaves the run as it was (the supervisor keeps a
 // flaky crasher's original).
-func settle(out execution, p *Program, ex Experiment, opts Options, accept func(Run) bool) execution {
+func (w *worker) settle(out execution, p *Program, ex Experiment, opts Options, accept func(Run) bool) execution {
 	ex.predict = nil
 	if out.missed {
-		full := executeOnce(p, ex, opts, nil)
+		full := w.executeOnce(p, ex, opts, nil)
 		if accept == nil || accept(full.run) {
 			full.missed = true
 			out = full
 		}
 	}
-	return recoverDiffs(out, p, ex, opts, accept)
+	return w.recoverDiffs(out, p, ex, opts, accept)
 }
 
 // recoverDiffs fills in Mark.Diff for every non-atomic mark a
@@ -765,7 +808,7 @@ func settle(out execution, p *Program, ex Experiment, opts Options, accept func(
 // captured and that replay is adopted wholesale. accept vets each replay
 // as in settle; a vetted (quarantined) run adopts no clean-run paths and
 // recovers every diff by replay.
-func recoverDiffs(out execution, p *Program, ex Experiment, opts Options, accept func(Run) bool) execution {
+func (w *worker) recoverDiffs(out execution, p *Program, ex Experiment, opts Options, accept func(Run) bool) execution {
 	if opts.Snapshot != core.SnapshotFingerprint {
 		return out
 	}
@@ -781,7 +824,7 @@ func recoverDiffs(out execution, p *Program, ex Experiment, opts Options, accept
 		return out
 	}
 	opts.Snapshot = core.SnapshotCapture
-	replay := executeOnce(p, ex, opts, targets)
+	replay := w.executeOnce(p, ex, opts, targets)
 	out.replays++
 	if accept != nil && !accept(replay.run) {
 		return out
@@ -789,7 +832,7 @@ func recoverDiffs(out execution, p *Program, ex Experiment, opts Options, accept
 	if patchDiffs(out, replay, len(targets)) {
 		return out
 	}
-	full := executeOnce(p, ex, opts, nil)
+	full := w.executeOnce(p, ex, opts, nil)
 	out.replays++
 	if accept != nil && !accept(full.run) {
 		return out

@@ -5,22 +5,28 @@ import (
 	"fmt"
 	"time"
 
+	"failatomic/internal/core"
 	"failatomic/internal/fault"
 )
 
 // Per-run supervision (TripleAgent-style: supervise the program under
 // injection rather than trust it). Each attempt executes on its own
-// goroutine with a session bound to it; the supervisor waits for the
-// result, the watchdog deadline, or cancellation, then retries with
-// capped backoff and finally quarantines the point.
+// goroutine with its worker's session bound to it; the supervisor waits
+// for the result, the watchdog deadline, or cancellation, then retries
+// with capped backoff and finally quarantines the point.
 //
 // Goroutine leak: Go cannot kill a goroutine, so an expired attempt is
 // abandoned, not stopped. The leak is bounded by (MaxRetries+1) abandoned
 // goroutines per quarantined point, and quarantined points are bounded by
-// MaxQuarantined (or the point space). An abandoned goroutine keeps its
-// own bound session alive but — because bindings are goroutine-keyed
-// (core.Session.Bind) — can never touch another run's session, which is
-// what makes abandoning safe at all.
+// MaxQuarantined (or the point space). An abandoned goroutine keeps the
+// session it was handed and may go on using it, so the worker never gets
+// that session back: the attempt takes the worker's session with it, the
+// supervisor returns it to the worker only from an attempt that finished,
+// and the next attempt after a hang (or after a panic in the engine
+// itself, which may have left the session mid-call) starts on a fresh
+// session. Because bindings are goroutine-keyed (core.Session.Bind) and no
+// session is ever shared, an abandoned goroutine can never touch another
+// run's session, which is what makes abandoning safe at all.
 
 // Retry backoff: capped exponential, small because injector runs are
 // typically sub-millisecond and a flaky point usually needs only a beat.
@@ -41,9 +47,9 @@ const (
 // supervise runs one experiment under the watchdog/retry/quarantine
 // policy. A quarantined run is reported through the returned run's
 // Status, not an error; the error return is reserved for cancellation.
-func supervise(ctx context.Context, p *Program, ex Experiment, opts Options) (execution, error) {
+func (w *worker) supervise(ctx context.Context, p *Program, ex Experiment, opts Options) (execution, error) {
 	for attempt := 0; ; attempt++ {
-		out, verdict, err := superviseAttempt(ctx, p, ex, opts)
+		out, verdict, err := w.superviseAttempt(ctx, p, ex, opts)
 		if err != nil {
 			return execution{}, err
 		}
@@ -52,7 +58,7 @@ func supervise(ctx context.Context, p *Program, ex Experiment, opts Options) (ex
 			return out, nil
 		}
 		if attempt >= opts.MaxRetries {
-			return quarantined(p, ex, verdict, attempt, out, opts), nil
+			return w.quarantined(p, ex, verdict, attempt, out, opts), nil
 		}
 		if err := backoff(ctx, attempt); err != nil {
 			return execution{}, err
@@ -60,27 +66,40 @@ func supervise(ctx context.Context, p *Program, ex Experiment, opts Options) (ex
 	}
 }
 
-// superviseAttempt executes one attempt on a fresh bound-session goroutine
-// and waits for it, the deadline, or cancellation.
-func superviseAttempt(ctx context.Context, p *Program, ex Experiment, opts Options) (execution, attemptVerdict, error) {
+// attempt is what one supervised attempt hands back: its execution, and
+// the session it ran on when that session may be reused (nil after a
+// panic in the engine).
+type attempt struct {
+	out     execution
+	session *core.Session
+}
+
+// superviseAttempt executes one attempt on its own goroutine, on the
+// worker's session, and waits for it, the deadline, or cancellation. The
+// attempt owns the session until it finishes; the worker gets it back
+// only then (see the header comment).
+func (w *worker) superviseAttempt(ctx context.Context, p *Program, ex Experiment, opts Options) (execution, attemptVerdict, error) {
+	own := &worker{session: w.session}
+	w.session = nil
 	// Buffered so an attempt finishing after abandonment parks its result
 	// and exits instead of leaking on the send.
-	ch := make(chan execution, 1)
+	ch := make(chan attempt, 1)
 	go func() {
 		defer func() {
 			// runGuarded already catches workload panics; this catches a
 			// panic in the engine itself (session setup, mark collection)
 			// so it quarantines the point instead of killing the process.
 			if r := recover(); r != nil {
-				ch <- execution{run: Run{
+				ch <- attempt{out: execution{run: Run{
 					InjectionPoint: ex.Key.Point,
 					Strategy:       ex.Key.Strategy,
 					Arg:            ex.Key.Arg,
 					Escaped:        fault.From(r),
-				}}
+				}}}
 			}
 		}()
-		ch <- execute(p, ex, opts)
+		out := own.execute(p, ex, opts)
+		ch <- attempt{out: out, session: own.session}
 	}()
 	var expire <-chan time.Time
 	if opts.RunTimeout > 0 {
@@ -89,7 +108,9 @@ func superviseAttempt(ctx context.Context, p *Program, ex Experiment, opts Optio
 		expire = t.C
 	}
 	select {
-	case out := <-ch:
+	case a := <-ch:
+		w.session = a.session
+		out := a.out
 		if e := out.run.Escaped; e != nil && e.Foreign {
 			return out, attemptCrashed, nil
 		}
@@ -106,7 +127,7 @@ func superviseAttempt(ctx context.Context, p *Program, ex Experiment, opts Optio
 // panic's stack) for triage — the classifier skips them via Status. A
 // hung run keeps nothing: its session is still owned by the abandoned
 // goroutine and must not be read.
-func quarantined(p *Program, ex Experiment, verdict attemptVerdict, retries int, last execution, opts Options) execution {
+func (w *worker) quarantined(p *Program, ex Experiment, verdict attemptVerdict, retries int, last execution, opts Options) execution {
 	if verdict == attemptHung {
 		return execution{run: Run{
 			InjectionPoint: ex.Key.Point,
@@ -123,7 +144,7 @@ func quarantined(p *Program, ex Experiment, verdict attemptVerdict, retries int,
 	// rerun is adopted only if it reproduces a foreign crash (a
 	// deterministic crasher does; a flaky one keeps its original rather
 	// than observations from a run it never had).
-	last = settle(last, p, ex, opts, func(r Run) bool {
+	last = w.settle(last, p, ex, opts, func(r Run) bool {
 		return r.Escaped != nil && r.Escaped.Foreign
 	})
 	last.run.Status = RunUndetermined

@@ -115,6 +115,57 @@ func TestSupervisorQuarantinesHangingPoint(t *testing.T) {
 	})
 }
 
+// TestSupervisorRetryAfterHangGetsFreshSession: a hung attempt's
+// goroutine still owns the session it ran on, so the retry on the same
+// worker must run on another one. The first attempt at hangPoint hangs
+// past RunTimeout; once the retry is under way it wakes up and unwinds an
+// organic exception through two wrapped calls, which adds two atomic
+// marks (no diff replay rewrites them) to whatever session it holds. The retry succeeds, and the Result equals an
+// unsupervised campaign's apart from that run's retry count. Run under
+// -race, this also checks that the two goroutines share no session state.
+func TestSupervisorRetryAfterHangGetsFreshSession(t *testing.T) {
+	parallelisms(t, func(t *testing.T, workers int) {
+		baseline, err := Campaign(context.Background(), testProgram(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wake, woke := make(chan struct{}), make(chan struct{})
+		var release sync.Once
+		t.Cleanup(func() { release.Do(func() { close(wake) }) })
+		p := misbehavingProgram(hangPoint, func(attempt int, r any) {
+			switch attempt {
+			case 1:
+				<-wake
+				full := &stack{Count: 1<<20 + 1}
+				runGuarded(func() { full.PushSafe(1) })
+				close(woke)
+			case 2:
+				release.Do(func() { close(wake) })
+				<-woke
+				panic(r)
+			default:
+				panic(r)
+			}
+		})
+		res, err := Campaign(context.Background(), p, Options{
+			Parallelism: workers,
+			RunTimeout:  30 * time.Millisecond,
+			MaxRetries:  1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Quarantined) != 0 || res.Runs[hangPoint].Retries != 1 {
+			t.Fatalf("quarantined %+v, retries %d; want the retry to succeed", res.Quarantined, res.Runs[hangPoint].Retries)
+		}
+		res.Runs[hangPoint].Retries = 0
+		res.Program = baseline.Program
+		if !reflect.DeepEqual(res, baseline) {
+			t.Fatalf("retried campaign differs from the unsupervised one:\n got %+v\nwant %+v", res, baseline)
+		}
+	})
+}
+
 func TestSupervisorQuarantinesForeignPanic(t *testing.T) {
 	parallelisms(t, func(t *testing.T, workers int) {
 		baseline, err := Campaign(context.Background(), testProgram(), Options{})
