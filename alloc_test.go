@@ -12,9 +12,11 @@ import (
 	"runtime"
 	"testing"
 
+	"failatomic/internal/checkpoint"
 	"failatomic/internal/core"
 	"failatomic/internal/fault"
 	"failatomic/internal/harness"
+	"failatomic/internal/objgraph"
 )
 
 // prologueCost measures allocs/op and bytes/op of one wrapped call under a
@@ -163,5 +165,65 @@ func TestReusedSessionRunAllocs(t *testing.T) {
 	if len(calls) != len(names) || calls[names[0]] != 1 || session.Point() != 3*len(names) {
 		t.Fatalf("last run counted %v and %d points; want each of %d methods once, %d points",
 			calls, session.Point(), len(names), 3*len(names))
+	}
+}
+
+// chainNode is a checkpointed graph node with each kind of reference a
+// deep copy clones: a pointer, a slice of pointers and a flat slice.
+type chainNode struct {
+	Next *chainNode
+	Kids []*chainNode
+	Vals []int
+}
+
+// newChain returns the head of a chain of n nodes, each listing its
+// successor among its Kids too.
+func newChain(n int) *chainNode {
+	var head *chainNode
+	for i := 0; i < n; i++ {
+		head = &chainNode{Next: head, Vals: []int{i, i + 1, i + 2}}
+		head.Kids = []*chainNode{head.Next}
+	}
+	return head
+}
+
+// TestRollbackAllocsMatchCommit guards rollback reuse: a rolled-back deep
+// copy hands its clone objects and bookkeeping back to its strategy as a
+// committed one does, so in steady state capture, mutate and Rollback on
+// a 20-node graph allocates exactly what capture and Commit allocate.
+func TestRollbackAllocsMatchCommit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds allocations; exact counts only hold without -race")
+	}
+	cost := func(finish func(checkpoint.Handle, *chainNode)) (allocs, bytes float64) {
+		strategy := checkpoint.DeepCopy()
+		root := newChain(20)
+		before := objgraph.Fingerprint(root)
+		allocs, bytes = steadyCost(func() {
+			h, err := strategy.Capture(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			finish(h, root)
+		})
+		if objgraph.Fingerprint(root) != before {
+			t.Fatal("the graph changed across capture and rollback")
+		}
+		return allocs, bytes
+	}
+	commitAllocs, commitBytes := cost(func(h checkpoint.Handle, _ *chainNode) {
+		h.(checkpoint.Committer).Commit()
+	})
+	rollbackAllocs, rollbackBytes := cost(func(h checkpoint.Handle, root *chainNode) {
+		root.Vals[0]++
+		root.Next.Next = nil
+		root.Kids[0] = nil
+		if err := h.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rollbackAllocs != commitAllocs || rollbackBytes != commitBytes {
+		t.Fatalf("capture+rollback = %.2f allocs, %.1f B; capture+commit = %.2f allocs, %.1f B; want equal",
+			rollbackAllocs, rollbackBytes, commitAllocs, commitBytes)
 	}
 }

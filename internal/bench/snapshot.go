@@ -2,8 +2,8 @@
 // (testing.Benchmark) and renders machine-readable results. cmd/fabench
 // -json uses it to emit the repo's committed perf trajectory
 // (BENCH_snapshot.json): the capture-vs-fingerprint snapshot ablation, the
-// detect prologue in both modes, representative Table 1 campaigns, and the
-// parallel-scheduler guard.
+// detect prologue in both modes, the deep-copy checkpoint's rollback,
+// representative Table 1 campaigns, and the parallel-scheduler guard.
 package bench
 
 import (
@@ -124,6 +124,8 @@ func SnapshotSuite(ctx context.Context, perturb string) ([]Result, error) {
 			}
 		}))
 	}
+
+	out = append(out, measureDeepCopyRollback())
 
 	for _, name := range campaignApps {
 		app, ok := apps.ByName(name)

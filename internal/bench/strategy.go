@@ -133,6 +133,7 @@ func StrategySuite() []Result {
 				}
 			}
 		}),
+		measureDeepCopyRollback(),
 		measure("strategy/checkpoint/undolog/insert", func(b *testing.B) {
 			strategy := checkpoint.UndoLog()
 			l := &journaledList{strategyList: *newStrategyList(strategyListSize)}
@@ -149,4 +150,30 @@ func StrategySuite() []Result {
 			}
 		}),
 	}
+}
+
+// measureDeepCopyRollback is the deep-copy rung's exceptional path: a
+// capture, an insert and the rollback that undoes it, on one list through
+// one strategy, so each capture reuses what the previous rollback handed
+// back. The snapshot suite runs it too, so fabench -diff-against pins its
+// allocations.
+func measureDeepCopyRollback() Result {
+	return measure("strategy/checkpoint/deepcopy/rollback", func(b *testing.B) {
+		strategy := checkpoint.DeepCopy()
+		l := newStrategyList(strategyListSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h, err := strategy.Capture(l)
+			if err != nil {
+				b.Fatal(err)
+			}
+			l.insertBumpFirst(i)
+			if err := h.Rollback(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if l.Count != strategyListSize {
+			b.Fatalf("list holds %d cells after rollbacks, want %d", l.Count, strategyListSize)
+		}
+	})
 }

@@ -11,8 +11,8 @@
 // covering all types with exported fields, and number references with its
 // RefTable. Types with unexported state participate by implementing
 // Snapshotter (the analog of a hand-written deep_copy). A strategy's
-// committed checkpoints hand their large flat slices and clone objects
-// back for its later captures to reuse (reuse.go).
+// committed and rolled-back checkpoints hand their large flat slices and
+// clone objects back for its later captures to reuse (reuse.go).
 // Types that cannot be checkpointed are reported as errors at capture time,
 // never checkpointed partially — preserving the paper's one-sided
 // guarantee.
@@ -49,35 +49,22 @@ func (e *UnsupportedError) Error() string {
 
 // ref is one cloned reference and its original. orig keeps the original
 // alive for Restore, detached from the location it was read from so later
-// writes there do not change it: the pointer or map itself (one word, so
-// boxing it does not allocate), or a slice's backing array, whose length
-// and capacity the ref holds. A Snapshotter's clone is the original
-// pointer.
+// writes there do not change it, in the reference's own runtime layout: a
+// pointer or map is its first word, a slice the whole header. A
+// Snapshotter's clone is the original pointer.
 type ref struct {
-	plan     *typeplan.Plan
-	len, cap int
-	orig     any
-	clone    reflect.Value
+	plan  *typeplan.Plan
+	orig  sliceHeader
+	clone reflect.Value
 	// own marks the clone objects commit recycles as spares: pointees and
 	// small slices of references (makeSlice).
 	own bool
 }
 
-// detached returns what a ref keeps of the original reference v.
-func detached(v reflect.Value) any {
-	if v.Kind() == reflect.Slice {
-		return v.UnsafePointer()
-	}
-	return v.Interface()
-}
-
-// original returns the original reference as a value of its type.
+// original returns the original reference as a value of its type, read
+// in place from the ref, so Restore allocates nothing for it.
 func (r *ref) original() reflect.Value {
-	if r.plan.Kind != reflect.Slice {
-		return reflect.ValueOf(r.orig)
-	}
-	hdr := &sliceHeader{data: r.orig.(unsafe.Pointer), len: r.len, cap: r.cap}
-	return reflect.NewAt(r.plan.Type, unsafe.Pointer(hdr)).Elem()
+	return reflect.NewAt(r.plan.Type, unsafe.Pointer(&r.orig)).Elem()
 }
 
 // sliceHeader is the runtime layout of a slice value.
@@ -86,8 +73,9 @@ type sliceHeader struct {
 	len, cap int
 }
 
-// scratch is a checkpoint's bookkeeping. A committed checkpoint hands it
-// back to its strategy, cleared, for a later capture to reuse.
+// scratch is a checkpoint's bookkeeping. A committed or rolled-back
+// checkpoint hands it back to its strategy, cleared, for a later capture
+// to reuse.
 type scratch struct {
 	roots []rootEntry
 	refs  []ref
@@ -97,6 +85,9 @@ type scratch struct {
 	// allocates: most checkpoints are committed, never restored.
 	origs  typeplan.RefTable
 	clones *typeplan.RefTable
+	// visited marks, by refs index, the originals a Restore pass has
+	// written back.
+	visited []bool
 	// slabs are the large flat clone slices, returned to the strategy's
 	// free list on commit.
 	slabs []slab
@@ -113,9 +104,11 @@ type Checkpoint struct {
 	blobs map[int]any // Snapshotter state by refs index; nil until a Snapshotter is met
 	// owner is the strategy that captured this checkpoint; nil for the
 	// package-level Capture, whose checkpoints reuse nothing.
-	owner     *deepCopy
-	committed bool
-	bytes     int
+	owner *deepCopy
+	// released is why the checkpoint can no longer be restored
+	// (errCommitted or errRolledBack); nil while it is open.
+	released error
+	bytes    int
 }
 
 type rootEntry struct {
@@ -181,9 +174,9 @@ func intern(t *typeplan.RefTable, v reflect.Value, p *typeplan.Plan) (int, bool)
 // remember records a cloned reference before its contents are cloned, so
 // aliases and cycles reaching it again resolve to the same clone.
 func (c *Checkpoint) remember(p *typeplan.Plan, orig, clone reflect.Value, own bool) {
-	r := ref{plan: p, orig: detached(orig), clone: clone, own: own}
+	r := ref{plan: p, orig: sliceHeader{data: orig.UnsafePointer()}, clone: clone, own: own}
 	if p.Kind == reflect.Slice {
-		r.len, r.cap = orig.Len(), orig.Cap()
+		r.orig.len, r.orig.cap = orig.Len(), orig.Cap()
 	}
 	c.refs = append(c.refs, r)
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -298,6 +299,92 @@ func TestQuickReuseAcrossCommits(t *testing.T) {
 				}
 			}
 			h.(Committer).Commit()
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickReuseNestedRollbacks nests captures of one graph through one
+// strategy, last in first out as core's frame stack does: every inner
+// checkpoint rolls back, and the outermost commits or rolls back. Each
+// rollback must bring the graph and its slice headers back exactly, must
+// make Restore fail and Commit do nothing, and must hand back what the
+// next capture of the restored graph takes: its scratch and every spare
+// clone object.
+func TestQuickReuseNestedRollbacks(t *testing.T) {
+	type frame struct {
+		h       Handle
+		before  *objgraph.Graph
+		live    []*mutTree
+		headers []string
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var pool []*mutTree
+		tree := genMutTree(r, 2, &pool)
+		s := DeepCopy()
+		free := s.(*deepCopy)
+		for round := 0; round < 4; round++ {
+			var stack []frame
+			for depth := 1 + r.Intn(3); len(stack) < depth; {
+				live := reachable(tree, pool)
+				fr := frame{before: objgraph.Capture(tree), live: live, headers: sliceHeaders(live)}
+				h, err := s.Capture(tree)
+				if err != nil {
+					t.Logf("seed %d: capture failed: %v", seed, err)
+					return false
+				}
+				fr.h = h
+				stack = append(stack, fr)
+				mutate(r, pool)
+			}
+			for len(stack) > 0 {
+				fr := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if len(stack) == 0 && r.Intn(2) == 0 {
+					fr.h.(Committer).Commit()
+					continue
+				}
+				ck := fr.h.(*Checkpoint)
+				sc, own := ck.scratch, 0
+				for _, ref := range ck.refs {
+					if ref.own {
+						own++
+					}
+				}
+				if err := ck.Rollback(); err != nil {
+					t.Logf("seed %d round %d: rollback failed: %v", seed, round, err)
+					return false
+				}
+				if !objgraph.Equal(fr.before, objgraph.Capture(tree)) || !reflect.DeepEqual(fr.headers, sliceHeaders(fr.live)) {
+					t.Logf("seed %d round %d depth %d: rollback after reuse is not exact", seed, round, len(stack))
+					return false
+				}
+				if err := ck.Restore(); !errors.Is(err, errRolledBack) {
+					t.Logf("seed %d: restore after rollback = %v, want errRolledBack", seed, err)
+					return false
+				}
+				scratches, slabs := len(free.scratch), len(free.slabs)
+				ck.Commit()
+				if len(free.scratch) != scratches || len(free.slabs) != slabs {
+					t.Logf("seed %d: commit after rollback handed back more", seed)
+					return false
+				}
+				again, err := s.Capture(tree)
+				if err != nil {
+					t.Logf("seed %d: capture after rollback failed: %v", seed, err)
+					return false
+				}
+				if a := again.(*Checkpoint); a.scratch != sc || a.next != own {
+					t.Logf("seed %d: capture after rollback took %d of %d spares (own scratch: %v)",
+						seed, a.next, own, a.scratch == sc)
+					return false
+				}
+				again.(Committer).Commit()
+			}
 		}
 		return true
 	}

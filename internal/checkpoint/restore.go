@@ -8,37 +8,46 @@ import (
 	"failatomic/internal/typeplan"
 )
 
-// errCommitted reports a rollback of a committed checkpoint: a deep copy's
-// clone may already be reused by a later capture, and a journal's undo
-// records have been handed to the enclosing journal.
-var errCommitted = errors.New("checkpoint: restore after commit")
+// errCommitted and errRolledBack report a restore of a released
+// checkpoint: a deep copy's clone may already be reused by a later
+// capture, and a committed journal's undo records have been handed to the
+// enclosing journal.
+var (
+	errCommitted  = errors.New("checkpoint: restore after commit")
+	errRolledBack = errors.New("checkpoint: restore after rollback")
+)
 
-// Rollback implements Handle by restoring the checkpointed state.
-func (c *Checkpoint) Rollback() error { return c.Restore() }
+// Rollback implements Handle: it restores the checkpointed state and then
+// releases the checkpoint as Commit does. A rolled-back checkpoint cannot
+// be restored again, and Commit on it does nothing. A rollback whose
+// Restore failed leaves the checkpoint open.
+func (c *Checkpoint) Rollback() error {
+	if err := c.Restore(); err != nil {
+		return err
+	}
+	c.release(errRolledBack)
+	return nil
+}
 
 // Commit implements Committer: the checkpointed call returned normally,
-// so the clone is dead. Its clone objects, its large flat slices and its
-// bookkeeping go back to the strategy that captured it, for later
-// captures to reuse. A committed checkpoint cannot be restored; Commit is
-// idempotent.
-func (c *Checkpoint) Commit() {
-	if c.committed {
+// so the clone is dead. A committed checkpoint cannot be restored; Commit
+// is idempotent.
+func (c *Checkpoint) Commit() { c.release(errCommitted) }
+
+var _ Committer = (*Checkpoint)(nil)
+
+// release closes the checkpoint for the given reason. Its clone objects,
+// its large flat slices and its bookkeeping go back to the strategy that
+// captured it, for later captures to reuse.
+func (c *Checkpoint) release(why error) {
+	if c.released != nil {
 		return
 	}
-	c.committed = true
+	c.released = why
 	if c.owner != nil {
 		c.owner.recycle(c.scratch)
 	}
 	c.scratch, c.blobs = nil, nil
-}
-
-var _ Committer = (*Checkpoint)(nil)
-
-// restorer is one Restore pass: visited marks the references (by refs
-// index) whose originals were already written back.
-type restorer struct {
-	c       *Checkpoint
-	visited []bool
 }
 
 // Restore reinstates the checkpointed state in place (the paper's
@@ -47,10 +56,10 @@ type restorer struct {
 // aliases held elsewhere in the program observe the rollback; objects the
 // failed method allocated become garbage (the paper needed reference
 // counting for this; Go's GC covers it, cycles included). Restore can run
-// any number of times until the checkpoint is committed.
+// any number of times until the checkpoint is committed or rolled back.
 func (c *Checkpoint) Restore() error {
-	if c.committed {
-		return errCommitted
+	if c.released != nil {
+		return c.released
 	}
 	// Restore is the rare path (an exception unwound the call), so the
 	// clones are numbered here rather than during capture.
@@ -61,9 +70,9 @@ func (c *Checkpoint) Restore() error {
 	for i := range c.refs {
 		intern(c.clones, c.refs[i].clone, c.refs[i].plan)
 	}
-	r := restorer{c: c, visited: make([]bool, len(c.refs))}
+	c.visited = append(c.visited[:0], make([]bool, len(c.refs))...)
 	for _, root := range c.roots {
-		if _, err := r.materialize(root.clone, root.plan); err != nil {
+		if _, err := c.materialize(root.clone, root.plan); err != nil {
 			return err
 		}
 	}
@@ -72,8 +81,8 @@ func (c *Checkpoint) Restore() error {
 
 // find returns the refs index of the clone reference v, and whether
 // this pass meets it for the first time.
-func (r *restorer) find(v reflect.Value, p *typeplan.Plan) (int, bool, error) {
-	id, ok := intern(r.c.clones, v, p)
+func (c *Checkpoint) find(v reflect.Value, p *typeplan.Plan) (int, bool, error) {
+	id, ok := intern(c.clones, v, p)
 	if !ok {
 		return 0, false, &UnsupportedError{
 			Type: p.TypeStr,
@@ -81,14 +90,14 @@ func (r *restorer) find(v reflect.Value, p *typeplan.Plan) (int, bool, error) {
 		}
 	}
 	i := id - 1
-	first := !r.visited[i]
-	r.visited[i] = true
+	first := !c.visited[i]
+	c.visited[i] = true
 	return i, first, nil
 }
 
 // restoreInto writes the clone's contents into dst (an original, settable
 // location), mapping interior clone references back to the originals.
-func (r *restorer) restoreInto(dst, src reflect.Value, p *typeplan.Plan) error {
+func (c *Checkpoint) restoreInto(dst, src reflect.Value, p *typeplan.Plan) error {
 	switch {
 	case p.Leaf:
 		dst.Set(src)
@@ -99,18 +108,18 @@ func (r *restorer) restoreInto(dst, src reflect.Value, p *typeplan.Plan) error {
 			if !f.Exported {
 				continue
 			}
-			if err := r.restoreInto(dst.Field(f.Index), src.Field(f.Index), f.Plan); err != nil {
+			if err := c.restoreInto(dst.Field(f.Index), src.Field(f.Index), f.Plan); err != nil {
 				return err
 			}
 		}
 	case p.Kind == reflect.Array:
 		for i := 0; i < dst.Len(); i++ {
-			if err := r.restoreInto(dst.Index(i), src.Index(i), p.Elem); err != nil {
+			if err := c.restoreInto(dst.Index(i), src.Index(i), p.Elem); err != nil {
 				return err
 			}
 		}
 	default:
-		m, err := r.materialize(src, p)
+		m, err := c.materialize(src, p)
 		if err != nil {
 			return err
 		}
@@ -123,14 +132,13 @@ func (r *restorer) restoreInto(dst, src reflect.Value, p *typeplan.Plan) error {
 // original location: original pointers for cloned pointees (restoring their
 // contents once), the original map (cleared and refilled) for cloned maps,
 // and the original header and backing array for cloned slices.
-func (r *restorer) materialize(src reflect.Value, p *typeplan.Plan) (reflect.Value, error) {
-	c := r.c
+func (c *Checkpoint) materialize(src reflect.Value, p *typeplan.Plan) (reflect.Value, error) {
 	switch p.Kind {
 	case reflect.Pointer:
 		if src.IsNil() || (p.Elem.Empty && !p.Snap) {
 			return src, nil
 		}
-		i, first, err := r.find(src, p)
+		i, first, err := c.find(src, p)
 		if err != nil {
 			return reflect.Value{}, err
 		}
@@ -147,7 +155,7 @@ func (r *restorer) materialize(src reflect.Value, p *typeplan.Plan) (reflect.Val
 			return orig, nil
 		}
 		if first {
-			if err := r.restoreInto(orig.Elem(), src.Elem(), p.Elem); err != nil {
+			if err := c.restoreInto(orig.Elem(), src.Elem(), p.Elem); err != nil {
 				return reflect.Value{}, err
 			}
 		}
@@ -157,7 +165,7 @@ func (r *restorer) materialize(src reflect.Value, p *typeplan.Plan) (reflect.Val
 			// The clone is the original header (cloneSlice).
 			return src, nil
 		}
-		i, first, err := r.find(src, p)
+		i, first, err := c.find(src, p)
 		if err != nil {
 			return reflect.Value{}, err
 		}
@@ -170,7 +178,7 @@ func (r *restorer) materialize(src reflect.Value, p *typeplan.Plan) (reflect.Val
 			return orig, nil
 		}
 		for j := 0; j < src.Len(); j++ {
-			if err := r.restoreInto(orig.Index(j), src.Index(j), p.Elem); err != nil {
+			if err := c.restoreInto(orig.Index(j), src.Index(j), p.Elem); err != nil {
 				return reflect.Value{}, err
 			}
 		}
@@ -179,7 +187,7 @@ func (r *restorer) materialize(src reflect.Value, p *typeplan.Plan) (reflect.Val
 		if src.IsNil() {
 			return src, nil
 		}
-		i, first, err := r.find(src, p)
+		i, first, err := c.find(src, p)
 		if err != nil {
 			return reflect.Value{}, err
 		}
@@ -192,11 +200,11 @@ func (r *restorer) materialize(src reflect.Value, p *typeplan.Plan) (reflect.Val
 		orig.Clear()
 		iter := src.MapRange()
 		for iter.Next() {
-			k, err := r.materialize(iter.Key(), p.Key)
+			k, err := c.materialize(iter.Key(), p.Key)
 			if err != nil {
 				return reflect.Value{}, err
 			}
-			v, err := r.materialize(iter.Value(), p.Elem)
+			v, err := c.materialize(iter.Value(), p.Elem)
 			if err != nil {
 				return reflect.Value{}, err
 			}
@@ -214,7 +222,7 @@ func (r *restorer) materialize(src reflect.Value, p *typeplan.Plan) (reflect.Val
 		}
 		// Set and SetMapIndex box the materialized value into the
 		// location's interface type.
-		return r.materialize(inner, ip)
+		return c.materialize(inner, ip)
 	case reflect.Struct, reflect.Array:
 		if p.Flat {
 			return src, nil
@@ -222,7 +230,7 @@ func (r *restorer) materialize(src reflect.Value, p *typeplan.Plan) (reflect.Val
 		// Composite values inside map entries and interfaces are not
 		// addressable: rebuild them.
 		fresh := reflect.New(p.Type).Elem()
-		if err := r.restoreInto(fresh, src, p); err != nil {
+		if err := c.restoreInto(fresh, src, p); err != nil {
 			return reflect.Value{}, err
 		}
 		return fresh, nil

@@ -7,12 +7,12 @@ import (
 	"failatomic/internal/typeplan"
 )
 
-// Reuse of committed copies. A masked call that returns normally commits
-// its checkpoint, and the clone is dead from then on: its large flat
-// slices (the bulk of a large object's copy), its other clone objects and
-// its bookkeeping go back to the strategy that captured it, and the
-// strategy's next captures fill them again instead of allocating. A
-// rollback never frees anything.
+// Reuse of released copies. A masked call that returns normally commits
+// its checkpoint, and one that unwinds rolls it back; either way the clone
+// is dead from then on (a rollback has written it back already): its
+// large flat slices (the bulk of a large object's copy), its other clone
+// objects and its bookkeeping go back to the strategy that captured it,
+// and the strategy's next captures fill them again instead of allocating.
 
 // DeepCopy returns the eager deep-copy strategy of Listing 2. Each call
 // returns a new strategy with its own free lists; one strategy value is
@@ -39,9 +39,10 @@ const (
 )
 
 // deepCopy is the deep-copy strategy and the owner of its free lists,
-// bounded LIFOs of what committed checkpoints handed back. Unlike a
-// sync.Pool their contents change only on capture and commit, so what a
-// sequence of calls allocates does not depend on when the GC runs.
+// bounded LIFOs of what released checkpoints handed back. Unlike a
+// sync.Pool their contents change only on capture, commit and rollback,
+// so what a sequence of calls allocates does not depend on when the GC
+// runs.
 type deepCopy struct {
 	mu        sync.Mutex
 	slabs     []slab
@@ -85,7 +86,7 @@ func (d *deepCopy) takeScratch() *scratch {
 	return s
 }
 
-// recycle takes back a committed checkpoint's slabs and bookkeeping. The
+// recycle takes back a released checkpoint's slabs and bookkeeping. The
 // checkpoint's own clone objects become the scratch's spares, zeroed, so
 // the free lists keep no original alive and a reused object is as fresh
 // as a new one.

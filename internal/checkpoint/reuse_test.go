@@ -188,6 +188,52 @@ func TestRollbackAfterCommitFails(t *testing.T) {
 	}
 }
 
+// TestRollbackReleases: a rolled-back deep copy hands its slab and
+// bookkeeping back once, for the next capture to take. Restore and a
+// second Rollback then fail and write nothing, and Commit does nothing.
+func TestRollbackReleases(t *testing.T) {
+	d := DeepCopy()
+	free := d.(*deepCopy)
+	h := newSlabHolder()
+	before := objgraph.Capture(h)
+	cp, err := d.Capture(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := cp.(*Checkpoint)
+	sc, slabPtr := ck.scratch, ck.slabs[0].v.Pointer()
+	scribble(h, 0xAA)
+	if err := cp.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if d := objgraph.Diff(before, objgraph.Capture(h)); d != "" {
+		t.Fatalf("rollback: %s", d)
+	}
+	ck.Commit()
+	if len(free.slabs) != 1 || len(free.scratch) != 1 {
+		t.Fatalf("free lists hold %d slabs and %d scratches after rollback and commit, want 1 and 1",
+			len(free.slabs), len(free.scratch))
+	}
+	scribble(h, 0x55)
+	after := objgraph.Capture(h)
+	if err := ck.Restore(); !errors.Is(err, errRolledBack) {
+		t.Fatalf("restore after rollback = %v, want errRolledBack", err)
+	}
+	if err := cp.Rollback(); !errors.Is(err, errRolledBack) {
+		t.Fatalf("second rollback = %v, want errRolledBack", err)
+	}
+	if d := objgraph.Diff(after, objgraph.Capture(h)); d != "" {
+		t.Fatalf("failed restore wrote: %s", d)
+	}
+	next, err := d.Capture(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := next.(*Checkpoint); n.scratch != sc || len(n.slabs) != 1 || n.slabs[0].v.Pointer() != slabPtr {
+		t.Fatal("the capture after a rollback did not reuse its scratch and slab")
+	}
+}
+
 func TestPackageCaptureDoesNotReuse(t *testing.T) {
 	h := newSlabHolder()
 	cp, err := Capture(h)

@@ -15,7 +15,10 @@ type Strategy interface {
 
 // Handle is an open checkpoint that can be rolled back once.
 type Handle interface {
-	// Rollback reinstates the captured state.
+	// Rollback reinstates the captured state. It is final: Commit on a
+	// rolled-back handle does nothing, and a deep copy hands its clone
+	// objects and bookkeeping back to its strategy for later captures to
+	// reuse, as on Commit, so restoring it again fails.
 	Rollback() error
 	// Bytes reports the approximate checkpoint payload size.
 	Bytes() int

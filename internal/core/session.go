@@ -290,15 +290,15 @@ func NewSession(cfg Config) *Session {
 
 // Reset readies the session for a new run under cfg: afterwards it
 // observes exactly what NewSession(cfg) would. It keeps only buffers that
-// never leave the session: the frame stack, the roots scratch, the method
+// never leave the session: the frame stack, the roots scratch, the mark
+// buffers (Marks, MarkCalls and MarkDiffs hand out copies), the method
 // ids and slots (counters restart at zero), and, when cfg.Strategy is
 // nil, its own checkpoint strategy with that strategy's free lists.
-// Everything the getters handed out for the previous run (Marks,
-// MarkCalls, MarkDiffs, Spans, InjectedAll, PointTrace, MaskSkips, and the
-// maps Calls and MaskStats build) is detached, never truncated, so it
-// stays valid. No call of the previous run may still be open on another
-// goroutine: a session whose run was abandoned mid-call must be dropped,
-// not reset.
+// Everything the getters handed out for the previous run (those copies,
+// Spans, InjectedAll, PointTrace, MaskSkips, and the maps Calls and
+// MaskStats build) is detached, never truncated, so it stays valid. No
+// call of the previous run may still be open on another goroutine: a
+// session whose run was abandoned mid-call must be dropped, not reset.
 func (s *Session) Reset(cfg Config) {
 	kinds := cfg.RuntimeKinds
 	if kinds == nil {
@@ -332,13 +332,12 @@ func (s *Session) Reset(cfg Config) {
 	}
 
 	s.point, s.seq, s.misses, s.masked, s.restored = 0, 0, 0, 0, 0
-	s.injected, s.trace, s.marks, s.markCalls, s.markDiffs = nil, nil, nil, nil, nil
-	s.spans, s.maskSkips = nil, nil
+	s.injected, s.trace, s.spans, s.maskSkips = nil, nil, nil, nil
+	s.marks, s.markCalls, s.markDiffs = truncate(s.marks), truncate(s.markCalls), truncate(s.markDiffs)
 	clear(s.activations)
 	// A run that was cut short can leave frames open; drop their roots
 	// and handles.
-	clear(s.frames)
-	s.frames = s.frames[:0]
+	s.frames = truncate(s.frames)
 
 	s.gen++
 	for call := range cfg.DiffCalls {
@@ -366,20 +365,40 @@ func (s *Session) InjectedAll() []*fault.Exception { return s.injected }
 // Config.TracePoints is set; nil otherwise.
 func (s *Session) PointTrace() []PointInfo { return s.trace }
 
-// Marks returns the atomicity observations recorded so far.
-func (s *Session) Marks() []Mark { return s.marks }
+// Marks returns a copy of the atomicity observations recorded so far, or
+// nil when there are none.
+func (s *Session) Marks() []Mark { return detach(s.marks) }
 
-// MarkCalls returns the call identity of each mark, index-aligned with
-// Marks. It is session-side bookkeeping for diff recovery and is never
-// part of a Mark, so journals and logs do not carry it.
-func (s *Session) MarkCalls() []CallID { return s.markCalls }
+// MarkCalls returns a copy of the call identity of each mark,
+// index-aligned with Marks. It is session-side bookkeeping for diff
+// recovery and is never part of a Mark, so journals and logs do not carry
+// it.
+func (s *Session) MarkCalls() []CallID { return detach(s.markCalls) }
 
 // MarkDiffs returns, index-aligned with Marks, the diff path of each
 // non-atomic mark that a predicted fingerprint session read off the clean
 // run's capture of the call (see Config.Predict); "" where it could not.
-// It is nil for every other session. Like MarkCalls it is session-side
-// bookkeeping: the marks themselves keep Diff empty.
-func (s *Session) MarkDiffs() []string { return s.markDiffs }
+// It is nil for every other session. Like MarkCalls it is a copy, and
+// session-side bookkeeping: the marks themselves keep Diff empty.
+func (s *Session) MarkDiffs() []string { return detach(s.markDiffs) }
+
+// detach returns an exact-size copy of a buffer the session keeps across
+// Reset, or nil when it is empty.
+func detach[T any](buf []T) []T {
+	if len(buf) == 0 {
+		return nil
+	}
+	out := make([]T, len(buf))
+	copy(out, buf)
+	return out
+}
+
+// truncate empties a buffer the session keeps across Reset, dropping
+// what its elements point to.
+func truncate[T any](buf []T) []T {
+	clear(buf)
+	return buf[:0]
+}
 
 // Spans returns the call spans recorded under Config.RecordSpans, in entry
 // order; nil otherwise.
