@@ -187,6 +187,46 @@ func newChain(n int) *chainNode {
 	return head
 }
 
+// touch is a wrapped call on the chain that changes nothing.
+func (c *chainNode) touch() { defer core.Enter(c, "chainNode.touch")() }
+
+// TestCleanRunRecyclesSettledCaptures guards the clean run's captures: a
+// span-recording session captures the before-state of every call it
+// fingerprints, and a call that settles at one point hands its capture's
+// nodes back to the session at exit, so the next capture reuses them. A
+// reset run of such calls then allocates as much on a 64-node chain as on
+// a 2-node one; without the reuse each capture allocates a node per value.
+func TestCleanRunRecyclesSettledCaptures(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds allocations; exact counts only hold without -race")
+	}
+	const calls = 8
+	cfg := core.Config{Detect: true, RecordSpans: true}
+	cost := func(nodes int) float64 {
+		session := core.NewSession(cfg)
+		if err := core.Install(session); err != nil {
+			t.Fatal(err)
+		}
+		defer core.Uninstall(session)
+		root := newChain(nodes)
+		allocs, _ := steadyCost(func() {
+			session.Reset(cfg)
+			for i := 0; i < calls; i++ {
+				root.touch()
+			}
+		})
+		spans := session.Spans()
+		if len(spans) != calls || spans[0].Exit != spans[0].Enter || spans[0].Unwound {
+			t.Fatalf("last run recorded spans %+v; want %d calls settled at one point", spans, calls)
+		}
+		return allocs
+	}
+	small, large := cost(2), cost(64)
+	if large > small {
+		t.Fatalf("reset span-recording run = %.2f allocs on a 64-node chain, %.2f on a 2-node one; want no more", large, small)
+	}
+}
+
 // TestRollbackAllocsMatchCommit guards rollback reuse: a rolled-back deep
 // copy hands its clone objects and bookkeeping back to its strategy as a
 // committed one does, so in steady state capture, mutate and Rollback on

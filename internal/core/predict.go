@@ -24,7 +24,8 @@ type Span struct {
 	// before is the call's before-state as a fingerprint-mode
 	// span-recording run saw it. It is kept only when the call can be live
 	// at some injection point (Exit > Enter or Unwound): any other call
-	// returns normally, as in the clean run, whatever the point.
+	// returns normally, as in the clean run, whatever the point, and the
+	// run's session releases its capture at the call's exit.
 	before *cleanBefore
 }
 
@@ -127,11 +128,12 @@ func settled(sp *Span, point int) bool {
 // when the clean run kept no capture of that call or its fingerprint is
 // not before. Equal fingerprints mean the same canonical traversal (up to
 // a 2⁻¹²⁸ collision), so the clean graph stands for the run's own
-// before-state and the path is the one a capture-mode run reports.
-func (x *SpanIndex) cleanDiff(id int32, call int64, before objgraph.FP, roots []any) string {
+// before-state and the path is the one a capture-mode run reports. The
+// diff runs on the calling session's scratch.
+func (x *SpanIndex) cleanDiff(scratch *objgraph.Scratch, id int32, call int64, before objgraph.FP, roots []any) string {
 	sp := x.span(id, call)
 	if sp == nil || sp.before == nil || sp.before.fp != before {
 		return ""
 	}
-	return objgraph.DiffLive(sp.before.graph, roots...)
+	return scratch.DiffLive(sp.before.graph, roots...)
 }

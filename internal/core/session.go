@@ -251,6 +251,14 @@ type Session struct {
 	frames    []frame
 	rootsFree [][]any
 
+	// graphs is the walker every objgraph traversal of the session runs
+	// on, and the free list that the clean captures of calls settled at
+	// one point are released into (see epilogue) and later captures
+	// draw from. It is kept across Reset, under the same discipline as
+	// frames. Only Detect runs traverse graphs, so it is
+	// nil until the first one: a masking-only session stays small.
+	graphs *objgraph.Scratch
+
 	// exitFn is the one deferred epilogue Enter hands out for every call
 	// that pushed a frame: exitPlain (s.exit), or exitSerial
 	// (s.exitSerialized) under Serialize. unlockFn releases the Serialize
@@ -273,9 +281,13 @@ type frame struct {
 	call      int64 // per-method call ordinal
 	roots     []any
 	handle    checkpoint.Handle
-	before    *objgraph.Graph
-	beforeFP  objgraph.FP
-	span      int // index into spans under RecordSpans
+	// before is the call's captured before-state: the snapshot of a
+	// capture-mode call, or, for a fingerprinted call of a span-recording
+	// run, the clean capture the epilogue keeps in the call's span or
+	// releases.
+	before   *objgraph.Graph
+	beforeFP objgraph.FP
+	span     int // index into spans under RecordSpans
 }
 
 // NewSession returns a session with the given configuration.
@@ -292,7 +304,8 @@ func NewSession(cfg Config) *Session {
 // observes exactly what NewSession(cfg) would. It keeps only buffers that
 // never leave the session: the frame stack, the roots scratch, the mark
 // buffers (Marks, MarkCalls and MarkDiffs hand out copies), the method
-// ids and slots (counters restart at zero), and, when cfg.Strategy is
+// ids and slots (counters restart at zero), the objgraph walker with its
+// free list of released clean-capture nodes, and, when cfg.Strategy is
 // nil, its own checkpoint strategy with that strategy's free lists.
 // Everything the getters handed out for the previous run (those copies,
 // Spans, InjectedAll, PointTrace, MaskSkips, and the maps Calls and
@@ -314,6 +327,9 @@ func (s *Session) Reset(cfg Config) {
 	if cfg.Predict != nil && cfg.Predict.methods != s.base {
 		// The span rows are indexed by the index's method ids.
 		s.rebase(cfg.Predict.methods)
+	}
+	if cfg.Detect && s.graphs == nil {
+		s.graphs = new(objgraph.Scratch)
 	}
 	if cfg.Trigger != nil || cfg.ExitFire != nil || !cfg.Detect {
 		// The span argument covers one injection at the threshold point;
@@ -645,10 +661,10 @@ func (s *Session) enterWork(recv any, name string, extra []any) bool {
 		case !targeted:
 		case predicted:
 		case s.cfg.Snapshot == SnapshotFingerprint:
-			f.beforeFP = objgraph.Fingerprint(roots...)
+			f.beforeFP = s.graphs.Fingerprint(roots...)
 			f.fingerprinted = true
 		default:
-			f.before = objgraph.Capture(roots...)
+			f.before = s.graphs.Capture(roots...)
 		}
 	}
 
@@ -658,12 +674,13 @@ func (s *Session) enterWork(recv any, name string, extra []any) bool {
 	}
 
 	if s.cfg.RecordSpans {
-		sp := Span{Call: CallID{name, call}, Enter: s.point, Exit: math.MaxInt}
 		if f.fingerprinted {
-			sp.before = &cleanBefore{fp: f.beforeFP, graph: objgraph.Capture(roots...)}
+			// The clean capture, drawn from the nodes of those already
+			// released.
+			f.before = s.graphs.Capture(roots...)
 		}
 		f.span = len(s.spans)
-		s.spans = append(s.spans, sp)
+		s.spans = append(s.spans, Span{Call: CallID{name, call}, Enter: s.point, Exit: math.MaxInt})
 	}
 
 	s.frames = append(s.frames, f)
@@ -697,10 +714,16 @@ func (s *Session) epilogue(r any) {
 		sp := &s.spans[f.span]
 		sp.Exit = s.point
 		sp.Unwound = r != nil
-		if sp.Exit == sp.Enter && !sp.Unwound {
-			// Settled at every point (SpanIndex), so no predicted
-			// run snapshots the call before an injection.
-			sp.before = nil
+		if f.fingerprinted {
+			if sp.Exit == sp.Enter && !sp.Unwound {
+				// Settled at every point (SpanIndex), so no predicted
+				// run snapshots the call before an injection, and no
+				// one reads its clean capture: its nodes go back to
+				// the session for the next one.
+				s.graphs.Release(f.before)
+			} else {
+				sp.before = &cleanBefore{fp: f.beforeFP, graph: f.before}
+			}
 		}
 		if f.handle != nil && r == nil {
 			sp.checkpointed, sp.bytes = true, f.handle.Bytes()
@@ -738,7 +761,7 @@ func (s *Session) epilogue(r any) {
 		// driver recovers the rest by replaying the run with capture
 		// snapshots at exactly those calls (deterministic replay,
 		// matched back by Seq).
-		unchanged := objgraph.Fingerprint(f.roots...) == f.beforeFP
+		unchanged := s.graphs.Fingerprint(f.roots...) == f.beforeFP
 		s.seq++
 		s.marks = append(s.marks, Mark{
 			Method:    name,
@@ -753,12 +776,12 @@ func (s *Session) epilogue(r any) {
 			// than on every call's prologue.
 			diff := ""
 			if !unchanged {
-				diff = s.cfg.Predict.cleanDiff(f.method, f.call, f.beforeFP, f.roots)
+				diff = s.cfg.Predict.cleanDiff(s.graphs, f.method, f.call, f.beforeFP, f.roots)
 			}
 			s.markDiffs = append(s.markDiffs, diff)
 		}
 	} else if f.before != nil {
-		diff := objgraph.DiffLive(f.before, f.roots...)
+		diff := s.graphs.DiffLive(f.before, f.roots...)
 		s.seq++
 		s.marks = append(s.marks, Mark{
 			Method:    name,

@@ -113,3 +113,30 @@ func TestDiffReplaysRBMap(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignTelemetryIndependentOfParallelism pins the campaign merge:
+// workers write each run into its plan slot and sum the telemetry in
+// order-independent counters, so the RBMap campaign at Repeats=2 records
+// the same runs, DiffReplays and PredictMisses with one worker and four.
+func TestCampaignTelemetryIndependentOfParallelism(t *testing.T) {
+	app, ok := apps.ByName("RBMap")
+	if !ok {
+		t.Fatal("RBMap missing")
+	}
+	var results []*inject.Result
+	for _, workers := range []int{1, 4} {
+		res, err := inject.Campaign(context.Background(), app.Build(), inject.Options{Repeats: 2, Parallelism: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	seq, par := results[0], results[1]
+	if par.DiffReplays != seq.DiffReplays || par.PredictMisses != seq.PredictMisses {
+		t.Fatalf("4 workers: %d replays, %d misses; 1 worker: %d, %d",
+			par.DiffReplays, par.PredictMisses, seq.DiffReplays, seq.PredictMisses)
+	}
+	if !reflect.DeepEqual(par.Runs, seq.Runs) {
+		t.Fatalf("4 workers recorded %d runs that differ from 1 worker's %d", len(par.Runs), len(seq.Runs))
+	}
+}

@@ -343,18 +343,28 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 		}
 	}
 
-	// outs[i] is written by exactly one worker; index 0 is the clean run
-	// and index i is experiment exps[i-1].
-	outs := make([]execution, len(exps)+1)
-	outs[0] = clean
+	// res.Runs[i] is written by exactly one worker; index 0 is the clean
+	// run and index i is experiment exps[i-1]. The telemetry sums do not
+	// depend on the order the runs finish in.
+	res.Runs = make([]Run, len(exps)+1)
+	res.Runs[0] = clean.run
 	var (
 		next        atomic.Int64 // next experiment index to claim (1-based)
 		quarantines atomic.Int64 // early-stop mirror of the merge-time tally
+		misses      atomic.Int64 // runs whose predicted pass missed
+		replays     atomic.Int64 // diff-recovery replays
 		stop        atomic.Bool  // campaign-level cancellation flag
 		errOnce     sync.Once
 		firstErr    error
 		wg          sync.WaitGroup
 	)
+	note := func(out execution) {
+		if out.missed {
+			misses.Add(1)
+		}
+		replays.Add(int64(out.replays))
+	}
+	note(clean)
 	fail := func(err error) {
 		errOnce.Do(func() { firstErr = err })
 		stop.Store(true)
@@ -379,7 +389,8 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 					fail(fmt.Errorf("injection %s: %w", ex.Key, err))
 					return
 				}
-				outs[i] = out
+				res.Runs[i] = out.run
+				note(out)
 				if out.run.Status != RunOK {
 					// Early stop only; the plan-order merge below is the
 					// authority and recomputes the same budget.
@@ -402,13 +413,14 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 		return nil, firstErr
 	}
 
-	// Deterministic merge: Runs, Injections, warnings and quarantines are
+	res.PredictMisses, res.DiffReplays = int(misses.Load()), int(replays.Load())
+
+	// Deterministic merge: Injections, warnings and quarantines are
 	// accumulated in plan order regardless of which worker ran which
 	// experiment.
-	res.Runs = make([]Run, 0, len(outs))
 	t := tally{res: res, max: opts.MaxQuarantined}
-	for _, out := range outs {
-		if err := t.add(out); err != nil {
+	for _, run := range res.Runs {
+		if err := t.add(run); err != nil {
 			return nil, err
 		}
 	}
@@ -467,8 +479,8 @@ func validateCompleted(completed map[RunKey]Run, exps []Experiment, totalPoints 
 	return nil
 }
 
-// tally accumulates the bookkeeping done as a run enters the Result:
-// injections, dead-point warnings, quarantines and the quarantine budget.
+// tally accumulates the bookkeeping a run adds to the Result: injections,
+// dead-point warnings, quarantines and the quarantine budget.
 type tally struct {
 	res         *Result
 	dead        deadPointWarnings
@@ -476,13 +488,7 @@ type tally struct {
 	max         int
 }
 
-func (t *tally) add(out execution) error {
-	run := out.run
-	t.res.Runs = append(t.res.Runs, run)
-	if out.missed {
-		t.res.PredictMisses++
-	}
-	t.res.DiffReplays += out.replays
+func (t *tally) add(run Run) error {
 	if run.InjectionPoint == 0 {
 		return nil
 	}

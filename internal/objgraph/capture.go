@@ -11,10 +11,12 @@ import (
 	"failatomic/internal/typeplan"
 )
 
-// encoder is Capture's traversal: the pooled walker plus the statistics
-// of the graph being built.
+// encoder is Capture's traversal: a walker, the free list its nodes are
+// drawn from (nil: each is allocated), and the statistics of the graph
+// being built.
 type encoder struct {
 	*walker
+	free  *freeList
 	nodes int
 	bytes int
 }
@@ -24,15 +26,22 @@ type encoder struct {
 // method plus any by-reference arguments ("all arguments that are passed in
 // as non-constant references are also part of this copy", §4.1).
 func Capture(roots ...any) *Graph {
-	enc := encoder{walker: getWalker()}
-	g := &Graph{roots: make([]*Node, 0, len(roots))}
+	w := getWalker()
+	g := w.capture(nil, roots)
+	w.release()
+	return g
+}
+
+// capture is Capture on w, drawing the graph and its nodes from free.
+func (w *walker) capture(free *freeList, roots []any) *Graph {
+	enc := encoder{walker: w, free: free}
+	g := free.graph(len(roots))
 	for i, r := range roots {
 		v, pl := rootValue(r)
 		g.roots = append(g.roots, enc.encode(v, pl, rootLabel(i)))
 	}
 	g.nodes = enc.nodes
 	g.bytes = enc.bytes
-	enc.release()
 	return g
 }
 
@@ -49,7 +58,7 @@ func rootValue(r any) (reflect.Value, *typeplan.Plan) {
 // encode materializes v's node; pl is the plan of v's type.
 func (e *encoder) encode(v reflect.Value, pl *typeplan.Plan, label string) *Node {
 	e.nodes++
-	n := new(Node)
+	n := e.free.node()
 	kids := e.head(n, v, pl, label)
 	switch n.Kind {
 	case KindBool, KindInt, KindUint, KindFloat, KindComplex:
@@ -64,7 +73,7 @@ func (e *encoder) encode(v reflect.Value, pl *typeplan.Plan, label string) *Node
 	if kids == 0 {
 		return n
 	}
-	n.Children = make([]*Node, kids)
+	n.Children = children(n.Children, kids)
 	switch pl.Kind {
 	case reflect.Pointer:
 		n.Children[0] = e.encode(v.Elem(), pl.Elem, "*")
@@ -76,8 +85,11 @@ func (e *encoder) encode(v reflect.Value, pl *typeplan.Plan, label string) *Node
 		base, ents := e.pushEntries(v)
 		for i, ent := range ents {
 			e.nodes++
-			n.Children[i] = &Node{Kind: KindEntry, Label: ent.sig,
-				Children: []*Node{e.encode(v.MapIndex(ent.key), pl.Elem, "value")}}
+			en := e.free.node()
+			en.Kind, en.Label = KindEntry, ent.sig
+			en.Children = children(en.Children, 1)
+			en.Children[0] = e.encode(v.MapIndex(ent.key), pl.Elem, "value")
+			n.Children[i] = en
 		}
 		e.popEntries(base)
 	case reflect.Struct:
@@ -89,6 +101,15 @@ func (e *encoder) encode(v reflect.Value, pl *typeplan.Plan, label string) *Node
 		n.Children[0] = e.encode(dyn, typeplan.For(dyn.Type()), "dyn")
 	}
 	return n
+}
+
+// children returns a child slice of length kids, in buf's array when it
+// has room (a node drawn from a free list keeps its old capacity).
+func children(buf []*Node, kids int) []*Node {
+	if cap(buf) >= kids {
+		return buf[:kids]
+	}
+	return make([]*Node, kids)
 }
 
 // head is the one place the canonical traversal decides a live value's

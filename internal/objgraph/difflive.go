@@ -17,22 +17,27 @@ import (
 // allocated, and the path to a difference is spelled only once one is
 // found.
 func DiffLive(g *Graph, roots ...any) string {
+	w := getWalker()
+	d := w.diffLiveRoots(g, roots)
+	w.release()
+	return d
+}
+
+// diffLiveRoots is DiffLive on w.
+func (w *walker) diffLiveRoots(g *Graph, roots []any) string {
 	if g == nil {
 		return "one graph is nil"
 	}
 	if len(g.roots) != len(roots) {
 		return fmt.Sprintf("root count %d != %d", len(g.roots), len(roots))
 	}
-	w := getWalker()
-	d := ""
 	for i, r := range roots {
 		v, pl := rootValue(r)
-		if d = w.diffLive(g.roots[i], v, pl, rootLabel(i)); d != "" {
-			break
+		if d := w.diffLive(g.roots[i], v, pl, rootLabel(i)); d != "" {
+			return d
 		}
 	}
-	w.release()
-	return d
+	return ""
 }
 
 // diffLive compares graph node a with the node Capture would encode for v

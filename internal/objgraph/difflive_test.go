@@ -420,7 +420,10 @@ func (g *fzGraph) op() {
 // FuzzDiffLive builds a graph from the first half of the input and
 // captures it with a second root, applies the second half as mutations,
 // and checks that DiffLive reports exactly what Diff of a fresh capture
-// reports, and a difference exactly when the fingerprint moved.
+// reports, and a difference exactly when the fingerprint moved. A
+// Scratch whose free list holds a released capture of the unmutated
+// graph recaptures the mutated one: Diff from it and its DiffLive must
+// report the same.
 func FuzzDiffLive(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 5, 3, 4, 1, 2, 3, 6, 1, 0, 3, 1, 7, 0, 1, 1, 8, 5, 9, 2, 2})
 	f.Add([]byte{0, 5, 0, 0, 8, 2, 0, 6, 0, 9, 8, 1, 0, 6, 1, 3, 2, 0, 4, 2, 1, 7, 2, 3})
@@ -437,6 +440,8 @@ func FuzzDiffLive(f *testing.F) {
 		if d := DiffLive(before, roots...); d != "" {
 			t.Fatalf("unchanged graph: DiffLive = %q", d)
 		}
+		var s Scratch
+		s.Release(s.Capture(roots...))
 		g.data = data[half:]
 		for len(g.data) > 0 {
 			g.op()
@@ -444,6 +449,12 @@ func FuzzDiffLive(f *testing.F) {
 		want := Diff(before, Capture(roots...))
 		if got := DiffLive(before, roots...); got != want {
 			t.Fatalf("DiffLive = %q, want %q", got, want)
+		}
+		if got := Diff(before, s.Capture(roots...)); got != want {
+			t.Fatalf("Diff from a recycled capture = %q, want %q", got, want)
+		}
+		if got := s.DiffLive(before, roots...); got != want {
+			t.Fatalf("Scratch.DiffLive = %q, want %q", got, want)
 		}
 		if (want == "") != (Fingerprint(roots...) == fp) {
 			t.Fatalf("diff %q but fingerprint equal = %v", want, Fingerprint(roots...) == fp)

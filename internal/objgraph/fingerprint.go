@@ -40,15 +40,21 @@ type FP [2]uint64
 //
 // exactly, and the converse holds up to hash collisions.
 func Fingerprint(roots ...any) FP {
-	e := fpEncoder{walker: getWalker()}
+	w := getWalker()
+	fp := w.fingerprint(roots)
+	w.release()
+	return fp
+}
+
+// fingerprint is Fingerprint on w.
+func (w *walker) fingerprint(roots []any) FP {
+	e := fpEncoder{walker: w}
 	e.h.reset()
 	for i, r := range roots {
 		v, pl := rootValue(r)
 		e.encode(v, pl, rootLabelHash(i))
 	}
-	fp := e.h.sum()
-	e.release()
-	return fp
+	return e.h.sum()
 }
 
 // Precomputed hashes of the fixed edge labels Capture emits.

@@ -114,7 +114,8 @@ type Node struct {
 	Children []*Node
 }
 
-// Graph is an immutable encoded object graph.
+// Graph is an immutable encoded object graph, until the only holder of
+// it releases it to a Scratch (Scratch.Release).
 type Graph struct {
 	roots []*Node
 	nodes int

@@ -119,3 +119,90 @@ func TestQuickKeySigTotalOrderStable(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledCaptureMatchesFresh pins Scratch's free list: a capture
+// drawn from the nodes of unrelated released graphs is indistinguishable
+// from a fresh Capture, and a released node keeps no string. The roots
+// cover maps, aliases and backrefs (fzNode cycles and shared slices),
+// byte slices behind exported and unexported fields, interfaces and nil
+// roots.
+func TestRecycledCaptureMatchesFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	randomRoots := func() []any {
+		g := &fzGraph{nodes: []*fzNode{{}}, data: make([]byte, 8+r.Intn(160))}
+		r.Read(g.data)
+		for len(g.data) > 0 {
+			g.op()
+		}
+		roots := []any{g.nodes[0], g.nodes[len(g.nodes)-1]}
+		switch r.Intn(3) {
+		case 0:
+			roots = append(roots, nil)
+		case 1:
+			var pool []*randTree
+			roots = append(roots, genTree(r, 3, &pool))
+		}
+		return roots
+	}
+	var s Scratch
+	for i := 0; i < 300; i++ {
+		for k := r.Intn(3); k >= 0; k-- {
+			s.Release(s.Capture(randomRoots()...))
+		}
+		assertReleased(t, &s)
+		roots := randomRoots()
+		free := len(s.free.nodes)
+		got, want := s.Capture(roots...), Capture(roots...)
+		if !Equal(got, want) {
+			t.Fatalf("recycled capture differs from fresh: %s", Diff(got, want))
+		}
+		if d := Diff(want, got); d != "" {
+			t.Fatalf("fresh capture differs from recycled: %s", d)
+		}
+		if got.Nodes() != want.Nodes() || got.Bytes() != want.Bytes() {
+			t.Fatalf("recycled capture has %d nodes, %d bytes; fresh %d, %d",
+				got.Nodes(), got.Bytes(), want.Nodes(), want.Bytes())
+		}
+		if left := max(0, free-want.Nodes()); len(s.free.nodes) != left {
+			t.Fatalf("free list went %d -> %d nodes over a %d-node capture, want %d",
+				free, len(s.free.nodes), want.Nodes(), left)
+		}
+		if i%2 == 0 {
+			free = len(s.free.nodes)
+			s.Release(got)
+			if len(s.free.nodes) != free+want.Nodes() {
+				t.Fatalf("releasing a %d-node graph took the free list %d -> %d nodes",
+					want.Nodes(), free, len(s.free.nodes))
+			}
+		}
+	}
+}
+
+// assertReleased checks that every graph and node on s's free list is
+// zero, apart from the capacity of its slices, whose elements are nil.
+func assertReleased(t *testing.T, s *Scratch) {
+	t.Helper()
+	for _, g := range s.free.graphs {
+		if len(g.roots) != 0 || g.nodes != 0 || g.bytes != 0 {
+			t.Fatalf("released graph not empty: %+v", *g)
+		}
+		for _, n := range g.roots[:cap(g.roots)] {
+			if n != nil {
+				t.Fatal("released graph still points at a root")
+			}
+		}
+	}
+	for _, n := range s.free.nodes {
+		if n.Type != "" || n.Label != "" || n.Str != "" {
+			t.Fatalf("released node holds strings: type %q, label %q, str %q", n.Type, n.Label, n.Str)
+		}
+		if n.Kind != 0 || n.Bits != 0 || n.Ref != 0 || n.Backref || len(n.Children) != 0 {
+			t.Fatalf("released node not zero: %+v", *n)
+		}
+		for _, c := range n.Children[:cap(n.Children)] {
+			if c != nil {
+				t.Fatal("released node still points at a child")
+			}
+		}
+	}
+}

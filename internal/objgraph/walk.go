@@ -8,9 +8,10 @@ import (
 	"failatomic/internal/typeplan"
 )
 
-// walker is the pooled state of one canonical traversal. Fingerprint,
-// Capture and DiffLive each take one for the length of a call (Diff only
-// for its node stack), so a warm traversal allocates none of its scratch.
+// walker is the state of one canonical traversal. Fingerprint, Capture
+// and DiffLive each take a pooled one for the length of a call (Diff only
+// for its node stack), or run on a Scratch's own, so a warm traversal
+// allocates none of its scratch.
 type walker struct {
 	// refs numbers the references the traversal meets. A slice's key has
 	// capacity 0: two views of one array with the same length are one
@@ -46,14 +47,19 @@ func getWalker() *walker {
 	return w
 }
 
-// release drops what the walk referenced (keeping every buffer's capacity)
-// and returns the walker to the pool.
+// release drops what the walk referenced and returns the walker to the
+// pool.
 func (w *walker) release() {
+	w.drop()
+	walkPool.Put(w)
+}
+
+// drop clears what the walk referenced, keeping every buffer's capacity.
+func (w *walker) drop() {
 	clear(w.entries)
 	w.entries = w.entries[:0]
 	clear(w.stack)
 	w.stack = w.stack[:0]
-	walkPool.Put(w)
 }
 
 // pushEntries pushes the entries of map v, sorted by keySig (the
