@@ -112,17 +112,11 @@ func run(ctx context.Context, args []string) (int, error) {
 		if err != nil {
 			return cli.ExitFailure, err
 		}
-		// The single-threaded knobs do not apply; -perturb is carried so
-		// validation rejects it.
-		spec = serve.JobSpec{
-			App:       *appName,
-			Kind:      serve.KindConcur,
-			Workers:   sp.Workers,
-			Schedules: sp.Schedules,
-			Seed:      concur.EffectiveSeed(*seed),
-			Perturb:   spec.Perturb,
-			Priority:  spec.Priority,
-		}
+		// The campaign knobs carry over; validation rejects the ones a
+		// schedule campaign has no use for (-perturb, -repeat > 1).
+		spec.Kind = serve.KindConcur
+		spec.Workers, spec.Schedules = sp.Workers, sp.Schedules
+		spec.Seed = concur.EffectiveSeed(*seed)
 	}
 	if *resume && *logPath == "" {
 		return cli.ExitFailure, fmt.Errorf("-resume requires -log")

@@ -337,6 +337,7 @@ func TestConcurFlagValidation(t *testing.T) {
 		{"-concur", "workers=4"},                                            // no -app
 		{"-seed", "3", "-app", "LinkedList"},                                // -seed without -concur
 		{"-app", "LinkedList", "-concur", "workers=4", "-perturb", "nth=2"}, // perturb on concur
+		{"-app", "LinkedList", "-concur", "workers=4", "-repeat", "2"},      // repeats on concur
 		{"-app", "LinkedList", "-concur", "workers=1"},                      // out of bounds
 		{"-app", "LinkedList", "-concur", "warp=1"},                         // bad key
 		{"-app", "NoSuchTarget", "-concur", "workers=4"},                    // unknown target
@@ -391,7 +392,7 @@ func TestConcurResumeByteIdenticalLog(t *testing.T) {
 	var runs []inject.Run
 	if _, err := concur.Campaign(context.Background(), &target, concur.Options{
 		Workers: 4, Schedules: 16, Seed: 1,
-		OnRun: func(r inject.Run) error { runs = append(runs, r); return nil },
+		Campaign: inject.Options{OnRun: func(r inject.Run) error { runs = append(runs, r); return nil }},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"failatomic/internal/apps"
+	"failatomic/internal/concur"
 	"failatomic/internal/detect"
 	"failatomic/internal/harness"
 	"failatomic/internal/inject"
@@ -87,6 +88,17 @@ func CampaignReport(ctx context.Context, app apps.App, opts inject.Options, res 
 		}
 	}
 	return b.String(), code, nil
+}
+
+// ConcurReport renders a finished schedule campaign the way
+// CampaignReport renders a detection campaign: the quarantine summary
+// ahead of the report section, and the matching exit code.
+func ConcurReport(res *concur.Result) (string, int) {
+	q := res.Inject.Quarantined
+	if len(q) == 0 {
+		return res.Report, ExitOK
+	}
+	return RenderQuarantine(res.Inject.Program.Name, q) + res.Report, ExitQuarantined
 }
 
 // RenderStrategySection renders the per-perturbation-model report block:

@@ -3,10 +3,11 @@
 // the harness against the model; then one execution per schedule id, each
 // with a designated (worker, point) fault drawn from the schedule's
 // seeded RNG — the same RNG that then drives the interleaving, so a
-// schedule id plus the campaign seed replays the exact execution. Runs
-// carry RunKey{Strategy: "concur", Point, Arg, Sched}, which makes
-// journals, -resume splicing, chunk shipping and the drift gate compose
-// unchanged with the single-threaded pipeline.
+// schedule id plus the campaign seed replays the exact execution. Each
+// schedule is one inject.Experiment with its own executor, keyed
+// RunKey{Strategy: "concur", Point, Arg, Sched}, so journals, -resume
+// splicing, supervision, parallel workers, chunk shipping and the drift
+// gate are the single-threaded campaign's own.
 package concur
 
 import (
@@ -27,6 +28,19 @@ func rngFor(seed int64, sid int) *rand.Rand {
 	return rand.New(rand.NewSource(seed + int64(sid)*schedSeedStride))
 }
 
+// plan draws schedule sid's designated fault (worker, point) from its RNG
+// and returns that RNG positioned where the interleaving draws start, so
+// planning and every execution of sid read the same stream. points are
+// the clean pass's per-worker point counts.
+func plan(seed int64, sid, workers int, points []int) (rng *rand.Rand, worker, point int) {
+	rng = rngFor(seed, sid)
+	worker = rng.Intn(workers)
+	if points[worker] > 0 {
+		point = 1 + rng.Intn(points[worker])
+	}
+	return rng, worker, point
+}
+
 // Options configures a schedule campaign.
 type Options struct {
 	// Workers is the driver's goroutine count (DefaultWorkers when 0).
@@ -36,22 +50,16 @@ type Options struct {
 	Schedules int
 	// Seed selects the schedule plan (DefaultSeed when 0).
 	Seed int64
-	// OnRun streams every freshly executed run (journal hook); spliced
-	// runs are not re-notified.
-	OnRun func(inject.Run) error
-	// Completed maps run keys recovered from a seeded journal to their
-	// recorded runs; the campaign splices them instead of re-executing.
-	Completed map[inject.RunKey]inject.Run
+	// Campaign carries the knobs every campaign's sweep shares
+	// (inject.Sweep): Parallelism, RunTimeout, MaxRetries,
+	// MaxQuarantined, MaxRuns and the journal hooks OnRun and Completed.
+	// Schedules are their own executors, so the workload knobs (Repeats,
+	// Perturbations, Mask, Snapshot, ...) do not apply.
+	Campaign inject.Options
 }
 
 // Result is one schedule campaign's outcome.
 type Result struct {
-	// Target is the subject's name.
-	Target string
-	// Workers/Schedules/Seed are the resolved campaign parameters.
-	Workers   int
-	Schedules int
-	Seed      int64
 	// Inject is the run-level result, log-writable by replog.Write like
 	// any single-threaded campaign's; its "concur" section carries Report.
 	Inject *inject.Result
@@ -59,16 +67,12 @@ type Result struct {
 	Report string
 }
 
-// schedPlan is one schedule's designated fault.
-type schedPlan struct {
-	worker int
-	point  int
-}
-
-// Campaign runs the full schedule experiment for target t. ctx is
-// checked before each schedule: a cancelled campaign stops between
-// schedules with ctx's error, and every schedule it completed has already
-// reached OnRun, so a resume from that journal splices them.
+// Campaign runs the full schedule experiment for target t: the fault-free
+// schedule and its model check, then every planned schedule through
+// inject.Sweep, which journals, splices, supervises and parallelizes them
+// like any campaign's experiments. Each schedule re-derives its RNG from
+// (seed, schedule id), so the result is the same at any Parallelism and
+// after any resume.
 func Campaign(ctx context.Context, t *Target, opts Options) (*Result, error) {
 	workers := opts.Workers
 	if workers == 0 {
@@ -95,21 +99,6 @@ func Campaign(ctx context.Context, t *Target, opts Options) (*Result, error) {
 	if cleanVerdict != detect.ConcurAtomic {
 		return nil, fmt.Errorf("concur: the fault-free schedule of %s is not explained by the sequential model (final %s) — harness or model drift", t.Name, clean.final)
 	}
-
-	plans := make([]schedPlan, schedules+1)
-	for sid := 1; sid <= schedules; sid++ {
-		rng := rngFor(seed, sid)
-		fw := rng.Intn(workers)
-		fp := 0
-		if clean.points[fw] > 0 {
-			fp = 1 + rng.Intn(clean.points[fw])
-		}
-		plans[sid] = schedPlan{worker: fw, point: fp}
-	}
-	if err := validateCompleted(opts.Completed, plans, schedules); err != nil {
-		return nil, err
-	}
-
 	res := &inject.Result{
 		Program: &inject.Program{
 			Name:     t.Name,
@@ -122,93 +111,33 @@ func Campaign(ctx context.Context, t *Target, opts Options) (*Result, error) {
 		res.TotalPoints += p
 	}
 
-	cleanRun := inject.Run{Concur: outcomeOf(clean, workers, -1, cleanVerdict, cleanWitness)}
-	res.Runs = append(res.Runs, cleanRun)
-	if _, journaled := opts.Completed[inject.RunKey{}]; !journaled {
-		if err := notify(opts, cleanRun); err != nil {
-			return nil, err
-		}
-	}
-
-	for sid := 1; sid <= schedules; sid++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p := plans[sid]
-		key := inject.RunKey{Strategy: inject.ConcurStrategy, Point: p.point, Arg: p.worker, Sched: sid}
-		if run, ok := opts.Completed[key]; ok {
-			res.Runs = append(res.Runs, run)
-			if run.Injected != nil {
-				res.Injections++
+	exps := make([]inject.Experiment, schedules)
+	for i := range exps {
+		sid := i + 1
+		_, fw, fp := plan(seed, sid, workers, clean.points)
+		key := inject.RunKey{Strategy: inject.ConcurStrategy, Point: fp, Arg: fw, Sched: sid}
+		exps[i] = inject.Experiment{Key: key, Exec: func() inject.Run {
+			rng, _, _ := plan(seed, sid, workers, clean.points)
+			sr := runSchedule(t, rng, workers, fw, fp)
+			verdict, witness := verdictOf(t, sr)
+			return inject.Run{
+				InjectionPoint: fp,
+				Strategy:       inject.ConcurStrategy,
+				Arg:            fw,
+				Sched:          sid,
+				Injected:       sr.injected,
+				Concur:         outcomeOf(sr, workers, fw, verdict, witness),
 			}
-			continue
-		}
-		// Re-deriving the schedule RNG re-draws the planned fault, leaving
-		// the stream positioned exactly where the interleaving draws
-		// start — replay-identical with the planning pass.
-		rng := rngFor(seed, sid)
-		fw := rng.Intn(workers)
-		if clean.points[fw] > 0 {
-			_ = rng.Intn(clean.points[fw])
-		}
-		sr := runSchedule(t, rng, workers, p.worker, p.point)
-		verdict, witness := verdictOf(t, sr)
-		run := inject.Run{
-			InjectionPoint: p.point,
-			Strategy:       inject.ConcurStrategy,
-			Arg:            p.worker,
-			Sched:          sid,
-			Injected:       sr.injected,
-			Concur:         outcomeOf(sr, workers, p.worker, verdict, witness),
-		}
-		res.Runs = append(res.Runs, run)
-		if run.Injected != nil {
-			res.Injections++
-		}
-		if err := notify(opts, run); err != nil {
-			return nil, err
-		}
+		}}
+	}
+	cleanRun := inject.Run{Concur: outcomeOf(clean, workers, -1, cleanVerdict, cleanWitness)}
+	if err := inject.Sweep(ctx, res, cleanRun, exps, opts.Campaign); err != nil {
+		return nil, err
 	}
 
 	report := detect.RenderConcur(res, workers, schedules, seed)
 	res.Sections = []inject.Section{{Name: inject.ConcurStrategy, Text: report}}
-	return &Result{
-		Target:    t.Name,
-		Workers:   workers,
-		Schedules: schedules,
-		Seed:      seed,
-		Inject:    res,
-		Report:    report,
-	}, nil
-}
-
-// validateCompleted rejects journal runs outside this campaign's schedule
-// plan — the usual causes are changed workers/schedules flags or a
-// journal from a different subject (a different seed is already rejected
-// by the journal header).
-func validateCompleted(completed map[inject.RunKey]inject.Run, plans []schedPlan, schedules int) error {
-	for key := range completed {
-		if key == (inject.RunKey{}) {
-			continue
-		}
-		if key.Strategy == inject.ConcurStrategy && key.Sched >= 1 && key.Sched <= schedules {
-			if p := plans[key.Sched]; p.worker == key.Arg && p.point == key.Point {
-				continue
-			}
-		}
-		return fmt.Errorf("concur: resume journal holds %s outside this campaign's schedule plan (different -concur workers/sched or -seed?) — rerun with the original flags or delete the journal", key)
-	}
-	return nil
-}
-
-func notify(opts Options, run inject.Run) error {
-	if opts.OnRun == nil {
-		return nil
-	}
-	if err := opts.OnRun(run); err != nil {
-		return fmt.Errorf("concur: OnRun %s: %w", run.Key(), err)
-	}
-	return nil
+	return &Result{Inject: res, Report: report}, nil
 }
 
 // mergeCalls sums the per-worker clean-pass call counts.

@@ -8,9 +8,13 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"failatomic/internal/cli"
 	"failatomic/internal/concur"
+	"failatomic/internal/core"
 	"failatomic/internal/detect"
+	"failatomic/internal/fault"
 	"failatomic/internal/inject"
 	"failatomic/internal/replog"
 )
@@ -128,6 +132,130 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// logOf renders a campaign's log bytes.
+func logOf(t *testing.T, res *concur.Result) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := replog.Write(&b, res.Inject); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestSharedKnobsByteIdentity: schedules run through the shared sweep, so
+// a parallel or supervised campaign records the same report and log as a
+// sequential unsupervised one.
+func TestSharedKnobsByteIdentity(t *testing.T) {
+	tgt := target(t, "LinkedList")
+	ref, err := concur.Campaign(context.Background(), &tgt, concur.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]inject.Options{
+		"parallel":   {Parallelism: 4},
+		"supervised": {MaxRetries: 1, RunTimeout: 30 * time.Second},
+	} {
+		res, err := concur.Campaign(context.Background(), &tgt, concur.Options{Campaign: opts})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Report != ref.Report {
+			t.Errorf("%s report differs:\n--- %s\n%s\n--- sequential\n%s", name, name, res.Report, ref.Report)
+		}
+		if !bytes.Equal(logOf(t, res), logOf(t, ref)) {
+			t.Errorf("%s log differs from the sequential campaign's", name)
+		}
+	}
+}
+
+// stallTarget is a two-worker target whose worker 0 runs one Stall.Op
+// that blocks until release is closed once the injected fault reaches it;
+// worker 1's Noop has no injection points. Every schedule that faults
+// worker 0 therefore hangs, and every other one completes.
+func stallTarget(release <-chan struct{}) concur.Target {
+	reg := core.NewRegistry().Method("Stall", "Op", fault.IllegalElement)
+	return concur.Target{
+		Name:     "Stall",
+		Lang:     "java",
+		Registry: reg,
+		Scripts: func(n int) [][]concur.Op {
+			scripts := make([][]concur.Op, n)
+			scripts[0] = []concur.Op{{Name: "Op"}}
+			for w := 1; w < n; w++ {
+				scripts[w] = []concur.Op{{Name: "Noop"}}
+			}
+			return scripts
+		},
+		New: func() *concur.Instance {
+			return &concur.Instance{
+				SetGap: func(func()) {},
+				Apply: func(op concur.Op) string {
+					if op.Name == "Op" {
+						func() {
+							defer func() {
+								if recover() != nil {
+									<-release
+								}
+							}()
+							defer core.Enter(nil, "Stall.Op")()
+						}()
+					}
+					return "ok"
+				},
+				Final: func() string { return "" },
+			}
+		},
+		Model: func() concur.Model { return stallModel{} },
+	}
+}
+
+type stallModel struct{}
+
+func (stallModel) Clone() concur.Model    { return stallModel{} }
+func (stallModel) Apply(concur.Op) string { return "ok" }
+func (stallModel) Final() string          { return "" }
+
+// TestHungScheduleQuarantined: under RunTimeout the supervisor abandons
+// the one schedule that blocks (seed 1 faults the stalling worker in
+// schedule 2 of 3) and quarantines it as hung; the other schedules
+// complete, and the report and exit code show the quarantine the way a
+// detect campaign's do.
+func TestHungScheduleQuarantined(t *testing.T) {
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	tgt := stallTarget(release)
+	res, err := concur.Campaign(context.Background(), &tgt, concur.Options{
+		Workers: 2, Schedules: 3, Seed: 1,
+		Campaign: inject.Options{RunTimeout: 300 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hung := 0
+	for _, run := range res.Inject.Runs[1:] {
+		wantHung := run.Arg == 0
+		if (run.Status == inject.RunHung) != wantHung {
+			t.Errorf("%s: status %s, want hung=%v", run.Key(), run.Status, wantHung)
+		}
+		if wantHung {
+			hung++
+		}
+	}
+	if hung != 1 {
+		t.Fatalf("%d schedules fault the stalling worker, want 1", hung)
+	}
+	if q := res.Inject.Quarantined; len(q) != 1 || q[0].Status != inject.RunHung {
+		t.Errorf("quarantined = %+v, want one hung schedule", q)
+	}
+	report, code := cli.ConcurReport(res)
+	if code != cli.ExitQuarantined {
+		t.Errorf("exit code = %d, want %d", code, cli.ExitQuarantined)
+	}
+	if !strings.HasPrefix(report, "QUARANTINED (Stall): ") || !strings.HasSuffix(report, res.Report) {
+		t.Errorf("report does not lead with the quarantine summary:\n%s", report)
+	}
+}
+
 // TestSeedChangesPlan: a different seed draws a different schedule plan.
 func TestSeedChangesPlan(t *testing.T) {
 	tgt := target(t, "LinkedList")
@@ -155,7 +283,7 @@ func TestResumeSpliceByteIdentity(t *testing.T) {
 	var runs []inject.Run
 	full, err := concur.Campaign(context.Background(), &tgt, concur.Options{
 		Workers: opts.Workers, Schedules: opts.Schedules, Seed: opts.Seed,
-		OnRun: func(r inject.Run) error { runs = append(runs, r); return nil },
+		Campaign: inject.Options{OnRun: func(r inject.Run) error { runs = append(runs, r); return nil }},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +300,10 @@ func TestResumeSpliceByteIdentity(t *testing.T) {
 	fresh := 0
 	resumed, err := concur.Campaign(context.Background(), &tgt, concur.Options{
 		Workers: opts.Workers, Schedules: opts.Schedules, Seed: opts.Seed,
-		Completed: completed,
-		OnRun:     func(inject.Run) error { fresh++; return nil },
+		Campaign: inject.Options{
+			Completed: completed,
+			OnRun:     func(inject.Run) error { fresh++; return nil },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +334,9 @@ func TestCampaignRejectsForeignJournalRuns(t *testing.T) {
 	bogus := inject.RunKey{Strategy: inject.ConcurStrategy, Point: 999, Arg: 0, Sched: 1}
 	_, err := concur.Campaign(context.Background(), &tgt, concur.Options{
 		Workers: 4, Schedules: 16, Seed: 1,
-		Completed: map[inject.RunKey]inject.Run{bogus: {InjectionPoint: 999, Strategy: inject.ConcurStrategy, Sched: 1}},
+		Campaign: inject.Options{
+			Completed: map[inject.RunKey]inject.Run{bogus: {InjectionPoint: 999, Strategy: inject.ConcurStrategy, Sched: 1}},
+		},
 	})
 	if err == nil || !strings.Contains(err.Error(), "schedule plan") {
 		t.Errorf("foreign journal run: err = %v, want schedule-plan rejection", err)

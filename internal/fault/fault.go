@@ -223,13 +223,3 @@ func capturedStack() string {
 	}
 	return b.String()
 }
-
-// AsError recovers a panic value as an error. It is used by application
-// entry points that convert exceptional termination into an error return
-// ("exceptions should not cross package boundaries").
-func AsError(r any) error {
-	if r == nil {
-		return nil
-	}
-	return From(r)
-}

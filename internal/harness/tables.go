@@ -43,68 +43,6 @@ func RenderTable1(rows []Table1Row) string {
 	return b.String()
 }
 
-// PerturbRow is one (application, perturbation strategy) campaign cell:
-// the strategy's run/injection counts, its classification split, and how
-// many methods it flipped away from the baseline verdict.
-type PerturbRow struct {
-	Name        string
-	Strategy    string
-	Runs        int
-	Injections  int
-	Atomic      int
-	Conditional int
-	Pure        int
-	// Flipped counts methods whose verdict under this strategy differs
-	// from the default first-activation sweep's.
-	Flipped int
-}
-
-// PerturbTable builds the per-strategy campaign table for results whose
-// campaigns ran with inject.Options.Perturbations. Applications without
-// strategy runs contribute no rows.
-func PerturbTable(results []*AppResult) []PerturbRow {
-	var rows []PerturbRow
-	for _, r := range results {
-		for _, st := range detect.Strategies(r.Result) {
-			cls := detect.ClassifyStrategy(r.Result, detect.Options{}, st)
-			sum := detect.Summarize(cls)
-			runs, injections := detect.StrategyRuns(r.Result, st)
-			flipped := 0
-			for name, rep := range cls.Methods {
-				base := r.Classification.Methods[name]
-				if base == nil || base.Classification != rep.Classification {
-					flipped++
-				}
-			}
-			rows = append(rows, PerturbRow{
-				Name:        r.App.Name,
-				Strategy:    st,
-				Runs:        runs,
-				Injections:  injections,
-				Atomic:      sum.AtomicMethods,
-				Conditional: sum.ConditionalMethods,
-				Pure:        sum.PureMethods,
-				Flipped:     flipped,
-			})
-		}
-	}
-	return rows
-}
-
-// RenderPerturbTable prints the per-strategy campaign table.
-func RenderPerturbTable(rows []PerturbRow) string {
-	var b strings.Builder
-	b.WriteString("Perturbation models: per-strategy campaign results\n")
-	fmt.Fprintf(&b, "%-14s %-10s %7s %11s %7s %6s %6s %8s\n",
-		"Application", "Strategy", "#Runs", "#Injections", "atomic", "cond", "pure", "flipped")
-	for _, row := range rows {
-		fmt.Fprintf(&b, "%-14s %-10s %7d %11d %7d %6d %6d %8d\n",
-			row.Name, row.Strategy, row.Runs, row.Injections,
-			row.Atomic, row.Conditional, row.Pure, row.Flipped)
-	}
-	return b.String()
-}
-
 // FigureRow is one application's three-way percentage split for the
 // method/call/class classification figures.
 type FigureRow struct {

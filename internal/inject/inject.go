@@ -105,9 +105,9 @@ type Run struct {
 	// Err describes the last failure of a quarantined point.
 	Err string
 	// MaskStats is the per-method masking overhead of this run; nil unless
-	// the campaign masked methods. Omitted from journals of plain detect
-	// campaigns, keeping their byte format unchanged.
-	MaskStats map[string]core.MaskStat `json:"maskStats,omitempty"`
+	// the campaign masked methods. It is in-memory telemetry: no journal,
+	// log or chunk carries it, so a run spliced from a journal has none.
+	MaskStats map[string]core.MaskStat
 	// Concur records what a concurrent schedule observed (per-worker
 	// operation history, final abstract state, linearization verdict); nil
 	// for every single-threaded run.
@@ -290,24 +290,8 @@ var ErrQuarantineBudget = errors.New("inject: campaign exceeded MaxQuarantined")
 
 // Campaign runs the full detection experiment for p: one clean run to size
 // the injection space, then one run per injection point, incrementing the
-// threshold each time exactly as in Step 3. Every run constructs fresh
-// objects and starts from a reset session, so the run space is
-// embarrassingly parallel: max(1, min(Parallelism, len(plan))) workers
-// claim experiments from an atomic cursor, and the runs are merged in plan
-// order, so a deterministic workload yields the same Result at any
-// Parallelism. Each worker keeps one private session for the whole
-// campaign: every run it executes, settle and replay reruns included,
-// resets that session (core.Session.Reset) and binds it to the worker's
-// goroutine (core.Session.Bind), so the session's frame stack, method
-// slots and checkpoint free lists are reused while everything a run
-// returns is its own. The context cancels the campaign between runs (and
-// mid-run when supervised); runs already streamed to Options.OnRun
-// survive for resume.
-//
-// Failure handling is two-tier: per-point failures (hangs, foreign-panic
-// crashes) are retried and quarantined by the supervisor and never stop
-// the campaign by themselves; only campaign-level failures — cancellation,
-// a blown quarantine budget, a journal write error — stop every worker.
+// threshold each time exactly as in Step 3. Sweep runs everything after
+// the clean run.
 func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 	if p == nil || p.Run == nil {
 		return nil, errors.New("inject: program must have a Run function")
@@ -315,11 +299,6 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	maxRuns := opts.MaxRuns
-	if maxRuns <= 0 {
-		maxRuns = DefaultMaxRuns
-	}
-
 	// The clean run must finish first — it sizes the injection space.
 	clean, err := cleanRun(ctx, p, opts)
 	if err != nil {
@@ -329,17 +308,51 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 		Program:     p,
 		CleanCalls:  clean.calls,
 		TotalPoints: clean.points,
+		DiffReplays: clean.replays,
 	}
 	exps := planExperiments(clean.profile(p), opts, clean.spans, campaignMethods(p, clean.calls))
-	if err := checkBudget(len(exps), maxRuns); err != nil {
+	if err := Sweep(ctx, res, clean.run, exps, opts); err != nil {
 		return nil, err
+	}
+	return res, nil
+}
+
+// Sweep runs a campaign's planned experiments after its clean run, the
+// loop every campaign driver shares; res already carries the clean run's
+// Program, CleanCalls and TotalPoints. It enforces the run budget,
+// validates the resume journal against exps, streams the clean run to
+// OnRun, then executes (or splices) every experiment and tallies the
+// result. Every run constructs fresh objects and starts from a reset
+// session, so the run space is embarrassingly parallel: max(1,
+// min(Parallelism, len(exps))) workers claim experiments from an atomic
+// cursor, and the runs are merged in plan order, so a deterministic
+// workload yields the same Result at any Parallelism. Each worker keeps
+// one private session for the whole campaign: every run it executes,
+// settle and replay reruns included, resets that session
+// (core.Session.Reset) and binds it to the worker's goroutine
+// (core.Session.Bind), so the session's frame stack, method slots and
+// checkpoint free lists are reused while everything a run returns is its
+// own. The context cancels the campaign between runs (and mid-run when
+// supervised); runs already streamed to Options.OnRun survive for resume.
+//
+// Failure handling is two-tier: per-point failures (hangs, foreign-panic
+// crashes) are retried and quarantined by the supervisor and never stop
+// the campaign by themselves; only campaign-level failures — cancellation,
+// a blown quarantine budget, a journal write error — stop every worker.
+func Sweep(ctx context.Context, res *Result, clean Run, exps []Experiment, opts Options) error {
+	maxRuns := opts.MaxRuns
+	if maxRuns <= 0 {
+		maxRuns = DefaultMaxRuns
+	}
+	if err := checkBudget(len(exps), maxRuns); err != nil {
+		return err
 	}
 	if err := validateCompleted(opts.Completed, exps, res.TotalPoints); err != nil {
-		return nil, err
+		return err
 	}
 	if _, journaled := opts.Completed[RunKey{}]; !journaled {
-		if err := notifyRun(opts, clean.run); err != nil {
-			return nil, err
+		if err := notifyRun(opts, clean); err != nil {
+			return err
 		}
 	}
 
@@ -347,7 +360,7 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 	// run and index i is experiment exps[i-1]. The telemetry sums do not
 	// depend on the order the runs finish in.
 	res.Runs = make([]Run, len(exps)+1)
-	res.Runs[0] = clean.run
+	res.Runs[0] = clean
 	var (
 		next        atomic.Int64 // next experiment index to claim (1-based)
 		quarantines atomic.Int64 // early-stop mirror of the merge-time tally
@@ -358,13 +371,6 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 		firstErr    error
 		wg          sync.WaitGroup
 	)
-	note := func(out execution) {
-		if out.missed {
-			misses.Add(1)
-		}
-		replays.Add(int64(out.replays))
-	}
-	note(clean)
 	fail := func(err error) {
 		errOnce.Do(func() { firstErr = err })
 		stop.Store(true)
@@ -384,13 +390,16 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 					fail(fmt.Errorf("inject: campaign interrupted before %s: %w", ex.Key, err))
 					return
 				}
-				out, journaled, err := w.experimentRun(ctx, p, ex, opts)
+				out, journaled, err := w.experimentRun(ctx, res.Program, ex, opts)
 				if err != nil {
 					fail(fmt.Errorf("injection %s: %w", ex.Key, err))
 					return
 				}
 				res.Runs[i] = out.run
-				note(out)
+				if out.missed {
+					misses.Add(1)
+				}
+				replays.Add(int64(out.replays))
 				if out.run.Status != RunOK {
 					// Early stop only; the plan-order merge below is the
 					// authority and recomputes the same budget.
@@ -410,10 +419,11 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 	}
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
 
-	res.PredictMisses, res.DiffReplays = int(misses.Load()), int(replays.Load())
+	res.PredictMisses += int(misses.Load())
+	res.DiffReplays += int(replays.Load())
 
 	// Deterministic merge: Injections, warnings and quarantines are
 	// accumulated in plan order regardless of which worker ran which
@@ -421,11 +431,11 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 	t := tally{res: res, max: opts.MaxQuarantined}
 	for _, run := range res.Runs {
 		if err := t.add(run); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	t.finish()
-	return res, nil
+	return nil
 }
 
 // experimentRun produces the execution for one planned experiment:
@@ -457,7 +467,7 @@ func notifyRun(opts Options, run Run) error {
 // validateCompleted rejects a resume journal that does not fit the fresh
 // experiment plan — the usual causes are a nondeterministic workload, a
 // journal written by a different program or options, and a journal written
-// under a different perturbation list.
+// under a different perturbation list or schedule plan.
 func validateCompleted(completed map[RunKey]Run, exps []Experiment, totalPoints int) error {
 	if len(completed) == 0 {
 		return nil
@@ -474,6 +484,9 @@ func validateCompleted(completed map[RunKey]Run, exps []Experiment, totalPoints 
 		if key.Strategy == "" {
 			return fmt.Errorf("inject: resume journal holds point %d but the clean run sized only %d points (nondeterministic workload or wrong journal?)", key.Point, totalPoints)
 		}
+		if key.Sched != 0 {
+			return fmt.Errorf("inject: resume journal holds %s outside this campaign's schedule plan (different -concur workers/sched or -seed?)", key)
+		}
 		return fmt.Errorf("inject: resume journal holds %s outside this campaign's experiment plan (different -perturb options or wrong journal?)", key)
 	}
 	return nil
@@ -489,12 +502,12 @@ type tally struct {
 }
 
 func (t *tally) add(run Run) error {
-	if run.InjectionPoint == 0 {
+	if run.Key() == (RunKey{}) {
 		return nil
 	}
 	if run.Status != RunOK {
 		t.quarantined++
-		t.res.Quarantined = append(t.res.Quarantined, quarantineOf(run))
+		t.res.Quarantined = append(t.res.Quarantined, run.Quarantine())
 		if t.max > 0 && t.quarantined > t.max {
 			return fmt.Errorf("%w: %d points quarantined > %d", ErrQuarantineBudget, t.quarantined, t.max)
 		}
@@ -515,8 +528,8 @@ func (t *tally) add(run Run) error {
 
 func (t *tally) finish() { t.res.Warnings = t.dead.list() }
 
-// quarantineOf summarizes a quarantined run for the campaign report.
-func quarantineOf(run Run) Quarantine {
+// Quarantine summarizes a quarantined run for the campaign report.
+func (run Run) Quarantine() Quarantine {
 	q := Quarantine{
 		InjectionPoint: run.InjectionPoint,
 		Strategy:       run.Strategy,
@@ -678,16 +691,13 @@ func workload(p *Program, opts Options) func() {
 
 // collect packages what one finished session observed.
 func collect(session *core.Session, ex Experiment, escaped *fault.Exception) execution {
+	run := ex.Key.run()
+	run.Injected = session.Injected()
+	run.Escaped = escaped
+	run.Marks = session.Marks()
+	run.MaskStats = session.MaskStats()
 	out := execution{
-		run: Run{
-			InjectionPoint: ex.Key.Point,
-			Strategy:       ex.Key.Strategy,
-			Arg:            ex.Key.Arg,
-			Injected:       session.Injected(),
-			Escaped:        escaped,
-			Marks:          session.Marks(),
-			MaskStats:      session.MaskStats(),
-		},
+		run:       run,
 		markCalls: session.MarkCalls(),
 		diffs:     session.MarkDiffs(),
 		points:    session.Point(),
@@ -702,8 +712,9 @@ func collect(session *core.Session, ex Experiment, escaped *fault.Exception) exe
 	return out
 }
 
-// MaskStatTotals sums the per-method masking overhead across every run of
-// the campaign; nil when nothing was masked.
+// MaskStatTotals sums the per-method masking overhead across the runs this
+// process executed (spliced runs carry no MaskStats); nil when nothing was
+// masked.
 func (r *Result) MaskStatTotals() map[string]core.MaskStat {
 	var totals map[string]core.MaskStat
 	for _, run := range r.Runs {
@@ -746,12 +757,16 @@ func cleanRun(ctx context.Context, p *Program, opts Options) (execution, error) 
 }
 
 // execute performs one injector run, catching the exception that escapes
-// the workload's top level. The first pass is settled (settle): a
-// predicted pass that missed is redone unpredicted, and under fingerprint
-// snapshots the diffs of the run's non-atomic marks are recovered by a
-// targeted capture replay, so the result is byte-identical to an
-// all-capture, every-call campaign.
+// the workload's top level (an experiment with its own executor runs that
+// instead, and its run is recorded as returned). The first pass is
+// settled (settle): a predicted pass that missed is redone unpredicted,
+// and under fingerprint snapshots the diffs of the run's non-atomic marks
+// are recovered by a targeted capture replay, so the result is
+// byte-identical to an all-capture, every-call campaign.
 func (w *worker) execute(p *Program, ex Experiment, opts Options) execution {
+	if ex.Exec != nil {
+		return execution{run: ex.Exec()}
+	}
 	out := w.executeOnce(p, ex, opts, nil)
 	// A supervised attempt that crashed with a foreign panic belongs to
 	// the supervisor's retry policy, not to settling: rerunning here would

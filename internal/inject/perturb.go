@@ -72,6 +72,11 @@ func (r Run) Key() RunKey {
 	return RunKey{Strategy: r.Strategy, Point: r.InjectionPoint, Arg: r.Arg, Sched: r.Sched}
 }
 
+// run returns an empty run carrying the key.
+func (k RunKey) run() Run {
+	return Run{InjectionPoint: k.Point, Strategy: k.Strategy, Arg: k.Arg, Sched: k.Sched}
+}
+
 // Profile is what one clean run discovered about the workload — the
 // input perturbation strategies plan their experiment grids from.
 type Profile struct {
@@ -91,6 +96,12 @@ type Profile struct {
 type Experiment struct {
 	// Key is the experiment's identity in journals, chunks and resume.
 	Key RunKey
+	// Exec, when set, is the experiment's own executor: the campaign
+	// worker calls it in place of the program's workload and records the
+	// Run it returns, which must carry Key. Supervision, splicing and the
+	// tally apply as to any run; settling does not (Exec takes no
+	// snapshots). A concurrent schedule is one such experiment.
+	Exec func() Run
 
 	// point is the InjectionPoint threshold for threshold-driven
 	// experiments (the default sweep and the oblivious model).

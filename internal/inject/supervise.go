@@ -17,8 +17,10 @@ import (
 //
 // Goroutine leak: Go cannot kill a goroutine, so an expired attempt is
 // abandoned, not stopped. The leak is bounded by (MaxRetries+1) abandoned
-// goroutines per quarantined point, and quarantined points are bounded by
-// MaxQuarantined (or the point space). An abandoned goroutine keeps the
+// attempts per quarantined point, and quarantined points are bounded by
+// MaxQuarantined (or the point space). An attempt is one goroutine, plus
+// any its experiment's executor started and left blocked (a concurrent
+// schedule's driver and worker goroutines). An abandoned goroutine keeps the
 // session it was handed and may go on using it, so the worker never gets
 // that session back: the attempt takes the worker's session with it, the
 // supervisor returns it to the worker only from an attempt that finished,
@@ -90,12 +92,9 @@ func (w *worker) superviseAttempt(ctx context.Context, p *Program, ex Experiment
 			// panic in the engine itself (session setup, mark collection)
 			// so it quarantines the point instead of killing the process.
 			if r := recover(); r != nil {
-				ch <- attempt{out: execution{run: Run{
-					InjectionPoint: ex.Key.Point,
-					Strategy:       ex.Key.Strategy,
-					Arg:            ex.Key.Arg,
-					Escaped:        fault.From(r),
-				}}}
+				run := ex.Key.run()
+				run.Escaped = fault.From(r)
+				ch <- attempt{out: execution{run: run}}
 			}
 		}()
 		out := own.execute(p, ex, opts)
@@ -129,14 +128,11 @@ func (w *worker) superviseAttempt(ctx context.Context, p *Program, ex Experiment
 // goroutine and must not be read.
 func (w *worker) quarantined(p *Program, ex Experiment, verdict attemptVerdict, retries int, last execution, opts Options) execution {
 	if verdict == attemptHung {
-		return execution{run: Run{
-			InjectionPoint: ex.Key.Point,
-			Strategy:       ex.Key.Strategy,
-			Arg:            ex.Key.Arg,
-			Status:         RunHung,
-			Retries:        retries,
-			Err:            fmt.Sprintf("run exceeded RunTimeout %v", opts.RunTimeout),
-		}}
+		run := ex.Key.run()
+		run.Status = RunHung
+		run.Retries = retries
+		run.Err = fmt.Sprintf("run exceeded RunTimeout %v", opts.RunTimeout)
+		return execution{run: run}
 	}
 	// The crashed run's marks are kept for triage, so it is settled here
 	// like every other run (a predicted pass that missed is redone, and

@@ -265,18 +265,7 @@ func Read(r io.Reader) (*inject.Result, error) {
 		run := runFromLine(line)
 		res.Runs = append(res.Runs, run)
 		if run.Status != inject.RunOK && run.Key() != (inject.RunKey{}) {
-			q := inject.Quarantine{
-				InjectionPoint: run.InjectionPoint,
-				Strategy:       run.Strategy,
-				Arg:            run.Arg,
-				Status:         run.Status,
-				Retries:        run.Retries,
-				Err:            run.Err,
-			}
-			if run.Escaped != nil {
-				q.Kind = run.Escaped.Kind
-			}
-			res.Quarantined = append(res.Quarantined, q)
+			res.Quarantined = append(res.Quarantined, run.Quarantine())
 		}
 	}
 	if err := scanner.Err(); err != nil {

@@ -313,6 +313,3 @@ func (s *Scheduler) DepthByPriority() map[Priority]int {
 // QueuedFor reports the queued count for one token (admission-quota
 // accounting, surfaced for tests and metrics).
 func (s *Scheduler) QueuedFor(token string) int { return s.queued[token] }
-
-// RunningFor reports the running count for one token.
-func (s *Scheduler) RunningFor(token string) int { return s.running[token] }

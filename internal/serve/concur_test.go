@@ -94,6 +94,7 @@ func TestConcurAdmissionValidation(t *testing.T) {
 		{App: "LinkedList", Kind: serve.KindConcur, Workers: 1},       // workers out of bounds
 		{App: "LinkedList", Kind: serve.KindConcur, Schedules: 5000},  // schedules out of bounds
 		{App: "LinkedList", Kind: serve.KindConcur, Perturb: "nth=2"}, // perturb on concur
+		{App: "LinkedList", Kind: serve.KindConcur, Repeats: 2},       // repeats on concur
 		{App: "HashedSet", Workers: 4},                                // concur knob on a detect job
 		{App: "HashedSet", Seed: 7},                                   // seed on a detect job
 	}
@@ -101,6 +102,10 @@ func TestConcurAdmissionValidation(t *testing.T) {
 		if _, err := c.Submit(ctx, spec); err == nil {
 			t.Errorf("spec %+v admitted, want rejection", spec)
 		}
+	}
+	// fadetect sends -repeat's default of 1 with every spec.
+	if err := (serve.JobSpec{App: "LinkedList", Kind: serve.KindConcur, Repeats: 1}).Validate(); err != nil {
+		t.Errorf("concur spec with repeats 1 rejected: %v", err)
 	}
 }
 

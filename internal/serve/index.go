@@ -1,100 +1,16 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
-
-	"failatomic/internal/serve/store"
 )
 
 // The job index: GET /v1/jobs lists every job the server knows, newest
 // admission last, filterable by tenant token name, kind, state and
-// crontab, paginated by a Seq cursor. The identity slice of the index
-// (seq, id, token, kind, priority, crontab) is mirrored to an on-disk
-// index.jsonl — appended on admission, rewritten from the recovered jobs
-// at boot — so operators and offline tooling can walk a server's
-// admission history without parsing every jobs/<id>/spec.json, and a
-// half-written tail from a crash is healed by the boot rewrite.
-
-// indexEntry is one line of index.jsonl: the immutable identity of one
-// admitted job. Live state intentionally stays out — it would make the
-// file a write-per-transition hot spot; state lives in done.json and the
-// API.
-type indexEntry struct {
-	Seq      uint64 `json:"seq"`
-	ID       string `json:"id"`
-	Token    string `json:"token,omitempty"`
-	Kind     string `json:"kind"`
-	Priority string `json:"priority"`
-	Crontab  string `json:"crontab,omitempty"`
-}
-
-func (s *Server) indexPath() string { return filepath.Join(s.cfg.DataDir, "index.jsonl") }
-
-func entryOf(j *job) indexEntry {
-	return indexEntry{
-		Seq:      j.item.Seq,
-		ID:       j.id,
-		Token:    j.item.Token,
-		Kind:     j.spec.JobKind(),
-		Priority: j.item.Priority.String(),
-		Crontab:  j.spec.Crontab,
-	}
-}
-
-// appendIndexLocked appends the job's identity line to index.jsonl.
-// Called under s.mu from submit. Best-effort: the index is derived data
-// (the boot rewrite reconstructs it from the spec manifests), so an
-// append failure must not fail the admission that already persisted its
-// spec.
-func (s *Server) appendIndexLocked(j *job) {
-	f, err := os.OpenFile(s.indexPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	data, err := json.Marshal(entryOf(j))
-	if err != nil {
-		return
-	}
-	f.Write(append(data, '\n'))
-}
-
-// rewriteIndex rebuilds index.jsonl from the recovered jobs at boot, in
-// Seq order — healing torn tails and folding in manifests written by
-// older servers that predate the index.
-func (s *Server) rewriteIndex() error {
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	sort.Slice(jobs, func(i, k int) bool {
-		if jobs[i].item.Seq != jobs[k].item.Seq {
-			return jobs[i].item.Seq < jobs[k].item.Seq
-		}
-		return jobs[i].id < jobs[k].id
-	})
-	var buf bytes.Buffer
-	for _, j := range jobs {
-		data, err := json.Marshal(entryOf(j))
-		if err != nil {
-			return fmt.Errorf("serve: index: %w", err)
-		}
-		buf.Write(append(data, '\n'))
-	}
-	if err := store.WriteFileAtomic(s.indexPath(), buf.Bytes()); err != nil {
-		return fmt.Errorf("serve: index: %w", err)
-	}
-	return nil
-}
+// crontab, paginated by a Seq cursor. It pages the in-memory job set,
+// which boot recovery rebuilds from each job's spec.json and done.json.
 
 // List pagination bounds.
 const (

@@ -126,6 +126,9 @@ var kinds = map[string]kind{
 			if sp.Perturb != "" {
 				return errors.New("perturb does not apply to concur jobs (the schedule plan is the fault strategy)")
 			}
+			if sp.Repeats > 1 {
+				return errors.New("repeats does not apply to concur jobs (each schedule runs its scripts once)")
+			}
 			return nil
 		},
 		identity: func(sp JobSpec) (string, string, int64) {
@@ -134,17 +137,21 @@ var kinds = map[string]kind{
 		},
 		run: func(ctx context.Context, sp JobSpec, completed map[inject.RunKey]inject.Run, onRun func(inject.Run) error) (Outcome, error) {
 			t, _ := concur.ByName(sp.App)
+			opts, err := sp.campaignOptions(completed, onRun)
+			if err != nil {
+				return Outcome{}, err
+			}
 			res, err := concur.Campaign(ctx, &t, concur.Options{
 				Workers:   sp.Workers,
 				Schedules: sp.Schedules,
 				Seed:      concur.EffectiveSeed(sp.Seed),
-				Completed: completed,
-				OnRun:     onRun,
+				Campaign:  opts,
 			})
 			if err != nil {
 				return Outcome{}, err
 			}
-			return Outcome{Result: res.Inject, Report: res.Report, ExitCode: cli.ExitOK}, nil
+			report, code := cli.ConcurReport(res)
+			return Outcome{Result: res.Inject, Report: report, ExitCode: code}, nil
 		},
 	},
 }

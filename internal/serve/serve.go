@@ -174,9 +174,6 @@ func (s *Server) Start() error {
 	if err := s.recoverCrontabs(); err != nil {
 		return err
 	}
-	if err := s.rewriteIndex(); err != nil {
-		return err
-	}
 	s.mu.Lock()
 	s.started = true
 	s.mu.Unlock()
@@ -376,7 +373,6 @@ func (s *Server) submit(spec JobSpec, tenant string) (*job, error) {
 	}
 	j.events.publish(Event{Type: "state", State: StateQueued})
 	s.jobs[id] = j
-	s.appendIndexLocked(j)
 	s.metrics.noteQueued(spec)
 	s.signalWork()
 	return j, nil
