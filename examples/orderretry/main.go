@@ -18,6 +18,13 @@ import (
 	"failatomic"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mGatewayCharge            = failatomic.Method("Gateway.Charge")
+	mProcessorSubmit          = failatomic.Method("Processor.Submit")
+	mProcessorSubmitWithRetry = failatomic.Method("Processor.SubmitWithRetry")
+)
+
 // Gateway simulates a payment service that fails transiently: every
 // attempt for an amount tagged flaky fails until Attempts reaches the
 // configured reliability threshold.
@@ -28,7 +35,7 @@ type Gateway struct {
 
 // Charge throws IOError for the first FailsFirst attempts.
 func (g *Gateway) Charge(amount int) {
-	defer failatomic.Enter(g, "Gateway.Charge")()
+	defer mGatewayCharge.Enter(g)()
 	g.Attempts++
 	if g.Attempts <= g.FailsFirst {
 		failatomic.Throw(failatomic.IOError, "Gateway.Charge",
@@ -60,7 +67,7 @@ type Processor struct {
 // Submit charges an order and records the revenue. BUG: commit before
 // charge.
 func (p *Processor) Submit(o *Order) {
-	defer failatomic.Enter(p, "Processor.Submit", o)()
+	defer mProcessorSubmit.Enter(p, o)()
 	p.Revenue += o.Total
 	p.Orders++
 	p.Charge(o.Total)
@@ -70,7 +77,7 @@ func (p *Processor) Submit(o *Order) {
 // SubmitWithRetry is the recovery seam: catch, retry up to three times.
 // Its correctness depends entirely on Submit being failure atomic.
 func (p *Processor) SubmitWithRetry(o *Order) (err error) {
-	defer failatomic.Enter(p, "Processor.SubmitWithRetry", o)()
+	defer mProcessorSubmitWithRetry.Enter(p, o)()
 	for attempt := 0; attempt < 3; attempt++ {
 		err = p.trySubmit(o)
 		if err == nil {

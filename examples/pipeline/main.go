@@ -13,6 +13,14 @@ import (
 	"failatomic"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mParserStageParseBatch = failatomic.Method("ParserStage.ParseBatch")
+	mParserStageparseOne   = failatomic.Method("ParserStage.parseOne")
+	mBoundedQueuePushAll   = failatomic.Method("BoundedQueue.PushAll")
+	mBoundedQueuePop       = failatomic.Method("BoundedQueue.Pop")
+)
+
 // Record is one parsed input line.
 type Record struct {
 	Key   string
@@ -30,7 +38,7 @@ type ParserStage struct {
 // ParseBatch parses a batch of lines; a malformed line aborts the batch
 // mid-way, leaving Lines counting records that never reached the queue.
 func (p *ParserStage) ParseBatch(lines []string) []*Record {
-	defer failatomic.Enter(p, "ParserStage.ParseBatch")()
+	defer mParserStageParseBatch.Enter(p)()
 	out := make([]*Record, 0, len(lines))
 	for _, line := range lines {
 		out = append(out, p.parseOne(line))
@@ -40,7 +48,7 @@ func (p *ParserStage) ParseBatch(lines []string) []*Record {
 }
 
 func (p *ParserStage) parseOne(line string) *Record {
-	defer failatomic.Enter(p, "ParserStage.parseOne")()
+	defer mParserStageparseOne.Enter(p)()
 	key, value, ok := strings.Cut(line, "=")
 	if !ok || key == "" {
 		failatomic.Throw(failatomic.ParseError, "ParserStage.parseOne", "bad line %q", line)
@@ -56,7 +64,7 @@ type BoundedQueue struct {
 
 // PushAll enqueues a batch; overflow mid-batch strands earlier records.
 func (q *BoundedQueue) PushAll(records []*Record) {
-	defer failatomic.Enter(q, "BoundedQueue.PushAll")()
+	defer mBoundedQueuePushAll.Enter(q)()
 	for _, r := range records {
 		if len(q.Items) >= q.Max {
 			failatomic.Throw(failatomic.CapacityExceeded, "BoundedQueue.PushAll",
@@ -68,7 +76,7 @@ func (q *BoundedQueue) PushAll(records []*Record) {
 
 // Pop removes the oldest record.
 func (q *BoundedQueue) Pop() *Record {
-	defer failatomic.Enter(q, "BoundedQueue.Pop")()
+	defer mBoundedQueuePop.Enter(q)()
 	if len(q.Items) == 0 {
 		failatomic.Throw(failatomic.NoSuchElement, "BoundedQueue.Pop", "empty queue")
 	}

@@ -11,6 +11,14 @@ import (
 	"failatomic"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mInventoryNew         = failatomic.Method("Inventory.New")
+	mInventoryReserve     = failatomic.Method("Inventory.Reserve")
+	mInventoryReserveSafe = failatomic.Method("Inventory.ReserveSafe")
+	mInventoryvalidate    = failatomic.Method("Inventory.validate")
+)
+
 // Inventory tracks stock levels. Reserve is written in the classic broken
 // style: it decrements stock *before* validating the order, so a rejected
 // order corrupts the count.
@@ -21,14 +29,14 @@ type Inventory struct {
 
 // NewInventory returns a stocked inventory.
 func NewInventory() *Inventory {
-	defer failatomic.Enter(nil, "Inventory.New")()
+	defer mInventoryNew.Enter(nil)()
 	return &Inventory{Stock: map[string]int{"widget": 10, "gadget": 4}}
 }
 
 // Reserve takes n units of item out of stock. BUG: the mutation precedes
 // the validation.
 func (inv *Inventory) Reserve(item string, n int) {
-	defer failatomic.Enter(inv, "Inventory.Reserve")()
+	defer mInventoryReserve.Enter(inv)()
 	inv.Stock[item] -= n
 	inv.Reserved += n
 	inv.validate(item)
@@ -36,7 +44,7 @@ func (inv *Inventory) Reserve(item string, n int) {
 
 // ReserveSafe is the repaired variant: validate, then commit.
 func (inv *Inventory) ReserveSafe(item string, n int) {
-	defer failatomic.Enter(inv, "Inventory.ReserveSafe")()
+	defer mInventoryReserveSafe.Enter(inv)()
 	inv.validate(item)
 	if inv.Stock[item] < n {
 		failatomic.Throw(failatomic.IllegalArgument, "Inventory.ReserveSafe",
@@ -48,7 +56,7 @@ func (inv *Inventory) ReserveSafe(item string, n int) {
 
 // validate throws for unknown items and oversold stock.
 func (inv *Inventory) validate(item string) {
-	defer failatomic.Enter(inv, "Inventory.validate")()
+	defer mInventoryvalidate.Enter(inv)()
 	stock, ok := inv.Stock[item]
 	if !ok {
 		failatomic.Throw(failatomic.NoSuchElement, "Inventory.validate", "unknown item %q", item)

@@ -11,15 +11,20 @@
 //
 // # Instrumenting
 //
-// Every method to be analyzed carries a one-line prologue (inserted by
-// hand or by the faweave source weaver):
+// Every method to be analyzed carries a one-line prologue through its
+// method handle, resolved once at package init:
+//
+//	var mInsert = failatomic.Method("List.Insert")
 //
 //	func (l *List) Insert(v int) {
-//		defer failatomic.Enter(l, "List.Insert")()
+//		defer mInsert.Enter(l)()
 //		...
 //	}
 //
-// With no session installed the prologue is a cheap no-op.
+// The faweave source weaver inserts the same prologue by name,
+// defer failatomic.Enter(l, "List.Insert")(), which interns the name and
+// takes the handle's path. With no session installed the prologue is a
+// cheap no-op.
 //
 // # Detecting
 //
@@ -60,13 +65,24 @@ import (
 	"failatomic/internal/repair"
 )
 
-// Enter is the woven method prologue. recv is the receiver (nil for
-// constructors and free functions), name the "Class.Method" label, extra
-// any by-reference arguments that belong to the compared object graph. The
-// returned closure must be deferred immediately.
+// Enter is the woven method prologue by name. recv is the receiver (nil
+// for constructors and free functions), name the "Class.Method" label,
+// extra any by-reference arguments that belong to the compared object
+// graph. The returned closure must be deferred immediately. It is
+// Method(name).Enter(recv, extra...).
 func Enter(recv any, name string, extra ...any) func() {
 	return core.Enter(recv, name, extra...)
 }
+
+// MethodHandle is one instrumented method's process-wide identity; its
+// Enter(recv, extra...) is the prologue, with Enter's arguments.
+type MethodHandle = core.MethodHandle
+
+// Method returns the handle of the named method ("Class.Method"),
+// interning the name on first use. A handle resolved once, in a
+// package-level variable, makes a prologue that looks nothing up per
+// call.
+func Method(name string) *MethodHandle { return core.Method(name) }
 
 // Kind names an exception type.
 type Kind = fault.Kind

@@ -29,7 +29,9 @@ const (
 )
 
 // RenderQuarantine formats the quarantine summary for one program: one
-// line per point with its kind, retry count and last error.
+// line per run, named by its RunKey ("point N" in the default sweep,
+// e.g. "concur[2,0]#2" for a schedule), with its kind, retry count and
+// last error.
 func RenderQuarantine(program string, qs []inject.Quarantine) string {
 	if len(qs) == 0 {
 		return ""
@@ -41,8 +43,8 @@ func RenderQuarantine(program string, qs []inject.Quarantine) string {
 		if kind == "" {
 			kind = "-"
 		}
-		fmt.Fprintf(&b, "  point %-6d %-13s kind=%-14s retries=%d  %s\n",
-			q.InjectionPoint, q.Status, kind, q.Retries, q.Err)
+		fmt.Fprintf(&b, "  %-12s %-13s kind=%-14s retries=%d  %s\n",
+			q.Key(), q.Status, kind, q.Retries, q.Err)
 	}
 	return b.String()
 }

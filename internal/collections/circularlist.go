@@ -5,6 +5,35 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mCLCellNew               = core.Method("CLCell.New")
+	mCLCellAddNext           = core.Method("CLCell.AddNext")
+	mCLCellAddPrev           = core.Method("CLCell.AddPrev")
+	mCLCellUnlink            = core.Method("CLCell.Unlink")
+	mCircularListNew         = core.Method("CircularList.New")
+	mCircularListSize        = core.Method("CircularList.Size")
+	mCircularListIsEmpty     = core.Method("CircularList.IsEmpty")
+	mCircularListFirst       = core.Method("CircularList.First")
+	mCircularListLast        = core.Method("CircularList.Last")
+	mCircularListAt          = core.Method("CircularList.At")
+	mCircularListInsertFirst = core.Method("CircularList.InsertFirst")
+	mCircularListInsertLast  = core.Method("CircularList.InsertLast")
+	mCircularListInsertAt    = core.Method("CircularList.InsertAt")
+	mCircularListRemoveFirst = core.Method("CircularList.RemoveFirst")
+	mCircularListRemoveLast  = core.Method("CircularList.RemoveLast")
+	mCircularListRemoveAt    = core.Method("CircularList.RemoveAt")
+	mCircularListReplaceAt   = core.Method("CircularList.ReplaceAt")
+	mCircularListRotate      = core.Method("CircularList.Rotate")
+	mCircularListIncludes    = core.Method("CircularList.Includes")
+	mCircularListIndexOf     = core.Method("CircularList.IndexOf")
+	mCircularListClear       = core.Method("CircularList.Clear")
+	mCircularListToSlice     = core.Method("CircularList.ToSlice")
+	mCircularListcheckIndex  = core.Method("CircularList.checkIndex")
+	mCircularListscreen      = core.Method("CircularList.screen")
+	mCircularListunlinkCell  = core.Method("CircularList.unlinkCell")
+)
+
 // CLCell is one cell of a doubly linked circular list. Cells carry their
 // own splicing operations, as in the original library, so the cell class
 // contributes instrumented methods of its own.
@@ -16,7 +45,7 @@ type CLCell struct {
 
 // NewCLCell returns a self-linked cell.
 func NewCLCell(v Item) *CLCell {
-	defer core.Enter(nil, "CLCell.New")()
+	defer mCLCellNew.Enter(nil)()
 	c := &CLCell{Element: v}
 	c.Prev = c
 	c.Next = c
@@ -25,7 +54,7 @@ func NewCLCell(v Item) *CLCell {
 
 // AddNext splices a new cell holding v directly after c.
 func (c *CLCell) AddNext(v Item) *CLCell {
-	defer enter(c, "CLCell.AddNext")()
+	defer mCLCellAddNext.Enter(c)()
 	fresh := &CLCell{Element: v, Prev: c, Next: c.Next}
 	c.Next.Prev = fresh
 	c.Next = fresh
@@ -34,7 +63,7 @@ func (c *CLCell) AddNext(v Item) *CLCell {
 
 // AddPrev splices a new cell holding v directly before c.
 func (c *CLCell) AddPrev(v Item) *CLCell {
-	defer enter(c, "CLCell.AddPrev")()
+	defer mCLCellAddPrev.Enter(c)()
 	fresh := &CLCell{Element: v, Prev: c.Prev, Next: c}
 	c.Prev.Next = fresh
 	c.Prev = fresh
@@ -43,7 +72,7 @@ func (c *CLCell) AddPrev(v Item) *CLCell {
 
 // Unlink removes c from its ring.
 func (c *CLCell) Unlink() {
-	defer enter(c, "CLCell.Unlink")()
+	defer mCLCellUnlink.Enter(c)()
 	c.Prev.Next = c.Next
 	c.Next.Prev = c.Prev
 	c.Prev = c
@@ -60,25 +89,25 @@ type CircularList struct {
 
 // NewCircularList returns an empty circular list.
 func NewCircularList(screen Screener) *CircularList {
-	defer core.Enter(nil, "CircularList.New")()
+	defer mCircularListNew.Enter(nil)()
 	return &CircularList{Screen: screen}
 }
 
 // Size returns the number of elements.
 func (l *CircularList) Size() int {
-	defer enter(l, "CircularList.Size")()
+	defer mCircularListSize.Enter(l)()
 	return l.Count
 }
 
 // IsEmpty reports whether the list has no elements.
 func (l *CircularList) IsEmpty() bool {
-	defer enter(l, "CircularList.IsEmpty")()
+	defer mCircularListIsEmpty.Enter(l)()
 	return l.Count == 0
 }
 
 // First returns the head element.
 func (l *CircularList) First() Item {
-	defer enter(l, "CircularList.First")()
+	defer mCircularListFirst.Enter(l)()
 	if l.Head == nil {
 		fault.Throw(fault.NoSuchElement, "CircularList.First", "empty list")
 	}
@@ -87,7 +116,7 @@ func (l *CircularList) First() Item {
 
 // Last returns the element before the head.
 func (l *CircularList) Last() Item {
-	defer enter(l, "CircularList.Last")()
+	defer mCircularListLast.Enter(l)()
 	if l.Head == nil {
 		fault.Throw(fault.NoSuchElement, "CircularList.Last", "empty list")
 	}
@@ -96,7 +125,7 @@ func (l *CircularList) Last() Item {
 
 // At returns the element at index i (walking from the head).
 func (l *CircularList) At(i int) Item {
-	defer enter(l, "CircularList.At")()
+	defer mCircularListAt.Enter(l)()
 	l.checkIndex(i)
 	return l.cellAt(i).Element
 }
@@ -104,7 +133,7 @@ func (l *CircularList) At(i int) Item {
 // InsertFirst prepends v; the version bump precedes screening (original
 // idiom, failure non-atomic).
 func (l *CircularList) InsertFirst(v Item) {
-	defer enter(l, "CircularList.InsertFirst")()
+	defer mCircularListInsertFirst.Enter(l)()
 	l.Version++
 	l.screen(v)
 	if l.Head == nil {
@@ -117,7 +146,7 @@ func (l *CircularList) InsertFirst(v Item) {
 
 // InsertLast appends v before the head.
 func (l *CircularList) InsertLast(v Item) {
-	defer enter(l, "CircularList.InsertLast")()
+	defer mCircularListInsertLast.Enter(l)()
 	l.Version++
 	l.Count++
 	l.screen(v)
@@ -130,7 +159,7 @@ func (l *CircularList) InsertLast(v Item) {
 
 // InsertAt inserts v at index i.
 func (l *CircularList) InsertAt(i int, v Item) {
-	defer enter(l, "CircularList.InsertAt")()
+	defer mCircularListInsertAt.Enter(l)()
 	l.Version++
 	if i < 0 || i > l.Count {
 		fault.Throw(fault.IndexOutOfBounds, "CircularList.InsertAt",
@@ -153,7 +182,7 @@ func (l *CircularList) InsertAt(i int, v Item) {
 // RemoveFirst removes and returns the head element; the version is bumped
 // before the emptiness check.
 func (l *CircularList) RemoveFirst() Item {
-	defer enter(l, "CircularList.RemoveFirst")()
+	defer mCircularListRemoveFirst.Enter(l)()
 	l.Version++
 	if l.Head == nil {
 		fault.Throw(fault.NoSuchElement, "CircularList.RemoveFirst", "empty list")
@@ -165,7 +194,7 @@ func (l *CircularList) RemoveFirst() Item {
 
 // RemoveLast removes and returns the tail element.
 func (l *CircularList) RemoveLast() Item {
-	defer enter(l, "CircularList.RemoveLast")()
+	defer mCircularListRemoveLast.Enter(l)()
 	l.Version++
 	if l.Head == nil {
 		fault.Throw(fault.NoSuchElement, "CircularList.RemoveLast", "empty list")
@@ -177,7 +206,7 @@ func (l *CircularList) RemoveLast() Item {
 
 // RemoveAt removes and returns the element at index i.
 func (l *CircularList) RemoveAt(i int) Item {
-	defer enter(l, "CircularList.RemoveAt")()
+	defer mCircularListRemoveAt.Enter(l)()
 	l.Version++
 	l.checkIndex(i)
 	cell := l.cellAt(i)
@@ -188,7 +217,7 @@ func (l *CircularList) RemoveAt(i int) Item {
 
 // ReplaceAt replaces the element at index i.
 func (l *CircularList) ReplaceAt(i int, v Item) Item {
-	defer enter(l, "CircularList.ReplaceAt")()
+	defer mCircularListReplaceAt.Enter(l)()
 	l.Version++
 	l.checkIndex(i)
 	l.screen(v)
@@ -200,7 +229,7 @@ func (l *CircularList) ReplaceAt(i int, v Item) Item {
 
 // Rotate advances the head by n positions (n may be negative).
 func (l *CircularList) Rotate(n int) {
-	defer enter(l, "CircularList.Rotate")()
+	defer mCircularListRotate.Enter(l)()
 	if l.Head == nil {
 		return
 	}
@@ -216,13 +245,13 @@ func (l *CircularList) Rotate(n int) {
 
 // Includes reports whether v occurs in the list.
 func (l *CircularList) Includes(v Item) bool {
-	defer enter(l, "CircularList.Includes")()
+	defer mCircularListIncludes.Enter(l)()
 	return l.IndexOf(v) >= 0
 }
 
 // IndexOf returns the index of the first occurrence of v, or -1.
 func (l *CircularList) IndexOf(v Item) int {
-	defer enter(l, "CircularList.IndexOf")()
+	defer mCircularListIndexOf.Enter(l)()
 	if l.Head == nil {
 		return -1
 	}
@@ -238,7 +267,7 @@ func (l *CircularList) IndexOf(v Item) int {
 
 // Clear removes all elements.
 func (l *CircularList) Clear() {
-	defer enter(l, "CircularList.Clear")()
+	defer mCircularListClear.Enter(l)()
 	l.Version++
 	l.Head = nil
 	l.Count = 0
@@ -246,7 +275,7 @@ func (l *CircularList) Clear() {
 
 // ToSlice copies the elements into a fresh slice in ring order.
 func (l *CircularList) ToSlice() []Item {
-	defer enter(l, "CircularList.ToSlice")()
+	defer mCircularListToSlice.Enter(l)()
 	out := make([]Item, 0, l.Count)
 	if l.Head == nil {
 		return out
@@ -261,7 +290,7 @@ func (l *CircularList) ToSlice() []Item {
 
 // checkIndex throws IndexOutOfBounds unless 0 <= i < Count.
 func (l *CircularList) checkIndex(i int) {
-	defer enter(l, "CircularList.checkIndex")()
+	defer mCircularListcheckIndex.Enter(l)()
 	if i < 0 || i >= l.Count {
 		fault.Throw(fault.IndexOutOfBounds, "CircularList.checkIndex",
 			"index %d outside [0,%d)", i, l.Count)
@@ -270,13 +299,13 @@ func (l *CircularList) checkIndex(i int) {
 
 // screen validates an element.
 func (l *CircularList) screen(v Item) {
-	defer enter(l, "CircularList.screen")()
+	defer mCircularListscreen.Enter(l)()
 	checkElement("CircularList.screen", l.Screen, v)
 }
 
 // unlinkCell removes cell from the ring and fixes Head/Count.
 func (l *CircularList) unlinkCell(cell *CLCell) {
-	defer enter(l, "CircularList.unlinkCell")()
+	defer mCircularListunlinkCell.Enter(l)()
 	if l.Count == 1 {
 		l.Head = nil
 		l.Count = 0

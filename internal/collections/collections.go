@@ -7,17 +7,16 @@
 // screening that throws, version counters bumped at the top of mutators,
 // count-then-mutate sequences, incremental link rewiring — because the
 // evaluation depends on the *naturally occurring* failure non-atomicity of
-// this style. Every method carries the woven core.Enter prologue, exactly
-// what the source weaver produces from the clean sources.
+// this style. Every method carries the core prologue through a method
+// handle resolved at package init (defer mRBMapPut.Enter(m)()), the
+// equivalent of the string prologue the source weaver produces from the
+// clean sources.
 //
 // All container state uses exported fields so the masking phase can
 // checkpoint and roll back instances.
 package collections
 
-import (
-	"failatomic/internal/core"
-	"failatomic/internal/fault"
-)
+import "failatomic/internal/fault"
 
 // Item is the element type of all collections (the Java Object analog).
 type Item = any
@@ -112,10 +111,4 @@ func checkElement(method string, screener Screener, v Item) {
 	if screener != nil && !screener(v) {
 		fault.Throw(fault.IllegalElement, method, "element %v rejected by screener", v)
 	}
-}
-
-// enter is a package-local alias for the woven prologue, shortening the
-// instrumentation lines the weaver emits.
-func enter(recv any, name string, extra ...any) func() {
-	return core.Enter(recv, name, extra...)
 }

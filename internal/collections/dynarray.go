@@ -5,6 +5,28 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mDynarrayNew            = core.Method("Dynarray.New")
+	mDynarraySize           = core.Method("Dynarray.Size")
+	mDynarrayIsEmpty        = core.Method("Dynarray.IsEmpty")
+	mDynarrayCapacity       = core.Method("Dynarray.Capacity")
+	mDynarrayAt             = core.Method("Dynarray.At")
+	mDynarraySetAt          = core.Method("Dynarray.SetAt")
+	mDynarrayAppend         = core.Method("Dynarray.Append")
+	mDynarrayInsertAt       = core.Method("Dynarray.InsertAt")
+	mDynarrayRemoveAt       = core.Method("Dynarray.RemoveAt")
+	mDynarrayRemoveOne      = core.Method("Dynarray.RemoveOne")
+	mDynarrayEnsureCapacity = core.Method("Dynarray.EnsureCapacity")
+	mDynarrayTrim           = core.Method("Dynarray.Trim")
+	mDynarrayIncludes       = core.Method("Dynarray.Includes")
+	mDynarrayIndexOf        = core.Method("Dynarray.IndexOf")
+	mDynarrayClear          = core.Method("Dynarray.Clear")
+	mDynarrayToSlice        = core.Method("Dynarray.ToSlice")
+	mDynarraycheckIndex     = core.Method("Dynarray.checkIndex")
+	mDynarrayscreen         = core.Method("Dynarray.screen")
+)
+
 // Dynarray is a growable array in the original library's style: explicit
 // capacity management, element shifting on insert/remove, and mutators
 // that update bookkeeping before all validation has finished.
@@ -20,7 +42,7 @@ const DefaultDynarrayCapacity = 8
 
 // NewDynarray returns an empty array with the given initial capacity.
 func NewDynarray(capacity int, screen Screener) *Dynarray {
-	defer core.Enter(nil, "Dynarray.New")()
+	defer mDynarrayNew.Enter(nil)()
 	if capacity <= 0 {
 		capacity = DefaultDynarrayCapacity
 	}
@@ -29,25 +51,25 @@ func NewDynarray(capacity int, screen Screener) *Dynarray {
 
 // Size returns the number of elements.
 func (d *Dynarray) Size() int {
-	defer enter(d, "Dynarray.Size")()
+	defer mDynarraySize.Enter(d)()
 	return d.Count
 }
 
 // IsEmpty reports whether the array has no elements.
 func (d *Dynarray) IsEmpty() bool {
-	defer enter(d, "Dynarray.IsEmpty")()
+	defer mDynarrayIsEmpty.Enter(d)()
 	return d.Count == 0
 }
 
 // Capacity returns the current slot capacity.
 func (d *Dynarray) Capacity() int {
-	defer enter(d, "Dynarray.Capacity")()
+	defer mDynarrayCapacity.Enter(d)()
 	return len(d.Data)
 }
 
 // At returns the element at index i.
 func (d *Dynarray) At(i int) Item {
-	defer enter(d, "Dynarray.At")()
+	defer mDynarrayAt.Enter(d)()
 	d.checkIndex(i)
 	return d.Data[i]
 }
@@ -55,7 +77,7 @@ func (d *Dynarray) At(i int) Item {
 // SetAt replaces the element at index i; the version bump precedes the
 // index check (original idiom).
 func (d *Dynarray) SetAt(i int, v Item) {
-	defer enter(d, "Dynarray.SetAt")()
+	defer mDynarraySetAt.Enter(d)()
 	d.Version++
 	d.checkIndex(i)
 	d.screen(v)
@@ -64,7 +86,7 @@ func (d *Dynarray) SetAt(i int, v Item) {
 
 // Append adds v at the end.
 func (d *Dynarray) Append(v Item) {
-	defer enter(d, "Dynarray.Append")()
+	defer mDynarrayAppend.Enter(d)()
 	d.Version++
 	d.EnsureCapacity(d.Count + 1)
 	d.screen(v)
@@ -76,7 +98,7 @@ func (d *Dynarray) Append(v Item) {
 // happens before the element is screened, so an exception leaves the
 // array half-shifted — the classic pure failure non-atomic method.
 func (d *Dynarray) InsertAt(i int, v Item) {
-	defer enter(d, "Dynarray.InsertAt")()
+	defer mDynarrayInsertAt.Enter(d)()
 	d.Version++
 	if i < 0 || i > d.Count {
 		fault.Throw(fault.IndexOutOfBounds, "Dynarray.InsertAt",
@@ -94,7 +116,7 @@ func (d *Dynarray) InsertAt(i int, v Item) {
 // RemoveAt removes and returns the element at index i, shifting later
 // elements left.
 func (d *Dynarray) RemoveAt(i int) Item {
-	defer enter(d, "Dynarray.RemoveAt")()
+	defer mDynarrayRemoveAt.Enter(d)()
 	d.Version++
 	d.checkIndex(i)
 	v := d.Data[i]
@@ -108,7 +130,7 @@ func (d *Dynarray) RemoveAt(i int) Item {
 
 // RemoveOne removes the first occurrence of v.
 func (d *Dynarray) RemoveOne(v Item) bool {
-	defer enter(d, "Dynarray.RemoveOne")()
+	defer mDynarrayRemoveOne.Enter(d)()
 	d.Version++
 	idx := d.IndexOf(v)
 	if idx < 0 {
@@ -120,7 +142,7 @@ func (d *Dynarray) RemoveOne(v Item) bool {
 
 // EnsureCapacity grows the backing slots to at least n.
 func (d *Dynarray) EnsureCapacity(n int) {
-	defer enter(d, "Dynarray.EnsureCapacity")()
+	defer mDynarrayEnsureCapacity.Enter(d)()
 	if n <= len(d.Data) {
 		return
 	}
@@ -135,7 +157,7 @@ func (d *Dynarray) EnsureCapacity(n int) {
 
 // Trim shrinks the capacity to the current count.
 func (d *Dynarray) Trim() {
-	defer enter(d, "Dynarray.Trim")()
+	defer mDynarrayTrim.Enter(d)()
 	if len(d.Data) == d.Count {
 		return
 	}
@@ -147,13 +169,13 @@ func (d *Dynarray) Trim() {
 
 // Includes reports whether v occurs in the array.
 func (d *Dynarray) Includes(v Item) bool {
-	defer enter(d, "Dynarray.Includes")()
+	defer mDynarrayIncludes.Enter(d)()
 	return d.IndexOf(v) >= 0
 }
 
 // IndexOf returns the index of the first occurrence of v, or -1.
 func (d *Dynarray) IndexOf(v Item) int {
-	defer enter(d, "Dynarray.IndexOf")()
+	defer mDynarrayIndexOf.Enter(d)()
 	for i := 0; i < d.Count; i++ {
 		if SameItem(d.Data[i], v) {
 			return i
@@ -164,7 +186,7 @@ func (d *Dynarray) IndexOf(v Item) int {
 
 // Clear removes all elements, keeping the capacity.
 func (d *Dynarray) Clear() {
-	defer enter(d, "Dynarray.Clear")()
+	defer mDynarrayClear.Enter(d)()
 	d.Version++
 	for i := 0; i < d.Count; i++ {
 		d.Data[i] = nil
@@ -174,7 +196,7 @@ func (d *Dynarray) Clear() {
 
 // ToSlice copies the elements into a fresh slice.
 func (d *Dynarray) ToSlice() []Item {
-	defer enter(d, "Dynarray.ToSlice")()
+	defer mDynarrayToSlice.Enter(d)()
 	out := make([]Item, d.Count)
 	copy(out, d.Data[:d.Count])
 	return out
@@ -182,7 +204,7 @@ func (d *Dynarray) ToSlice() []Item {
 
 // checkIndex throws IndexOutOfBounds unless 0 <= i < Count.
 func (d *Dynarray) checkIndex(i int) {
-	defer enter(d, "Dynarray.checkIndex")()
+	defer mDynarraycheckIndex.Enter(d)()
 	if i < 0 || i >= d.Count {
 		fault.Throw(fault.IndexOutOfBounds, "Dynarray.checkIndex",
 			"index %d outside [0,%d)", i, d.Count)
@@ -191,7 +213,7 @@ func (d *Dynarray) checkIndex(i int) {
 
 // screen validates an element.
 func (d *Dynarray) screen(v Item) {
-	defer enter(d, "Dynarray.screen")()
+	defer mDynarrayscreen.Enter(d)()
 	checkElement("Dynarray.screen", d.Screen, v)
 }
 

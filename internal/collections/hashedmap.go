@@ -5,6 +5,24 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mHashedMapNew         = core.Method("HashedMap.New")
+	mHashedMapSize        = core.Method("HashedMap.Size")
+	mHashedMapIsEmpty     = core.Method("HashedMap.IsEmpty")
+	mHashedMapPut         = core.Method("HashedMap.Put")
+	mHashedMapGet         = core.Method("HashedMap.Get")
+	mHashedMapContainsKey = core.Method("HashedMap.ContainsKey")
+	mHashedMapRemove      = core.Method("HashedMap.Remove")
+	mHashedMapClear       = core.Method("HashedMap.Clear")
+	mHashedMapKeys        = core.Method("HashedMap.Keys")
+	mHashedMapValues      = core.Method("HashedMap.Values")
+	mHashedMaprehash      = core.Method("HashedMap.rehash")
+	mHashedMaphashFor     = core.Method("HashedMap.hashFor")
+	mHashedMapindexFor    = core.Method("HashedMap.indexFor")
+	mHashedMapscreenValue = core.Method("HashedMap.screenValue")
+)
+
 // HMEntry is one chained entry of a HashedMap bucket.
 type HMEntry struct {
 	Key   Item
@@ -29,7 +47,7 @@ const DefaultHashedMapCapacity = 8
 
 // NewHashedMap returns an empty map with the given initial bucket count.
 func NewHashedMap(capacity int) *HashedMap {
-	defer core.Enter(nil, "HashedMap.New")()
+	defer mHashedMapNew.Enter(nil)()
 	if capacity <= 0 {
 		capacity = DefaultHashedMapCapacity
 	}
@@ -38,20 +56,20 @@ func NewHashedMap(capacity int) *HashedMap {
 
 // Size returns the number of key/value pairs.
 func (m *HashedMap) Size() int {
-	defer enter(m, "HashedMap.Size")()
+	defer mHashedMapSize.Enter(m)()
 	return m.Count
 }
 
 // IsEmpty reports whether the map has no entries.
 func (m *HashedMap) IsEmpty() bool {
-	defer enter(m, "HashedMap.IsEmpty")()
+	defer mHashedMapIsEmpty.Enter(m)()
 	return m.Count == 0
 }
 
 // Put associates key with value and returns the previous value (nil if
 // none). Version and count change before the rehash walk completes.
 func (m *HashedMap) Put(key, value Item) Item {
-	defer enter(m, "HashedMap.Put")()
+	defer mHashedMapPut.Enter(m)()
 	m.Version++
 	h := m.hashFor(key)
 	m.screenValue(value)
@@ -74,7 +92,7 @@ func (m *HashedMap) Put(key, value Item) Item {
 
 // Get returns the value for key, or nil.
 func (m *HashedMap) Get(key Item) Item {
-	defer enter(m, "HashedMap.Get")()
+	defer mHashedMapGet.Enter(m)()
 	h := m.hashFor(key)
 	for e := m.Buckets[m.indexFor(h, len(m.Buckets))]; e != nil; e = e.Next {
 		if e.Hash == h && SameItem(e.Key, key) {
@@ -86,7 +104,7 @@ func (m *HashedMap) Get(key Item) Item {
 
 // ContainsKey reports whether key is present.
 func (m *HashedMap) ContainsKey(key Item) bool {
-	defer enter(m, "HashedMap.ContainsKey")()
+	defer mHashedMapContainsKey.Enter(m)()
 	h := m.hashFor(key)
 	for e := m.Buckets[m.indexFor(h, len(m.Buckets))]; e != nil; e = e.Next {
 		if e.Hash == h && SameItem(e.Key, key) {
@@ -99,7 +117,7 @@ func (m *HashedMap) ContainsKey(key Item) bool {
 // Remove deletes key and returns its value (nil if absent). The version is
 // bumped before the key is hashed (which throws for nil keys).
 func (m *HashedMap) Remove(key Item) Item {
-	defer enter(m, "HashedMap.Remove")()
+	defer mHashedMapRemove.Enter(m)()
 	m.Version++
 	h := m.hashFor(key)
 	idx := m.indexFor(h, len(m.Buckets))
@@ -121,7 +139,7 @@ func (m *HashedMap) Remove(key Item) Item {
 
 // Clear removes all entries, keeping the bucket count.
 func (m *HashedMap) Clear() {
-	defer enter(m, "HashedMap.Clear")()
+	defer mHashedMapClear.Enter(m)()
 	m.Version++
 	for i := range m.Buckets {
 		m.Buckets[i] = nil
@@ -131,7 +149,7 @@ func (m *HashedMap) Clear() {
 
 // Keys returns the keys in bucket order.
 func (m *HashedMap) Keys() []Item {
-	defer enter(m, "HashedMap.Keys")()
+	defer mHashedMapKeys.Enter(m)()
 	out := make([]Item, 0, m.Count)
 	for _, b := range m.Buckets {
 		for e := b; e != nil; e = e.Next {
@@ -143,7 +161,7 @@ func (m *HashedMap) Keys() []Item {
 
 // Values returns the values in bucket order.
 func (m *HashedMap) Values() []Item {
-	defer enter(m, "HashedMap.Values")()
+	defer mHashedMapValues.Enter(m)()
 	out := make([]Item, 0, m.Count)
 	for _, b := range m.Buckets {
 		for e := b; e != nil; e = e.Next {
@@ -157,7 +175,7 @@ func (m *HashedMap) Values() []Item {
 // an exception mid-relink strands the table half-migrated (pure failure
 // non-atomic, not fixable by reordering).
 func (m *HashedMap) rehash(n int) {
-	defer enter(m, "HashedMap.rehash")()
+	defer mHashedMaprehash.Enter(m)()
 	old := m.Buckets
 	m.Buckets = make([]*HMEntry, n)
 	for _, b := range old {
@@ -173,19 +191,19 @@ func (m *HashedMap) rehash(n int) {
 
 // hashFor hashes a key (throws IllegalElement for nil/unhashable keys).
 func (m *HashedMap) hashFor(key Item) uint32 {
-	defer enter(m, "HashedMap.hashFor")()
+	defer mHashedMaphashFor.Enter(m)()
 	return HashOf(key)
 }
 
 // indexFor maps a hash onto a bucket index.
 func (m *HashedMap) indexFor(h uint32, n int) int {
-	defer enter(m, "HashedMap.indexFor")()
+	defer mHashedMapindexFor.Enter(m)()
 	return int(h % uint32(n))
 }
 
 // screenValue rejects nil values (the original map stored no nulls).
 func (m *HashedMap) screenValue(v Item) {
-	defer enter(m, "HashedMap.screenValue")()
+	defer mHashedMapscreenValue.Enter(m)()
 	if v == nil {
 		fault.Throw(fault.IllegalElement, "HashedMap.screenValue", "nil value")
 	}

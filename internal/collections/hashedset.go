@@ -5,6 +5,22 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mHashedSetNew        = core.Method("HashedSet.New")
+	mHashedSetSize       = core.Method("HashedSet.Size")
+	mHashedSetIsEmpty    = core.Method("HashedSet.IsEmpty")
+	mHashedSetInclude    = core.Method("HashedSet.Include")
+	mHashedSetExclude    = core.Method("HashedSet.Exclude")
+	mHashedSetIncludes   = core.Method("HashedSet.Includes")
+	mHashedSetIncludeAll = core.Method("HashedSet.IncludeAll")
+	mHashedSetClear      = core.Method("HashedSet.Clear")
+	mHashedSetToSlice    = core.Method("HashedSet.ToSlice")
+	mHashedSetrehash     = core.Method("HashedSet.rehash")
+	mHashedSetspread     = core.Method("HashedSet.spread")
+	mHashedSetscreen     = core.Method("HashedSet.screen")
+)
+
 // HSEntry is one chained entry of a HashedSet bucket.
 type HSEntry struct {
 	Element Item
@@ -25,7 +41,7 @@ const DefaultHashedSetCapacity = 8
 
 // NewHashedSet returns an empty set.
 func NewHashedSet(capacity int, screen Screener) *HashedSet {
-	defer core.Enter(nil, "HashedSet.New")()
+	defer mHashedSetNew.Enter(nil)()
 	if capacity <= 0 {
 		capacity = DefaultHashedSetCapacity
 	}
@@ -34,20 +50,20 @@ func NewHashedSet(capacity int, screen Screener) *HashedSet {
 
 // Size returns the number of elements.
 func (s *HashedSet) Size() int {
-	defer enter(s, "HashedSet.Size")()
+	defer mHashedSetSize.Enter(s)()
 	return s.Count
 }
 
 // IsEmpty reports whether the set has no elements.
 func (s *HashedSet) IsEmpty() bool {
-	defer enter(s, "HashedSet.IsEmpty")()
+	defer mHashedSetIsEmpty.Enter(s)()
 	return s.Count == 0
 }
 
 // Include adds v if absent and reports whether the set changed. Count is
 // bumped before the possible rehash (original idiom).
 func (s *HashedSet) Include(v Item) bool {
-	defer enter(s, "HashedSet.Include")()
+	defer mHashedSetInclude.Enter(s)()
 	s.Version++
 	s.screen(v)
 	h := HashOf(v)
@@ -68,7 +84,7 @@ func (s *HashedSet) Include(v Item) bool {
 
 // Exclude removes v if present and reports whether the set changed.
 func (s *HashedSet) Exclude(v Item) bool {
-	defer enter(s, "HashedSet.Exclude")()
+	defer mHashedSetExclude.Enter(s)()
 	s.Version++
 	s.screen(v)
 	h := HashOf(v)
@@ -91,7 +107,7 @@ func (s *HashedSet) Exclude(v Item) bool {
 
 // Includes reports whether v is in the set.
 func (s *HashedSet) Includes(v Item) bool {
-	defer enter(s, "HashedSet.Includes")()
+	defer mHashedSetIncludes.Enter(s)()
 	if v == nil {
 		return false
 	}
@@ -107,7 +123,7 @@ func (s *HashedSet) Includes(v Item) bool {
 // IncludeAll adds every element of vals; partial progress on exception is
 // inherent (pure failure non-atomic).
 func (s *HashedSet) IncludeAll(vals []Item) int {
-	defer enter(s, "HashedSet.IncludeAll")()
+	defer mHashedSetIncludeAll.Enter(s)()
 	added := 0
 	for _, v := range vals {
 		if s.Include(v) {
@@ -119,7 +135,7 @@ func (s *HashedSet) IncludeAll(vals []Item) int {
 
 // Clear removes all elements, keeping the bucket count.
 func (s *HashedSet) Clear() {
-	defer enter(s, "HashedSet.Clear")()
+	defer mHashedSetClear.Enter(s)()
 	s.Version++
 	for i := range s.Buckets {
 		s.Buckets[i] = nil
@@ -129,7 +145,7 @@ func (s *HashedSet) Clear() {
 
 // ToSlice copies the elements into a fresh slice in bucket order.
 func (s *HashedSet) ToSlice() []Item {
-	defer enter(s, "HashedSet.ToSlice")()
+	defer mHashedSetToSlice.Enter(s)()
 	out := make([]Item, 0, s.Count)
 	for _, b := range s.Buckets {
 		for e := b; e != nil; e = e.Next {
@@ -141,7 +157,7 @@ func (s *HashedSet) ToSlice() []Item {
 
 // rehash relinks the entries into n buckets, entry by entry.
 func (s *HashedSet) rehash(n int) {
-	defer enter(s, "HashedSet.rehash")()
+	defer mHashedSetrehash.Enter(s)()
 	old := s.Buckets
 	s.Buckets = make([]*HSEntry, n)
 	for _, b := range old {
@@ -157,13 +173,13 @@ func (s *HashedSet) rehash(n int) {
 
 // spread maps a hash onto a bucket index of an n-bucket table.
 func (s *HashedSet) spread(h uint32, n int) int {
-	defer enter(s, "HashedSet.spread")()
+	defer mHashedSetspread.Enter(s)()
 	return int(h % uint32(n))
 }
 
 // screen validates an element.
 func (s *HashedSet) screen(v Item) {
-	defer enter(s, "HashedSet.screen")()
+	defer mHashedSetscreen.Enter(s)()
 	checkElement("HashedSet.screen", s.Screen, v)
 }
 

@@ -5,6 +5,35 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mLLIteratorNew        = core.Method("LLIterator.New")
+	mLLIteratorHasNext    = core.Method("LLIterator.HasNext")
+	mLLIteratorNext       = core.Method("LLIterator.Next")
+	mLLIteratorReset      = core.Method("LLIterator.Reset")
+	mCLIteratorNew        = core.Method("CLIterator.New")
+	mCLIteratorHasNext    = core.Method("CLIterator.HasNext")
+	mCLIteratorNext       = core.Method("CLIterator.Next")
+	mDynIteratorNew       = core.Method("DynIterator.New")
+	mDynIteratorHasNext   = core.Method("DynIterator.HasNext")
+	mDynIteratorNext      = core.Method("DynIterator.Next")
+	mHMIteratorNew        = core.Method("HMIterator.New")
+	mHMIteratorHasNext    = core.Method("HMIterator.HasNext")
+	mHMIteratorNext       = core.Method("HMIterator.Next")
+	mHMIteratorscanFrom   = core.Method("HMIterator.scanFrom")
+	mHSIteratorNew        = core.Method("HSIterator.New")
+	mHSIteratorHasNext    = core.Method("HSIterator.HasNext")
+	mHSIteratorNext       = core.Method("HSIterator.Next")
+	mHSIteratorscanFrom   = core.Method("HSIterator.scanFrom")
+	mLLMapIteratorNew     = core.Method("LLMapIterator.New")
+	mLLMapIteratorHasNext = core.Method("LLMapIterator.HasNext")
+	mLLMapIteratorNext    = core.Method("LLMapIterator.Next")
+	mRBIteratorNew        = core.Method("RBIterator.New")
+	mRBIteratorHasNext    = core.Method("RBIterator.HasNext")
+	mRBIteratorNext       = core.Method("RBIterator.Next")
+	mRBIteratorleftSpine  = core.Method("RBIterator.leftSpine")
+)
+
 // The enumeration classes mirror the original library's
 // CollectionEnumeration implementations: one small cursor class per
 // container. They are written in the check-then-advance style, so they
@@ -20,19 +49,19 @@ type LLIterator struct {
 
 // NewLLIterator returns an iterator positioned before the first element.
 func NewLLIterator(l *LinkedList) *LLIterator {
-	defer core.Enter(nil, "LLIterator.New")()
+	defer mLLIteratorNew.Enter(nil)()
 	return &LLIterator{List: l, Cell: l.Head}
 }
 
 // HasNext reports whether Next will succeed.
 func (it *LLIterator) HasNext() bool {
-	defer enter(it, "LLIterator.HasNext")()
+	defer mLLIteratorHasNext.Enter(it)()
 	return it.Cell != nil
 }
 
 // Next returns the next element; it throws NoSuchElement when exhausted.
 func (it *LLIterator) Next() Item {
-	defer enter(it, "LLIterator.Next")()
+	defer mLLIteratorNext.Enter(it)()
 	if it.Cell == nil {
 		fault.Throw(fault.NoSuchElement, "LLIterator.Next", "exhausted")
 	}
@@ -44,7 +73,7 @@ func (it *LLIterator) Next() Item {
 
 // Reset rewinds to the first element.
 func (it *LLIterator) Reset() {
-	defer enter(it, "LLIterator.Reset")()
+	defer mLLIteratorReset.Enter(it)()
 	it.Cell = it.List.Head
 	it.Index = 0
 }
@@ -66,19 +95,19 @@ type CLIterator struct {
 
 // NewCLIterator returns an iterator positioned before the head.
 func NewCLIterator(l *CircularList) *CLIterator {
-	defer core.Enter(nil, "CLIterator.New")()
+	defer mCLIteratorNew.Enter(nil)()
 	return &CLIterator{List: l, Cell: l.Head}
 }
 
 // HasNext reports whether Next will succeed.
 func (it *CLIterator) HasNext() bool {
-	defer enter(it, "CLIterator.HasNext")()
+	defer mCLIteratorHasNext.Enter(it)()
 	return it.Seen < it.List.Count
 }
 
 // Next returns the next element; it throws NoSuchElement after one lap.
 func (it *CLIterator) Next() Item {
-	defer enter(it, "CLIterator.Next")()
+	defer mCLIteratorNext.Enter(it)()
 	if it.Seen >= it.List.Count || it.Cell == nil {
 		fault.Throw(fault.NoSuchElement, "CLIterator.Next", "exhausted")
 	}
@@ -103,19 +132,19 @@ type DynIterator struct {
 
 // NewDynIterator returns an iterator positioned before index 0.
 func NewDynIterator(d *Dynarray) *DynIterator {
-	defer core.Enter(nil, "DynIterator.New")()
+	defer mDynIteratorNew.Enter(nil)()
 	return &DynIterator{Array: d}
 }
 
 // HasNext reports whether Next will succeed.
 func (it *DynIterator) HasNext() bool {
-	defer enter(it, "DynIterator.HasNext")()
+	defer mDynIteratorHasNext.Enter(it)()
 	return it.Index < it.Array.Count
 }
 
 // Next returns the next element; it throws NoSuchElement when exhausted.
 func (it *DynIterator) Next() Item {
-	defer enter(it, "DynIterator.Next")()
+	defer mDynIteratorNext.Enter(it)()
 	if it.Index >= it.Array.Count {
 		fault.Throw(fault.NoSuchElement, "DynIterator.Next", "exhausted")
 	}
@@ -140,7 +169,7 @@ type HMIterator struct {
 
 // NewHMIterator returns an iterator positioned before the first entry.
 func NewHMIterator(m *HashedMap) *HMIterator {
-	defer core.Enter(nil, "HMIterator.New")()
+	defer mHMIteratorNew.Enter(nil)()
 	it := &HMIterator{Map: m}
 	it.Entry, it.Bucket = it.scanFrom(0)
 	return it
@@ -148,14 +177,14 @@ func NewHMIterator(m *HashedMap) *HMIterator {
 
 // HasNext reports whether Next will succeed.
 func (it *HMIterator) HasNext() bool {
-	defer enter(it, "HMIterator.HasNext")()
+	defer mHMIteratorHasNext.Enter(it)()
 	return it.Entry != nil
 }
 
 // Next returns the next key; it throws NoSuchElement when exhausted. The
 // successor is computed before any state commits.
 func (it *HMIterator) Next() Item {
-	defer enter(it, "HMIterator.Next")()
+	defer mHMIteratorNext.Enter(it)()
 	if it.Entry == nil {
 		fault.Throw(fault.NoSuchElement, "HMIterator.Next", "exhausted")
 	}
@@ -171,7 +200,7 @@ func (it *HMIterator) Next() Item {
 // scanFrom returns the first entry at or after bucket index from
 // (read-only).
 func (it *HMIterator) scanFrom(from int) (*HMEntry, int) {
-	defer enter(it, "HMIterator.scanFrom")()
+	defer mHMIteratorscanFrom.Enter(it)()
 	for b := from; b < len(it.Map.Buckets); b++ {
 		if it.Map.Buckets[b] != nil {
 			return it.Map.Buckets[b], b
@@ -197,7 +226,7 @@ type HSIterator struct {
 
 // NewHSIterator returns an iterator positioned before the first element.
 func NewHSIterator(s *HashedSet) *HSIterator {
-	defer core.Enter(nil, "HSIterator.New")()
+	defer mHSIteratorNew.Enter(nil)()
 	it := &HSIterator{Set: s}
 	it.Entry, it.Bucket = it.scanFrom(0)
 	return it
@@ -205,14 +234,14 @@ func NewHSIterator(s *HashedSet) *HSIterator {
 
 // HasNext reports whether Next will succeed.
 func (it *HSIterator) HasNext() bool {
-	defer enter(it, "HSIterator.HasNext")()
+	defer mHSIteratorHasNext.Enter(it)()
 	return it.Entry != nil
 }
 
 // Next returns the next element; it throws NoSuchElement when exhausted.
 // The successor is computed before any state commits.
 func (it *HSIterator) Next() Item {
-	defer enter(it, "HSIterator.Next")()
+	defer mHSIteratorNext.Enter(it)()
 	if it.Entry == nil {
 		fault.Throw(fault.NoSuchElement, "HSIterator.Next", "exhausted")
 	}
@@ -228,7 +257,7 @@ func (it *HSIterator) Next() Item {
 // scanFrom returns the first entry at or after bucket index from
 // (read-only).
 func (it *HSIterator) scanFrom(from int) (*HSEntry, int) {
-	defer enter(it, "HSIterator.scanFrom")()
+	defer mHSIteratorscanFrom.Enter(it)()
 	for b := from; b < len(it.Set.Buckets); b++ {
 		if it.Set.Buckets[b] != nil {
 			return it.Set.Buckets[b], b
@@ -253,19 +282,19 @@ type LLMapIterator struct {
 
 // NewLLMapIterator returns an iterator positioned before the first pair.
 func NewLLMapIterator(m *LLMap) *LLMapIterator {
-	defer core.Enter(nil, "LLMapIterator.New")()
+	defer mLLMapIteratorNew.Enter(nil)()
 	return &LLMapIterator{Map: m, Pair: m.Head}
 }
 
 // HasNext reports whether Next will succeed.
 func (it *LLMapIterator) HasNext() bool {
-	defer enter(it, "LLMapIterator.HasNext")()
+	defer mLLMapIteratorHasNext.Enter(it)()
 	return it.Pair != nil
 }
 
 // Next returns the next key; it throws NoSuchElement when exhausted.
 func (it *LLMapIterator) Next() Item {
-	defer enter(it, "LLMapIterator.Next")()
+	defer mLLMapIteratorNext.Enter(it)()
 	if it.Pair == nil {
 		fault.Throw(fault.NoSuchElement, "LLMapIterator.Next", "exhausted")
 	}
@@ -291,7 +320,7 @@ type RBIterator struct {
 // NewRBIterator returns an iterator positioned before the smallest
 // element.
 func NewRBIterator(t *RBTree) *RBIterator {
-	defer core.Enter(nil, "RBIterator.New")()
+	defer mRBIteratorNew.Enter(nil)()
 	it := &RBIterator{Tree: t}
 	it.Stack = it.leftSpine(nil, t.Root)
 	return it
@@ -299,14 +328,14 @@ func NewRBIterator(t *RBTree) *RBIterator {
 
 // HasNext reports whether Next will succeed.
 func (it *RBIterator) HasNext() bool {
-	defer enter(it, "RBIterator.HasNext")()
+	defer mRBIteratorHasNext.Enter(it)()
 	return len(it.Stack) > 0
 }
 
 // Next returns the next element in order; it throws NoSuchElement when
 // exhausted. The successor stack is computed before the commit.
 func (it *RBIterator) Next() Item {
-	defer enter(it, "RBIterator.Next")()
+	defer mRBIteratorNext.Enter(it)()
 	if len(it.Stack) == 0 {
 		fault.Throw(fault.NoSuchElement, "RBIterator.Next", "exhausted")
 	}
@@ -318,7 +347,7 @@ func (it *RBIterator) Next() Item {
 // leftSpine appends the left spine under c to base and returns the new
 // stack (read-only with respect to the iterator).
 func (it *RBIterator) leftSpine(base []*RBCell, c *RBCell) []*RBCell {
-	defer enter(it, "RBIterator.leftSpine")()
+	defer mRBIteratorleftSpine.Enter(it)()
 	out := base
 	for ; c != nil; c = c.Left {
 		out = append(out, c)

@@ -5,6 +5,24 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mLBChunkNew            = core.Method("LBChunk.New")
+	mLBChunkFull           = core.Method("LBChunk.Full")
+	mLBChunkPush           = core.Method("LBChunk.Push")
+	mLinkedBufferNew       = core.Method("LinkedBuffer.New")
+	mLinkedBufferSize      = core.Method("LinkedBuffer.Size")
+	mLinkedBufferIsEmpty   = core.Method("LinkedBuffer.IsEmpty")
+	mLinkedBufferAppend    = core.Method("LinkedBuffer.Append")
+	mLinkedBufferAppendAll = core.Method("LinkedBuffer.AppendAll")
+	mLinkedBufferPeek      = core.Method("LinkedBuffer.Peek")
+	mLinkedBufferTake      = core.Method("LinkedBuffer.Take")
+	mLinkedBufferTakeAll   = core.Method("LinkedBuffer.TakeAll")
+	mLinkedBufferClear     = core.Method("LinkedBuffer.Clear")
+	mLinkedBufferToSlice   = core.Method("LinkedBuffer.ToSlice")
+	mLinkedBufferscreen    = core.Method("LinkedBuffer.screen")
+)
+
 // LBChunk is one fixed-capacity chunk of a LinkedBuffer.
 type LBChunk struct {
 	Data []Item
@@ -17,19 +35,19 @@ const LBChunkCapacity = 4
 
 // NewLBChunk returns an empty chunk.
 func NewLBChunk() *LBChunk {
-	defer core.Enter(nil, "LBChunk.New")()
+	defer mLBChunkNew.Enter(nil)()
 	return &LBChunk{Data: make([]Item, LBChunkCapacity)}
 }
 
 // Full reports whether the chunk has no free slot.
 func (c *LBChunk) Full() bool {
-	defer enter(c, "LBChunk.Full")()
+	defer mLBChunkFull.Enter(c)()
 	return c.Used == len(c.Data)
 }
 
 // Push appends v to the chunk; the caller must ensure space.
 func (c *LBChunk) Push(v Item) {
-	defer enter(c, "LBChunk.Push")()
+	defer mLBChunkPush.Enter(c)()
 	if c.Used == len(c.Data) {
 		fault.Throw(fault.CapacityExceeded, "LBChunk.Push", "chunk full")
 	}
@@ -51,26 +69,26 @@ type LinkedBuffer struct {
 
 // NewLinkedBuffer returns an empty buffer.
 func NewLinkedBuffer(screen Screener) *LinkedBuffer {
-	defer core.Enter(nil, "LinkedBuffer.New")()
+	defer mLinkedBufferNew.Enter(nil)()
 	return &LinkedBuffer{Screen: screen}
 }
 
 // Size returns the number of buffered elements.
 func (b *LinkedBuffer) Size() int {
-	defer enter(b, "LinkedBuffer.Size")()
+	defer mLinkedBufferSize.Enter(b)()
 	return b.Count
 }
 
 // IsEmpty reports whether the buffer has no elements.
 func (b *LinkedBuffer) IsEmpty() bool {
-	defer enter(b, "LinkedBuffer.IsEmpty")()
+	defer mLinkedBufferIsEmpty.Enter(b)()
 	return b.Count == 0
 }
 
 // Append adds v at the tail. Count is bumped and a fresh chunk may be
 // linked before the element is screened (original idiom).
 func (b *LinkedBuffer) Append(v Item) {
-	defer enter(b, "LinkedBuffer.Append")()
+	defer mLinkedBufferAppend.Enter(b)()
 	b.Version++
 	b.Count++
 	if b.Tail == nil {
@@ -87,7 +105,7 @@ func (b *LinkedBuffer) Append(v Item) {
 // AppendAll appends every element of vals; partial progress on exception
 // is inherent.
 func (b *LinkedBuffer) AppendAll(vals []Item) {
-	defer enter(b, "LinkedBuffer.AppendAll")()
+	defer mLinkedBufferAppendAll.Enter(b)()
 	for _, v := range vals {
 		b.Append(v)
 	}
@@ -95,7 +113,7 @@ func (b *LinkedBuffer) AppendAll(vals []Item) {
 
 // Peek returns the oldest element without removing it.
 func (b *LinkedBuffer) Peek() Item {
-	defer enter(b, "LinkedBuffer.Peek")()
+	defer mLinkedBufferPeek.Enter(b)()
 	if b.Count == 0 {
 		fault.Throw(fault.NoSuchElement, "LinkedBuffer.Peek", "empty buffer")
 	}
@@ -105,7 +123,7 @@ func (b *LinkedBuffer) Peek() Item {
 // Take removes and returns the oldest element. The version bump precedes
 // the emptiness check.
 func (b *LinkedBuffer) Take() Item {
-	defer enter(b, "LinkedBuffer.Take")()
+	defer mLinkedBufferTake.Enter(b)()
 	b.Version++
 	if b.Count == 0 {
 		fault.Throw(fault.NoSuchElement, "LinkedBuffer.Take", "empty buffer")
@@ -126,7 +144,7 @@ func (b *LinkedBuffer) Take() Item {
 
 // TakeAll drains the buffer into a slice, element by element.
 func (b *LinkedBuffer) TakeAll() []Item {
-	defer enter(b, "LinkedBuffer.TakeAll")()
+	defer mLinkedBufferTakeAll.Enter(b)()
 	out := make([]Item, 0, b.Count)
 	for b.Count > 0 {
 		out = append(out, b.Take())
@@ -136,7 +154,7 @@ func (b *LinkedBuffer) TakeAll() []Item {
 
 // Clear drops all chunks.
 func (b *LinkedBuffer) Clear() {
-	defer enter(b, "LinkedBuffer.Clear")()
+	defer mLinkedBufferClear.Enter(b)()
 	b.Version++
 	b.Head = nil
 	b.Tail = nil
@@ -146,7 +164,7 @@ func (b *LinkedBuffer) Clear() {
 
 // ToSlice copies the buffered elements, oldest first, without draining.
 func (b *LinkedBuffer) ToSlice() []Item {
-	defer enter(b, "LinkedBuffer.ToSlice")()
+	defer mLinkedBufferToSlice.Enter(b)()
 	out := make([]Item, 0, b.Count)
 	pos := b.ReadPos
 	for c := b.Head; c != nil; c = c.Next {
@@ -160,7 +178,7 @@ func (b *LinkedBuffer) ToSlice() []Item {
 
 // screen validates an element.
 func (b *LinkedBuffer) screen(v Item) {
-	defer enter(b, "LinkedBuffer.screen")()
+	defer mLinkedBufferscreen.Enter(b)()
 	checkElement("LinkedBuffer.screen", b.Screen, v)
 }
 

@@ -5,6 +5,33 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mLinkedListNew                 = core.Method("LinkedList.New")
+	mLinkedListSize                = core.Method("LinkedList.Size")
+	mLinkedListIsEmpty             = core.Method("LinkedList.IsEmpty")
+	mLinkedListFirst               = core.Method("LinkedList.First")
+	mLinkedListLast                = core.Method("LinkedList.Last")
+	mLinkedListAt                  = core.Method("LinkedList.At")
+	mLinkedListInsertFirst         = core.Method("LinkedList.InsertFirst")
+	mLinkedListInsertLast          = core.Method("LinkedList.InsertLast")
+	mLinkedListInsertAt            = core.Method("LinkedList.InsertAt")
+	mLinkedListRemoveFirst         = core.Method("LinkedList.RemoveFirst")
+	mLinkedListRemoveLast          = core.Method("LinkedList.RemoveLast")
+	mLinkedListRemoveAt            = core.Method("LinkedList.RemoveAt")
+	mLinkedListRemoveOne           = core.Method("LinkedList.RemoveOne")
+	mLinkedListRemoveAll           = core.Method("LinkedList.RemoveAll")
+	mLinkedListReplaceAt           = core.Method("LinkedList.ReplaceAt")
+	mLinkedListReplaceAll          = core.Method("LinkedList.ReplaceAll")
+	mLinkedListIncludes            = core.Method("LinkedList.Includes")
+	mLinkedListIndexOf             = core.Method("LinkedList.IndexOf")
+	mLinkedListClear               = core.Method("LinkedList.Clear")
+	mLinkedListToSlice             = core.Method("LinkedList.ToSlice")
+	mLinkedListcheckIndex          = core.Method("LinkedList.checkIndex")
+	mLinkedListcheckIndexInclusive = core.Method("LinkedList.checkIndexInclusive")
+	mLinkedListscreen              = core.Method("LinkedList.screen")
+)
+
 // LLCell is one cell of a singly linked list.
 type LLCell struct {
 	Element Item
@@ -24,25 +51,25 @@ type LinkedList struct {
 
 // NewLinkedList returns an empty list with an optional element screener.
 func NewLinkedList(screen Screener) *LinkedList {
-	defer core.Enter(nil, "LinkedList.New")()
+	defer mLinkedListNew.Enter(nil)()
 	return &LinkedList{Screen: screen}
 }
 
 // Size returns the number of elements.
 func (l *LinkedList) Size() int {
-	defer enter(l, "LinkedList.Size")()
+	defer mLinkedListSize.Enter(l)()
 	return l.Count
 }
 
 // IsEmpty reports whether the list has no elements.
 func (l *LinkedList) IsEmpty() bool {
-	defer enter(l, "LinkedList.IsEmpty")()
+	defer mLinkedListIsEmpty.Enter(l)()
 	return l.Count == 0
 }
 
 // First returns the first element; it throws NoSuchElement when empty.
 func (l *LinkedList) First() Item {
-	defer enter(l, "LinkedList.First")()
+	defer mLinkedListFirst.Enter(l)()
 	if l.Head == nil {
 		fault.Throw(fault.NoSuchElement, "LinkedList.First", "empty list")
 	}
@@ -51,7 +78,7 @@ func (l *LinkedList) First() Item {
 
 // Last returns the last element; it throws NoSuchElement when empty.
 func (l *LinkedList) Last() Item {
-	defer enter(l, "LinkedList.Last")()
+	defer mLinkedListLast.Enter(l)()
 	cell := l.Head
 	if cell == nil {
 		fault.Throw(fault.NoSuchElement, "LinkedList.Last", "empty list")
@@ -64,7 +91,7 @@ func (l *LinkedList) Last() Item {
 
 // At returns the element at index i.
 func (l *LinkedList) At(i int) Item {
-	defer enter(l, "LinkedList.At")()
+	defer mLinkedListAt.Enter(l)()
 	l.checkIndex(i)
 	return l.cellAt(i).Element
 }
@@ -72,7 +99,7 @@ func (l *LinkedList) At(i int) Item {
 // InsertFirst prepends v. Original idiom: version is bumped before the
 // element is screened.
 func (l *LinkedList) InsertFirst(v Item) {
-	defer enter(l, "LinkedList.InsertFirst")()
+	defer mLinkedListInsertFirst.Enter(l)()
 	l.Version++
 	l.screen(v)
 	l.Head = &LLCell{Element: v, Next: l.Head}
@@ -82,7 +109,7 @@ func (l *LinkedList) InsertFirst(v Item) {
 // InsertLast appends v; version and count are updated before the screening
 // walk completes.
 func (l *LinkedList) InsertLast(v Item) {
-	defer enter(l, "LinkedList.InsertLast")()
+	defer mLinkedListInsertLast.Enter(l)()
 	l.Version++
 	l.Count++
 	l.screen(v)
@@ -100,7 +127,7 @@ func (l *LinkedList) InsertLast(v Item) {
 
 // InsertAt inserts v so that it becomes the element at index i.
 func (l *LinkedList) InsertAt(i int, v Item) {
-	defer enter(l, "LinkedList.InsertAt")()
+	defer mLinkedListInsertAt.Enter(l)()
 	l.Count++ // original bug pattern: count first, validate later
 	l.Version++
 	if i == 0 {
@@ -117,7 +144,7 @@ func (l *LinkedList) InsertAt(i int, v Item) {
 // RemoveFirst removes and returns the first element. The emptiness check
 // happens after the version bump — a non-atomic organic failure.
 func (l *LinkedList) RemoveFirst() Item {
-	defer enter(l, "LinkedList.RemoveFirst")()
+	defer mLinkedListRemoveFirst.Enter(l)()
 	l.Version++
 	if l.Head == nil {
 		fault.Throw(fault.NoSuchElement, "LinkedList.RemoveFirst", "empty list")
@@ -130,7 +157,7 @@ func (l *LinkedList) RemoveFirst() Item {
 
 // RemoveLast removes and returns the last element.
 func (l *LinkedList) RemoveLast() Item {
-	defer enter(l, "LinkedList.RemoveLast")()
+	defer mLinkedListRemoveLast.Enter(l)()
 	l.Version++
 	l.Count--
 	if l.Head == nil {
@@ -153,7 +180,7 @@ func (l *LinkedList) RemoveLast() Item {
 
 // RemoveAt removes and returns the element at index i.
 func (l *LinkedList) RemoveAt(i int) Item {
-	defer enter(l, "LinkedList.RemoveAt")()
+	defer mLinkedListRemoveAt.Enter(l)()
 	l.Version++
 	l.checkIndex(i)
 	if i == 0 {
@@ -172,7 +199,7 @@ func (l *LinkedList) RemoveAt(i int) Item {
 // RemoveOne removes the first occurrence of v and reports whether one was
 // removed.
 func (l *LinkedList) RemoveOne(v Item) bool {
-	defer enter(l, "LinkedList.RemoveOne")()
+	defer mLinkedListRemoveOne.Enter(l)()
 	l.Version++
 	l.screen(v)
 	if l.Head == nil {
@@ -197,7 +224,7 @@ func (l *LinkedList) RemoveOne(v Item) bool {
 // exception mid-walk leaves earlier removals committed (inherently pure
 // failure non-atomic; not trivially fixable).
 func (l *LinkedList) RemoveAll(v Item) int {
-	defer enter(l, "LinkedList.RemoveAll")()
+	defer mLinkedListRemoveAll.Enter(l)()
 	removed := 0
 	for l.Head != nil && SameItem(l.Head.Element, v) {
 		l.Version++
@@ -225,7 +252,7 @@ func (l *LinkedList) RemoveAll(v Item) int {
 
 // ReplaceAt replaces the element at index i and returns the old element.
 func (l *LinkedList) ReplaceAt(i int, v Item) Item {
-	defer enter(l, "LinkedList.ReplaceAt")()
+	defer mLinkedListReplaceAt.Enter(l)()
 	l.Version++
 	l.checkIndex(i)
 	l.screen(v)
@@ -238,7 +265,7 @@ func (l *LinkedList) ReplaceAt(i int, v Item) Item {
 // ReplaceAll replaces every occurrence of old with new, screening each
 // write — partial progress on exception makes this pure non-atomic.
 func (l *LinkedList) ReplaceAll(oldV, newV Item) int {
-	defer enter(l, "LinkedList.ReplaceAll")()
+	defer mLinkedListReplaceAll.Enter(l)()
 	replaced := 0
 	for cur := l.Head; cur != nil; cur = cur.Next {
 		if SameItem(cur.Element, oldV) {
@@ -253,13 +280,13 @@ func (l *LinkedList) ReplaceAll(oldV, newV Item) int {
 
 // Includes reports whether v occurs in the list.
 func (l *LinkedList) Includes(v Item) bool {
-	defer enter(l, "LinkedList.Includes")()
+	defer mLinkedListIncludes.Enter(l)()
 	return l.IndexOf(v) >= 0
 }
 
 // IndexOf returns the index of the first occurrence of v, or -1.
 func (l *LinkedList) IndexOf(v Item) int {
-	defer enter(l, "LinkedList.IndexOf")()
+	defer mLinkedListIndexOf.Enter(l)()
 	i := 0
 	for cur := l.Head; cur != nil; cur = cur.Next {
 		if SameItem(cur.Element, v) {
@@ -272,7 +299,7 @@ func (l *LinkedList) IndexOf(v Item) int {
 
 // Clear removes all elements.
 func (l *LinkedList) Clear() {
-	defer enter(l, "LinkedList.Clear")()
+	defer mLinkedListClear.Enter(l)()
 	l.Version++
 	l.Head = nil
 	l.Count = 0
@@ -280,7 +307,7 @@ func (l *LinkedList) Clear() {
 
 // ToSlice copies the elements into a fresh slice.
 func (l *LinkedList) ToSlice() []Item {
-	defer enter(l, "LinkedList.ToSlice")()
+	defer mLinkedListToSlice.Enter(l)()
 	out := make([]Item, 0, l.Count)
 	for cur := l.Head; cur != nil; cur = cur.Next {
 		out = append(out, cur.Element)
@@ -290,7 +317,7 @@ func (l *LinkedList) ToSlice() []Item {
 
 // checkIndex throws IndexOutOfBounds unless 0 <= i < Count.
 func (l *LinkedList) checkIndex(i int) {
-	defer enter(l, "LinkedList.checkIndex")()
+	defer mLinkedListcheckIndex.Enter(l)()
 	if i < 0 || i >= l.Count {
 		fault.Throw(fault.IndexOutOfBounds, "LinkedList.checkIndex",
 			"index %d outside [0,%d)", i, l.Count)
@@ -299,7 +326,7 @@ func (l *LinkedList) checkIndex(i int) {
 
 // checkIndexInclusive allows i == Count (insertion position).
 func (l *LinkedList) checkIndexInclusive(i int) {
-	defer enter(l, "LinkedList.checkIndexInclusive")()
+	defer mLinkedListcheckIndexInclusive.Enter(l)()
 	// Note: callers that pre-incremented Count pass indices validated
 	// against the *new* count, faithfully reproducing the original
 	// library's subtle semantics.
@@ -311,7 +338,7 @@ func (l *LinkedList) checkIndexInclusive(i int) {
 
 // screen validates an element against the list's screener.
 func (l *LinkedList) screen(v Item) {
-	defer enter(l, "LinkedList.screen")()
+	defer mLinkedListscreen.Enter(l)()
 	checkElement("LinkedList.screen", l.Screen, v)
 }
 

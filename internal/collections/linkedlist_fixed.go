@@ -5,6 +5,33 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mLinkedListFixedNew                 = core.Method("LinkedListFixed.New")
+	mLinkedListFixedSize                = core.Method("LinkedListFixed.Size")
+	mLinkedListFixedIsEmpty             = core.Method("LinkedListFixed.IsEmpty")
+	mLinkedListFixedFirst               = core.Method("LinkedListFixed.First")
+	mLinkedListFixedLast                = core.Method("LinkedListFixed.Last")
+	mLinkedListFixedAt                  = core.Method("LinkedListFixed.At")
+	mLinkedListFixedInsertFirst         = core.Method("LinkedListFixed.InsertFirst")
+	mLinkedListFixedInsertLast          = core.Method("LinkedListFixed.InsertLast")
+	mLinkedListFixedInsertAt            = core.Method("LinkedListFixed.InsertAt")
+	mLinkedListFixedRemoveFirst         = core.Method("LinkedListFixed.RemoveFirst")
+	mLinkedListFixedRemoveLast          = core.Method("LinkedListFixed.RemoveLast")
+	mLinkedListFixedRemoveAt            = core.Method("LinkedListFixed.RemoveAt")
+	mLinkedListFixedRemoveOne           = core.Method("LinkedListFixed.RemoveOne")
+	mLinkedListFixedRemoveAll           = core.Method("LinkedListFixed.RemoveAll")
+	mLinkedListFixedReplaceAt           = core.Method("LinkedListFixed.ReplaceAt")
+	mLinkedListFixedReplaceAll          = core.Method("LinkedListFixed.ReplaceAll")
+	mLinkedListFixedIncludes            = core.Method("LinkedListFixed.Includes")
+	mLinkedListFixedIndexOf             = core.Method("LinkedListFixed.IndexOf")
+	mLinkedListFixedClear               = core.Method("LinkedListFixed.Clear")
+	mLinkedListFixedToSlice             = core.Method("LinkedListFixed.ToSlice")
+	mLinkedListFixedcheckIndex          = core.Method("LinkedListFixed.checkIndex")
+	mLinkedListFixedcheckIndexInclusive = core.Method("LinkedListFixed.checkIndexInclusive")
+	mLinkedListFixedscreen              = core.Method("LinkedListFixed.screen")
+)
+
 // LinkedListFixed is the repaired LinkedList of the paper's §6.1
 // experiment: the same API after applying the "trivial modifications"
 // suggested by the detection report — validate and screen *before*
@@ -21,25 +48,25 @@ type LinkedListFixed struct {
 
 // NewLinkedListFixed returns an empty repaired list.
 func NewLinkedListFixed(screen Screener) *LinkedListFixed {
-	defer core.Enter(nil, "LinkedListFixed.New")()
+	defer mLinkedListFixedNew.Enter(nil)()
 	return &LinkedListFixed{Screen: screen}
 }
 
 // Size returns the number of elements.
 func (l *LinkedListFixed) Size() int {
-	defer enter(l, "LinkedListFixed.Size")()
+	defer mLinkedListFixedSize.Enter(l)()
 	return l.Count
 }
 
 // IsEmpty reports whether the list has no elements.
 func (l *LinkedListFixed) IsEmpty() bool {
-	defer enter(l, "LinkedListFixed.IsEmpty")()
+	defer mLinkedListFixedIsEmpty.Enter(l)()
 	return l.Count == 0
 }
 
 // First returns the first element; it throws NoSuchElement when empty.
 func (l *LinkedListFixed) First() Item {
-	defer enter(l, "LinkedListFixed.First")()
+	defer mLinkedListFixedFirst.Enter(l)()
 	if l.Head == nil {
 		fault.Throw(fault.NoSuchElement, "LinkedListFixed.First", "empty list")
 	}
@@ -48,7 +75,7 @@ func (l *LinkedListFixed) First() Item {
 
 // Last returns the last element; it throws NoSuchElement when empty.
 func (l *LinkedListFixed) Last() Item {
-	defer enter(l, "LinkedListFixed.Last")()
+	defer mLinkedListFixedLast.Enter(l)()
 	cell := l.Head
 	if cell == nil {
 		fault.Throw(fault.NoSuchElement, "LinkedListFixed.Last", "empty list")
@@ -61,14 +88,14 @@ func (l *LinkedListFixed) Last() Item {
 
 // At returns the element at index i.
 func (l *LinkedListFixed) At(i int) Item {
-	defer enter(l, "LinkedListFixed.At")()
+	defer mLinkedListFixedAt.Enter(l)()
 	l.checkIndex(i)
 	return l.cellAt(i).Element
 }
 
 // InsertFirst prepends v; all validation precedes any mutation.
 func (l *LinkedListFixed) InsertFirst(v Item) {
-	defer enter(l, "LinkedListFixed.InsertFirst")()
+	defer mLinkedListFixedInsertFirst.Enter(l)()
 	l.screen(v)
 	l.Head = &LLCell{Element: v, Next: l.Head}
 	l.Count++
@@ -77,7 +104,7 @@ func (l *LinkedListFixed) InsertFirst(v Item) {
 
 // InsertLast appends v; the tail walk happens before any mutation.
 func (l *LinkedListFixed) InsertLast(v Item) {
-	defer enter(l, "LinkedListFixed.InsertLast")()
+	defer mLinkedListFixedInsertLast.Enter(l)()
 	l.screen(v)
 	cell := &LLCell{Element: v}
 	if l.Head == nil {
@@ -95,7 +122,7 @@ func (l *LinkedListFixed) InsertLast(v Item) {
 
 // InsertAt inserts v at index i; validation first, single-point commit.
 func (l *LinkedListFixed) InsertAt(i int, v Item) {
-	defer enter(l, "LinkedListFixed.InsertAt")()
+	defer mLinkedListFixedInsertAt.Enter(l)()
 	l.checkIndexInclusive(i)
 	l.screen(v)
 	if i == 0 {
@@ -110,7 +137,7 @@ func (l *LinkedListFixed) InsertAt(i int, v Item) {
 
 // RemoveFirst removes and returns the first element.
 func (l *LinkedListFixed) RemoveFirst() Item {
-	defer enter(l, "LinkedListFixed.RemoveFirst")()
+	defer mLinkedListFixedRemoveFirst.Enter(l)()
 	if l.Head == nil {
 		fault.Throw(fault.NoSuchElement, "LinkedListFixed.RemoveFirst", "empty list")
 	}
@@ -123,7 +150,7 @@ func (l *LinkedListFixed) RemoveFirst() Item {
 
 // RemoveLast removes and returns the last element.
 func (l *LinkedListFixed) RemoveLast() Item {
-	defer enter(l, "LinkedListFixed.RemoveLast")()
+	defer mLinkedListFixedRemoveLast.Enter(l)()
 	if l.Head == nil {
 		fault.Throw(fault.NoSuchElement, "LinkedListFixed.RemoveLast", "empty list")
 	}
@@ -147,7 +174,7 @@ func (l *LinkedListFixed) RemoveLast() Item {
 
 // RemoveAt removes and returns the element at index i.
 func (l *LinkedListFixed) RemoveAt(i int) Item {
-	defer enter(l, "LinkedListFixed.RemoveAt")()
+	defer mLinkedListFixedRemoveAt.Enter(l)()
 	l.checkIndex(i)
 	var v Item
 	if i == 0 {
@@ -165,7 +192,7 @@ func (l *LinkedListFixed) RemoveAt(i int) Item {
 
 // RemoveOne removes the first occurrence of v.
 func (l *LinkedListFixed) RemoveOne(v Item) bool {
-	defer enter(l, "LinkedListFixed.RemoveOne")()
+	defer mLinkedListFixedRemoveOne.Enter(l)()
 	l.screen(v)
 	if l.Head == nil {
 		return false
@@ -191,7 +218,7 @@ func (l *LinkedListFixed) RemoveOne(v Item) bool {
 // cannot be repaired by statement reordering; it stays failure non-atomic
 // and is the masking phase's job.
 func (l *LinkedListFixed) RemoveAll(v Item) int {
-	defer enter(l, "LinkedListFixed.RemoveAll")()
+	defer mLinkedListFixedRemoveAll.Enter(l)()
 	l.screen(v)
 	removed := 0
 	for l.Head != nil && SameItem(l.Head.Element, v) {
@@ -220,7 +247,7 @@ func (l *LinkedListFixed) RemoveAll(v Item) int {
 
 // ReplaceAt replaces the element at index i and returns the old element.
 func (l *LinkedListFixed) ReplaceAt(i int, v Item) Item {
-	defer enter(l, "LinkedListFixed.ReplaceAt")()
+	defer mLinkedListFixedReplaceAt.Enter(l)()
 	l.checkIndex(i)
 	l.screen(v)
 	cell := l.cellAt(i)
@@ -233,7 +260,7 @@ func (l *LinkedListFixed) ReplaceAt(i int, v Item) Item {
 // ReplaceAll replaces every occurrence of oldV with newV. Like RemoveAll,
 // the element-by-element walk remains failure non-atomic.
 func (l *LinkedListFixed) ReplaceAll(oldV, newV Item) int {
-	defer enter(l, "LinkedListFixed.ReplaceAll")()
+	defer mLinkedListFixedReplaceAll.Enter(l)()
 	l.screen(newV)
 	replaced := 0
 	for cur := l.Head; cur != nil; cur = cur.Next {
@@ -249,13 +276,13 @@ func (l *LinkedListFixed) ReplaceAll(oldV, newV Item) int {
 
 // Includes reports whether v occurs in the list.
 func (l *LinkedListFixed) Includes(v Item) bool {
-	defer enter(l, "LinkedListFixed.Includes")()
+	defer mLinkedListFixedIncludes.Enter(l)()
 	return l.IndexOf(v) >= 0
 }
 
 // IndexOf returns the index of the first occurrence of v, or -1.
 func (l *LinkedListFixed) IndexOf(v Item) int {
-	defer enter(l, "LinkedListFixed.IndexOf")()
+	defer mLinkedListFixedIndexOf.Enter(l)()
 	i := 0
 	for cur := l.Head; cur != nil; cur = cur.Next {
 		if SameItem(cur.Element, v) {
@@ -268,7 +295,7 @@ func (l *LinkedListFixed) IndexOf(v Item) int {
 
 // Clear removes all elements.
 func (l *LinkedListFixed) Clear() {
-	defer enter(l, "LinkedListFixed.Clear")()
+	defer mLinkedListFixedClear.Enter(l)()
 	l.Head = nil
 	l.Count = 0
 	l.Version++
@@ -276,7 +303,7 @@ func (l *LinkedListFixed) Clear() {
 
 // ToSlice copies the elements into a fresh slice.
 func (l *LinkedListFixed) ToSlice() []Item {
-	defer enter(l, "LinkedListFixed.ToSlice")()
+	defer mLinkedListFixedToSlice.Enter(l)()
 	out := make([]Item, 0, l.Count)
 	for cur := l.Head; cur != nil; cur = cur.Next {
 		out = append(out, cur.Element)
@@ -286,7 +313,7 @@ func (l *LinkedListFixed) ToSlice() []Item {
 
 // checkIndex throws IndexOutOfBounds unless 0 <= i < Count.
 func (l *LinkedListFixed) checkIndex(i int) {
-	defer enter(l, "LinkedListFixed.checkIndex")()
+	defer mLinkedListFixedcheckIndex.Enter(l)()
 	if i < 0 || i >= l.Count {
 		fault.Throw(fault.IndexOutOfBounds, "LinkedListFixed.checkIndex",
 			"index %d outside [0,%d)", i, l.Count)
@@ -295,7 +322,7 @@ func (l *LinkedListFixed) checkIndex(i int) {
 
 // checkIndexInclusive allows i == Count (insertion position).
 func (l *LinkedListFixed) checkIndexInclusive(i int) {
-	defer enter(l, "LinkedListFixed.checkIndexInclusive")()
+	defer mLinkedListFixedcheckIndexInclusive.Enter(l)()
 	if i < 0 || i > l.Count {
 		fault.Throw(fault.IndexOutOfBounds, "LinkedListFixed.checkIndexInclusive",
 			"index %d outside [0,%d]", i, l.Count)
@@ -304,7 +331,7 @@ func (l *LinkedListFixed) checkIndexInclusive(i int) {
 
 // screen validates an element against the list's screener.
 func (l *LinkedListFixed) screen(v Item) {
-	defer enter(l, "LinkedListFixed.screen")()
+	defer mLinkedListFixedscreen.Enter(l)()
 	checkElement("LinkedListFixed.screen", l.Screen, v)
 }
 

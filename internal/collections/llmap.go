@@ -5,6 +5,25 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mLLMapNew           = core.Method("LLMap.New")
+	mLLMapSize          = core.Method("LLMap.Size")
+	mLLMapIsEmpty       = core.Method("LLMap.IsEmpty")
+	mLLMapPut           = core.Method("LLMap.Put")
+	mLLMapGet           = core.Method("LLMap.Get")
+	mLLMapContainsKey   = core.Method("LLMap.ContainsKey")
+	mLLMapContainsValue = core.Method("LLMap.ContainsValue")
+	mLLMapRemove        = core.Method("LLMap.Remove")
+	mLLMapPutAll        = core.Method("LLMap.PutAll")
+	mLLMapClear         = core.Method("LLMap.Clear")
+	mLLMapKeys          = core.Method("LLMap.Keys")
+	mLLMapValues        = core.Method("LLMap.Values")
+	mLLMapfind          = core.Method("LLMap.find")
+	mLLMapcheckKey      = core.Method("LLMap.checkKey")
+	mLLMapscreenValue   = core.Method("LLMap.screenValue")
+)
+
 // LLPair is one key/value cell of an LLMap association list.
 type LLPair struct {
 	Key   Item
@@ -22,26 +41,26 @@ type LLMap struct {
 
 // NewLLMap returns an empty association-list map.
 func NewLLMap() *LLMap {
-	defer core.Enter(nil, "LLMap.New")()
+	defer mLLMapNew.Enter(nil)()
 	return &LLMap{}
 }
 
 // Size returns the number of pairs.
 func (m *LLMap) Size() int {
-	defer enter(m, "LLMap.Size")()
+	defer mLLMapSize.Enter(m)()
 	return m.Count
 }
 
 // IsEmpty reports whether the map has no pairs.
 func (m *LLMap) IsEmpty() bool {
-	defer enter(m, "LLMap.IsEmpty")()
+	defer mLLMapIsEmpty.Enter(m)()
 	return m.Count == 0
 }
 
 // Put associates key with value, returning the previous value (nil if
 // none). Count is bumped before the value is screened.
 func (m *LLMap) Put(key, value Item) Item {
-	defer enter(m, "LLMap.Put")()
+	defer mLLMapPut.Enter(m)()
 	m.Version++
 	m.checkKey(key)
 	pair := m.find(key)
@@ -59,7 +78,7 @@ func (m *LLMap) Put(key, value Item) Item {
 
 // Get returns the value for key, or nil.
 func (m *LLMap) Get(key Item) Item {
-	defer enter(m, "LLMap.Get")()
+	defer mLLMapGet.Enter(m)()
 	pair := m.find(key)
 	if pair == nil {
 		return nil
@@ -69,13 +88,13 @@ func (m *LLMap) Get(key Item) Item {
 
 // ContainsKey reports whether key is present.
 func (m *LLMap) ContainsKey(key Item) bool {
-	defer enter(m, "LLMap.ContainsKey")()
+	defer mLLMapContainsKey.Enter(m)()
 	return m.find(key) != nil
 }
 
 // ContainsValue reports whether any pair holds value.
 func (m *LLMap) ContainsValue(value Item) bool {
-	defer enter(m, "LLMap.ContainsValue")()
+	defer mLLMapContainsValue.Enter(m)()
 	for p := m.Head; p != nil; p = p.Next {
 		if SameItem(p.Value, value) {
 			return true
@@ -86,7 +105,7 @@ func (m *LLMap) ContainsValue(value Item) bool {
 
 // Remove deletes key and returns its value (nil if absent).
 func (m *LLMap) Remove(key Item) Item {
-	defer enter(m, "LLMap.Remove")()
+	defer mLLMapRemove.Enter(m)()
 	m.Version++
 	m.checkKey(key)
 	if m.Head == nil {
@@ -112,7 +131,7 @@ func (m *LLMap) Remove(key Item) Item {
 // PutAll inserts every pair of keys/values; partial progress on exception
 // is inherent.
 func (m *LLMap) PutAll(keys, values []Item) {
-	defer enter(m, "LLMap.PutAll")()
+	defer mLLMapPutAll.Enter(m)()
 	if len(keys) != len(values) {
 		fault.Throw(fault.IllegalArgument, "LLMap.PutAll",
 			"length mismatch %d != %d", len(keys), len(values))
@@ -124,7 +143,7 @@ func (m *LLMap) PutAll(keys, values []Item) {
 
 // Clear removes all pairs.
 func (m *LLMap) Clear() {
-	defer enter(m, "LLMap.Clear")()
+	defer mLLMapClear.Enter(m)()
 	m.Version++
 	m.Head = nil
 	m.Count = 0
@@ -132,7 +151,7 @@ func (m *LLMap) Clear() {
 
 // Keys returns the keys, newest first.
 func (m *LLMap) Keys() []Item {
-	defer enter(m, "LLMap.Keys")()
+	defer mLLMapKeys.Enter(m)()
 	out := make([]Item, 0, m.Count)
 	for p := m.Head; p != nil; p = p.Next {
 		out = append(out, p.Key)
@@ -142,7 +161,7 @@ func (m *LLMap) Keys() []Item {
 
 // Values returns the values, newest first.
 func (m *LLMap) Values() []Item {
-	defer enter(m, "LLMap.Values")()
+	defer mLLMapValues.Enter(m)()
 	out := make([]Item, 0, m.Count)
 	for p := m.Head; p != nil; p = p.Next {
 		out = append(out, p.Value)
@@ -152,7 +171,7 @@ func (m *LLMap) Values() []Item {
 
 // find returns the pair holding key, or nil.
 func (m *LLMap) find(key Item) *LLPair {
-	defer enter(m, "LLMap.find")()
+	defer mLLMapfind.Enter(m)()
 	for p := m.Head; p != nil; p = p.Next {
 		if SameItem(p.Key, key) {
 			return p
@@ -163,7 +182,7 @@ func (m *LLMap) find(key Item) *LLPair {
 
 // checkKey rejects nil keys.
 func (m *LLMap) checkKey(key Item) {
-	defer enter(m, "LLMap.checkKey")()
+	defer mLLMapcheckKey.Enter(m)()
 	if key == nil {
 		fault.Throw(fault.IllegalElement, "LLMap.checkKey", "nil key")
 	}
@@ -171,7 +190,7 @@ func (m *LLMap) checkKey(key Item) {
 
 // screenValue rejects nil values.
 func (m *LLMap) screenValue(v Item) {
-	defer enter(m, "LLMap.screenValue")()
+	defer mLLMapscreenValue.Enter(m)()
 	if v == nil {
 		fault.Throw(fault.IllegalElement, "LLMap.screenValue", "nil value")
 	}

@@ -26,6 +26,27 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mLockedListNew         = core.Method("LockedList.New")
+	mLockedListSize        = core.Method("LockedList.Size")
+	mLockedListFirst       = core.Method("LockedList.First")
+	mLockedListInsertFirst = core.Method("LockedList.InsertFirst")
+	mLockedListRemoveFirst = core.Method("LockedList.RemoveFirst")
+	mLockedListRemoveOne   = core.Method("LockedList.RemoveOne")
+	mLockedListIncludes    = core.Method("LockedList.Includes")
+	mLockedListToSlice     = core.Method("LockedList.ToSlice")
+	mLockedListInsertPair  = core.Method("LockedList.InsertPair")
+	mLockedRBMapNew        = core.Method("LockedRBMap.New")
+	mLockedRBMapSize       = core.Method("LockedRBMap.Size")
+	mLockedRBMapGet        = core.Method("LockedRBMap.Get")
+	mLockedRBMapPut        = core.Method("LockedRBMap.Put")
+	mLockedRBMapRemove     = core.Method("LockedRBMap.Remove")
+	mLockedRBMapKeys       = core.Method("LockedRBMap.Keys")
+	mLockedRBMapValues     = core.Method("LockedRBMap.Values")
+	mLockedRBMapPutFresh   = core.Method("LockedRBMap.PutFresh")
+)
+
 // protect runs f and returns the value of an exception escaping it (nil
 // on normal completion), so compound methods can compensate and rethrow.
 func protect(f func()) (exc any) {
@@ -48,7 +69,7 @@ type LockedLinkedList struct {
 // NewLockedLinkedList returns an empty locked list with an optional
 // element screener.
 func NewLockedLinkedList(screen Screener) *LockedLinkedList {
-	defer core.Enter(nil, "LockedList.New")()
+	defer mLockedListNew.Enter(nil)()
 	return &LockedLinkedList{List: NewLinkedList(screen)}
 }
 
@@ -64,7 +85,7 @@ func (l *LockedLinkedList) yield() {
 
 // Size returns the number of elements.
 func (l *LockedLinkedList) Size() int {
-	defer enter(l.List, "LockedList.Size")()
+	defer mLockedListSize.Enter(l.List)()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.List.Size()
@@ -72,7 +93,7 @@ func (l *LockedLinkedList) Size() int {
 
 // First returns the first element; it throws NoSuchElement when empty.
 func (l *LockedLinkedList) First() Item {
-	defer enter(l.List, "LockedList.First")()
+	defer mLockedListFirst.Enter(l.List)()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.List.First()
@@ -80,7 +101,7 @@ func (l *LockedLinkedList) First() Item {
 
 // InsertFirst prepends v under the lock.
 func (l *LockedLinkedList) InsertFirst(v Item) {
-	defer enter(l.List, "LockedList.InsertFirst")()
+	defer mLockedListInsertFirst.Enter(l.List)()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.List.InsertFirst(v)
@@ -88,7 +109,7 @@ func (l *LockedLinkedList) InsertFirst(v Item) {
 
 // RemoveFirst removes and returns the first element under the lock.
 func (l *LockedLinkedList) RemoveFirst() Item {
-	defer enter(l.List, "LockedList.RemoveFirst")()
+	defer mLockedListRemoveFirst.Enter(l.List)()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.List.RemoveFirst()
@@ -96,7 +117,7 @@ func (l *LockedLinkedList) RemoveFirst() Item {
 
 // RemoveOne removes the first occurrence of v under the lock.
 func (l *LockedLinkedList) RemoveOne(v Item) bool {
-	defer enter(l.List, "LockedList.RemoveOne")()
+	defer mLockedListRemoveOne.Enter(l.List)()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.List.RemoveOne(v)
@@ -104,7 +125,7 @@ func (l *LockedLinkedList) RemoveOne(v Item) bool {
 
 // Includes reports whether v occurs in the list.
 func (l *LockedLinkedList) Includes(v Item) bool {
-	defer enter(l.List, "LockedList.Includes")()
+	defer mLockedListIncludes.Enter(l.List)()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.List.Includes(v)
@@ -112,7 +133,7 @@ func (l *LockedLinkedList) Includes(v Item) bool {
 
 // ToSlice copies the elements into a fresh slice under the lock.
 func (l *LockedLinkedList) ToSlice() []Item {
-	defer enter(l.List, "LockedList.ToSlice")()
+	defer mLockedListToSlice.Enter(l.List)()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.List.ToSlice()
@@ -128,7 +149,7 @@ func (l *LockedLinkedList) ToSlice() []Item {
 // the second section then retracts state another thread may already have
 // consumed, which no linearization of the sequential model can explain.
 func (l *LockedLinkedList) InsertPair(a, b Item) {
-	defer enter(l.List, "LockedList.InsertPair")()
+	defer mLockedListInsertPair.Enter(l.List)()
 	l.mu.Lock()
 	saved := l.List.Version
 	inserted := 0
@@ -191,7 +212,7 @@ type LockedRBMap struct {
 
 // NewLockedRBMap returns an empty locked sorted map.
 func NewLockedRBMap(cmp Comparator) *LockedRBMap {
-	defer core.Enter(nil, "LockedRBMap.New")()
+	defer mLockedRBMapNew.Enter(nil)()
 	return &LockedRBMap{Map: NewRBMap(cmp)}
 }
 
@@ -206,7 +227,7 @@ func (m *LockedRBMap) yield() {
 
 // Size returns the number of pairs.
 func (m *LockedRBMap) Size() int {
-	defer enter(m.Map, "LockedRBMap.Size")()
+	defer mLockedRBMapSize.Enter(m.Map)()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.Map.Size()
@@ -214,7 +235,7 @@ func (m *LockedRBMap) Size() int {
 
 // Get returns the value for key, or nil.
 func (m *LockedRBMap) Get(key Item) Item {
-	defer enter(m.Map, "LockedRBMap.Get")()
+	defer mLockedRBMapGet.Enter(m.Map)()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.Map.Get(key)
@@ -223,7 +244,7 @@ func (m *LockedRBMap) Get(key Item) Item {
 // Put associates key with value under the lock and returns the previous
 // value (nil if none).
 func (m *LockedRBMap) Put(key, value Item) Item {
-	defer enter(m.Map, "LockedRBMap.Put")()
+	defer mLockedRBMapPut.Enter(m.Map)()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.Map.Put(key, value)
@@ -232,7 +253,7 @@ func (m *LockedRBMap) Put(key, value Item) Item {
 // Remove deletes key under the lock and returns its value (nil if
 // absent).
 func (m *LockedRBMap) Remove(key Item) Item {
-	defer enter(m.Map, "LockedRBMap.Remove")()
+	defer mLockedRBMapRemove.Enter(m.Map)()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.Map.Remove(key)
@@ -240,7 +261,7 @@ func (m *LockedRBMap) Remove(key Item) Item {
 
 // Keys returns the keys in sorted order.
 func (m *LockedRBMap) Keys() []Item {
-	defer enter(m.Map, "LockedRBMap.Keys")()
+	defer mLockedRBMapKeys.Enter(m.Map)()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.Map.Keys()
@@ -248,7 +269,7 @@ func (m *LockedRBMap) Keys() []Item {
 
 // Values returns the values in key order.
 func (m *LockedRBMap) Values() []Item {
-	defer enter(m.Map, "LockedRBMap.Values")()
+	defer mLockedRBMapValues.Enter(m.Map)()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.Map.Values()
@@ -263,7 +284,7 @@ func (m *LockedRBMap) Values() []Item {
 // linearizable — the faulted operation's full effect explains the
 // history.
 func (m *LockedRBMap) PutFresh(key, value Item) {
-	defer enter(m.Map, "LockedRBMap.PutFresh")()
+	defer mLockedRBMapPutFresh.Enter(m.Map)()
 	m.mu.Lock()
 	var old Item
 	if exc := protect(func() { old = m.Map.Put(key, value) }); exc != nil {

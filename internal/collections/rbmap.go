@@ -5,6 +5,23 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mRBMapNew         = core.Method("RBMap.New")
+	mRBMapSize        = core.Method("RBMap.Size")
+	mRBMapIsEmpty     = core.Method("RBMap.IsEmpty")
+	mRBMapPut         = core.Method("RBMap.Put")
+	mRBMapGet         = core.Method("RBMap.Get")
+	mRBMapContainsKey = core.Method("RBMap.ContainsKey")
+	mRBMapRemove      = core.Method("RBMap.Remove")
+	mRBMapMinKey      = core.Method("RBMap.MinKey")
+	mRBMapMaxKey      = core.Method("RBMap.MaxKey")
+	mRBMapClear       = core.Method("RBMap.Clear")
+	mRBMapKeys        = core.Method("RBMap.Keys")
+	mRBMapValues      = core.Method("RBMap.Values")
+	mRBMapcheckKey    = core.Method("RBMap.checkKey")
+)
+
 // RBPair is the key/value element an RBMap stores in its tree.
 type RBPair struct {
 	Key   Item
@@ -23,7 +40,7 @@ type RBMap struct {
 // NewRBMap returns an empty sorted map with keys ordered by cmp
 // (DefaultCompare if nil).
 func NewRBMap(cmp Comparator) *RBMap {
-	defer core.Enter(nil, "RBMap.New")()
+	defer mRBMapNew.Enter(nil)()
 	if cmp == nil {
 		cmp = DefaultCompare
 	}
@@ -35,20 +52,20 @@ func NewRBMap(cmp Comparator) *RBMap {
 
 // Size returns the number of pairs.
 func (m *RBMap) Size() int {
-	defer enter(m, "RBMap.Size")()
+	defer mRBMapSize.Enter(m)()
 	return m.Tree.Size()
 }
 
 // IsEmpty reports whether the map has no pairs.
 func (m *RBMap) IsEmpty() bool {
-	defer enter(m, "RBMap.IsEmpty")()
+	defer mRBMapIsEmpty.Enter(m)()
 	return m.Tree.IsEmpty()
 }
 
 // Put associates key with value and returns the previous value (nil if
 // none). The version bump precedes key validation (original idiom).
 func (m *RBMap) Put(key, value Item) Item {
-	defer enter(m, "RBMap.Put")()
+	defer mRBMapPut.Enter(m)()
 	m.Version++
 	m.checkKey(key)
 	probe := &RBPair{Key: key}
@@ -64,7 +81,7 @@ func (m *RBMap) Put(key, value Item) Item {
 
 // Get returns the value for key, or nil.
 func (m *RBMap) Get(key Item) Item {
-	defer enter(m, "RBMap.Get")()
+	defer mRBMapGet.Enter(m)()
 	m.checkKey(key)
 	cell := m.Tree.FindCell(&RBPair{Key: key})
 	if cell == nil {
@@ -75,14 +92,14 @@ func (m *RBMap) Get(key Item) Item {
 
 // ContainsKey reports whether key is present.
 func (m *RBMap) ContainsKey(key Item) bool {
-	defer enter(m, "RBMap.ContainsKey")()
+	defer mRBMapContainsKey.Enter(m)()
 	m.checkKey(key)
 	return m.Tree.FindCell(&RBPair{Key: key}) != nil
 }
 
 // Remove deletes key and returns its value (nil if absent).
 func (m *RBMap) Remove(key Item) Item {
-	defer enter(m, "RBMap.Remove")()
+	defer mRBMapRemove.Enter(m)()
 	m.Version++
 	m.checkKey(key)
 	cell := m.Tree.FindCell(&RBPair{Key: key})
@@ -96,26 +113,26 @@ func (m *RBMap) Remove(key Item) Item {
 
 // MinKey returns the smallest key.
 func (m *RBMap) MinKey() Item {
-	defer enter(m, "RBMap.MinKey")()
+	defer mRBMapMinKey.Enter(m)()
 	return m.Tree.Min().(*RBPair).Key
 }
 
 // MaxKey returns the largest key.
 func (m *RBMap) MaxKey() Item {
-	defer enter(m, "RBMap.MaxKey")()
+	defer mRBMapMaxKey.Enter(m)()
 	return m.Tree.Max().(*RBPair).Key
 }
 
 // Clear removes all pairs.
 func (m *RBMap) Clear() {
-	defer enter(m, "RBMap.Clear")()
+	defer mRBMapClear.Enter(m)()
 	m.Version++
 	m.Tree.Clear()
 }
 
 // Keys returns the keys in sorted order.
 func (m *RBMap) Keys() []Item {
-	defer enter(m, "RBMap.Keys")()
+	defer mRBMapKeys.Enter(m)()
 	pairs := m.Tree.ToSlice()
 	out := make([]Item, len(pairs))
 	for i, p := range pairs {
@@ -126,7 +143,7 @@ func (m *RBMap) Keys() []Item {
 
 // Values returns the values in key order.
 func (m *RBMap) Values() []Item {
-	defer enter(m, "RBMap.Values")()
+	defer mRBMapValues.Enter(m)()
 	pairs := m.Tree.ToSlice()
 	out := make([]Item, len(pairs))
 	for i, p := range pairs {
@@ -137,7 +154,7 @@ func (m *RBMap) Values() []Item {
 
 // checkKey rejects nil keys.
 func (m *RBMap) checkKey(key Item) {
-	defer enter(m, "RBMap.checkKey")()
+	defer mRBMapcheckKey.Enter(m)()
 	if key == nil {
 		fault.Throw(fault.IllegalElement, "RBMap.checkKey", "nil key")
 	}

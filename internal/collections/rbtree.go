@@ -5,6 +5,31 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mRBTreeNew             = core.Method("RBTree.New")
+	mRBTreeSize            = core.Method("RBTree.Size")
+	mRBTreeIsEmpty         = core.Method("RBTree.IsEmpty")
+	mRBTreeInsert          = core.Method("RBTree.Insert")
+	mRBTreeIncludes        = core.Method("RBTree.Includes")
+	mRBTreeOccurrences     = core.Method("RBTree.Occurrences")
+	mRBTreeFindCell        = core.Method("RBTree.FindCell")
+	mRBTreeMin             = core.Method("RBTree.Min")
+	mRBTreeMax             = core.Method("RBTree.Max")
+	mRBTreeRemoveOne       = core.Method("RBTree.RemoveOne")
+	mRBTreeRemoveCell      = core.Method("RBTree.RemoveCell")
+	mRBTreeClear           = core.Method("RBTree.Clear")
+	mRBTreeToSlice         = core.Method("RBTree.ToSlice")
+	mRBTreecompare         = core.Method("RBTree.compare")
+	mRBTreeinsertFixup     = core.Method("RBTree.insertFixup")
+	mRBTreedeleteFixup     = core.Method("RBTree.deleteFixup")
+	mRBTreeleftRotate      = core.Method("RBTree.leftRotate")
+	mRBTreerightRotate     = core.Method("RBTree.rightRotate")
+	mRBTreetransplant      = core.Method("RBTree.transplant")
+	mRBTreeminimumFrom     = core.Method("RBTree.minimumFrom")
+	mRBTreeCheckInvariants = core.Method("RBTree.CheckInvariants")
+)
+
 // RBCell is one node of a red-black tree.
 type RBCell struct {
 	Element Item
@@ -27,7 +52,7 @@ type RBTree struct {
 
 // NewRBTree returns an empty tree ordered by cmp (DefaultCompare if nil).
 func NewRBTree(cmp Comparator) *RBTree {
-	defer core.Enter(nil, "RBTree.New")()
+	defer mRBTreeNew.Enter(nil)()
 	if cmp == nil {
 		cmp = DefaultCompare
 	}
@@ -36,19 +61,19 @@ func NewRBTree(cmp Comparator) *RBTree {
 
 // Size returns the number of elements.
 func (t *RBTree) Size() int {
-	defer enter(t, "RBTree.Size")()
+	defer mRBTreeSize.Enter(t)()
 	return t.Count
 }
 
 // IsEmpty reports whether the tree has no elements.
 func (t *RBTree) IsEmpty() bool {
-	defer enter(t, "RBTree.IsEmpty")()
+	defer mRBTreeIsEmpty.Enter(t)()
 	return t.Count == 0
 }
 
 // Insert adds v (duplicates allowed, placed in the right subtree).
 func (t *RBTree) Insert(v Item) {
-	defer enter(t, "RBTree.Insert")()
+	defer mRBTreeInsert.Enter(t)()
 	t.Version++
 	t.Count++
 	cell := &RBCell{Element: v, Red: true}
@@ -76,7 +101,7 @@ func (t *RBTree) Insert(v Item) {
 
 // Includes reports whether an element comparing equal to v is present.
 func (t *RBTree) Includes(v Item) bool {
-	defer enter(t, "RBTree.Includes")()
+	defer mRBTreeIncludes.Enter(t)()
 	return t.FindCell(v) != nil
 }
 
@@ -84,7 +109,7 @@ func (t *RBTree) Includes(v Item) bool {
 // duplicates to either side of an equal node, so the walk descends both
 // subtrees once equality is seen.
 func (t *RBTree) Occurrences(v Item) int {
-	defer enter(t, "RBTree.Occurrences")()
+	defer mRBTreeOccurrences.Enter(t)()
 	var count func(c *RBCell) int
 	count = func(c *RBCell) int {
 		if c == nil {
@@ -104,7 +129,7 @@ func (t *RBTree) Occurrences(v Item) int {
 
 // FindCell returns a cell whose element compares equal to v, or nil.
 func (t *RBTree) FindCell(v Item) *RBCell {
-	defer enter(t, "RBTree.FindCell")()
+	defer mRBTreeFindCell.Enter(t)()
 	cur := t.Root
 	for cur != nil {
 		c := t.compare(v, cur.Element)
@@ -122,7 +147,7 @@ func (t *RBTree) FindCell(v Item) *RBCell {
 
 // Min returns the smallest element.
 func (t *RBTree) Min() Item {
-	defer enter(t, "RBTree.Min")()
+	defer mRBTreeMin.Enter(t)()
 	if t.Root == nil {
 		fault.Throw(fault.NoSuchElement, "RBTree.Min", "empty tree")
 	}
@@ -131,7 +156,7 @@ func (t *RBTree) Min() Item {
 
 // Max returns the largest element.
 func (t *RBTree) Max() Item {
-	defer enter(t, "RBTree.Max")()
+	defer mRBTreeMax.Enter(t)()
 	if t.Root == nil {
 		fault.Throw(fault.NoSuchElement, "RBTree.Max", "empty tree")
 	}
@@ -145,7 +170,7 @@ func (t *RBTree) Max() Item {
 // RemoveOne removes one element comparing equal to v and reports whether
 // the tree changed.
 func (t *RBTree) RemoveOne(v Item) bool {
-	defer enter(t, "RBTree.RemoveOne")()
+	defer mRBTreeRemoveOne.Enter(t)()
 	t.Version++
 	cell := t.FindCell(v)
 	if cell == nil {
@@ -157,7 +182,7 @@ func (t *RBTree) RemoveOne(v Item) bool {
 
 // RemoveCell unlinks a cell from the tree (CLRS RB-DELETE).
 func (t *RBTree) RemoveCell(z *RBCell) {
-	defer enter(t, "RBTree.RemoveCell")()
+	defer mRBTreeRemoveCell.Enter(t)()
 	t.Count--
 	y := z
 	yWasRed := y.Red
@@ -195,7 +220,7 @@ func (t *RBTree) RemoveCell(z *RBCell) {
 
 // Clear removes all elements.
 func (t *RBTree) Clear() {
-	defer enter(t, "RBTree.Clear")()
+	defer mRBTreeClear.Enter(t)()
 	t.Version++
 	t.Root = nil
 	t.Count = 0
@@ -203,7 +228,7 @@ func (t *RBTree) Clear() {
 
 // ToSlice returns the elements in sorted (in-order) sequence.
 func (t *RBTree) ToSlice() []Item {
-	defer enter(t, "RBTree.ToSlice")()
+	defer mRBTreeToSlice.Enter(t)()
 	out := make([]Item, 0, t.Count)
 	var walk func(c *RBCell)
 	walk = func(c *RBCell) {
@@ -220,13 +245,13 @@ func (t *RBTree) ToSlice() []Item {
 
 // compare applies the tree's comparator (which may throw).
 func (t *RBTree) compare(a, b Item) int {
-	defer enter(t, "RBTree.compare")()
+	defer mRBTreecompare.Enter(t)()
 	return t.Cmp(a, b)
 }
 
 // insertFixup restores the red-black invariants after an insertion.
 func (t *RBTree) insertFixup(z *RBCell) {
-	defer enter(t, "RBTree.insertFixup")()
+	defer mRBTreeinsertFixup.Enter(t)()
 	for z.Parent != nil && z.Parent.Red {
 		grand := z.Parent.Parent
 		if z.Parent == grand.Left {
@@ -269,7 +294,7 @@ func (t *RBTree) insertFixup(z *RBCell) {
 // deleteFixup restores the invariants after a deletion; x may be nil, so
 // its parent is tracked explicitly.
 func (t *RBTree) deleteFixup(x, parent *RBCell) {
-	defer enter(t, "RBTree.deleteFixup")()
+	defer mRBTreedeleteFixup.Enter(t)()
 	for x != t.Root && !isRed(x) {
 		if parent == nil {
 			break
@@ -353,7 +378,7 @@ func (t *RBTree) deleteFixup(x, parent *RBCell) {
 
 // leftRotate rotates the subtree rooted at x to the left.
 func (t *RBTree) leftRotate(x *RBCell) {
-	defer enter(t, "RBTree.leftRotate")()
+	defer mRBTreeleftRotate.Enter(t)()
 	y := x.Right
 	x.Right = y.Left
 	if y.Left != nil {
@@ -374,7 +399,7 @@ func (t *RBTree) leftRotate(x *RBCell) {
 
 // rightRotate rotates the subtree rooted at x to the right.
 func (t *RBTree) rightRotate(x *RBCell) {
-	defer enter(t, "RBTree.rightRotate")()
+	defer mRBTreerightRotate.Enter(t)()
 	y := x.Left
 	x.Left = y.Right
 	if y.Right != nil {
@@ -395,7 +420,7 @@ func (t *RBTree) rightRotate(x *RBCell) {
 
 // transplant replaces the subtree rooted at u with the one rooted at v.
 func (t *RBTree) transplant(u, v *RBCell) {
-	defer enter(t, "RBTree.transplant")()
+	defer mRBTreetransplant.Enter(t)()
 	switch {
 	case u.Parent == nil:
 		t.Root = v
@@ -411,7 +436,7 @@ func (t *RBTree) transplant(u, v *RBCell) {
 
 // minimumFrom returns the leftmost cell under c.
 func (t *RBTree) minimumFrom(c *RBCell) *RBCell {
-	defer enter(t, "RBTree.minimumFrom")()
+	defer mRBTreeminimumFrom.Enter(t)()
 	for c.Left != nil {
 		c = c.Left
 	}
@@ -424,7 +449,7 @@ func isRed(c *RBCell) bool { return c != nil && c.Red }
 // returns the black height or throws IllegalState. Used by tests and by
 // the RBTree application workload as a consistency probe.
 func (t *RBTree) CheckInvariants() int {
-	defer enter(t, "RBTree.CheckInvariants")()
+	defer mRBTreeCheckInvariants.Enter(t)()
 	if t.Root == nil {
 		return 0
 	}

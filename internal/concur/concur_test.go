@@ -232,6 +232,7 @@ func TestHungScheduleQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	hung := 0
+	var hungKey inject.RunKey
 	for _, run := range res.Inject.Runs[1:] {
 		wantHung := run.Arg == 0
 		if (run.Status == inject.RunHung) != wantHung {
@@ -239,13 +240,18 @@ func TestHungScheduleQuarantined(t *testing.T) {
 		}
 		if wantHung {
 			hung++
+			hungKey = run.Key()
 		}
 	}
 	if hung != 1 {
 		t.Fatalf("%d schedules fault the stalling worker, want 1", hung)
 	}
-	if q := res.Inject.Quarantined; len(q) != 1 || q[0].Status != inject.RunHung {
-		t.Errorf("quarantined = %+v, want one hung schedule", q)
+	q := res.Inject.Quarantined
+	if len(q) != 1 || q[0].Status != inject.RunHung {
+		t.Fatalf("quarantined = %+v, want one hung schedule", q)
+	}
+	if q[0].Key() != hungKey || q[0].Sched == 0 {
+		t.Errorf("quarantine names run %s (sched %d), want the hung schedule %s", q[0].Key(), q[0].Sched, hungKey)
 	}
 	report, code := cli.ConcurReport(res)
 	if code != cli.ExitQuarantined {
@@ -253,6 +259,9 @@ func TestHungScheduleQuarantined(t *testing.T) {
 	}
 	if !strings.HasPrefix(report, "QUARANTINED (Stall): ") || !strings.HasSuffix(report, res.Report) {
 		t.Errorf("report does not lead with the quarantine summary:\n%s", report)
+	}
+	if !strings.Contains(report, "  "+hungKey.String()+" ") {
+		t.Errorf("quarantine summary does not name schedule %s:\n%s", hungKey, report)
 	}
 }
 

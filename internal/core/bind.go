@@ -14,17 +14,34 @@ import (
 // binding exists and falls back to the legacy global, so every existing
 // call site keeps working and the no-session fast path stays a single
 // atomic load.
+//
+// The common case is one live binding per shard: a campaign worker's
+// goroutine bound to its session. Each shard therefore also publishes its
+// most recent binding as an immutable {key, session} record, allocated
+// once per Bind. A prologue whose key matches the record takes one atomic
+// load and one compare; only a miss (a second binding in the shard, or an
+// unbound goroutine) reads the shard's locked map. The record always
+// agrees with the map: it is replaced under the shard lock whenever its
+// key's entry changes.
 
 // nBindShards spreads bindings over independently locked maps so worker
 // pools don't serialize on one mutex. Power of two for cheap masking.
 const nBindShards = 64
 
 type bindShard struct {
-	mu sync.RWMutex
-	m  map[uintptr]*Session
+	// last is the shard's most recent binding, nil when it was undone.
+	last atomic.Pointer[binding]
+	mu   sync.RWMutex
+	m    map[uintptr]*Session
 	// pad keeps adjacent shards on distinct cache lines; without it two
 	// shards share a 64-byte line and concurrent RLocks false-share.
-	pad [64 - 32]byte //nolint:structcheck // padding only
+	pad [64 - 40]byte //nolint:structcheck // padding only
+}
+
+// binding is one published key → session entry; never mutated.
+type binding struct {
+	key     uintptr
+	session *Session
 }
 
 var bindShards [nBindShards]bindShard
@@ -70,6 +87,7 @@ func (s *Session) Bind(fn func()) {
 	sh.mu.Lock()
 	prev, had := sh.m[key]
 	sh.m[key] = s
+	sh.last.Store(&binding{key: key, session: s})
 	sh.mu.Unlock()
 	boundCount.Add(1)
 	activity.Add(1)
@@ -79,6 +97,17 @@ func (s *Session) Bind(fn func()) {
 			sh.m[key] = prev
 		} else {
 			delete(sh.m, key)
+		}
+		if b := sh.last.Load(); b != nil && b.key == key {
+			// Republish the shard's remaining binding when there is
+			// exactly one, else leave the misses to the map.
+			var next *binding
+			if len(sh.m) == 1 {
+				for k, s := range sh.m {
+					next = &binding{key: k, session: s}
+				}
+			}
+			sh.last.Store(next)
 		}
 		sh.mu.Unlock()
 		boundCount.Add(-1)
@@ -96,6 +125,9 @@ func bound() *Session {
 		return nil
 	}
 	sh := shardFor(key)
+	if b := sh.last.Load(); b != nil && b.key == key {
+		return b.session
+	}
 	sh.mu.RLock()
 	s := sh.m[key]
 	sh.mu.RUnlock()

@@ -27,9 +27,11 @@ func BenchmarkGlsKey(b *testing.B) {
 	})
 }
 
-// BenchmarkEnterBoundDetect measures the detection prologue through a
-// goroutine-scoped session; compare with BenchmarkEnterGlobalDetect — the
-// scoped route must not cost more than the legacy global route.
+// BenchmarkEnterBoundDetect measures the detection prologue by name
+// through a goroutine-scoped session; compare with
+// BenchmarkEnterGlobalDetect — the scoped route must not cost more than
+// the legacy global route — and with BenchmarkEnterHandleBoundDetect,
+// which skips the lookup of the name.
 func BenchmarkEnterBoundDetect(b *testing.B) {
 	s := NewSession(Config{Detect: true})
 	s.Bind(func() {
@@ -37,6 +39,19 @@ func BenchmarkEnterBoundDetect(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			box.Mutate(false)
+		}
+	})
+}
+
+// BenchmarkEnterHandleBoundDetect is BenchmarkEnterBoundDetect through a
+// method handle, the route every bundled application's prologue takes.
+func BenchmarkEnterHandleBoundDetect(b *testing.B) {
+	s := NewSession(Config{Detect: true})
+	s.Bind(func() {
+		box := &bindBox{}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			box.MutateByHandle(false)
 		}
 	})
 }

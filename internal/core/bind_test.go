@@ -22,6 +22,17 @@ func (b *bindBox) Mutate(throw bool) {
 	}
 }
 
+var mBindBoxMutate = Method("bindBox.Mutate")
+
+// MutateByHandle is Mutate entering through its method handle.
+func (b *bindBox) MutateByHandle(throw bool) {
+	defer mBindBoxMutate.Enter(b)()
+	b.N++
+	if throw {
+		fault.Throw(fault.IllegalState, "bindBox.Mutate", "requested")
+	}
+}
+
 func recoverMutate(b *bindBox, throw bool) {
 	defer func() { _ = recover() }()
 	b.Mutate(throw)

@@ -1,48 +1,111 @@
 package core
 
-import "slices"
+import (
+	"maps"
+	"sync"
+	"sync/atomic"
+)
 
-// Dense method ids. A wrapped call pays one map[string]int32 lookup to
-// turn its instrumentation name into a dense id; everything else the
-// prologue needs about the method (call counter, injection and mask
-// flags, masking statistics, and the clean-run spans of SpanIndex) is
-// then indexed by that id. Names stay the key at every boundary: marks,
-// MarkCalls, Calls() and MaskStats() carry names, so no output depends on
-// the numbering.
+// Method handles. Every instrumented method has one process-wide
+// MethodHandle, interned by name and resolved once, normally in a
+// package-level variable:
+//
+//	var mPut = core.Method("RBMap.Put")
+//
+//	func (m *RBMap) Put(k, v Item) {
+//		defer mPut.Enter(m)()
+//		...
+//	}
+//
+// A handle is immutable and carries a dense id, numbered in interning
+// order. Everything the prologue needs about the method in a session (call
+// counter, injection and mask flags, masking statistics) sits in the
+// session's slot for that id, and a SpanIndex keeps its clean-run spans in
+// the row for that id; both find the slot or row through an int32 array
+// indexed by the id, so a wrapped call hashes no name and a session keeps
+// room only for the methods it calls. Because the id belongs to the
+// process rather than to a campaign, a call writes no shared state, and
+// sessions of concurrent campaigns use the same handles without
+// coordinating. Names stay the key at every boundary: marks, MarkCalls,
+// Calls() and MaskStats() carry names, so no output depends on the
+// numbering. The string Enter looks its name's handle up (interning it
+// on first use) and takes the same path.
 
-// methodTable interns instrumentation names into dense ids: the id of a
-// new name is len(names), and names maps every id back. A campaign's table
-// is built once from its clean run (see IndexSpans) and then shared
-// read-only by every session of the sweep.
-type methodTable struct {
-	ids   map[string]int32
-	names []string
+// MethodHandle is one instrumented method's process-wide identity.
+type MethodHandle struct {
+	id   int32
+	name string
 }
 
-func newMethodTable(n int) *methodTable {
-	return &methodTable{ids: make(map[string]int32, n), names: make([]string, 0, n)}
+// Name returns the handle's instrumentation name.
+func (h *MethodHandle) Name() string { return h.name }
+
+// handleTable is the process-wide intern table. byName is its lock-free
+// read side: an immutable copy of all, published by the first lookup of
+// an interned name after a new name was added (nil until then). So the
+// interning at package init costs one map insert per handle, and a lookup
+// by name (the string Enter) takes no lock once the names stop changing.
+type handleTable struct {
+	mu     sync.Mutex
+	all    map[string]*MethodHandle
+	byName atomic.Pointer[map[string]*MethodHandle]
 }
 
-// intern returns name's id, adding it when it is new.
-func (t *methodTable) intern(name string) int32 {
-	if id, ok := t.ids[name]; ok {
-		return id
+var handles handleTable
+
+// Method returns the handle of the named method, interning it on first
+// use. Every call with the same name returns the same handle.
+func Method(name string) *MethodHandle {
+	if m := handles.byName.Load(); m != nil {
+		if h := (*m)[name]; h != nil {
+			return h
+		}
 	}
-	if t.ids == nil {
-		t.ids = make(map[string]int32)
+	t := &handles
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if h := t.all[name]; h != nil {
+		t.publish()
+		return h
 	}
-	id := int32(len(t.names))
-	t.ids[name] = id
-	t.names = append(t.names, name)
-	return id
+	if t.all == nil {
+		t.all = make(map[string]*MethodHandle)
+	}
+	h := &MethodHandle{id: int32(len(t.all)), name: name}
+	t.all[name] = h
+	t.byName.Store(nil)
+	return h
 }
 
-// method is one interned method's state in a session's current run. It
-// is resolved on the method's first call after NewSession or Reset (gen
-// tells a stale slot from a current one), so a call reads its facts from
-// the slot instead of hashing its name into each config map.
+// lookupMethod returns the handle interned for name, or nil; it interns
+// nothing.
+func lookupMethod(name string) *MethodHandle {
+	if m := handles.byName.Load(); m != nil {
+		return (*m)[name]
+	}
+	t := &handles
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.publish()
+	return t.all[name]
+}
+
+// publish makes a copy of all the read side, unless one is published.
+// Called with mu held.
+func (t *handleTable) publish() {
+	if t.byName.Load() == nil {
+		m := maps.Clone(t.all)
+		t.byName.Store(&m)
+	}
+}
+
+// method is one method's state in a session's current run. It is resolved
+// on the method's first call after NewSession or Reset (gen tells a stale
+// slot from a current one), so a call reads its facts from the slot
+// instead of hashing its name into each config map.
 type method struct {
 	gen   uint64
+	h     *MethodHandle
 	calls int64
 	// info is the method's Registry entry (nil when unregistered); inject
 	// is Config.Inject minus the ExceptionFree methods.
@@ -56,52 +119,32 @@ type method struct {
 	stat MaskStat
 }
 
-// methodID returns name's dense id in this session: the campaign table's
-// id when the session has one and it knows name, else an id local to the
-// session. Local ids follow the campaign's and have no span row, so such
-// a call counts as one that may unwind.
-func (s *Session) methodID(name string) int32 {
-	if s.base != nil {
-		if id, ok := s.base.ids[name]; ok {
-			return id
-		}
+// state returns h's slot for the current run, adding it on the session's
+// first call of h and resolving it first when it is new or stale. The
+// pointer is valid until the next call adds a slot.
+func (s *Session) state(h *MethodHandle) *method {
+	if int(h.id) >= len(s.ids) {
+		s.ids = append(s.ids, make([]int32, int(h.id)+1-len(s.ids))...)
 	}
-	return s.own.intern(name)
-}
-
-// rebase makes t the session's campaign table. Local ids are numbered
-// after the table's, so they and every slot are dropped.
-func (s *Session) rebase(t *methodTable) {
-	s.base = t
-	// Clip: a local id appended later must copy, not write into the
-	// shared table's spare capacity.
-	s.own.names = slices.Clip(t.names)
-	clear(s.own.ids)
-	clear(s.slots)
-	s.slots = s.slots[:0]
-}
-
-// state returns id's slot for the current run, resolving it first when
-// it is new or stale. The pointer is valid until the next call interns a
-// new method.
-func (s *Session) state(id int32) *method {
-	if int(id) >= len(s.slots) {
-		s.slots = append(s.slots, make([]method, int(id)+1-len(s.slots))...)
+	i := s.ids[h.id]
+	if i == 0 {
+		s.slots = append(s.slots, method{})
+		i = int32(len(s.slots))
+		s.ids[h.id] = i
 	}
-	m := &s.slots[id]
+	m := &s.slots[i-1]
 	if m.gen != s.gen {
-		s.resolve(m, id)
+		s.resolve(m, h)
 	}
 	return m
 }
 
 // resolve fills a slot from the current config, with zeroed counters.
-func (s *Session) resolve(m *method, id int32) {
-	name := s.own.names[id]
-	*m = method{gen: s.gen}
+func (s *Session) resolve(m *method, h *MethodHandle) {
+	*m = method{gen: s.gen, h: h}
 	if s.cfg.Inject {
-		m.inject = !s.cfg.ExceptionFree[name]
-		m.info = s.cfg.Registry.Info(name)
+		m.inject = !s.cfg.ExceptionFree[h.name]
+		m.info = s.cfg.Registry.Info(h.name)
 	}
-	m.mask = s.cfg.Mask && (s.cfg.MaskAll || s.cfg.MaskMethods[name])
+	m.mask = s.cfg.Mask && (s.cfg.MaskAll || s.cfg.MaskMethods[h.name])
 }

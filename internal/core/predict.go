@@ -51,56 +51,62 @@ type cleanBefore struct {
 // holds the clean run's captured before-states (cleanDiff). One index is
 // shared, read-only, by every experiment of a campaign.
 //
-// The index also carries the campaign's method table: each method has a
-// dense id and one row of spans indexed by call ordinal, so a predicting
-// session reads a call's span at (method id, call ordinal) without
-// hashing. The row is keyed by the per-method call ordinal, never by the
-// run's global entry order: a call entered after the injection keeps its
-// ordinal but not its place in the entry order.
+// Each method the spans name has one row of spans, indexed by call
+// ordinal, and ids maps its handle's id to 1 + the row's index (0: no
+// spans), so a predicting session reads a call's span at (method id, call
+// ordinal) without hashing. The row is keyed by the per-method call
+// ordinal, never by the run's global entry order: a call entered after the
+// injection keeps its ordinal but not its place in the entry order.
 type SpanIndex struct {
-	methods *methodTable
-	rows    [][]Span
+	ids  []int32
+	rows [][]Span
 }
 
-// IndexSpans indexes a span-recording run's spans by call identity. The
-// index's method table holds names, in order, and then every method the
-// spans name; a campaign seeds it with the registry's names and the names
-// its clean run called, so every session of the sweep shares one table.
+// IndexSpans indexes a span-recording run's spans by call identity, with
+// rows found by process-wide method handle id, so every session reads the
+// index as it is; names, when given, are interned as handles too.
 func IndexSpans(spans []Span, names ...string) *SpanIndex {
-	t := newMethodTable(len(names))
 	for _, name := range names {
-		t.intern(name)
+		Method(name)
 	}
-	var counts []int64
-	for _, sp := range spans {
-		id := t.intern(sp.Call.Method)
-		if int(id) >= len(counts) {
-			counts = append(counts, make([]int64, int(id)+1-len(counts))...)
+	x := &SpanIndex{}
+	rows := make([]int32, len(spans)) // each span's row
+	var counts []int64                // each row's length
+	for i, sp := range spans {
+		id := Method(sp.Call.Method).id
+		if int(id) >= len(x.ids) {
+			x.ids = append(x.ids, make([]int32, int(id)+1-len(x.ids))...)
 		}
-		counts[id] = max(counts[id], sp.Call.Call)
+		if x.ids[id] == 0 {
+			counts = append(counts, 0)
+			x.ids[id] = int32(len(counts))
+		}
+		row := x.ids[id] - 1
+		rows[i] = row
+		counts[row] = max(counts[row], sp.Call.Call)
 	}
 	var total int64
 	for _, n := range counts {
 		total += n
 	}
 	flat := make([]Span, total)
-	x := &SpanIndex{methods: t, rows: make([][]Span, len(counts))}
-	for id, n := range counts {
-		x.rows[id], flat = flat[:n:n], flat[n:]
+	x.rows = make([][]Span, len(counts))
+	for row, n := range counts {
+		x.rows[row], flat = flat[:n:n], flat[n:]
 	}
-	for _, sp := range spans {
-		x.rows[t.ids[sp.Call.Method]][sp.Call.Call-1] = sp
+	for i, sp := range spans {
+		x.rows[rows[i]][sp.Call.Call-1] = sp
 	}
 	return x
 }
 
-// span returns the clean-run span of method id's call-th call, or nil when
+// span returns the clean-run span of method h's call-th call, or nil when
 // the clean run recorded none (a row holds a zero Span there).
-func (x *SpanIndex) span(id int32, call int64) *Span {
-	if int(id) >= len(x.rows) {
+func (x *SpanIndex) span(h *MethodHandle, call int64) *Span {
+	if int(h.id) >= len(x.ids) || x.ids[h.id] == 0 {
 		return nil
 	}
-	row := x.rows[id]
+	row := x.rows[x.ids[h.id]-1]
 	if call < 1 || call > int64(len(row)) || row[call-1].Call.Call != call {
 		return nil
 	}
@@ -112,8 +118,8 @@ func (x *SpanIndex) span(id int32, call int64) *Span {
 // groups (a) and (b) of the SpanIndex argument. A call without a clean-run
 // span reports true, so a diverging run snapshots it instead of missing it.
 func (x *SpanIndex) MayUnwind(call CallID, point int) bool {
-	id, ok := x.methods.ids[call.Method]
-	return !ok || !settled(x.span(id, call.Call), point)
+	h := lookupMethod(call.Method)
+	return h == nil || !settled(x.span(h, call.Call), point)
 }
 
 // settled reports, for a call whose clean-run span is sp (nil: none), that
@@ -124,14 +130,14 @@ func settled(sp *Span, point int) bool {
 }
 
 // cleanDiff returns the first-difference path from the clean-run
-// before-state of method id's call-th call to the graph at roots, or ""
+// before-state of method h's call-th call to the graph at roots, or ""
 // when the clean run kept no capture of that call or its fingerprint is
 // not before. Equal fingerprints mean the same canonical traversal (up to
 // a 2⁻¹²⁸ collision), so the clean graph stands for the run's own
 // before-state and the path is the one a capture-mode run reports. The
 // diff runs on the calling session's scratch.
-func (x *SpanIndex) cleanDiff(scratch *objgraph.Scratch, id int32, call int64, before objgraph.FP, roots []any) string {
-	sp := x.span(id, call)
+func (x *SpanIndex) cleanDiff(scratch *objgraph.Scratch, h *MethodHandle, call int64, before objgraph.FP, roots []any) string {
+	sp := x.span(h, call)
 	if sp == nil || sp.before == nil || sp.before.fp != before {
 		return ""
 	}

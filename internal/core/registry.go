@@ -3,12 +3,17 @@
 // wrapper and Listing 2's atomicity wrapper, composed), mark records with
 // callee-first sequence numbers, and per-method call counting.
 //
-// Instrumented methods carry a single prologue line:
+// Instrumented methods carry a single prologue line, through a method
+// handle resolved once at package init (methods.go):
+//
+//	var mInsertAt = core.Method("LinkedList.InsertAt")
 //
 //	func (l *LinkedList) InsertAt(i int, v Item) {
-//		defer core.Enter(l, "LinkedList.InsertAt")()
+//		defer mInsertAt.Enter(l)()
 //		...
 //	}
+//
+// or by name, as woven code does: defer core.Enter(l, "LinkedList.InsertAt")().
 //
 // When no Session is installed the prologue is a cheap no-op, so woven code
 // runs at (almost) full speed in production. A Session configures which of

@@ -231,13 +231,13 @@ type Session struct {
 	masked      int64
 	restored    int64
 
-	// Dense method ids (methods.go). base is the campaign's shared method
-	// table (nil outside a campaign). own interns the names base lacks,
-	// numbered after base's, and its names map every id, base's too, back
-	// to its name. slots holds each id's state, current when its gen is
-	// the session's gen, which Reset advances.
-	base  *methodTable
-	own   methodTable
+	// slots holds the state of each method the session has called, in
+	// first-call order; ids maps a method handle's id (methods.go) to 1 +
+	// its slot's index, 0 before its first call. So a session keeps room
+	// for the methods it calls, not for every handle of the process. A
+	// slot is current when its gen is the session's gen, which Reset
+	// advances.
+	ids   []int32
 	slots []method
 	gen   uint64
 
@@ -273,7 +273,7 @@ type Session struct {
 // frame is one open call's exit state: what its epilogue needs from its
 // prologue.
 type frame struct {
-	method        int32 // dense id
+	method        *MethodHandle
 	fingerprinted bool
 	// predicted: Config.Predict ruled out that the call unwinds, so it
 	// took no snapshot; unwinding anyway is a miss.
@@ -304,7 +304,7 @@ func NewSession(cfg Config) *Session {
 // observes exactly what NewSession(cfg) would. It keeps only buffers that
 // never leave the session: the frame stack, the roots scratch, the mark
 // buffers (Marks, MarkCalls and MarkDiffs hand out copies), the method
-// ids and slots (counters restart at zero), the objgraph walker with its
+// slots (counters restart at zero), the objgraph walker with its
 // free list of released clean-capture nodes, and, when cfg.Strategy is
 // nil, its own checkpoint strategy with that strategy's free lists.
 // Everything the getters handed out for the previous run (those copies,
@@ -323,10 +323,6 @@ func (s *Session) Reset(cfg Config) {
 			s.ownStrategy = checkpoint.DeepCopy()
 		}
 		strategy = s.ownStrategy
-	}
-	if cfg.Predict != nil && cfg.Predict.methods != s.base {
-		// The span rows are indexed by the index's method ids.
-		s.rebase(cfg.Predict.methods)
 	}
 	if cfg.Detect && s.graphs == nil {
 		s.graphs = new(objgraph.Scratch)
@@ -357,7 +353,7 @@ func (s *Session) Reset(cfg Config) {
 
 	s.gen++
 	for call := range cfg.DiffCalls {
-		s.state(s.methodID(call.Method)).diff = true
+		s.state(Method(call.Method)).diff = true
 	}
 }
 
@@ -428,9 +424,9 @@ func (s *Session) PredictMisses() int { return s.misses }
 // Calls returns the per-method call counts, in a map built on each call.
 func (s *Session) Calls() map[string]int64 {
 	out := make(map[string]int64)
-	for id := range s.slots {
-		if m := &s.slots[id]; m.gen == s.gen && m.calls > 0 {
-			out[s.own.names[id]] = m.calls
+	for i := range s.slots {
+		if m := &s.slots[i]; m.gen == s.gen && m.calls > 0 {
+			out[m.h.name] = m.calls
 		}
 	}
 	return out
@@ -449,21 +445,21 @@ func (s *Session) Rollbacks() int64 { return s.restored }
 // was masked.
 func (s *Session) MaskStats() map[string]MaskStat {
 	var out map[string]MaskStat
-	for id := range s.slots {
-		if m := &s.slots[id]; m.gen == s.gen && m.stat.Calls > 0 {
+	for i := range s.slots {
+		if m := &s.slots[i]; m.gen == s.gen && m.stat.Calls > 0 {
 			if out == nil {
 				out = make(map[string]MaskStat)
 			}
-			out[s.own.names[id]] = m.stat
+			out[m.h.name] = m.stat
 		}
 	}
 	return out
 }
 
-// noteMask records one masked call of method id. Checkpoint bytes must be
+// noteMask records one masked call of method h. Checkpoint bytes must be
 // read before rollback (journals clear on restore).
-func (s *Session) noteMask(id int32, bytes int, rolledBack bool) {
-	st := &s.slots[id].stat
+func (s *Session) noteMask(h *MethodHandle, bytes int, rolledBack bool) {
+	st := &s.slots[s.ids[h.id]-1].stat
 	st.Calls++
 	st.Bytes += int64(bytes)
 	if rolledBack {
@@ -511,20 +507,20 @@ func Active() *Session { return _active.Load() }
 // nop is the shared prologue epilogue for uninstrumented runs.
 func nop() {}
 
-// Enter is the woven prologue. recv is the method receiver (nil for
-// constructors and free functions); name is the instrumentation name; extra
-// lists by-reference arguments that belong to the compared object graph
-// ("all arguments that are passed in as non-constant references", §4.1).
+// Enter is the woven prologue of method h. recv is the method receiver
+// (nil for constructors and free functions); extra lists by-reference
+// arguments that belong to the compared object graph ("all arguments that
+// are passed in as non-constant references", §4.1).
 //
 // The returned function must be deferred by the caller:
 //
-//	defer core.Enter(l, "LinkedList.InsertAt")()
+//	defer mInsertAt.Enter(l)()
 //
 // Injection happens during Enter itself — before the epilogue is deferred —
 // so an injected exception propagates to the *caller's* wrapper without
 // executing the method body, exactly like Listing 1 where the injection
 // points precede the try block.
-func Enter(recv any, name string, extra ...any) func() {
+func (h *MethodHandle) Enter(recv any, extra ...any) func() {
 	// Fast path: one atomic load covers "no global session and no scoped
 	// binding anywhere", so uninstrumented production calls stay no-ops at
 	// the pre-binding cost.
@@ -535,16 +531,28 @@ func Enter(recv any, name string, extra ...any) func() {
 	if s == nil {
 		return nop
 	}
-	return s.enter(recv, name, extra)
+	return s.enter(h, recv, extra)
+}
+
+// Enter is the prologue by name, for woven code and callers without a
+// handle: Method(name).Enter(recv, extra...), with the name interned only
+// when some session is active.
+//
+//	defer core.Enter(l, "LinkedList.InsertAt")()
+func Enter(recv any, name string, extra ...any) func() {
+	if activity.Load() == 0 {
+		return nop
+	}
+	return Method(name).Enter(recv, extra...)
 }
 
 // enter runs the prologue and picks the deferred epilogue: the session's
 // exit function when enterWork pushed a frame, nop otherwise.
-func (s *Session) enter(recv any, name string, extra []any) func() {
+func (s *Session) enter(h *MethodHandle, recv any, extra []any) func() {
 	if s.cfg.Serialize {
-		return s.enterSerialized(recv, name, extra)
+		return s.enterSerialized(h, recv, extra)
 	}
-	if s.enterWork(recv, name, extra) {
+	if s.enterWork(h, recv, extra) {
 		return s.exitFn
 	}
 	return nop
@@ -555,7 +563,7 @@ func (s *Session) enter(recv any, name string, extra []any) func() {
 // leaves enterWork before the epilogue is deferred, so the lock is
 // released here on that path; otherwise the returned function releases
 // it, after the epilogue when there is one, even when that re-panics.
-func (s *Session) enterSerialized(recv any, name string, extra []any) func() {
+func (s *Session) enterSerialized(h *MethodHandle, recv any, extra []any) func() {
 	s.serial.Lock()
 	entered := false
 	defer func() {
@@ -563,7 +571,7 @@ func (s *Session) enterSerialized(recv any, name string, extra []any) func() {
 			s.serial.Unlock()
 		}
 	}()
-	pushed := s.enterWork(recv, name, extra)
+	pushed := s.enterWork(h, recv, extra)
 	entered = true
 	if pushed {
 		return s.exitFn
@@ -586,9 +594,9 @@ func (s *Session) exitSerialized() {
 // enterWork performs the prologue work (counting, injection, checkpoint,
 // snapshot). When something needs to happen at method exit it pushes the
 // call's frame, as its last step, and reports true.
-func (s *Session) enterWork(recv any, name string, extra []any) bool {
-	id := s.methodID(name)
-	m := s.state(id)
+func (s *Session) enterWork(h *MethodHandle, recv any, extra []any) bool {
+	name := h.name
+	m := s.state(h)
 	m.calls++
 	// Copy what the rest needs: a checkpoint or snapshot may run user
 	// code (a Snapshotter) that enters a new method and moves the slots.
@@ -636,16 +644,16 @@ func (s *Session) enterWork(recv any, name string, extra []any) bool {
 	var clean *Span
 	predicted := false
 	if s.cfg.Predict != nil && len(s.injected) == 0 && targeted {
-		clean = s.cfg.Predict.span(id, call)
+		clean = s.cfg.Predict.span(h, call)
 		predicted = settled(clean, s.cfg.InjectionPoint)
 	}
 
-	f := frame{method: id, call: call, roots: roots, predicted: predicted}
+	f := frame{method: h, call: call, roots: roots, predicted: predicted}
 	switch {
 	case !mask:
 	case predicted && clean.checkpointed:
 		s.masked++
-		s.noteMask(id, clean.bytes, false)
+		s.noteMask(h, clean.bytes, false)
 	default:
 		h, err := s.strategy.Capture(roots...)
 		if err != nil {
@@ -697,7 +705,7 @@ func (s *Session) epilogue(r any) {
 	f := s.frames[last]
 	s.frames[last] = frame{}
 	s.frames = s.frames[:last]
-	name := s.own.names[f.method]
+	name := f.method.name
 
 	if r == nil && s.cfg.ExitFire != nil {
 		// Deferred-cleanup injection: the body completed; the fault

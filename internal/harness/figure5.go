@@ -13,6 +13,13 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mBenchTargetWork         = core.Method("BenchTarget.Work")
+	mBenchTargetWorkMasked   = core.Method("BenchTarget.WorkMasked")
+	mBenchTargetWorkThrowing = core.Method("BenchTarget.WorkThrowing")
+)
+
 // errBadConfig reports a sweep configuration without positive Calls/Runs.
 var errBadConfig = errors.New("harness: Calls and Runs must be positive")
 
@@ -47,21 +54,21 @@ const workIters = 220
 
 // Work is the unwrapped method of the original program.
 func (t *BenchTarget) Work() {
-	defer core.Enter(t, "BenchTarget.Work")()
+	defer mBenchTargetWork.Enter(t)()
 	t.compute()
 }
 
 // WorkMasked is the method the masking phase wrapped (an atomicity
 // wrapper checkpoints the receiver on entry, Listing 2).
 func (t *BenchTarget) WorkMasked() {
-	defer core.Enter(t, "BenchTarget.WorkMasked")()
+	defer mBenchTargetWorkMasked.Enter(t)()
 	t.compute()
 }
 
 // WorkThrowing performs the computation and then throws; it exercises the
 // rollback path of the atomicity wrapper.
 func (t *BenchTarget) WorkThrowing() {
-	defer core.Enter(t, "BenchTarget.WorkThrowing")()
+	defer mBenchTargetWorkThrowing.Enter(t)()
 	t.compute()
 	t.P.Meta[0]++
 	fault.Throw(fault.IllegalState, "BenchTarget.WorkThrowing", "synthetic failure")

@@ -7,6 +7,12 @@ import (
 	"failatomic/internal/core"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mJournalTargetWork       = core.Method("JournalTarget.Work")
+	mJournalTargetWorkMasked = core.Method("JournalTarget.WorkMasked")
+)
+
 // JournalTarget is the checkpoint.Journaled twin of BenchTarget, used for
 // the undo-log ablation: instead of eagerly deep-copying the payload, the
 // masked method records undo entries only for the words it writes, so
@@ -42,13 +48,13 @@ func (t *JournalTarget) EndJournal(prev *checkpoint.Journal) { t.journal = prev 
 
 // Work is the unwrapped method.
 func (t *JournalTarget) Work() {
-	defer core.Enter(t, "JournalTarget.Work")()
+	defer mJournalTargetWork.Enter(t)()
 	t.compute()
 }
 
 // WorkMasked is the masked method; it journals the single word it writes.
 func (t *JournalTarget) WorkMasked() {
-	defer core.Enter(t, "JournalTarget.WorkMasked")()
+	defer mJournalTargetWorkMasked.Enter(t)()
 	old := t.Sink
 	t.journal.Record(8, func() { t.Sink = old })
 	t.compute()

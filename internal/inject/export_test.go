@@ -38,7 +38,7 @@ func PredictedMismatch(p *Program, opts Options) (PredictedComparison, error) {
 	predicted := &countingStrategy{Strategy: inner, n: &cmp.PredictedCaptures}
 	full := &countingStrategy{Strategy: inner, n: &cmp.FullCaptures}
 	var w worker
-	for _, ex := range planExperiments(clean.profile(p), opts, clean.spans, campaignMethods(p, clean.calls)) {
+	for _, ex := range planExperiments(clean.profile(p), opts, clean.spans) {
 		opts.MaskStrategy = predicted
 		got := w.executeOnce(p, ex, opts, nil)
 		gotCalls := w.session.Calls()

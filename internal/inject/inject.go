@@ -8,7 +8,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,9 +117,10 @@ type Run struct {
 type Quarantine struct {
 	// InjectionPoint is the quarantined run's primary point coordinate.
 	InjectionPoint int
-	// Strategy/Arg complete the quarantined run's RunKey.
+	// Strategy/Arg/Sched complete the quarantined run's RunKey.
 	Strategy string `json:"strategy,omitempty"`
 	Arg      int    `json:"arg,omitempty"`
+	Sched    int    `json:"sched,omitempty"`
 	// Status is RunHung or RunUndetermined.
 	Status RunStatus
 	// Retries is the number of extra attempts made before quarantining.
@@ -310,7 +310,7 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 		TotalPoints: clean.points,
 		DiffReplays: clean.replays,
 	}
-	exps := planExperiments(clean.profile(p), opts, clean.spans, campaignMethods(p, clean.calls))
+	exps := planExperiments(clean.profile(p), opts, clean.spans)
 	if err := Sweep(ctx, res, clean.run, exps, opts); err != nil {
 		return nil, err
 	}
@@ -534,6 +534,7 @@ func (run Run) Quarantine() Quarantine {
 		InjectionPoint: run.InjectionPoint,
 		Strategy:       run.Strategy,
 		Arg:            run.Arg,
+		Sched:          run.Sched,
 		Status:         run.Status,
 		Retries:        run.Retries,
 		Err:            run.Err,
@@ -542,6 +543,11 @@ func (run Run) Quarantine() Quarantine {
 		q.Kind = run.Escaped.Kind
 	}
 	return q
+}
+
+// Key returns the quarantined run's identity within its campaign.
+func (q Quarantine) Key() RunKey {
+	return RunKey{Strategy: q.Strategy, Point: q.InjectionPoint, Arg: q.Arg, Sched: q.Sched}
 }
 
 // checkBudget enforces the run budget over every execution the campaign
@@ -627,19 +633,6 @@ func (w *worker) start(cfg core.Config) *core.Session {
 		w.session.Reset(cfg)
 	}
 	return w.session
-}
-
-// campaignMethods lists the method names a campaign's shared method table
-// is seeded with (core.IndexSpans): the registry's, then those the clean
-// run called, each list sorted.
-func campaignMethods(p *Program, cleanCalls map[string]int64) []string {
-	names := p.Registry.Names()
-	called := make([]string, 0, len(cleanCalls))
-	for name := range cleanCalls {
-		called = append(called, name)
-	}
-	sort.Strings(called)
-	return append(names, called...)
 }
 
 // sessionConfig is the injector session configuration realizing one

@@ -418,10 +418,9 @@ func ParsePerturbations(s string) ([]Perturbation, error) {
 // option order. The list is a pure function of the clean profile and the
 // options, so sequential, parallel, resumed and dispatched campaigns all
 // execute the identical plan. Every experiment shares the clean run's
-// span index, seeded with the campaign's method names (campaignMethods);
-// the session predicts from it only in threshold experiments (the default
-// sweep, oblivious), and takes its method ids from it in every one.
-func planExperiments(prof Profile, opts Options, spans []core.Span, methods []string) []Experiment {
+// span index; the session predicts from it only in threshold experiments
+// (the default sweep, oblivious).
+func planExperiments(prof Profile, opts Options, spans []core.Span) []Experiment {
 	exps := make([]Experiment, 0, prof.TotalPoints)
 	for pt := 1; pt <= prof.TotalPoints; pt++ {
 		exps = append(exps, Experiment{Key: RunKey{Point: pt}, point: pt})
@@ -429,7 +428,7 @@ func planExperiments(prof Profile, opts Options, spans []core.Span, methods []st
 	for _, pert := range opts.Perturbations {
 		exps = append(exps, pert.Plan(prof)...)
 	}
-	index := core.IndexSpans(spans, methods...)
+	index := core.IndexSpans(spans)
 	for i := range exps {
 		exps[i].predict = index
 	}

@@ -52,33 +52,38 @@ type DetectionMark struct {
 // objects: snapshot the target's object graph before the call, compare
 // after an exceptional return. Proxied detection is top-level only — the
 // wrapped method's internal calls are invisible, the limitation §5.2 notes
-// for classes the JWG cannot instrument.
+// for classes the JWG cannot instrument — but a proxied method that calls
+// another proxied object nests: each open call keeps its own before-graph.
 type DetectionFilter struct {
 	// Marks accumulates the observations.
 	Marks []DetectionMark
 
-	before *objgraph.Graph
+	// befores holds the before-graph of each open call, innermost last;
+	// After always ends the innermost one.
+	befores []*objgraph.Graph
 }
 
 // Before implements Filter.
 func (f *DetectionFilter) Before(inv *Invocation) {
-	f.before = objgraph.Capture(inv.Target)
+	f.befores = append(f.befores, objgraph.Capture(inv.Target))
 }
 
 // After implements Filter.
 func (f *DetectionFilter) After(inv *Invocation, out *Outcome) {
-	if out.Exception == nil || f.before == nil {
-		f.before = nil
+	last := len(f.befores) - 1
+	before := f.befores[last]
+	f.befores[last] = nil
+	f.befores = f.befores[:last]
+	if out.Exception == nil {
 		return
 	}
-	diff := objgraph.DiffLive(f.before, inv.Target)
+	diff := objgraph.DiffLive(before, inv.Target)
 	f.Marks = append(f.Marks, DetectionMark{
 		Method:    inv.Name(),
 		Atomic:    diff == "",
 		Diff:      diff,
 		Exception: out.Exception,
 	})
-	f.before = nil
 }
 
 // NonAtomicMethods returns the methods observed failure non-atomic.
@@ -98,7 +103,8 @@ func (f *DetectionFilter) NonAtomicMethods() []string {
 // target before the call, roll back on exception. With Swallow set the
 // exception is additionally masked from the caller (the filter returns the
 // zero results), otherwise it is re-thrown after the rollback like the
-// paper's atomicity wrapper.
+// paper's atomicity wrapper. Nested proxied calls each keep their own
+// checkpoint.
 type MaskingFilter struct {
 	// Strategy overrides the checkpoint strategy (nil = deep copy).
 	Strategy checkpoint.Strategy
@@ -109,7 +115,9 @@ type MaskingFilter struct {
 	// Skips records capture failures (the call proceeds unmasked).
 	Skips []error
 
-	handle checkpoint.Handle
+	// handles holds the checkpoint of each open call, innermost last (nil
+	// where the capture failed).
+	handles []checkpoint.Handle
 }
 
 // Before implements Filter.
@@ -121,16 +129,17 @@ func (f *MaskingFilter) Before(inv *Invocation) {
 	h, err := strategy.Capture(inv.Target)
 	if err != nil {
 		f.Skips = append(f.Skips, err)
-		f.handle = nil
-		return
+		h = nil
 	}
-	f.handle = h
+	f.handles = append(f.handles, h)
 }
 
 // After implements Filter.
 func (f *MaskingFilter) After(inv *Invocation, out *Outcome) {
-	h := f.handle
-	f.handle = nil
+	last := len(f.handles) - 1
+	h := f.handles[last]
+	f.handles[last] = nil
+	f.handles = f.handles[:last]
 	if h == nil {
 		return
 	}

@@ -214,6 +214,80 @@ func TestDetectionFilterFindsOrganicNonAtomicity(t *testing.T) {
 	}
 }
 
+// wallet is a second uninstrumented type whose Pay calls a proxied ledger
+// through post: Pay raises Spent, posts, and throws when the post failed.
+type wallet struct {
+	Spent int
+}
+
+func (w *wallet) Pay(amount int, post func(amount int) error) {
+	w.Spent += amount
+	if err := post(amount); err != nil {
+		fault.Throw(fault.IllegalState, "wallet.Pay", "post failed: %v", err)
+	}
+}
+
+// nestedPay wraps a ledger and a wallet with the given application-level
+// filters and pays into the ledger through both proxies.
+func nestedPay(t *testing.T, filters ...Filter) (*wallet, *ledger, error) {
+	t.Helper()
+	g := NewGenerator()
+	for _, f := range filters {
+		g.AddFilter(f)
+	}
+	l := &ledger{Balance: 990}
+	lp, err := g.Wrap(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &wallet{}
+	wp, err := g.Wrap(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(amount int) error {
+		_, err := lp.Invoke("Post", amount, "pay")
+		return err
+	}
+	_, err = wp.Invoke("Pay", 50, post)
+	return w, l, err
+}
+
+// TestDetectionFilterNestedCalls: a proxied call made inside another
+// proxied call must not end the outer call's observation. The ledger's
+// Post and then the wallet's Pay both throw, and both left state behind,
+// so both are marked non-atomic, innermost first.
+func TestDetectionFilterNestedCalls(t *testing.T) {
+	det := &DetectionFilter{}
+	if _, _, err := nestedPay(t, det); err == nil {
+		t.Fatal("expected exception")
+	}
+	if len(det.Marks) != 2 || det.Marks[0].Method != "ledger.Post" || det.Marks[1].Method != "wallet.Pay" {
+		t.Fatalf("marks = %+v, want ledger.Post then wallet.Pay", det.Marks)
+	}
+	for _, m := range det.Marks {
+		if m.Atomic || m.Diff == "" {
+			t.Fatalf("%s must be marked non-atomic with a diff: %+v", m.Method, m)
+		}
+	}
+	if len(det.befores) != 0 {
+		t.Fatalf("%d before-graphs left open", len(det.befores))
+	}
+}
+
+// TestMaskingFilterNestedCalls: each nested proxied call rolls back its
+// own target.
+func TestMaskingFilterNestedCalls(t *testing.T) {
+	mask := &MaskingFilter{}
+	w, l, err := nestedPay(t, mask)
+	if err == nil {
+		t.Fatal("masking without Swallow must re-throw")
+	}
+	if w.Spent != 0 || l.Balance != 990 || mask.Rollbacks != 2 {
+		t.Fatalf("spent %d, balance %d, %d rollbacks; want 0, 990, 2", w.Spent, l.Balance, mask.Rollbacks)
+	}
+}
+
 func TestMaskingFilterRollsBack(t *testing.T) {
 	g := NewGenerator()
 	mask := &MaskingFilter{}

@@ -37,7 +37,7 @@ func (w *walker) capture(free *freeList, roots []any) *Graph {
 	enc := encoder{walker: w, free: free}
 	g := free.graph(len(roots))
 	for i, r := range roots {
-		v, pl := rootValue(r)
+		v, pl := enc.rootValue(r)
 		g.roots = append(g.roots, enc.encode(v, pl, rootLabel(i)))
 	}
 	g.nodes = enc.nodes
@@ -47,12 +47,12 @@ func (w *walker) capture(free *freeList, roots []any) *Graph {
 
 // rootValue returns root r and its plan; a nil root is the invalid
 // Value, whose node is a nil leaf.
-func rootValue(r any) (reflect.Value, *typeplan.Plan) {
+func (w *walker) rootValue(r any) (reflect.Value, *typeplan.Plan) {
 	v := reflect.ValueOf(r)
 	if !v.IsValid() {
 		return v, nil
 	}
-	return v, typeplan.For(v.Type())
+	return v, w.dyn.plan(v.Type())
 }
 
 // encode materializes v's node; pl is the plan of v's type.
@@ -98,7 +98,7 @@ func (e *encoder) encode(v reflect.Value, pl *typeplan.Plan, label string) *Node
 		}
 	case reflect.Interface:
 		dyn := v.Elem()
-		n.Children[0] = e.encode(dyn, typeplan.For(dyn.Type()), "dyn")
+		n.Children[0] = e.encode(dyn, e.dyn.plan(dyn.Type()), "dyn")
 	}
 	return n
 }

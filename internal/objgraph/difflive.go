@@ -32,7 +32,7 @@ func (w *walker) diffLiveRoots(g *Graph, roots []any) string {
 		return fmt.Sprintf("root count %d != %d", len(g.roots), len(roots))
 	}
 	for i, r := range roots {
-		v, pl := rootValue(r)
+		v, pl := w.rootValue(r)
 		if d := w.diffLive(g.roots[i], v, pl, rootLabel(i)); d != "" {
 			return d
 		}
@@ -89,7 +89,7 @@ func (w *walker) diffLive(a *Node, v reflect.Value, pl *typeplan.Plan, label str
 		}
 	case reflect.Interface:
 		dyn := v.Elem()
-		if d := w.diffLive(a.Children[0], dyn, typeplan.For(dyn.Type()), "dyn"); d != "" {
+		if d := w.diffLive(a.Children[0], dyn, w.dyn.plan(dyn.Type()), "dyn"); d != "" {
 			return d
 		}
 	}

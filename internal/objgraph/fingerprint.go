@@ -51,7 +51,7 @@ func (w *walker) fingerprint(roots []any) FP {
 	e := fpEncoder{walker: w}
 	e.h.reset()
 	for i, r := range roots {
-		v, pl := rootValue(r)
+		v, pl := e.rootValue(r)
 		e.encode(v, pl, rootLabelHash(i))
 	}
 	return e.h.sum()
@@ -239,7 +239,7 @@ func (e *fpEncoder) encode(v reflect.Value, pl *typeplan.Plan, labelKey uint64) 
 		}
 		e.leaf(KindInterface, pl.TypeHash, labelKey)
 		dyn := v.Elem()
-		e.encode(dyn, typeplan.For(dyn.Type()), dynLabel)
+		e.encode(dyn, e.dyn.plan(dyn.Type()), dynLabel)
 	case reflect.Chan:
 		if v.IsNil() {
 			e.leaf(KindNil, pl.TypeHash, labelKey)

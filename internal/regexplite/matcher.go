@@ -5,6 +5,16 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mMatcherNew          = core.Method("Matcher.New")
+	mMatcherMatchAt      = core.Method("Matcher.MatchAt")
+	mMatcherGroup        = core.Method("Matcher.Group")
+	mMatchermatchRepeat  = core.Method("Matcher.matchRepeat")
+	mMatchermatchGroup   = core.Method("Matcher.matchGroup")
+	mMatcherclassMatches = core.Method("Matcher.classMatches")
+)
+
 // Matcher executes one compiled pattern against one input. The capture
 // table is mutated during backtracking, legacy style.
 type Matcher struct {
@@ -21,7 +31,7 @@ const MaxSteps = 1 << 16
 
 // NewMatcher returns a matcher for re over input.
 func NewMatcher(re *RegExp, input string) *Matcher {
-	defer core.Enter(nil, "Matcher.New")()
+	defer mMatcherNew.Enter(nil)()
 	caps := make([]int, 2*(re.Groups+1))
 	for i := range caps {
 		caps[i] = -1
@@ -33,7 +43,7 @@ func NewMatcher(re *RegExp, input string) *Matcher {
 // must consume the entire input. On success the capture table holds the
 // group offsets and End the match end.
 func (m *Matcher) MatchAt(at int, full bool) bool {
-	defer core.Enter(m, "Matcher.MatchAt")()
+	defer mMatcherMatchAt.Enter(m)()
 	fuel := MaxSteps // stack-local backtracking budget
 	return m.match(m.RE.Root, at, &fuel, func(end int) bool {
 		if full && end != len(m.Input) {
@@ -50,7 +60,7 @@ func (m *Matcher) MatchAt(at int, full bool) bool {
 // Group returns the text of capture group i ("" when the group did not
 // participate in the match).
 func (m *Matcher) Group(i int) string {
-	defer core.Enter(m, "Matcher.Group")()
+	defer mMatcherGroup.Enter(m)()
 	if i < 0 || 2*i+1 >= len(m.Caps) {
 		fault.Throw(fault.IndexOutOfBounds, "Matcher.Group",
 			"group %d of %d", i, m.RE.Groups)
@@ -117,7 +127,7 @@ func (m *Matcher) matchSeq(nodes []Node, pos int, fuel *int, k func(int) bool) b
 
 // matchRepeat implements greedy bounded repetition.
 func (m *Matcher) matchRepeat(node *RepeatNode, count, pos int, fuel *int, k func(int) bool) bool {
-	defer core.Enter(m, "Matcher.matchRepeat")()
+	defer mMatchermatchRepeat.Enter(m)()
 	if node.Max < 0 || count < node.Max {
 		ok := m.match(node.Sub, pos, fuel, func(next int) bool {
 			if next == pos {
@@ -137,7 +147,7 @@ func (m *Matcher) matchRepeat(node *RepeatNode, count, pos int, fuel *int, k fun
 // not on exceptions, which is exactly the non-atomicity the detection
 // phase finds in the matcher.
 func (m *Matcher) matchGroup(node *GroupNode, pos int, fuel *int, k func(int) bool) bool {
-	defer core.Enter(m, "Matcher.matchGroup")()
+	defer mMatchermatchGroup.Enter(m)()
 	oldLo, oldHi := m.Caps[2*node.Index], m.Caps[2*node.Index+1]
 	m.Caps[2*node.Index] = pos
 	ok := m.match(node.Sub, pos, fuel, func(next int) bool {
@@ -157,7 +167,7 @@ func (m *Matcher) matchGroup(node *GroupNode, pos int, fuel *int, k func(int) bo
 
 // classMatches tests a byte against a class node.
 func (m *Matcher) classMatches(cls *ClassNode, c byte) bool {
-	defer core.Enter(m, "Matcher.classMatches")()
+	defer mMatcherclassMatches.Enter(m)()
 	in := false
 	for _, r := range cls.Ranges {
 		if c >= r.Lo && c <= r.Hi {

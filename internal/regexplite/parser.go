@@ -5,6 +5,18 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mREParserNew              = core.Method("REParser.New")
+	mREParserParseAlternation = core.Method("REParser.ParseAlternation")
+	mREParserParseSequence    = core.Method("REParser.ParseSequence")
+	mREParserParseRepeat      = core.Method("REParser.ParseRepeat")
+	mREParserParseBounds      = core.Method("REParser.ParseBounds")
+	mREParserParseAtom        = core.Method("REParser.ParseAtom")
+	mREParserParseClass       = core.Method("REParser.ParseClass")
+	mREParserParseEscape      = core.Method("REParser.ParseEscape")
+)
+
 // REParser is the recursive-descent pattern parser. It advances Pos and
 // allocates group indices as it goes — legacy incremental state.
 type REParser struct {
@@ -19,13 +31,13 @@ const MaxGroupDepth = 32
 
 // NewREParser returns a parser positioned at the start of pattern.
 func NewREParser(pattern string) *REParser {
-	defer core.Enter(nil, "REParser.New")()
+	defer mREParserNew.Enter(nil)()
 	return &REParser{Pattern: pattern}
 }
 
 // ParseAlternation parses branch ('|' branch)*.
 func (p *REParser) ParseAlternation() Node {
-	defer core.Enter(p, "REParser.ParseAlternation")()
+	defer mREParserParseAlternation.Enter(p)()
 	left := p.ParseSequence()
 	for p.Pos < len(p.Pattern) && p.Pattern[p.Pos] == '|' {
 		p.Pos++
@@ -37,7 +49,7 @@ func (p *REParser) ParseAlternation() Node {
 
 // ParseSequence parses a run of repeated atoms.
 func (p *REParser) ParseSequence() Node {
-	defer core.Enter(p, "REParser.ParseSequence")()
+	defer mREParserParseSequence.Enter(p)()
 	var nodes []Node
 	for p.Pos < len(p.Pattern) {
 		c := p.Pattern[p.Pos]
@@ -58,7 +70,7 @@ func (p *REParser) ParseSequence() Node {
 
 // ParseRepeat parses an atom with an optional *, +, ? or {n[,m]} suffix.
 func (p *REParser) ParseRepeat() Node {
-	defer core.Enter(p, "REParser.ParseRepeat")()
+	defer mREParserParseRepeat.Enter(p)()
 	atom := p.ParseAtom()
 	if p.Pos >= len(p.Pattern) {
 		return atom
@@ -83,7 +95,7 @@ func (p *REParser) ParseRepeat() Node {
 
 // ParseBounds parses a {n}, {n,} or {n,m} quantifier.
 func (p *REParser) ParseBounds() (min, max int) {
-	defer core.Enter(p, "REParser.ParseBounds")()
+	defer mREParserParseBounds.Enter(p)()
 	p.Pos++ // consume '{'
 	min, ok := p.parseInt()
 	if !ok {
@@ -127,7 +139,7 @@ func (p *REParser) parseInt() (int, bool) {
 
 // ParseAtom parses a literal, '.', a class, an escape or a group.
 func (p *REParser) ParseAtom() Node {
-	defer core.Enter(p, "REParser.ParseAtom")()
+	defer mREParserParseAtom.Enter(p)()
 	if p.Pos >= len(p.Pattern) {
 		fault.Throw(fault.ParseError, "REParser.ParseAtom", "pattern ended unexpectedly")
 	}
@@ -175,7 +187,7 @@ func (p *REParser) ParseAtom() Node {
 
 // ParseClass parses a [...] character class.
 func (p *REParser) ParseClass() Node {
-	defer core.Enter(p, "REParser.ParseClass")()
+	defer mREParserParseClass.Enter(p)()
 	p.Pos++ // consume '['
 	cls := &ClassNode{}
 	if p.Pos < len(p.Pattern) && p.Pattern[p.Pos] == '^' {
@@ -215,7 +227,7 @@ func (p *REParser) ParseClass() Node {
 
 // ParseEscape parses \d \w \s and literal escapes.
 func (p *REParser) ParseEscape() Node {
-	defer core.Enter(p, "REParser.ParseEscape")()
+	defer mREParserParseEscape.Enter(p)()
 	p.Pos++ // consume '\'
 	if p.Pos >= len(p.Pattern) {
 		fault.Throw(fault.ParseError, "REParser.ParseEscape", "trailing backslash")

@@ -15,6 +15,14 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mRegExpCompile     = core.Method("RegExp.Compile")
+	mRegExpMatch       = core.Method("RegExp.Match")
+	mRegExpSearch      = core.Method("RegExp.Search")
+	mRegExpMatchPrefix = core.Method("RegExp.MatchPrefix")
+)
+
 // Node is a compiled regular-expression AST node. Concrete nodes use
 // exported fields so the checkpointing engine can snapshot compiled
 // programs.
@@ -111,7 +119,7 @@ type RegExp struct {
 
 // Compile parses pattern into a RegExp; syntax errors throw ParseError.
 func Compile(pattern string) *RegExp {
-	defer core.Enter(nil, "RegExp.Compile")()
+	defer mRegExpCompile.Enter(nil)()
 	p := NewREParser(pattern)
 	root := p.ParseAlternation()
 	if p.Pos != len(p.Pattern) {
@@ -123,7 +131,7 @@ func Compile(pattern string) *RegExp {
 
 // Match reports whether the whole input matches the pattern.
 func (re *RegExp) Match(input string) bool {
-	defer core.Enter(re, "RegExp.Match")()
+	defer mRegExpMatch.Enter(re)()
 	m := NewMatcher(re, input)
 	return m.MatchAt(0, true)
 }
@@ -131,7 +139,7 @@ func (re *RegExp) Match(input string) bool {
 // Search returns the byte offset of the first match of the pattern inside
 // input, or -1.
 func (re *RegExp) Search(input string) int {
-	defer core.Enter(re, "RegExp.Search")()
+	defer mRegExpSearch.Enter(re)()
 	for at := 0; at <= len(input); at++ {
 		m := NewMatcher(re, input)
 		if m.MatchAt(at, false) {
@@ -144,7 +152,7 @@ func (re *RegExp) Search(input string) int {
 // MatchPrefix reports whether a match starts at the beginning of input and
 // returns its length (-1 when there is no match).
 func (re *RegExp) MatchPrefix(input string) int {
-	defer core.Enter(re, "RegExp.MatchPrefix")()
+	defer mRegExpMatchPrefix.Enter(re)()
 	m := NewMatcher(re, input)
 	if !m.MatchAt(0, false) {
 		return -1

@@ -7,6 +7,19 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mValidateAdaptorNew         = core.Method("ValidateAdaptor.New")
+	mValidateAdaptorAdaptorName = core.Method("ValidateAdaptor.AdaptorName")
+	mValidateAdaptorProcess     = core.Method("ValidateAdaptor.Process")
+	mTokenizeAdaptorNew         = core.Method("TokenizeAdaptor.New")
+	mTokenizeAdaptorAdaptorName = core.Method("TokenizeAdaptor.AdaptorName")
+	mTokenizeAdaptorProcess     = core.Method("TokenizeAdaptor.Process")
+	mCountAdaptorNew            = core.Method("CountAdaptor.New")
+	mCountAdaptorAdaptorName    = core.Method("CountAdaptor.AdaptorName")
+	mCountAdaptorProcess        = core.Method("CountAdaptor.Process")
+)
+
 // ValidateAdaptor rejects malformed messages before they enter a pipeline.
 // It is stateless: rejection accounting belongs to the chain's guarded
 // push, so a rejection leaves every object graph untouched.
@@ -16,19 +29,19 @@ type ValidateAdaptor struct {
 
 // NewValidateAdaptor returns a validator enforcing a maximum text length.
 func NewValidateAdaptor(maxLen int) *ValidateAdaptor {
-	defer core.Enter(nil, "ValidateAdaptor.New")()
+	defer mValidateAdaptorNew.Enter(nil)()
 	return &ValidateAdaptor{MaxLen: maxLen}
 }
 
 // AdaptorName implements Adaptor.
 func (v *ValidateAdaptor) AdaptorName() string {
-	defer core.Enter(v, "ValidateAdaptor.AdaptorName")()
+	defer mValidateAdaptorAdaptorName.Enter(v)()
 	return "validate"
 }
 
 // Process throws IllegalArgument for empty or oversized messages.
 func (v *ValidateAdaptor) Process(m *Message) *Message {
-	defer core.Enter(v, "ValidateAdaptor.Process")()
+	defer mValidateAdaptorProcess.Enter(v)()
 	if m.Text == "" {
 		fault.Throw(fault.IllegalArgument, "ValidateAdaptor.Process", "empty message %d", m.ID)
 	}
@@ -47,19 +60,19 @@ type TokenizeAdaptor struct{}
 
 // NewTokenizeAdaptor returns a tokenizer.
 func NewTokenizeAdaptor() *TokenizeAdaptor {
-	defer core.Enter(nil, "TokenizeAdaptor.New")()
+	defer mTokenizeAdaptorNew.Enter(nil)()
 	return &TokenizeAdaptor{}
 }
 
 // AdaptorName implements Adaptor.
 func (a *TokenizeAdaptor) AdaptorName() string {
-	defer core.Enter(a, "TokenizeAdaptor.AdaptorName")()
+	defer mTokenizeAdaptorAdaptorName.Enter(a)()
 	return "tokenize"
 }
 
 // Process rewrites the text as upper-cased, space-normalized tokens.
 func (a *TokenizeAdaptor) Process(m *Message) *Message {
-	defer core.Enter(a, "TokenizeAdaptor.Process")()
+	defer mTokenizeAdaptorProcess.Enter(a)()
 	fields := strings.Fields(m.Text)
 	return &Message{ID: m.ID, Text: strings.ToUpper(strings.Join(fields, " "))}
 }
@@ -72,19 +85,19 @@ type CountAdaptor struct {
 
 // NewCountAdaptor returns a counter.
 func NewCountAdaptor() *CountAdaptor {
-	defer core.Enter(nil, "CountAdaptor.New")()
+	defer mCountAdaptorNew.Enter(nil)()
 	return &CountAdaptor{}
 }
 
 // AdaptorName implements Adaptor.
 func (a *CountAdaptor) AdaptorName() string {
-	defer core.Enter(a, "CountAdaptor.AdaptorName")()
+	defer mCountAdaptorAdaptorName.Enter(a)()
 	return "count"
 }
 
 // Process passes the message through, committing both counters together.
 func (a *CountAdaptor) Process(m *Message) *Message {
-	defer core.Enter(a, "CountAdaptor.Process")()
+	defer mCountAdaptorProcess.Enter(a)()
 	a.Messages++
 	a.Bytes += len(m.Text) + len(m.Bytes)
 	return m

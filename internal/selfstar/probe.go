@@ -5,6 +5,15 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mMsgSourceNew          = core.Method("MsgSource.New")
+	mMsgSourceNext         = core.Method("MsgSource.Next")
+	mQueueProbeNew         = core.Method("QueueProbe.New")
+	mQueueProbeDepth       = core.Method("QueueProbe.Depth")
+	mQueueProbeUtilization = core.Method("QueueProbe.Utilization")
+)
+
 // MsgSource produces sequentially numbered messages for a pipeline.
 type MsgSource struct {
 	NextID int
@@ -13,13 +22,13 @@ type MsgSource struct {
 
 // NewMsgSource returns a source starting at id 1.
 func NewMsgSource(prefix string) *MsgSource {
-	defer core.Enter(nil, "MsgSource.New")()
+	defer mMsgSourceNew.Enter(nil)()
 	return &MsgSource{NextID: 1, Prefix: prefix}
 }
 
 // Next returns a fresh message and advances the sequence.
 func (s *MsgSource) Next() *Message {
-	defer core.Enter(s, "MsgSource.Next")()
+	defer mMsgSourceNext.Enter(s)()
 	m := &Message{ID: s.NextID, Text: s.Prefix}
 	s.NextID++
 	return m
@@ -33,13 +42,13 @@ type QueueProbe struct {
 
 // NewQueueProbe returns a probe.
 func NewQueueProbe() *QueueProbe {
-	defer core.Enter(nil, "QueueProbe.New")()
+	defer mQueueProbeNew.Enter(nil)()
 	return &QueueProbe{}
 }
 
 // Depth samples a queue's depth.
 func (p *QueueProbe) Depth(q *StdQueue) int {
-	defer core.Enter(p, "QueueProbe.Depth")()
+	defer mQueueProbeDepth.Enter(p)()
 	d := q.Size()
 	p.Samples++
 	if d > p.MaxSeen {
@@ -50,7 +59,7 @@ func (p *QueueProbe) Depth(q *StdQueue) int {
 
 // Utilization returns a queue's fill ratio in percent.
 func (p *QueueProbe) Utilization(q *StdQueue) int {
-	defer core.Enter(p, "QueueProbe.Utilization")()
+	defer mQueueProbeUtilization.Enter(p)()
 	if q.Capacity == 0 {
 		fault.Throw(fault.IllegalArgument, "QueueProbe.Utilization", "zero-capacity queue")
 	}

@@ -16,6 +16,25 @@ import (
 	"failatomic/internal/xmlite"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mAdaptorChainNew          = core.Method("AdaptorChain.New")
+	mAdaptorChainAddStage     = core.Method("AdaptorChain.AddStage")
+	mAdaptorChainPush         = core.Method("AdaptorChain.Push")
+	mAdaptorChainPushAll      = core.Method("AdaptorChain.PushAll")
+	mAdaptorChainPushGuarded  = core.Method("AdaptorChain.PushGuarded")
+	mAdaptorChainPushReliably = core.Method("AdaptorChain.PushReliably")
+	mStdQueueNew              = core.Method("StdQueue.New")
+	mStdQueueSize             = core.Method("StdQueue.Size")
+	mStdQueueIsEmpty          = core.Method("StdQueue.IsEmpty")
+	mStdQueueIsFull           = core.Method("StdQueue.IsFull")
+	mStdQueueEnqueue          = core.Method("StdQueue.Enqueue")
+	mStdQueueDequeue          = core.Method("StdQueue.Dequeue")
+	mStdQueuePeek             = core.Method("StdQueue.Peek")
+	mStdQueueClear            = core.Method("StdQueue.Clear")
+	mStdQueueDrainTo          = core.Method("StdQueue.DrainTo")
+)
+
 // Message is the unit of data flow between components.
 type Message struct {
 	ID    int
@@ -43,13 +62,13 @@ type AdaptorChain struct {
 
 // NewAdaptorChain builds a chain over the given stages.
 func NewAdaptorChain(stages ...Adaptor) *AdaptorChain {
-	defer core.Enter(nil, "AdaptorChain.New")()
+	defer mAdaptorChainNew.Enter(nil)()
 	return &AdaptorChain{Stages: stages}
 }
 
 // AddStage appends a stage to the chain.
 func (c *AdaptorChain) AddStage(a Adaptor) {
-	defer core.Enter(c, "AdaptorChain.AddStage")()
+	defer mAdaptorChainAddStage.Enter(c)()
 	if a == nil {
 		fault.Throw(fault.IllegalArgument, "AdaptorChain.AddStage", "nil adaptor")
 	}
@@ -59,7 +78,7 @@ func (c *AdaptorChain) AddStage(a Adaptor) {
 // Push runs one message through every stage; counters commit only after
 // the full chain succeeded (compute-then-commit).
 func (c *AdaptorChain) Push(m *Message) *Message {
-	defer core.Enter(c, "AdaptorChain.Push")()
+	defer mAdaptorChainPush.Enter(c)()
 	if m == nil {
 		fault.Throw(fault.IllegalArgument, "AdaptorChain.Push", "nil message")
 	}
@@ -75,7 +94,7 @@ func (c *AdaptorChain) Push(m *Message) *Message {
 // processed — one of the few inherently non-atomic methods in the
 // framework.
 func (c *AdaptorChain) PushAll(msgs []*Message) []*Message {
-	defer core.Enter(c, "AdaptorChain.PushAll")()
+	defer mAdaptorChainPushAll.Enter(c)()
 	out := make([]*Message, 0, len(msgs))
 	for _, m := range msgs {
 		out = append(out, c.Push(m))
@@ -86,7 +105,7 @@ func (c *AdaptorChain) PushAll(msgs []*Message) []*Message {
 // PushGuarded pushes one message, converting an exceptional result into a
 // failure count — the framework's retry seam.
 func (c *AdaptorChain) PushGuarded(m *Message) (out *Message) {
-	defer core.Enter(c, "AdaptorChain.PushGuarded")()
+	defer mAdaptorChainPushGuarded.Enter(c)()
 	defer func() {
 		if r := recover(); r != nil {
 			c.Failed++
@@ -104,7 +123,7 @@ func (c *AdaptorChain) PushGuarded(m *Message) (out *Message) {
 // fault is retried to success) but not under a fault burst, whose second
 // fault unwinds out of the retry with Failed already advanced.
 func (c *AdaptorChain) PushReliably(m *Message) *Message {
-	defer core.Enter(c, "AdaptorChain.PushReliably")()
+	defer mAdaptorChainPushReliably.Enter(c)()
 	if out, ok := c.tryPush(m); ok {
 		return out
 	}
@@ -138,7 +157,7 @@ type StdQueue struct {
 
 // NewStdQueue returns an empty queue with the given capacity.
 func NewStdQueue(capacity int) *StdQueue {
-	defer core.Enter(nil, "StdQueue.New")()
+	defer mStdQueueNew.Enter(nil)()
 	if capacity <= 0 {
 		fault.Throw(fault.IllegalArgument, "StdQueue.New", "capacity %d", capacity)
 	}
@@ -147,25 +166,25 @@ func NewStdQueue(capacity int) *StdQueue {
 
 // Size returns the number of queued messages.
 func (q *StdQueue) Size() int {
-	defer core.Enter(q, "StdQueue.Size")()
+	defer mStdQueueSize.Enter(q)()
 	return q.Count
 }
 
 // IsEmpty reports whether the queue has no messages.
 func (q *StdQueue) IsEmpty() bool {
-	defer core.Enter(q, "StdQueue.IsEmpty")()
+	defer mStdQueueIsEmpty.Enter(q)()
 	return q.Count == 0
 }
 
 // IsFull reports whether the queue is at capacity.
 func (q *StdQueue) IsFull() bool {
-	defer core.Enter(q, "StdQueue.IsFull")()
+	defer mStdQueueIsFull.Enter(q)()
 	return q.Count == q.Capacity
 }
 
 // Enqueue appends a message; all checks precede the commit.
 func (q *StdQueue) Enqueue(m *Message) {
-	defer core.Enter(q, "StdQueue.Enqueue")()
+	defer mStdQueueEnqueue.Enter(q)()
 	if m == nil {
 		fault.Throw(fault.IllegalArgument, "StdQueue.Enqueue", "nil message")
 	}
@@ -180,7 +199,7 @@ func (q *StdQueue) Enqueue(m *Message) {
 
 // Dequeue removes and returns the oldest message.
 func (q *StdQueue) Dequeue() *Message {
-	defer core.Enter(q, "StdQueue.Dequeue")()
+	defer mStdQueueDequeue.Enter(q)()
 	if q.Count == 0 {
 		fault.Throw(fault.NoSuchElement, "StdQueue.Dequeue", "empty queue")
 	}
@@ -194,7 +213,7 @@ func (q *StdQueue) Dequeue() *Message {
 
 // Peek returns the oldest message without removing it.
 func (q *StdQueue) Peek() *Message {
-	defer core.Enter(q, "StdQueue.Peek")()
+	defer mStdQueuePeek.Enter(q)()
 	if q.Count == 0 {
 		fault.Throw(fault.NoSuchElement, "StdQueue.Peek", "empty queue")
 	}
@@ -203,7 +222,7 @@ func (q *StdQueue) Peek() *Message {
 
 // Clear drops all messages.
 func (q *StdQueue) Clear() {
-	defer core.Enter(q, "StdQueue.Clear")()
+	defer mStdQueueClear.Enter(q)()
 	for i := range q.Items {
 		q.Items[i] = nil
 	}
@@ -215,7 +234,7 @@ func (q *StdQueue) Clear() {
 // DrainTo moves every message into dst, one at a time — inherently
 // non-atomic across the pair on mid-drain exceptions.
 func (q *StdQueue) DrainTo(dst *StdQueue) int {
-	defer core.Enter(q, "StdQueue.DrainTo", dst)()
+	defer mStdQueueDrainTo.Enter(q, dst)()
 	moved := 0
 	for q.Count > 0 {
 		dst.Enqueue(q.Dequeue())

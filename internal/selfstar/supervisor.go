@@ -5,6 +5,13 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mSupervisorNew     = core.Method("Supervisor.New")
+	mSupervisorDeliver = core.Method("Supervisor.Deliver")
+	mSupervisorDrain   = core.Method("Supervisor.Drain")
+)
+
 // Supervisor is Self*'s recovery component: it drives messages through a
 // chain with bounded retries, quarantining messages that keep failing.
 // This is the consumer of failure atomicity — "recovery is often based on
@@ -19,7 +26,7 @@ type Supervisor struct {
 
 // NewSupervisor wraps a chain with a retry budget per message.
 func NewSupervisor(chain *AdaptorChain, maxRetries int) *Supervisor {
-	defer core.Enter(nil, "Supervisor.New")()
+	defer mSupervisorNew.Enter(nil)()
 	if chain == nil {
 		fault.Throw(fault.IllegalArgument, "Supervisor.New", "nil chain")
 	}
@@ -32,7 +39,7 @@ func NewSupervisor(chain *AdaptorChain, maxRetries int) *Supervisor {
 // Deliver pushes one message with retries; permanently failing messages
 // are quarantined and reported via the returned ok flag.
 func (s *Supervisor) Deliver(m *Message) (out *Message, ok bool) {
-	defer core.Enter(s, "Supervisor.Deliver")()
+	defer mSupervisorDeliver.Enter(s)()
 	for attempt := 0; attempt <= s.MaxRetries; attempt++ {
 		out = s.Chain.PushGuarded(m)
 		if out != nil {
@@ -47,7 +54,7 @@ func (s *Supervisor) Deliver(m *Message) (out *Message, ok bool) {
 // Drain delivers every message waiting in a queue, in order; quarantined
 // messages do not stop the drain.
 func (s *Supervisor) Drain(q *StdQueue) int {
-	defer core.Enter(s, "Supervisor.Drain", q)()
+	defer mSupervisorDrain.Enter(s, q)()
 	delivered := 0
 	for !q.IsEmpty() {
 		if _, ok := s.Deliver(q.Dequeue()); ok {

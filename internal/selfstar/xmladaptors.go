@@ -9,25 +9,47 @@ import (
 	"failatomic/internal/xmlite"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mXMLParseAdaptorNew           = core.Method("XMLParseAdaptor.New")
+	mXMLParseAdaptorAdaptorName   = core.Method("XMLParseAdaptor.AdaptorName")
+	mXMLParseAdaptorProcess       = core.Method("XMLParseAdaptor.Process")
+	mTCPFrameAdaptorNew           = core.Method("TCPFrameAdaptor.New")
+	mTCPFrameAdaptorAdaptorName   = core.Method("TCPFrameAdaptor.AdaptorName")
+	mTCPFrameAdaptorProcess       = core.Method("TCPFrameAdaptor.Process")
+	mTCPFrameAdaptorEncodeFrame   = core.Method("TCPFrameAdaptor.EncodeFrame")
+	mTCPFrameAdaptorcountFrames   = core.Method("TCPFrameAdaptor.countFrames")
+	mStructConvAdaptorNew         = core.Method("StructConvAdaptor.New")
+	mStructConvAdaptorAdaptorName = core.Method("StructConvAdaptor.AdaptorName")
+	mStructConvAdaptorProcess     = core.Method("StructConvAdaptor.Process")
+	mStructConvAdaptoremitFlat    = core.Method("StructConvAdaptor.emitFlat")
+	mStructConvAdaptoremitNested  = core.Method("StructConvAdaptor.emitNested")
+	mStructConvAdaptorCheckIdent  = core.Method("StructConvAdaptor.CheckIdent")
+	mXMLRenameAdaptorNew          = core.Method("XMLRenameAdaptor.New")
+	mXMLRenameAdaptorAdaptorName  = core.Method("XMLRenameAdaptor.AdaptorName")
+	mXMLRenameAdaptorProcess      = core.Method("XMLRenameAdaptor.Process")
+	mXMLRenameAdaptorRewrite      = core.Method("XMLRenameAdaptor.Rewrite")
+)
+
 // XMLParseAdaptor parses message text into a DOM (the front stage of all
 // four xml2* applications). Like every interior stage it is stateless.
 type XMLParseAdaptor struct{}
 
 // NewXMLParseAdaptor returns a parser stage.
 func NewXMLParseAdaptor() *XMLParseAdaptor {
-	defer core.Enter(nil, "XMLParseAdaptor.New")()
+	defer mXMLParseAdaptorNew.Enter(nil)()
 	return &XMLParseAdaptor{}
 }
 
 // AdaptorName implements Adaptor.
 func (a *XMLParseAdaptor) AdaptorName() string {
-	defer core.Enter(a, "XMLParseAdaptor.AdaptorName")()
+	defer mXMLParseAdaptorAdaptorName.Enter(a)()
 	return "xmlparse"
 }
 
 // Process parses the text into Doc.
 func (a *XMLParseAdaptor) Process(m *Message) *Message {
-	defer core.Enter(a, "XMLParseAdaptor.Process")()
+	defer mXMLParseAdaptorProcess.Enter(a)()
 	return &Message{ID: m.ID, Doc: xmlite.Parse(m.Text)}
 }
 
@@ -44,13 +66,13 @@ const MaxFramePayload = 9999
 
 // NewTCPFrameAdaptor returns an encoder stage.
 func NewTCPFrameAdaptor() *TCPFrameAdaptor {
-	defer core.Enter(nil, "TCPFrameAdaptor.New")()
+	defer mTCPFrameAdaptorNew.Enter(nil)()
 	return &TCPFrameAdaptor{}
 }
 
 // AdaptorName implements Adaptor.
 func (a *TCPFrameAdaptor) AdaptorName() string {
-	defer core.Enter(a, "TCPFrameAdaptor.AdaptorName")()
+	defer mTCPFrameAdaptorAdaptorName.Enter(a)()
 	return "tcpframe"
 }
 
@@ -58,7 +80,7 @@ func (a *TCPFrameAdaptor) AdaptorName() string {
 // per frame *as frames are built* — the one careless habit this component
 // kept from its C++ original.
 func (a *TCPFrameAdaptor) Process(m *Message) *Message {
-	defer core.Enter(a, "TCPFrameAdaptor.Process")()
+	defer mTCPFrameAdaptorProcess.Enter(a)()
 	if m.Doc == nil {
 		fault.Throw(fault.IllegalArgument, "TCPFrameAdaptor.Process", "message %d has no DOM", m.ID)
 	}
@@ -78,7 +100,7 @@ func (a *TCPFrameAdaptor) Process(m *Message) *Message {
 
 // EncodeFrame builds one frame for an element.
 func (a *TCPFrameAdaptor) EncodeFrame(e *xmlite.Element) []byte {
-	defer core.Enter(a, "TCPFrameAdaptor.EncodeFrame")()
+	defer mTCPFrameAdaptorEncodeFrame.Enter(a)()
 	payload := e.Name + "=" + firstLine(e.TextContent())
 	if len(payload) > MaxFramePayload {
 		fault.Throw(fault.CapacityExceeded, "TCPFrameAdaptor.EncodeFrame",
@@ -92,7 +114,7 @@ func (a *TCPFrameAdaptor) EncodeFrame(e *xmlite.Element) []byte {
 
 // countFrames re-parses the stream to count frames (a self-check).
 func (a *TCPFrameAdaptor) countFrames(stream []byte) int {
-	defer core.Enter(a, "TCPFrameAdaptor.countFrames")()
+	defer mTCPFrameAdaptorcountFrames.Enter(a)()
 	n := 0
 	for pos := 0; pos < len(stream); {
 		if pos+4 > len(stream) {
@@ -142,7 +164,7 @@ type StructConvAdaptor struct {
 
 // NewStructConvAdaptor returns a conversion stage (variant 1 or 2).
 func NewStructConvAdaptor(variant int) *StructConvAdaptor {
-	defer core.Enter(nil, "StructConvAdaptor.New")()
+	defer mStructConvAdaptorNew.Enter(nil)()
 	if variant != 1 && variant != 2 {
 		fault.Throw(fault.IllegalArgument, "StructConvAdaptor.New", "variant %d", variant)
 	}
@@ -151,13 +173,13 @@ func NewStructConvAdaptor(variant int) *StructConvAdaptor {
 
 // AdaptorName implements Adaptor.
 func (a *StructConvAdaptor) AdaptorName() string {
-	defer core.Enter(a, "StructConvAdaptor.AdaptorName")()
+	defer mStructConvAdaptorAdaptorName.Enter(a)()
 	return "structconv" + strconv.Itoa(a.Variant)
 }
 
 // Process renders the DOM as C declarations.
 func (a *StructConvAdaptor) Process(m *Message) *Message {
-	defer core.Enter(a, "StructConvAdaptor.Process")()
+	defer mStructConvAdaptorProcess.Enter(a)()
 	if m.Doc == nil {
 		fault.Throw(fault.IllegalArgument, "StructConvAdaptor.Process", "message %d has no DOM", m.ID)
 	}
@@ -174,7 +196,7 @@ func (a *StructConvAdaptor) Process(m *Message) *Message {
 // emitFlat writes one struct per element, depth first, logging each name
 // before its identifiers are fully validated.
 func (a *StructConvAdaptor) emitFlat(b *strings.Builder, e *xmlite.Element) {
-	defer core.Enter(a, "StructConvAdaptor.emitFlat")()
+	defer mStructConvAdaptoremitFlat.Enter(a)()
 	a.Names = append(a.Names, e.Name)
 	a.CheckIdent(e.Name)
 	b.WriteString("struct " + e.Name + " {\n")
@@ -192,7 +214,7 @@ func (a *StructConvAdaptor) emitFlat(b *strings.Builder, e *xmlite.Element) {
 // Seen registry fills in as the walk proceeds, so a mid-walk exception
 // strands it half-populated.
 func (a *StructConvAdaptor) emitNested(b *strings.Builder, e *xmlite.Element) {
-	defer core.Enter(a, "StructConvAdaptor.emitNested")()
+	defer mStructConvAdaptoremitNested.Enter(a)()
 	if a.Seen[e.Name] {
 		return
 	}
@@ -219,7 +241,7 @@ func (a *StructConvAdaptor) emitNested(b *strings.Builder, e *xmlite.Element) {
 
 // CheckIdent validates that a name is a legal C identifier.
 func (a *StructConvAdaptor) CheckIdent(name string) {
-	defer core.Enter(a, "StructConvAdaptor.CheckIdent")()
+	defer mStructConvAdaptorCheckIdent.Enter(a)()
 	if name == "" {
 		fault.Throw(fault.IllegalArgument, "StructConvAdaptor.CheckIdent", "empty identifier")
 	}
@@ -243,20 +265,20 @@ type XMLRenameAdaptor struct {
 
 // NewXMLRenameAdaptor returns a rewrite stage.
 func NewXMLRenameAdaptor(renames map[string]string, stripAttr string) *XMLRenameAdaptor {
-	defer core.Enter(nil, "XMLRenameAdaptor.New")()
+	defer mXMLRenameAdaptorNew.Enter(nil)()
 	return &XMLRenameAdaptor{Renames: renames, StripAttr: stripAttr}
 }
 
 // AdaptorName implements Adaptor.
 func (a *XMLRenameAdaptor) AdaptorName() string {
-	defer core.Enter(a, "XMLRenameAdaptor.AdaptorName")()
+	defer mXMLRenameAdaptorAdaptorName.Enter(a)()
 	return "xmlrename"
 }
 
 // Process rewrites the DOM *in place* (the C++ original mutated the tree
 // it was given) and serializes it back to text.
 func (a *XMLRenameAdaptor) Process(m *Message) *Message {
-	defer core.Enter(a, "XMLRenameAdaptor.Process")()
+	defer mXMLRenameAdaptorProcess.Enter(a)()
 	if m.Doc == nil {
 		fault.Throw(fault.IllegalArgument, "XMLRenameAdaptor.Process", "message %d has no DOM", m.ID)
 	}
@@ -270,7 +292,7 @@ func (a *XMLRenameAdaptor) Process(m *Message) *Message {
 // Rewrite renames tags and strips the configured attribute, top down —
 // in-place mutation that a mid-walk exception leaves half-applied.
 func (a *XMLRenameAdaptor) Rewrite(e *xmlite.Element) {
-	defer core.Enter(a, "XMLRenameAdaptor.Rewrite", e)()
+	defer mXMLRenameAdaptorRewrite.Enter(a, e)()
 	if to, ok := a.Renames[e.Name]; ok {
 		e.Name = to
 	}

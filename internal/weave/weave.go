@@ -7,7 +7,11 @@
 //
 // into every method, which is the Go equivalent of AspectC++ redirecting
 // call sites to injection/atomicity wrappers — the prologue *is* the
-// wrapper, so no call-site rewriting is needed.
+// wrapper, so no call-site rewriting is needed. The string Enter is a thin
+// wrapper over the method-handle prologue (failatomic.Method(name).Enter):
+// it looks the name's handle up per call, where hand-written code resolves
+// the handle once at package init. Both are recognized as a prologue
+// (hasPrologue), so woven and hand-written packages check alike.
 //
 // The weaver edits source text at AST-derived positions (preserving all
 // comments), is idempotent, can strip its own instrumentation, and can
@@ -265,7 +269,8 @@ func receiverClass(expr ast.Expr) string {
 }
 
 // hasPrologue reports whether the function already starts with an Enter
-// prologue: either facade.Enter(...) or a package-local enter(...) alias.
+// prologue: facade.Enter(...), a method handle's mPut.Enter(...), or a
+// package-local enter(...) alias.
 func hasPrologue(fn *ast.FuncDecl) bool {
 	return len(fn.Body.List) > 0 && isPrologue(fn.Body.List[0])
 }

@@ -7,6 +7,22 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mParserNew           = core.Method("Parser.New")
+	mxmliteParse         = core.Method("xmlite.Parse")
+	mParserParseDocument = core.Method("Parser.ParseDocument")
+	mParserParseElement  = core.Method("Parser.ParseElement")
+	mParserParseAttrs    = core.Method("Parser.ParseAttrs")
+	mParserParseName     = core.Method("Parser.ParseName")
+	mParserParseQuoted   = core.Method("Parser.ParseQuoted")
+	mParserParseText     = core.Method("Parser.ParseText")
+	mParserSkipSpace     = core.Method("Parser.SkipSpace")
+	mParserParseCDATA    = core.Method("Parser.ParseCDATA")
+	mParserSkipComment   = core.Method("Parser.SkipComment")
+	mParserUnescape      = core.Method("Parser.Unescape")
+)
+
 // Parser is a recursive-descent XML parser. In the Self* careful style the
 // parser object itself is immutable during a parse: every method takes the
 // current position and returns the new one, so a thrown ParseError leaves
@@ -17,20 +33,20 @@ type Parser struct {
 
 // NewParser returns a parser over input.
 func NewParser(input string) *Parser {
-	defer core.Enter(nil, "Parser.New")()
+	defer mParserNew.Enter(nil)()
 	return &Parser{Input: input}
 }
 
 // Parse parses a complete document and returns its root element.
 func Parse(input string) *Element {
-	defer core.Enter(nil, "xmlite.Parse")()
+	defer mxmliteParse.Enter(nil)()
 	return NewParser(input).ParseDocument()
 }
 
 // ParseDocument parses optional prolog/whitespace, the root element, and
 // trailing whitespace.
 func (p *Parser) ParseDocument() *Element {
-	defer core.Enter(p, "Parser.ParseDocument")()
+	defer mParserParseDocument.Enter(p)()
 	pos := p.SkipSpace(0)
 	if strings.HasPrefix(p.Input[pos:], "<?") {
 		end := strings.Index(p.Input[pos:], "?>")
@@ -51,7 +67,7 @@ func (p *Parser) ParseDocument() *Element {
 // returning the element and the position after it. Children attach only
 // after each child parsed completely.
 func (p *Parser) ParseElement(pos int) (*Element, int) {
-	defer core.Enter(p, "Parser.ParseElement")()
+	defer mParserParseElement.Enter(p)()
 	if pos >= len(p.Input) || p.Input[pos] != '<' {
 		p.fail(pos, "expected '<'")
 	}
@@ -109,7 +125,7 @@ func (p *Parser) ParseElement(pos int) (*Element, int) {
 // them with the position of the tag terminator. The list is built locally
 // and handed back, so a mid-list ParseError discards it wholesale.
 func (p *Parser) ParseAttrs(tag string, pos int) ([]Attr, int) {
-	defer core.Enter(p, "Parser.ParseAttrs")()
+	defer mParserParseAttrs.Enter(p)()
 	var attrs []Attr
 	for {
 		pos = p.SkipSpace(pos)
@@ -134,7 +150,7 @@ func (p *Parser) ParseAttrs(tag string, pos int) ([]Attr, int) {
 
 // ParseName parses an XML name token starting at pos.
 func (p *Parser) ParseName(pos int) (string, int) {
-	defer core.Enter(p, "Parser.ParseName")()
+	defer mParserParseName.Enter(p)()
 	start := pos
 	for pos < len(p.Input) && isNameByte(p.Input[pos], pos > start) {
 		pos++
@@ -148,7 +164,7 @@ func (p *Parser) ParseName(pos int) (string, int) {
 // ParseQuoted parses a double- or single-quoted attribute value with
 // entity expansion.
 func (p *Parser) ParseQuoted(pos int) (string, int) {
-	defer core.Enter(p, "Parser.ParseQuoted")()
+	defer mParserParseQuoted.Enter(p)()
 	if pos >= len(p.Input) || (p.Input[pos] != '"' && p.Input[pos] != '\'') {
 		p.fail(pos, "expected quoted value")
 	}
@@ -166,7 +182,7 @@ func (p *Parser) ParseQuoted(pos int) (string, int) {
 
 // ParseText parses character data up to the next '<'.
 func (p *Parser) ParseText(pos int) (string, int) {
-	defer core.Enter(p, "Parser.ParseText")()
+	defer mParserParseText.Enter(p)()
 	start := pos
 	for pos < len(p.Input) && p.Input[pos] != '<' {
 		pos++
@@ -176,7 +192,7 @@ func (p *Parser) ParseText(pos int) (string, int) {
 
 // SkipSpace returns the first non-whitespace position at or after pos.
 func (p *Parser) SkipSpace(pos int) int {
-	defer core.Enter(p, "Parser.SkipSpace")()
+	defer mParserSkipSpace.Enter(p)()
 	for pos < len(p.Input) {
 		switch p.Input[pos] {
 		case ' ', '\t', '\n', '\r':
@@ -191,7 +207,7 @@ func (p *Parser) SkipSpace(pos int) int {
 // ParseCDATA parses a <![CDATA[ ... ]]> section; the contents are taken
 // verbatim (no entity expansion).
 func (p *Parser) ParseCDATA(pos int) (string, int) {
-	defer core.Enter(p, "Parser.ParseCDATA")()
+	defer mParserParseCDATA.Enter(p)()
 	start := pos + len("<![CDATA[")
 	end := strings.Index(p.Input[start:], "]]>")
 	if end < 0 {
@@ -202,7 +218,7 @@ func (p *Parser) ParseCDATA(pos int) (string, int) {
 
 // SkipComment returns the position after a <!-- --> comment.
 func (p *Parser) SkipComment(pos int) int {
-	defer core.Enter(p, "Parser.SkipComment")()
+	defer mParserSkipComment.Enter(p)()
 	end := strings.Index(p.Input[pos:], "-->")
 	if end < 0 {
 		p.fail(pos, "unterminated comment")
@@ -213,7 +229,7 @@ func (p *Parser) SkipComment(pos int) int {
 // Unescape expands the five predefined entities in s (located at offset
 // for error reporting).
 func (p *Parser) Unescape(s string, offset int) string {
-	defer core.Enter(p, "Parser.Unescape")()
+	defer mParserUnescape.Enter(p)()
 	if !strings.Contains(s, "&") {
 		return s
 	}

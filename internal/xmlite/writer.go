@@ -7,6 +7,16 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mWriterNew           = core.Method("Writer.New")
+	mWriterString        = core.Method("Writer.String")
+	mWriterWriteDocument = core.Method("Writer.WriteDocument")
+	mWriterWriteElement  = core.Method("Writer.WriteElement")
+	mWriterWriteText     = core.Method("Writer.WriteText")
+	mWriterRaw           = core.Method("Writer.Raw")
+)
+
 // Writer serializes a DOM back to XML text. It accumulates output in an
 // exported buffer so the writer itself is a checkpointable component.
 type Writer struct {
@@ -17,19 +27,19 @@ type Writer struct {
 
 // NewWriter returns a writer; with indent set it pretty-prints.
 func NewWriter(indent bool) *Writer {
-	defer core.Enter(nil, "Writer.New")()
+	defer mWriterNew.Enter(nil)()
 	return &Writer{Indent: indent}
 }
 
 // String returns the serialized document.
 func (w *Writer) String() string {
-	defer core.Enter(w, "Writer.String")()
+	defer mWriterString.Enter(w)()
 	return string(w.Out)
 }
 
 // WriteDocument serializes root (with prolog) and returns the text.
 func (w *Writer) WriteDocument(root *Element) string {
-	defer core.Enter(w, "Writer.WriteDocument")()
+	defer mWriterWriteDocument.Enter(w)()
 	if root == nil {
 		fault.Throw(fault.IllegalArgument, "Writer.WriteDocument", "nil root")
 	}
@@ -43,7 +53,7 @@ func (w *Writer) WriteDocument(root *Element) string {
 
 // WriteElement serializes one element subtree.
 func (w *Writer) WriteElement(e *Element) {
-	defer core.Enter(w, "Writer.WriteElement")()
+	defer mWriterWriteElement.Enter(w)()
 	w.indent()
 	w.Raw("<")
 	w.Raw(e.Name)
@@ -93,13 +103,13 @@ func (w *Writer) WriteElement(e *Element) {
 
 // WriteText serializes a text node with escaping.
 func (w *Writer) WriteText(t *Text) {
-	defer core.Enter(w, "Writer.WriteText")()
+	defer mWriterWriteText.Enter(w)()
 	w.Raw(Escape(t.Data))
 }
 
 // Raw appends raw output.
 func (w *Writer) Raw(s string) {
-	defer core.Enter(w, "Writer.Raw")()
+	defer mWriterRaw.Enter(w)()
 	w.Out = append(w.Out, s...)
 }
 

@@ -16,6 +16,16 @@ import (
 	"failatomic/internal/fault"
 )
 
+// Method handles of the instrumented methods below.
+var (
+	mElementAttr          = core.Method("Element.Attr")
+	mElementSetAttr       = core.Method("Element.SetAttr")
+	mElementChildElements = core.Method("Element.ChildElements")
+	mElementTextContent   = core.Method("Element.TextContent")
+	mElementFind          = core.Method("Element.Find")
+	mElementAppend        = core.Method("Element.Append")
+)
+
 // Node is a DOM node: *Element or *Text.
 type Node interface {
 	// nodeKind tags the node for debugging.
@@ -48,7 +58,7 @@ func (*Text) nodeKind() string { return "text" }
 
 // Attr returns the value of the named attribute and whether it exists.
 func (e *Element) Attr(name string) (string, bool) {
-	defer core.Enter(e, "Element.Attr")()
+	defer mElementAttr.Enter(e)()
 	for _, a := range e.Attrs {
 		if a.Name == name {
 			return a.Value, true
@@ -59,7 +69,7 @@ func (e *Element) Attr(name string) (string, bool) {
 
 // SetAttr sets or replaces an attribute.
 func (e *Element) SetAttr(name, value string) {
-	defer core.Enter(e, "Element.SetAttr")()
+	defer mElementSetAttr.Enter(e)()
 	for i := range e.Attrs {
 		if e.Attrs[i].Name == name {
 			e.Attrs[i].Value = value
@@ -71,7 +81,7 @@ func (e *Element) SetAttr(name, value string) {
 
 // ChildElements returns the element children in document order.
 func (e *Element) ChildElements() []*Element {
-	defer core.Enter(e, "Element.ChildElements")()
+	defer mElementChildElements.Enter(e)()
 	var out []*Element
 	for _, c := range e.Children {
 		if el, ok := c.(*Element); ok {
@@ -83,7 +93,7 @@ func (e *Element) ChildElements() []*Element {
 
 // TextContent concatenates all descendant text.
 func (e *Element) TextContent() string {
-	defer core.Enter(e, "Element.TextContent")()
+	defer mElementTextContent.Enter(e)()
 	var b strings.Builder
 	var walk func(n Node)
 	walk = func(n Node) {
@@ -103,7 +113,7 @@ func (e *Element) TextContent() string {
 // Find returns the first descendant element with the given name (depth
 // first), or nil.
 func (e *Element) Find(name string) *Element {
-	defer core.Enter(e, "Element.Find")()
+	defer mElementFind.Enter(e)()
 	for _, c := range e.Children {
 		el, ok := c.(*Element)
 		if !ok {
@@ -121,7 +131,7 @@ func (e *Element) Find(name string) *Element {
 
 // Append adds a child node.
 func (e *Element) Append(n Node) {
-	defer core.Enter(e, "Element.Append")()
+	defer mElementAppend.Enter(e)()
 	if n == nil {
 		fault.Throw(fault.IllegalElement, "Element.Append", "nil child")
 	}
