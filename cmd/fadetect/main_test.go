@@ -617,3 +617,70 @@ func compareFiles(t *testing.T, got, want string) {
 	}
 	t.Fatalf("%s differs from %s: %d lines vs %d", got, want, len(gl), len(wl))
 }
+
+// TestConcurrentCampaignsMatchGoldens: campaigns share the process's idle
+// workers, so campaigns that run back to back on two goroutines while a
+// third runs the whole evaluation at -parallel 4 (RunAllWithOptions with
+// Parallelism 4) must still reproduce every committed golden byte for
+// byte: the RBMap Repeats=2 log, the LinkedList schedule campaign's
+// report and log, and evaluation_output.txt.
+func TestConcurrentCampaignsMatchGoldens(t *testing.T) {
+	golden := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	rbmapLog := golden("../../testdata/golden/rbmap.log.json")
+	concurReport := golden("../../testdata/golden/linkedlist-concur.txt")
+	concurLog := golden("../../testdata/golden/linkedlist-concur.log.json")
+	specs := []struct {
+		spec       serve.JobSpec
+		log, rport string // rport "" skips the report
+	}{
+		{serve.JobSpec{App: "RBMap", Repeats: 2}, rbmapLog, ""},
+		{serve.JobSpec{App: "LinkedList", Kind: serve.KindConcur, Workers: 4, Schedules: 64}, concurLog, concurReport},
+	}
+	done := make(chan struct{})
+	for i := range 2 {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for round := range 2 {
+				// The two goroutines run the specs in opposite orders.
+				for j := range specs {
+					sp := specs[(i+j)%len(specs)]
+					out, err := sp.spec.Run(context.Background(), nil, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					log, err := out.Log()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if string(log) != sp.log {
+						t.Errorf("goroutine %d round %d: %s log differs from its golden", i, round, sp.spec.App)
+					}
+					if sp.rport != "" && out.Report != sp.rport {
+						t.Errorf("goroutine %d round %d: %s report differs from its golden:\n%s", i, round, sp.spec.App, out.Report)
+					}
+				}
+			}
+		}()
+	}
+	out, code, err := capture(t, runArgs("-parallel", "4"))
+	<-done
+	<-done
+	if err != nil || code != cli.ExitOK {
+		t.Fatalf("evaluation: code %d, %v", code, err)
+	}
+	if want := golden("../../evaluation_output.txt"); out != want {
+		got := filepath.Join(t.TempDir(), "evaluation.txt")
+		if err := os.WriteFile(got, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		compareFiles(t, got, "../../evaluation_output.txt")
+	}
+}

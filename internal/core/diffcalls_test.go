@@ -41,7 +41,7 @@ func observe(t *testing.T, cfg Config) diffObservation {
 		a := diffWorkload()
 		obs = diffObservation{
 			marks:   s.Marks(),
-			calls:   s.MarkCalls(),
+			calls:   s.AppendMarkCalls(nil),
 			points:  s.Point(),
 			counts:  s.Calls(),
 			account: *a,

@@ -90,7 +90,7 @@ func checkFrames(t *testing.T, s *Session, want []verdict) {
 		if m.Seq != i+1 {
 			t.Fatalf("mark %d has Seq %d", i, m.Seq)
 		}
-		id := s.MarkCalls()[i]
+		id := s.AppendMarkCalls(nil)[i]
 		if m.Method != id.Method {
 			t.Fatalf("mark %d: method %s, call %+v", i, m.Method, id)
 		}

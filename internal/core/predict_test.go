@@ -57,7 +57,7 @@ func observeLedger(t *testing.T, cfg Config, diverge bool) ledgerObservation {
 	var obs ledgerObservation
 	withSession(t, cfg, func(s *Session) {
 		ledgerWorkload(diverge)
-		obs = ledgerObservation{s.Marks(), s.MarkCalls(), s.Spans(), s.PredictMisses()}
+		obs = ledgerObservation{s.Marks(), s.AppendMarkCalls(nil), s.Spans(), s.PredictMisses()}
 	})
 	return obs
 }
@@ -305,7 +305,7 @@ func TestMarkDiffsMatchCapture(t *testing.T) {
 		var diffs []string
 		withSession(t, cfg, func(s *Session) {
 			ledgerWorkload(false)
-			marks, diffs = s.Marks(), s.MarkDiffs()
+			marks, diffs = s.Marks(), s.AppendMarkDiffs(nil)
 		})
 		if len(diffs) != len(marks) || len(marks) != len(want.marks) {
 			t.Fatalf("point %d: %d diffs for %d marks (capture %d)", point, len(diffs), len(marks), len(want.marks))
@@ -330,8 +330,8 @@ func TestMarkDiffsMatchCapture(t *testing.T) {
 	cfg.Snapshot, cfg.InjectionPoint = SnapshotFingerprint, 2
 	withSession(t, cfg, func(s *Session) {
 		ledgerWorkload(false)
-		if len(s.Marks()) == 0 || s.MarkDiffs() != nil {
-			t.Fatalf("unpredicted session: %d marks, MarkDiffs %v", len(s.Marks()), s.MarkDiffs())
+		if len(s.Marks()) == 0 || s.AppendMarkDiffs(nil) != nil {
+			t.Fatalf("unpredicted session: %d marks, MarkDiffs %v", len(s.Marks()), s.AppendMarkDiffs(nil))
 		}
 	})
 }

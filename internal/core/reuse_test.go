@@ -32,8 +32,8 @@ func viewOf(s *Session) sessionView {
 		InjectedAll: s.InjectedAll(),
 		Trace:       s.PointTrace(),
 		Marks:       s.Marks(),
-		MarkCalls:   s.MarkCalls(),
-		MarkDiffs:   s.MarkDiffs(),
+		MarkCalls:   s.AppendMarkCalls(nil),
+		MarkDiffs:   s.AppendMarkDiffs(nil),
 		Spans:       s.Spans(),
 		Misses:      s.PredictMisses(),
 		Calls:       s.Calls(),

@@ -87,6 +87,51 @@ type MaskStat struct {
 	Rollbacks int64 `json:"rollbacks"`
 }
 
+// MethodStat is one method's masking overhead, keyed by its handle.
+type MethodStat struct {
+	Method *MethodHandle
+	MaskStat
+}
+
+// MaskTotals sums masking overhead over runs without naming a method:
+// entry i belongs to the method handle with id i (Method is nil where
+// nothing was added for it). Names are looked up once, by Named.
+type MaskTotals []MethodStat
+
+// Add adds each entry of stats (a run's AppendMaskStats, or other
+// MaskTotals) to t.
+func (t *MaskTotals) Add(stats []MethodStat) {
+	for _, st := range stats {
+		if st.Method == nil {
+			continue
+		}
+		id := int(st.Method.id)
+		if id >= len(*t) {
+			*t = append(*t, make([]MethodStat, id+1-len(*t))...)
+		}
+		e := &(*t)[id]
+		e.Method = st.Method
+		e.Calls += st.Calls
+		e.Bytes += st.Bytes
+		e.Rollbacks += st.Rollbacks
+	}
+}
+
+// Named returns the totals by method name, or nil when there are none.
+func (t MaskTotals) Named() map[string]MaskStat {
+	var out map[string]MaskStat
+	for _, st := range t {
+		if st.Method == nil {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]MaskStat)
+		}
+		out[st.Method.name] = st.MaskStat
+	}
+	return out
+}
+
 // Config selects the behaviors of a Session.
 type Config struct {
 	// Registry supplies per-method declared exception kinds. May be nil:
@@ -226,10 +271,13 @@ type Session struct {
 	markCalls   []CallID
 	markDiffs   []string
 	spans       []Span
-	misses      int
-	maskSkips   []MaskSkip
-	masked      int64
-	restored    int64
+	// spanFree is the span buffer Reclaim handed back, emptied, for the
+	// next span-recording run.
+	spanFree  []Span
+	misses    int
+	maskSkips []MaskSkip
+	masked    int64
+	restored  int64
 
 	// slots holds the state of each method the session has called, in
 	// first-call order; ids maps a method handle's id (methods.go) to 1 +
@@ -303,15 +351,17 @@ func NewSession(cfg Config) *Session {
 // Reset readies the session for a new run under cfg: afterwards it
 // observes exactly what NewSession(cfg) would. It keeps only buffers that
 // never leave the session: the frame stack, the roots scratch, the mark
-// buffers (Marks, MarkCalls and MarkDiffs hand out copies), the method
-// slots (counters restart at zero), the objgraph walker with its
-// free list of released clean-capture nodes, and, when cfg.Strategy is
-// nil, its own checkpoint strategy with that strategy's free lists.
-// Everything the getters handed out for the previous run (those copies,
+// buffers (Marks hands out a copy, and the Append getters copy into the
+// caller's buffer), the method slots (counters restart at zero), the
+// objgraph walker with its free list of released clean-capture nodes, a
+// span buffer that Reclaim handed back, and, when cfg.Strategy is nil,
+// its own checkpoint strategy with that strategy's free lists.
+// Everything the getters handed out for the previous run (Marks' copy,
 // Spans, InjectedAll, PointTrace, MaskSkips, and the maps Calls and
-// MaskStats build) is detached, never truncated, so it stays valid. No
-// call of the previous run may still be open on another goroutine: a
-// session whose run was abandoned mid-call must be dropped, not reset.
+// MaskStats build) is detached, never truncated, so it stays valid; Spans
+// stays valid until it is handed to Reclaim. No call of the previous run
+// may still be open on another goroutine: a session whose run was
+// abandoned mid-call must be dropped, not reset.
 func (s *Session) Reset(cfg Config) {
 	kinds := cfg.RuntimeKinds
 	if kinds == nil {
@@ -345,6 +395,9 @@ func (s *Session) Reset(cfg Config) {
 
 	s.point, s.seq, s.misses, s.masked, s.restored = 0, 0, 0, 0, 0
 	s.injected, s.trace, s.spans, s.maskSkips = nil, nil, nil, nil
+	if cfg.RecordSpans {
+		s.spans, s.spanFree = s.spanFree, nil
+	}
 	s.marks, s.markCalls, s.markDiffs = truncate(s.marks), truncate(s.markCalls), truncate(s.markDiffs)
 	clear(s.activations)
 	// A run that was cut short can leave frames open; drop their roots
@@ -381,18 +434,19 @@ func (s *Session) PointTrace() []PointInfo { return s.trace }
 // nil when there are none.
 func (s *Session) Marks() []Mark { return detach(s.marks) }
 
-// MarkCalls returns a copy of the call identity of each mark,
-// index-aligned with Marks. It is session-side bookkeeping for diff
-// recovery and is never part of a Mark, so journals and logs do not carry
-// it.
-func (s *Session) MarkCalls() []CallID { return detach(s.markCalls) }
+// AppendMarkCalls appends the call identity of each mark, index-aligned
+// with Marks, to dst and returns the extended slice (nil when both are
+// empty). It is session-side bookkeeping for diff recovery and is never
+// part of a Mark, so journals and logs do not carry it.
+func (s *Session) AppendMarkCalls(dst []CallID) []CallID { return append(dst, s.markCalls...) }
 
-// MarkDiffs returns, index-aligned with Marks, the diff path of each
+// AppendMarkDiffs appends, index-aligned with Marks, the diff path of each
 // non-atomic mark that a predicted fingerprint session read off the clean
-// run's capture of the call (see Config.Predict); "" where it could not.
-// It is nil for every other session. Like MarkCalls it is a copy, and
-// session-side bookkeeping: the marks themselves keep Diff empty.
-func (s *Session) MarkDiffs() []string { return detach(s.markDiffs) }
+// run's capture of the call (see Config.Predict), "" where it could not,
+// to dst and returns the extended slice. Every other session appends
+// nothing. Like AppendMarkCalls it is session-side bookkeeping: the marks
+// themselves keep Diff empty.
+func (s *Session) AppendMarkDiffs(dst []string) []string { return append(dst, s.markDiffs...) }
 
 // detach returns an exact-size copy of a buffer the session keeps across
 // Reset, or nil when it is empty.
@@ -415,6 +469,23 @@ func truncate[T any](buf []T) []T {
 // Spans returns the call spans recorded under Config.RecordSpans, in entry
 // order; nil otherwise.
 func (s *Session) Spans() []Span { return s.spans }
+
+// Reclaim takes back a span-recording run of this session once nothing
+// reads it: the clean captures its spans keep go to the session's free
+// list, which later captures draw from, and the spans' buffer becomes the
+// next span-recording run's. spans is what Spans returned for that run; a
+// SpanIndex built from them shares the captures, so neither the spans nor
+// such an index may be read afterwards, and no session predicting from
+// the index may still be running.
+func (s *Session) Reclaim(spans []Span) {
+	for i := range spans {
+		if b := spans[i].before; b != nil {
+			s.graphs.Release(b.graph)
+		}
+	}
+	clear(spans)
+	s.spanFree = spans[:0]
+}
 
 // PredictMisses returns how many calls unwound without a snapshot because
 // Config.Predict excluded them. Non-zero means the run diverged from the
@@ -454,6 +525,18 @@ func (s *Session) MaskStats() map[string]MaskStat {
 		}
 	}
 	return out
+}
+
+// AppendMaskStats appends the per-method masking overhead of the run, one
+// entry for each method with a masked call, to dst and returns the
+// extended slice: MaskStats without building a map.
+func (s *Session) AppendMaskStats(dst []MethodStat) []MethodStat {
+	for i := range s.slots {
+		if m := &s.slots[i]; m.gen == s.gen && m.stat.Calls > 0 {
+			dst = append(dst, MethodStat{Method: m.h, MaskStat: m.stat})
+		}
+	}
+	return dst
 }
 
 // noteMask records one masked call of method h. Checkpoint bytes must be

@@ -6,6 +6,7 @@ package dispatch_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -301,6 +302,54 @@ func TestRegisterBodyCapped(t *testing.T) {
 		t.Fatalf("oversized register added a worker: %+v", st)
 	}
 	register(t, url)
+}
+
+// TestCompleteBodyCapped: a completion body past the coordinator's cap
+// gets 413 and fails the job with a stated error, and the lease is gone,
+// so the job is neither stored from a truncated upload nor left to expire
+// and be re-leased. The body is streamed, never built in memory.
+func TestCompleteBodyCapped(t *testing.T) {
+	jobs := newFakeJobs(dispatch.Grant{JobID: "j1", Spec: json.RawMessage(`{"app":"X"}`)})
+	c, url := boot(t, jobs, dispatch.Config{})
+	reg := register(t, url)
+	var lr dispatch.LeaseResponse
+	if code := post(t, url, "/v1/workers/"+reg.WorkerID+"/lease", struct{}{}, &lr); code != http.StatusOK {
+		t.Fatalf("lease: status %d", code)
+	}
+	// 33 MiB of base64 "A"s: a valid log field, one MiB past the cap.
+	body := io.MultiReader(
+		strings.NewReader(`{"state":"done","log":"`),
+		io.LimitReader(repeatByte('A'), 33<<20),
+		strings.NewReader(`"}`))
+	resp, err := http.Post(url+leasePath(reg.WorkerID, lr.LeaseID, "complete"), "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized completion: status %d, want 413", resp.StatusCode)
+	}
+	got := jobs.completed["j1"]
+	if got.State != "failed" || got.ExitCode != 1 || !strings.Contains(got.Error, "completion body exceeds") || got.Log != nil {
+		t.Fatalf("jobs saw completion %+v; want the job failed with the cap named", got)
+	}
+	if st := c.Stats(); st.LeasesHeld != 0 {
+		t.Fatalf("stats after oversized completion: %+v", st)
+	}
+	comp := dispatch.Completion{State: "done", Log: []byte("log")}
+	if code := post(t, url, leasePath(reg.WorkerID, lr.LeaseID, "complete"), comp, nil); code != http.StatusGone {
+		t.Fatalf("retried completion: status %d, want 410", code)
+	}
+}
+
+// repeatByte is an endless stream of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
 }
 
 func TestTornChunkImportsNothing(t *testing.T) {

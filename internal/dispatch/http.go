@@ -146,9 +146,20 @@ func (c *Coordinator) HandleShip(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ShipResponse{Accepted: accepted, Duplicates: len(runs) - accepted})
 }
 
+// maxCompleteBytes caps a completion body: the job's log and report,
+// base64-encoded in the JSON, so a completion is about 4/3 of their size.
+// The largest a bundled job produces is RegExp's detect job: a 451 KB log
+// (about 0.6 MB on the wire) at Repeats 1, and a 7.8 MB log (about
+// 10.4 MB) at Repeats 4. A log grows with the square of Repeats, so the
+// cap covers it up to Repeats 6 (about 23 MB), three times the room of
+// Repeats 4.
+const maxCompleteBytes = 32 << 20
+
 // HandleComplete serves POST /v1/workers/{worker}/leases/{lease}/complete.
 // A store/manifest failure keeps the lease so the worker can retry the
-// upload.
+// upload. A body over maxCompleteBytes gets 413 and fails the job: the
+// same upload could never be accepted, and a lease left to expire would
+// re-lease the job to run and be refused again, forever.
 func (c *Coordinator) HandleComplete(w http.ResponseWriter, r *http.Request) {
 	leaseID := r.PathValue("lease")
 	jobID, err := c.renew(r.PathValue("worker"), leaseID)
@@ -157,7 +168,11 @@ func (c *Coordinator) HandleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var comp Completion
-	if err := json.NewDecoder(r.Body).Decode(&comp); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxCompleteBytes)).Decode(&comp); err != nil {
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			c.failTooBig(w, jobID, leaseID)
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad completion: %v", err)})
 		return
 	}
@@ -171,4 +186,17 @@ func (c *Coordinator) HandleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	c.release(leaseID)
 	writeJSON(w, http.StatusOK, struct{}{})
+}
+
+// failTooBig fails a job whose completion body exceeded maxCompleteBytes
+// and answers 413. The lease is released once the job is failed, so the
+// worker's retry gets 410 and gives the job up.
+func (c *Coordinator) failTooBig(w http.ResponseWriter, jobID, leaseID string) {
+	msg := fmt.Sprintf("completion body exceeds %d bytes", maxCompleteBytes)
+	if err := c.cfg.Jobs.Complete(jobID, Completion{State: "failed", ExitCode: 1 /* cli.ExitFailure */, Error: msg}); err != nil {
+		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+		return
+	}
+	c.release(leaseID)
+	writeJSON(w, http.StatusRequestEntityTooLarge, apiError{Error: msg})
 }

@@ -38,7 +38,8 @@ func PredictedMismatch(p *Program, opts Options) (PredictedComparison, error) {
 	predicted := &countingStrategy{Strategy: inner, n: &cmp.PredictedCaptures}
 	full := &countingStrategy{Strategy: inner, n: &cmp.FullCaptures}
 	var w worker
-	for _, ex := range planExperiments(clean.profile(p), opts, clean.spans) {
+	for _, ex := range planExperiments(clean.profile(p), opts, core.IndexSpans(clean.spans)) {
+		w.begin()
 		opts.MaskStrategy = predicted
 		got := w.executeOnce(p, ex, opts, nil)
 		gotCalls := w.session.Calls()
@@ -49,11 +50,22 @@ func PredictedMismatch(p *Program, opts Options) (PredictedComparison, error) {
 		opts.MaskStrategy = full
 		want := w.executeOnce(p, ex, opts, nil)
 		if cmp.Mismatch == "" && (!reflect.DeepEqual(got.run, want.run) || !reflect.DeepEqual(got.markCalls, want.markCalls) ||
+			!reflect.DeepEqual(got.maskStats(), want.maskStats()) ||
 			got.points != want.points || !reflect.DeepEqual(gotCalls, w.session.Calls())) {
 			cmp.Mismatch = ex.Key.String()
 		}
 	}
 	return cmp, nil
+}
+
+// cleanRun performs p's clean run on a fresh worker.
+func cleanRun(ctx context.Context, p *Program, opts Options) (execution, error) {
+	return new(worker).cleanRun(ctx, p, opts)
+}
+
+// maskStats is the execution's masking overhead by method name.
+func (e execution) maskStats() map[string]core.MaskStat {
+	return core.MaskTotals(e.stats).Named()
 }
 
 // execute runs one experiment, settled, on a fresh worker: what a

@@ -66,7 +66,9 @@ func (s RunStatus) String() string {
 	}
 }
 
-// Run records one execution of the exception injector program.
+// Run records one execution of the exception injector program. Marks is
+// the run's own copy; the run's masking statistics are summed into its
+// campaign's Result (MaskStatTotals) instead of being kept per run.
 type Run struct {
 	// InjectionPoint is the primary point coordinate of the run's RunKey:
 	// the counter threshold for default and oblivious runs, the first point
@@ -103,10 +105,6 @@ type Run struct {
 	Retries int
 	// Err describes the last failure of a quarantined point.
 	Err string
-	// MaskStats is the per-method masking overhead of this run; nil unless
-	// the campaign masked methods. It is in-memory telemetry: no journal,
-	// log or chunk carries it, so a run spliced from a journal has none.
-	MaskStats map[string]core.MaskStat
 	// Concur records what a concurrent schedule observed (per-worker
 	// operation history, final abstract state, linearization verdict); nil
 	// for every single-threaded run.
@@ -177,6 +175,10 @@ type Result struct {
 	// run. Operational telemetry only: it is not serialized into reports
 	// or journals.
 	DiffReplays int
+
+	// maskTotals sums the per-method masking overhead of the runs this
+	// process executed (MaskStatTotals).
+	maskTotals core.MaskTotals
 }
 
 // Options tunes a campaign.
@@ -292,6 +294,12 @@ var ErrQuarantineBudget = errors.New("inject: campaign exceeded MaxQuarantined")
 // the injection space, then one run per injection point, incrementing the
 // threshold each time exactly as in Step 3. Sweep runs everything after
 // the clean run.
+//
+// The clean run's worker is held until the campaign ends. Then, unless a
+// supervised attempt was abandoned (its goroutine may still read the span
+// index), the clean captures the index keeps go back to that worker's
+// session (core.Session.Reclaim) before the worker goes back on the idle
+// stack, so the next campaign's clean run draws its captures from them.
 func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 	if p == nil || p.Run == nil {
 		return nil, errors.New("inject: program must have a Run function")
@@ -300,7 +308,9 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 		ctx = context.Background()
 	}
 	// The clean run must finish first — it sizes the injection space.
-	clean, err := cleanRun(ctx, p, opts)
+	cw := takeWorker()
+	defer cw.giveBack()
+	clean, err := cw.cleanRun(ctx, p, opts)
 	if err != nil {
 		return nil, fmt.Errorf("clean run: %w", err)
 	}
@@ -310,8 +320,14 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 		TotalPoints: clean.points,
 		DiffReplays: clean.replays,
 	}
-	exps := planExperiments(clean.profile(p), opts, clean.spans)
-	if err := Sweep(ctx, res, clean.run, exps, opts); err != nil {
+	res.maskTotals.Add(clean.stats)
+	exps := planExperiments(clean.profile(p), opts, core.IndexSpans(clean.spans))
+	abandoned, err := sweep(ctx, res, clean.run, exps, opts)
+	if !abandoned && !cw.abandoned {
+		cw.session.Reclaim(clean.spans)
+		reclaims.Add(1)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -326,13 +342,17 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 // session, so the run space is embarrassingly parallel: max(1,
 // min(Parallelism, len(exps))) workers claim experiments from an atomic
 // cursor, and the runs are merged in plan order, so a deterministic
-// workload yields the same Result at any Parallelism. Each worker keeps
-// one private session for the whole campaign: every run it executes,
-// settle and replay reruns included, resets that session
-// (core.Session.Reset) and binds it to the worker's goroutine
-// (core.Session.Bind), so the session's frame stack, method slots and
-// checkpoint free lists are reused while everything a run returns is its
-// own. The context cancels the campaign between runs (and mid-run when
+// workload yields the same Result at any Parallelism. Each goroutine takes
+// a worker off the process's idle stack and keeps its one private session
+// for the whole campaign: every run it executes, settle and replay reruns
+// included, resets that session (core.Session.Reset) and binds it to the
+// goroutine (core.Session.Bind), so the session's frame stack, method
+// slots, walker and checkpoint free lists are reused while everything a
+// run returns is its own. The worker sums the masking statistics of the
+// runs it records, and the sums are merged into the Result once. When the
+// campaign ends every worker goes back on the idle stack for the next
+// campaign, except one whose session a supervised attempt abandoned. The
+// context cancels the campaign between runs (and mid-run when
 // supervised); runs already streamed to Options.OnRun survive for resume.
 //
 // Failure handling is two-tier: per-point failures (hangs, foreign-panic
@@ -340,19 +360,27 @@ func Campaign(ctx context.Context, p *Program, opts Options) (*Result, error) {
 // the campaign by themselves; only campaign-level failures — cancellation,
 // a blown quarantine budget, a journal write error — stop every worker.
 func Sweep(ctx context.Context, res *Result, clean Run, exps []Experiment, opts Options) error {
+	_, err := sweep(ctx, res, clean, exps, opts)
+	return err
+}
+
+// sweep is Sweep, reporting also whether a supervised attempt was
+// abandoned: its goroutine may still be running on the experiments' span
+// index.
+func sweep(ctx context.Context, res *Result, clean Run, exps []Experiment, opts Options) (abandoned bool, err error) {
 	maxRuns := opts.MaxRuns
 	if maxRuns <= 0 {
 		maxRuns = DefaultMaxRuns
 	}
 	if err := checkBudget(len(exps), maxRuns); err != nil {
-		return err
+		return false, err
 	}
 	if err := validateCompleted(opts.Completed, exps, res.TotalPoints); err != nil {
-		return err
+		return false, err
 	}
 	if _, journaled := opts.Completed[RunKey{}]; !journaled {
 		if err := notifyRun(opts, clean); err != nil {
-			return err
+			return false, err
 		}
 	}
 
@@ -375,11 +403,13 @@ func Sweep(ctx context.Context, res *Result, clean Run, exps []Experiment, opts 
 		errOnce.Do(func() { firstErr = err })
 		stop.Store(true)
 	}
-	for w := max(1, min(opts.Parallelism, len(exps))); w > 0; w-- {
+	workers := make([]*worker, max(1, min(opts.Parallelism, len(exps))))
+	for i := range workers {
+		w := takeWorker()
+		workers[i] = w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var w worker
 			for !stop.Load() {
 				i := int(next.Add(1))
 				if i > len(exps) {
@@ -390,12 +420,14 @@ func Sweep(ctx context.Context, res *Result, clean Run, exps []Experiment, opts 
 					fail(fmt.Errorf("inject: campaign interrupted before %s: %w", ex.Key, err))
 					return
 				}
+				w.begin()
 				out, journaled, err := w.experimentRun(ctx, res.Program, ex, opts)
 				if err != nil {
 					fail(fmt.Errorf("injection %s: %w", ex.Key, err))
 					return
 				}
 				res.Runs[i] = out.run
+				w.totals.Add(out.stats)
 				if out.missed {
 					misses.Add(1)
 				}
@@ -418,8 +450,13 @@ func Sweep(ctx context.Context, res *Result, clean Run, exps []Experiment, opts 
 		}()
 	}
 	wg.Wait()
+	for _, w := range workers {
+		res.maskTotals.Add(w.totals)
+		abandoned = abandoned || w.abandoned
+		w.giveBack()
+	}
 	if firstErr != nil {
-		return firstErr
+		return abandoned, firstErr
 	}
 
 	res.PredictMisses += int(misses.Load())
@@ -431,11 +468,11 @@ func Sweep(ctx context.Context, res *Result, clean Run, exps []Experiment, opts 
 	t := tally{res: res, max: opts.MaxQuarantined}
 	for _, run := range res.Runs {
 		if err := t.add(run); err != nil {
-			return err
+			return abandoned, err
 		}
 	}
 	t.finish()
-	return nil
+	return abandoned, nil
 }
 
 // experimentRun produces the execution for one planned experiment:
@@ -585,20 +622,27 @@ func (w *deadPointWarnings) list() []string {
 	return w.kept
 }
 
+// execution is one pass of an experiment. Its markCalls, diffs and stats
+// are slices of its worker's per-experiment buffers: read in place, valid
+// until the worker begins its next experiment.
 type execution struct {
 	run Run
 	// markCalls is the call identity of each of run.Marks (index-aligned),
 	// the key diff recovery matches replayed marks on.
 	markCalls []core.CallID
 	// diffs are the diff paths a predicted pass read off the clean run's
-	// captures (core.Session.MarkDiffs), index-aligned with run.Marks when
-	// non-nil.
+	// captures (core.Session.AppendMarkDiffs), index-aligned with run.Marks
+	// when non-nil.
 	diffs []string
+	// stats is the per-method masking overhead of the pass; nil unless
+	// the campaign masked methods.
+	stats []core.MethodStat
 	// calls is the per-method call count, read only off the clean run.
 	calls  map[string]int64
 	points int
 	trace  []core.PointInfo
-	// spans are the call spans of a span-recording (clean) run.
+	// spans are the call spans of a span-recording (clean) run: the
+	// session's buffer, which the campaign hands back (core.Session.Reclaim).
 	spans []core.Span
 	// missed reports a predicted first pass that unwound through an
 	// unsnapshotted call; a settled execution keeps it set after the redo.
@@ -616,23 +660,6 @@ func (e execution) profile(p *Program) Profile {
 		Trace:       e.trace,
 		Program:     p,
 	}
-}
-
-// worker is one campaign goroutine's run state: the session every run it
-// executes resets and binds. The session is nil until the first run, and
-// again after a supervised attempt abandoned it (see supervise.go).
-type worker struct {
-	session *core.Session
-}
-
-// start readies the worker's session for one run under cfg.
-func (w *worker) start(cfg core.Config) *core.Session {
-	if w.session == nil {
-		w.session = core.NewSession(cfg)
-	} else {
-		w.session.Reset(cfg)
-	}
-	return w.session
 }
 
 // sessionConfig is the injector session configuration realizing one
@@ -682,17 +709,24 @@ func workload(p *Program, opts Options) func() {
 	}
 }
 
-// collect packages what one finished session observed.
-func collect(session *core.Session, ex Experiment, escaped *fault.Exception) execution {
+// collect packages what the worker's finished session observed. The
+// marks are the run's own copy; the mark calls, diffs and masking
+// statistics go to the worker's buffers.
+func (w *worker) collect(ex Experiment, escaped *fault.Exception) execution {
+	session := w.session
 	run := ex.Key.run()
 	run.Injected = session.Injected()
 	run.Escaped = escaped
 	run.Marks = session.Marks()
-	run.MaskStats = session.MaskStats()
+	nc, nd, ns := len(w.calls), len(w.diffs), len(w.stats)
+	w.calls = session.AppendMarkCalls(w.calls)
+	w.diffs = session.AppendMarkDiffs(w.diffs)
+	w.stats = session.AppendMaskStats(w.stats)
 	out := execution{
 		run:       run,
-		markCalls: session.MarkCalls(),
-		diffs:     session.MarkDiffs(),
+		markCalls: appended(w.calls, nc),
+		diffs:     appended(w.diffs, nd),
+		stats:     appended(w.stats, ns),
 		points:    session.Point(),
 		trace:     session.PointTrace(),
 		spans:     session.Spans(),
@@ -706,35 +740,23 @@ func collect(session *core.Session, ex Experiment, escaped *fault.Exception) exe
 }
 
 // MaskStatTotals sums the per-method masking overhead across the runs this
-// process executed (spliced runs carry no MaskStats); nil when nothing was
-// masked.
+// process executed (spliced runs carry none); nil when nothing was masked.
 func (r *Result) MaskStatTotals() map[string]core.MaskStat {
-	var totals map[string]core.MaskStat
-	for _, run := range r.Runs {
-		for name, st := range run.MaskStats {
-			if totals == nil {
-				totals = make(map[string]core.MaskStat)
-			}
-			t := totals[name]
-			t.Calls += st.Calls
-			t.Bytes += st.Bytes
-			t.Rollbacks += st.Rollbacks
-			totals[name] = t
-		}
-	}
-	return totals
+	return r.maskTotals.Named()
 }
 
-// cleanRun performs the space-sizing clean execution. Supervised
-// campaigns run it under the watchdog, but a clean run that still hangs
-// or crashes after its retries is a hard error — without it there is no
-// point space to quarantine within.
-func cleanRun(ctx context.Context, p *Program, opts Options) (execution, error) {
+// cleanRun performs the space-sizing clean execution on w, the clean
+// worker Campaign holds until its sweep ends: the execution's spans are
+// w's session's buffer and keep the clean captures the campaign's span
+// index shares. Supervised campaigns run it under the watchdog, but a
+// clean run that still hangs or crashes after its retries is a hard
+// error — without it there is no point space to quarantine within.
+func (w *worker) cleanRun(ctx context.Context, p *Program, opts Options) (execution, error) {
 	if err := ctx.Err(); err != nil {
 		return execution{}, err
 	}
 	ex := cleanExperiment(opts)
-	var w worker
+	w.begin()
 	if !opts.supervised() {
 		return w.execute(p, ex, opts), nil
 	}
@@ -782,7 +804,7 @@ func (w *worker) executeOnce(p *Program, ex Experiment, opts Options, diffCalls 
 	session.Bind(func() {
 		escaped = runGuarded(workload(p, opts))
 	})
-	return collect(session, ex, escaped)
+	return w.collect(ex, escaped)
 }
 
 // settle turns an experiment's first pass into the run the campaign

@@ -420,7 +420,7 @@ func ParsePerturbations(s string) ([]Perturbation, error) {
 // execute the identical plan. Every experiment shares the clean run's
 // span index; the session predicts from it only in threshold experiments
 // (the default sweep, oblivious).
-func planExperiments(prof Profile, opts Options, spans []core.Span) []Experiment {
+func planExperiments(prof Profile, opts Options, index *core.SpanIndex) []Experiment {
 	exps := make([]Experiment, 0, prof.TotalPoints)
 	for pt := 1; pt <= prof.TotalPoints; pt++ {
 		exps = append(exps, Experiment{Key: RunKey{Point: pt}, point: pt})
@@ -428,7 +428,6 @@ func planExperiments(prof Profile, opts Options, spans []core.Span) []Experiment
 	for _, pert := range opts.Perturbations {
 		exps = append(exps, pert.Plan(prof)...)
 	}
-	index := core.IndexSpans(spans)
 	for i := range exps {
 		exps[i].predict = index
 	}

@@ -202,8 +202,8 @@ func TestPredictMissRedoesFullRun(t *testing.T) {
 	}
 	ex.predict = core.IndexSpans(clean.spans)
 	first := executeOnce(divergingProgram(new(int), func(int) bool { return true }), ex, masked, nil)
-	if !first.missed || first.run.MaskStats["stack.Push"].Rollbacks != 0 {
-		t.Fatalf("diverged pass: missed=%v, Push %+v; want a miss and no checkpoint to roll back", first.missed, first.run.MaskStats["stack.Push"])
+	if !first.missed || first.maskStats()["stack.Push"].Rollbacks != 0 {
+		t.Fatalf("diverged pass: missed=%v, Push %+v; want a miss and no checkpoint to roll back", first.missed, first.maskStats()["stack.Push"])
 	}
 	out = execute(p, ex, masked)
 	if n != 3 || !out.missed {
@@ -212,11 +212,11 @@ func TestPredictMissRedoesFullRun(t *testing.T) {
 	ex.predict = nil
 	masked.Snapshot = core.SnapshotCapture
 	want = executeOnce(divergingProgram(new(int), func(int) bool { return false }), ex, masked, nil)
-	if want.run.MaskStats["stack.Push"].Rollbacks == 0 {
-		t.Fatalf("point must roll a masked Push back: %+v", want.run.MaskStats)
+	if want.maskStats()["stack.Push"].Rollbacks == 0 {
+		t.Fatalf("point must roll a masked Push back: %+v", want.maskStats())
 	}
-	if !reflect.DeepEqual(out.run, want.run) {
-		t.Fatalf("masked redone run differs from the every-call capture run:\n got %+v\nwant %+v", out.run, want.run)
+	if !reflect.DeepEqual(out.run, want.run) || !reflect.DeepEqual(out.maskStats(), want.maskStats()) {
+		t.Fatalf("masked redone run differs from the every-call capture run:\n got %+v %+v\nwant %+v %+v", out.run, out.maskStats(), want.run, want.maskStats())
 	}
 
 	// Through a campaign, every predicted run past point 7 of a workload

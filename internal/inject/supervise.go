@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"failatomic/internal/core"
 	"failatomic/internal/fault"
 )
 
@@ -22,13 +21,18 @@ import (
 // any its experiment's executor started and left blocked (a concurrent
 // schedule's driver and worker goroutines). An abandoned goroutine keeps the
 // session it was handed and may go on using it, so the worker never gets
-// that session back: the attempt takes the worker's session with it, the
-// supervisor returns it to the worker only from an attempt that finished,
-// and the next attempt after a hang (or after a panic in the engine
-// itself, which may have left the session mid-call) starts on a fresh
-// session. Because bindings are goroutine-keyed (core.Session.Bind) and no
-// session is ever shared, an abandoned goroutine can never touch another
-// run's session, which is what makes abandoning safe at all.
+// that session back: the attempt takes the worker's session and
+// per-experiment buffers with it, the supervisor returns them to the
+// worker only from an attempt that finished, and the next attempt after a
+// hang (or after a panic in the engine itself, which may have left the
+// session mid-call) starts on a fresh session. Because bindings are
+// goroutine-keyed (core.Session.Bind) and no session is ever shared, an
+// abandoned goroutine can never touch another run's session, which is
+// what makes abandoning safe at all. It may still read the campaign's
+// span index, though, and its session outlives the campaign; so a worker
+// that abandoned an attempt marks itself abandoned, is never given back
+// to the idle stack, and its campaign returns none of the index's
+// captures (see Campaign).
 
 // Retry backoff: capped exponential, small because injector runs are
 // typically sub-millisecond and a flaky point usually needs only a beat.
@@ -69,20 +73,20 @@ func (w *worker) supervise(ctx context.Context, p *Program, ex Experiment, opts 
 }
 
 // attempt is what one supervised attempt hands back: its execution, and
-// the session it ran on when that session may be reused (nil after a
+// the worker state it ran on when that state may be reused (nil after a
 // panic in the engine).
 type attempt struct {
-	out     execution
-	session *core.Session
+	out execution
+	own *worker
 }
 
 // superviseAttempt executes one attempt on its own goroutine, on the
-// worker's session, and waits for it, the deadline, or cancellation. The
-// attempt owns the session until it finishes; the worker gets it back
-// only then (see the header comment).
+// worker's session and buffers, and waits for it, the deadline, or
+// cancellation. The attempt owns them until it finishes; the worker gets
+// them back only then (see the header comment).
 func (w *worker) superviseAttempt(ctx context.Context, p *Program, ex Experiment, opts Options) (execution, attemptVerdict, error) {
-	own := &worker{session: w.session}
-	w.session = nil
+	own := &worker{session: w.session, calls: w.calls, diffs: w.diffs, stats: w.stats}
+	w.session, w.calls, w.diffs, w.stats = nil, nil, nil, nil
 	// Buffered so an attempt finishing after abandonment parks its result
 	// and exits instead of leaking on the send.
 	ch := make(chan attempt, 1)
@@ -98,7 +102,7 @@ func (w *worker) superviseAttempt(ctx context.Context, p *Program, ex Experiment
 			}
 		}()
 		out := own.execute(p, ex, opts)
-		ch <- attempt{out: out, session: own.session}
+		ch <- attempt{out: out, own: own}
 	}()
 	var expire <-chan time.Time
 	if opts.RunTimeout > 0 {
@@ -108,15 +112,19 @@ func (w *worker) superviseAttempt(ctx context.Context, p *Program, ex Experiment
 	}
 	select {
 	case a := <-ch:
-		w.session = a.session
+		if a.own != nil {
+			w.session, w.calls, w.diffs, w.stats = a.own.session, a.own.calls, a.own.diffs, a.own.stats
+		}
 		out := a.out
 		if e := out.run.Escaped; e != nil && e.Foreign {
 			return out, attemptCrashed, nil
 		}
 		return out, attemptOK, nil
 	case <-expire:
+		w.abandoned = true
 		return execution{}, attemptHung, nil
 	case <-ctx.Done():
+		w.abandoned = true
 		return execution{}, attemptHung, fmt.Errorf("inject: campaign interrupted at %s: %w", ex.Key, ctx.Err())
 	}
 }

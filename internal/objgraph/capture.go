@@ -1,7 +1,6 @@
 package objgraph
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -210,7 +209,7 @@ func (w *walker) head(n *Node, v reflect.Value, pl *typeplan.Plan, label string)
 		// UnsafePointer and anything future: identity-compared opaque.
 		n.Kind = KindOpaque
 		if v.CanAddr() || pl.Kind == reflect.UnsafePointer {
-			n.Str = fmt.Sprintf("%v-opaque", pl.Kind)
+			n.Str = pl.Kind.String() + "-opaque"
 		}
 	}
 	return kids

@@ -1,7 +1,6 @@
 package objgraph
 
 import (
-	"fmt"
 	"reflect"
 
 	"failatomic/internal/typeplan"
@@ -29,7 +28,7 @@ func (w *walker) diffLiveRoots(g *Graph, roots []any) string {
 		return "one graph is nil"
 	}
 	if len(g.roots) != len(roots) {
-		return fmt.Sprintf("root count %d != %d", len(g.roots), len(roots))
+		return rootCountDiff(len(g.roots), len(roots))
 	}
 	for i, r := range roots {
 		v, pl := w.rootValue(r)

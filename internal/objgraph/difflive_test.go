@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -156,6 +157,20 @@ func eagerDiff(a, b *Graph) string {
 		}
 	}
 	return ""
+}
+
+// formatBits renders a node's scalar payload as the fmt-era headDiff did.
+func formatBits(n *Node) string {
+	switch n.Kind {
+	case KindBool:
+		return strconv.FormatBool(n.Bits == 1)
+	case KindInt:
+		return strconv.FormatInt(int64(n.Bits), 10)
+	case KindFloat:
+		return strconv.FormatFloat(math.Float64frombits(n.Bits), 'g', -1, 64)
+	default:
+		return strconv.FormatUint(n.Bits, 10)
+	}
 }
 
 func eagerDiffNode(a, b *Node, path string) string {

@@ -206,3 +206,30 @@ func assertReleased(t *testing.T, s *Scratch) {
 		}
 	}
 }
+
+// TestScratchFreeListCapped: a Scratch keeps at most maxFreeNodes
+// released nodes (plus the last graph that crossed the cap); graphs
+// released past it are left to the collector, and later captures still
+// draw from what was kept.
+func TestScratchFreeListCapped(t *testing.T) {
+	type chain struct {
+		Next *chain
+		V    [4]int
+	}
+	var root *chain
+	for i := 0; i < 1000; i++ {
+		root = &chain{Next: root, V: [4]int{i}}
+	}
+	var s Scratch
+	per := Capture(root).Nodes()
+	for i := 0; i <= maxFreeNodes/per+2; i++ {
+		s.Release(s.Capture(root))
+		s.Release(Capture(root))
+	}
+	if n := len(s.free.nodes); n < maxFreeNodes || n >= maxFreeNodes+per {
+		t.Fatalf("free list holds %d nodes after releasing %d-node graphs past the cap, want [%d, %d)", n, per, maxFreeNodes, maxFreeNodes+per)
+	}
+	if !Equal(s.Capture(root), Capture(root)) {
+		t.Fatal("a capture from the capped free list differs from a fresh one")
+	}
+}
