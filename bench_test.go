@@ -18,8 +18,8 @@ import (
 	"failatomic/internal/detect"
 	"failatomic/internal/harness"
 	"failatomic/internal/inject"
-	"failatomic/internal/jwg"
 	"failatomic/internal/objgraph"
+	"failatomic/proxy"
 )
 
 // BenchmarkTable1Campaigns runs the full detection campaign per Table 1
@@ -357,7 +357,7 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 	}
 }
 
-// proxyCounter is the jwg dispatch subject.
+// proxyCounter is the proxy dispatch subject.
 type proxyCounter struct {
 	N int
 }
@@ -371,7 +371,7 @@ func (c *proxyCounter) Inc(by int) int {
 // BenchmarkProxyInvoke measures reflection-proxy dispatch (the Java-flavor
 // interposition) against BenchmarkDirectCall.
 func BenchmarkProxyInvoke(b *testing.B) {
-	g := jwg.NewGenerator()
+	g := proxy.NewGenerator()
 	p, err := g.Wrap(&proxyCounter{})
 	if err != nil {
 		b.Fatal(err)

@@ -1,11 +1,12 @@
 // The jwgproxy example is the paper's "no source access" scenario (§5.2):
 // a third-party type with no instrumentation at all is wrapped with
-// runtime reflection proxies; generic filters then inject exceptions,
-// detect non-atomic methods, and mask them — the Java Wrapper Generator
-// workflow, in Go.
+// runtime reflection proxies, and the same engine that drives woven code
+// detects its non-atomic methods and masks them — the Java Wrapper
+// Generator workflow, in Go.
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"failatomic"
@@ -43,55 +44,73 @@ func (rl *RateLimiter) Refill(n int) {
 	rl.Tokens += n
 }
 
-func main() {
-	// Phase 1 — detection over the proxy: a tracing filter shows the
-	// interposition, a detection filter compares object graphs around
-	// every exceptional return.
-	gen := proxy.NewGenerator()
-	var events []string
-	gen.AddFilter(proxy.TraceFilter{Label: "app", Events: &events})
-	det := &proxy.DetectionFilter{}
-	gen.AddClassFilter("RateLimiter", det)
-
-	rl := &RateLimiter{Tokens: 10, Burst: 5}
-	p, err := gen.Wrap(rl)
+// workload drives a fresh RateLimiter through a proxy made by gen and
+// returns the last call's error.
+func workload(gen *proxy.Generator) error {
+	p, err := gen.Wrap(&RateLimiter{Tokens: 10, Burst: 5})
 	if err != nil {
 		panic(err)
 	}
 	_, _ = p.Invoke("Take", 3)
+	_, _ = p.Invoke("Refill", 0) // rejected before any change
 	_, _ = p.Invoke("Refill", 2)
-	if _, err := p.Invoke("Take", 9); err != nil { // exceeds burst after spending
+	_, err = p.Invoke("Take", 9) // exceeds burst after spending
+	return err
+}
+
+func main() {
+	// Interposition: a tracing filter sees every proxied call.
+	var events []string
+	traced := proxy.NewGenerator()
+	traced.AddFilter(proxy.TraceFilter{Label: "app", Events: &events})
+	if err := workload(traced); err != nil {
 		fmt.Printf("observed: %v\n", err)
 	}
 	fmt.Printf("trace: %d filter events, first %q\n", len(events), events[0])
-	fmt.Printf("detected failure non-atomic: %v\n", det.NonAtomicMethods())
-	for _, m := range det.Marks {
-		if !m.Atomic {
-			fmt.Printf("  evidence: %s\n", m.Diff)
-		}
-	}
 
-	// Phase 2 — masking via filters: fresh generator, atomicity wrapper
-	// on exactly the flagged methods.
-	gen2 := proxy.NewGenerator()
-	mask := &proxy.MaskingFilter{}
-	for _, m := range det.NonAtomicMethods() {
-		gen2.AddMethodFilter(m, mask)
-	}
-	rl2 := &RateLimiter{Tokens: 10, Burst: 5}
-	p2, err := gen2.Wrap(rl2)
+	// Phase 1 — detection: a campaign runs the workload once per injection
+	// point, over a fresh proxy each time. The registry declares what each
+	// method may throw; the runtime kinds are injected everywhere.
+	result, err := failatomic.Detect(context.Background(), &failatomic.Program{
+		Name: "RateLimiter",
+		Registry: failatomic.NewRegistry().
+			Method("RateLimiter", "Take", failatomic.IllegalArgument, failatomic.IllegalState).
+			Method("RateLimiter", "Refill", failatomic.IllegalArgument),
+		Run: func() { _ = workload(proxy.NewGenerator()) },
+	}, failatomic.DetectOptions{})
 	if err != nil {
 		panic(err)
 	}
-	if _, err := p2.Invoke("Take", 9); err != nil {
+	fmt.Printf("\ncampaign: %d runs, %d injections\n", len(result.Campaign.Runs), result.Injections())
+	for _, name := range result.Names() {
+		m := result.Methods[name]
+		fmt.Printf("  %s: %s\n", name, m.Classification)
+		if m.SampleDiff != "" {
+			fmt.Printf("    evidence: %s\n", m.SampleDiff)
+		}
+	}
+
+	// Phase 2 — masking: Protect wraps exactly the flagged methods, and a
+	// proxied call enters it like a woven one.
+	protection, err := failatomic.Protect(result.NonAtomicMethods(), failatomic.ProtectOptions{})
+	if err != nil {
+		panic(err)
+	}
+	defer protection.Close()
+	rl := &RateLimiter{Tokens: 10, Burst: 5}
+	p, err := proxy.NewGenerator().Wrap(rl)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := p.Invoke("Take", 9); err != nil {
 		fmt.Printf("\nmasked call failed cleanly: %v\n", err)
 	}
 	fmt.Printf("state after masked failure: tokens=%d taken=%d (consistent!)\n",
-		rl2.Tokens, rl2.Taken)
-	results, err := p2.Invoke("Take", 4)
+		rl.Tokens, rl.Taken)
+	results, err := p.Invoke("Take", 4)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("subsequent valid call: tokens left = %v, rollbacks = %d\n",
-		results[0], mask.Rollbacks)
+		results[0], protection.Rollbacks())
 }

@@ -91,6 +91,12 @@ func InstrumentFile(filename string, src []byte, opts Options) ([]byte, bool, er
 		offset := fset.Position(fn.Body.Lbrace).Offset + 1
 		line := fmt.Sprintf("\n\tdefer %s.Enter(%s, %s)()",
 			opts.FacadeName, recv, strconv.Quote(name))
+		// A statement on the brace's line (a one-line body) needs its own
+		// line after the prologue.
+		if body := fn.Body.List; len(body) > 0 &&
+			fset.Position(body[0].Pos()).Line == fset.Position(fn.Body.Lbrace).Line {
+			line += "\n"
+		}
 		edits = append(edits, edit{Start: offset, End: offset, Text: line})
 	}
 

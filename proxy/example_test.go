@@ -1,6 +1,7 @@
 package proxy_test
 
 import (
+	"context"
 	"fmt"
 
 	"failatomic"
@@ -22,22 +23,29 @@ func (m *meter) Advance(by int) {
 
 // Example shows the no-source-access workflow: wrap, detect, mask.
 func Example() {
-	// Detect over a proxy.
-	gen := proxy.NewGenerator()
-	det := &proxy.DetectionFilter{}
-	gen.AddClassFilter("meter", det)
-	p, _ := gen.Wrap(&meter{})
-	_, _ = p.Invoke("Advance", -3)
-	fmt.Println("non-atomic:", det.NonAtomicMethods())
+	// Detect over proxies: every run wraps a fresh meter.
+	result, err := failatomic.Detect(context.Background(), &failatomic.Program{
+		Name:     "meter",
+		Registry: failatomic.NewRegistry(),
+		Run: func() {
+			p, _ := proxy.NewGenerator().Wrap(&meter{})
+			_, _ = p.Invoke("Advance", -3)
+		},
+	}, failatomic.DetectOptions{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("non-atomic:", result.NonAtomicMethods())
 
 	// Mask exactly what was found.
-	gen2 := proxy.NewGenerator()
-	for _, name := range det.NonAtomicMethods() {
-		gen2.AddMethodFilter(name, &proxy.MaskingFilter{})
+	protection, err := failatomic.Protect(result.NonAtomicMethods(), failatomic.ProtectOptions{})
+	if err != nil {
+		panic(err)
 	}
+	defer protection.Close()
 	m := &meter{Reading: 10}
-	p2, _ := gen2.Wrap(m)
-	_, err := p2.Invoke("Advance", -3)
+	p, _ := proxy.NewGenerator().Wrap(m)
+	_, err = p.Invoke("Advance", -3)
 	fmt.Println("masked call error:", err != nil)
 	fmt.Println("reading after rollback:", m.Reading)
 	// Output:

@@ -1,6 +1,8 @@
 package proxy_test
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"failatomic"
@@ -24,102 +26,121 @@ func (t *turnstile) Pass() int {
 func (t *turnstile) Lock()   { t.Locked = true }
 func (t *turnstile) Unlock() { t.Locked = false }
 
-func TestPublicProxyWorkflow(t *testing.T) {
-	gen := proxy.NewGenerator()
-	det := &proxy.DetectionFilter{}
-	gen.AddClassFilter("turnstile", det)
+// detect runs a detection campaign whose workload calls through proxies.
+func detect(t *testing.T, reg *failatomic.Registry, run func()) *failatomic.Result {
+	t.Helper()
+	res, err := failatomic.Detect(context.Background(), &failatomic.Program{
+		Name: "turnstile", Registry: reg, Run: run,
+	}, failatomic.DetectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
+func TestPublicProxyWorkflow(t *testing.T) {
+	res := detect(t, failatomic.NewRegistry(), func() {
+		p, err := proxy.NewGenerator().Wrap(&turnstile{Locked: true})
+		if err != nil {
+			panic(err)
+		}
+		_, _ = p.Invoke("Pass")
+	})
+	na := res.NonAtomicMethods()
+	if !slices.Equal(na, []string{"turnstile.Pass"}) {
+		t.Fatalf("detection over proxy failed: %v", na)
+	}
+
+	protection, err := failatomic.Protect(na, failatomic.ProtectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer protection.Close()
 	ts := &turnstile{Locked: true}
-	p, err := gen.Wrap(ts)
+	p, err := proxy.NewGenerator().Wrap(ts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Invoke("Pass"); err == nil {
-		t.Fatal("locked turnstile must throw")
-	}
-	na := det.NonAtomicMethods()
-	if len(na) != 1 || na[0] != "turnstile.Pass" {
-		t.Fatalf("detection over proxy failed: %v", na)
-	}
-
-	gen2 := proxy.NewGenerator()
-	mask := &proxy.MaskingFilter{}
-	gen2.AddMethodFilter("turnstile.Pass", mask)
-	ts2 := &turnstile{Locked: true}
-	p2, err := gen2.Wrap(ts2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.Invoke("Pass"); err == nil {
 		t.Fatal("masked method must still re-throw")
 	}
-	if ts2.Count != 0 {
-		t.Fatalf("rollback failed: count=%d", ts2.Count)
+	if ts.Count != 0 {
+		t.Fatalf("rollback failed: count=%d", ts.Count)
 	}
-	if _, err := p2.Invoke("Unlock"); err != nil {
+	if _, err := p.Invoke("Unlock"); err != nil {
 		t.Fatal(err)
 	}
-	results, err := p2.Invoke("Pass")
+	results, err := p.Invoke("Pass")
 	if err != nil || results[0] != 1 {
 		t.Fatalf("post-unlock pass: %v %v", results, err)
 	}
-	if mask.Rollbacks != 1 {
-		t.Fatalf("rollbacks = %d", mask.Rollbacks)
+	if protection.Rollbacks() != 1 {
+		t.Fatalf("rollbacks = %d", protection.Rollbacks())
 	}
 }
 
-func TestKindsTable(t *testing.T) {
-	kinds := proxy.Kinds(map[string][]failatomic.Kind{
-		"turnstile.Pass": {failatomic.IllegalState},
-	})
-	if got := kinds("turnstile.Pass"); len(got) != 1 || got[0] != failatomic.IllegalState {
-		t.Fatalf("Kinds lookup = %v", got)
-	}
-	if got := kinds("other.Method"); got != nil {
-		t.Fatalf("unknown method must map to nil, got %v", got)
-	}
-}
-
+// TestInjectionCampaignOverProxy: the Program's Registry supplies a
+// proxied method's declared kinds, and every point fires.
 func TestInjectionCampaignOverProxy(t *testing.T) {
-	// Full proxied detection loop with declared kinds.
-	kinds := proxy.Kinds(map[string][]failatomic.Kind{
-		"turnstile.Pass": {failatomic.IllegalState},
-	})
-	clean := &proxy.InjectionFilter{Kinds: kinds}
-	gen := proxy.NewGenerator()
-	gen.AddFilter(clean)
-	p, _ := gen.Wrap(&turnstile{})
-	for i := 0; i < 4; i++ {
-		if _, err := p.Invoke("Pass"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	total := clean.Point
-	if total != 4*3 { // 1 declared + 2 runtime kinds per call
-		t.Fatalf("points = %d, want 12", total)
-	}
-	fired := 0
-	for ip := 1; ip <= total; ip++ {
-		inj := &proxy.InjectionFilter{Kinds: kinds, InjectionPoint: ip}
-		g := proxy.NewGenerator()
-		g.AddFilter(inj)
-		pp, _ := g.Wrap(&turnstile{})
+	reg := failatomic.NewRegistry().Method("turnstile", "Pass", failatomic.IllegalState)
+	res := detect(t, reg, func() {
+		p, _ := proxy.NewGenerator().Wrap(&turnstile{})
 		for i := 0; i < 4; i++ {
-			if _, err := pp.Invoke("Pass"); err != nil {
+			if _, err := p.Invoke("Pass"); err != nil {
 				break
 			}
 		}
-		if inj.Injected != nil {
-			fired++
-		}
+	})
+	if res.Campaign.TotalPoints != 4*3 { // 1 declared + 2 runtime kinds per call
+		t.Fatalf("points = %d, want 12", res.Campaign.TotalPoints)
 	}
-	if fired != total {
-		t.Fatalf("fired %d of %d points", fired, total)
+	if res.Injections() != res.Campaign.TotalPoints {
+		t.Fatalf("fired %d of %d points", res.Injections(), res.Campaign.TotalPoints)
 	}
 }
 
-func TestUndoLogStrategyExported(t *testing.T) {
-	if proxy.UndoLogStrategy().Name() != "undolog" {
-		t.Fatal("strategy name mismatch")
+// gate journals its updates, so the UndoLog strategy can roll it back.
+type gate struct {
+	Count   int
+	journal *failatomic.Journal
+}
+
+func (g *gate) BeginJournal(j *failatomic.Journal) *failatomic.Journal {
+	prev := g.journal
+	g.journal = j
+	return prev
+}
+
+func (g *gate) EndJournal(prev *failatomic.Journal) { g.journal = prev }
+
+// Pass admits one more visitor, up to limit; it counts before checking.
+func (g *gate) Pass(limit int) int {
+	old := g.Count
+	g.Count++
+	if g.journal != nil {
+		g.journal.Record(8, func() { g.Count = old })
+	}
+	if g.Count > limit {
+		failatomic.Throw(failatomic.IllegalState, "gate.Pass", "full")
+	}
+	return g.Count
+}
+
+func TestProtectUndoLogOverProxy(t *testing.T) {
+	protection, err := failatomic.Protect([]string{"gate.Pass"}, failatomic.ProtectOptions{Strategy: failatomic.UndoLog()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer protection.Close()
+	g := &gate{}
+	p, _ := proxy.NewGenerator().Wrap(g)
+	if _, err := p.Invoke("Pass", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Invoke("Pass", 1); err == nil {
+		t.Fatal("a full gate must throw")
+	}
+	if g.Count != 1 || protection.Rollbacks() != 1 || len(protection.Skips()) != 0 {
+		t.Fatalf("count %d, %d rollbacks, skips %v; want 1, 1, none", g.Count, protection.Rollbacks(), protection.Skips())
 	}
 }
