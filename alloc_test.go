@@ -129,6 +129,30 @@ func TestMaskedCallAllocs(t *testing.T) {
 	}
 }
 
+// TestJournaledMaskedCallAllocs guards the journaled masked call: a
+// steady-state masked call on the Journaled Figure 5 target checkpoints
+// its receiver with one journal handle that embeds its journal, so it
+// allocates that handle, the call's undo closure and the journal's
+// one-record slice: at most 3 allocations.
+func TestJournaledMaskedCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds allocations; exact counts only hold without -race")
+	}
+	session := core.NewSession(core.Config{Mask: true, MaskMethods: map[string]bool{"JournalTarget.WorkMasked": true}})
+	if err := core.Install(session); err != nil {
+		t.Fatal(err)
+	}
+	defer core.Uninstall(session)
+	target := harness.NewJournalTarget(64 << 10)
+	allocs, _ := steadyCost(target.WorkMasked)
+	if allocs > 3 {
+		t.Fatalf("journaled masked call = %.2f allocs/op, want <= 3", allocs)
+	}
+	if n := session.MaskedCalls(); n != 1+windows*runs || len(session.MaskSkips()) != 0 {
+		t.Fatalf("masked calls = %d with skips %v, want %d and none", n, session.MaskSkips(), 1+windows*runs)
+	}
+}
+
 // TestReusedSessionRunAllocs guards the campaign-lived session: a warm
 // session that is reset and runs again, through prologues of 24 distinct
 // methods with injection counting and fingerprint snapshots, allocates
@@ -236,7 +260,7 @@ func TestRollbackAllocsMatchCommit(t *testing.T) {
 		t.Skip("race runtime adds allocations; exact counts only hold without -race")
 	}
 	cost := func(finish func(checkpoint.Handle, *chainNode)) (allocs, bytes float64) {
-		strategy := checkpoint.DeepCopy()
+		strategy := checkpoint.New()
 		root := newChain(20)
 		before := objgraph.Fingerprint(root)
 		allocs, bytes = steadyCost(func() {

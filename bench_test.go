@@ -180,7 +180,6 @@ func BenchmarkFigure5UndoLogAblation(b *testing.B) {
 			session := core.NewSession(core.Config{
 				Mask:        true,
 				MaskMethods: map[string]bool{"JournalTarget.WorkMasked": true},
-				Strategy:    checkpoint.UndoLog(),
 			})
 			if err := core.Install(session); err != nil {
 				b.Fatal(err)
@@ -327,7 +326,7 @@ func BenchmarkCheckpointCapture(b *testing.B) {
 	for _, size := range []int{64, 4 << 10, 64 << 10} {
 		b.Run(fmt.Sprintf("commit/size=%d", size), func(b *testing.B) {
 			target := harness.NewBenchTarget(size)
-			strategy := checkpoint.DeepCopy()
+			strategy := checkpoint.New()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

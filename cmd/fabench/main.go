@@ -26,7 +26,6 @@ import (
 	"syscall"
 
 	"failatomic/internal/bench"
-	"failatomic/internal/checkpoint"
 	"failatomic/internal/cli"
 	"failatomic/internal/concur"
 	"failatomic/internal/harness"
@@ -95,8 +94,7 @@ func run(ctx context.Context, args []string) (int, error) {
 	fmt.Print(harness.RenderFigure5(points))
 
 	if *strategy == "undolog-compare" {
-		fmt.Printf("\nAblation: %s checkpointing (journaled bench target)\n",
-			checkpoint.UndoLog().Name())
+		fmt.Print("\nAblation: undolog checkpointing (journaled bench target)\n")
 		ablation, err := harness.Figure5Journal(ctx, cfg)
 		if err != nil {
 			return cli.ExitFailure, err

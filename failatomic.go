@@ -47,8 +47,14 @@
 // listed method is wrapped with checkpoint/rollback so its callers observe
 // failure atomic behavior:
 //
-//	p, err := failatomic.Protect(result.NonAtomicMethods())
+//	p, err := failatomic.Protect(result.NonAtomicMethods(), failatomic.ProtectOptions{})
 //	defer p.Close()
+//
+// Each call picks its checkpoint from its roots. A root that implements
+// Journaled is journaled: it records an undo action per write, so its
+// checkpoint costs what the call writes, the paper's copy-on-write remedy
+// for large objects (§6.2). The other roots share one eager deep copy.
+// Guard picks the same way.
 package failatomic
 
 import (
@@ -252,25 +258,12 @@ func (r *Result) Quarantined() []Quarantine { return r.Campaign.Quarantined }
 // Calls returns the clean-run per-method call counts.
 func (r *Result) Calls() map[string]int64 { return r.Campaign.CleanCalls }
 
-// Strategy abstracts how masking checkpoints an object.
-type Strategy = checkpoint.Strategy
-
-// DeepCopy returns the eager deep-copy checkpoint strategy (Listing 2).
-func DeepCopy() Strategy { return checkpoint.DeepCopy() }
-
-// UndoLog returns the journal-based strategy for types implementing
-// Journaled — the paper's copy-on-write suggestion.
-func UndoLog() Strategy { return checkpoint.UndoLog() }
-
-// Auto returns the strategy that picks per root: the undo log when the
-// root implements Journaled, a deep copy otherwise.
-func Auto() Strategy { return checkpoint.Auto() }
-
 // Guard checkpoints the given roots and returns a closure to defer: on
 // panic it rolls the roots back and re-panics, making the guarded region
 // failure atomic; on normal return it commits (detaching any journal and
 // handing its undo records to the enclosing one, so an enclosing Guard
-// that rolls back also undoes this region's writes).
+// that rolls back also undoes this region's writes). A Journaled root is
+// journaled, the other roots are deep-copied, as under Protect.
 // This is the checkpoint rung of the repair pipeline's Item-76 ladder —
 // the form farepair weaves into methods that cannot be fixed by
 // reordering or a temp-copy swap:
@@ -281,7 +274,7 @@ func Auto() Strategy { return checkpoint.Auto() }
 // closure is a no-op); the alternative — panicking inside the prologue —
 // would turn a diagnostic limitation into a new failure mode.
 func Guard(roots ...any) func() {
-	handle, err := checkpoint.Auto().Capture(roots...)
+	handle, err := checkpoint.New().Capture(roots...)
 	if err != nil {
 		return func() {}
 	}
@@ -316,10 +309,10 @@ func Repair(ctx context.Context, cfg RepairConfig) (*RepairReport, error) {
 }
 
 // Journaled is implemented by types that record undo actions while they
-// mutate (see UndoLog).
+// mutate; Protect and Guard journal such a root instead of copying it.
 type Journaled = checkpoint.Journaled
 
-// Journal accumulates undo actions for the UndoLog strategy.
+// Journal accumulates a Journaled root's undo actions.
 type Journal = checkpoint.Journal
 
 // Snapshotter lets a type with unexported state participate in
@@ -333,8 +326,6 @@ type Protection struct {
 
 // ProtectOptions tunes Protect.
 type ProtectOptions struct {
-	// Strategy overrides the checkpoint strategy (nil = DeepCopy).
-	Strategy Strategy
 	// All masks every instrumented method instead of a listed set.
 	All bool
 	// Serialize holds a session-global lock across each instrumented call,
@@ -362,7 +353,6 @@ func Protect(methods []string, opts ProtectOptions) (*Protection, error) {
 		Mask:        true,
 		MaskAll:     opts.All,
 		MaskMethods: set,
-		Strategy:    opts.Strategy,
 		Serialize:   opts.Serialize,
 	})
 	if err := core.Install(session); err != nil {

@@ -79,3 +79,27 @@ func TestGuardUsesUndoLogForJournaled(t *testing.T) {
 		t.Error("journal still armed after rollback")
 	}
 }
+
+// TestGuardRootListedTwiceCommits: an inner Guard that lists a Journaled
+// root twice and commits leaves the root feeding the outer Guard's
+// journal, so the outer rollback undoes the inner region's write and the
+// one after it.
+func TestGuardRootListedTwiceCommits(t *testing.T) {
+	b := &journaledBox{N: 1}
+	func() {
+		defer func() { _ = recover() }()
+		defer failatomic.Guard(b)()
+		func() {
+			defer failatomic.Guard(b, b)()
+			b.set(2)
+		}()
+		b.set(3)
+		panic("boom")
+	}()
+	if b.N != 1 {
+		t.Errorf("outer rollback left N = %d, want 1", b.N)
+	}
+	if b.journal != nil {
+		t.Error("journal still armed after rollback")
+	}
+}

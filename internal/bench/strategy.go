@@ -117,7 +117,7 @@ func StrategySuite() []Result {
 			}
 		}),
 		measure("strategy/checkpoint/deepcopy/insert", func(b *testing.B) {
-			strategy := checkpoint.DeepCopy()
+			strategy := checkpoint.New()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -135,7 +135,7 @@ func StrategySuite() []Result {
 		}),
 		measureDeepCopyRollback(),
 		measure("strategy/checkpoint/undolog/insert", func(b *testing.B) {
-			strategy := checkpoint.UndoLog()
+			strategy := checkpoint.New()
 			l := &journaledList{strategyList: *newStrategyList(strategyListSize)}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -159,7 +159,7 @@ func StrategySuite() []Result {
 // allocations.
 func measureDeepCopyRollback() Result {
 	return measure("strategy/checkpoint/deepcopy/rollback", func(b *testing.B) {
-		strategy := checkpoint.DeepCopy()
+		strategy := checkpoint.New()
 		l := newStrategyList(strategyListSize)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -195,12 +195,9 @@ func TestUnsupportedErrorMessages(t *testing.T) {
 	}
 }
 
-func TestStrategyNamesAndJournalBytes(t *testing.T) {
-	if UndoLog().Name() != "undolog" || DeepCopy().Name() != "deepcopy" {
-		t.Fatal("strategy names wrong")
-	}
+func TestJournalHandleBytes(t *testing.T) {
 	c := &journaledCounter{}
-	h, err := UndoLog().Capture(c)
+	h, err := New().Capture(c)
 	if err != nil {
 		t.Fatal(err)
 	}

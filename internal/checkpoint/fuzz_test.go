@@ -144,7 +144,7 @@ func FuzzCaptureRestore(f *testing.F) {
 		root, live := g.nodes[0], g.reachable()
 		before := objgraph.Capture(root)
 		want := headers(live)
-		s := DeepCopy()
+		s := New()
 		// An earlier committed capture leaves slabs and spares behind for
 		// the checked one to reuse.
 		warm, err := s.Capture(root)

@@ -212,7 +212,7 @@ func TestQuickCaptureRestoreRoundTrip(t *testing.T) {
 			t.Logf("reference capture failed: %v", err)
 			return false
 		}
-		cp, err := DeepCopy().Capture(tree)
+		cp, err := New().Capture(tree)
 		if err != nil {
 			t.Logf("capture failed: %v", err)
 			return false
@@ -277,7 +277,7 @@ func TestQuickReuseAcrossCommits(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		var pool []*mutTree
 		tree := genMutTree(r, 2, &pool)
-		s := DeepCopy()
+		s := New()
 		for step := 0; step < 6; step++ {
 			// Committed mutations may cut nodes off; only the reachable
 			// ones are checkpointed.
@@ -325,7 +325,7 @@ func TestQuickReuseNestedRollbacks(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		var pool []*mutTree
 		tree := genMutTree(r, 2, &pool)
-		s := DeepCopy()
+		s := New()
 		free := s.(*deepCopy)
 		for round := 0; round < 4; round++ {
 			var stack []frame

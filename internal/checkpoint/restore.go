@@ -34,8 +34,6 @@ func (c *Checkpoint) Rollback() error {
 // is idempotent.
 func (c *Checkpoint) Commit() { c.release(errCommitted) }
 
-var _ Committer = (*Checkpoint)(nil)
-
 // release closes the checkpoint for the given reason. Its clone objects,
 // its large flat slices and its bookkeeping go back to the strategy that
 // captured it, for later captures to reuse.

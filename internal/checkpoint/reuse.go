@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 
 	"failatomic/internal/typeplan"
@@ -14,10 +15,12 @@ import (
 // objects and its bookkeeping go back to the strategy that captured it,
 // and the strategy's next captures fill them again instead of allocating.
 
-// DeepCopy returns the eager deep-copy strategy of Listing 2. Each call
-// returns a new strategy with its own free lists; one strategy value is
-// safe for concurrent use.
-func DeepCopy() Strategy { return &deepCopy{} }
+// New returns the checkpoint strategy, which picks per root. A root that
+// implements Journaled gets an undo journal, proportional to what the
+// call writes; the other roots share one eager deep copy (Listing 2) and
+// its alias table. Each call returns a new strategy with its own free
+// lists; one strategy value is safe for concurrent use.
+func New() Strategy { return &deepCopy{} }
 
 // Free-list bounds. A flat clone slice is a slab, reused across commits,
 // only above the allocator's small-object limit (32 KiB): a larger clone
@@ -38,7 +41,7 @@ const (
 	maxScratchRefs = 4 << 10
 )
 
-// deepCopy is the deep-copy strategy and the owner of its free lists,
+// deepCopy is New's strategy and the owner of its deep copies' free lists,
 // bounded LIFOs of what released checkpoints handed back. Unlike a
 // sync.Pool their contents change only on capture, commit and rollback,
 // so what a sequence of calls allocates does not depend on when the GC
@@ -57,14 +60,48 @@ type slab struct {
 	bytes int
 }
 
-func (*deepCopy) Name() string { return "deepcopy" }
-
+// Capture deep-copies the roots when none is Journaled, as on the masked
+// calls of every bundled application, and journals a lone Journaled
+// root. Other calls take parts.
 func (d *deepCopy) Capture(roots ...any) (Handle, error) {
-	c, err := capture(d, roots)
-	if err != nil {
-		return nil, err
+	if !slices.ContainsFunc(roots, journaled) {
+		c, err := capture(d, roots)
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
 	}
-	return c, nil
+	if len(roots) == 1 {
+		return beginJournal(roots[0].(Journaled)), nil
+	}
+	var p parts
+	var rest []any
+	for _, r := range roots {
+		if journaled(r) {
+			p = append(p, beginJournal(r.(Journaled)))
+		} else {
+			rest = append(rest, r)
+		}
+	}
+	if len(rest) > 0 {
+		c, err := capture(d, rest)
+		if err != nil {
+			p.Commit()
+			return nil, err
+		}
+		p = append(p, c)
+	}
+	return p, nil
+}
+
+// journaled reports whether r is a Journaled root. A nil pointer is not
+// one: the deep copy rejects it as a root.
+func journaled(r any) bool {
+	if _, ok := r.(Journaled); !ok {
+		return false
+	}
+	v := reflect.ValueOf(r)
+	return v.Kind() != reflect.Pointer || !v.IsNil()
 }
 
 // takeScratch returns the most recently recycled bookkeeping, or new

@@ -86,7 +86,7 @@ func scribble(h *slabHolder, b byte) {
 }
 
 func TestReuseCommitThenCaptureRollsBackExactly(t *testing.T) {
-	d := DeepCopy()
+	d := New()
 	h := newSlabHolder()
 	first, err := d.Capture(h)
 	if err != nil {
@@ -115,7 +115,7 @@ func TestReuseCommitThenCaptureRollsBackExactly(t *testing.T) {
 }
 
 func TestReuseNestedInnerCommitOuterRollback(t *testing.T) {
-	d := DeepCopy()
+	d := New()
 	h := newSlabHolder()
 	before := objgraph.Capture(h)
 	outer, err := d.Capture(h)
@@ -146,30 +146,30 @@ func TestReuseNestedInnerCommitOuterRollback(t *testing.T) {
 }
 
 // TestRollbackAfterCommitFails: a committed checkpoint refuses rollback
-// with errCommitted and writes nothing, whichever strategy took it.
+// with errCommitted and writes nothing, whatever roots it was taken over.
 func TestRollbackAfterCommitFails(t *testing.T) {
-	d := DeepCopy()
-	slab := newSlabHolder()
-	logged, auto := &journaledCounter{Value: 1}, &journaledCounter{Value: 1}
+	d := New()
+	slab, mixedSlab := newSlabHolder(), newSlabHolder()
+	logged, mixed := &journaledCounter{Value: 1}, &journaledCounter{Value: 1}
 	for _, tc := range []struct {
 		name  string
 		s     Strategy
-		root  any
+		roots []any
 		write func()
 	}{
-		{"deepcopy", d, slab, func() { scribble(slab, 7) }},
-		{"undolog", UndoLog(), logged, func() { logged.Set(5) }},
-		{"auto-journaled", Auto(), auto, func() { auto.Set(5) }},
+		{"deepcopy", d, []any{slab}, func() { scribble(slab, 7) }},
+		{"undolog", New(), []any{logged}, func() { logged.Set(5) }},
+		{"mixed", New(), []any{mixedSlab, mixed}, func() { scribble(mixedSlab, 7); mixed.Set(5) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cp, err := tc.s.Capture(tc.root)
+			cp, err := tc.s.Capture(tc.roots...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tc.write()
 			cp.(Committer).Commit()
 			cp.(Committer).Commit() // idempotent: must not hand a slab or record back twice
-			after := objgraph.Capture(tc.root)
+			after := objgraph.Capture(tc.roots...)
 			if err := cp.Rollback(); !errors.Is(err, errCommitted) {
 				t.Fatalf("rollback after commit = %v, want errCommitted", err)
 			}
@@ -178,7 +178,7 @@ func TestRollbackAfterCommitFails(t *testing.T) {
 					t.Fatal("restore after commit must fail")
 				}
 			}
-			if d := objgraph.Diff(after, objgraph.Capture(tc.root)); d != "" {
+			if d := objgraph.Diff(after, objgraph.Capture(tc.roots...)); d != "" {
 				t.Fatalf("failed rollback wrote: %s", d)
 			}
 		})
@@ -192,7 +192,7 @@ func TestRollbackAfterCommitFails(t *testing.T) {
 // bookkeeping back once, for the next capture to take. Restore and a
 // second Rollback then fail and write nothing, and Commit does nothing.
 func TestRollbackReleases(t *testing.T) {
-	d := DeepCopy()
+	d := New()
 	free := d.(*deepCopy)
 	h := newSlabHolder()
 	before := objgraph.Capture(h)
@@ -249,45 +249,51 @@ func TestPackageCaptureDoesNotReuse(t *testing.T) {
 	}
 }
 
-// TestSharedStrategyConcurrent shares one strategy between goroutines, as
-// parallel campaign workers share inject.Options.MaskStrategy. Run it
-// under -race.
+// TestSharedStrategyConcurrent shares one strategy between goroutines.
+// Half of the goroutines also journal a root of their own. Run it under
+// -race.
 func TestSharedStrategyConcurrent(t *testing.T) {
-	for _, s := range []Strategy{DeepCopy(), Auto()} {
-		var wg sync.WaitGroup
-		errs := make(chan error, 4)
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				h := newSlabHolder()
-				for i := 0; i < 50; i++ {
-					before := objgraph.Capture(h)
-					cp, err := s.Capture(h)
-					if err != nil {
+	s := New()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h, c := newSlabHolder(), &journaledCounter{}
+			roots := []any{h}
+			if w%2 == 1 {
+				roots = append(roots, c)
+			}
+			for i := 0; i < 50; i++ {
+				before := objgraph.Capture(roots...)
+				cp, err := s.Capture(roots...)
+				if err != nil {
+					errs <- err
+					return
+				}
+				scribble(h, byte(w+i))
+				if w%2 == 1 {
+					c.Set(i + 1)
+				}
+				if i%3 == 0 {
+					if err := cp.Rollback(); err != nil {
 						errs <- err
 						return
 					}
-					scribble(h, byte(w+i))
-					if i%3 == 0 {
-						if err := cp.Rollback(); err != nil {
-							errs <- err
-							return
-						}
-						if d := objgraph.Diff(before, objgraph.Capture(h)); d != "" {
-							errs <- fmt.Errorf("worker %d call %d: %s", w, i, d)
-							return
-						}
+					if d := objgraph.Diff(before, objgraph.Capture(roots...)); d != "" {
+						errs <- fmt.Errorf("worker %d call %d: %s", w, i, d)
+						return
 					}
-					cp.(Committer).Commit()
 				}
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Errorf("%s: %v", s.Name(), err)
-		}
+				cp.(Committer).Commit()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -1,14 +1,12 @@
 package checkpoint
 
-import "fmt"
-
 // Strategy abstracts how the masking phase checkpoints an object. The paper
 // uses eager deep copies (Listing 2) and suggests copy-on-write for very
-// large objects (§6.2); DeepCopy implements the former and Journal the
-// undo-log equivalent of the latter for cooperating types.
+// large objects (§6.2); New's strategy picks per root between a deep copy
+// and Journal, the undo-log equivalent of the latter for cooperating types.
+// The masking runtime uses New; the interface lets a test count or fail
+// captures.
 type Strategy interface {
-	// Name identifies the strategy in reports and benchmarks.
-	Name() string
 	// Capture starts a checkpoint over the given roots.
 	Capture(roots ...any) (Handle, error)
 }
@@ -23,8 +21,6 @@ type Handle interface {
 	// Bytes reports the approximate checkpoint payload size.
 	Bytes() int
 }
-
-var _ Handle = (*Checkpoint)(nil)
 
 // Journaled is implemented by types that record undo actions into a Journal
 // while they mutate, enabling O(bytes written) rollback instead of
@@ -78,41 +74,20 @@ func (j *Journal) Rollback() {
 	j.bytes = 0
 }
 
-// UndoLog returns the journal-based strategy. Capture fails with an
-// UnsupportedError for roots that do not implement Journaled, so callers
-// can fall back to DeepCopy.
-func UndoLog() Strategy { return undoLogStrategy{} }
-
-type undoLogStrategy struct{}
-
-func (undoLogStrategy) Name() string { return "undolog" }
-
-func (undoLogStrategy) Capture(roots ...any) (Handle, error) {
-	h := &journalHandle{journal: &Journal{}}
-	for i, r := range roots {
-		t, ok := r.(Journaled)
-		if !ok {
-			return nil, &UnsupportedError{
-				Type: fmt.Sprintf("%T", r),
-				Why:  fmt.Sprintf("root %d does not implement checkpoint.Journaled", i),
-			}
-		}
-		prev := t.BeginJournal(h.journal)
-		h.targets = append(h.targets, journalTarget{owner: t, prev: prev})
-	}
-	return h, nil
-}
-
-type journalTarget struct {
-	owner Journaled
-	prev  *Journal
-}
-
+// journalHandle is the checkpoint of one Journaled root: the journal the
+// root feeds while the checkpoint is open, and the journal it fed before.
 type journalHandle struct {
-	journal   *Journal
-	targets   []journalTarget
+	journal   Journal
+	root      Journaled
+	prev      *Journal
 	closed    bool
 	committed bool
+}
+
+func beginJournal(root Journaled) *journalHandle {
+	h := &journalHandle{root: root}
+	h.prev = root.BeginJournal(&h.journal)
+	return h
 }
 
 // Rollback undoes the journaled writes, or returns errCommitted without
@@ -129,56 +104,59 @@ func (h *journalHandle) Rollback() error {
 func (h *journalHandle) Bytes() int { return h.journal.Bytes() }
 
 // Commit detaches the journal without rolling back and hands its undo
-// records and bytes to the enclosing journal, so a rollback of an enclosing
-// checkpoint also undoes the writes of this nested, committed one — the
-// same records it would hold had this checkpoint never been taken. The
-// masking runtime calls it on normal (non-exceptional) return.
-//
-// Records are handed over only when every root had the same enclosing
-// journal (always so for one root, and Auto captures each root on its
-// own). A journal cannot tell which root wrote a record, so when the
-// roots' enclosing journals differ the records are dropped, and those
-// enclosing rollbacks keep this call's writes.
+// records and bytes to the root's enclosing journal, so a rollback of an
+// enclosing checkpoint also undoes the writes of this nested, committed
+// one — the same records it would hold had this checkpoint never been
+// taken. The masking runtime calls it on normal (non-exceptional) return.
 func (h *journalHandle) Commit() {
 	if h.closed {
 		return
 	}
 	h.detach()
 	h.committed = true
-	if outer := h.enclosing(); outer != nil {
-		outer.undo = append(outer.undo, h.journal.undo...)
-		outer.bytes += h.journal.bytes
+	if h.prev != nil {
+		h.prev.undo = append(h.prev.undo, h.journal.undo...)
+		h.prev.bytes += h.journal.bytes
 	}
 	h.journal.undo = nil
 	h.journal.bytes = 0
 }
 
-// enclosing returns the journal every root had before this checkpoint, or
-// nil when there was none or the roots had different ones. A root listed
-// twice reports this handle's own journal as its previous one; that entry
-// is skipped.
-func (h *journalHandle) enclosing() *Journal {
-	var outer *Journal
-	seen := false
-	for _, t := range h.targets {
-		switch {
-		case t.prev == h.journal:
-		case !seen:
-			outer, seen = t.prev, true
-		case t.prev != outer:
-			return nil
-		}
+func (h *journalHandle) detach() {
+	if !h.closed {
+		h.closed = true
+		h.root.EndJournal(h.prev)
 	}
-	return outer
 }
 
-func (h *journalHandle) detach() {
-	if h.closed {
-		return
+// parts is the checkpoint of a call whose roots are not one Journaled
+// root: one journal per Journaled root, in root order, then a deep copy
+// of the other roots, if any. It commits and rolls back newest first, so
+// a root listed twice detaches its journals in the reverse of the order
+// they were armed in and ends up feeding its enclosing journal again.
+type parts []Handle
+
+func (p parts) Rollback() error {
+	var firstErr error
+	for i := len(p) - 1; i >= 0; i-- {
+		if err := p[i].Rollback(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
-	h.closed = true
-	for i := len(h.targets) - 1; i >= 0; i-- {
-		h.targets[i].owner.EndJournal(h.targets[i].prev)
+	return firstErr
+}
+
+func (p parts) Bytes() int {
+	total := 0
+	for _, h := range p {
+		total += h.Bytes()
+	}
+	return total
+}
+
+func (p parts) Commit() {
+	for i := len(p) - 1; i >= 0; i-- {
+		p[i].(Committer).Commit()
 	}
 }
 
@@ -189,4 +167,4 @@ type Committer interface {
 	Commit()
 }
 
-var _ Committer = (*journalHandle)(nil)
+var _, _, _ Committer = (*Checkpoint)(nil), (*journalHandle)(nil), parts(nil)

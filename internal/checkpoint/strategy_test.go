@@ -9,9 +9,12 @@ import (
 func TestDeepCopyStrategy(t *testing.T) {
 	s := newState()
 	before := objgraph.Capture(s)
-	h, err := DeepCopy().Capture(s)
+	h, err := New().Capture(s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := h.(*Checkpoint); !ok {
+		t.Fatalf("a root that is not Journaled got a %T, want a deep copy", h)
 	}
 	s.Count = 77
 	if err := h.Rollback(); err != nil {
@@ -19,9 +22,6 @@ func TestDeepCopyStrategy(t *testing.T) {
 	}
 	if d := objgraph.Diff(before, objgraph.Capture(s)); d != "" {
 		t.Fatalf("deepcopy rollback failed: %s", d)
-	}
-	if DeepCopy().Name() != "deepcopy" {
-		t.Fatal("strategy name mismatch")
 	}
 }
 
@@ -56,9 +56,12 @@ func (c *journaledCounter) Append(s string) {
 
 func TestUndoLogRollback(t *testing.T) {
 	c := &journaledCounter{Value: 1, Log: []string{"start"}}
-	h, err := UndoLog().Capture(c)
+	h, err := New().Capture(c)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := h.(*journalHandle); !ok {
+		t.Fatalf("a lone Journaled root got a %T, want its journal handle", h)
 	}
 	c.Set(10)
 	c.Set(20)
@@ -79,7 +82,7 @@ func TestUndoLogRollback(t *testing.T) {
 
 func TestUndoLogCommitKeepsChanges(t *testing.T) {
 	c := &journaledCounter{Value: 1}
-	h, err := UndoLog().Capture(c)
+	h, err := New().Capture(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,21 +96,14 @@ func TestUndoLogCommitKeepsChanges(t *testing.T) {
 	}
 }
 
-func TestUndoLogRejectsNonJournaled(t *testing.T) {
-	p := &point{}
-	if _, err := UndoLog().Capture(p); err == nil {
-		t.Fatal("non-Journaled root must be rejected")
-	}
-}
-
 func TestUndoLogNesting(t *testing.T) {
 	c := &journaledCounter{Value: 1}
-	outer, err := UndoLog().Capture(c)
+	outer, err := New().Capture(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Set(2)
-	inner, err := UndoLog().Capture(c)
+	inner, err := New().Capture(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +156,12 @@ func (p *journaledPair) setW(w int) {
 // rollback also undoes the fields written only inside the nested call, and
 // the enclosing checkpoint holds exactly the records (and bytes) it would
 // have recorded had the nested call not been checkpointed. A nested
-// checkpoint that lists its root twice hands its records out too.
+// checkpoint that lists its root twice hands its records out too, and
+// leaves the root feeding the enclosing journal.
 func TestUndoLogNestedCommitHandsRecordsOut(t *testing.T) {
 	for _, twice := range []bool{false, true} {
 		x := &journaledPair{}
-		outer, err := UndoLog().Capture(x)
+		outer, err := New().Capture(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,12 +170,15 @@ func TestUndoLogNestedCommitHandsRecordsOut(t *testing.T) {
 		if twice {
 			roots = append(roots, x)
 		}
-		inner, err := UndoLog().Capture(roots...)
+		inner, err := New().Capture(roots...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		x.setW(5)
 		inner.(Committer).Commit()
+		if x.journal != &outer.(*journalHandle).journal {
+			t.Fatalf("twice=%v: the committed root feeds %p, not the enclosing journal", twice, x.journal)
+		}
 		if inner.Bytes() != 0 {
 			t.Fatalf("twice=%v: committed journal still reports %d bytes", twice, inner.Bytes())
 		}
@@ -197,24 +197,46 @@ func TestUndoLogNestedCommitHandsRecordsOut(t *testing.T) {
 	}
 }
 
-// TestUndoLogCommitKeepsRecordsOfOtherEnclosures: roots with different
-// enclosing journals cannot split the records between them; the commit
-// drops them and leaves both enclosing journals as they were.
+// TestUndoLogCommitKeepsRecordsOfOtherEnclosures: a nested checkpoint
+// over roots with different enclosing journals hands each root's records
+// to its own enclosing journal, so each enclosing rollback undoes exactly
+// its root's writes; a root with no enclosing checkpoint keeps its write.
 func TestUndoLogCommitKeepsRecordsOfOtherEnclosures(t *testing.T) {
-	a, b := &journaledPair{}, &journaledPair{}
-	outer, err := UndoLog().Capture(a)
+	a, b, c := &journaledPair{}, &journaledPair{}, &journaledPair{}
+	outerA, err := New().Capture(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := UndoLog().Capture(a, b)
+	outerB, err := New().Capture(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := New().Capture(a, b, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.setV(1)
 	b.setV(2)
+	b.setW(3)
+	c.setV(4)
 	inner.(Committer).Commit()
-	if outer.Bytes() != 0 || a.journal != outer.(*journalHandle).journal || b.journal != nil {
-		t.Fatalf("commit with mixed enclosures: outer bytes %d, journals a=%p b=%p", outer.Bytes(), a.journal, b.journal)
+	if outerA.Bytes() != 8 || outerB.Bytes() != 16 {
+		t.Fatalf("enclosing journals cover %d and %d bytes, want 8 and 16", outerA.Bytes(), outerB.Bytes())
+	}
+	if a.journal != &outerA.(*journalHandle).journal || b.journal != &outerB.(*journalHandle).journal || c.journal != nil {
+		t.Fatalf("after the commit the roots feed %p %p %p, want their enclosing journals", a.journal, b.journal, c.journal)
+	}
+	if err := outerB.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if *b != (journaledPair{}) || a.V != 1 {
+		t.Fatalf("b's enclosing rollback left a.V=%d b=%+v, want 1 and zero", a.V, *b)
+	}
+	if err := outerA.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if a.V != 0 || c.V != 4 {
+		t.Fatalf("a's enclosing rollback left a.V=%d c.V=%d, want 0 and 4", a.V, c.V)
 	}
 }
 

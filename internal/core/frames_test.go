@@ -307,7 +307,7 @@ func TestFramesBalanceWhenRollbackPanics(t *testing.T) {
 	ls := tower(true, true, true)
 	cfg := Config{
 		Detect: true, Mask: true, MaskAll: true,
-		Strategy: &rollbackBomb{checkpoint.DeepCopy(), ls[1]},
+		Strategy: &rollbackBomb{checkpoint.New(), ls[1]},
 		Inject:   true, InjectionPoint: 4, RuntimeKinds: onePoint,
 	}
 	withSession(t, cfg, func(s *Session) {

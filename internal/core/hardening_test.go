@@ -175,9 +175,17 @@ func TestMaskedNestedRollbackOrder(t *testing.T) {
 	})
 }
 
-func TestUndoLogFallbackError(t *testing.T) {
-	// UndoLog strategy over a non-Journaled receiver: capture fails, the
-	// call proceeds unmasked, and the skip is recorded.
+// failingStrategy refuses every capture, as a strategy does on a root it
+// cannot checkpoint.
+type failingStrategy struct{}
+
+func (failingStrategy) Capture(...any) (checkpoint.Handle, error) {
+	return nil, &checkpoint.UnsupportedError{Type: "root", Why: "capture refused"}
+}
+
+func TestCaptureFailureRunsUnmasked(t *testing.T) {
+	// A capture fails: the call proceeds unmasked, and the skip is
+	// recorded.
 	type box struct{ N int }
 	bump := func(b *box) {
 		defer Enter(b, "box.bump")()
@@ -186,7 +194,7 @@ func TestUndoLogFallbackError(t *testing.T) {
 	withSession(t, Config{
 		Mask:     true,
 		MaskAll:  true,
-		Strategy: checkpoint.UndoLog(),
+		Strategy: failingStrategy{},
 	}, func(s *Session) {
 		b := &box{}
 		bump(b)

@@ -208,16 +208,16 @@ func observeMasked(t *testing.T, cfg Config) maskObservation {
 // session predicted from a masking clean run's spans skips the checkpoints
 // of the calls that cannot unwind, yet accounts exactly as an every-call
 // session — marks, MaskStats (bytes from the clean run), masked calls and
-// rollbacks. A call whose clean-run capture failed (the undo log cannot
-// journal a ledger) is captured again and records its MaskSkip.
+// rollbacks. A call whose clean-run capture failed is captured again and
+// records its MaskSkip.
 func TestPredictedCheckpointsMatchEveryCall(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		strategy checkpoint.Strategy
 		failing  bool
 	}{
-		{"deepcopy", checkpoint.DeepCopy(), false},
-		{"failing", checkpoint.UndoLog(), true},
+		{"deepcopy", checkpoint.New(), false},
+		{"failing", failingStrategy{}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			masking := func(point int) Config {

@@ -214,7 +214,8 @@ type Config struct {
 	// MaskMethods lists methods to mask (Step 5's corrected program wraps
 	// only the failure non-atomic methods).
 	MaskMethods map[string]bool
-	// Strategy is the checkpoint strategy; nil means checkpoint.DeepCopy.
+	// Strategy, when non-nil, replaces the session's own checkpoint.New:
+	// the seam through which tests count or fail captures.
 	Strategy checkpoint.Strategy
 	// ExceptionFree lists methods the programmer asserts never throw
 	// (§4.3); the injector skips their injection points.
@@ -250,7 +251,7 @@ type Session struct {
 	cfg          Config
 	runtimeKinds []fault.Kind
 	strategy     checkpoint.Strategy
-	// ownStrategy is the checkpoint.DeepCopy the session uses when
+	// ownStrategy is the checkpoint.New the session uses when
 	// Config.Strategy is nil, kept across Reset with its free lists.
 	ownStrategy checkpoint.Strategy
 	// serial is held for the duration of each instrumented call when
@@ -370,7 +371,7 @@ func (s *Session) Reset(cfg Config) {
 	strategy := cfg.Strategy
 	if strategy == nil {
 		if s.ownStrategy == nil {
-			s.ownStrategy = checkpoint.DeepCopy()
+			s.ownStrategy = checkpoint.New()
 		}
 		strategy = s.ownStrategy
 	}

@@ -354,14 +354,13 @@ func TestExtraRootsInComparison(t *testing.T) {
 }
 
 func TestUndoLogStrategyInSession(t *testing.T) {
-	// A Journaled receiver masked with the undo-log strategy.
+	// A Journaled receiver is masked with its undo log.
 	withSession(t, Config{
 		Inject:         true,
 		InjectionPoint: 3, // first runtime point of jc.Bump's callee? see below
 		Detect:         true,
 		Mask:           true,
 		MaskAll:        true,
-		Strategy:       checkpoint.UndoLog(),
 	}, func(s *Session) {
 		jc := newJournaledThing()
 		r := catchPanic(func() { jc.Bump() })

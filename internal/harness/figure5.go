@@ -148,12 +148,11 @@ type sweepTarget interface {
 }
 
 // sweep is what distinguishes one Figure 5 sweep from another: the
-// masked method, the checkpoint strategy (nil = deep copy), and a
-// constructor returning a target and its checkpoint payload size.
+// masked method and a constructor returning a target and its checkpoint
+// payload size.
 type sweep struct {
-	masked   string
-	strategy checkpoint.Strategy
-	target   func(objectBytes int) (sweepTarget, int, error)
+	masked string
+	target func(objectBytes int) (sweepTarget, int, error)
 }
 
 // runSweep measures every (size, fraction) cell in order on one
@@ -203,7 +202,6 @@ func (s sweep) measure(objectBytes int, cfg Figure5Config, fracPct float64) (flo
 	session := core.NewSession(core.Config{
 		Mask:        true,
 		MaskMethods: map[string]bool{s.masked: true},
-		Strategy:    s.strategy,
 	})
 	if err := core.Install(session); err != nil {
 		return 0, 0, err

@@ -70,13 +70,12 @@ func (t *JournalTarget) compute() {
 	t.Sink = x
 }
 
-// Figure5Journal runs the Figure 5 sweep with undo-log checkpointing; its
-// overhead should stay flat across object sizes, in contrast to the
-// deep-copy strategy.
+// Figure5Journal runs the Figure 5 sweep on JournalTarget, whose masked
+// calls are journaled instead of deep-copied; its overhead should stay
+// flat across object sizes, in contrast to the deep copy.
 func Figure5Journal(ctx context.Context, cfg Figure5Config) ([]OverheadPoint, error) {
 	return runSweep(ctx, cfg, sweep{
-		masked:   "JournalTarget.WorkMasked",
-		strategy: checkpoint.UndoLog(),
+		masked: "JournalTarget.WorkMasked",
 		target: func(objectBytes int) (sweepTarget, int, error) {
 			// One journaled word per masked call.
 			return NewJournalTarget(objectBytes), 8, nil

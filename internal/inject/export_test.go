@@ -24,30 +24,27 @@ type PredictedComparison struct {
 // campaign plan opts describes twice as a single first pass: predicted
 // from the clean run's spans, as a campaign runs it, and with every call
 // snapshotted and checkpointed. Both passes checkpoint through counting
-// wrappers of opts.MaskStrategy (DeepCopy when nil).
+// wrappers of checkpoint.New.
 func PredictedMismatch(p *Program, opts Options) (PredictedComparison, error) {
 	var cmp PredictedComparison
 	clean, err := cleanRun(context.Background(), p, opts)
 	if err != nil {
 		return cmp, err
 	}
-	inner := opts.MaskStrategy
-	if inner == nil {
-		inner = checkpoint.DeepCopy()
-	}
+	inner := checkpoint.New()
 	predicted := &countingStrategy{Strategy: inner, n: &cmp.PredictedCaptures}
 	full := &countingStrategy{Strategy: inner, n: &cmp.FullCaptures}
 	var w worker
 	for _, ex := range planExperiments(clean.profile(p), opts, core.IndexSpans(clean.spans)) {
 		w.begin()
-		opts.MaskStrategy = predicted
+		opts.maskStrategy = predicted
 		got := w.executeOnce(p, ex, opts, nil)
 		gotCalls := w.session.Calls()
 		if got.missed {
 			cmp.Misses++
 		}
 		ex.predict = nil
-		opts.MaskStrategy = full
+		opts.maskStrategy = full
 		want := w.executeOnce(p, ex, opts, nil)
 		if cmp.Mismatch == "" && (!reflect.DeepEqual(got.run, want.run) || !reflect.DeepEqual(got.markCalls, want.markCalls) ||
 			!reflect.DeepEqual(got.maskStats(), want.maskStats()) ||

@@ -197,9 +197,6 @@ type Options struct {
 	// campaign, which is how the masking phase is verified: a masked
 	// campaign must classify every masked method failure atomic.
 	Mask map[string]bool
-	// MaskStrategy selects the checkpoint strategy for masked methods; nil
-	// means checkpoint.DeepCopy.
-	MaskStrategy checkpoint.Strategy
 	// Serialize holds a session-global lock across each instrumented call
 	// (§4.4's concurrency mitigation) for workloads that spawn goroutines.
 	// A run's goroutines inherit its session binding, so their calls are
@@ -265,6 +262,8 @@ type Options struct {
 	// deterministic, so resumed and dispatched campaigns re-derive the
 	// identical experiment list.
 	Perturbations []Perturbation
+	// maskStrategy is every run's core.Config.Strategy: a test seam.
+	maskStrategy checkpoint.Strategy
 }
 
 // supervised reports whether the per-run watchdog/retry/quarantine layer
@@ -680,7 +679,7 @@ func sessionConfig(p *Program, ex Experiment, opts Options, diffCalls map[core.C
 		RecordSpans:    ex.spans,
 		Mask:           len(opts.Mask) > 0,
 		MaskMethods:    opts.Mask,
-		Strategy:       opts.MaskStrategy,
+		Strategy:       opts.maskStrategy,
 		ExceptionFree:  opts.ExceptionFree,
 		Serialize:      opts.Serialize,
 	}

@@ -8,7 +8,6 @@ import (
 
 	"failatomic/internal/apps"
 	"failatomic/internal/bench"
-	"failatomic/internal/checkpoint"
 	"failatomic/internal/detect"
 	"failatomic/internal/harness"
 	"failatomic/internal/inject"
@@ -167,7 +166,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// perturbation runs, which would only inflate the overhead table.
 	maskOpts.Perturbations = nil
 	maskOpts.Mask = plan.WrapSet()
-	maskOpts.MaskStrategy = checkpoint.Auto()
 	masked, err := harness.RunApp(ctx, app, maskOpts)
 	if err != nil {
 		return nil, fmt.Errorf("repair: masked campaign: %w", err)
