@@ -4,9 +4,9 @@
 // exactly that many run lines — so the receiver can tell a complete
 // shipment from one truncated by a dying worker or a cut connection: a
 // torn chunk fails to decode instead of silently importing a prefix.
-// Chunks carry the same runLine encoding the journal and the final log
-// use, which is what keeps a shipped run byte-equivalent to a locally
-// journaled one.
+// Chunk run lines come from the same encoder (appendRunLine) the journal
+// and the final log use, which is what keeps a shipped run
+// byte-equivalent to a locally journaled one.
 package replog
 
 import (
@@ -30,16 +30,13 @@ type chunkHeader struct {
 	Runs   int    `json:"runs"`
 }
 
-// EncodeChunk frames runs as one chunk on w.
+// EncodeChunk frames runs as one chunk on w, one write per line.
 func EncodeChunk(w io.Writer, runs []inject.Run) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(chunkHeader{Format: ChunkFormatVersion, Runs: len(runs)}); err != nil {
+	if err := json.NewEncoder(w).Encode(chunkHeader{Format: ChunkFormatVersion, Runs: len(runs)}); err != nil {
 		return fmt.Errorf("replog: chunk header: %w", err)
 	}
-	for _, run := range runs {
-		if err := enc.Encode(runToLine(run)); err != nil {
-			return fmt.Errorf("replog: chunk run %s: %w", run.Key(), err)
-		}
+	if i, err := writeRunLines(w, runs); err != nil {
+		return fmt.Errorf("replog: chunk run %s: %w", runs[i].Key(), err)
 	}
 	return nil
 }
@@ -72,7 +69,7 @@ func EncodeChunkBytes(runs map[inject.RunKey]inject.Run) ([]byte, error) {
 // torn-shipment case — so the caller either imports the whole chunk or
 // none of it.
 func DecodeChunk(r io.Reader) ([]inject.Run, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReader(r)
 	hdrLine, err := readChunkLine(br)
 	if err != nil {
 		return nil, fmt.Errorf("replog: chunk header: %w", err)

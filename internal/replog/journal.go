@@ -38,8 +38,9 @@ type journalHeader struct {
 // Journal is an open, append-only campaign journal. Append is safe for
 // concurrent use by parallel campaign workers.
 type Journal struct {
-	mu sync.Mutex
-	f  *os.File
+	mu  sync.Mutex
+	f   *os.File
+	buf []byte // the line being appended, reused under mu
 }
 
 // CreateJournal starts a fresh journal at path, truncating any previous
@@ -96,7 +97,7 @@ func ResumeJournalSeeded(path, program, lang string, seed int64) (map[inject.Run
 		return nil, nil, fmt.Errorf("replog: journal: %w", err)
 	}
 
-	r := bufio.NewReaderSize(f, 1<<20)
+	r := bufio.NewReader(f)
 	hdrLine, err := r.ReadBytes('\n')
 	if err != nil {
 		// No complete header: treat as an empty journal and start over.
@@ -153,19 +154,21 @@ func ResumeJournalSeeded(path, program, lang string, seed int64) (map[inject.Run
 // Append journals one completed run. The line reaches the kernel in a
 // single write before Append returns, so a killed process loses at most
 // the run in flight (fsync is deferred to Close: journals protect against
-// process death, not power loss).
+// process death, not power loss). The line is encoded under the journal
+// mutex into a buffer the journal reuses, so concurrent appenders take
+// turns encoding as well as writing.
 func (j *Journal) Append(run inject.Run) error {
-	buf, err := json.Marshal(runToLine(run))
-	if err != nil {
-		return fmt.Errorf("replog: journal run %s: %w", run.Key(), err)
-	}
-	buf = append(buf, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("replog: journal run %s: journal is closed", run.Key())
 	}
-	if _, err := j.f.Write(buf); err != nil {
+	buf, err := appendRunLine(j.buf[:0], &run)
+	if err != nil {
+		return fmt.Errorf("replog: journal run %s: %w", run.Key(), err)
+	}
+	j.buf = append(buf, '\n')
+	if _, err := j.f.Write(j.buf); err != nil {
 		return fmt.Errorf("replog: journal run %s: %w", run.Key(), err)
 	}
 	return nil

@@ -4,7 +4,9 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"failatomic/internal/apps"
@@ -163,5 +165,48 @@ func TestResumeRejectsNonJournalFile(t *testing.T) {
 	}
 	if _, _, err := ResumeJournal(path, "p", ""); err == nil {
 		t.Fatal("foreign format must be rejected")
+	}
+}
+
+// TestJournalConcurrentAppend: parallel campaign workers append through
+// one journal, which encodes every line in a buffer it reuses under its
+// mutex; every run must come back intact, none torn or interleaved.
+func TestJournalConcurrentAppend(t *testing.T) {
+	runs := campaignRuns(t)
+	path := filepath.Join(t.TempDir(), "c.journal")
+	j, err := CreateJournal(path, "HashedSet", "java")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(runs); i += workers {
+				if err := j.Append(runs[i]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, j2, err := ResumeJournal(path, "HashedSet", "java")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(got) != len(runs) {
+		t.Fatalf("recovered %d runs, want %d", len(got), len(runs))
+	}
+	for _, want := range runs {
+		if !reflect.DeepEqual(got[want.Key()], want) {
+			t.Fatalf("run %s changed through a concurrent journal:\n got %+v\nwant %+v", want.Key(), got[want.Key()], want)
+		}
 	}
 }

@@ -33,10 +33,12 @@ type classInfo struct {
 	Ctor  bool   `json:"ctor,omitempty"`
 }
 
-// runLine is one injector execution. The strategy coordinate fields are
-// omitted when empty, so logs and journals of default-sweep campaigns are
-// byte-identical to the pre-perturbation format, and legacy lines — which
-// never carried them — decode as the default strategy.
+// runLine is one injector execution as a log line. Readers decode into
+// it; writers append the same bytes through appendRunLine, which the
+// tests pin against encoding/json on this type. The strategy coordinate
+// fields are omitted when empty, so logs and journals of default-sweep
+// campaigns are byte-identical to the pre-perturbation format, and legacy
+// lines — which never carried them — decode as the default strategy.
 type runLine struct {
 	InjectionPoint int        `json:"injectionPoint"`
 	Strategy       string     `json:"strategy,omitempty"`
@@ -77,7 +79,11 @@ type markJSON struct {
 // FormatVersion identifies the log format.
 const FormatVersion = "failatomic-log/1"
 
-// Write serializes a campaign result as JSON lines.
+// maxLogLine is the longest log line Read accepts.
+const maxLogLine = 1 << 24
+
+// Write serializes a campaign result as JSON lines, buffered: the header,
+// the runs and the sections reach w through one bufio.Writer.
 func Write(w io.Writer, res *inject.Result) error {
 	classes := make(map[string]classInfo)
 	record := func(name string) {
@@ -100,7 +106,8 @@ func Write(w io.Writer, res *inject.Result) error {
 		}
 	}
 
-	enc := json.NewEncoder(w)
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
 	if err := enc.Encode(header{
 		Format:      FormatVersion,
 		Program:     res.Program.Name,
@@ -112,10 +119,8 @@ func Write(w io.Writer, res *inject.Result) error {
 	}); err != nil {
 		return fmt.Errorf("replog: header: %w", err)
 	}
-	for _, run := range res.Runs {
-		if err := enc.Encode(runToLine(run)); err != nil {
-			return fmt.Errorf("replog: run %d: %w", run.InjectionPoint, err)
-		}
+	if i, err := writeRunLines(bw, res.Runs); err != nil {
+		return fmt.Errorf("replog: run %d: %w", res.Runs[i].InjectionPoint, err)
 	}
 	// Sections trail the runs. A section line is distinguished by its
 	// "section" key, which no run line carries, so pre-section readers
@@ -128,39 +133,10 @@ func Write(w io.Writer, res *inject.Result) error {
 			return fmt.Errorf("replog: section %s: %w", sec.Name, err)
 		}
 	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("replog: %w", err)
+	}
 	return nil
-}
-
-// runToLine converts one execution to its serialized form.
-func runToLine(run inject.Run) runLine {
-	line := runLine{
-		InjectionPoint: run.InjectionPoint,
-		Strategy:       run.Strategy,
-		Arg:            run.Arg,
-		Sched:          run.Sched,
-		Injected:       excToJSON(run.Injected),
-		Escaped:        excToJSON(run.Escaped),
-		Retries:        run.Retries,
-		Err:            run.Err,
-		Concur:         run.Concur,
-	}
-	if run.Status != inject.RunOK {
-		line.Status = run.Status.String()
-	}
-	if len(run.Marks) > 0 {
-		line.Marks = make([]markJSON, 0, len(run.Marks))
-	}
-	for _, m := range run.Marks {
-		line.Marks = append(line.Marks, markJSON{
-			Method:    m.Method,
-			Seq:       m.Seq,
-			Atomic:    m.Atomic,
-			Diff:      m.Diff,
-			Exception: excToJSON(m.Exception),
-			Masked:    m.Masked,
-		})
-	}
-	return line
 }
 
 // runFromLine reconstructs one execution from its serialized form.
@@ -205,8 +181,10 @@ func statusFromString(s string) inject.RunStatus {
 // result carries a synthetic Program (no Run function) sufficient for
 // classification.
 func Read(r io.Reader) (*inject.Result, error) {
+	// The scanner's buffer starts at 4 KiB and doubles only as long lines
+	// need, up to the line cap.
 	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1<<20), 1<<24)
+	scanner.Buffer(nil, maxLogLine)
 	if !scanner.Scan() {
 		return nil, fmt.Errorf("replog: empty log")
 	}
@@ -272,21 +250,6 @@ func Read(r io.Reader) (*inject.Result, error) {
 		return nil, fmt.Errorf("replog: %w", err)
 	}
 	return res, nil
-}
-
-func excToJSON(e *fault.Exception) *excJSON {
-	if e == nil {
-		return nil
-	}
-	return &excJSON{
-		Kind:     string(e.Kind),
-		Method:   e.Method,
-		Msg:      e.Msg,
-		Injected: e.Injected,
-		Point:    e.Point,
-		Foreign:  e.Foreign,
-		Stack:    e.Stack,
-	}
 }
 
 func excFromJSON(e *excJSON) *fault.Exception {
