@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"failatomic/internal/apps"
+	"failatomic/internal/collections"
 	"failatomic/internal/core"
 	"failatomic/internal/harness"
 	"failatomic/internal/inject"
@@ -52,6 +53,9 @@ func measure(name string, fn func(b *testing.B)) Result {
 // snapshotSizes are the object sizes of the snapshot ablation, matching
 // BenchmarkObjgraphCapture.
 var snapshotSizes = []int{64, 4 << 10, 64 << 10}
+
+// rbMapEntries is the size of the node-heavy fingerprint cell's map.
+const rbMapEntries = 256
 
 // campaignApps are the Table 1 rows measured per snapshot mode — a
 // representative spread (red-black tree, linked list, hash map) rather
@@ -108,6 +112,23 @@ func SnapshotSuite(ctx context.Context, perturb string) ([]Result, error) {
 			}),
 		)
 	}
+
+	// A node-heavy receiver: the flat payloads above spend their time
+	// hashing bytes, a red-black map of boxed Items in walking nodes,
+	// fields and interface values, as the campaign-heavy apps' do.
+	rb := collections.NewRBMap(collections.DefaultCompare)
+	for i := 0; i < rbMapEntries; i++ {
+		rb.Put(i, i*7)
+	}
+	out = append(out, measure(fmt.Sprintf("objgraph/fingerprint/rbmap=%d", rbMapEntries), func(b *testing.B) {
+		var fp objgraph.FP
+		for i := 0; i < b.N; i++ {
+			fp = objgraph.Fingerprint(rb)
+		}
+		if fp == (objgraph.FP{}) {
+			b.Fatal("zero fingerprint")
+		}
+	}))
 
 	for _, mode := range []core.SnapshotMode{core.SnapshotFingerprint, core.SnapshotCapture} {
 		mode := mode

@@ -397,3 +397,75 @@ func TestFramesBalanceSerializedGoroutines(t *testing.T) {
 		}
 	})
 }
+
+// vault is a Snapshotter whose checkpoint runs during: user code that may
+// enter wrapped methods while its own wrapped call is being entered.
+type vault struct {
+	V      int
+	during func()
+}
+
+func (v *vault) CheckpointState() any {
+	v.during()
+	return v.V
+}
+
+func (v *vault) RestoreState(state any) { v.V = state.(int) }
+
+// Spend changes the vault, then fails.
+func (v *vault) Spend() {
+	defer Enter(v, "vault.Spend")()
+	v.V -= 10
+	panic("declined")
+}
+
+// TestFramesReentrantSnapshotterGrowsStack: a Snapshotter whose
+// checkpoint climbs a tower of wrapped calls taller than the frame stack
+// has room for moves the stack while its own call is being entered. The
+// call's frame is pushed only after its checkpoint, so the frame it pops
+// holds its own checkpoint and the vault rolls back. (A prologue that
+// took its slot before the checkpoint would write the checkpoint into the
+// stack's old array and pop a frame without one.)
+func TestFramesReentrantSnapshotterGrowsStack(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"mask", Config{Mask: true, MaskAll: true}},
+		{"mask+detect", Config{Detect: true, Mask: true, MaskAll: true}},
+		{"mask+capture", Config{Detect: true, Snapshot: SnapshotCapture, Mask: true, MaskAll: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewSession(c.cfg)
+			if err := Install(s); err != nil {
+				t.Fatal(err)
+			}
+			defer Uninstall(s)
+			grew := false
+			v := &vault{V: 100}
+			v.during = func() {
+				room := cap(s.frames)
+				ls := tower(make([]bool, room+2)...)
+				ls[0].Climb(ls[1:], func() {})
+				grew = cap(s.frames) > room
+			}
+			if r := catchPanic(v.Spend); r != "declined" {
+				t.Fatalf("Spend panicked with %v", r)
+			}
+			if !grew {
+				t.Fatal("the checkpoint did not grow the frame stack")
+			}
+			if v.V != 100 {
+				t.Fatalf("V = %d after the unwind: the call did not roll back its own checkpoint", v.V)
+			}
+			if s.Rollbacks() != 1 {
+				t.Fatalf("%d rollbacks, want 1", s.Rollbacks())
+			}
+			var want []verdict
+			if c.cfg.Detect {
+				want = []verdict{{CallID{"vault.Spend", 1}, true}}
+			}
+			checkFrames(t, s, want)
+		})
+	}
+}

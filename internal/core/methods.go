@@ -2,6 +2,7 @@ package core
 
 import (
 	"maps"
+	"reflect"
 	"sync"
 	"sync/atomic"
 )
@@ -99,10 +100,12 @@ func (t *handleTable) publish() {
 	}
 }
 
-// method is one method's state in a session's current run. It is resolved
-// on the method's first call after NewSession or Reset (gen tells a stale
-// slot from a current one), so a call reads its facts from the slot
-// instead of hashing its name into each config map.
+// method is one method's state in a session's current run. Its counters
+// restart on the method's first call after NewSession or Reset (gen tells
+// a stale slot from a current one). Its facts, which a call reads from the
+// slot instead of hashing its name into each config map, are resolved
+// when the slot is added, and Reset drops every slot when the config they
+// come from changes, so a campaign's runs share them.
 type method struct {
 	gen   uint64
 	h     *MethodHandle
@@ -134,17 +137,38 @@ func (s *Session) state(h *MethodHandle) *method {
 	}
 	m := &s.slots[i-1]
 	if m.gen != s.gen {
-		s.resolve(m, h)
+		s.renew(m, h)
 	}
 	return m
 }
 
-// resolve fills a slot from the current config, with zeroed counters.
-func (s *Session) resolve(m *method, h *MethodHandle) {
-	*m = method{gen: s.gen, h: h}
+// renew readies a stale slot for the current run: zeroed counters, and,
+// for a slot just added, its facts resolved from the config.
+func (s *Session) renew(m *method, h *MethodHandle) {
+	added := m.h == nil
+	m.gen, m.h = s.gen, h
+	m.calls, m.diff, m.stat = 0, false, MaskStat{}
+	if !added {
+		return
+	}
 	if s.cfg.Inject {
 		m.inject = !s.cfg.ExceptionFree[h.name]
 		m.info = s.cfg.Registry.Info(h.name)
 	}
 	m.mask = s.cfg.Mask && (s.cfg.MaskAll || s.cfg.MaskMethods[h.name])
+}
+
+// sameFacts reports whether a and b resolve every method's facts alike
+// without looking: the same switches, and the very same registry and
+// maps. Maps are compared by identity; the session's config keeps the
+// old ones alive, so a new map cannot reuse an old one's address.
+func sameFacts(a, b *Config) bool {
+	return a.Inject == b.Inject && a.Mask == b.Mask && a.MaskAll == b.MaskAll &&
+		a.Registry == b.Registry &&
+		sameMap(a.ExceptionFree, b.ExceptionFree) && sameMap(a.MaskMethods, b.MaskMethods)
+}
+
+// sameMap reports whether a and b are the same map (or both nil).
+func sameMap(a, b map[string]bool) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }

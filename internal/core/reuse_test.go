@@ -146,3 +146,51 @@ func TestSessionReuseMatchesFresh(t *testing.T) {
 		prevName, prev, prevWant = step.name, got, want
 	}
 }
+
+// TestSessionReuseResolvesNewFacts: a session resolves each method's
+// facts once and keeps them across Reset while the config they come from
+// stays the same, so a reset to different ExceptionFree or MaskMethods
+// maps (or to other switches) must resolve them again: each run reports
+// what a fresh session reports.
+func TestSessionReuseResolvesNewFacts(t *testing.T) {
+	reg := NewRegistry().
+		Method("account", "Deposit", fault.IllegalState).
+		Method("ledger", "check", fault.IllegalArgument)
+	cfg := func(point int, free, mask map[string]bool) Config {
+		return Config{Registry: reg, Inject: true, Detect: true, InjectionPoint: point,
+			Mask: mask != nil, MaskMethods: mask, ExceptionFree: free}
+	}
+	freeLog := map[string]bool{"account.log": true}
+	maskDeposit := map[string]bool{"account.Deposit": true}
+	steps := []struct {
+		name string
+		cfg  Config
+	}{
+		{"first", cfg(3, freeLog, maskDeposit)},
+		{"same-maps", cfg(5, freeLog, maskDeposit)},
+		{"other-free", cfg(3, map[string]bool{"ledger.check": true}, maskDeposit)},
+		{"other-mask", cfg(3, map[string]bool{"ledger.check": true}, map[string]bool{"ledger.check": true, "account.log": true})},
+		{"no-maps", cfg(3, nil, nil)},
+		{"first-again", cfg(3, freeLog, maskDeposit)},
+		{"mask-all", edited(cfg(3, freeLog, maskDeposit), func(c *Config) { c.MaskAll = true })},
+		{"no-inject", edited(cfg(3, freeLog, maskDeposit), func(c *Config) { c.Inject = false })},
+		{"other-registry", edited(cfg(3, freeLog, maskDeposit), func(c *Config) {
+			c.Registry = NewRegistry().Method("account", "log", fault.IllegalArgument)
+		})},
+	}
+	reused := NewSession(Config{})
+	for i, step := range steps {
+		reused.Reset(step.cfg)
+		got := runView(t, reused)
+		want := runView(t, NewSession(step.cfg))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (%s): reused session reports\n%+v\nfresh session reports\n%+v", i, step.name, got, want)
+		}
+	}
+}
+
+// edited returns c after edit.
+func edited(c Config, edit func(*Config)) Config {
+	edit(&c)
+	return c
+}

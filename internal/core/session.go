@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"failatomic/internal/checkpoint"
@@ -353,10 +354,15 @@ func NewSession(cfg Config) *Session {
 // observes exactly what NewSession(cfg) would. It keeps only buffers that
 // never leave the session: the frame stack, the roots scratch, the mark
 // buffers (Marks hands out a copy, and the Append getters copy into the
-// caller's buffer), the method slots (counters restart at zero), the
-// objgraph walker with its free list of released clean-capture nodes, a
-// span buffer that Reclaim handed back, and, when cfg.Strategy is nil,
-// its own checkpoint strategy with that strategy's free lists.
+// caller's buffer), the method slots (counters restart at zero) with
+// the facts resolved into them while cfg's Inject, Registry,
+// ExceptionFree, Mask, MaskAll and MaskMethods are those of the previous
+// run (the same switches, and the same registry and maps by identity, so
+// a caller must pass a new map, not edit the old one in place, to change
+// them), the objgraph walker with its free list of released
+// clean-capture nodes, a span buffer that Reclaim handed back, and, when
+// cfg.Strategy is nil, its own checkpoint strategy with that strategy's
+// free lists.
 // Everything the getters handed out for the previous run (Marks' copy,
 // Spans, InjectedAll, PointTrace, MaskSkips, and the maps Calls and
 // MaskStats build) is detached, never truncated, so it stays valid; Spans
@@ -384,6 +390,12 @@ func (s *Session) Reset(cfg Config) {
 		// miss is counted by the Detect epilogue, so a session without
 		// Detect checkpoints every call.
 		cfg.Predict = nil
+	}
+	if !sameFacts(&s.cfg, &cfg) {
+		// The slots' facts are stale: drop the slots, and each method
+		// resolves its facts again as its first call adds its slot.
+		clear(s.ids)
+		s.slots = truncate(s.slots)
 	}
 	s.cfg = cfg
 	s.runtimeKinds = kinds
@@ -732,18 +744,26 @@ func (s *Session) enterWork(h *MethodHandle, recv any, extra []any) bool {
 		predicted = settled(clean, s.cfg.InjectionPoint)
 	}
 
-	f := frame{method: h, call: call, roots: roots, predicted: predicted}
+	// The frame is filled in place as the last step: a checkpoint or
+	// snapshot may run user code (a Snapshotter) that enters wrapped
+	// methods and grows the stack, so no slot is taken before then.
+	var (
+		handle        checkpoint.Handle
+		before        *objgraph.Graph
+		beforeFP      objgraph.FP
+		fingerprinted bool
+	)
 	switch {
 	case !mask:
 	case predicted && clean.checkpointed:
 		s.masked++
 		s.noteMask(h, clean.bytes, false)
 	default:
-		h, err := s.strategy.Capture(roots...)
+		ch, err := s.strategy.Capture(roots...)
 		if err != nil {
 			s.maskSkips = append(s.maskSkips, MaskSkip{Method: name, Err: err})
 		} else {
-			f.handle = h
+			handle = ch
 			s.masked++
 		}
 	}
@@ -753,29 +773,38 @@ func (s *Session) enterWork(h *MethodHandle, recv any, extra []any) bool {
 		case !targeted:
 		case predicted:
 		case s.cfg.Snapshot == SnapshotFingerprint:
-			f.beforeFP = s.graphs.Fingerprint(roots...)
-			f.fingerprinted = true
+			beforeFP = s.graphs.Fingerprint(roots...)
+			fingerprinted = true
 		default:
-			f.before = s.graphs.Capture(roots...)
+			before = s.graphs.Capture(roots...)
 		}
 	}
 
-	if f.handle == nil && !s.cfg.Detect && s.cfg.ExitFire == nil {
+	if handle == nil && !s.cfg.Detect && s.cfg.ExitFire == nil {
 		s.putRoots(roots)
 		return false
 	}
 
+	span := 0
 	if s.cfg.RecordSpans {
-		if f.fingerprinted {
+		if fingerprinted {
 			// The clean capture, drawn from the nodes of those already
 			// released.
-			f.before = s.graphs.Capture(roots...)
+			before = s.graphs.Capture(roots...)
 		}
-		f.span = len(s.spans)
+		span = len(s.spans)
 		s.spans = append(s.spans, Span{Call: CallID{name, call}, Enter: s.point, Exit: math.MaxInt})
 	}
 
-	s.frames = append(s.frames, f)
+	n := len(s.frames)
+	if n == cap(s.frames) {
+		s.frames = slices.Grow(s.frames, 1)
+	}
+	s.frames = s.frames[:n+1]
+	f := &s.frames[n]
+	f.method, f.call, f.roots = h, call, roots
+	f.handle, f.before, f.beforeFP = handle, before, beforeFP
+	f.fingerprinted, f.predicted, f.span = fingerprinted, predicted, span
 	return true
 }
 
@@ -785,57 +814,61 @@ func (s *Session) enterWork(h *MethodHandle, recv any, extra []any) bool {
 // the re-panic), so the stack stays balanced on every path. It re-panics
 // with a non-nil r unless the Oblivious boundary swallows it.
 func (s *Session) epilogue(r any) {
+	// Read the frame out and nil its pointers (the slot's other fields
+	// are overwritten by the next push): what runs below may push frames.
 	last := len(s.frames) - 1
-	f := s.frames[last]
-	s.frames[last] = frame{}
+	f := &s.frames[last]
+	method, call, roots, handle, before := f.method, f.call, f.roots, f.handle, f.before
+	beforeFP, fingerprinted, predicted, span := f.beforeFP, f.fingerprinted, f.predicted, f.span
+	f.method, f.roots, f.handle, f.before = nil, nil, nil, nil
 	s.frames = s.frames[:last]
-	name := f.method.name
+	name := method.name
 
 	if r == nil && s.cfg.ExitFire != nil {
 		// Deferred-cleanup injection: the body completed; the fault
 		// strikes in the epilogue — the method's cleanup phase — and
 		// takes the exceptional path below with the body's effects
 		// already applied to the object graph.
-		if kind, fire := s.cfg.ExitFire(name, f.call); fire {
+		if kind, fire := s.cfg.ExitFire(name, call); fire {
 			exc := fault.New(kind, name, s.point)
 			s.injected = append(s.injected, exc)
 			r = exc
 		}
 	}
 	if s.cfg.RecordSpans {
-		sp := &s.spans[f.span]
+		sp := &s.spans[span]
 		sp.Exit = s.point
 		sp.Unwound = r != nil
-		if f.fingerprinted {
+		if fingerprinted {
 			if sp.Exit == sp.Enter && !sp.Unwound {
 				// Settled at every point (SpanIndex), so no predicted
 				// run snapshots the call before an injection, and no
 				// one reads its clean capture: its nodes go back to
 				// the session for the next one.
-				s.graphs.Release(f.before)
+				s.graphs.Release(before)
 			} else {
-				sp.before = &cleanBefore{fp: f.beforeFP, graph: f.before}
+				sp.before = &cleanBefore{fp: beforeFP, graph: before}
 			}
 		}
-		if f.handle != nil && r == nil {
-			sp.checkpointed, sp.bytes = true, f.handle.Bytes()
+		if handle != nil && r == nil {
+			sp.checkpointed, sp.bytes = true, handle.Bytes()
 		}
 	}
 	if r == nil {
-		if f.handle != nil {
-			s.noteMask(f.method, f.handle.Bytes(), false)
+		if handle != nil {
+			s.noteMask(method, handle.Bytes(), false)
 		}
-		if c, ok := f.handle.(checkpoint.Committer); ok {
+		if c, ok := handle.(checkpoint.Committer); ok {
 			c.Commit()
 		}
-		s.putRoots(f.roots)
+		s.putRoots(roots)
 		return
 	}
 	rolledBack := false
-	if f.handle != nil {
+	if handle != nil {
 		// Read the checkpoint size before rollback clears the journal.
-		bytes := f.handle.Bytes()
-		if err := f.handle.Rollback(); err != nil {
+		bytes := handle.Bytes()
+		if err := handle.Rollback(); err != nil {
 			s.maskSkips = append(s.maskSkips, MaskSkip{
 				Method: name,
 				Err:    fmt.Errorf("rollback: %w", err),
@@ -844,16 +877,16 @@ func (s *Session) epilogue(r any) {
 			s.restored++
 			rolledBack = true
 		}
-		s.noteMask(f.method, bytes, rolledBack)
+		s.noteMask(method, bytes, rolledBack)
 	}
-	if f.fingerprinted {
+	if fingerprinted {
 		// Fingerprint mode records the verdict but no diff path. A
 		// predicted session reads a non-atomic mark's path off the
 		// clean run's capture of the call (MarkDiffs); the campaign
 		// driver recovers the rest by replaying the run with capture
 		// snapshots at exactly those calls (deterministic replay,
 		// matched back by Seq).
-		unchanged := s.graphs.Fingerprint(f.roots...) == f.beforeFP
+		unchanged := s.graphs.Fingerprint(roots...) == beforeFP
 		s.seq++
 		s.marks = append(s.marks, Mark{
 			Method:    name,
@@ -862,18 +895,18 @@ func (s *Session) epilogue(r any) {
 			Exception: fault.From(r),
 			Masked:    rolledBack,
 		})
-		s.markCalls = append(s.markCalls, CallID{name, f.call})
+		s.markCalls = append(s.markCalls, CallID{name, call})
 		if s.cfg.Predict != nil {
 			// The clean span is looked up on this rare path rather
 			// than on every call's prologue.
 			diff := ""
 			if !unchanged {
-				diff = s.cfg.Predict.cleanDiff(s.graphs, f.method, f.call, f.beforeFP, f.roots)
+				diff = s.cfg.Predict.cleanDiff(s.graphs, method, call, beforeFP, roots)
 			}
 			s.markDiffs = append(s.markDiffs, diff)
 		}
-	} else if f.before != nil {
-		diff := s.graphs.DiffLive(f.before, f.roots...)
+	} else if before != nil {
+		diff := s.graphs.DiffLive(before, roots...)
 		s.seq++
 		s.marks = append(s.marks, Mark{
 			Method:    name,
@@ -883,19 +916,19 @@ func (s *Session) epilogue(r any) {
 			Exception: fault.From(r),
 			Masked:    rolledBack,
 		})
-		s.markCalls = append(s.markCalls, CallID{name, f.call})
+		s.markCalls = append(s.markCalls, CallID{name, call})
 	} else if s.cfg.Detect {
 		// A call outside DiffCalls or the prediction: no snapshot, no
 		// mark, but it consumes its Seq exactly as in an untargeted
 		// pass, so the other marks keep their numbering.
 		s.seq++
-		if f.predicted {
+		if predicted {
 			// Only the prediction excluded this call, and it unwound
 			// anyway: the run diverged from its clean run.
 			s.misses++
 		}
 	}
-	s.putRoots(f.roots)
+	s.putRoots(roots)
 	if s.cfg.Oblivious {
 		// Failure-oblivious mode: the mark is recorded, then the
 		// injected exception stops here — this wrapper is the handler
@@ -945,9 +978,13 @@ func (s *Session) getRoots(n int) []any {
 }
 
 // putRoots clears a scratch slice (dropping its references) and pushes it
-// back on the free-list.
+// back on the free-list. It clears element by element: a receiver or two
+// costs less that way than clear's bulk write barrier. (The compiler turns
+// a range loop of zeroing stores into that same clear, so the loop counts.)
 func (s *Session) putRoots(r []any) {
-	clear(r)
+	for i := 0; i < len(r); i++ {
+		r[i] = nil
+	}
 	s.rootsFree = append(s.rootsFree, r[:0])
 }
 

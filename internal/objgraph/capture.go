@@ -51,7 +51,7 @@ func (w *walker) rootValue(r any) (reflect.Value, *typeplan.Plan) {
 	if !v.IsValid() {
 		return v, nil
 	}
-	return v, w.dyn.plan(v.Type())
+	return v, w.dyn.planOf(v.Type())
 }
 
 // encode materializes v's node; pl is the plan of v's type.
@@ -97,7 +97,7 @@ func (e *encoder) encode(v reflect.Value, pl *typeplan.Plan, label string) *Node
 		}
 	case reflect.Interface:
 		dyn := v.Elem()
-		n.Children[0] = e.encode(dyn, e.dyn.plan(dyn.Type()), "dyn")
+		n.Children[0] = e.encode(dyn, e.dyn.planOf(dyn.Type()), "dyn")
 	}
 	return n
 }

@@ -88,7 +88,7 @@ func (w *walker) diffLive(a *Node, v reflect.Value, pl *typeplan.Plan, label str
 		}
 	case reflect.Interface:
 		dyn := v.Elem()
-		if d := w.diffLive(a.Children[0], dyn, w.dyn.plan(dyn.Type()), "dyn"); d != "" {
+		if d := w.diffLive(a.Children[0], dyn, w.dyn.planOf(dyn.Type()), "dyn"); d != "" {
 			return d
 		}
 	}

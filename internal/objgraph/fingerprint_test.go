@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"failatomic/internal/typeplan"
 )
 
 // mutateTree applies one random mutation to a generated tree, returning an
@@ -219,28 +222,41 @@ func TestFingerprintSpecialValues(t *testing.T) {
 
 // TestFingerprintZeroAlloc proves the hot path allocates nothing on a
 // representative receiver shape (struct + pointer + byte slice + array +
-// a slice longer than the interned "[i]" labels) once the type plans and
-// the encoder pool are warm.
+// a slice longer than the interned "[i]" labels + values held in empty
+// and non-empty interfaces, directly and behind a copy, as a container of
+// Items holds them) once the type plans and the encoder pool are warm,
+// on a pooled walker and on a Scratch.
 func TestFingerprintZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime adds allocations; exact counts only hold without -race")
 	}
 	type meta struct{ Words [8]uint64 }
 	type payload struct {
-		Data []byte
-		M    meta
-		Next *payload
-		Long []int
+		Data  []byte
+		M     meta
+		Next  *payload
+		Long  []int
+		Items []any
+		Str   fmt.Stringer
 	}
 	p := &payload{Data: make([]byte, 1024), Long: make([]int, 1000)}
 	p.M.Words[3] = 42
-	p.Next = &payload{Data: p.Data[:16]}
+	p.Next = &payload{Data: p.Data[:16], Str: kText{"copy"}}
+	p.Items = []any{p.Next, 7, "item", meta{}, kDirect{}, [1]*payload{p}, nil}
+	p.Str = &kNode{}
 
 	allocs := testing.AllocsPerRun(100, func() {
 		Fingerprint(p)
 	})
 	if allocs != 0 {
 		t.Fatalf("Fingerprint allocated %.1f allocs/op, want 0", allocs)
+	}
+	var s Scratch
+	allocs = testing.AllocsPerRun(100, func() {
+		s.Fingerprint(p, p.Next)
+	})
+	if allocs != 0 {
+		t.Fatalf("Scratch.Fingerprint allocated %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -485,6 +501,191 @@ func TestFingerprintValuesPinned(t *testing.T) {
 	for _, tc := range pinnedCorpus {
 		if got := Fingerprint(tc.roots()...); got != tc.want {
 			t.Errorf("%s: Fingerprint = FP{%#x, %#x}, want FP{%#x, %#x}", tc.name, got[0], got[1], tc.want[0], tc.want[1])
+		}
+	}
+}
+
+// refFingerprint is Fingerprint through encode, the reflect.Value walk
+// the offset kernel replaced: the reference the kernel must match bit for
+// bit.
+func refFingerprint(roots ...any) FP {
+	w := getWalker()
+	defer w.release()
+	e := fpEncoder{walker: w}
+	e.h.reset()
+	for i, r := range roots {
+		v, pl := e.rootValue(r)
+		e.encode(v, pl, rootLabelHash(i))
+	}
+	return e.h.sum()
+}
+
+// encode is the reference: it mirrors walker.head case for case through
+// reflect.Value and visits children in encoder.encode's order. pl is the
+// plan of v's type.
+func (e *fpEncoder) encode(v reflect.Value, pl *typeplan.Plan, labelKey uint64) {
+	if !v.IsValid() {
+		e.leaf(KindNil, emptyTypeHash, labelKey)
+		return
+	}
+	switch pl.Kind {
+	case reflect.Bool:
+		e.leaf(KindBool, pl.TypeHash, labelKey)
+		var bit uint64
+		if v.Bool() {
+			bit = 1
+		}
+		e.h.word(bit)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		e.leaf(KindInt, pl.TypeHash, labelKey)
+		e.h.word(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		e.leaf(KindUint, pl.TypeHash, labelKey)
+		e.h.word(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		e.leaf(KindFloat, pl.TypeHash, labelKey)
+		e.h.word(math.Float64bits(v.Float()))
+	case reflect.Complex64, reflect.Complex128:
+		// Capture compares complex values by their formatted string, which
+		// collapses every NaN payload to "NaN"; canonicalizing NaN bits
+		// reproduces those equivalence classes without the allocation.
+		e.leaf(KindComplex, pl.TypeHash, labelKey)
+		c := v.Complex()
+		e.h.word(canonFloatBits(real(c)))
+		e.h.word(canonFloatBits(imag(c)))
+	case reflect.String:
+		e.leaf(KindString, pl.TypeHash, labelKey)
+		s := v.String()
+		if len(s) >= fpLeafFrameMin {
+			// Large-leaf framing: fold the length, then the bulk content
+			// digest. The framed/streamed choice is a pure function of
+			// the length, so equal strings always take the same spelling.
+			e.h.word(uint64(len(s)))
+			d := bulkHash128String(s)
+			e.h.word(d[0])
+			e.h.word(d[1])
+			return
+		}
+		e.h.str(s)
+	case reflect.Pointer:
+		if v.IsNil() {
+			e.leaf(KindNil, pl.TypeHash, labelKey)
+			return
+		}
+		id, seen := e.refs.Intern(v.Pointer(), pl, 0, 0)
+		e.leaf(KindPointer, pl.TypeHash, labelKey)
+		e.ref(id, seen)
+		if seen {
+			return
+		}
+		e.encode(v.Elem(), pl.Elem, derefLabel)
+	case reflect.Slice:
+		if v.IsNil() {
+			e.leaf(KindNil, pl.TypeHash, labelKey)
+			return
+		}
+		n := v.Len()
+		id, seen := e.refs.Intern(v.Pointer(), pl, n, 0)
+		e.leaf(KindSlice, pl.TypeHash, labelKey)
+		e.ref(id, seen)
+		if seen {
+			return
+		}
+		e.h.word(uint64(n))
+		if pl.ByteElem {
+			// Bulk fast path, mirroring Capture's one-payload encoding.
+			// Capture stores the same Str for exported and unexported
+			// byte slices, so both spell identically here too: unexported
+			// slices copy through encoder scratch (Bytes() is forbidden)
+			// and hash the same stream.
+			b := e.bytesOf(v)
+			if n >= fpLeafFrameMin {
+				d := bulkHash128(b)
+				e.h.word(d[0])
+				e.h.word(d[1])
+			} else {
+				e.h.bytes(b)
+			}
+			return
+		}
+		for i := 0; i < n; i++ {
+			e.encode(v.Index(i), pl.Elem, e.indexLabelHash(i))
+		}
+	case reflect.Array:
+		e.leaf(KindArray, pl.TypeHash, labelKey)
+		n := v.Len()
+		e.h.word(uint64(n))
+		if pl.ByteArray && n >= fpLeafFrameMin {
+			// Large byte arrays frame like large byte slices. The framing
+			// decision depends only on (type, len) — never addressability —
+			// so capture-equal arrays hash equal whichever extraction path
+			// runs.
+			d := bulkHash128(e.bytesOf(v))
+			e.h.word(d[0])
+			e.h.word(d[1])
+			return
+		}
+		for i := 0; i < n; i++ {
+			e.encode(v.Index(i), pl.Elem, e.indexLabelHash(i))
+		}
+	case reflect.Map:
+		if v.IsNil() {
+			e.leaf(KindNil, pl.TypeHash, labelKey)
+			return
+		}
+		id, seen := e.refs.Intern(v.Pointer(), pl, 0, 0)
+		e.leaf(KindMap, pl.TypeHash, labelKey)
+		e.ref(id, seen)
+		if seen {
+			return
+		}
+		e.h.word(uint64(v.Len()))
+		// Same canonical entry order as Capture. Map traversal allocates
+		// (MapKeys, signature strings); maps are rare on the detect hot
+		// path and the zero-alloc guarantee covers the struct/pointer/
+		// slice shapes wrapped receivers actually have.
+		base, ents := e.pushEntries(v)
+		for _, ent := range ents {
+			e.leaf(KindEntry, emptyTypeHash, typeplan.StrHash64(ent.sig))
+			e.h.str(ent.sig)
+			e.encode(v.MapIndex(ent.key), pl.Elem, valueLabel)
+		}
+		e.popEntries(base)
+	case reflect.Struct:
+		e.leaf(KindStruct, pl.TypeHash, labelKey)
+		for _, f := range pl.Fields {
+			e.encode(v.Field(f.Index), f.Plan, f.LabelHash)
+		}
+	case reflect.Interface:
+		if v.IsNil() {
+			e.leaf(KindNil, pl.TypeHash, labelKey)
+			return
+		}
+		e.leaf(KindInterface, pl.TypeHash, labelKey)
+		dyn := v.Elem()
+		e.encode(dyn, e.dyn.planOf(dyn.Type()), dynLabel)
+	case reflect.Chan:
+		if v.IsNil() {
+			e.leaf(KindNil, pl.TypeHash, labelKey)
+			return
+		}
+		e.leaf(KindChan, pl.TypeHash, labelKey)
+		e.h.word(uint64(v.Pointer()))
+	case reflect.Func:
+		if v.IsNil() {
+			e.leaf(KindNil, pl.TypeHash, labelKey)
+			return
+		}
+		e.leaf(KindFunc, pl.TypeHash, labelKey)
+		e.h.word(uint64(v.Pointer()))
+	default:
+		// Opaque: Capture's Str is a pure function of the reflect kind and
+		// the addressability flag; hash those instead of the string.
+		e.leaf(KindOpaque, pl.TypeHash, labelKey)
+		if v.CanAddr() || pl.Kind == reflect.UnsafePointer {
+			e.h.word(uint64(pl.Kind)<<1 | 1)
+		} else {
+			e.h.word(0)
 		}
 	}
 }

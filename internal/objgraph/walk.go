@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"failatomic/internal/typeplan"
 )
@@ -33,6 +34,11 @@ type walker struct {
 	// dyn caches the plans of the dynamic types of the roots and of the
 	// values met behind interfaces.
 	dyn planCache
+	// mapVals are the addressable temps Fingerprint copies map values
+	// into, one per depth of the maps it is inside, so its kernel reads a
+	// value through a pointer like any other; mapDepth is that depth.
+	mapVals  []reflect.Value
+	mapDepth int
 }
 
 // planCache is a small inline cache in front of typeplan.For for the
@@ -41,25 +47,66 @@ type walker struct {
 // types, so a few entries, replaced round-robin, hit on nearly every
 // lookup without the global map's load. (On the campaign-heavy apps four
 // entries thrash on five alternating types; eight miss about 0.3% of
-// lookups.) Plans are immutable and never dropped, so entries stay valid
-// across walks.
+// lookups.) It is keyed by the runtime type word, the first word of an
+// interface holding the value, so a hit is one pointer compare. Plans are
+// immutable and never dropped, so entries stay valid across walks.
 type planCache struct {
-	types [8]reflect.Type
+	words [8]unsafe.Pointer
 	plans [8]*typeplan.Plan
 	next  int
 }
 
-// plan returns typeplan.For(t), from the cache when it holds t.
-func (c *planCache) plan(t reflect.Type) *typeplan.Plan {
-	for i := range c.types { // by index: ranging over the array would copy it
-		if c.types[i] == t {
+// plan returns the plan of the type whose type word is word (non-nil),
+// from the cache when it holds it.
+func (c *planCache) plan(word unsafe.Pointer) *typeplan.Plan {
+	for i := range c.words { // by index: ranging over the array would copy it
+		if c.words[i] == word {
 			return c.plans[i]
 		}
 	}
-	p := typeplan.For(t)
-	c.types[c.next], c.plans[c.next] = t, p
-	c.next = (c.next + 1) % len(c.types)
+	return c.add(word)
+}
+
+// planOf is plan for a reflect.Type: the lookup of Capture and DiffLive,
+// which hold dynamic types as reflect values.
+func (c *planCache) planOf(t reflect.Type) *typeplan.Plan {
+	return c.plan(typeWord(t))
+}
+
+// add compiles (or finds) the plan for word and caches it.
+func (c *planCache) add(word unsafe.Pointer) *typeplan.Plan {
+	p := typeplan.For(typeOfWord(word))
+	c.words[c.next], c.plans[c.next] = word, p
+	c.next = (c.next + 1) % len(c.words)
 	return p
+}
+
+// eface is the layout of an empty interface: the dynamic type word, then
+// the data word (the value itself for a Direct type, otherwise a pointer
+// to it).
+type eface struct {
+	typ, data unsafe.Pointer
+}
+
+// itab is the head of the runtime's itab, the first word of an interface
+// with methods: the interface type, then the dynamic type word.
+type itab struct {
+	inter, typ unsafe.Pointer
+}
+
+// typeWord returns t's type word. A reflect.Type is a *rtype whose
+// address is the runtime type descriptor, the same pointer an interface
+// holding a value of type t carries as its first word.
+func typeWord(t reflect.Type) unsafe.Pointer {
+	return (*eface)(unsafe.Pointer(&t)).data
+}
+
+// typeOfWord is the inverse of typeWord: reflect.TypeOf reads only the
+// type word of the interface it is handed.
+func typeOfWord(word unsafe.Pointer) reflect.Type {
+	var v any
+	(*eface)(unsafe.Pointer(&v)).typ = word
+	return reflect.TypeOf(v)
 }
 
 // mapEntry pairs a map key with its canonical signature for sorting.
@@ -90,6 +137,7 @@ func (w *walker) drop() {
 	w.entries = w.entries[:0]
 	clear(w.stack)
 	w.stack = w.stack[:0]
+	w.mapDepth = 0
 }
 
 // pushEntries pushes the entries of map v, sorted by keySig (the
@@ -110,6 +158,29 @@ func (w *walker) pushEntries(v reflect.Value) (base int, ents []mapEntry) {
 func (w *walker) popEntries(base int) {
 	clear(w.entries[base:])
 	w.entries = w.entries[:base]
+}
+
+// pushMapVal returns the addressable temp for a value of plan pl at the
+// next map depth, reusing the one kept there when it has pl's type.
+func (w *walker) pushMapVal(pl *typeplan.Plan) reflect.Value {
+	d := w.mapDepth
+	w.mapDepth++
+	if d == len(w.mapVals) {
+		w.mapVals = append(w.mapVals, reflect.Value{})
+	}
+	v := w.mapVals[d]
+	if !v.IsValid() || v.Type() != pl.Type {
+		v = reflect.New(pl.Type).Elem()
+		w.mapVals[d] = v
+	}
+	return v
+}
+
+// popMapVal zeroes v, the temp pushMapVal returned last, so that it keeps
+// no workload memory alive, and pops its depth.
+func (w *walker) popMapVal(v reflect.Value) {
+	v.SetZero()
+	w.mapDepth--
 }
 
 // bytesOf returns the content of v, a byte slice or byte array: v.Bytes()

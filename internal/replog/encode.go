@@ -36,11 +36,15 @@ func writeRunLines(w io.Writer, runs []inject.Run) (int, error) {
 	return 0, nil
 }
 
+// runLinePrefix opens every run line appendRunLine encodes, and no
+// section line.
+var runLinePrefix = []byte(`{"injectionPoint":`)
+
 // appendRunLine appends run's JSON line, without the trailing newline.
 // Only a concurrent schedule's Concur record — rare, and already a plain
 // JSON data type — goes through encoding/json, and only it can fail.
 func appendRunLine(dst []byte, run *inject.Run) ([]byte, error) {
-	dst = append(dst, `{"injectionPoint":`...)
+	dst = append(dst, runLinePrefix...)
 	dst = strconv.AppendInt(dst, int64(run.InjectionPoint), 10)
 	if run.Strategy != "" {
 		dst = append(dst, `,"strategy":`...)

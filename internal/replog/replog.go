@@ -7,6 +7,7 @@ package replog
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -224,11 +225,13 @@ func Read(r io.Reader) (*inject.Result, error) {
 			continue
 		}
 		// Probe for a section line before decoding a run: sections carry a
-		// "section" key no run line has.
+		// "section" key no run line has. A line that opens the way every
+		// encoded run line does is a run without the probe's decode.
 		var probe struct {
 			Section *string `json:"section"`
 		}
-		if json.Unmarshal(scanner.Bytes(), &probe) == nil && probe.Section != nil {
+		if !bytes.HasPrefix(scanner.Bytes(), runLinePrefix) &&
+			json.Unmarshal(scanner.Bytes(), &probe) == nil && probe.Section != nil {
 			var sec inject.Section
 			if err := json.Unmarshal(scanner.Bytes(), &sec); err != nil {
 				return nil, fmt.Errorf("replog: section line: %w", err)

@@ -8,7 +8,9 @@
 // type string and its hash (reflect builds the string on each call), every
 // struct field (reflect.Type.Field allocates a fresh Index slice per
 // call), whether values hold references at all, and whether a pointer type
-// is a Snapshotter. A plan links the plans of the types its values
+// is a Snapshotter, plus the memory layout a traversal reads through
+// unsafe pointers: each field's offset, an array's length, and whether an
+// interface holds the value itself in its data word. A plan links the plans of the types its values
 // statically reach (struct fields; pointer, slice, array and map elements;
 // map keys), so a traversal hands each child its plan directly and looks
 // one up only at roots and at interface dynamic values. objgraph's
@@ -43,6 +45,8 @@ type Plan struct {
 	TypeHash uint64
 	// Size is Type.Size().
 	Size int
+	// Len is an array's length (0 for every other kind).
+	Len int
 	// Fields are a struct's fields in declaration order, exported or not.
 	Fields []Field
 	// Elem is the plan of the pointee (Pointer), element (Slice, Array) or
@@ -65,6 +69,18 @@ type Plan struct {
 	Empty bool
 	// Snap marks pointer types implementing Snapshotter.
 	Snap bool
+	// Direct marks the pointer-shaped types an interface stores in its
+	// data word itself rather than behind a pointer to a copy: pointers,
+	// maps, channels, funcs and unsafe.Pointers, and structs of one field
+	// and arrays of one element of such a type (the compiler's rule;
+	// pointers to runtime-internal not-in-heap types, which no program
+	// type reaches, are the exception).
+	Direct bool
+	// Itab marks interface types with methods: the first word of such an
+	// interface value points at an itab, whose second word is the
+	// dynamic type, where an empty interface holds the dynamic type
+	// itself.
+	Itab bool
 	// Bulk marks slices whose elements copy with one reflect.Copy (flat
 	// or string elements), each covering ElemBytes payload bytes.
 	Bulk      bool
@@ -73,8 +89,10 @@ type Plan struct {
 
 // Field is one struct field of a compiled plan.
 type Field struct {
-	// Index is the field's positional index (Value.Field argument).
-	Index int
+	// Index is the field's positional index (Value.Field argument), and
+	// Offset its byte offset within the struct.
+	Index  int
+	Offset uintptr
 	// Name is the field name, and LabelHash its StrHash64.
 	Name      string
 	LabelHash uint64
@@ -132,6 +150,12 @@ func compile(t reflect.Type, pending map[reflect.Type]*Plan) *Plan {
 	p := &Plan{Type: t, Kind: t.Kind(), TypeStr: t.String(), Size: int(t.Size())}
 	p.TypeHash = StrHash64(p.TypeStr)
 	p.Empty = p.Size == 0
+	switch p.Kind {
+	case reflect.Pointer, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		// Set before the children compile: type S struct{ next *S }
+		// compiles S while *S is still pending and reads its Direct.
+		p.Direct = true
+	}
 	pending[t] = p
 	switch p.Kind {
 	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
@@ -144,7 +168,7 @@ func compile(t reflect.Type, pending map[reflect.Type]*Plan) *Plan {
 		for i := range p.Fields {
 			f := t.Field(i)
 			fp := compile(f.Type, pending)
-			p.Fields[i] = Field{Index: i, Name: f.Name, LabelHash: StrHash64(f.Name), Exported: f.IsExported(), Plan: fp}
+			p.Fields[i] = Field{Index: i, Offset: f.Offset, Name: f.Name, LabelHash: StrHash64(f.Name), Exported: f.IsExported(), Plan: fp}
 			// A zero-size unexported field holds no state; any other
 			// makes the struct uncheckpointable, so not flat.
 			if f.IsExported() || !fp.Empty {
@@ -153,10 +177,13 @@ func compile(t reflect.Type, pending map[reflect.Type]*Plan) *Plan {
 			}
 		}
 		p.Flat = flat
+		p.Direct = len(p.Fields) == 1 && p.Fields[0].Plan.Direct
 	case reflect.Array:
 		p.ByteArray = t.Elem().Kind() == reflect.Uint8
 		p.Elem = compile(t.Elem(), pending)
-		p.Flat, p.FlatBytes = p.Elem.Flat, t.Len()*p.Elem.FlatBytes
+		p.Len = t.Len()
+		p.Flat, p.FlatBytes = p.Elem.Flat, p.Len*p.Elem.FlatBytes
+		p.Direct = p.Len == 1 && p.Elem.Direct
 	case reflect.Slice:
 		p.ByteElem = t.Elem().Kind() == reflect.Uint8
 		p.Elem = compile(t.Elem(), pending)
@@ -174,6 +201,8 @@ func compile(t reflect.Type, pending map[reflect.Type]*Plan) *Plan {
 	case reflect.Map:
 		p.Key = compile(t.Key(), pending)
 		p.Elem = compile(t.Elem(), pending)
+	case reflect.Interface:
+		p.Itab = t.NumMethod() > 0
 	}
 	if !p.Flat {
 		p.FlatBytes = 0

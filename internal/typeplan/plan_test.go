@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 type planSelf struct {
@@ -48,6 +49,9 @@ func checkLinks(t *testing.T, typ reflect.Type, seen map[reflect.Type]bool) {
 			if f.Plan != For(ft) {
 				t.Fatalf("%v.%s: linked plan is not For(%v)", typ, f.Name, ft)
 			}
+			if f.Offset != typ.Field(i).Offset {
+				t.Fatalf("%v.%s: offset %d, want %d", typ, f.Name, f.Offset, typ.Field(i).Offset)
+			}
 			checkLinks(t, ft, seen)
 		}
 	case reflect.Map:
@@ -57,6 +61,9 @@ func checkLinks(t *testing.T, typ reflect.Type, seen map[reflect.Type]bool) {
 		checkLinks(t, typ.Key(), seen)
 		checkLinks(t, typ.Elem(), seen)
 	case reflect.Pointer, reflect.Slice, reflect.Array:
+		if typ.Kind() == reflect.Array && p.Len != typ.Len() {
+			t.Fatalf("%v: length %d", typ, p.Len)
+		}
 		if p.Elem != For(typ.Elem()) || p.Key != nil {
 			t.Fatalf("%v: linked element plan is not For(%v)", typ, typ.Elem())
 		}
@@ -109,4 +116,73 @@ func TestPlanCompileRaceSafe(t *testing.T) {
 		}
 	}
 	checkLinks(t, outer, map[reflect.Type]bool{})
+}
+
+type directOne struct{ p *int }
+
+type directNested struct{ a [1]directOne }
+
+type directChan struct{ c chan int }
+
+// indirectPadded is one word, but a struct of two fields.
+type indirectPadded struct {
+	_ [0]int
+	p *int
+}
+
+type indirectInt struct{ n int }
+
+// TestPlanDirect checks Direct against where an interface really keeps
+// each value: a Direct value is the interface's data word itself, any
+// other value sits behind it in a copy. Every sample is one word whose
+// bits are the address of a live int, which no copy can be, so the two
+// readings cannot agree by accident.
+func TestPlanDirect(t *testing.T) {
+	x := new(int)
+	fn := func() {}
+	ch := make(chan int)
+	m := map[int]int{}
+	cases := []struct {
+		v      any
+		direct bool
+	}{
+		{x, true},
+		{m, true},
+		{ch, true},
+		{fn, true},
+		{unsafe.Pointer(x), true},
+		{directOne{x}, true},
+		{[1]*int{x}, true},
+		{directNested{[1]directOne{{x}}}, true},
+		{[1][1]*int{{x}}, true},
+		{directChan{ch}, true},
+		{struct{ f func() }{fn}, true},
+		{uintptr(unsafe.Pointer(x)), false},
+		{indirectInt{int(uintptr(unsafe.Pointer(x)))}, false},
+		{[1]uintptr{uintptr(unsafe.Pointer(x))}, false},
+		{indirectPadded{p: x}, false},
+		{[1]indirectPadded{{p: x}}, false},
+	}
+	for _, tc := range cases {
+		typ := reflect.TypeOf(tc.v)
+		if typ.Size() != unsafe.Sizeof(uintptr(0)) {
+			t.Fatalf("%v: %d bytes, not one word", typ, typ.Size())
+		}
+		data := (*[2]unsafe.Pointer)(unsafe.Pointer(&tc.v))[1]
+		// The value's bits, read through an addressable copy.
+		cp := reflect.New(typ)
+		cp.Elem().Set(reflect.ValueOf(tc.v))
+		bits := *(*unsafe.Pointer)(cp.UnsafePointer())
+		if held := data == bits; held != tc.direct {
+			t.Errorf("%v: the interface holds the value itself: %v, want %v", typ, held, tc.direct)
+		}
+		if got := For(typ).Direct; got != tc.direct {
+			t.Errorf("%v: Direct = %v, want %v", typ, got, tc.direct)
+		}
+	}
+	for _, v := range []any{"s", []int{}, [2]*int{}, struct{ a, b *int }{}, [0]*int{}} {
+		if For(reflect.TypeOf(v)).Direct {
+			t.Errorf("%T: a value of more or less than one word cannot be Direct", v)
+		}
+	}
 }
