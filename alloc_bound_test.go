@@ -1,5 +1,3 @@
-//go:build !failatomic_portable_gls
-
 package failatomic_test
 
 import (
@@ -18,9 +16,6 @@ import (
 // takes: a method handle's prologue on a goroutine-bound session (the
 // campaign worker's case) with fingerprint detection allocates nothing
 // once warm. The binding record is made once per Bind, never per call.
-// (Under failatomic_portable_gls every bound prologue reads its goroutine
-// id off a 64 B stack buffer, so the guard holds for the default build
-// only.)
 func TestHandlePrologueAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime adds allocations; exact counts only hold without -race")
@@ -50,9 +45,7 @@ const campaignReuseBytes = 2_000_000
 // to its clean worker's free list, and a run's mark calls, diff paths and
 // masking statistics are never copied out of the sweep. So once one RBMap
 // campaign and its re-campaign have run, the next pair allocates mostly
-// what the workload, the marks and the result need. (Under
-// failatomic_portable_gls every bound prologue allocates, so the guard
-// holds for the default build only.)
+// what the workload, the marks and the result need.
 func TestCampaignReuseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime adds allocations; exact counts only hold without -race")

@@ -65,6 +65,15 @@ func run(ctx context.Context, args []string) (int, error) {
 	if seedSet && *concurT == "" {
 		return cli.ExitFailure, fmt.Errorf("-seed requires -concur (only schedule campaigns are seeded)")
 	}
+	switch *strategy {
+	case "deepcopy":
+	case "undolog-compare":
+		if *jsonOut != "" || *concurT != "" {
+			return cli.ExitFailure, fmt.Errorf("-strategy undolog-compare applies to the Figure 5 sweep, not to -json or -concur")
+		}
+	default:
+		return cli.ExitFailure, fmt.Errorf(`-strategy %q: want "deepcopy" or "undolog-compare"`, *strategy)
+	}
 	if *against != "" && (*jsonOut == "" || *concurT != "") {
 		return cli.ExitFailure, fmt.Errorf("-diff-against requires -json (the snapshot suite is the gated artifact)")
 	}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"failatomic/internal/cli"
 )
 
 func capture(t *testing.T, f func() error) (string, error) {
@@ -67,6 +69,29 @@ func TestBadArgs(t *testing.T) {
 	for _, flag := range []string{"-nope", "-parallel", "-run-timeout", "-retries"} {
 		if _, err := run(context.Background(), []string{flag, "1"}); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Fatalf("%s must fail as an unknown flag, got %v", flag, err)
+		}
+	}
+}
+
+// TestStrategyFlagValidation: an unknown strategy names the valid ones
+// instead of silently running the deep-copy sweep, and the undo-log
+// ablation only combines with the Figure 5 sweep it extends.
+func TestStrategyFlagValidation(t *testing.T) {
+	code, err := run(context.Background(), []string{"-runs", "3", "-calls", "200", "-strategy", "undolog"})
+	if code != cli.ExitFailure || err == nil {
+		t.Fatalf("-strategy undolog = exit %d, err %v; want exit %d and an error", code, err, cli.ExitFailure)
+	}
+	for _, valid := range []string{`"deepcopy"`, `"undolog-compare"`} {
+		if !strings.Contains(err.Error(), valid) {
+			t.Errorf("error %q does not name %s", err, valid)
+		}
+	}
+	for _, args := range [][]string{
+		{"-strategy", "undolog-compare", "-json", "/nonexistent/fabench.json"},
+		{"-strategy", "undolog-compare", "-concur", "LinkedList"},
+	} {
+		if code, err := run(context.Background(), args); code != cli.ExitFailure || err == nil {
+			t.Errorf("args %v = exit %d, err %v; want rejection", args, code, err)
 		}
 	}
 }

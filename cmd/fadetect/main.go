@@ -91,6 +91,9 @@ func run(ctx context.Context, args []string) (int, error) {
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitFailure, err
 	}
+	if *lang != "" && *lang != "cpp" && *lang != "java" {
+		return cli.ExitFailure, fmt.Errorf(`-lang %q: want "cpp" or "java" (or omit it for both groups)`, *lang)
+	}
 	if spec.Parallelism <= 0 {
 		spec.Parallelism = runtime.GOMAXPROCS(0)
 	}

@@ -143,6 +143,18 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
+func TestUnknownLangRejected(t *testing.T) {
+	code, err := run(context.Background(), []string{"-lang", "xyz"})
+	if code != cli.ExitFailure || err == nil {
+		t.Fatalf("-lang xyz = exit %d, err %v; want exit %d and an error", code, err, cli.ExitFailure)
+	}
+	for _, valid := range []string{`"cpp"`, `"java"`} {
+		if !strings.Contains(err.Error(), valid) {
+			t.Errorf("error %q does not name %s", err, valid)
+		}
+	}
+}
+
 func TestResumeRequiresLog(t *testing.T) {
 	if _, err := run(context.Background(), []string{"-app", "HashedSet", "-resume"}); err == nil {
 		t.Fatal("-resume without -log must error")

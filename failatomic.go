@@ -171,8 +171,7 @@ type DetectOptions struct {
 	// Serialize holds a session-global lock across each instrumented call,
 	// for workloads that spawn goroutines (the paper's §4.4 mitigation:
 	// "restricting the amount of parallelism"). Spawned goroutines inherit
-	// their run's session, except in failatomic_portable_gls builds, where
-	// their calls go unobserved. Without it, a workload must make its
+	// their run's session. Without it, a workload must make its
 	// instrumented calls from one goroutine at a time: a run's session
 	// keeps its open calls on one LIFO stack.
 	Serialize bool

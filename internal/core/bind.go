@@ -9,11 +9,13 @@ import (
 // and the legacy Install/Uninstall global slot mirrors that; scoped
 // bindings lift the restriction so independent injector runs (one session
 // per campaign worker) can execute concurrently. A binding maps a
-// goroutine-local key (see gls_label.go / gls_portable.go) to a session in
-// a sharded registry; Enter consults the registry only when at least one
-// binding exists and falls back to the legacy global, so every existing
-// call site keeps working and the no-session fast path stays a single
-// atomic load.
+// goroutine-local key (see gls_label.go) to a session in a sharded
+// registry; Enter consults the registry only when at least one binding
+// exists and falls back to the legacy global, so every existing call site
+// keeps working and the no-session fast path stays a single atomic load.
+// Every Bind installs a fresh key, kept alive until the Bind returns, so
+// no key is ever in the registry twice and a nested Bind's entry is
+// simply inserted and deleted; the outer binding's entry stays put.
 //
 // The common case is one live binding per shard: a campaign worker's
 // goroutine bound to its session. Each shard therefore also publishes its
@@ -52,9 +54,8 @@ func init() {
 	}
 }
 
-// shardFor picks the shard for a binding key (a pointer in the fast
-// implementation, a goroutine id in the portable one); the Fibonacci
-// multiplier spreads both well.
+// shardFor picks the shard for a binding key (a label-map pointer); the
+// Fibonacci multiplier spreads the pointers' aligned low bits well.
 func shardFor(key uintptr) *bindShard {
 	return &bindShards[(uint64(key)*0x9E3779B97F4A7C15)>>32&(nBindShards-1)]
 }
@@ -85,7 +86,6 @@ func (s *Session) Bind(fn func()) {
 	key, restore := glsBind()
 	sh := shardFor(key)
 	sh.mu.Lock()
-	prev, had := sh.m[key]
 	sh.m[key] = s
 	sh.last.Store(&binding{key: key, session: s})
 	sh.mu.Unlock()
@@ -93,11 +93,7 @@ func (s *Session) Bind(fn func()) {
 	activity.Add(1)
 	defer func() {
 		sh.mu.Lock()
-		if had {
-			sh.m[key] = prev
-		} else {
-			delete(sh.m, key)
-		}
+		delete(sh.m, key)
 		if b := sh.last.Load(); b != nil && b.key == key {
 			// Republish the shard's remaining binding when there is
 			// exactly one, else leave the misses to the map.

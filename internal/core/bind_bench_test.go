@@ -2,9 +2,10 @@ package core
 
 import "testing"
 
-// BenchmarkGid is the cost of the stack-parse goroutine id — the lookup
-// the portable binding keys pay per prologue and the reason the default
-// build keys bindings by the profiler-label slot instead.
+// BenchmarkGid is the cost of the stack-parse goroutine id: what
+// Config.Serialize's reentrant lock pays per acquire to name its owner.
+// Bindings are keyed by the profiler-label slot instead, because child
+// goroutines share that key and a prologue cannot afford the parse.
 func BenchmarkGid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if gid() == 0 {

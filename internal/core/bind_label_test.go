@@ -1,5 +1,3 @@
-//go:build !failatomic_portable_gls
-
 package core
 
 import (
@@ -65,16 +63,21 @@ func TestRelabelledWorkloadLosesBinding(t *testing.T) {
 
 // TestNestedBindRestoresOuterAfterPanic: an inner Bind unwound by a panic
 // restores the outer session on both lookup routes, and the published
-// record never outlives its binding.
+// record never outlives its binding. The inner Bind gets a key of its own,
+// which is what lets the registry insert and delete it without saving the
+// outer entry.
 func TestNestedBindRestoresOuterAfterPanic(t *testing.T) {
 	for _, route := range bindRoutes {
 		outer, inner := NewSession(Config{}), NewSession(Config{})
 		var during, restored *Session
+		var outerKey, innerKey uintptr
 		outer.Bind(func() {
 			route.enter()
+			outerKey = glsKey()
 			catchPanic(func() {
 				inner.Bind(func() {
 					route.enter()
+					innerKey = glsKey()
 					during = Current()
 					panic("inner")
 				})
@@ -83,6 +86,9 @@ func TestNestedBindRestoresOuterAfterPanic(t *testing.T) {
 			box := &bindBox{}
 			box.Mutate(false)
 		})
+		if outerKey == 0 || innerKey == outerKey {
+			t.Errorf("%s: outer key %#x, inner key %#x; want distinct non-zero keys", route.name, outerKey, innerKey)
+		}
 		if during != inner || restored != outer {
 			t.Errorf("%s: inner routed to %p, after the panic %p; want %p then %p", route.name, during, restored, inner, outer)
 		}

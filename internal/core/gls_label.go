@@ -1,5 +1,3 @@
-//go:build !failatomic_portable_gls
-
 package core
 
 // Goroutine-local binding keys via profiler labels. Session.Bind must
@@ -18,9 +16,7 @@ package core
 // replaces the key mid-bind, after which its instrumented calls miss the
 // binding and fall back to the global session (or become no-ops). That
 // errs on the side of missed observations, the same one-sided guarantee
-// the detector gives everywhere else. Build with -tags
-// failatomic_portable_gls to key bindings by goroutine id instead (slower,
-// no runtime internals).
+// the detector gives everywhere else.
 
 import (
 	"context"

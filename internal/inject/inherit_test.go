@@ -1,5 +1,3 @@
-//go:build !failatomic_portable_gls
-
 package inject
 
 import (
@@ -9,11 +7,10 @@ import (
 )
 
 // TestChildGoroutinesInheritBinding: a run's session binding follows the
-// goroutines its workload spawns (see Options.Serialize for the portable
-// build's limit), so a Serialize campaign whose workload makes its wrapped
-// calls on a child goroutine — forwarding its panic and joining it —
-// records exactly the runs of the same workload run inline, at any
-// Parallelism.
+// goroutines its workload spawns, so a Serialize campaign whose workload
+// makes its wrapped calls on a child goroutine — forwarding its panic and
+// joining it — records exactly the runs of the same workload run inline,
+// at any Parallelism.
 func TestChildGoroutinesInheritBinding(t *testing.T) {
 	inline := testProgram()
 	body := inline.Run

@@ -200,9 +200,7 @@ type Options struct {
 	// Serialize holds a session-global lock across each instrumented call
 	// (§4.4's concurrency mitigation) for workloads that spawn goroutines.
 	// A run's goroutines inherit its session binding, so their calls are
-	// observed like the workload's own — except in failatomic_portable_gls
-	// builds, whose bindings (keyed by goroutine id) do not follow child
-	// goroutines: there a spawned goroutine's calls go unobserved.
+	// observed like the workload's own.
 	Serialize bool
 	// Snapshot selects the session snapshot engine. The default,
 	// core.SnapshotFingerprint, compares streaming 128-bit graph hashes

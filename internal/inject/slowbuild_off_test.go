@@ -1,4 +1,4 @@
-//go:build !race && !failatomic_portable_gls
+//go:build !race
 
 package inject_test
 

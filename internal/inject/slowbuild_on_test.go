@@ -1,8 +1,7 @@
-//go:build race || failatomic_portable_gls
+//go:build race
 
 package inject_test
 
 // slowBuild reports a build whose runtime slows campaigns severalfold (the
-// race detector, or the portable goroutine-id session binding), so the
-// heaviest sweeps trim their app set.
+// race detector), so the heaviest sweeps trim their app set.
 const slowBuild = true
