@@ -94,7 +94,7 @@ func run(ctx context.Context, args []string) (int, error) {
 	if *lang != "" && *lang != "cpp" && *lang != "java" {
 		return cli.ExitFailure, fmt.Errorf(`-lang %q: want "cpp" or "java" (or omit it for both groups)`, *lang)
 	}
-	if spec.Parallelism <= 0 {
+	if spec.Parallelism == 0 {
 		spec.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	spec.App = *appName

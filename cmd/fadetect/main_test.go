@@ -155,6 +155,29 @@ func TestUnknownLangRejected(t *testing.T) {
 	}
 }
 
+// TestNegativeCampaignValuesRejected: a negative -repeat, -parallel,
+// -retries, -max-quarantined or -run-timeout fails the run with an error
+// naming the field instead of printing a report.
+func TestNegativeCampaignValuesRejected(t *testing.T) {
+	for _, c := range []struct{ flag, value, field string }{
+		{"-repeat", "-3", "repeats"},
+		{"-parallel", "-2", "parallelism"},
+		{"-retries", "-1", "maxRetries"},
+		{"-max-quarantined", "-1", "maxQuarantined"},
+		{"-run-timeout", "-1s", "runTimeout"},
+	} {
+		for _, args := range [][]string{{"-app", "LinkedList", c.flag, c.value}, {c.flag, c.value}} {
+			out, code, err := capture(t, runArgs(args...))
+			if code != cli.ExitFailure || err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%v = exit %d, err %v; want exit %d and an error naming %s", args, code, err, cli.ExitFailure, c.field)
+			}
+			if out != "" {
+				t.Errorf("%v printed a report:\n%s", args, out)
+			}
+		}
+	}
+}
+
 func TestResumeRequiresLog(t *testing.T) {
 	if _, err := run(context.Background(), []string{"-app", "HashedSet", "-resume"}); err == nil {
 		t.Fatal("-resume without -log must error")

@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string) (int, error) {
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitFailure, err
 	}
-	if spec.Parallelism <= 0 {
+	if spec.Parallelism == 0 {
 		spec.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	spec.App = *appName

@@ -71,3 +71,23 @@ func BenchmarkEnterGlobalDetect(b *testing.B) {
 		box.Mutate(false)
 	}
 }
+
+// BenchmarkEnterSettled is BenchmarkEnterHandleBoundDetect for the calls
+// of a predicted run that cannot unwind at its injection point (see
+// Config.Predict): the prologue counts the call's point and defers the
+// settled epilogue, taking no roots and pushing no frame. The session is
+// reset every settledCalls calls, the length of the clean run it predicts
+// from.
+func BenchmarkEnterSettled(b *testing.B) {
+	const settledCalls = 1024
+	s, box := settledSession(settledCalls)
+	s.Bind(func() {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%settledCalls == 0 {
+				s.Reset(s.cfg)
+			}
+			box.MutateByHandle(false)
+		}
+	})
+}

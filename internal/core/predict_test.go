@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"failatomic/internal/checkpoint"
@@ -171,6 +172,188 @@ func TestPredictMissesCountDivergence(t *testing.T) {
 		if !reflect.DeepEqual(m, full.marks[m.Seq-1]) {
 			t.Fatalf("mark %+v differs from the full run's %+v", m, full.marks[m.Seq-1])
 		}
+	}
+}
+
+// TestPredictMissesCountDivergenceOblivious is
+// TestPredictMissesCountDivergence under Oblivious: the diverging
+// predicted pass counts the same misses and keeps the full run's other
+// marks, and the injected exception stops at the same wrapper as in an
+// unpredicted oblivious session. That holds also when the prediction
+// wrongly settles the swallowing wrapper (Add#3, live when check#3's
+// point 6 fires): its settled epilogue counts one more miss and swallows
+// the exception there.
+func TestPredictMissesCountDivergenceOblivious(t *testing.T) {
+	clean := ledgerConfig()
+	clean.RecordSpans = true
+	spans := observeLedger(t, clean, false).spans
+	wrong := slices.Clone(spans)
+	for i := range wrong {
+		if wrong[i].Call == (CallID{"ledger.Add", 3}) {
+			wrong[i].Exit = wrong[i].Enter
+		}
+	}
+
+	cfg := ledgerConfig()
+	cfg.InjectionPoint = 6
+	cfg.Predict = IndexSpans(spans)
+	misses := observeLedger(t, cfg, true).misses
+
+	cfg.Oblivious = true
+	cfg.Predict = nil
+	full, fullEscaped := observeEscapes(t, cfg)
+	if want := []bool{true, true, false}; !reflect.DeepEqual(fullEscaped, want) {
+		t.Fatalf("unpredicted oblivious session: escapes %v, want %v (check#3's injection swallowed by Add#3)", fullEscaped, want)
+	}
+	for _, c := range []struct {
+		name   string
+		index  *SpanIndex
+		misses int
+	}{
+		{"clean spans", IndexSpans(spans), misses},
+		{"Add#3 wrongly settled", IndexSpans(wrong), misses + 1},
+	} {
+		cfg.Predict = c.index
+		got, escaped := observeEscapes(t, cfg)
+		if got.misses != c.misses {
+			t.Fatalf("%s: misses = %d, want %d", c.name, got.misses, c.misses)
+		}
+		if !reflect.DeepEqual(escaped, fullEscaped) {
+			t.Fatalf("%s: escapes %v, unpredicted %v", c.name, escaped, fullEscaped)
+		}
+		if len(got.marks) != len(full.marks)-got.misses {
+			t.Fatalf("%s: diverged predicted run kept %d marks; the full run has %d", c.name, len(got.marks), len(full.marks))
+		}
+		for _, m := range got.marks {
+			if !reflect.DeepEqual(m, full.marks[m.Seq-1]) {
+				t.Fatalf("%s: mark %+v differs from the full run's %+v", c.name, m, full.marks[m.Seq-1])
+			}
+		}
+	}
+	if misses != 2 {
+		t.Fatalf("non-oblivious misses = %d, want 2 (Add#1 and check#1 unwound unpredicted)", misses)
+	}
+}
+
+// observeEscapes runs the diverging ledger workload and reports, per Add
+// call, whether an exception escaped it.
+func observeEscapes(t *testing.T, cfg Config) (obs ledgerObservation, escaped []bool) {
+	t.Helper()
+	withSession(t, cfg, func(s *Session) {
+		l := &ledger{}
+		for _, fail := range []bool{true, true, false} {
+			escaped = append(escaped, catchPanic(func() { l.Add(fail) }) != nil)
+		}
+		obs = ledgerObservation{s.Marks(), s.AppendMarkCalls(nil), nil, s.PredictMisses()}
+	})
+	return obs, escaped
+}
+
+// probe is a wrapped call that runs look, then inner, in its body.
+type probe struct{ N int }
+
+func (p *probe) Look(look, inner func()) {
+	defer Enter(p, "probe.Look")()
+	look()
+	if inner != nil {
+		inner()
+	}
+}
+
+// sight is the frame stack depth and the roots free list length a probe's
+// body saw: recorded outside the probe, so a rollback keeps it.
+type sight struct{ frames, roots int }
+
+// lookWorkload makes three Look calls of one point each: a (span [1, 1]),
+// then b (span [2, 3]) around c (span [3, 3]).
+func lookWorkload(s *Session) (a, b sight) {
+	see := func(at *sight) func() {
+		return func() { *at = sight{len(s.frames), len(s.rootsFree)} }
+	}
+	var c sight
+	new(probe).Look(see(&a), nil)
+	catchPanic(func() { new(probe).Look(see(&b), func() { new(probe).Look(see(&c), nil) }) })
+	return a, b
+}
+
+// TestSettledCallsPushNoFrame: when point 3 fires, a predicted session
+// settles a, whose span ended before it, so a's body runs with the frame
+// stack and the roots free list as the prologue found them; b, live at
+// point 3, pushes its frame. With masking, a's clean run was
+// checkpointed, so it is settled too.
+func TestSettledCallsPushNoFrame(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"detect", Config{Inject: true, Detect: true, RuntimeKinds: onePoint}},
+		{"mask+detect", Config{Inject: true, Detect: true, RuntimeKinds: onePoint, Mask: true, MaskAll: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			clean := c.cfg
+			clean.RecordSpans = true
+			withSession(t, clean, func(s *Session) {
+				lookWorkload(s) // leaves its roots on the free list
+				cfg := c.cfg
+				cfg.InjectionPoint, cfg.Predict = 3, IndexSpans(s.Spans())
+				s.Reset(cfg)
+				frames, roots := len(s.frames), len(s.rootsFree)
+				if roots == 0 {
+					t.Fatal("the clean run left no roots on the free list")
+				}
+				a, b := lookWorkload(s)
+				if a != (sight{frames, roots}) {
+					t.Errorf("settled call saw %+v, want %+v", a, sight{frames, roots})
+				}
+				if b.frames != frames+1 {
+					t.Errorf("live call saw %d frames, want %d", b.frames, frames+1)
+				}
+				if len(s.frames) != 0 || s.PredictMisses() != 0 || len(s.Marks()) != 1 {
+					t.Errorf("after the run: %d frames, %d misses, marks %+v; want 0, 0 and b's mark", len(s.frames), s.PredictMisses(), s.Marks())
+				}
+			})
+		})
+	}
+}
+
+// settledSession returns a session predicted from a clean run of n
+// box.MutateByHandle calls, each counting one injection point, at a point
+// past them all: its first n such calls after each Reset, on a goroutine
+// it is bound to, are settled.
+func settledSession(n int) (*Session, *bindBox) {
+	box := &bindBox{}
+	cfg := Config{Inject: true, Detect: true, RuntimeKinds: onePoint, RecordSpans: true}
+	clean := NewSession(cfg)
+	clean.Bind(func() {
+		for range n {
+			box.MutateByHandle(false)
+		}
+	})
+	cfg.RecordSpans, cfg.InjectionPoint, cfg.Predict = false, n+1, IndexSpans(clean.Spans())
+	return NewSession(cfg), box
+}
+
+// TestSettledPrologueAllocs guards the settled route: a bound, predicted
+// session's settled calls allocate nothing, and take neither a roots
+// slice nor a frame.
+func TestSettledPrologueAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime adds allocations; exact counts only hold without -race")
+	}
+	const n = 1000
+	s, box := settledSession(n)
+	var allocs float64
+	s.Bind(func() {
+		allocs = testing.AllocsPerRun(n-1, func() { box.MutateByHandle(false) })
+	})
+	if allocs > 0 {
+		t.Fatalf("settled prologue = %.2f allocs per call; want 0", allocs)
+	}
+	if cap(s.frames) != 0 || len(s.rootsFree) != 0 {
+		t.Fatalf("settled calls pushed frames (cap %d) or took roots (%d free)", cap(s.frames), len(s.rootsFree))
+	}
+	if got := s.Calls()["bindBox.Mutate"]; got != n {
+		t.Fatalf("session counted %d calls, want %d", got, n)
 	}
 }
 

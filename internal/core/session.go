@@ -189,9 +189,13 @@ type Config struct {
 	// the calls an exception injected at InjectionPoint can unwind, read
 	// off a clean run's spans (see SpanIndex). Once an exception has been
 	// injected, every call entered afterwards is snapshotted.
-	// Unsnapshotted calls behave as calls outside DiffCalls; one that
-	// unwinds anyway counts a miss (PredictMisses), and the run must be
-	// redone unpredicted.
+	// Unsnapshotted calls consume their Seq and keep the Oblivious
+	// boundary as calls outside DiffCalls do; one that unwinds anyway
+	// counts a miss (PredictMisses), and the run must be redone
+	// unpredicted. A settled call (unsnapshotted, and needing no
+	// checkpoint of its own; see below) pushes no frame and takes no
+	// roots: its epilogue only recovers, and acts on an unwind, unless
+	// the session records spans or serializes calls.
 	//
 	// The same calls skip their masking checkpoint when the clean run
 	// captured one: such a call returns normally, so its checkpoint would
@@ -311,13 +315,16 @@ type Session struct {
 
 	// exitFn is the one deferred epilogue Enter hands out for every call
 	// that pushed a frame: exitPlain (s.exit), or exitSerial
-	// (s.exitSerialized) under Serialize. unlockFn releases the Serialize
-	// lock of a call that pushed none. All are method values built once
-	// per session, so deferring them allocates nothing.
-	exitFn     func()
-	exitPlain  func()
-	exitSerial func()
-	unlockFn   func()
+	// (s.exitSerialized) under Serialize. exitSettledFn (s.exitSettled)
+	// is the epilogue of a settled call, which pushed none. unlockFn
+	// releases the Serialize lock of a call that pushed none. All are
+	// method values built once per session, so deferring them allocates
+	// nothing.
+	exitFn        func()
+	exitPlain     func()
+	exitSerial    func()
+	exitSettledFn func()
+	unlockFn      func()
 }
 
 // frame is one open call's exit state: what its epilogue needs from its
@@ -345,6 +352,7 @@ func NewSession(cfg Config) *Session {
 	s := &Session{}
 	s.exitPlain = s.exit
 	s.exitSerial = s.exitSerialized
+	s.exitSettledFn = s.exitSettled
 	s.unlockFn = s.serial.Unlock
 	s.Reset(cfg)
 	return s
@@ -642,14 +650,14 @@ func Enter(recv any, name string, extra ...any) func() {
 	return Method(name).Enter(recv, extra...)
 }
 
-// enter runs the prologue and picks the deferred epilogue: the session's
-// exit function when enterWork pushed a frame, nop otherwise.
+// enter runs the prologue and returns the deferred epilogue enterWork
+// picked, or nop when the call needs none.
 func (s *Session) enter(h *MethodHandle, recv any, extra []any) func() {
 	if s.cfg.Serialize {
 		return s.enterSerialized(h, recv, extra)
 	}
-	if s.enterWork(h, recv, extra) {
-		return s.exitFn
+	if exit := s.enterWork(h, recv, extra); exit != nil {
+		return exit
 	}
 	return nop
 }
@@ -667,10 +675,10 @@ func (s *Session) enterSerialized(h *MethodHandle, recv any, extra []any) func()
 			s.serial.Unlock()
 		}
 	}()
-	pushed := s.enterWork(h, recv, extra)
+	exit := s.enterWork(h, recv, extra)
 	entered = true
-	if pushed {
-		return s.exitFn
+	if exit != nil {
+		return exit
 	}
 	return s.unlockFn
 }
@@ -687,10 +695,21 @@ func (s *Session) exitSerialized() {
 	s.epilogue(recover())
 }
 
+// exitSettled is the deferred epilogue of a settled call, which pushed no
+// frame (see enterWork). A normal return, the clean run's, needs nothing;
+// an unwind means the run diverged from its clean run.
+func (s *Session) exitSettled() {
+	if r := recover(); r != nil {
+		s.unwindUnsnapshotted(r, true)
+	}
+}
+
 // enterWork performs the prologue work (counting, injection, checkpoint,
-// snapshot). When something needs to happen at method exit it pushes the
-// call's frame, as its last step, and reports true.
-func (s *Session) enterWork(h *MethodHandle, recv any, extra []any) bool {
+// snapshot) and returns the epilogue the call must defer, or nil when
+// nothing needs to happen at method exit. A call whose epilogue needs
+// its exit state pushes its frame, as the last step, and gets s.exitFn;
+// a settled call gets s.exitSettledFn and pushes none.
+func (s *Session) enterWork(h *MethodHandle, recv any, extra []any) func() {
 	name := h.name
 	m := s.state(h)
 	m.calls++
@@ -720,16 +739,12 @@ func (s *Session) enterWork(h *MethodHandle, recv any, extra []any) bool {
 	}
 
 	if recv == nil {
-		return false
+		return nil
 	}
 
 	if !mask && !s.cfg.Detect {
-		return false
+		return nil
 	}
-
-	roots := s.getRoots(1 + len(extra))
-	roots = append(roots, recv)
-	roots = append(roots, extra...)
 
 	// targeted: Config.DiffCalls is nil or lists this call. Only methods
 	// with a listed call pay the lookup.
@@ -743,6 +758,26 @@ func (s *Session) enterWork(h *MethodHandle, recv any, extra []any) bool {
 		clean = s.cfg.Predict.span(h, call)
 		predicted = settled(clean, s.cfg.InjectionPoint)
 	}
+	if predicted && mask && clean.checkpointed {
+		// The clean run's checkpoint stands in for the call's own, which
+		// would only be committed: the call counts as masked with its
+		// bytes and captures none.
+		s.masked++
+		s.noteMask(h, clean.bytes, false)
+		mask = false
+	}
+	if predicted && !mask && !s.cfg.RecordSpans && !s.cfg.Serialize {
+		// Settled: no snapshot and no checkpoint, so the epilogue needs
+		// no exit state, and the call takes no roots and pushes no
+		// frame. Only a span-recording run, which fills the call's span
+		// at exit, and Serialize, whose epilogue releases the lock, keep
+		// the frame.
+		return s.exitSettledFn
+	}
+
+	roots := s.getRoots(1 + len(extra))
+	roots = append(roots, recv)
+	roots = append(roots, extra...)
 
 	// The frame is filled in place as the last step: a checkpoint or
 	// snapshot may run user code (a Snapshotter) that enters wrapped
@@ -753,12 +788,7 @@ func (s *Session) enterWork(h *MethodHandle, recv any, extra []any) bool {
 		beforeFP      objgraph.FP
 		fingerprinted bool
 	)
-	switch {
-	case !mask:
-	case predicted && clean.checkpointed:
-		s.masked++
-		s.noteMask(h, clean.bytes, false)
-	default:
+	if mask {
 		ch, err := s.strategy.Capture(roots...)
 		if err != nil {
 			s.maskSkips = append(s.maskSkips, MaskSkip{Method: name, Err: err})
@@ -782,7 +812,7 @@ func (s *Session) enterWork(h *MethodHandle, recv any, extra []any) bool {
 
 	if handle == nil && !s.cfg.Detect && s.cfg.ExitFire == nil {
 		s.putRoots(roots)
-		return false
+		return nil
 	}
 
 	span := 0
@@ -805,7 +835,7 @@ func (s *Session) enterWork(h *MethodHandle, recv any, extra []any) bool {
 	f.method, f.call, f.roots = h, call, roots
 	f.handle, f.before, f.beforeFP = handle, before, beforeFP
 	f.fingerprinted, f.predicted, f.span = fingerprinted, predicted, span
-	return true
+	return s.exitFn
 }
 
 // epilogue is the exit handler of the call on top of the frame stack; r
@@ -918,22 +948,35 @@ func (s *Session) epilogue(r any) {
 		})
 		s.markCalls = append(s.markCalls, CallID{name, call})
 	} else if s.cfg.Detect {
-		// A call outside DiffCalls or the prediction: no snapshot, no
-		// mark, but it consumes its Seq exactly as in an untargeted
-		// pass, so the other marks keep their numbering.
-		s.seq++
-		if predicted {
-			// Only the prediction excluded this call, and it unwound
-			// anyway: the run diverged from its clean run.
-			s.misses++
-		}
+		s.putRoots(roots)
+		s.unwindUnsnapshotted(r, predicted)
+		return
 	}
 	s.putRoots(roots)
+	s.propagate(r)
+}
+
+// unwindUnsnapshotted ends a Detect call that unwinds with r but took no
+// snapshot, being outside DiffCalls or the prediction: it records no
+// mark, but consumes its Seq exactly as in an untargeted pass, so the
+// other marks keep their numbering. A predicted call (one only the
+// prediction excluded) counts a miss: the run diverged from its clean
+// run. Then r propagates.
+func (s *Session) unwindUnsnapshotted(r any, predicted bool) {
+	s.seq++
+	if predicted {
+		s.misses++
+	}
+	s.propagate(r)
+}
+
+// propagate re-panics with r, the value an unwinding call's epilogue
+// recovered, once its mark is recorded. In failure-oblivious mode an
+// injected exception stops here instead — this wrapper is the handler
+// boundary; its method returns zero values and the workload continues
+// (organic and foreign panics still propagate).
+func (s *Session) propagate(r any) {
 	if s.cfg.Oblivious {
-		// Failure-oblivious mode: the mark is recorded, then the
-		// injected exception stops here — this wrapper is the handler
-		// boundary; its method returns zero values and the workload
-		// continues (organic and foreign panics still propagate).
 		if exc, ok := r.(*fault.Exception); ok && exc.Injected {
 			return
 		}

@@ -111,9 +111,25 @@ func (sp JobSpec) JobKind() string {
 
 // Options converts the spec's campaign knobs to inject.Options — the one
 // flags→options conversion: fadetect and farepair build a JobSpec from
-// their flags and call it too. Journal hooks belong to whoever runs the
-// job, not to the spec.
+// their flags and call it too. It rejects a negative count or timeout,
+// naming the field. Journal hooks belong to whoever runs the job, not to
+// the spec.
 func (sp JobSpec) Options() (inject.Options, error) {
+	for _, knob := range []struct {
+		field    string
+		negative bool
+		value    any
+	}{
+		{"repeats", sp.Repeats < 0, sp.Repeats},
+		{"parallelism", sp.Parallelism < 0, sp.Parallelism},
+		{"runTimeout", sp.RunTimeout < 0, sp.RunTimeout},
+		{"maxRetries", sp.MaxRetries < 0, sp.MaxRetries},
+		{"maxQuarantined", sp.MaxQuarantined < 0, sp.MaxQuarantined},
+	} {
+		if knob.negative {
+			return inject.Options{}, fmt.Errorf("%s must not be negative (got %v)", knob.field, knob.value)
+		}
+	}
 	perturbations, err := inject.ParsePerturbations(sp.Perturb)
 	if err != nil {
 		return inject.Options{}, err

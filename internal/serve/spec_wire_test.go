@@ -150,3 +150,30 @@ func TestSpecBodyCap(t *testing.T) {
 		t.Fatalf("admitted job has no spec.json: %v", err)
 	}
 }
+
+// TestNegativeKnobsRejected: a job spec with a negative count or timeout
+// is refused with 400 naming the field, and leaves nothing on disk.
+func TestNegativeKnobsRejected(t *testing.T) {
+	dataDir := t.TempDir()
+	_, url, _ := bootServerCfg(t, serve.Config{DataDir: dataDir, Workers: 1, QueueDepth: 16})
+	for _, c := range []struct{ body, field string }{
+		{`{"app":"HashedSet","repeats":-1}`, "repeats"},
+		{`{"app":"HashedSet","parallelism":-2}`, "parallelism"},
+		{`{"app":"HashedSet","runTimeout":-1}`, "runTimeout"},
+		{`{"app":"HashedSet","maxRetries":-1}`, "maxRetries"},
+		{`{"app":"HashedSet","maxQuarantined":-1}`, "maxQuarantined"},
+	} {
+		resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.field) {
+			t.Errorf("%s = %d %q, want 400 naming %s", c.body, resp.StatusCode, msg, c.field)
+		}
+	}
+	if specs, err := filepath.Glob(filepath.Join(dataDir, "jobs", "*", "spec.json")); err != nil || len(specs) != 0 {
+		t.Fatalf("rejected specs left %v on disk (%v)", specs, err)
+	}
+}
