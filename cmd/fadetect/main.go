@@ -98,14 +98,23 @@ func run(ctx context.Context, args []string) (int, error) {
 		spec.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	spec.App = *appName
-	seedSet := false
+	seedSet, listFlag := false, ""
 	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
+		switch f.Name {
+		case "seed":
 			seedSet = true
+		case "list-kind", "list-state", "list-token", "list-limit":
+			listFlag = f.Name
 		}
 	})
 	if seedSet && *concurFlg == "" {
 		return cli.ExitFailure, fmt.Errorf("-seed requires -concur (only schedule campaigns are seeded)")
+	}
+	if listFlag != "" && !*list {
+		return cli.ExitFailure, fmt.Errorf("-%s requires -list (it applies only to the server's job index query)", listFlag)
+	}
+	if *lang != "" && (*appName != "" || *list) {
+		return cli.ExitFailure, fmt.Errorf("-lang filters the full evaluation; it cannot be combined with -app or -list")
 	}
 	if *concurFlg != "" {
 		if *appName == "" {

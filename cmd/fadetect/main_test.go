@@ -552,6 +552,33 @@ func TestListFlagValidation(t *testing.T) {
 	}
 }
 
+// TestDependentFlagsRejected: a flag that only shapes a mode the
+// invocation does not select fails the run instead of being ignored. The
+// -list-* flags filter -list's job index query, and -lang filters the full
+// evaluation, so neither runs a campaign it has no say in.
+func TestDependentFlagsRejected(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-app", "LinkedList", "-list-kind", "detect"}, "-list-kind requires -list"},
+		{[]string{"-list-state", "done"}, "-list-state requires -list"},
+		{[]string{"-app", "LinkedList", "-list-token", "t"}, "-list-token requires -list"},
+		{[]string{"-list-limit", "-5"}, "-list-limit requires -list"},
+		{[]string{"-lang", "cpp", "-app", "RBMap"}, "-lang"},
+		{[]string{"-lang", "java", "-app", "LinkedList", "-concur", "workers=4"}, "-lang"},
+		{[]string{"-lang", "java", "-server", "http://127.0.0.1:1", "-list"}, "-lang"},
+	} {
+		out, code, err := capture(t, runArgs(c.args...))
+		if code != cli.ExitFailure || err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v = exit %d, err %v; want exit %d and an error containing %q", c.args, code, err, cli.ExitFailure, c.want)
+		}
+		if out != "" {
+			t.Errorf("%v printed %q; want no report", c.args, out)
+		}
+	}
+}
+
 // TestRemoteList pages a live server's job index through the CLI: one
 // line per job, filterable, and the priority submitted with the job is
 // what the index reports.

@@ -1,6 +1,11 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"failatomic/internal/fault"
+)
 
 // BenchmarkGid is the cost of the stack-parse goroutine id: what
 // Config.Serialize's reentrant lock pays per acquire to name its owner.
@@ -90,4 +95,43 @@ func BenchmarkEnterSettled(b *testing.B) {
 			box.MutateByHandle(false)
 		}
 	})
+}
+
+// descent is a wrapped recursion for BenchmarkEnterUnwind: Down(n) enters
+// n+1 nested calls and the innermost throws.
+type descent struct{ N int }
+
+var mDescentDown = Method("descent.Down")
+
+func (d *descent) Down(n int) {
+	defer mDescentDown.Enter(d)()
+	if n == 0 {
+		fault.Throw(fault.IllegalState, "descent.Down", "bottom")
+	}
+	d.Down(n - 1)
+}
+
+// BenchmarkEnterUnwind is one exception unwinding through frames wrapped
+// detect calls: each epilogue recovers it, fingerprints the after-state,
+// records the mark and re-panics (Session.propagate), and Go unwinds no
+// stack until a recovery completes, so every re-panic walks back to the
+// throw site. The session is reset every 1,024 exceptions.
+func BenchmarkEnterUnwind(b *testing.B) {
+	for _, frames := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
+			s := NewSession(Config{Detect: true})
+			d := &descent{}
+			s.Bind(func() {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%1024 == 0 {
+						s.Reset(s.cfg)
+					}
+					if catchPanic(func() { d.Down(frames - 1) }) == nil {
+						b.Fatal("the exception did not escape")
+					}
+				}
+			})
+		})
+	}
 }

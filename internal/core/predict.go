@@ -31,9 +31,19 @@ type Span struct {
 
 // cleanBefore is a clean run's before-state of one call: the fingerprint
 // every snapshot of the call compares against, and the captured graph it
-// summarizes.
+// summarizes; after is the fingerprint the clean run's epilogue took of
+// the after-state when the call unwound (zero otherwise).
+//
+// A predicted run takes both fingerprints from here instead of hashing
+// them again, for a call entered before the injection at the clean span's
+// Enter point (before), and for one that unwinds again at the clean span's
+// Exit point, before the injection (after): run P is the clean run until
+// point P fires (inject.Program.Run builds fresh objects on every run), so
+// the state at either point is the clean run's. The point guards fall
+// back to hashing when a workload diverges from its clean run.
 type cleanBefore struct {
 	fp    objgraph.FP
+	after objgraph.FP
 	graph *objgraph.Graph
 }
 
@@ -129,13 +139,27 @@ func settled(sp *Span, point int) bool {
 	return sp != nil && !(sp.Enter < point && (sp.Unwound || point <= sp.Exit))
 }
 
+// cleanAfter returns the clean run's after-fingerprint of method h's
+// call-th call, and true, when that call unwound in the clean run at
+// point, before injection: the after-state a run unwinding the call at
+// the same point, before its injection, must have.
+func (x *SpanIndex) cleanAfter(h *MethodHandle, call int64, point, injection int) (objgraph.FP, bool) {
+	sp := x.span(h, call)
+	if sp == nil || sp.before == nil || !sp.Unwound || sp.Exit != point || point >= injection {
+		return objgraph.FP{}, false
+	}
+	return sp.before.after, true
+}
+
 // cleanDiff returns the first-difference path from the clean-run
 // before-state of method h's call-th call to the graph at roots, or ""
 // when the clean run kept no capture of that call or its fingerprint is
 // not before. Equal fingerprints mean the same canonical traversal (up to
 // a 2⁻¹²⁸ collision), so the clean graph stands for the run's own
-// before-state and the path is the one a capture-mode run reports. The
-// diff runs on the calling session's scratch.
+// before-state and the path is the one a capture-mode run reports. A call
+// whose before-fingerprint was taken from the clean run meets the check
+// by construction; one that hashed its own may not. The diff runs on the
+// calling session's scratch.
 func (x *SpanIndex) cleanDiff(scratch *objgraph.Scratch, h *MethodHandle, call int64, before objgraph.FP, roots []any) string {
 	sp := x.span(h, call)
 	if sp == nil || sp.before == nil || sp.before.fp != before {

@@ -518,3 +518,133 @@ func TestMarkDiffsMatchCapture(t *testing.T) {
 		}
 	})
 }
+
+// fingerprintLedger is ledgerConfig under fingerprint snapshots.
+func fingerprintLedger(point int) Config {
+	cfg := ledgerConfig()
+	cfg.Snapshot, cfg.InjectionPoint = SnapshotFingerprint, point
+	return cfg
+}
+
+// TestPredictedRunsReuseCleanFingerprints: a predicted fingerprint run
+// hashes no before-state of a call it entered before the injection, and no
+// after-state of one that unwound before it; it takes both from the clean
+// run, and records the marks an unpredicted session records. The clean
+// spans are Add#1 [1, 2], check#1 [2, 2], Add#2 [3, 4] and check#2 [4, 4]
+// (both unwound), Add#3 [5, 6] and check#3 [6, 6]. What is left to hash is
+// the after-state of a call live when P fires, and both states of a call
+// entered after it:
+//
+//	P=1: Add#2, check#2 (2 before, 2 after), Add#3, check#3 (2 before)
+//	P=2: Add#1's after, then P=1's six
+//	P=3: Add#3, check#3 (2 before)
+//	P=4: Add#2's after, Add#3 and check#3 (2 before)
+//	P=5: nothing: Add#2 and check#2 unwind as in the clean run
+//	P=6: Add#3's after
+//	P=7: nothing: P never fires
+func TestPredictedRunsReuseCleanFingerprints(t *testing.T) {
+	clean := fingerprintLedger(0)
+	clean.RecordSpans = true
+	index := IndexSpans(observeLedger(t, clean, false).spans)
+	for point, want := range []int{1: 6, 2: 7, 3: 2, 4: 3, 5: 0, 6: 1, 7: 0} {
+		if point == 0 {
+			continue
+		}
+		cfg := fingerprintLedger(point)
+		full := observeLedger(t, cfg, false)
+		cfg.Predict = index
+		var got ledgerObservation
+		var hashed int
+		withSession(t, cfg, func(s *Session) {
+			ledgerWorkload(false)
+			got = ledgerObservation{s.Marks(), s.AppendMarkCalls(nil), nil, s.PredictMisses()}
+			hashed = s.fingerprints
+		})
+		if !reflect.DeepEqual(got, full) {
+			t.Fatalf("point %d: predicted observations differ:\n got %+v\nwant %+v", point, got, full)
+		}
+		if hashed != want {
+			t.Errorf("point %d: predicted run took %d fingerprints, want %d", point, hashed, want)
+		}
+	}
+
+	// Under Serialize, goroutines may interleave differently at the same
+	// point, so a serialized run hashes Add#2 and check#2 itself.
+	cfg := fingerprintLedger(5)
+	cfg.Predict, cfg.Serialize = index, true
+	withSession(t, cfg, func(s *Session) {
+		ledgerWorkload(false)
+		if s.fingerprints != 4 {
+			t.Errorf("serialized predicted run took %d fingerprints, want 4", s.fingerprints)
+		}
+	})
+}
+
+// shift is a free function of one injection point that moves its probe's
+// state: a workload that calls it diverges from a clean run that did not.
+func shift(p *probe) {
+	defer Enter(nil, "probe.shift")()
+	p.N += 100
+}
+
+// shiftedWorkload makes three Look calls on one probe, the second of
+// which throws organically from its body without changing the probe: in
+// the clean run (at nil) they span [1, 1], [2, 2] (unwound) and [3, 3].
+// at names where the diverging run calls shift: "enter", just before the
+// second Look, which then enters at point 3 with another state, or
+// "exit", inside its body, which then unwinds at point 3, non-atomic.
+func shiftedWorkload(at string) {
+	p := new(probe)
+	p.Look(func() {}, nil)
+	catchPanic(func() {
+		if at == "enter" {
+			shift(p)
+		}
+		p.Look(func() {
+			if at == "exit" {
+				shift(p)
+			}
+		}, func() { fault.Throw(fault.IllegalArgument, "probe.Look", "rejected") })
+	})
+	catchPanic(func() { p.Look(func() {}, nil) })
+}
+
+// TestPredictedReuseNeedsCleanPoints: a predicted run takes a call's
+// before-fingerprint from the clean run only when the call enters at the
+// clean span's Enter point, and its after-fingerprint only when it unwinds
+// at the clean span's Exit point. Here the second Look keeps its clean
+// span (group (a) at point 4) but enters, or unwinds, one point later with
+// a state the clean run never had; no call unwinds unpredicted, so nothing
+// counts a miss, and the predicted run must record exactly the marks of an
+// unpredicted one.
+func TestPredictedReuseNeedsCleanPoints(t *testing.T) {
+	cfg := Config{Inject: true, Detect: true, RuntimeKinds: onePoint}
+	clean := cfg
+	clean.RecordSpans = true
+	var index *SpanIndex
+	withSession(t, clean, func(s *Session) {
+		shiftedWorkload("")
+		index = IndexSpans(s.Spans())
+	})
+	for _, at := range []string{"enter", "exit"} {
+		t.Run(at, func(t *testing.T) {
+			observe := func(cfg Config) (obs ledgerObservation) {
+				withSession(t, cfg, func(s *Session) {
+					shiftedWorkload(at)
+					obs = ledgerObservation{s.Marks(), s.AppendMarkCalls(nil), nil, s.PredictMisses()}
+				})
+				return obs
+			}
+			cfg := cfg
+			cfg.InjectionPoint = 4
+			want := observe(cfg)
+			if len(want.marks) != 1 || want.marks[0].Atomic != (at == "enter") {
+				t.Fatalf("unpredicted run marked %+v; want the second Look, atomic only when shifted before it", want.marks)
+			}
+			cfg.Predict = index
+			if got := observe(cfg); !reflect.DeepEqual(got, want) {
+				t.Fatalf("predicted run differs from the unpredicted one:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}

@@ -204,9 +204,15 @@ type Config struct {
 	// MaskedCalls and MaskStats equal those of an every-call session; a
 	// call whose clean-run capture failed is captured (and fails) again.
 	//
-	// Under fingerprint snapshots, a non-atomic mark whose call entered
-	// from the clean run's before-fingerprint also reads its diff path off
-	// the clean run's capture (MarkDiffs).
+	// Under fingerprint snapshots, a call entered before the injection at
+	// the point where the clean run entered it takes the clean run's
+	// before-fingerprint instead of hashing its roots, and, if it unwinds
+	// again before the injection at the point where the clean run's call
+	// unwound, the clean run's after-fingerprint too: up to the injection
+	// the run is the clean run. A call at any other point hashes, and counts
+	// no miss; so does every call under Serialize. A non-atomic mark whose call entered from the clean run's
+	// before-fingerprint also reads its diff path off the clean run's
+	// capture (MarkDiffs).
 	Predict *SpanIndex
 	// RecordSpans records one Span per receiver-bearing call under Detect
 	// (Spans): the clean run's input to Predict.
@@ -285,6 +291,11 @@ type Session struct {
 	masked    int64
 	restored  int64
 
+	// fingerprints counts the objgraph fingerprints the run took (before-
+	// and after-states), the snapshot work a predicted run reuses from its
+	// clean run.
+	fingerprints int
+
 	// slots holds the state of each method the session has called, in
 	// first-call order; ids maps a method handle's id (methods.go) to 1 +
 	// its slot's index, 0 before its first call. So a session keeps room
@@ -333,8 +344,11 @@ type frame struct {
 	method        *MethodHandle
 	fingerprinted bool
 	// predicted: Config.Predict ruled out that the call unwinds, so it
-	// took no snapshot; unwinding anyway is a miss.
+	// took no snapshot; unwinding anyway is a miss. reused: beforeFP is
+	// the clean run's (Config.Predict), so the after-fingerprint may be
+	// too.
 	predicted bool
+	reused    bool
 	call      int64 // per-method call ordinal
 	roots     []any
 	handle    checkpoint.Handle
@@ -414,7 +428,7 @@ func (s *Session) Reset(cfg Config) {
 		s.exitFn = s.exitSerial
 	}
 
-	s.point, s.seq, s.misses, s.masked, s.restored = 0, 0, 0, 0, 0
+	s.point, s.seq, s.misses, s.masked, s.restored, s.fingerprints = 0, 0, 0, 0, 0, 0
 	s.injected, s.trace, s.spans, s.maskSkips = nil, nil, nil, nil
 	if cfg.RecordSpans {
 		s.spans, s.spanFree = s.spanFree, nil
@@ -787,6 +801,7 @@ func (s *Session) enterWork(h *MethodHandle, recv any, extra []any) func() {
 		before        *objgraph.Graph
 		beforeFP      objgraph.FP
 		fingerprinted bool
+		reused        bool
 	)
 	if mask {
 		ch, err := s.strategy.Capture(roots...)
@@ -803,7 +818,16 @@ func (s *Session) enterWork(h *MethodHandle, recv any, extra []any) func() {
 		case !targeted:
 		case predicted:
 		case s.cfg.Snapshot == SnapshotFingerprint:
-			beforeFP = s.graphs.Fingerprint(roots...)
+			if clean != nil && clean.before != nil && clean.Enter == s.point && !s.cfg.Serialize {
+				// Entered before the injection where the clean run
+				// entered it: its before-state is the clean run's. Under
+				// Serialize goroutines may interleave differently at the
+				// same point, so a serialized call hashes its own.
+				beforeFP, reused = clean.before.fp, true
+			} else {
+				beforeFP = s.graphs.Fingerprint(roots...)
+				s.fingerprints++
+			}
 			fingerprinted = true
 		default:
 			before = s.graphs.Capture(roots...)
@@ -834,7 +858,7 @@ func (s *Session) enterWork(h *MethodHandle, recv any, extra []any) func() {
 	f := &s.frames[n]
 	f.method, f.call, f.roots = h, call, roots
 	f.handle, f.before, f.beforeFP = handle, before, beforeFP
-	f.fingerprinted, f.predicted, f.span = fingerprinted, predicted, span
+	f.fingerprinted, f.predicted, f.reused, f.span = fingerprinted, predicted, reused, span
 	return s.exitFn
 }
 
@@ -849,7 +873,7 @@ func (s *Session) epilogue(r any) {
 	last := len(s.frames) - 1
 	f := &s.frames[last]
 	method, call, roots, handle, before := f.method, f.call, f.roots, f.handle, f.before
-	beforeFP, fingerprinted, predicted, span := f.beforeFP, f.fingerprinted, f.predicted, f.span
+	beforeFP, fingerprinted, predicted, reused, span := f.beforeFP, f.fingerprinted, f.predicted, f.reused, f.span
 	f.method, f.roots, f.handle, f.before = nil, nil, nil, nil
 	s.frames = s.frames[:last]
 	name := method.name
@@ -865,6 +889,7 @@ func (s *Session) epilogue(r any) {
 			r = exc
 		}
 	}
+	var kept *cleanBefore // the clean before-state this run's span keeps
 	if s.cfg.RecordSpans {
 		sp := &s.spans[span]
 		sp.Exit = s.point
@@ -877,7 +902,8 @@ func (s *Session) epilogue(r any) {
 				// the session for the next one.
 				s.graphs.Release(before)
 			} else {
-				sp.before = &cleanBefore{fp: beforeFP, graph: before}
+				kept = &cleanBefore{fp: beforeFP, graph: before}
+				sp.before = kept
 			}
 		}
 		if handle != nil && r == nil {
@@ -916,7 +942,18 @@ func (s *Session) epilogue(r any) {
 		// driver recovers the rest by replaying the run with capture
 		// snapshots at exactly those calls (deterministic replay,
 		// matched back by Seq).
-		unchanged := s.graphs.Fingerprint(roots...) == beforeFP
+		after, ok := objgraph.FP{}, false
+		if reused {
+			after, ok = s.cfg.Predict.cleanAfter(method, call, s.point, s.cfg.InjectionPoint)
+		}
+		if !ok {
+			after = s.graphs.Fingerprint(roots...)
+			s.fingerprints++
+		}
+		if kept != nil {
+			kept.after = after
+		}
+		unchanged := after == beforeFP
 		s.seq++
 		s.marks = append(s.marks, Mark{
 			Method:    name,

@@ -29,7 +29,14 @@ type Program struct {
 	// Run executes the workload against freshly constructed objects. It is
 	// invoked once per injection point; injected exceptions that the
 	// workload does not handle propagate out and are caught by the
-	// campaign.
+	// campaign. A campaign relies on each invocation repeating the clean
+	// run's (the first one's) until its injection fires: predicted runs
+	// skip the snapshots and checkpoints of calls that cannot unwind, and
+	// take the before- and after-fingerprints of calls reached before the
+	// injection from the clean run (core.Config.Predict). A workload that
+	// diverges anyway is detected where it shows (a call entered or
+	// unwound at another point is hashed, one unwound unpredicted is
+	// redone), not everywhere it could.
 	Run func()
 	// DeferMethods names the methods whose source carries a defer
 	// statement (the weaver's MethodFacts.HasDefer); the deferred-cleanup
